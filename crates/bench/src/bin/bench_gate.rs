@@ -217,14 +217,49 @@ struct StorageEntry {
     recovery_verified: bool,
 }
 
-fn load_storage_entries(path: &PathBuf) -> Result<Vec<StorageEntry>, String> {
+/// A checkpoint row of the storage profile that carries the deterministic
+/// device-cost ratio (the memory-device rows).
+struct CheckpointCost {
+    name: String,
+    device_bytes_per_snapshot_byte: f64,
+    recovery_verified: bool,
+}
+
+/// A checkpoint may make the device copy this many bytes per snapshot byte:
+/// the snapshot rounded up to pages plus a meta page is under 1.07 at 64 KiB;
+/// a device that copies what the page file holds instead is in the hundreds.
+const MAX_DEVICE_BYTES_PER_SNAPSHOT_BYTE: f64 = 1.25;
+
+fn load_storage_profile(
+    path: &PathBuf,
+) -> Result<(Vec<StorageEntry>, Vec<CheckpointCost>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let schema = json.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != "regular-seq/storage-profile/v1" {
         return Err(format!("{}: unexpected schema '{schema}'", path.display()));
     }
-    json.get("entries")
+    let rows = json
+        .get("checkpoints")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{}: missing checkpoints", path.display()))?;
+    let mut checkpoints = Vec::new();
+    for row in rows {
+        // Real-file rows carry no count: the device does not see its copies.
+        let Some(ratio) = row.get("device_bytes_per_snapshot_byte").and_then(Json::as_f64) else {
+            continue;
+        };
+        checkpoints.push(CheckpointCost {
+            name: row.get("name").and_then(Json::as_str).ok_or("row missing name")?.to_string(),
+            device_bytes_per_snapshot_byte: ratio,
+            recovery_verified: row
+                .get("recovery_verified")
+                .and_then(Json::as_bool)
+                .ok_or("row missing recovery_verified")?,
+        });
+    }
+    let entries = json
+        .get("entries")
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("{}: missing entries", path.display()))?
         .iter()
@@ -247,16 +282,18 @@ fn load_storage_entries(path: &PathBuf) -> Result<Vec<StorageEntry>, String> {
                     .ok_or("entry missing recovery_verified")?,
             })
         })
-        .collect()
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok((entries, checkpoints))
 }
 
 /// Gates the storage IO profile; returns true when something failed. The
 /// group-commit batch ratio is deterministic (simulated-clock sync schedule)
-/// and gated; recovery verification always gates; append wall throughput is
+/// and gated; so is what a checkpoint makes the device copy per snapshot
+/// byte; recovery verification always gates; wall-clock figures are
 /// warn-only.
 fn gate_storage(current: &PathBuf, reference: &PathBuf, threshold: f64) -> Result<bool, String> {
-    let current_entries = load_storage_entries(current)?;
-    let reference_entries = load_storage_entries(reference)?;
+    let (current_entries, current_checkpoints) = load_storage_profile(current)?;
+    let (reference_entries, reference_checkpoints) = load_storage_profile(reference)?;
     println!(
         "== storage IO gate: {} vs {} (threshold {:.0}%) ==",
         current.display(),
@@ -316,6 +353,35 @@ fn gate_storage(current: &PathBuf, reference: &PathBuf, threshold: f64) -> Resul
                 "WARN  {}: not in the reference (add it to ci/storage_reference.json \
                  or it is never gated)",
                 c.name
+            );
+        }
+    }
+    for r in &reference_checkpoints {
+        let Some(c) = current_checkpoints.iter().find(|c| c.name == r.name) else {
+            eprintln!("FAIL  {}: missing from current storage profile", r.name);
+            failed = true;
+            continue;
+        };
+        let label = format!(
+            "{:<12} device bytes per snapshot byte: ref {:.4}  now {:.4}  (ceiling {:.2})",
+            r.name,
+            r.device_bytes_per_snapshot_byte,
+            c.device_bytes_per_snapshot_byte,
+            MAX_DEVICE_BYTES_PER_SNAPSHOT_BYTE
+        );
+        if !c.recovery_verified {
+            eprintln!("FAIL  {}: checkpoint recovery verification failed", c.name);
+            failed = true;
+        } else if c.device_bytes_per_snapshot_byte > MAX_DEVICE_BYTES_PER_SNAPSHOT_BYTE {
+            eprintln!("FAIL  {label}  (a checkpoint copies more than it writes)");
+            failed = true;
+        } else {
+            println!("ok    {label}");
+        }
+        if c.device_bytes_per_snapshot_byte != r.device_bytes_per_snapshot_byte {
+            println!(
+                "WARN  {}: the count drifted from the reference: refresh ci/storage_reference.json",
+                r.name
             );
         }
     }

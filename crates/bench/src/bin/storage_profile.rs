@@ -16,6 +16,14 @@
 //! gates the deterministic observables and the recovery verdict, and treats
 //! wall-clock drift as warn-only.
 //!
+//! The append stream's checkpoints persist an 8-byte snapshot, which hides
+//! what a checkpoint costs; so a second set of rows checkpoints snapshots of
+//! realistic size (64 KiB, 1 MiB) on both devices. On `MemDisk` each row
+//! reports `device_bytes_per_snapshot_byte` — bytes the device copied per
+//! checkpoint over the snapshot's size, a count that repeats exactly and
+//! that the gate bounds at 1.25: a checkpoint must cost what it writes, not
+//! what the page file holds — next to the host-dependent `us_per_kb`.
+//!
 //! Usage:
 //!
 //! ```text
@@ -27,7 +35,7 @@ use std::time::Instant;
 
 use regular_storage::codec::{Dec, Enc};
 use regular_storage::wal::Wal;
-use regular_storage::{Backing, StorageRegistry, WalOptions};
+use regular_storage::{Backing, MemDisk, StorageRegistry, WalOptions};
 use regular_sweep::{write_json, Json};
 
 /// Simulated microseconds between record arrivals: at 20 µs per record, a
@@ -144,6 +152,70 @@ fn run_profile(opts: &WalOptions, name: String, backend: &'static str, n: u64) -
     }
 }
 
+/// Snapshot sizes the checkpoint rows use: a single-DC shard's state after a
+/// second of load, and one sixteen times that.
+const CHECKPOINT_SNAPSHOT_BYTES: [(&str, usize); 2] = [("64k", 64 * 1024), ("1m", 1024 * 1024)];
+
+/// Checkpoints per row: both snapshot areas and both meta pages are reused
+/// many times over.
+const CHECKPOINT_ROUNDS: u64 = 20;
+
+struct CheckpointEntry {
+    name: String,
+    backend: &'static str,
+    snapshot_bytes: usize,
+    rounds: u64,
+    /// `MemDisk` only: the real device does not count what it copies.
+    device_bytes_per_snapshot_byte: Option<f64>,
+    us_per_kb: f64,
+    recovery_verified: bool,
+}
+
+/// [`CHECKPOINT_ROUNDS`] checkpoints of a `snapshot_bytes` snapshot, a few records apart,
+/// then crash + recover: the last snapshot and the records after it must come
+/// back. `disk` is the memory device behind `opts`, when there is one.
+fn run_checkpoints(
+    opts: &WalOptions,
+    disk: Option<MemDisk>,
+    name: String,
+    backend: &'static str,
+    snapshot_bytes: usize,
+) -> CheckpointEntry {
+    let rounds = CHECKPOINT_ROUNDS;
+    let (mut wal, recovered) = Wal::open(opts, &name);
+    assert!(recovered.is_empty(), "profile logs start empty");
+    let snapshot_of =
+        |round: u64| -> Vec<u8> { (0..snapshot_bytes).map(|i| (i as u64 ^ round) as u8).collect() };
+    let mut in_checkpoint = 0.0;
+    for round in 0..rounds {
+        for seq in 0..8 {
+            wal.append(&payload(round * 8 + seq), 0);
+        }
+        let snapshot = snapshot_of(round);
+        let started = Instant::now();
+        assert!(wal.checkpoint(&snapshot), "the snapshot fits its area");
+        in_checkpoint += started.elapsed().as_secs_f64();
+    }
+    let copied = disk.map(|d| d.page_bytes_copied());
+    wal.append(&payload(rounds * 8), 0);
+    wal.sync();
+    wal.on_crash();
+    let log = wal.recover();
+    let recovery_verified = log.snapshot == Some(snapshot_of(rounds - 1))
+        && log.records.len() == 1
+        && parse_payload(&log.records[0]) == Some(rounds * 8);
+    let snapshot_total = (rounds * snapshot_bytes as u64) as f64;
+    CheckpointEntry {
+        name,
+        backend,
+        snapshot_bytes,
+        rounds,
+        device_bytes_per_snapshot_byte: copied.map(|c| c as f64 / snapshot_total),
+        us_per_kb: in_checkpoint * 1e6 / (snapshot_total / 1024.0),
+        recovery_verified,
+    }
+}
+
 fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
 }
@@ -183,6 +255,18 @@ fn main() {
         .with_group_commit_us(gc);
         entries.push(run_profile(&opts, format!("dir-gc{gc}"), "dir", dir_records));
     }
+    let mut checkpoints = Vec::new();
+    for (label, bytes) in CHECKPOINT_SNAPSHOT_BYTES {
+        let registry = StorageRegistry::new();
+        let opts = WalOptions::mem(registry.clone()).with_checkpoint_every(0);
+        let name = format!("ckpt-mem-{label}");
+        let disk = registry.disk(&name);
+        checkpoints.push(run_checkpoints(&opts, Some(disk), name, "mem", bytes));
+    }
+    for (label, bytes) in CHECKPOINT_SNAPSHOT_BYTES {
+        let opts = WalOptions::dir(scratch.join(format!("ckpt-{label}"))).with_checkpoint_every(0);
+        checkpoints.push(run_checkpoints(&opts, None, format!("ckpt-dir-{label}"), "dir", bytes));
+    }
     let _ = std::fs::remove_dir_all(&scratch);
 
     // The IO-axis invariant this profile exists to demonstrate: widening the
@@ -210,6 +294,18 @@ fn main() {
             e.recovered_records,
             if e.recovery_verified { "verified" } else { "MISMATCH" },
             e.recover_ms,
+        );
+    }
+
+    for c in &checkpoints {
+        println!(
+            "{:<13} {:>3} checkpoints of {:>7} B  device bytes/snapshot byte {}  {:>7.2} us/KB  ({})",
+            c.name,
+            c.rounds,
+            c.snapshot_bytes,
+            c.device_bytes_per_snapshot_byte.map_or("   n/a".to_string(), |r| format!("{r:>6.3}")),
+            c.us_per_kb,
+            if c.recovery_verified { "verified" } else { "MISMATCH" },
         );
     }
 
@@ -241,9 +337,35 @@ fn main() {
                     .collect(),
             ),
         ),
+        (
+            "checkpoints",
+            Json::Arr(
+                checkpoints
+                    .iter()
+                    .map(|c| {
+                        let mut fields = vec![
+                            ("name", Json::str(&c.name)),
+                            ("backend", Json::str(c.backend)),
+                            ("snapshot_bytes", Json::u64(c.snapshot_bytes as u64)),
+                            ("rounds", Json::u64(c.rounds)),
+                        ];
+                        if let Some(ratio) = c.device_bytes_per_snapshot_byte {
+                            fields.push((
+                                "device_bytes_per_snapshot_byte",
+                                Json::f64((ratio * 1e4).round() / 1e4),
+                            ));
+                        }
+                        fields.push(("us_per_kb", Json::f64(round2(c.us_per_kb))));
+                        fields.push(("recovery_verified", Json::Bool(c.recovery_verified)));
+                        Json::obj(fields)
+                    })
+                    .collect(),
+            ),
+        ),
     ]);
     write_json(&out, &json).expect("write profile");
-    let failed = entries.iter().filter(|e| !e.recovery_verified).count();
+    let failed = entries.iter().filter(|e| !e.recovery_verified).count()
+        + checkpoints.iter().filter(|c| !c.recovery_verified).count();
     println!("storage profile written to {} ({} entries)", out.display(), entries.len());
     if failed > 0 {
         eprintln!("{failed} entries FAILED recovery verification");

@@ -57,33 +57,39 @@ fn dec_op(d: &mut Dec) -> Option<OpRef> {
 
 impl GryffRecord {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(128);
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Appends the record's encoding to `e` (what `Wal::append_with` frames
+    /// in place).
+    pub fn encode_into(&self, e: &mut Enc) {
         match self {
             GryffRecord::Apply { key, value, cs } => {
                 e.u8(T_APPLY);
                 e.u64(key.0).u64(value.0);
-                enc_cs(&mut e, *cs);
+                enc_cs(e, *cs);
             }
             GryffRecord::RmwBegin { internal, client, client_op, key, new_value } => {
                 e.u8(T_RMW_BEGIN);
                 e.u64(*internal).u64(*client as u64);
-                enc_op(&mut e, *client_op);
+                enc_op(e, *client_op);
                 e.u64(key.0).u64(new_value.0);
             }
             GryffRecord::RmwChosen { internal, old_value, cs } => {
                 e.u8(T_RMW_CHOSEN);
                 e.u64(*internal).u64(old_value.0);
-                enc_cs(&mut e, *cs);
+                enc_cs(e, *cs);
             }
             GryffRecord::RmwFinish { internal, client_op, key, old_value, cs } => {
                 e.u8(T_RMW_FINISH);
                 e.u64(*internal);
-                enc_op(&mut e, *client_op);
+                enc_op(e, *client_op);
                 e.u64(key.0).u64(old_value.0);
-                enc_cs(&mut e, *cs);
+                enc_cs(e, *cs);
             }
         }
-        e.finish()
     }
 
     pub fn decode(bytes: &[u8]) -> Option<GryffRecord> {
@@ -186,33 +192,40 @@ pub(crate) struct GryffSnapshot {
 
 const SNAPSHOT_VERSION: u32 = 1;
 
-impl GryffSnapshot {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(SNAPSHOT_VERSION);
-        e.u32(self.store.len() as u32);
-        for (key, value, cs) in &self.store {
-            e.u64(key.0).u64(value.0);
-            enc_cs(&mut e, *cs);
-        }
-        e.u32(self.rmws.len() as u32);
-        for r in &self.rmws {
-            e.u64(r.internal).u64(r.client as u64);
-            enc_op(&mut e, r.client_op);
-            e.u64(r.key.0).u64(r.new_value.0).u8(r.phase).u64(r.max_value.0);
-            enc_cs(&mut e, r.max_cs);
-            enc_cs(&mut e, r.chosen);
-        }
-        e.u64(self.next_internal);
-        e.u32(self.finished.len() as u32);
-        for (op, value, cs) in &self.finished {
-            enc_op(&mut e, *op);
-            e.u64(value.0);
-            enc_cs(&mut e, *cs);
-        }
-        e.finish()
+/// Streams a checkpoint snapshot into `e`. Every slice arrives in its
+/// canonical order (keys, internal ids, client operations ascending), which
+/// makes the bytes a function of the state alone.
+pub(crate) fn encode_snapshot(
+    e: &mut Enc,
+    store: &[(Key, Value, Carstamp)],
+    rmws: &[SnapRmw],
+    next_internal: u64,
+    finished: &[(OpRef, Value, Carstamp)],
+) {
+    e.u32(SNAPSHOT_VERSION);
+    e.u32(store.len() as u32);
+    for (key, value, cs) in store {
+        e.u64(key.0).u64(value.0);
+        enc_cs(e, *cs);
     }
+    e.u32(rmws.len() as u32);
+    for r in rmws {
+        e.u64(r.internal).u64(r.client as u64);
+        enc_op(e, r.client_op);
+        e.u64(r.key.0).u64(r.new_value.0).u8(r.phase).u64(r.max_value.0);
+        enc_cs(e, r.max_cs);
+        enc_cs(e, r.chosen);
+    }
+    e.u64(next_internal);
+    e.u32(finished.len() as u32);
+    for (op, value, cs) in finished {
+        enc_op(e, *op);
+        e.u64(value.0);
+        enc_cs(e, *cs);
+    }
+}
 
+impl GryffSnapshot {
     pub fn decode(bytes: &[u8]) -> Option<GryffSnapshot> {
         let mut d = Dec::new(bytes);
         if d.u32()? != SNAPSHOT_VERSION {
@@ -256,9 +269,9 @@ mod tests {
         Carstamp { count, writer, rmwc }
     }
 
-    #[test]
-    fn records_round_trip() {
-        let records = vec![
+    /// One record of every variant.
+    fn sample_records() -> Vec<GryffRecord> {
+        vec![
             GryffRecord::Apply { key: Key(3), value: Value(30), cs: cs(2, 1, 0) },
             GryffRecord::RmwBegin {
                 internal: 7,
@@ -275,14 +288,35 @@ mod tests {
                 old_value: Value(30),
                 cs: cs(2, 1, 1),
             },
-        ];
-        for rec in records {
+        ]
+    }
+
+    #[test]
+    fn records_round_trip() {
+        for rec in sample_records() {
             let bytes = rec.encode();
             assert_eq!(GryffRecord::decode(&bytes), Some(rec.clone()), "round trip {rec:?}");
             for cut in 0..bytes.len() {
                 assert_eq!(GryffRecord::decode(&bytes[..cut]), None, "truncated {rec:?} at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn encoding_in_place_frames_the_same_bytes() {
+        use regular_storage::{StorageRegistry, WalOptions};
+        let registry = StorageRegistry::new();
+        let opts = WalOptions::mem(registry.clone());
+        let (mut copied, _) = Wal::open(&opts, "copied");
+        let (mut in_place, _) = Wal::open(&opts, "in-place");
+        for rec in sample_records() {
+            copied.append(&rec.encode(), 0);
+            in_place.append_with(0, |enc| rec.encode_into(enc));
+        }
+        assert_eq!(
+            registry.disk("copied").read_segment(0),
+            registry.disk("in-place").read_segment(0)
+        );
     }
 
     #[test]
@@ -303,7 +337,9 @@ mod tests {
             next_internal: 6,
             finished: vec![(OpRef { node: 8, seq: 1 }, Value(9), cs(3, 2, 0))],
         };
-        let bytes = snap.encode();
+        let mut e = Enc::new();
+        encode_snapshot(&mut e, &snap.store, &snap.rmws, snap.next_internal, &snap.finished);
+        let bytes = e.finish();
         let back = GryffSnapshot::decode(&bytes).expect("decode");
         assert_eq!(back, snap);
         assert_eq!(GryffSnapshot::decode(&bytes[..bytes.len() - 1]), None);

@@ -259,6 +259,10 @@ fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunRes
             replica_registers.push(r.registers());
         }
     }
+    debug_assert_eq!(
+        storage.skipped_checkpoints, 0,
+        "a snapshot outgrew its checkpoint area: that node's log is never pruned again"
+    );
     let window = stop_issuing_at.since(measure_from).as_micros();
     let throughput =
         if window == 0 { 0.0 } else { window_count as f64 * 1_000_000.0 / window as f64 };

@@ -7,6 +7,8 @@
 //! survives. The encodings are hand-rolled little-endian (the vendored
 //! `serde` is derive-only) via [`regular_storage::codec`].
 
+use std::borrow::Cow;
+
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
 use regular_storage::codec::{Dec, Enc};
@@ -78,37 +80,44 @@ pub(crate) fn dec_writes(d: &mut Dec) -> Option<Vec<(Key, Value)>> {
 
 impl ShardRecord {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_capacity(128);
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Appends the record's encoding to `e` (what `Wal::append_with` frames
+    /// in place).
+    pub fn encode_into(&self, e: &mut Enc) {
         match self {
             ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes } => {
                 e.u8(T_PREPARE_REC);
-                enc_txn(&mut e, *txn);
+                enc_txn(e, *txn);
                 e.u64(*t_prepare).u64(*t_ee).u64(*coordinator as u64);
-                enc_writes(&mut e, writes);
+                enc_writes(e, writes);
             }
             ShardRecord::Decision { txn, commit, t_commit } => {
                 e.u8(T_DECISION);
-                enc_txn(&mut e, *txn);
+                enc_txn(e, *txn);
                 e.bool(*commit).u64(*t_commit);
             }
             ShardRecord::CoordBegin { txn, client, t_ee, writes_by_shard } => {
                 e.u8(T_COORD_BEGIN);
-                enc_txn(&mut e, *txn);
+                enc_txn(e, *txn);
                 e.u64(*client as u64).u64(*t_ee);
                 e.u32(writes_by_shard.len() as u32);
                 for (node, writes) in writes_by_shard {
                     e.u64(*node as u64);
-                    enc_writes(&mut e, writes);
+                    enc_writes(e, writes);
                 }
             }
             ShardRecord::CoordVote { txn, shard, t_prepare } => {
                 e.u8(T_COORD_VOTE);
-                enc_txn(&mut e, *txn);
+                enc_txn(e, *txn);
                 e.u64(*shard as u64).u64(*t_prepare);
             }
             ShardRecord::CoordTs { txn, t_commit, fire_at_us } => {
                 e.u8(T_COORD_TS);
-                enc_txn(&mut e, *txn);
+                enc_txn(e, *txn);
                 e.u64(*t_commit).u64(*fire_at_us);
             }
             ShardRecord::SafeTime { ts } => {
@@ -116,7 +125,6 @@ impl ShardRecord {
                 e.u64(*ts);
             }
         }
-        e.finish()
     }
 
     pub fn decode(bytes: &[u8]) -> Option<ShardRecord> {
@@ -181,7 +189,7 @@ pub fn replay_store(disk: MemDisk) -> MvccStore {
                 store.apply(key, ts, value);
             }
             for p in snap.prepared {
-                prepared.push((p.txn, p.writes));
+                prepared.push((p.txn, p.writes.into_owned()));
             }
         }
     }
@@ -208,81 +216,97 @@ pub fn replay_store(disk: MemDisk) -> MvccStore {
     store
 }
 
-/// A prepared transaction as serialized into a checkpoint snapshot.
+/// A prepared transaction as serialized into a checkpoint snapshot: borrowed
+/// from the shard when encoding, owned when decoded.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct SnapPrepared {
+pub(crate) struct SnapPrepared<'a> {
     pub txn: TxnId,
-    pub writes: Vec<(Key, Value)>,
+    pub writes: Cow<'a, [(Key, Value)]>,
     pub t_prepare: Ts,
     pub t_ee: Ts,
     pub coordinator: NodeId,
 }
 
+/// One participant's share of a transaction's writes.
+type ShardWrites = (NodeId, Vec<(Key, Value)>);
+
 /// A coordinator round as serialized into a checkpoint snapshot.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct SnapCoord {
+pub(crate) struct SnapCoord<'a> {
     pub txn: TxnId,
     pub client: NodeId,
     pub t_ee: Ts,
     pub max_prepare: Ts,
     pub commit_fire_at_us: Option<u64>,
-    pub writes_by_shard: Vec<(NodeId, Vec<(Key, Value)>)>,
+    pub writes_by_shard: Cow<'a, [ShardWrites]>,
     pub awaiting: Vec<NodeId>,
 }
 
-/// The full durable state of a shard at checkpoint time.
+/// The full durable state of a shard, as decoded from a checkpoint.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ShardSnapshot {
     pub max_ts: Ts,
     pub versions: Vec<(Key, Ts, Value)>,
-    pub prepared: Vec<SnapPrepared>,
-    pub coordinating: Vec<SnapCoord>,
+    pub prepared: Vec<SnapPrepared<'static>>,
+    pub coordinating: Vec<SnapCoord<'static>>,
     pub decided: Vec<(TxnId, bool, Ts)>,
 }
 
 const SNAPSHOT_VERSION: u32 = 1;
 
-impl ShardSnapshot {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(SNAPSHOT_VERSION);
-        e.u64(self.max_ts);
-        e.u32(self.versions.len() as u32);
-        for (key, ts, value) in &self.versions {
+/// Streams a checkpoint snapshot into `e` straight from the shard's state —
+/// the version chains as the store holds them, the rest borrowed — so a
+/// checkpoint copies each byte once. Every slice arrives in its canonical
+/// order (keys, transaction ids, node ids ascending), which makes the bytes
+/// a function of the state alone.
+pub(crate) fn encode_snapshot(
+    e: &mut Enc,
+    max_ts: Ts,
+    chains: &[(Key, &[(Ts, Value)])],
+    prepared: &[SnapPrepared],
+    coordinating: &[SnapCoord],
+    decided: &[(TxnId, bool, Ts)],
+) {
+    e.u32(SNAPSHOT_VERSION);
+    e.u64(max_ts);
+    e.u32(chains.iter().map(|(_, chain)| chain.len()).sum::<usize>() as u32);
+    for (key, chain) in chains {
+        for (ts, value) in *chain {
             e.u64(key.0).u64(*ts).u64(value.0);
         }
-        e.u32(self.prepared.len() as u32);
-        for p in &self.prepared {
-            enc_txn(&mut e, p.txn);
-            e.u64(p.t_prepare).u64(p.t_ee).u64(p.coordinator as u64);
-            enc_writes(&mut e, &p.writes);
-        }
-        e.u32(self.coordinating.len() as u32);
-        for c in &self.coordinating {
-            enc_txn(&mut e, c.txn);
-            e.u64(c.client as u64).u64(c.t_ee).u64(c.max_prepare);
-            match c.commit_fire_at_us {
-                Some(at) => e.bool(true).u64(at),
-                None => e.bool(false),
-            };
-            e.u32(c.writes_by_shard.len() as u32);
-            for (node, writes) in &c.writes_by_shard {
-                e.u64(*node as u64);
-                enc_writes(&mut e, writes);
-            }
-            e.u32(c.awaiting.len() as u32);
-            for node in &c.awaiting {
-                e.u64(*node as u64);
-            }
-        }
-        e.u32(self.decided.len() as u32);
-        for (txn, commit, t_commit) in &self.decided {
-            enc_txn(&mut e, *txn);
-            e.bool(*commit).u64(*t_commit);
-        }
-        e.finish()
     }
+    e.u32(prepared.len() as u32);
+    for p in prepared {
+        enc_txn(e, p.txn);
+        e.u64(p.t_prepare).u64(p.t_ee).u64(p.coordinator as u64);
+        enc_writes(e, &p.writes);
+    }
+    e.u32(coordinating.len() as u32);
+    for c in coordinating {
+        enc_txn(e, c.txn);
+        e.u64(c.client as u64).u64(c.t_ee).u64(c.max_prepare);
+        match c.commit_fire_at_us {
+            Some(at) => e.bool(true).u64(at),
+            None => e.bool(false),
+        };
+        e.u32(c.writes_by_shard.len() as u32);
+        for (node, writes) in c.writes_by_shard.iter() {
+            e.u64(*node as u64);
+            enc_writes(e, writes);
+        }
+        e.u32(c.awaiting.len() as u32);
+        for node in &c.awaiting {
+            e.u64(*node as u64);
+        }
+    }
+    e.u32(decided.len() as u32);
+    for (txn, commit, t_commit) in decided {
+        enc_txn(e, *txn);
+        e.bool(*commit).u64(*t_commit);
+    }
+}
 
+impl ShardSnapshot {
     pub fn decode(bytes: &[u8]) -> Option<ShardSnapshot> {
         let mut d = Dec::new(bytes);
         if d.u32()? != SNAPSHOT_VERSION {
@@ -302,7 +326,7 @@ impl ShardSnapshot {
                 t_prepare: d.u64()?,
                 t_ee: d.u64()?,
                 coordinator: d.u64()? as NodeId,
-                writes: dec_writes(&mut d)?,
+                writes: dec_writes(&mut d)?.into(),
             });
         }
         let n = d.u32()? as usize;
@@ -330,7 +354,7 @@ impl ShardSnapshot {
                 t_ee,
                 max_prepare,
                 commit_fire_at_us,
-                writes_by_shard,
+                writes_by_shard: writes_by_shard.into(),
                 awaiting,
             });
         }
@@ -351,9 +375,9 @@ mod tests {
         TxnId { client, seq }
     }
 
-    #[test]
-    fn records_round_trip() {
-        let records = vec![
+    /// One record of every variant.
+    fn sample_records() -> Vec<ShardRecord> {
+        vec![
             ShardRecord::Prepare {
                 txn: txn(9, 4),
                 t_prepare: 1000,
@@ -372,8 +396,12 @@ mod tests {
             ShardRecord::CoordVote { txn: txn(7, 1), shard: 1, t_prepare: 1200 },
             ShardRecord::CoordTs { txn: txn(7, 1), t_commit: 1400, fire_at_us: 5000 },
             ShardRecord::SafeTime { ts: 7777 },
-        ];
-        for rec in records {
+        ]
+    }
+
+    #[test]
+    fn records_round_trip() {
+        for rec in sample_records() {
             let bytes = rec.encode();
             assert_eq!(ShardRecord::decode(&bytes), Some(rec.clone()), "round trip {rec:?}");
             // Truncations must decode to None, never panic.
@@ -381,6 +409,23 @@ mod tests {
                 assert_eq!(ShardRecord::decode(&bytes[..cut]), None, "truncated {rec:?} at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn encoding_in_place_frames_the_same_bytes() {
+        use regular_storage::{StorageRegistry, WalOptions};
+        let registry = StorageRegistry::new();
+        let opts = WalOptions::mem(registry.clone());
+        let (mut copied, _) = Wal::open(&opts, "copied");
+        let (mut in_place, _) = Wal::open(&opts, "in-place");
+        for rec in sample_records() {
+            copied.append(&rec.encode(), 0);
+            in_place.append_with(0, |enc| rec.encode_into(enc));
+        }
+        assert_eq!(
+            registry.disk("copied").read_segment(0),
+            registry.disk("in-place").read_segment(0)
+        );
     }
 
     #[test]
@@ -394,7 +439,7 @@ mod tests {
             ],
             prepared: vec![SnapPrepared {
                 txn: txn(3, 7),
-                writes: vec![(Key(9), Value(90))],
+                writes: vec![(Key(9), Value(90))].into(),
                 t_prepare: 30,
                 t_ee: 40,
                 coordinator: 1,
@@ -405,12 +450,24 @@ mod tests {
                 t_ee: 55,
                 max_prepare: 60,
                 commit_fire_at_us: Some(70),
-                writes_by_shard: vec![(0, vec![(Key(2), Value(22))])],
+                writes_by_shard: vec![(0, vec![(Key(2), Value(22))])].into(),
                 awaiting: vec![],
             }],
             decided: vec![(txn(5, 5), true, 99), (txn(5, 6), false, 0)],
         };
-        let bytes = snap.encode();
+        // Two chains, as the store would hand them over.
+        let chains: [(Key, &[(Ts, Value)]); 2] =
+            [(Key(1), &[(10, Value(100)), (20, Value(200))]), (Key(2), &[(5, Value(50))])];
+        let mut e = Enc::new();
+        encode_snapshot(
+            &mut e,
+            snap.max_ts,
+            &chains,
+            &snap.prepared,
+            &snap.coordinating,
+            &snap.decided,
+        );
+        let bytes = e.finish();
         let back = ShardSnapshot::decode(&bytes).expect("decode");
         assert_eq!(back.max_ts, snap.max_ts);
         assert_eq!(back.versions, snap.versions);

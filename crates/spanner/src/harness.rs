@@ -245,6 +245,10 @@ pub fn run_cluster(spec: ClusterSpec) -> RunResult {
             shard_stores.push(dump);
         }
     }
+    debug_assert_eq!(
+        storage.skipped_checkpoints, 0,
+        "a snapshot outgrew its checkpoint area: that node's log is never pruned again"
+    );
     let window = stop_issuing_at.since(measure_from).as_micros();
     let throughput =
         if window == 0 { 0.0 } else { window_count as f64 * 1_000_000.0 / window as f64 };

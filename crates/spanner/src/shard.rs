@@ -11,11 +11,12 @@ use regular_core::hashing::{FxHashMap, FxHashSet};
 use regular_core::types::{Key, Value};
 use regular_sim::engine::{Context, NodeId};
 use regular_sim::time::SimDuration;
+use regular_storage::codec::Enc;
 use regular_storage::wal::{RecoveredLog, Wal, WalStats};
 use regular_storage::Durability;
 
 use crate::config::{Mode, SpannerConfig};
-use crate::durable::{ShardRecord, ShardSnapshot, SnapCoord, SnapPrepared};
+use crate::durable::{self, ShardRecord, ShardSnapshot, SnapCoord, SnapPrepared};
 use crate::locks::LockTable;
 use crate::messages::{PreparedInfo, SpannerMsg, Ts, TxnId};
 use crate::storage::MvccStore;
@@ -207,9 +208,12 @@ impl ShardNode {
     }
 
     /// Appends a durable state transition to the WAL (no-op when in-memory).
+    /// Out of line: inlined, the record encoder lands in every handler and
+    /// the in-memory runs, which never take this branch, pay for its size.
+    #[inline(never)]
     fn log(&mut self, ctx: &Context<SpannerMsg>, rec: &ShardRecord) {
         if let Some(wal) = self.wal.as_mut() {
-            wal.append(&rec.encode(), ctx.now().as_micros());
+            wal.append_with(ctx.now().as_micros(), |enc| rec.encode_into(enc));
         }
     }
 
@@ -253,8 +257,12 @@ impl ShardNode {
             return;
         }
         if self.wal.as_ref().unwrap().checkpoint_due() {
-            let snapshot = self.encode_snapshot();
-            self.wal.as_mut().unwrap().checkpoint(&snapshot);
+            // Out of `self` while the encoder borrows the rest of it. A
+            // snapshot that outgrew its area is skipped and counted; the
+            // harness reads the count (`StorageSummary::skipped_checkpoints`).
+            let mut wal = self.wal.take().unwrap();
+            let _wrote = wal.checkpoint_with(|enc| self.encode_snapshot(enc));
+            self.wal = Some(wal);
         }
         let now = ctx.now().as_micros();
         let wal = self.wal.as_mut().unwrap();
@@ -274,16 +282,15 @@ impl ShardNode {
         }
     }
 
-    /// Serializes the durable state for a checkpoint, deterministically.
-    fn encode_snapshot(&self) -> Vec<u8> {
-        let mut versions = self.store.dump();
-        versions.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
+    /// Serializes the durable state for a checkpoint, deterministically:
+    /// every hash-map section sorted, nothing cloned.
+    fn encode_snapshot(&self, enc: &mut Enc) {
         let mut prepared: Vec<SnapPrepared> = self
             .prepared
             .iter()
             .map(|(txn, p)| SnapPrepared {
                 txn: *txn,
-                writes: p.writes.clone(),
+                writes: p.writes.as_slice().into(),
                 t_prepare: p.t_prepare,
                 t_ee: p.t_ee,
                 coordinator: p.coordinator,
@@ -302,7 +309,7 @@ impl ShardNode {
                     t_ee: s.t_ee,
                     max_prepare: s.max_prepare,
                     commit_fire_at_us: s.commit_fire_at_us,
-                    writes_by_shard: s.writes_by_shard.clone(),
+                    writes_by_shard: s.writes_by_shard.as_slice().into(),
                     awaiting,
                 }
             })
@@ -311,7 +318,8 @@ impl ShardNode {
         let mut decided: Vec<(TxnId, bool, Ts)> =
             self.decided.iter().map(|(txn, &(c, t))| (*txn, c, t)).collect();
         decided.sort_unstable_by_key(|d| d.0);
-        ShardSnapshot { max_ts: self.max_ts, versions, prepared, coordinating, decided }.encode()
+        let chains = self.store.chains_by_key();
+        durable::encode_snapshot(enc, self.max_ts, &chains, &prepared, &coordinating, &decided);
     }
 
     /// Rebuilds durable state from a recovered snapshot + log tail. Volatile
@@ -330,7 +338,7 @@ impl ShardNode {
                 self.prepared.insert(
                     p.txn,
                     PreparedTxn {
-                        writes: p.writes,
+                        writes: p.writes.into_owned(),
                         t_prepare: p.t_prepare,
                         t_ee: p.t_ee,
                         coordinator: p.coordinator,
@@ -346,7 +354,7 @@ impl ShardNode {
                         participants,
                         awaiting: c.awaiting.into_iter().collect(),
                         max_prepare: c.max_prepare,
-                        writes_by_shard: c.writes_by_shard,
+                        writes_by_shard: c.writes_by_shard.into_owned(),
                         t_ee: c.t_ee,
                         commit_fire_at_us: c.commit_fire_at_us,
                     },

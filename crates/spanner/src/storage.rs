@@ -63,8 +63,16 @@ impl MvccStore {
         self.versions.values().map(|c| c.len()).sum()
     }
 
-    /// Every stored version, for checkpoint snapshots and differential
-    /// tests. Unordered; callers sort as needed.
+    /// Every version chain, borrowed, ordered by key (each chain is ordered by
+    /// timestamp): the deterministic walk a checkpoint streams from.
+    pub fn chains_by_key(&self) -> Vec<(Key, &[(Ts, Value)])> {
+        let mut chains: Vec<_> = self.versions.iter().map(|(k, c)| (k, c.as_slice())).collect();
+        chains.sort_unstable_by_key(|(k, _)| k.0);
+        chains
+    }
+
+    /// Every stored version, for differential tests. Unordered; callers sort
+    /// as needed.
     pub fn dump(&self) -> Vec<(Key, Ts, Value)> {
         self.versions
             .iter()

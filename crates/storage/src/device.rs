@@ -5,14 +5,24 @@
 //! deterministic in-process device the simulation plane uses; [`DirDisk`]
 //! backs the live plane with real files and real fsyncs. [`NodeDisk`] is the
 //! enum the WAL drives, so protocol code never sees which one it got.
+//!
+//! The page file is written and read in *runs*: `write_run(first_page,
+//! bytes)` covers `ceil(len / PAGE_SIZE)` whole pages starting at
+//! `first_page`, zero-filling the tail of the last one, and `read_run` fills
+//! a buffer from consecutive pages (never-written bytes read as zeroes).
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::pool::PAGE_SIZE;
+/// Page size in bytes. Page writes are assumed atomic at this granularity
+/// (the standard WAL assumption); torn *pages* are out of scope — the meta
+/// pages are crc-guarded and ping-ponged instead.
+pub const PAGE_SIZE: usize = 4096;
+
+type Page = Box<[u8]>;
 
 /// In-process device with explicit synced/unsynced boundaries.
 ///
@@ -27,12 +37,23 @@ pub struct MemDisk {
 #[derive(Default)]
 struct MemDiskInner {
     segments: BTreeMap<u64, MemSegment>,
-    /// Page file as last written (may be ahead of `durable_pages`).
-    pages: Vec<u8>,
-    /// Page file as of the last `sync_pages`. Page writes are assumed atomic
-    /// at page granularity; an unsynced page write is lost wholesale on crash.
-    durable_pages: Vec<u8>,
+    /// Page file as last written, sparse: a page nobody wrote reads as
+    /// zeroes and costs nothing.
+    pages: BTreeMap<u64, Page>,
+    /// For every page written since the last `sync_pages`, its durable image
+    /// (`None`: the page did not exist). Page writes are assumed atomic at
+    /// page granularity; a crash puts these back, so an unsynced page write
+    /// is lost wholesale. A sync just forgets them — every page-file
+    /// operation costs O(pages written since the last sync).
+    undo: BTreeMap<u64, Option<Page>>,
+    /// Bytes copied into or within the page file (observability: the
+    /// storage profile's `device_bytes_per_snapshot_byte`).
+    page_bytes_copied: u64,
     crashes: u64,
+    /// Test-only power cut: page-file operations left before the device
+    /// ignores every mutation (until `crash`).
+    #[cfg(test)]
+    page_ops_until_power_cut: Option<u64>,
 }
 
 #[derive(Default)]
@@ -54,36 +75,59 @@ impl MemDisk {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, MemDiskInner> {
+        self.inner.lock().expect("a MemDisk operation panicked mid-update")
+    }
+
+    /// Locks the device for a mutation. `None` means the mutation is to be
+    /// dropped: a test cut the power (never happens outside tests).
+    fn mutate(&self) -> Option<MutexGuard<'_, MemDiskInner>> {
+        let inner = self.lock();
+        #[cfg(test)]
+        if inner.page_ops_until_power_cut == Some(0) {
+            return None;
+        }
+        Some(inner)
+    }
+
     pub fn segment_ids(&self) -> Vec<u64> {
-        self.inner.lock().unwrap().segments.keys().copied().collect()
+        self.lock().segments.keys().copied().collect()
     }
 
     pub fn segment_len(&self, id: u64) -> u64 {
-        self.inner.lock().unwrap().segments.get(&id).map_or(0, |s| s.data.len() as u64)
+        self.lock().segments.get(&id).map_or(0, |s| s.data.len() as u64)
+    }
+
+    /// Runs `f` over segment `id`'s bytes (empty if absent) without copying
+    /// them. The device stays locked meanwhile: `f` must not call back into
+    /// this device.
+    pub fn with_segment<R>(&self, id: u64, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(self.lock().segments.get(&id).map_or(&[][..], |s| &s.data))
     }
 
     pub fn read_segment(&self, id: u64) -> Vec<u8> {
-        self.inner.lock().unwrap().segments.get(&id).map_or_else(Vec::new, |s| s.data.clone())
+        self.with_segment(id, <[u8]>::to_vec)
     }
 
     pub fn create_segment(&self, id: u64) {
-        self.inner.lock().unwrap().segments.entry(id).or_default();
+        let Some(mut inner) = self.mutate() else { return };
+        inner.segments.entry(id).or_default();
     }
 
     pub fn append_segment(&self, id: u64, bytes: &[u8]) {
-        let mut inner = self.inner.lock().unwrap();
+        let Some(mut inner) = self.mutate() else { return };
         inner.segments.entry(id).or_default().data.extend_from_slice(bytes);
     }
 
     pub fn sync_segment(&self, id: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let Some(mut inner) = self.mutate() else { return };
         if let Some(seg) = inner.segments.get_mut(&id) {
             seg.synced = seg.data.len();
         }
     }
 
     pub fn truncate_segment(&self, id: u64, len: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let Some(mut inner) = self.mutate() else { return };
         if let Some(seg) = inner.segments.get_mut(&id) {
             seg.data.truncate(len as usize);
             seg.synced = seg.synced.min(seg.data.len());
@@ -91,45 +135,42 @@ impl MemDisk {
     }
 
     pub fn delete_segment(&self, id: u64) {
-        self.inner.lock().unwrap().segments.remove(&id);
+        let Some(mut inner) = self.mutate() else { return };
+        inner.segments.remove(&id);
     }
 
     /// Mark everything currently on the device as synced (recovery does this
     /// after trimming torn tails: whatever survived the crash is durable).
     pub fn mark_all_synced(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let Some(mut inner) = self.mutate() else { return };
         for seg in inner.segments.values_mut() {
             seg.synced = seg.data.len();
         }
-        let pages = inner.pages.clone();
-        inner.durable_pages = pages;
+        inner.undo.clear();
     }
 
-    pub fn read_page(&self, page: u64, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        let inner = self.inner.lock().unwrap();
-        let off = page as usize * PAGE_SIZE;
-        buf.fill(0);
-        if off < inner.pages.len() {
-            let end = (off + PAGE_SIZE).min(inner.pages.len());
-            buf[..end - off].copy_from_slice(&inner.pages[off..end]);
+    pub fn read_run(&self, first_page: u64, buf: &mut [u8]) {
+        let inner = self.lock();
+        for (page, chunk) in (first_page..).zip(buf.chunks_mut(PAGE_SIZE)) {
+            match inner.pages.get(&page) {
+                Some(data) => chunk.copy_from_slice(&data[..chunk.len()]),
+                None => chunk.fill(0),
+            }
         }
     }
 
-    pub fn write_page(&self, page: u64, buf: &[u8]) {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        let mut inner = self.inner.lock().unwrap();
-        let off = page as usize * PAGE_SIZE;
-        if inner.pages.len() < off + PAGE_SIZE {
-            inner.pages.resize(off + PAGE_SIZE, 0);
+    pub fn write_run(&self, first_page: u64, bytes: &[u8]) {
+        let Some(mut inner) = self.mutate() else { return };
+        inner.count_page_op();
+        for (page, chunk) in (first_page..).zip(bytes.chunks(PAGE_SIZE)) {
+            inner.write_page(page, chunk);
         }
-        inner.pages[off..off + PAGE_SIZE].copy_from_slice(buf);
     }
 
     pub fn sync_pages(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        let pages = inner.pages.clone();
-        inner.durable_pages = pages;
+        let Some(mut inner) = self.mutate() else { return };
+        inner.count_page_op();
+        inner.undo.clear();
     }
 
     /// Apply crash semantics: unsynced page writes vanish; every segment is
@@ -139,38 +180,97 @@ impl MemDisk {
     /// partial write caught mid-flight and is what the recovery scan's
     /// checksum discipline exists for.
     pub fn crash(&self, torn_seed: Option<u64>) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        #[cfg(test)]
+        {
+            inner.page_ops_until_power_cut = None;
+        }
         inner.crashes += 1;
-        let crashes = inner.crashes;
-        let pages = inner.durable_pages.clone();
-        inner.pages = pages;
+        for (page, durable) in std::mem::take(&mut inner.undo) {
+            match durable {
+                Some(data) => inner.pages.insert(page, data),
+                None => inner.pages.remove(&page),
+            };
+        }
         let last = inner.segments.keys().next_back().copied();
         for (&id, seg) in inner.segments.iter_mut() {
-            let tail: Vec<u8> = seg.data[seg.synced..].to_vec();
-            seg.data.truncate(seg.synced);
-            if Some(id) == last && !tail.is_empty() {
-                if let Some(seed) = torn_seed {
-                    let r = mix(seed ^ crashes.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let keep = (r as usize) % (tail.len() + 1);
-                    let mut kept = tail[..keep].to_vec();
-                    if keep > 0 && (r >> 33) & 3 == 0 {
-                        // One in four torn tails ends in a flipped bit.
-                        let bit = ((r >> 35) % 8) as u8;
-                        kept[keep - 1] ^= 1 << bit;
-                    }
-                    seg.data.extend_from_slice(&kept);
-                }
+            let tail = seg.data.len() - seg.synced;
+            let torn_seed = torn_seed.filter(|_| Some(id) == last && tail > 0);
+            let Some(seed) = torn_seed else {
+                seg.data.truncate(seg.synced);
+                continue;
+            };
+            let r = mix(seed ^ inner.crashes.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let keep = (r as usize) % (tail + 1);
+            seg.data.truncate(seg.synced + keep);
+            if keep > 0 && (r >> 33) & 3 == 0 {
+                // One in four torn tails ends in a flipped bit.
+                let bit = ((r >> 35) % 8) as u8;
+                seg.data[seg.synced + keep - 1] ^= 1 << bit;
             }
         }
     }
 
     /// Total synced log bytes across segments (test observability).
     pub fn synced_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().segments.values().map(|s| s.synced as u64).sum()
+        self.lock().segments.values().map(|s| s.synced as u64).sum()
     }
 
     pub fn crashes(&self) -> u64 {
-        self.inner.lock().unwrap().crashes
+        self.lock().crashes
+    }
+
+    /// Bytes the page file holds in memory: resident pages plus the durable
+    /// images of pages written since the last sync.
+    #[cfg(test)]
+    pub(crate) fn resident_page_bytes(&self) -> u64 {
+        let inner = self.lock();
+        let held = inner.pages.len() + inner.undo.values().flatten().count();
+        (held * PAGE_SIZE) as u64
+    }
+
+    /// Bytes copied into or within the page file so far. A sync or a crash
+    /// copies none (page ownership moves), so per checkpoint this is the
+    /// snapshot rounded up to pages plus one meta page.
+    pub fn page_bytes_copied(&self) -> u64 {
+        self.lock().page_bytes_copied
+    }
+
+    /// Test hook: after `ops` more page-file operations (`write_run`,
+    /// `sync_pages`) the device drops every mutation, as if the power went,
+    /// until `crash` brings it back.
+    #[cfg(test)]
+    pub(crate) fn power_cut_after_page_ops(&self, ops: u64) {
+        self.lock().page_ops_until_power_cut = Some(ops);
+    }
+}
+
+impl MemDiskInner {
+    fn count_page_op(&mut self) {
+        #[cfg(test)]
+        if let Some(left) = &mut self.page_ops_until_power_cut {
+            *left -= 1;
+        }
+    }
+
+    /// Writes one page (`bytes` may be shorter; the rest is zero-filled),
+    /// saving its durable image first unless an earlier write since the last
+    /// sync already did.
+    fn write_page(&mut self, page: u64, bytes: &[u8]) {
+        self.page_bytes_copied += PAGE_SIZE as u64;
+        if self.undo.contains_key(&page) {
+            let data =
+                self.pages.get_mut(&page).expect("a page written since the sync is resident");
+            data[..bytes.len()].copy_from_slice(bytes);
+            data[bytes.len()..].fill(0);
+        } else {
+            let mut data = Vec::with_capacity(PAGE_SIZE);
+            data.extend_from_slice(bytes);
+            data.resize(PAGE_SIZE, 0);
+            let durable = self.pages.insert(page, data.into_boxed_slice());
+            self.undo.insert(page, durable);
+        }
     }
 }
 
@@ -294,25 +394,28 @@ impl DirDisk {
         }
     }
 
-    pub fn read_page(&mut self, page: u64, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        buf.fill(0);
+    pub fn read_run(&mut self, first_page: u64, buf: &mut [u8]) {
         let file = self.pages_file();
-        let len = file.metadata().map_or(0, |m| m.len());
-        let off = page * PAGE_SIZE as u64;
-        if off < len {
-            file.seek(SeekFrom::Start(off)).expect("seek page");
-            let want = ((len - off) as usize).min(PAGE_SIZE);
-            file.read_exact(&mut buf[..want]).expect("read page");
+        file.seek(SeekFrom::Start(first_page * PAGE_SIZE as u64)).expect("seek page");
+        let mut filled = 0;
+        while filled < buf.len() {
+            match file.read(&mut buf[filled..]) {
+                Ok(0) => break, // past the end of the file: never written
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => panic!("read page file: {e}"),
+            }
         }
+        buf[filled..].fill(0);
     }
 
-    pub fn write_page(&mut self, page: u64, buf: &[u8]) {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        let off = page * PAGE_SIZE as u64;
+    pub fn write_run(&mut self, first_page: u64, bytes: &[u8]) {
+        static ZEROES: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         let file = self.pages_file();
-        file.seek(SeekFrom::Start(off)).expect("seek page");
-        file.write_all(buf).expect("write page");
+        file.seek(SeekFrom::Start(first_page * PAGE_SIZE as u64)).expect("seek page");
+        file.write_all(bytes).expect("write pages");
+        file.write_all(&ZEROES[..bytes.len().next_multiple_of(PAGE_SIZE) - bytes.len()])
+            .expect("zero-fill the last page");
     }
 
     pub fn sync_pages(&mut self) {
@@ -341,10 +444,12 @@ impl NodeDisk {
         }
     }
 
-    pub fn read_segment(&mut self, id: u64) -> Vec<u8> {
+    /// Runs `f` over segment `id`'s bytes; the memory device lends them
+    /// without a copy (see [`MemDisk::with_segment`]).
+    pub fn with_segment<R>(&mut self, id: u64, f: impl FnOnce(&[u8]) -> R) -> R {
         match self {
-            NodeDisk::Mem(d) => d.read_segment(id),
-            NodeDisk::Dir(d) => d.read_segment(id),
+            NodeDisk::Mem(d) => d.with_segment(id, f),
+            NodeDisk::Dir(d) => f(&d.read_segment(id)),
         }
     }
 
@@ -383,17 +488,17 @@ impl NodeDisk {
         }
     }
 
-    pub fn read_page(&mut self, page: u64, buf: &mut [u8]) {
+    pub fn read_run(&mut self, first_page: u64, buf: &mut [u8]) {
         match self {
-            NodeDisk::Mem(d) => d.read_page(page, buf),
-            NodeDisk::Dir(d) => d.read_page(page, buf),
+            NodeDisk::Mem(d) => d.read_run(first_page, buf),
+            NodeDisk::Dir(d) => d.read_run(first_page, buf),
         }
     }
 
-    pub fn write_page(&mut self, page: u64, buf: &[u8]) {
+    pub fn write_run(&mut self, first_page: u64, bytes: &[u8]) {
         match self {
-            NodeDisk::Mem(d) => d.write_page(page, buf),
-            NodeDisk::Dir(d) => d.write_page(page, buf),
+            NodeDisk::Mem(d) => d.write_run(first_page, bytes),
+            NodeDisk::Dir(d) => d.write_run(first_page, bytes),
         }
     }
 
@@ -466,16 +571,148 @@ mod tests {
         let disk = MemDisk::new();
         let page_a = [0xAAu8; PAGE_SIZE];
         let page_b = [0xBBu8; PAGE_SIZE];
-        disk.write_page(0, &page_a);
+        disk.write_run(0, &page_a);
         disk.sync_pages();
-        disk.write_page(0, &page_b);
-        disk.write_page(1, &page_b);
+        disk.write_run(0, &page_b);
+        disk.write_run(1, &page_b);
         disk.crash(None);
         let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(0, &mut buf);
+        disk.read_run(0, &mut buf);
         assert_eq!(buf, page_a);
-        disk.read_page(1, &mut buf);
+        disk.read_run(1, &mut buf);
         assert_eq!(buf, [0u8; PAGE_SIZE]);
+    }
+
+    /// The page file this device used to be — one flat byte vector plus a
+    /// whole-file copy as of the last sync — kept as the oracle for the
+    /// sparse one's crash semantics.
+    #[derive(Default)]
+    struct FlatPageFile {
+        pages: Vec<u8>,
+        durable_pages: Vec<u8>,
+    }
+
+    impl FlatPageFile {
+        fn read_run(&self, first_page: u64, buf: &mut [u8]) {
+            buf.fill(0);
+            let off = first_page as usize * PAGE_SIZE;
+            if off < self.pages.len() {
+                let end = (off + buf.len()).min(self.pages.len());
+                buf[..end - off].copy_from_slice(&self.pages[off..end]);
+            }
+        }
+
+        fn write_run(&mut self, first_page: u64, bytes: &[u8]) {
+            let off = first_page as usize * PAGE_SIZE;
+            let end = off + bytes.len().next_multiple_of(PAGE_SIZE);
+            if self.pages.len() < end {
+                self.pages.resize(end, 0);
+            }
+            self.pages[off..off + bytes.len()].copy_from_slice(bytes);
+            self.pages[off + bytes.len()..end].fill(0);
+        }
+
+        fn sync_pages(&mut self) {
+            self.durable_pages = self.pages.clone();
+        }
+
+        fn crash(&mut self) {
+            self.pages = self.durable_pages.clone();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random page-file histories read the same on the sparse device and
+        /// on the flat-file oracle, after every step and page by page at the
+        /// end.
+        #[test]
+        fn sparse_page_file_equals_the_flat_file_oracle(
+            ops in proptest::collection::vec((0u8..10, 0u64..24, 0usize..=3 * PAGE_SIZE, proptest::any::<u8>()), 1..60),
+        ) {
+            let disk = MemDisk::new();
+            let mut oracle = FlatPageFile::default();
+            for (kind, page, len, fill) in ops {
+                match kind {
+                    // A whole page, a run with a ragged tail, an empty run.
+                    0..=2 => {
+                        let bytes = vec![fill; PAGE_SIZE];
+                        disk.write_run(page, &bytes);
+                        oracle.write_run(page, &bytes);
+                    }
+                    3..=5 => {
+                        let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        disk.write_run(page, &bytes);
+                        oracle.write_run(page, &bytes);
+                    }
+                    6 => {
+                        disk.sync_pages();
+                        oracle.sync_pages();
+                    }
+                    7 => {
+                        disk.crash(None);
+                        oracle.crash();
+                    }
+                    8 => {
+                        disk.mark_all_synced();
+                        oracle.sync_pages();
+                    }
+                    _ => {}
+                }
+                let (mut got, mut want) = (vec![1u8; len], vec![2u8; len]);
+                disk.read_run(page, &mut got);
+                oracle.read_run(page, &mut want);
+                proptest::prop_assert_eq!(got, want, "read of {} bytes at page {}", len, page);
+            }
+            for page in 0..28 {
+                let (mut got, mut want) = ([1u8; PAGE_SIZE], [2u8; PAGE_SIZE]);
+                disk.read_run(page, &mut got);
+                oracle.read_run(page, &mut want);
+                proptest::prop_assert_eq!(&got[..], &want[..], "page {}", page);
+            }
+            // And what a crash would leave is the same too.
+            disk.crash(None);
+            oracle.crash();
+            for page in 0..28 {
+                let (mut got, mut want) = ([1u8; PAGE_SIZE], [2u8; PAGE_SIZE]);
+                disk.read_run(page, &mut got);
+                oracle.read_run(page, &mut want);
+                proptest::prop_assert_eq!(&got[..], &want[..], "page {} after the final crash", page);
+            }
+        }
+    }
+
+    #[test]
+    fn page_file_costs_what_was_written_not_where() {
+        let disk = MemDisk::new();
+        // A page far into the file costs one page, not the gap before it.
+        disk.write_run(2 + 4096, &[7u8; 10]);
+        assert_eq!(disk.resident_page_bytes(), PAGE_SIZE as u64);
+        assert_eq!(disk.page_bytes_copied(), PAGE_SIZE as u64);
+        disk.sync_pages();
+        assert_eq!(disk.page_bytes_copied(), PAGE_SIZE as u64, "a sync copies nothing");
+        // Overwriting a synced page holds its durable image until the sync.
+        disk.write_run(2 + 4096, &[8u8; 10]);
+        assert_eq!(disk.resident_page_bytes(), 2 * PAGE_SIZE as u64);
+        disk.sync_pages();
+        assert_eq!(disk.resident_page_bytes(), PAGE_SIZE as u64);
+    }
+
+    #[test]
+    fn a_power_cut_drops_every_later_mutation_until_the_crash() {
+        let disk = MemDisk::new();
+        disk.power_cut_after_page_ops(1);
+        disk.write_run(0, &[1u8; PAGE_SIZE]);
+        disk.sync_pages(); // dropped: the power is gone
+        disk.append_segment(0, b"lost");
+        assert_eq!(disk.read_segment(0), b"");
+        disk.crash(None);
+        let mut buf = [9u8; PAGE_SIZE];
+        disk.read_run(0, &mut buf);
+        assert_eq!(buf, [0u8; PAGE_SIZE], "the write never got its sync");
+        disk.append_segment(0, b"back");
+        assert_eq!(disk.read_segment(0), b"back");
     }
 
     #[test]
@@ -491,7 +728,7 @@ mod tests {
             disk.append_segment(3, b"later");
             let mut page = [0u8; PAGE_SIZE];
             page[..4].copy_from_slice(b"page");
-            disk.write_page(2, &page);
+            disk.write_run(2, &page[..4]);
             disk.sync_pages();
         }
         {
@@ -500,9 +737,10 @@ mod tests {
             assert_eq!(disk.read_segment(0), b"hello world");
             assert_eq!(disk.read_segment(3), b"later");
             let mut buf = [0u8; PAGE_SIZE];
-            disk.read_page(2, &mut buf);
+            disk.read_run(2, &mut buf);
             assert_eq!(&buf[..4], b"page");
-            disk.read_page(7, &mut buf);
+            assert_eq!(disk.pages_file().metadata().unwrap().len(), 3 * PAGE_SIZE as u64);
+            disk.read_run(7, &mut buf);
             assert_eq!(buf, [0u8; PAGE_SIZE], "unwritten pages read as zeroes");
             disk.truncate_segment(0, 5);
             assert_eq!(disk.read_segment(0), b"hello");

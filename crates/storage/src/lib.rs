@@ -14,17 +14,18 @@
 //!   boundary explicitly, and `crash()` truncates every log segment to its
 //!   synced prefix plus a *seeded torn tail* (a pseudo-random, possibly
 //!   bit-flipped prefix of the unsynced bytes) so seeded sweeps exercise
-//!   partial-write recovery deterministically. [`DirDisk`] is the live-plane
-//!   device: real files, real `fsync`.
-//! * [`pool`] — a small [`BufferPool`] over the device's page file: pin/unpin,
-//!   dirty tracking, LRU eviction with write-back. Checkpoint snapshots go
-//!   through it.
+//!   partial-write recovery deterministically. Its page file is a sparse page
+//!   map plus the durable images of the pages written since the last sync, so
+//!   a write, a sync and a crash each cost what changed, never the file.
+//!   [`DirDisk`] is the live-plane device: real files, real `fsync`.
 //! * [`wal`] — the write-ahead log: append-only segments of
-//!   `[len u32][crc32 u32][payload]` frames, **group commit** (appends hit the
-//!   device immediately; the fsync is deferred up to `group_commit_us` so many
-//!   records share one sync), page-based checkpoints (ping-pong snapshot areas
-//!   plus dual crc-guarded meta pages, then segment pruning), and a recovery
-//!   scan that replays snapshot + log tail and stops cleanly at a torn frame.
+//!   `[len u32][crc32 u32][payload]` frames encoded in place in one reused
+//!   buffer ([`Wal::append_with`]), **group commit** (appends hit the device
+//!   immediately; the fsync is deferred up to `group_commit_us` so many
+//!   records share one sync), checkpoints (the snapshot goes straight to the
+//!   inactive one of two ping-pong areas as one run, then a crc-guarded meta
+//!   page flips to it, then covered segments are pruned), and a recovery scan
+//!   that replays snapshot + log tail and stops cleanly at a torn frame.
 //! * [`Durability`] — the knob the protocol configs carry. `InMemory` is the
 //!   default and leaves every existing code path untouched; `Wal` routes node
 //!   state through a per-node log.
@@ -45,15 +46,13 @@
 
 pub mod codec;
 pub mod device;
-pub mod pool;
 pub mod wal;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-pub use device::{DirDisk, MemDisk, NodeDisk};
-pub use pool::{BufferPool, PoolStats, PAGE_SIZE};
+pub use device::{DirDisk, MemDisk, NodeDisk, PAGE_SIZE};
 pub use wal::{RecoveredLog, Wal, WalStats};
 
 /// How a protocol node persists its state.
@@ -202,6 +201,9 @@ pub struct StorageSummary {
     pub syncs: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
+    /// Checkpoints skipped because a snapshot outgrew its area — each one
+    /// leaves a log unpruned; a run that ends with any is misconfigured.
+    pub skipped_checkpoints: u64,
     /// Crash recoveries that replayed from the log.
     pub recoveries: u64,
     /// Records replayed across all recoveries.
@@ -216,6 +218,7 @@ impl StorageSummary {
         self.bytes += stats.bytes;
         self.syncs += stats.syncs;
         self.checkpoints += stats.checkpoints;
+        self.skipped_checkpoints += stats.skipped_checkpoints;
         self.recoveries += stats.recoveries;
         self.replayed += stats.replayed;
         self.torn_bytes += stats.torn_bytes;
@@ -226,6 +229,7 @@ impl StorageSummary {
         self.bytes += other.bytes;
         self.syncs += other.syncs;
         self.checkpoints += other.checkpoints;
+        self.skipped_checkpoints += other.skipped_checkpoints;
         self.recoveries += other.recoveries;
         self.replayed += other.replayed;
         self.torn_bytes += other.torn_bytes;

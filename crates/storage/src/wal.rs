@@ -8,7 +8,9 @@
 //! holds checkpoints: pages 0 and 1 are ping-ponged, crc-guarded *meta*
 //! pages (the valid one with the highest epoch wins), and two snapshot areas
 //! alternate starting at page 2 so a crash mid-checkpoint never damages the
-//! previous checkpoint.
+//! previous checkpoint. A checkpoint writes the snapshot to the inactive
+//! area as one run, syncs, then writes the meta page that points at it and
+//! syncs again: until that second sync the old meta page still wins.
 //!
 //! ## Group commit
 //!
@@ -30,9 +32,8 @@
 //! segment, so a crash can tear the log's tail but never its middle, and the
 //! replayed records are always an exact prefix of what was appended.
 
-use crate::codec::crc32;
-use crate::device::{DirDisk, NodeDisk};
-use crate::pool::{BufferPool, PAGE_SIZE};
+use crate::codec::{crc32, Enc};
+use crate::device::{DirDisk, NodeDisk, PAGE_SIZE};
 use crate::{Backing, WalOptions};
 
 /// Upper bound on a single record; anything larger in a length field is
@@ -94,7 +95,9 @@ struct Dirty {
 
 pub struct Wal {
     disk: NodeDisk,
-    pool: BufferPool,
+    /// Reused scratch buffer: the frame being appended, or the snapshot
+    /// being checkpointed.
+    enc: Enc,
     group_commit_us: u64,
     segment_bytes: u64,
     checkpoint_every: u64,
@@ -121,7 +124,7 @@ impl Wal {
         let (log, end) = scan(&mut disk, true);
         let mut wal = Wal {
             disk,
-            pool: BufferPool::new(16),
+            enc: Enc::new(),
             group_commit_us: opts.group_commit_us,
             segment_bytes: opts.segment_bytes.max(FRAME_HEADER as u64 + 1),
             checkpoint_every: opts.checkpoint_every,
@@ -148,9 +151,25 @@ impl Wal {
     /// Append one record. The frame reaches the device now; its fsync is
     /// deferred to [`Wal::sync`].
     pub fn append(&mut self, payload: &[u8], now_us: u64) {
-        assert!(payload.len() as u64 <= MAX_RECORD as u64, "record too large");
-        let frame_len = FRAME_HEADER + payload.len();
-        if self.cur_len > 0 && self.cur_len + frame_len as u64 > self.segment_bytes {
+        self.append_with(now_us, |enc| {
+            enc.raw(payload);
+        });
+    }
+
+    /// Append the record `encode` writes, framed in place in the log's
+    /// reused buffer: no allocation, one device append.
+    pub fn append_with(&mut self, now_us: u64, encode: impl FnOnce(&mut Enc)) {
+        self.enc.buf.clear();
+        self.enc.buf.resize(FRAME_HEADER, 0);
+        encode(&mut self.enc);
+        let frame = &mut self.enc.buf;
+        let payload_len = frame.len() - FRAME_HEADER;
+        assert!(payload_len as u64 <= MAX_RECORD as u64, "record too large");
+        let crc = crc32(&frame[FRAME_HEADER..]);
+        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let frame_len = frame.len() as u64;
+        if self.cur_len > 0 && self.cur_len + frame_len > self.segment_bytes {
             // Sync before rotating so unsynced data only ever lives in the
             // final segment. Rotating with dirty frames behind would let a
             // crash truncate the *middle* of the log (the non-final segment
@@ -164,14 +183,10 @@ impl Wal {
             self.cur_len = 0;
             self.disk.create_segment(self.cur_segment);
         }
-        let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.disk.append_segment(self.cur_segment, &frame);
-        self.cur_len += frame_len as u64;
+        self.disk.append_segment(self.cur_segment, &self.enc.buf);
+        self.cur_len += frame_len;
         self.stats.records += 1;
-        self.stats.bytes += frame_len as u64;
+        self.stats.bytes += frame_len;
         self.records_since_checkpoint += 1;
         if self.dirty.is_none() {
             self.dirty = Some(Dirty { first_segment: self.cur_segment, since_us: now_us });
@@ -203,12 +218,14 @@ impl Wal {
 
     /// Write a checkpoint: sync the log, persist `snapshot` into the inactive
     /// snapshot area, flip the meta page, and prune fully covered segments.
-    /// Returns false (and keeps counting) if the snapshot doesn't fit.
+    /// Returns false (and keeps counting) if the snapshot doesn't fit: the
+    /// log then goes unpruned, and [`WalStats::skipped_checkpoints`] is the
+    /// only trace, so callers surface it.
+    #[must_use]
     pub fn checkpoint(&mut self, snapshot: &[u8]) -> bool {
-        let pages = (snapshot.len() as u64).div_ceil(PAGE_SIZE as u64).max(1);
-        if pages > MAX_SNAPSHOT_PAGES {
+        if snapshot.len() as u64 > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
             self.stats.skipped_checkpoints += 1;
-            // Back off so the size check doesn't rerun every turn.
+            // Back off so the caller doesn't re-encode its state every turn.
             self.records_since_checkpoint = 0;
             return false;
         }
@@ -217,14 +234,11 @@ impl Wal {
         // importantly so the caller can release held-back messages.
         self.sync();
         let next_epoch = self.epoch + 1;
-        let area_base = 2 + (next_epoch % 2) * MAX_SNAPSHOT_PAGES;
-        for (i, chunk) in snapshot.chunks(PAGE_SIZE).enumerate() {
-            self.pool.write(&mut self.disk, area_base + i as u64, chunk);
-        }
-        if snapshot.is_empty() {
-            self.pool.write(&mut self.disk, area_base, &[]);
-        }
-        self.pool.flush(&mut self.disk);
+        // The snapshot must be durable before the meta page that points at
+        // it: a crash before the second sync leaves the old meta page — and
+        // the other area, untouched — in charge.
+        self.disk.write_run(area_base(next_epoch), snapshot);
+        self.disk.sync_pages();
         let meta = encode_meta(&Meta {
             epoch: next_epoch,
             snap_len: snapshot.len() as u64,
@@ -232,8 +246,8 @@ impl Wal {
             wal_seg: self.cur_segment,
             wal_off: self.cur_len,
         });
-        self.pool.write(&mut self.disk, next_epoch % 2, &meta);
-        self.pool.flush(&mut self.disk);
+        self.disk.write_run(next_epoch % 2, &meta);
+        self.disk.sync_pages();
         self.epoch = next_epoch;
         // Everything before the current segment is covered by the snapshot.
         for seg in self.disk.segment_ids() {
@@ -246,18 +260,28 @@ impl Wal {
         true
     }
 
+    /// [`Wal::checkpoint`] of the snapshot `encode` writes into the log's
+    /// reused buffer.
+    #[must_use]
+    pub fn checkpoint_with(&mut self, encode: impl FnOnce(&mut Enc)) -> bool {
+        let mut enc = std::mem::take(&mut self.enc);
+        enc.buf.clear();
+        encode(&mut enc);
+        let wrote = self.checkpoint(&enc.buf);
+        self.enc = enc;
+        wrote
+    }
+
     /// The node crashed: apply device crash semantics (lost unsynced pages,
     /// torn log tail) and drop every volatile view of the device.
     pub fn on_crash(&mut self) {
         self.disk.crash(self.torn_tail_seed);
-        self.pool.clear();
         self.dirty = None;
     }
 
     /// Rescan the device after a crash, repairing torn tails, and hand back
     /// snapshot + surviving records for the protocol to replay.
     pub fn recover(&mut self) -> RecoveredLog {
-        self.pool.clear();
         let (log, end) = scan(&mut self.disk, true);
         self.cur_segment = end.segment;
         self.cur_len = end.offset;
@@ -276,6 +300,11 @@ impl Wal {
     pub fn read_log(disk: &mut NodeDisk) -> RecoveredLog {
         scan(disk, false).0
     }
+}
+
+/// First page of the snapshot area checkpoint `epoch` writes.
+fn area_base(epoch: u64) -> u64 {
+    2 + (epoch % 2) * MAX_SNAPSHOT_PAGES
 }
 
 fn encode_meta(meta: &Meta) -> Vec<u8> {
@@ -314,36 +343,39 @@ fn decode_meta(page: &[u8]) -> Option<Meta> {
 }
 
 fn read_best_meta(disk: &mut NodeDisk) -> Option<Meta> {
-    let mut buf = vec![0u8; PAGE_SIZE];
-    let mut best: Option<Meta> = None;
-    for page in 0..2 {
-        disk.read_page(page, &mut buf);
-        if let Some(meta) = decode_meta(&buf) {
-            if best.as_ref().is_none_or(|b| meta.epoch > b.epoch) {
-                best = Some(meta);
-            }
-        }
-    }
-    best
+    let mut pages = vec![0u8; 2 * PAGE_SIZE];
+    disk.read_run(0, &mut pages);
+    pages.chunks(PAGE_SIZE).filter_map(decode_meta).max_by_key(|meta| meta.epoch)
 }
 
 fn read_snapshot(disk: &mut NodeDisk, meta: &Meta) -> Option<Vec<u8>> {
-    let base = 2 + (meta.epoch % 2) * MAX_SNAPSHOT_PAGES;
-    let pages = meta.snap_len.div_ceil(PAGE_SIZE as u64).max(1);
-    if pages > MAX_SNAPSHOT_PAGES {
+    if meta.snap_len > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
         return None;
     }
-    let mut snap = Vec::with_capacity(meta.snap_len as usize);
-    let mut buf = vec![0u8; PAGE_SIZE];
-    for i in 0..pages {
-        disk.read_page(base + i, &mut buf);
-        snap.extend_from_slice(&buf);
+    let mut snap = vec![0u8; meta.snap_len as usize];
+    disk.read_run(area_base(meta.epoch), &mut snap);
+    (crc32(&snap) == meta.snap_crc).then_some(snap)
+}
+
+/// Walks the frames of `data` from `off`, pushing every intact payload.
+/// Returns where it stopped: `data.len()` after a clean end, the start of
+/// the first incomplete or checksum-failing frame otherwise.
+fn read_frames(data: &[u8], mut off: usize, records: &mut Vec<Vec<u8>>) -> usize {
+    while off + FRAME_HEADER <= data.len() {
+        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
+        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
+        let payload_end = off + FRAME_HEADER + len as usize;
+        if len > MAX_RECORD || payload_end > data.len() {
+            break;
+        }
+        let payload = &data[off + FRAME_HEADER..payload_end];
+        if crc32(payload) != crc {
+            break;
+        }
+        records.push(payload.to_vec());
+        off = payload_end;
     }
-    snap.truncate(meta.snap_len as usize);
-    if crc32(&snap) != meta.snap_crc {
-        return None;
-    }
-    Some(snap)
+    off
 }
 
 /// The recovery scan. With `repair` set, torn tails are truncated away, dead
@@ -380,32 +412,13 @@ fn scan(disk: &mut NodeDisk, repair: bool) -> (RecoveredLog, ScanEnd) {
             }
             continue;
         }
-        let data = disk.read_segment(id);
-        let mut off = if id == start_seg { (start_off as usize).min(data.len()) } else { 0 };
-        loop {
-            if off + FRAME_HEADER > data.len() {
-                if off < data.len() {
-                    torn_bytes += (data.len() - off) as u64;
-                    stopped = true;
-                }
-                break;
-            }
-            let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-            let payload_end = off + FRAME_HEADER + len as usize;
-            if len > MAX_RECORD || payload_end > data.len() {
-                torn_bytes += (data.len() - off) as u64;
-                stopped = true;
-                break;
-            }
-            let payload = &data[off + FRAME_HEADER..payload_end];
-            if crc32(payload) != crc {
-                torn_bytes += (data.len() - off) as u64;
-                stopped = true;
-                break;
-            }
-            records.push(payload.to_vec());
-            off = payload_end;
+        let (off, len) = disk.with_segment(id, |data| {
+            let start = if id == start_seg { (start_off as usize).min(data.len()) } else { 0 };
+            (read_frames(data, start, &mut records), data.len())
+        });
+        if off < len {
+            torn_bytes += (len - off) as u64;
+            stopped = true;
         }
         end_seg = id;
         end_off = off as u64;
@@ -693,6 +706,100 @@ mod tests {
     }
 
     #[test]
+    fn a_power_cut_at_any_step_of_a_checkpoint_keeps_the_previous_one() {
+        // A checkpoint is four page-file operations: write the snapshot run,
+        // sync, write the meta page, sync. Cut the power after 0..=4 of them,
+        // on each of four consecutive checkpoints (both areas and both meta
+        // pages take their turn as the one being overwritten): only a cut
+        // after the fourth may show the new checkpoint, and every record
+        // appended since the one that is recovered must replay.
+        for victim in 1u64..=4 {
+            for ops_before_cut in 0u64..=4 {
+                let registry = StorageRegistry::new();
+                let opts = mem_opts(&registry).with_segment_bytes(64).with_checkpoint_every(0);
+                let (mut wal, _) = Wal::open(&opts, "node");
+                let snapshot = |round: u64| vec![round as u8; PAGE_SIZE + 100 * round as usize];
+                for round in 1..=victim {
+                    for i in 0..6 {
+                        wal.append(&record(round * 6 + i), 0);
+                    }
+                    if round == victim {
+                        // Acknowledged records are synced ones: the cut may
+                        // take the checkpoint, never these.
+                        wal.sync();
+                        registry.disk("node").power_cut_after_page_ops(ops_before_cut);
+                    }
+                    assert!(wal.checkpoint(&snapshot(round)));
+                }
+                wal.on_crash();
+                let log = wal.recover();
+                let case = format!("checkpoint {victim} cut after {ops_before_cut} page ops");
+                if ops_before_cut == 4 {
+                    // Durable, though the segments it covers were never
+                    // pruned: recovery's repair deletes them.
+                    assert_eq!(log.snapshot, Some(snapshot(victim)), "{case}");
+                    assert!(log.records.is_empty(), "{case}");
+                    assert_eq!(registry.disk("node").segment_ids().len(), 1, "{case}");
+                } else {
+                    let previous = (victim > 1).then(|| snapshot(victim - 1));
+                    assert_eq!(log.snapshot, previous, "{case}");
+                    let first = if victim > 1 { victim * 6 } else { 6 };
+                    let tail: Vec<Vec<u8>> = (first..victim * 6 + 6).map(record).collect();
+                    assert_eq!(log.records, tail, "{case}: the full log tail replays");
+                }
+                // The log keeps working, and the next checkpoint lands.
+                wal.append(&record(99), 0);
+                assert!(wal.checkpoint(b"after"));
+                wal.on_crash();
+                let log = wal.recover();
+                assert_eq!(log.snapshot.as_deref(), Some(&b"after"[..]), "{case}");
+                assert!(log.records.is_empty(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_page_file_holds_two_snapshots_and_two_meta_pages_at_most() {
+        for snapshot_bytes in [1usize, 4096, 91_000, 1 << 20] {
+            let registry = StorageRegistry::new();
+            let (mut wal, _) = Wal::open(&mem_opts(&registry), "node");
+            let snapshot = vec![0x5Au8; snapshot_bytes];
+            let bound = (2 * snapshot_bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE + 2 * PAGE_SIZE) as u64;
+            for round in 0..5 {
+                assert!(wal.checkpoint(&snapshot));
+                let resident = registry.disk("node").resident_page_bytes();
+                assert!(
+                    resident <= bound,
+                    "{snapshot_bytes}-byte snapshot, checkpoint {round}: {resident} resident > {bound}"
+                );
+            }
+            // And the device copied each snapshot once, plus its meta page.
+            let per_checkpoint = registry.disk("node").page_bytes_copied() / 5;
+            assert_eq!(per_checkpoint, bound / 2);
+        }
+    }
+
+    #[test]
+    fn append_with_frames_what_append_frames() {
+        let registry = StorageRegistry::new();
+        let opts = mem_opts(&registry).with_segment_bytes(64);
+        let (mut plain, _) = Wal::open(&opts, "plain");
+        let (mut in_place, _) = Wal::open(&opts, "in-place");
+        for i in 0..40 {
+            plain.append(&record(i), i);
+            in_place.append_with(i, |enc| {
+                enc.u64(i).raw(&record(i)[8..]);
+            });
+        }
+        assert_eq!(plain.stats(), in_place.stats());
+        let (a, b) = (registry.disk("plain"), registry.disk("in-place"));
+        assert_eq!(a.segment_ids(), b.segment_ids());
+        for id in a.segment_ids() {
+            assert_eq!(a.read_segment(id), b.read_segment(id), "segment {id}");
+        }
+    }
+
+    #[test]
     fn empty_and_fresh_devices_recover_to_empty() {
         let registry = StorageRegistry::new();
         let (mut wal, log) = Wal::open(&mem_opts(&registry), "fresh");
@@ -708,7 +815,7 @@ mod tests {
         let opts = mem_opts(&registry).with_checkpoint_every(1);
         let (mut wal, _) = Wal::open(&opts, "node");
         wal.append(&record(0), 0);
-        let huge = vec![0u8; (MAX_SNAPSHOT_PAGES as usize + 1) * PAGE_SIZE];
+        let huge = vec![0u8; MAX_SNAPSHOT_PAGES as usize * PAGE_SIZE + 1];
         assert!(!wal.checkpoint(&huge));
         assert_eq!(wal.stats().skipped_checkpoints, 1);
         wal.sync();
