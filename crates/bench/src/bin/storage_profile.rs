@@ -30,10 +30,11 @@
 //! storage_profile [--out BENCH_storage.json] [--records N]
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use regular_storage::codec::{Dec, Enc};
+use regular_storage::codec::Wire;
 use regular_storage::wal::Wal;
 use regular_storage::{Backing, MemDisk, StorageRegistry, WalOptions};
 use regular_sweep::{write_json, Json};
@@ -47,23 +48,17 @@ const ARRIVAL_US: u64 = 20;
 /// guarantee relies on); the rest trade acknowledgement latency for batching.
 const GC_WINDOWS_US: [u64; 4] = [0, 100, 500, 2_000];
 
+const FILLER: [u8; 48] = [0xA5; 48];
+
 /// Record payload: a self-describing frame (sequence number + filler) so
 /// recovery can verify both content and order.
 fn payload(seq: u64) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(seq);
-    e.bytes(&[0xA5; 48]);
-    e.finish()
+    (seq, Cow::Borrowed(&FILLER[..])).to_bytes()
 }
 
 fn parse_payload(bytes: &[u8]) -> Option<u64> {
-    let mut d = Dec::new(bytes);
-    let seq = d.u64()?;
-    let filler = d.bytes()?;
-    if filler != [0xA5; 48] || !d.is_empty() {
-        return None;
-    }
-    Some(seq)
+    let (seq, filler) = <(u64, Cow<[u8]>)>::from_bytes(bytes)?;
+    (*filler == FILLER).then_some(seq)
 }
 
 struct ProfileEntry {
@@ -96,12 +91,8 @@ fn run_profile(opts: &WalOptions, name: String, backend: &'static str, n: u64) -
         if wal.wants_sync() && wal.deadline_us().is_none_or(|d| d <= now_us) {
             wal.sync();
         }
-        if wal.checkpoint_due() {
-            let mut e = Enc::new();
-            e.u64(seq + 1);
-            if wal.checkpoint(&e.finish()) {
-                checkpoint_base = seq + 1;
-            }
+        if wal.checkpoint_due() && wal.checkpoint(&(seq + 1).to_bytes()) {
+            checkpoint_base = seq + 1;
         }
     }
     if wal.wants_sync() {
@@ -119,10 +110,7 @@ fn run_profile(opts: &WalOptions, name: String, backend: &'static str, n: u64) -
     let recover_ms = recover_started.elapsed().as_secs_f64() * 1_000.0;
     let base = match &log.snapshot {
         None => 0,
-        Some(snap) => {
-            let mut d = Dec::new(snap);
-            d.u64().expect("snapshot carries the next sequence number")
-        }
+        Some(snap) => u64::from_bytes(snap).expect("snapshot carries the next sequence number"),
     };
     let mut verified = base == checkpoint_base;
     let mut seq = base;

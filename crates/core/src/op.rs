@@ -6,6 +6,7 @@
 //! transactions). [`OpKind`] captures all of them so a single history type can
 //! describe executions against a composite service.
 
+use regular_storage::wire_layout;
 use serde::{Deserialize, Serialize};
 
 use crate::types::{Key, Value};
@@ -40,6 +41,27 @@ pub enum OpResult {
     Values(Vec<(Key, Value)>),
     /// Acknowledgement with no data (`Write`, `Enqueue`, `Fence`).
     Ack,
+}
+
+wire_layout! {
+    enum OpKind {
+        0 => Read { key },
+        1 => Write { key, value },
+        2 => Rmw { key, value },
+        3 => RoTxn { keys },
+        4 => RwTxn { read_keys, writes },
+        5 => Enqueue { queue, value },
+        6 => Dequeue { queue },
+        7 => Fence,
+    }
+}
+
+wire_layout! {
+    enum OpResult {
+        0 => Value(value),
+        1 => Values(values),
+        2 => Ack,
+    }
 }
 
 impl OpKind {
@@ -166,6 +188,50 @@ impl OpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_storage::codec::check_layout;
+
+    #[test]
+    fn every_variant_keeps_its_bytes() {
+        check_layout(
+            OpKind::TAGS,
+            &[
+                (OpKind::Read { key: Key(1) }, "000100000000000000"),
+                (
+                    OpKind::Write { key: Key(2), value: Value(3) },
+                    "0102000000000000000300000000000000",
+                ),
+                (
+                    OpKind::Rmw { key: Key(4), value: Value(5) },
+                    "0204000000000000000500000000000000",
+                ),
+                (
+                    OpKind::RoTxn { keys: vec![Key(6), Key(7)] },
+                    "030200000006000000000000000700000000000000",
+                ),
+                (
+                    OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
+                    "040100000001000000000000000100000002000000000000000300000000000000",
+                ),
+                (
+                    OpKind::Enqueue { queue: Key(8), value: Value(9) },
+                    "0508000000000000000900000000000000",
+                ),
+                (OpKind::Dequeue { queue: Key(8) }, "060800000000000000"),
+                (OpKind::Fence, "07"),
+            ],
+        );
+        check_layout(
+            OpResult::TAGS,
+            &[
+                (OpResult::Value(Value(9)), "000900000000000000"),
+                (
+                    OpResult::Values(vec![(Key(1), Value(9)), (Key(2), Value::NULL)]),
+                    "01020000000100000000000000090000000000000002000000000000000000000000000000",
+                ),
+                (OpResult::Ack, "02"),
+            ],
+        );
+    }
 
     fn rw(reads: &[u64], writes: &[(u64, u64)]) -> OpKind {
         OpKind::RwTxn {

@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use regular_storage::wire_layout;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of an application process (Section 3.1 of the paper).
@@ -33,6 +34,8 @@ impl OpId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ServiceId(pub u32);
 
+wire_layout! { struct ServiceId(id) }
+
 impl ServiceId {
     /// The default key-value service used when only one service exists.
     pub const KV: ServiceId = ServiceId(0);
@@ -45,12 +48,16 @@ impl ServiceId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Key(pub u64);
 
+wire_layout! { struct Key(key) }
+
 /// A value stored under a key.
 ///
 /// The all-zero value is reserved to mean "not present" ([`Value::NULL`]),
 /// matching the paper's convention that reading an absent key returns null.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Value(pub u64);
+
+wire_layout! { struct Value(value) }
 
 impl Value {
     /// The value returned when a key is not present.

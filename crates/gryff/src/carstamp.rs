@@ -20,6 +20,7 @@
 //! like.) With `rmwc`, a concurrent base write always orders above the rmw
 //! chain it raced, exactly as in Gryff.
 
+use regular_storage::wire_layout;
 use serde::{Deserialize, Serialize};
 
 /// A carstamp: a logical count, the writer's identifier for tie-breaking,
@@ -38,6 +39,8 @@ pub struct Carstamp {
     /// Number of read-modify-writes applied on top of the base value.
     pub rmwc: u64,
 }
+
+wire_layout! { struct Carstamp { count, writer, rmwc } }
 
 impl Carstamp {
     /// The carstamp of the initial (absent) value.

@@ -1,18 +1,17 @@
-//! WAL records and snapshot codec for a durable Gryff replica.
+//! WAL records and checkpoint snapshots for a durable Gryff replica.
 //!
 //! Under `Durability::Wal` a replica logs every durable state transition —
-//! register applies, rmw coordination steps — and checkpoints serialize the
-//! full durable state through the same helpers. Crash recovery replays
-//! snapshot + records; nothing else survives. Encodings are hand-rolled
-//! little-endian (the vendored `serde` is derive-only) via
-//! [`regular_storage::codec`].
+//! register applies, rmw coordination steps — and a checkpoint serializes
+//! the full durable state. Crash recovery replays snapshot + records;
+//! nothing else survives. The byte layouts are declared with
+//! [`regular_storage::codec`]'s `wire_layout!`.
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
-use regular_storage::codec::{Dec, Enc};
+use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
 use regular_storage::wal::Wal;
-use regular_storage::MemDisk;
+use regular_storage::{wire_layout, MemDisk};
 
 use crate::carstamp::Carstamp;
 use crate::messages::OpRef;
@@ -34,97 +33,24 @@ pub enum GryffRecord {
     RmwFinish { internal: u64, client_op: OpRef, key: Key, old_value: Value, cs: Carstamp },
 }
 
-const T_APPLY: u8 = 1;
-const T_RMW_BEGIN: u8 = 2;
-const T_RMW_CHOSEN: u8 = 3;
-const T_RMW_FINISH: u8 = 4;
-
-fn enc_cs(e: &mut Enc, cs: Carstamp) {
-    e.u64(cs.count).u64(cs.writer).u64(cs.rmwc);
-}
-
-fn dec_cs(d: &mut Dec) -> Option<Carstamp> {
-    Some(Carstamp { count: d.u64()?, writer: d.u64()?, rmwc: d.u64()? })
-}
-
-fn enc_op(e: &mut Enc, op: OpRef) {
-    e.u64(op.node as u64).u64(op.seq);
-}
-
-fn dec_op(d: &mut Dec) -> Option<OpRef> {
-    Some(OpRef { node: d.u64()? as NodeId, seq: d.u64()? })
+wire_layout! {
+    enum GryffRecord {
+        1 => Apply { key, value, cs },
+        2 => RmwBegin { internal, client, client_op, key, new_value },
+        3 => RmwChosen { internal, old_value, cs },
+        4 => RmwFinish { internal, client_op, key, old_value, cs },
+    }
 }
 
 impl GryffRecord {
+    /// The record's bytes, as `Wal::append` takes them. (The replica itself
+    /// frames in place: `wal.append_with(now, |e| rec.encode_into(e))`.)
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(128);
-        self.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Appends the record's encoding to `e` (what `Wal::append_with` frames
-    /// in place).
-    pub fn encode_into(&self, e: &mut Enc) {
-        match self {
-            GryffRecord::Apply { key, value, cs } => {
-                e.u8(T_APPLY);
-                e.u64(key.0).u64(value.0);
-                enc_cs(e, *cs);
-            }
-            GryffRecord::RmwBegin { internal, client, client_op, key, new_value } => {
-                e.u8(T_RMW_BEGIN);
-                e.u64(*internal).u64(*client as u64);
-                enc_op(e, *client_op);
-                e.u64(key.0).u64(new_value.0);
-            }
-            GryffRecord::RmwChosen { internal, old_value, cs } => {
-                e.u8(T_RMW_CHOSEN);
-                e.u64(*internal).u64(old_value.0);
-                enc_cs(e, *cs);
-            }
-            GryffRecord::RmwFinish { internal, client_op, key, old_value, cs } => {
-                e.u8(T_RMW_FINISH);
-                e.u64(*internal);
-                enc_op(e, *client_op);
-                e.u64(key.0).u64(old_value.0);
-                enc_cs(e, *cs);
-            }
-        }
+        self.to_bytes()
     }
 
     pub fn decode(bytes: &[u8]) -> Option<GryffRecord> {
-        let mut d = Dec::new(bytes);
-        let rec = match d.u8()? {
-            T_APPLY => GryffRecord::Apply {
-                key: Key(d.u64()?),
-                value: Value(d.u64()?),
-                cs: dec_cs(&mut d)?,
-            },
-            T_RMW_BEGIN => GryffRecord::RmwBegin {
-                internal: d.u64()?,
-                client: d.u64()? as NodeId,
-                client_op: dec_op(&mut d)?,
-                key: Key(d.u64()?),
-                new_value: Value(d.u64()?),
-            },
-            T_RMW_CHOSEN => GryffRecord::RmwChosen {
-                internal: d.u64()?,
-                old_value: Value(d.u64()?),
-                cs: dec_cs(&mut d)?,
-            },
-            T_RMW_FINISH => GryffRecord::RmwFinish {
-                internal: d.u64()?,
-                client_op: dec_op(&mut d)?,
-                key: Key(d.u64()?),
-                old_value: Value(d.u64()?),
-                cs: dec_cs(&mut d)?,
-            },
-            _ => return None,
-        };
-        if !d.is_empty() {
-            return None;
-        }
-        Some(rec)
+        Self::from_bytes(bytes)
     }
 }
 
@@ -181,6 +107,12 @@ pub(crate) struct SnapRmw {
     pub chosen: Carstamp,
 }
 
+wire_layout! {
+    struct SnapRmw {
+        internal, client, client_op, key, new_value, phase, max_value, max_cs, chosen,
+    }
+}
+
 /// The full durable state of a replica at checkpoint time.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct GryffSnapshot {
@@ -190,6 +122,9 @@ pub(crate) struct GryffSnapshot {
     pub finished: Vec<(OpRef, Value, Carstamp)>,
 }
 
+wire_layout! { struct GryffSnapshot { store, rmws, next_internal, finished } }
+
+/// Leads every snapshot; one with any other version is not decoded.
 const SNAPSHOT_VERSION: u32 = 1;
 
 /// Streams a checkpoint snapshot into `e`. Every slice arrives in its
@@ -202,104 +137,60 @@ pub(crate) fn encode_snapshot(
     next_internal: u64,
     finished: &[(OpRef, Value, Carstamp)],
 ) {
-    e.u32(SNAPSHOT_VERSION);
-    e.u32(store.len() as u32);
-    for (key, value, cs) in store {
-        e.u64(key.0).u64(value.0);
-        enc_cs(e, *cs);
-    }
-    e.u32(rmws.len() as u32);
-    for r in rmws {
-        e.u64(r.internal).u64(r.client as u64);
-        enc_op(e, r.client_op);
-        e.u64(r.key.0).u64(r.new_value.0).u8(r.phase).u64(r.max_value.0);
-        enc_cs(e, r.max_cs);
-        enc_cs(e, r.chosen);
-    }
-    e.u64(next_internal);
-    e.u32(finished.len() as u32);
-    for (op, value, cs) in finished {
-        enc_op(e, *op);
-        e.u64(value.0);
-        enc_cs(e, *cs);
-    }
+    e.u32(SNAPSHOT_VERSION).slice(store).slice(rmws).u64(next_internal).slice(finished);
 }
 
 impl GryffSnapshot {
     pub fn decode(bytes: &[u8]) -> Option<GryffSnapshot> {
-        let mut d = Dec::new(bytes);
-        if d.u32()? != SNAPSHOT_VERSION {
-            return None;
-        }
-        let n = d.u32()? as usize;
-        let mut store = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            store.push((Key(d.u64()?), Value(d.u64()?), dec_cs(&mut d)?));
-        }
-        let n = d.u32()? as usize;
-        let mut rmws = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            rmws.push(SnapRmw {
-                internal: d.u64()?,
-                client: d.u64()? as NodeId,
-                client_op: dec_op(&mut d)?,
-                key: Key(d.u64()?),
-                new_value: Value(d.u64()?),
-                phase: d.u8()?,
-                max_value: Value(d.u64()?),
-                max_cs: dec_cs(&mut d)?,
-                chosen: dec_cs(&mut d)?,
-            });
-        }
-        let next_internal = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut finished = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            finished.push((dec_op(&mut d)?, Value(d.u64()?), dec_cs(&mut d)?));
-        }
-        Some(GryffSnapshot { store, rmws, next_internal, finished })
+        let (version, snapshot) = <(u32, GryffSnapshot)>::from_bytes(bytes)?;
+        (version == SNAPSHOT_VERSION).then_some(snapshot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_storage::codec::check_layout;
 
     fn cs(count: u64, writer: u64, rmwc: u64) -> Carstamp {
         Carstamp { count, writer, rmwc }
     }
 
-    /// One record of every variant.
-    fn sample_records() -> Vec<GryffRecord> {
+    /// Records of every variant, each with the bytes it has always had.
+    fn samples() -> Vec<(GryffRecord, &'static str)> {
         vec![
-            GryffRecord::Apply { key: Key(3), value: Value(30), cs: cs(2, 1, 0) },
-            GryffRecord::RmwBegin {
-                internal: 7,
-                client: 9,
-                client_op: OpRef { node: 9, seq: 4 },
-                key: Key(3),
-                new_value: Value(31),
-            },
-            GryffRecord::RmwChosen { internal: 7, old_value: Value(30), cs: cs(2, 1, 1) },
-            GryffRecord::RmwFinish {
-                internal: 7,
-                client_op: OpRef { node: 9, seq: 4 },
-                key: Key(3),
-                old_value: Value(30),
-                cs: cs(2, 1, 1),
-            },
+            (GryffRecord::Apply { key: Key(3), value: Value(30), cs: cs(2, 1, 0) }, "0103000000000000001e00000000000000020000000000000001000000000000000000000000000000"),
+            (
+                GryffRecord::RmwBegin {
+                    internal: 7,
+                    client: 9,
+                    client_op: OpRef { node: 9, seq: 4 },
+                    key: Key(3),
+                    new_value: Value(31),
+                },
+                "02070000000000000009000000000000000900000000000000040000000000000003000000000000001f00000000000000",
+            ),
+            (GryffRecord::RmwChosen { internal: 7, old_value: Value(30), cs: cs(2, 1, 1) }, "0307000000000000001e00000000000000020000000000000001000000000000000100000000000000"),
+            (
+                GryffRecord::RmwFinish {
+                    internal: 7,
+                    client_op: OpRef { node: 9, seq: 4 },
+                    key: Key(3),
+                    old_value: Value(30),
+                    cs: cs(2, 1, 1),
+                },
+                "0407000000000000000900000000000000040000000000000003000000000000001e00000000000000020000000000000001000000000000000100000000000000",
+            ),
         ]
     }
 
+    fn sample_records() -> Vec<GryffRecord> {
+        samples().into_iter().map(|(rec, _)| rec).collect()
+    }
+
     #[test]
-    fn records_round_trip() {
-        for rec in sample_records() {
-            let bytes = rec.encode();
-            assert_eq!(GryffRecord::decode(&bytes), Some(rec.clone()), "round trip {rec:?}");
-            for cut in 0..bytes.len() {
-                assert_eq!(GryffRecord::decode(&bytes[..cut]), None, "truncated {rec:?} at {cut}");
-            }
-        }
+    fn every_variant_keeps_its_bytes() {
+        check_layout(GryffRecord::TAGS, &samples());
     }
 
     #[test]
@@ -340,9 +231,19 @@ mod tests {
         let mut e = Enc::new();
         encode_snapshot(&mut e, &snap.store, &snap.rmws, snap.next_internal, &snap.finished);
         let bytes = e.finish();
-        let back = GryffSnapshot::decode(&bytes).expect("decode");
-        assert_eq!(back, snap);
-        assert_eq!(GryffSnapshot::decode(&bytes[..bytes.len() - 1]), None);
+        // The streaming encoder and the declared layout write the same bytes,
+        // the ones snapshots have always had.
+        assert_eq!(GryffSnapshot::decode(&bytes).as_ref(), Some(&snap));
+        let versioned = (SNAPSHOT_VERSION, snap);
+        assert_eq!(bytes, versioned.to_bytes());
+        check_layout(&[], &[(versioned, "010000000200000001000000000000000a000000000000000300000000000000020000000000000000000000000000000200000000000000140000000000000001000000000000000000000000000000040000000000000001000000050000000000000008000000000000000800000000000000020000000000000001000000000000000b00000000000000010a00000000000000030000000000000002000000000000000000000000000000030000000000000002000000000000000100000000000000060000000000000001000000080000000000000001000000000000000900000000000000030000000000000002000000000000000000000000000000")]);
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_without_allocation() {
+        // A register count of u32::MAX with nothing behind it.
+        let snapshot = (SNAPSHOT_VERSION, u32::MAX).to_bytes();
+        assert_eq!(GryffSnapshot::decode(&snapshot), None);
     }
 
     #[test]

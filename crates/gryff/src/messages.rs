@@ -2,6 +2,7 @@
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
+use regular_storage::wire_layout;
 
 use crate::carstamp::Carstamp;
 
@@ -15,6 +16,8 @@ pub struct OpRef {
     pub seq: u64,
 }
 
+wire_layout! { struct OpRef { node, seq } }
+
 /// A read observation that still needs to reach a quorum: the causal
 /// dependency Gryff-RSC piggybacks on the client's next operation
 /// (Algorithms 3–5).
@@ -27,6 +30,8 @@ pub struct Dep {
     /// Its carstamp.
     pub cs: Carstamp,
 }
+
+wire_layout! { struct Dep { key, value, cs } }
 
 /// Messages exchanged between clients and replicas (and among replicas for
 /// read-modify-writes).
@@ -107,6 +112,20 @@ pub enum GryffMsg {
     },
 }
 
+// Each tag is the message's coverage class (`GryffMsg::class`).
+wire_layout! {
+    enum GryffMsg {
+        0 => Read1 { op, key, dep },
+        1 => Read1Reply { op, value, cs },
+        2 => Write1 { op, key, dep },
+        3 => Write1Reply { op, cs },
+        4 => Write2 { op, key, value, cs },
+        5 => Write2Reply { op },
+        6 => Rmw { op, key, new_value, dep },
+        7 => RmwReply { op, old_value, cs },
+    }
+}
+
 impl GryffMsg {
     /// A stable small integer naming the message type, used as the message
     /// class of behaviour-coverage features
@@ -128,6 +147,40 @@ impl GryffMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_storage::codec::{check_layout, Wire};
+
+    fn op(node: NodeId, seq: u64) -> OpRef {
+        OpRef { node, seq }
+    }
+
+    fn cs(count: u64, writer: u64, rmwc: u64) -> Carstamp {
+        Carstamp { count, writer, rmwc }
+    }
+
+    #[test]
+    fn every_variant_keeps_its_bytes() {
+        let samples = [
+            (
+                GryffMsg::Read1 {
+                    op: op(5, 6),
+                    key: Key(7),
+                    dep: Some(Dep { key: Key(7), value: Value(8), cs: cs(4, 2, 1) }),
+                },
+                "000500000000000000060000000000000007000000000000000107000000000000000800000000000000040000000000000002000000000000000100000000000000",
+            ),
+            (GryffMsg::Read1Reply { op: op(5, 6), value: Value(8), cs: cs(4, 2, 1) }, "01050000000000000006000000000000000800000000000000040000000000000002000000000000000100000000000000"),
+            (GryffMsg::Write1 { op: op(1, 2), key: Key(3), dep: None }, "0201000000000000000200000000000000030000000000000000"),
+            (GryffMsg::Write1Reply { op: op(1, 2), cs: cs(4, 2, 0) }, "0301000000000000000200000000000000040000000000000002000000000000000000000000000000"),
+            (GryffMsg::Write2 { op: op(1, 2), key: Key(3), value: Value(9), cs: cs(5, 1, 0) }, "040100000000000000020000000000000003000000000000000900000000000000050000000000000001000000000000000000000000000000"),
+            (GryffMsg::Write2Reply { op: op(1, 2) }, "0501000000000000000200000000000000"),
+            (GryffMsg::Rmw { op: op(9, 10), key: Key(3), new_value: Value(12), dep: None }, "0609000000000000000a0000000000000003000000000000000c0000000000000000"),
+            (GryffMsg::RmwReply { op: op(9, 10), old_value: Value(11), cs: cs(4, 2, 1) }, "0709000000000000000a000000000000000b00000000000000040000000000000002000000000000000100000000000000"),
+        ];
+        check_layout(GryffMsg::TAGS, &samples);
+        for (msg, _) in &samples {
+            assert_eq!(u16::from(msg.to_bytes()[0]), msg.class(), "tag is the class: {msg:?}");
+        }
+    }
 
     #[test]
     fn op_ref_identity() {

@@ -14,6 +14,7 @@ use regular_core::history::History;
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{OpId, ProcessId, ServiceId, Timestamp};
 use regular_sim::time::{SimDuration, SimTime};
+use regular_storage::wire_layout;
 
 /// Identifies one pipeline slot of one session: the unit that behaves as a
 /// sequential application process. With `batch = 1` every session has exactly
@@ -87,6 +88,20 @@ pub struct CompletedRecord {
     pub orphan: bool,
     /// Protocol ordering metadata for witness assembly.
     pub witness: WitnessHint,
+}
+
+wire_layout! {
+    enum WitnessHint {
+        0 => None,
+        1 => Timestamp { ts },
+        2 => Carstamp { count, writer, rmwc },
+    }
+}
+
+wire_layout! {
+    struct CompletedRecord {
+        service, kind, result, invoke, finish, session, slot, attempts, rounds, orphan, witness,
+    }
 }
 
 impl CompletedRecord {
@@ -256,6 +271,36 @@ impl HistoryRecorder {
 mod tests {
     use super::*;
     use regular_core::types::{Key, Value};
+    use regular_storage::codec::check_layout;
+
+    #[test]
+    fn every_variant_keeps_its_bytes() {
+        check_layout(
+            WitnessHint::TAGS,
+            &[
+                (WitnessHint::None, "00"),
+                (WitnessHint::Timestamp { ts: 25 }, "011900000000000000"),
+                (
+                    WitnessHint::Carstamp { count: 4, writer: 2, rmwc: 1 },
+                    "02040000000000000002000000000000000100000000000000",
+                ),
+            ],
+        );
+        let rec = CompletedRecord {
+            service: ServiceId(1),
+            kind: OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
+            result: OpResult::Values(vec![(Key(1), Value(9))]),
+            invoke: SimTime::from_micros(10),
+            finish: SimTime::from_micros(30),
+            session: 4,
+            slot: 1,
+            attempts: 2,
+            rounds: 3,
+            orphan: false,
+            witness: WitnessHint::Timestamp { ts: 25 },
+        };
+        check_layout(&[], &[(rec, "010000000401000000010000000000000001000000020000000000000003000000000000000101000000010000000000000009000000000000000a000000000000001e00000000000000040000000000000001000000020000000300011900000000000000")]);
+    }
 
     fn write_rec(session: u64, slot: u32, key: u64, at: u64, orphan: bool) -> CompletedRecord {
         CompletedRecord {

@@ -3,6 +3,7 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
+use regular_storage::wire_layout;
 use serde::{Deserialize, Serialize};
 
 /// An instant on the simulated clock, measured in microseconds since the start
@@ -21,6 +22,9 @@ pub struct SimTime(pub u64);
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct SimDuration(pub u64);
+
+wire_layout! { struct SimTime(micros) }
+wire_layout! { struct SimDuration(micros) }
 
 impl SimTime {
     /// The start of the simulation.

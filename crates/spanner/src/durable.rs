@@ -1,20 +1,19 @@
-//! WAL records and snapshot codec for a durable shard.
+//! WAL records and checkpoint snapshots for a durable shard.
 //!
 //! Under `Durability::Wal` a shard logs every durable state transition —
 //! prepares, 2PC coordinator steps, decisions, safe-time advances — as one of
-//! these records, and checkpoints serialize the full durable state through
-//! the same helpers. Crash recovery replays snapshot + records; nothing else
-//! survives. The encodings are hand-rolled little-endian (the vendored
-//! `serde` is derive-only) via [`regular_storage::codec`].
+//! these records, and a checkpoint serializes the full durable state. Crash
+//! recovery replays snapshot + records; nothing else survives. The byte
+//! layouts are declared with [`regular_storage::codec`]'s `wire_layout!`.
 
 use std::borrow::Cow;
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
-use regular_storage::codec::{Dec, Enc};
+use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
 use regular_storage::wal::Wal;
-use regular_storage::MemDisk;
+use regular_storage::{wire_layout, MemDisk};
 
 use crate::messages::{Ts, TxnId};
 use crate::storage::MvccStore;
@@ -47,130 +46,26 @@ pub enum ShardRecord {
     SafeTime { ts: Ts },
 }
 
-const T_PREPARE_REC: u8 = 1;
-const T_DECISION: u8 = 2;
-const T_COORD_BEGIN: u8 = 3;
-const T_COORD_VOTE: u8 = 4;
-const T_COORD_TS: u8 = 5;
-const T_SAFE_TIME: u8 = 6;
-
-pub(crate) fn enc_txn(e: &mut Enc, txn: TxnId) {
-    e.u64(txn.client as u64).u64(txn.seq);
-}
-
-pub(crate) fn dec_txn(d: &mut Dec) -> Option<TxnId> {
-    Some(TxnId { client: d.u64()? as NodeId, seq: d.u64()? })
-}
-
-pub(crate) fn enc_writes(e: &mut Enc, writes: &[(Key, Value)]) {
-    e.u32(writes.len() as u32);
-    for (k, v) in writes {
-        e.u64(k.0).u64(v.0);
+wire_layout! {
+    enum ShardRecord {
+        1 => Prepare { txn, t_prepare, t_ee, coordinator, writes },
+        2 => Decision { txn, commit, t_commit },
+        3 => CoordBegin { txn, client, t_ee, writes_by_shard },
+        4 => CoordVote { txn, shard, t_prepare },
+        5 => CoordTs { txn, t_commit, fire_at_us },
+        6 => SafeTime { ts },
     }
-}
-
-pub(crate) fn dec_writes(d: &mut Dec) -> Option<Vec<(Key, Value)>> {
-    let n = d.u32()? as usize;
-    let mut writes = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        writes.push((Key(d.u64()?), Value(d.u64()?)));
-    }
-    Some(writes)
 }
 
 impl ShardRecord {
+    /// The record's bytes, as `Wal::append` takes them. (The shard itself
+    /// frames in place: `wal.append_with(now, |e| rec.encode_into(e))`.)
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(128);
-        self.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Appends the record's encoding to `e` (what `Wal::append_with` frames
-    /// in place).
-    pub fn encode_into(&self, e: &mut Enc) {
-        match self {
-            ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes } => {
-                e.u8(T_PREPARE_REC);
-                enc_txn(e, *txn);
-                e.u64(*t_prepare).u64(*t_ee).u64(*coordinator as u64);
-                enc_writes(e, writes);
-            }
-            ShardRecord::Decision { txn, commit, t_commit } => {
-                e.u8(T_DECISION);
-                enc_txn(e, *txn);
-                e.bool(*commit).u64(*t_commit);
-            }
-            ShardRecord::CoordBegin { txn, client, t_ee, writes_by_shard } => {
-                e.u8(T_COORD_BEGIN);
-                enc_txn(e, *txn);
-                e.u64(*client as u64).u64(*t_ee);
-                e.u32(writes_by_shard.len() as u32);
-                for (node, writes) in writes_by_shard {
-                    e.u64(*node as u64);
-                    enc_writes(e, writes);
-                }
-            }
-            ShardRecord::CoordVote { txn, shard, t_prepare } => {
-                e.u8(T_COORD_VOTE);
-                enc_txn(e, *txn);
-                e.u64(*shard as u64).u64(*t_prepare);
-            }
-            ShardRecord::CoordTs { txn, t_commit, fire_at_us } => {
-                e.u8(T_COORD_TS);
-                enc_txn(e, *txn);
-                e.u64(*t_commit).u64(*fire_at_us);
-            }
-            ShardRecord::SafeTime { ts } => {
-                e.u8(T_SAFE_TIME);
-                e.u64(*ts);
-            }
-        }
+        self.to_bytes()
     }
 
     pub fn decode(bytes: &[u8]) -> Option<ShardRecord> {
-        let mut d = Dec::new(bytes);
-        let rec = match d.u8()? {
-            T_PREPARE_REC => ShardRecord::Prepare {
-                txn: dec_txn(&mut d)?,
-                t_prepare: d.u64()?,
-                t_ee: d.u64()?,
-                coordinator: d.u64()? as NodeId,
-                writes: dec_writes(&mut d)?,
-            },
-            T_DECISION => ShardRecord::Decision {
-                txn: dec_txn(&mut d)?,
-                commit: d.bool()?,
-                t_commit: d.u64()?,
-            },
-            T_COORD_BEGIN => {
-                let txn = dec_txn(&mut d)?;
-                let client = d.u64()? as NodeId;
-                let t_ee = d.u64()?;
-                let n = d.u32()? as usize;
-                let mut writes_by_shard = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    let node = d.u64()? as NodeId;
-                    writes_by_shard.push((node, dec_writes(&mut d)?));
-                }
-                ShardRecord::CoordBegin { txn, client, t_ee, writes_by_shard }
-            }
-            T_COORD_VOTE => ShardRecord::CoordVote {
-                txn: dec_txn(&mut d)?,
-                shard: d.u64()? as NodeId,
-                t_prepare: d.u64()?,
-            },
-            T_COORD_TS => ShardRecord::CoordTs {
-                txn: dec_txn(&mut d)?,
-                t_commit: d.u64()?,
-                fire_at_us: d.u64()?,
-            },
-            T_SAFE_TIME => ShardRecord::SafeTime { ts: d.u64()? },
-            _ => return None,
-        };
-        if !d.is_empty() {
-            return None;
-        }
-        Some(rec)
+        Self::from_bytes(bytes)
     }
 }
 
@@ -227,6 +122,8 @@ pub(crate) struct SnapPrepared<'a> {
     pub coordinator: NodeId,
 }
 
+wire_layout! { struct SnapPrepared<'a> { txn, t_prepare, t_ee, coordinator, writes } }
+
 /// One participant's share of a transaction's writes.
 type ShardWrites = (NodeId, Vec<(Key, Value)>);
 
@@ -242,6 +139,12 @@ pub(crate) struct SnapCoord<'a> {
     pub awaiting: Vec<NodeId>,
 }
 
+wire_layout! {
+    struct SnapCoord<'a> {
+        txn, client, t_ee, max_prepare, commit_fire_at_us, writes_by_shard, awaiting,
+    }
+}
+
 /// The full durable state of a shard, as decoded from a checkpoint.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ShardSnapshot {
@@ -252,6 +155,9 @@ pub(crate) struct ShardSnapshot {
     pub decided: Vec<(TxnId, bool, Ts)>,
 }
 
+wire_layout! { struct ShardSnapshot { max_ts, versions, prepared, coordinating, decided } }
+
+/// Leads every snapshot; one with any other version is not decoded.
 const SNAPSHOT_VERSION: u32 = 1;
 
 /// Streams a checkpoint snapshot into `e` straight from the shard's state —
@@ -267,148 +173,69 @@ pub(crate) fn encode_snapshot(
     coordinating: &[SnapCoord],
     decided: &[(TxnId, bool, Ts)],
 ) {
-    e.u32(SNAPSHOT_VERSION);
-    e.u64(max_ts);
+    e.u32(SNAPSHOT_VERSION).u64(max_ts);
     e.u32(chains.iter().map(|(_, chain)| chain.len()).sum::<usize>() as u32);
     for (key, chain) in chains {
         for (ts, value) in *chain {
-            e.u64(key.0).u64(*ts).u64(value.0);
+            (*key, *ts, *value).encode_into(e);
         }
     }
-    e.u32(prepared.len() as u32);
-    for p in prepared {
-        enc_txn(e, p.txn);
-        e.u64(p.t_prepare).u64(p.t_ee).u64(p.coordinator as u64);
-        enc_writes(e, &p.writes);
-    }
-    e.u32(coordinating.len() as u32);
-    for c in coordinating {
-        enc_txn(e, c.txn);
-        e.u64(c.client as u64).u64(c.t_ee).u64(c.max_prepare);
-        match c.commit_fire_at_us {
-            Some(at) => e.bool(true).u64(at),
-            None => e.bool(false),
-        };
-        e.u32(c.writes_by_shard.len() as u32);
-        for (node, writes) in c.writes_by_shard.iter() {
-            e.u64(*node as u64);
-            enc_writes(e, writes);
-        }
-        e.u32(c.awaiting.len() as u32);
-        for node in &c.awaiting {
-            e.u64(*node as u64);
-        }
-    }
-    e.u32(decided.len() as u32);
-    for (txn, commit, t_commit) in decided {
-        enc_txn(e, *txn);
-        e.bool(*commit).u64(*t_commit);
-    }
+    e.slice(prepared).slice(coordinating).slice(decided);
 }
 
 impl ShardSnapshot {
     pub fn decode(bytes: &[u8]) -> Option<ShardSnapshot> {
-        let mut d = Dec::new(bytes);
-        if d.u32()? != SNAPSHOT_VERSION {
-            return None;
-        }
-        let max_ts = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut versions = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            versions.push((Key(d.u64()?), d.u64()?, Value(d.u64()?)));
-        }
-        let n = d.u32()? as usize;
-        let mut prepared = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            prepared.push(SnapPrepared {
-                txn: dec_txn(&mut d)?,
-                t_prepare: d.u64()?,
-                t_ee: d.u64()?,
-                coordinator: d.u64()? as NodeId,
-                writes: dec_writes(&mut d)?.into(),
-            });
-        }
-        let n = d.u32()? as usize;
-        let mut coordinating = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let txn = dec_txn(&mut d)?;
-            let client = d.u64()? as NodeId;
-            let t_ee = d.u64()?;
-            let max_prepare = d.u64()?;
-            let commit_fire_at_us = if d.bool()? { Some(d.u64()?) } else { None };
-            let shards = d.u32()? as usize;
-            let mut writes_by_shard = Vec::with_capacity(shards.min(64));
-            for _ in 0..shards {
-                let node = d.u64()? as NodeId;
-                writes_by_shard.push((node, dec_writes(&mut d)?));
-            }
-            let awaits = d.u32()? as usize;
-            let mut awaiting = Vec::with_capacity(awaits.min(64));
-            for _ in 0..awaits {
-                awaiting.push(d.u64()? as NodeId);
-            }
-            coordinating.push(SnapCoord {
-                txn,
-                client,
-                t_ee,
-                max_prepare,
-                commit_fire_at_us,
-                writes_by_shard: writes_by_shard.into(),
-                awaiting,
-            });
-        }
-        let n = d.u32()? as usize;
-        let mut decided = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            decided.push((dec_txn(&mut d)?, d.bool()?, d.u64()?));
-        }
-        Some(ShardSnapshot { max_ts, versions, prepared, coordinating, decided })
+        let (version, snapshot) = <(u32, ShardSnapshot)>::from_bytes(bytes)?;
+        (version == SNAPSHOT_VERSION).then_some(snapshot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_storage::codec::check_layout;
 
     fn txn(client: NodeId, seq: u64) -> TxnId {
         TxnId { client, seq }
     }
 
-    /// One record of every variant.
-    fn sample_records() -> Vec<ShardRecord> {
+    /// Records of every variant, each with the bytes it has always had.
+    fn samples() -> Vec<(ShardRecord, &'static str)> {
         vec![
-            ShardRecord::Prepare {
-                txn: txn(9, 4),
-                t_prepare: 1000,
-                t_ee: 2000,
-                coordinator: 2,
-                writes: vec![(Key(1), Value(10)), (Key(4), Value(40))],
-            },
-            ShardRecord::Decision { txn: txn(9, 4), commit: true, t_commit: 1500 },
-            ShardRecord::Decision { txn: txn(9, 5), commit: false, t_commit: 0 },
-            ShardRecord::CoordBegin {
-                txn: txn(7, 1),
-                client: 7,
-                t_ee: 900,
-                writes_by_shard: vec![(0, vec![(Key(3), Value(30))]), (1, vec![])],
-            },
-            ShardRecord::CoordVote { txn: txn(7, 1), shard: 1, t_prepare: 1200 },
-            ShardRecord::CoordTs { txn: txn(7, 1), t_commit: 1400, fire_at_us: 5000 },
-            ShardRecord::SafeTime { ts: 7777 },
+            (
+                ShardRecord::Prepare {
+                    txn: txn(9, 4),
+                    t_prepare: 1000,
+                    t_ee: 2000,
+                    coordinator: 2,
+                    writes: vec![(Key(1), Value(10)), (Key(4), Value(40))],
+                },
+                "0109000000000000000400000000000000e803000000000000d00700000000000002000000000000000200000001000000000000000a0000000000000004000000000000002800000000000000",
+            ),
+            (ShardRecord::Decision { txn: txn(9, 4), commit: true, t_commit: 1500 }, "020900000000000000040000000000000001dc05000000000000"),
+            (ShardRecord::Decision { txn: txn(9, 5), commit: false, t_commit: 0 }, "0209000000000000000500000000000000000000000000000000"),
+            (
+                ShardRecord::CoordBegin {
+                    txn: txn(7, 1),
+                    client: 7,
+                    t_ee: 900,
+                    writes_by_shard: vec![(0, vec![(Key(3), Value(30))]), (1, vec![])],
+                },
+                "0307000000000000000100000000000000070000000000000084030000000000000200000000000000000000000100000003000000000000001e00000000000000010000000000000000000000",
+            ),
+            (ShardRecord::CoordVote { txn: txn(7, 1), shard: 1, t_prepare: 1200 }, "04070000000000000001000000000000000100000000000000b004000000000000"),
+            (ShardRecord::CoordTs { txn: txn(7, 1), t_commit: 1400, fire_at_us: 5000 }, "050700000000000000010000000000000078050000000000008813000000000000"),
+            (ShardRecord::SafeTime { ts: 7777 }, "06611e000000000000"),
         ]
     }
 
+    fn sample_records() -> Vec<ShardRecord> {
+        samples().into_iter().map(|(rec, _)| rec).collect()
+    }
+
     #[test]
-    fn records_round_trip() {
-        for rec in sample_records() {
-            let bytes = rec.encode();
-            assert_eq!(ShardRecord::decode(&bytes), Some(rec.clone()), "round trip {rec:?}");
-            // Truncations must decode to None, never panic.
-            for cut in 0..bytes.len() {
-                assert_eq!(ShardRecord::decode(&bytes[..cut]), None, "truncated {rec:?} at {cut}");
-            }
-        }
+    fn every_variant_keeps_its_bytes() {
+        check_layout(ShardRecord::TAGS, &samples());
     }
 
     #[test]
@@ -468,15 +295,19 @@ mod tests {
             &snap.decided,
         );
         let bytes = e.finish();
-        let back = ShardSnapshot::decode(&bytes).expect("decode");
-        assert_eq!(back.max_ts, snap.max_ts);
-        assert_eq!(back.versions, snap.versions);
-        assert_eq!(back.prepared.len(), 1);
-        assert_eq!(back.prepared[0].writes, snap.prepared[0].writes);
-        assert_eq!(back.coordinating.len(), 1);
-        assert_eq!(back.coordinating[0].commit_fire_at_us, Some(70));
-        assert_eq!(back.decided, snap.decided);
-        assert_eq!(ShardSnapshot::decode(&bytes[..bytes.len() - 1]), None);
+        // The streaming encoder and the declared layout write the same bytes,
+        // the ones snapshots have always had.
+        assert_eq!(ShardSnapshot::decode(&bytes).as_ref(), Some(&snap));
+        let versioned = (SNAPSHOT_VERSION, snap);
+        assert_eq!(bytes, versioned.to_bytes());
+        check_layout(&[], &[(versioned, "0100000040e20100000000000300000001000000000000000a00000000000000640000000000000001000000000000001400000000000000c80000000000000002000000000000000500000000000000320000000000000001000000030000000000000007000000000000001e00000000000000280000000000000001000000000000000100000009000000000000005a000000000000000100000004000000000000000200000000000000040000000000000037000000000000003c00000000000000014600000000000000010000000000000000000000010000000200000000000000160000000000000000000000020000000500000000000000050000000000000001630000000000000005000000000000000600000000000000000000000000000000")]);
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_without_allocation() {
+        // A version count of u32::MAX with nothing behind it.
+        let snapshot = (SNAPSHOT_VERSION, (0u64, u32::MAX)).to_bytes();
+        assert_eq!(ShardSnapshot::decode(&snapshot), None);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
+use regular_storage::wire_layout;
 
 /// Timestamps used by the protocol (TrueTime-derived, in simulated
 /// microseconds).
@@ -18,6 +19,8 @@ pub struct TxnId {
     pub seq: u64,
 }
 
+wire_layout! { struct TxnId { client, seq } }
+
 /// A prepared-but-uncommitted read-write transaction, as tracked by a shard
 /// and reported to RSS read-only transactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +30,8 @@ pub struct PreparedInfo {
     /// Its prepare timestamp at this shard.
     pub t_prepare: Ts,
 }
+
+wire_layout! { struct PreparedInfo { txn, t_prepare } }
 
 /// Messages exchanged between clients and shard leaders.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,9 +172,87 @@ pub enum SpannerMsg {
     },
 }
 
+wire_layout! {
+    enum SpannerMsg {
+        0 => ExecRead { txn, keys },
+        1 => ExecReadReply { txn, values },
+        2 => CommitRequest { txn, writes_by_shard, t_ee },
+        3 => Prepare { txn, writes, t_ee, coordinator },
+        4 => PrepareOk { txn, shard, t_prepare },
+        5 => CommitDecision { txn, commit, t_commit },
+        6 => StatusRequest { txn },
+        7 => CommitReply { txn, commit, t_commit },
+        8 => AbortRequest { txn },
+        9 => RoCommit { txn, keys, t_read, t_min },
+        10 => RoReply { txn, shard, values },
+        11 => RoFastReply { txn, shard, skipped, values },
+        12 => RoSlowReply { txn, shard, resolved, committed, t_commit, values },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_storage::codec::check_layout;
+
+    fn txn(client: NodeId, seq: u64) -> TxnId {
+        TxnId { client, seq }
+    }
+
+    #[test]
+    fn every_variant_keeps_its_bytes() {
+        check_layout(
+            SpannerMsg::TAGS,
+            &[
+                (SpannerMsg::ExecRead { txn: txn(7, 42), keys: vec![Key(1), Key(2)] }, "0007000000000000002a000000000000000200000001000000000000000200000000000000"),
+                (SpannerMsg::ExecReadReply { txn: txn(7, 42), values: vec![(Key(1), Value(10))] }, "0107000000000000002a000000000000000100000001000000000000000a00000000000000"),
+                (
+                    SpannerMsg::CommitRequest {
+                        txn: txn(7, 42),
+                        writes_by_shard: vec![(0, vec![(Key(1), Value(2))]), (1, vec![])],
+                        t_ee: 12345,
+                    },
+                    "0207000000000000002a0000000000000002000000000000000000000001000000010000000000000002000000000000000100000000000000000000003930000000000000",
+                ),
+                (
+                    SpannerMsg::Prepare {
+                        txn: txn(7, 42),
+                        writes: vec![(Key(1), Value(2))],
+                        t_ee: 12345,
+                        coordinator: 2,
+                    },
+                    "0307000000000000002a00000000000000010000000100000000000000020000000000000039300000000000000200000000000000",
+                ),
+                (SpannerMsg::PrepareOk { txn: txn(7, 42), shard: 1, t_prepare: 1200 }, "0407000000000000002a000000000000000100000000000000b004000000000000"),
+                (SpannerMsg::CommitDecision { txn: txn(7, 42), commit: true, t_commit: 1500 }, "0507000000000000002a0000000000000001dc05000000000000"),
+                (SpannerMsg::StatusRequest { txn: txn(0, 0) }, "0600000000000000000000000000000000"),
+                (SpannerMsg::CommitReply { txn: txn(7, 43), commit: false, t_commit: 0 }, "0707000000000000002b00000000000000000000000000000000"),
+                (SpannerMsg::AbortRequest { txn: txn(1, 2) }, "0801000000000000000200000000000000"),
+                (SpannerMsg::RoCommit { txn: txn(3, 9), keys: vec![Key(5)], t_read: 900, t_min: 850 }, "090300000000000000090000000000000001000000050000000000000084030000000000005203000000000000"),
+                (SpannerMsg::RoReply { txn: txn(3, 9), shard: 2, values: vec![(Key(5), 88, Value(6))] }, "0a03000000000000000900000000000000020000000000000001000000050000000000000058000000000000000600000000000000"),
+                (
+                    SpannerMsg::RoFastReply {
+                        txn: txn(3, 9),
+                        shard: 2,
+                        skipped: vec![PreparedInfo { txn: txn(1, 1), t_prepare: 77 }],
+                        values: vec![(Key(5), 88, Value(6))],
+                    },
+                    "0b03000000000000000900000000000000020000000000000001000000010000000000000001000000000000004d0000000000000001000000050000000000000058000000000000000600000000000000",
+                ),
+                (
+                    SpannerMsg::RoSlowReply {
+                        txn: txn(3, 9),
+                        shard: 2,
+                        resolved: txn(1, 1),
+                        committed: true,
+                        t_commit: 91,
+                        values: vec![(Key(5), 91, Value(7))],
+                    },
+                    "0c03000000000000000900000000000000020000000000000001000000000000000100000000000000015b000000000000000100000005000000000000005b000000000000000700000000000000",
+                ),
+            ],
+        );
+    }
 
     #[test]
     fn txn_id_ordering_is_by_client_then_seq() {

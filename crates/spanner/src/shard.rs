@@ -11,7 +11,7 @@ use regular_core::hashing::{FxHashMap, FxHashSet};
 use regular_core::types::{Key, Value};
 use regular_sim::engine::{Context, NodeId};
 use regular_sim::time::SimDuration;
-use regular_storage::codec::Enc;
+use regular_storage::codec::{Enc, Wire};
 use regular_storage::wal::{RecoveredLog, Wal, WalStats};
 use regular_storage::Durability;
 

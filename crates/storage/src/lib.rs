@@ -18,11 +18,12 @@
 //!   map plus the durable images of the pages written since the last sync, so
 //!   a write, a sync and a crash each cost what changed, never the file.
 //!   [`DirDisk`] is the live-plane device: real files, real `fsync`.
-//! * [`wal`] — the write-ahead log: append-only segments of
-//!   `[len u32][crc32 u32][payload]` frames encoded in place in one reused
-//!   buffer ([`Wal::append_with`]), **group commit** (appends hit the device
-//!   immediately; the fsync is deferred up to `group_commit_us` so many
-//!   records share one sync), checkpoints (the snapshot goes straight to the
+//! * [`codec`] — the binary codec every record, snapshot and socket message
+//!   is declared in, and the `[len][crc32]` frame they travel inside.
+//! * [`wal`] — the write-ahead log: append-only segments of frames encoded
+//!   in place in one reused buffer ([`Wal::append_with`]), **group commit**
+//!   (appends hit the device immediately; the fsync is deferred up to
+//!   `group_commit_us` so many records share one sync), checkpoints (the snapshot goes straight to the
 //!   inactive one of two ping-pong areas as one run, then a crc-guarded meta
 //!   page flips to it, then covered segments are pruned), and a recovery scan
 //!   that replays snapshot + log tail and stops cleanly at a torn frame.
@@ -38,11 +39,11 @@
 //! released — dropping them at recovery is indistinguishable from the ack
 //! having been lost in the network.
 //!
-//! This crate has no dependencies (the checksums and binary codec in
-//! [`codec`] are hand-rolled): the workspace's vendored `serde` stub is
-//! derive-only, so record encodings cannot lean on it. Like the other
-//! workspace crates, nothing here tracks a registry crate — there is no stub
-//! to replace.
+//! This crate has no dependencies, and every crate with a byte layout
+//! depends on it: [`codec`] holds the workspace's one binary codec (the
+//! `Wire` trait, the `wire_layout!` macro, the frame header, CRC-32) and the
+//! reason it exists. Like the other workspace crates, nothing here tracks a
+//! registry crate — there is no stub to replace.
 
 pub mod codec;
 pub mod device;

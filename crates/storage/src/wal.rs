@@ -4,7 +4,7 @@
 //! ## On-device layout
 //!
 //! Log records live in append-only segments (`wal-NNNNNN.seg`), each a run of
-//! frames: `[len: u32 LE][crc32(payload): u32 LE][payload]`. The page file
+//! frames ([`crate::codec::frame_header`] then the payload). The page file
 //! holds checkpoints: pages 0 and 1 are ping-ponged, crc-guarded *meta*
 //! pages (the valid one with the highest epoch wins), and two snapshot areas
 //! alternate starting at page 2 so a crash mid-checkpoint never damages the
@@ -32,17 +32,13 @@
 //! segment, so a crash can tear the log's tail but never its middle, and the
 //! replayed records are always an exact prefix of what was appended.
 
-use crate::codec::{crc32, Enc};
+use crate::codec::{crc32, frame_header, frame_len, frame_matches, Enc, FRAME_HEADER};
 use crate::device::{DirDisk, NodeDisk, PAGE_SIZE};
 use crate::{Backing, WalOptions};
 
-/// Upper bound on a single record; anything larger in a length field is
-/// treated as corruption.
-const MAX_RECORD: u32 = 16 * 1024 * 1024;
 /// Pages reserved per snapshot area (16 MiB each).
 const MAX_SNAPSHOT_PAGES: u64 = 4096;
 const META_MAGIC: u32 = 0x5253_574C; // "RSWL"
-const FRAME_HEADER: usize = 8;
 
 /// Per-WAL counters; aggregated across nodes into
 /// [`crate::StorageSummary`].
@@ -163,11 +159,8 @@ impl Wal {
         self.enc.buf.resize(FRAME_HEADER, 0);
         encode(&mut self.enc);
         let frame = &mut self.enc.buf;
-        let payload_len = frame.len() - FRAME_HEADER;
-        assert!(payload_len as u64 <= MAX_RECORD as u64, "record too large");
-        let crc = crc32(&frame[FRAME_HEADER..]);
-        frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        let header = frame_header(&frame[FRAME_HEADER..]);
+        frame[..FRAME_HEADER].copy_from_slice(&header);
         let frame_len = frame.len() as u64;
         if self.cur_len > 0 && self.cur_len + frame_len > self.segment_bytes {
             // Sync before rotating so unsynced data only ever lives in the
@@ -361,19 +354,17 @@ fn read_snapshot(disk: &mut NodeDisk, meta: &Meta) -> Option<Vec<u8>> {
 /// Returns where it stopped: `data.len()` after a clean end, the start of
 /// the first incomplete or checksum-failing frame otherwise.
 fn read_frames(data: &[u8], mut off: usize, records: &mut Vec<Vec<u8>>) -> usize {
-    while off + FRAME_HEADER <= data.len() {
-        let len = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap());
-        let payload_end = off + FRAME_HEADER + len as usize;
-        if len > MAX_RECORD || payload_end > data.len() {
+    while let Some((header, rest)) =
+        data.get(off..).and_then(|tail| tail.split_first_chunk::<FRAME_HEADER>())
+    {
+        let Some(payload) = frame_len(header).and_then(|len| rest.get(..len)) else {
             break;
-        }
-        let payload = &data[off + FRAME_HEADER..payload_end];
-        if crc32(payload) != crc {
+        };
+        if !frame_matches(header, payload) {
             break;
         }
         records.push(payload.to_vec());
-        off = payload_end;
+        off += FRAME_HEADER + payload.len();
     }
     off
 }

@@ -24,7 +24,6 @@ use regular_gryff::prelude::{GryffConfig, GryffService};
 use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
 use regular_gryff::{Carstamp, GryffMsg};
-use regular_live::wire::{Dec, Enc, Wire};
 use regular_live::{
     run_live_transport, DeliveryRecord, LiveConfig, LiveNode, LiveOutcome, TransportKind, WireStats,
 };
@@ -44,7 +43,7 @@ use regular_spanner::prelude::{
 };
 use regular_spanner::shard::ShardNode;
 use regular_spanner::SpannerMsg;
-use regular_storage::{Durability, StorageSummary};
+use regular_storage::{wire_layout, Durability, StorageSummary};
 use regular_workloads::photo::PhotoSharingWorkload;
 
 /// Service id of the Spanner-RSS store in the combined history.
@@ -53,7 +52,7 @@ pub const SPANNER_SERVICE: ServiceId = ServiceId(0);
 pub const GRYFF_SERVICE: ServiceId = ServiceId(1);
 
 /// The combined wire type of the composite deployment.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DuoMsg {
     /// A Spanner protocol message.
     Spanner(SpannerMsg),
@@ -93,25 +92,10 @@ impl TryFrom<DuoMsg> for GryffMsg {
 // One tag byte selecting the protocol, then that protocol's own wire
 // encoding — which makes the composed deployment socket-capable (see
 // `regular_live::wire`).
-impl Wire for DuoMsg {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            DuoMsg::Spanner(m) => {
-                e.u8(0);
-                m.encode(e);
-            }
-            DuoMsg::Gryff(m) => {
-                e.u8(1);
-                m.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Dec<'_>) -> Option<Self> {
-        Some(match d.u8()? {
-            0 => DuoMsg::Spanner(Wire::decode(d)?),
-            1 => DuoMsg::Gryff(Wire::decode(d)?),
-            _ => return None,
-        })
+wire_layout! {
+    enum DuoMsg {
+        0 => Spanner(msg),
+        1 => Gryff(msg),
     }
 }
 
@@ -768,5 +752,30 @@ pub fn certify_composed(
             history,
             witness,
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use regular_gryff::messages::OpRef;
+    use regular_spanner::messages::TxnId;
+    use regular_storage::codec::check_layout;
+
+    #[test]
+    fn every_variant_keeps_its_bytes() {
+        check_layout(
+            DuoMsg::TAGS,
+            &[
+                (
+                    DuoMsg::Spanner(SpannerMsg::AbortRequest { txn: TxnId { client: 1, seq: 2 } }),
+                    "000801000000000000000200000000000000",
+                ),
+                (
+                    DuoMsg::Gryff(GryffMsg::Write2Reply { op: OpRef { node: 1, seq: 2 } }),
+                    "010501000000000000000200000000000000",
+                ),
+            ],
+        );
     }
 }
