@@ -50,16 +50,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::WitnessModel;
 use regular_gryff::prelude as gryff;
 use regular_live::{
-    build_spanner_nodes, run_cluster_live, run_gryff_live, run_hub_multiproc,
-    run_worker_multiproc, GryffLiveSpec, ListenAddr, Listener, LiveConfig, SpannerLiveSpec,
-    TransportKind, WireStats,
+    run_hub_multiproc, run_worker_multiproc, ListenAddr, Listener, LivePlane, TransportKind,
 };
-use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
-use regular_sim::{LatencyMatrix, LatencyRecorder, SimDuration, SimTime};
+use regular_session::{per_wall_second, untagged, SessionConfig, SessionWorkload};
+use regular_sim::{LatencyMatrix, LatencyRecorder, SimDuration, SimTime, WireStats};
 use regular_spanner::prelude as spanner;
 use regular_sweep::{certify_streaming, Json};
 
@@ -101,11 +98,12 @@ const BENCH_DRIVE: Drive = Drive::Closed { sessions_per_client: 4 };
 
 const OPEN_LOOP_CAP: usize = 16;
 
-/// The bench's Spanner client fleet, deterministic in `(seed, drive)`.
-/// Multi-process workers rebuild the identical fleet from the same
-/// arguments so node ids line up across processes.
-fn spanner_clients(seed: u64, drive: Drive) -> Vec<spanner::ClientSpec> {
-    (0..SPANNER_CLIENTS)
+/// The bench's Spanner-RSS WAN deployment, deterministic in
+/// `(seed, stop_secs, drive)`: the single-process entries, the multi-process
+/// hub and every worker build their deployment from this one spec, so node
+/// ids, the hard stop, ε and the fault schedule line up across processes.
+fn spanner_spec(seed: u64, stop_secs: u64, drive: Drive) -> spanner::ClusterSpec {
+    let clients = (0..SPANNER_CLIENTS)
         .map(|i| {
             let sessions = match drive {
                 Drive::Closed { sessions_per_client } => {
@@ -126,7 +124,16 @@ fn spanner_clients(seed: u64, drive: Drive) -> Vec<spanner::ClientSpec> {
                 }) as Box<dyn SessionWorkload>,
             }
         })
-        .collect()
+        .collect();
+    spanner::ClusterSpec {
+        config: spanner::SpannerConfig::wan(spanner::Mode::SpannerRss),
+        net: LatencyMatrix::spanner_wan(),
+        seed,
+        clients,
+        stop_issuing_at: SimTime::from_secs(stop_secs),
+        drain: SimDuration::from_secs(8),
+        measure_from: SimTime::from_secs(1),
+    }
 }
 
 fn spanner_entry(
@@ -137,20 +144,10 @@ fn spanner_entry(
     transport: TransportKind,
     drive: Drive,
 ) -> LiveEntry {
-    let config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    let num_shards = config.num_shards;
-    let result = run_cluster_live(SpannerLiveSpec {
-        config,
-        net: LatencyMatrix::spanner_wan(),
-        seed,
-        clients: spanner_clients(seed, drive),
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: scale,
-        record_deliveries: false,
-        transport,
-    });
+    let spec = spanner_spec(seed, stop_secs, drive);
+    let num_shards = spec.config.num_shards;
+    let plane = LivePlane { time_scale: scale, record_deliveries: false, transport };
+    let result = spanner::run_cluster_on(&plane, spec);
     let (history, witness) = spanner::build_history_from(&result.completed);
     let (certified, violation, peak_window) =
         match certify_streaming(&history, &witness, WitnessModel::Regular) {
@@ -196,34 +193,27 @@ fn gryff_entry(seed: u64, scale: u64, stop_secs: u64, transport: TransportKind) 
         .collect();
     let config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
     let num_replicas = config.num_replicas;
-    let result = run_gryff_live(GryffLiveSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: scale,
-        record_deliveries: false,
-        transport,
-    });
-    let (history, edges) = gryff::build_history_from(&result.completed);
-    let (certified, violation, peak_window) =
-        match assemble_witness(&history, &edges, WitnessModel::Regular) {
-            Ok(witness) => match certify_streaming(&history, &witness, WitnessModel::Regular) {
-                Ok(stats) => (true, None, stats.peak_window),
-                Err(v) => (false, Some(format!("RSC violation (streaming): {v:?}")), 0),
-            },
-            Err(e) => (
-                false,
-                Some(format!(
-                    "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                    e.unordered
-                )),
-                0,
-            ),
-        };
+    let plane = LivePlane { time_scale: scale, record_deliveries: false, transport };
+    let result = gryff::run_gryff_on(
+        &plane,
+        gryff::GryffClusterSpec {
+            config,
+            net: LatencyMatrix::gryff_wan(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_secs(stop_secs),
+            drain: SimDuration::from_secs(8),
+            measure_from: SimTime::from_secs(1),
+        },
+    );
+    let (history, witness) = gryff::history_and_witness(&result.completed, WitnessModel::Regular);
+    let (certified, violation, peak_window) = match witness {
+        Ok(witness) => match certify_streaming(&history, &witness, WitnessModel::Regular) {
+            Ok(stats) => (true, None, stats.peak_window),
+            Err(v) => (false, Some(format!("RSC violation (streaming): {v:?}")), 0),
+        },
+        Err(reason) => (false, Some(reason), 0),
+    };
     let mut all = LatencyRecorder::new();
     all.merge(&result.read_latencies);
     all.merge(&result.write_latencies);
@@ -275,23 +265,12 @@ struct MultiprocEntry {
 
 /// Runs the standard spanner deployment split across `workers` worker
 /// processes plus the hub (this process), over a Unix-domain socket. The
-/// workload and drain mirror the standard entry, so the numbers are
-/// directly comparable to the single-process transports.
+/// deployment is the standard entry's, so the numbers are directly
+/// comparable to the single-process transports.
 fn multiproc_entry(seed: u64, scale: u64, stop_secs: u64, workers: usize) -> MultiprocEntry {
-    let config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    let shard_count = config.num_shards;
-    let net = LatencyMatrix::spanner_wan();
-    // The hub hosts no nodes; it only needs the id-indexed region list,
-    // which the shared builder pins for every process.
-    let regions: Vec<usize> = build_spanner_nodes(
-        &config,
-        &net,
-        spanner_clients(seed, BENCH_DRIVE),
-        SimTime::from_secs(stop_secs),
-    )
-    .iter()
-    .map(|&(_, r)| r)
-    .collect();
+    let spec = spanner_spec(seed, stop_secs, BENCH_DRIVE);
+    let shard_count = spec.config.num_shards;
+    let (measure_from, stop_issuing_at) = (spec.measure_from, spec.stop_issuing_at);
 
     let sock = std::env::temp_dir().join(format!("live_bench_{}.sock", std::process::id()));
     let addr = ListenAddr::Uds(sock.clone());
@@ -316,18 +295,13 @@ fn multiproc_entry(seed: u64, scale: u64, stop_secs: u64, workers: usize) -> Mul
         children.push(child);
     }
 
-    let live_cfg = LiveConfig {
-        seed,
-        faults: config.faults.clone(),
-        truetime_epsilon: config.truetime_epsilon,
-        time_scale: scale,
-        stop_at: SimTime::from_secs(stop_secs) + SimDuration::from_secs(8),
-        record_deliveries: false,
-    };
-    let outcome = run_hub_multiproc::<spanner::SpannerMsg>(
-        &live_cfg,
-        Box::new(net),
-        regions,
+    // The hub hosts no nodes; it routes for the same deployment the workers
+    // build.
+    let plane =
+        LivePlane { time_scale: scale, record_deliveries: false, transport: TransportKind::Uds };
+    let outcome = run_hub_multiproc::<spanner::SpannerMsg, _>(
+        &plane,
+        spanner::build(spec),
         listener,
         workers,
     )
@@ -338,12 +312,13 @@ fn multiproc_entry(seed: u64, scale: u64, stop_secs: u64, workers: usize) -> Mul
     }
     let _ = std::fs::remove_file(&sock);
 
-    let per_client: Vec<(usize, Vec<CompletedRecord>)> = outcome
+    // No nodes come back to a hub: the records-only half of collection.
+    let per_client: Vec<_> = outcome
         .completed
-        .iter()
+        .into_iter()
         .enumerate()
         .skip(shard_count)
-        .map(|(id, recs)| (id, recs.iter().map(|(_, r)| r.clone()).collect()))
+        .map(|(id, stream)| (id, untagged(stream)))
         .collect();
     let (history, witness) = spanner::build_history_from(&per_client);
     let (certified, violation) = match certify_streaming(&history, &witness, WitnessModel::Regular)
@@ -351,27 +326,20 @@ fn multiproc_entry(seed: u64, scale: u64, stop_secs: u64, workers: usize) -> Mul
         Ok(_) => (true, None),
         Err(v) => (false, Some(format!("RSS violation (streaming): {v:?}"))),
     };
-    let measure_from = SimTime::from_secs(1);
-    let stop = SimTime::from_secs(stop_secs);
-    let window = stop.since(measure_from).as_micros() as f64 / 1_000_000.0;
-    let measured = per_client
-        .iter()
-        .flat_map(|(_, recs)| recs.iter())
-        .filter(|r| r.finish >= measure_from && r.finish < stop && !r.orphan && !r.kind.is_fence())
-        .count();
+    let measured = spanner::measure(&per_client, measure_from, stop_issuing_at);
     MultiprocEntry {
         processes: workers + 1,
         history_ops: history.len(),
         certified,
         violation,
-        sim_ops_per_sec: measured as f64 / window.max(1e-9),
-        wall_ops_per_sec: history.len() as f64 / outcome.wall.as_secs_f64().max(1e-9),
+        sim_ops_per_sec: measured.throughput,
+        wall_ops_per_sec: per_wall_second(measured.measured, outcome.wall),
         wall_ms: outcome.wall.as_secs_f64() * 1_000.0,
         wire: outcome.wire,
     }
 }
 
-/// Hidden worker mode: rebuild the shared node list and host one partition.
+/// Hidden worker mode: build the shared deployment and host one partition.
 /// Spawned by `multiproc_entry` (and CI's socket-smoke job) — not part of
 /// the public CLI surface.
 fn run_worker(addr: &str, index: usize, count: usize, seed: u64, stop_secs: u64) -> ExitCode {
@@ -382,17 +350,8 @@ fn run_worker(addr: &str, index: usize, count: usize, seed: u64, stop_secs: u64)
             return ExitCode::from(2);
         }
     };
-    let config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    let epsilon = config.truetime_epsilon;
-    let net = LatencyMatrix::spanner_wan();
-    let nodes = build_spanner_nodes(
-        &config,
-        &net,
-        spanner_clients(seed, BENCH_DRIVE),
-        SimTime::from_secs(stop_secs),
-    );
-    match run_worker_multiproc::<spanner::SpannerMsg, _>(&addr, index, count, nodes, seed, epsilon)
-    {
+    let deployment = spanner::build(spanner_spec(seed, stop_secs, BENCH_DRIVE));
+    match run_worker_multiproc::<spanner::SpannerMsg, _>(&addr, index, count, deployment) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("worker {index}/{count} failed: {e}");

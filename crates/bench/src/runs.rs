@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use regular_gryff::prelude as gryff;
-use regular_session::{SessionConfig, SessionOp, SessionWorkload};
+use regular_session::{SessionConfig, SessionOp, SessionWorkload, SimPlane};
 use regular_sim::metrics::LatencyRecorder;
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
@@ -233,8 +233,7 @@ pub fn engine_profile_spanner(
     seed: u64,
     queue: regular_sim::queue::QueueKind,
 ) -> spanner::RunResult {
-    let mut config = spanner::SpannerConfig::single_dc(spanner::Mode::SpannerRss, 8);
-    config.queue_kind = queue;
+    let config = spanner::SpannerConfig::single_dc(spanner::Mode::SpannerRss, 8);
     let clients = (0..4)
         .map(|_| spanner::ClientSpec {
             region: 0,
@@ -246,15 +245,18 @@ pub fn engine_profile_spanner(
             }) as Box<dyn SessionWorkload>,
         })
         .collect();
-    spanner::run_cluster(spanner::ClusterSpec {
-        config,
-        net: LatencyMatrix::single_dc(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(seconds),
-        drain: SimDuration::from_secs(5),
-        measure_from: SimTime::from_secs(1),
-    })
+    spanner::run_cluster_on(
+        &SimPlane { queue, ..SimPlane::default() },
+        spanner::ClusterSpec {
+            config,
+            net: LatencyMatrix::single_dc(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_secs(seconds),
+            drain: SimDuration::from_secs(5),
+            measure_from: SimTime::from_secs(1),
+        },
+    )
 }
 
 /// The Gryff-RSC counterpart of [`engine_profile_spanner`]: five-region WAN,
@@ -265,8 +267,7 @@ pub fn engine_profile_gryff(
     seed: u64,
     queue: regular_sim::queue::QueueKind,
 ) -> gryff::GryffRunResult {
-    let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
-    config.queue_kind = queue;
+    let config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
     let clients = (0..5)
         .map(|region| gryff::GryffClientSpec {
             region,
@@ -275,15 +276,18 @@ pub fn engine_profile_gryff(
                 as Box<dyn SessionWorkload>,
         })
         .collect();
-    gryff::run_gryff(gryff::GryffClusterSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(seconds),
-        drain: SimDuration::from_secs(5),
-        measure_from: SimTime::from_secs(1),
-    })
+    gryff::run_gryff_on(
+        &SimPlane { queue, ..SimPlane::default() },
+        gryff::GryffClusterSpec {
+            config,
+            net: LatencyMatrix::gryff_wan(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_secs(seconds),
+            drain: SimDuration::from_secs(5),
+            measure_from: SimTime::from_secs(1),
+        },
+    )
 }
 
 /// Formats a latency value in milliseconds with two decimals.

@@ -334,27 +334,6 @@ impl Service for GryffService {
         self.service
     }
 
-    fn debug_inflight(&self) -> String {
-        let mut ops: Vec<String> = self
-            .ops
-            .iter()
-            .map(|(seq, op)| {
-                format!(
-                    "seq {} lane {}/{} phase {:?} rounds {} replied {} invoke {:?}",
-                    seq,
-                    op.lane.session,
-                    op.lane.slot,
-                    op.phase,
-                    op.rounds,
-                    op.replied.len(),
-                    op.invoke
-                )
-            })
-            .collect();
-        ops.sort();
-        format!("gryff active=[{}] timers={} dep={:?}", ops.join("; "), self.timers.len(), self.dep)
-    }
-
     fn name(&self) -> &str {
         match self.cfg.mode {
             Mode::Gryff => "gryff",

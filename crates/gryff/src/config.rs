@@ -1,7 +1,6 @@
 //! Configuration of a simulated Gryff / Gryff-RSC deployment.
 
 use regular_sim::fault::FaultSchedule;
-use regular_sim::queue::QueueKind;
 use regular_sim::time::SimDuration;
 use regular_storage::Durability;
 
@@ -67,10 +66,6 @@ pub struct GryffConfig {
     pub op_timeout: Option<SimDuration>,
     /// Scripted faults installed into the engine for this deployment run.
     pub faults: FaultSchedule,
-    /// Event-queue implementation the engine runs on. The default indexed
-    /// queue and the reference heap replay identical histories; the knob
-    /// exists for differential tests and the `engine_hotpath` benchmarks.
-    pub queue_kind: QueueKind,
     /// Storage backing for replicas. `InMemory` (the default) keeps the
     /// pre-existing volatile behaviour — healthy-run histories are
     /// byte-identical to builds without the storage layer. `Wal` puts every
@@ -95,7 +90,6 @@ impl GryffConfig {
             client_service_time: SimDuration::from_micros(2),
             op_timeout: None,
             faults: FaultSchedule::default(),
-            queue_kind: QueueKind::Indexed,
             durability: Durability::InMemory,
             bug_zoo: BugZoo::none(),
         }
@@ -112,7 +106,6 @@ impl GryffConfig {
             client_service_time: SimDuration::from_micros(2),
             op_timeout: None,
             faults: FaultSchedule::default(),
-            queue_kind: QueueKind::Indexed,
             durability: Durability::InMemory,
             bug_zoo: BugZoo::none(),
         }

@@ -1,13 +1,17 @@
 //! Deployment assembly, execution, and result extraction for Gryff/Gryff-RSC.
 //!
-//! Mirrors `regular_spanner::harness`: builds the replica and client nodes
-//! ([`regular_session::SessionRunner`]s over the [`GryffService`] protocol
-//! core), runs the simulation, and converts the recorded operations into
+//! Mirrors `regular_spanner::harness`: [`build`]s the replica and client
+//! nodes ([`regular_session::SessionRunner`]s over the [`GryffService`]
+//! protocol core) once as a plane-independent [`Deployment`], runs it on the
+//! [`Plane`] the caller passes ([`run_gryff`] is the simulator default), and
+//! converts the recorded operations into
 //! latency distributions, a [`regular_core::History`] (via the shared
 //! [`regular_session::HistoryRecorder`]), and a serialization witness. The
 //! witness is assembled from the per-key carstamp order plus each lane's
 //! process order, extended with the model's real-time constraints — the
 //! relation `<ψ` of the paper's Appendix D.2 proof.
+
+use std::time::Duration;
 
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessViolation};
@@ -16,10 +20,12 @@ use regular_core::history::History;
 use regular_core::op::OpKind;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    CompletedRecord, HistoryRecorder, SessionConfig, SessionRunner, SessionWorkload, WitnessHint,
+    per_sim_second, per_wall_second, untagged, CompletedRecord, Deployment, HistoryRecorder,
+    NodeSpec, Plane, PlaneNode, Ran, SessionConfig, SessionRunner, SessionStats, SessionWorkload,
+    SimPlane, WitnessHint,
 };
-use regular_sim::engine::{Context, Engine, EngineConfig, Node, NodeId};
-use regular_sim::metrics::{LatencyRecorder, MessageStats};
+use regular_sim::engine::{Context, Node, NodeId};
+use regular_sim::metrics::{DeliveryRecord, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_storage::StorageSummary;
@@ -108,22 +114,29 @@ pub struct GryffClusterSpec {
     pub measure_from: SimTime,
 }
 
-/// The outcome of a run.
+/// The outcome of a run, on either plane.
 pub struct GryffRunResult {
     /// Protocol variant that was run.
     pub mode: Mode,
-    /// Read latencies (measurement window only).
+    /// Read latencies (measurement window only), in simulated time on both
+    /// planes.
     pub read_latencies: LatencyRecorder,
     /// Write latencies (measurement window only).
     pub write_latencies: LatencyRecorder,
     /// Read-modify-write latencies (measurement window only).
     pub rmw_latencies: LatencyRecorder,
-    /// Completed operations per client node (all, including warm-up).
+    /// Completed operations per client node (all, including warm-up), in
+    /// completion order.
     pub completed: Vec<(NodeId, Vec<CompletedRecord>)>,
-    /// Aggregate throughput over the measurement window (op/s).
+    /// Aggregate throughput over the measurement window (simulated op/s).
     pub throughput: f64,
+    /// Measured completions per wall-clock second; 0 on the simulator.
+    pub wall_throughput: f64,
     /// Aggregated client statistics.
     pub client_stats: GryffClientStats,
+    /// Aggregated session-scheduler statistics across all clients
+    /// (arrivals/shed matter for open-loop runs).
+    pub session_stats: SessionStats,
     /// Per-replica statistics.
     pub replica_stats: Vec<ReplicaStats>,
     /// Simulated completion time.
@@ -139,10 +152,20 @@ pub struct GryffRunResult {
     /// Final register contents per replica, sorted by key: the differential
     /// anchor for durability tests.
     pub replica_registers: Vec<Vec<(Key, Value, Carstamp)>>,
-    /// Behaviour-coverage signature of the run. `None` unless the run was
-    /// started through [`run_gryff_with_coverage`] — plain runs skip the
-    /// instrumentation entirely.
+    /// Behaviour-coverage signature of the run: message-phase pairs, expired
+    /// classes, bucketed fault-plane pressure, recovery activity, and
+    /// storage (WAL) behaviour — the signal the coverage-guided hunter
+    /// (`regular-hunt`) ranks schedules by. `None` unless the plane recorded
+    /// coverage (a [`SimPlane`] with a classifier, e.g. [`GryffMsg::class`]);
+    /// plain runs skip the instrumentation entirely.
     pub coverage: Option<CoverageSignature>,
+    /// Wall-clock duration of the run; zero on the simulator.
+    pub wall: Duration,
+    /// The live transport's delivery log (empty unless recording was
+    /// enabled; always empty on the simulator).
+    pub deliveries: Vec<DeliveryRecord>,
+    /// Socket traffic counters (all zeros off the socket transports).
+    pub wire: WireStats,
 }
 
 /// Builds the [`GryffClientConfig`] every client node of a deployment shares.
@@ -155,127 +178,156 @@ pub fn client_config(config: &GryffConfig, replicas: Vec<NodeId>) -> GryffClient
     }
 }
 
-/// Builds and runs a deployment.
+impl PlaneNode<GryffMsg> for GryffNode {
+    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
+        if let GryffNode::Client(c) = self {
+            c.drain_completions(out);
+        }
+    }
+}
+
+/// Assembles the deployment's node graph — replicas first (ids
+/// `0..num_replicas`), then clients — as a plane-independent
+/// [`Deployment`]; multi-process workers each build the identical one.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid.
-pub fn run_gryff(spec: GryffClusterSpec) -> GryffRunResult {
-    run_gryff_inner(spec, false)
-}
-
-/// [`run_gryff`] with behaviour-coverage instrumentation: the engine records
-/// `(message class, receiver phase tag)` pairs at every delivery, and the
-/// result's `coverage` field carries the run's [`CoverageSignature`] —
-/// message-phase pairs, expired classes, bucketed fault-plane pressure,
-/// recovery activity, and storage (WAL) behaviour. This is the signal the
-/// coverage-guided hunter (`regular-hunt`) ranks schedules by.
-pub fn run_gryff_with_coverage(spec: GryffClusterSpec) -> GryffRunResult {
-    run_gryff_inner(spec, true)
-}
-
-fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunResult {
-    let GryffClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from } =
+pub fn build(spec: GryffClusterSpec) -> Deployment<GryffNode> {
+    let GryffClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from: _ } =
         spec;
     config.validate().expect("invalid Gryff configuration");
-    let engine_cfg = EngineConfig {
-        default_service_time: config.replica_service_time,
-        max_time: stop_issuing_at + drain,
-        truetime_epsilon: SimDuration::ZERO,
-        queue: config.queue_kind,
-    };
-    let mut engine: Engine<GryffMsg, GryffNode> = Engine::new(engine_cfg, net.clone(), seed);
-    if !config.faults.is_empty() {
-        engine.install_faults(config.faults.clone());
-    }
-    if record_coverage {
-        engine.install_coverage(|m: &GryffMsg| m.class());
-    }
-
-    let mut replica_ids = Vec::new();
+    let mut nodes = Vec::with_capacity(config.num_replicas + clients.len());
     for i in 0..config.num_replicas {
-        let id = engine.add_node_with(
-            GryffNode::Replica(Box::new(GryffReplica::new(&config, i))),
-            config.replica_regions[i],
-            config.replica_service_time,
-        );
-        replica_ids.push(id);
+        nodes.push(NodeSpec {
+            node: GryffNode::Replica(Box::new(GryffReplica::new(&config, i))),
+            region: config.replica_regions[i],
+            service_time: config.replica_service_time,
+        });
     }
-    let mut client_ids = Vec::new();
+    let replica_ids: Vec<NodeId> = (0..config.num_replicas).collect();
     for c in clients {
         let cfg = client_config(&config, replica_ids.clone());
         let runner =
             SessionRunner::new(GryffService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        let id = engine.add_node_with(
-            GryffNode::Client(Box::new(runner)),
-            c.region,
-            config.client_service_time,
-        );
-        client_ids.push(id);
+        nodes.push(NodeSpec {
+            node: GryffNode::Client(Box::new(runner)),
+            region: c.region,
+            service_time: config.client_service_time,
+        });
     }
+    Deployment {
+        nodes,
+        net,
+        faults: config.faults,
+        seed,
+        truetime_epsilon: SimDuration::ZERO,
+        stop_at: stop_issuing_at + drain,
+    }
+}
 
-    let finished_at = engine.run();
+/// The records-only half of collection: everything that is a function of
+/// the completion lists and the measurement window alone.
+pub struct Measured {
+    /// Read latencies inside the window.
+    pub read_latencies: LatencyRecorder,
+    /// Write latencies inside the window.
+    pub write_latencies: LatencyRecorder,
+    /// Read-modify-write latencies inside the window.
+    pub rmw_latencies: LatencyRecorder,
+    /// Completions inside `[measure_from, stop_issuing_at)` per simulated
+    /// second.
+    pub throughput: f64,
+    /// Completions at or after `measure_from`.
+    pub measured: u64,
+}
 
+/// Measures per-client completion lists over `[measure_from, ..)`.
+pub fn measure(
+    completed: &[(NodeId, Vec<CompletedRecord>)],
+    measure_from: SimTime,
+    stop_issuing_at: SimTime,
+) -> Measured {
     let mut read = LatencyRecorder::new();
     let mut write = LatencyRecorder::new();
     let mut rmw = LatencyRecorder::new();
-    let mut completed = Vec::new();
-    let mut stats = GryffClientStats::default();
+    let mut measured = 0u64;
     let mut window_count = 0u64;
-    for &id in &client_ids {
-        if let GryffNode::Client(c) = engine.node(id) {
-            for op in &c.completed {
-                if op.finish >= measure_from {
-                    let latency = op.latency();
-                    match op.kind {
-                        OpKind::Read { .. } => read.record(latency),
-                        OpKind::Write { .. } => write.record(latency),
-                        OpKind::Rmw { .. } => rmw.record(latency),
-                        _ => {}
-                    }
-                    if op.finish < stop_issuing_at {
-                        window_count += 1;
-                    }
-                }
+    for op in completed.iter().flat_map(|(_, ops)| ops) {
+        if op.finish >= measure_from {
+            let latency = op.latency();
+            match op.kind {
+                OpKind::Read { .. } => read.record(latency),
+                OpKind::Write { .. } => write.record(latency),
+                OpKind::Rmw { .. } => rmw.record(latency),
+                _ => {}
             }
-            let s = &c.service.stats;
-            stats.reads += s.reads;
-            stats.slow_reads += s.slow_reads;
-            stats.writes += s.writes;
-            stats.rmws += s.rmws;
-            stats.fences += s.fences;
-            stats.deps_piggybacked += s.deps_piggybacked;
-            stats.timeout_retries += s.timeout_retries;
-            completed.push((id, c.completed.clone()));
+            measured += 1;
+            if op.finish < stop_issuing_at {
+                window_count += 1;
+            }
         }
     }
+    let throughput = per_sim_second(window_count, measure_from, stop_issuing_at);
+    Measured {
+        read_latencies: read,
+        write_latencies: write,
+        rmw_latencies: rmw,
+        throughput,
+        measured,
+    }
+}
+
+/// Turns what a plane handed back into a [`GryffRunResult`]: [`measure`]
+/// over the completion streams, then the nodes half (statistics, WAL
+/// counters, final registers) and the coverage signature if one was recorded.
+fn collect(
+    mode: Mode,
+    measure_from: SimTime,
+    stop_issuing_at: SimTime,
+    ran: Ran<GryffNode>,
+) -> GryffRunResult {
+    let mut completed = Vec::new();
+    let mut stats = GryffClientStats::default();
+    let mut session_stats = SessionStats::default();
     let mut replica_stats = Vec::new();
     let mut storage = StorageSummary::default();
     let mut replica_registers = Vec::new();
-    for &id in &replica_ids {
-        if let GryffNode::Replica(r) = engine.node(id) {
-            replica_stats.push(r.stats);
-            storage.add_wal(&r.wal_stats());
-            replica_registers.push(r.registers());
+    for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
+        match node {
+            GryffNode::Replica(r) => {
+                replica_stats.push(r.stats);
+                storage.add_wal(&r.wal_stats());
+                replica_registers.push(r.registers());
+            }
+            GryffNode::Client(c) => {
+                let s = &c.service.stats;
+                stats.reads += s.reads;
+                stats.slow_reads += s.slow_reads;
+                stats.writes += s.writes;
+                stats.rmws += s.rmws;
+                stats.fences += s.fences;
+                stats.deps_piggybacked += s.deps_piggybacked;
+                stats.timeout_retries += s.timeout_retries;
+                session_stats.merge(&c.stats);
+                completed.push((id, untagged(stream)));
+            }
         }
     }
     debug_assert_eq!(
         storage.skipped_checkpoints, 0,
         "a snapshot outgrew its checkpoint area: that node's log is never pruned again"
     );
-    let window = stop_issuing_at.since(measure_from).as_micros();
-    let throughput =
-        if window == 0 { 0.0 } else { window_count as f64 * 1_000_000.0 / window as f64 };
-    let coverage = record_coverage.then(|| {
+    let net = ran.net_stats;
+    let coverage = ran.coverage.map(|pairs| {
         let mut b = CoverageBuilder::new();
-        for (class, phase) in engine.coverage_pairs() {
+        for (class, phase) in pairs {
             if phase == 0xFFFF {
                 b.hit(domain::EXPIRED_CLASS, class);
             } else {
                 b.hit(domain::MESSAGE_PHASE, (class << 8) | (phase & 0xff));
             }
         }
-        let net = engine.message_stats();
         b.hit_bucketed(domain::NET_PRESSURE, 0, net.dropped);
         b.hit_bucketed(domain::NET_PRESSURE, 1, net.duplicated);
         b.hit_bucketed(domain::NET_PRESSURE, 2, net.expired);
@@ -286,22 +338,45 @@ fn run_gryff_inner(spec: GryffClusterSpec, record_coverage: bool) -> GryffRunRes
         b.hit_bucketed(domain::STORAGE, 2, storage.torn_bytes);
         b.build()
     });
+    let Measured { read_latencies, write_latencies, rmw_latencies, throughput, measured } =
+        measure(&completed, measure_from, stop_issuing_at);
     GryffRunResult {
-        mode: config.mode,
-        read_latencies: read,
-        write_latencies: write,
-        rmw_latencies: rmw,
+        mode,
+        read_latencies,
+        write_latencies,
+        rmw_latencies,
         completed,
         throughput,
+        wall_throughput: per_wall_second(measured, ran.wall),
         client_stats: stats,
+        session_stats,
         replica_stats,
-        finished_at,
-        messages: engine.delivered_messages(),
-        net_stats: engine.message_stats(),
+        finished_at: ran.finished_at,
+        messages: net.delivered,
+        net_stats: net,
         storage,
         replica_registers,
         coverage,
+        wall: ran.wall,
+        deliveries: ran.deliveries,
+        wire: ran.wire,
     }
+}
+
+/// Builds a deployment, runs it on `plane`, and collects the results.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid.
+pub fn run_gryff_on(plane: &impl Plane<GryffMsg>, spec: GryffClusterSpec) -> GryffRunResult {
+    let (mode, measure_from, stop_issuing_at) =
+        (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
+    collect(mode, measure_from, stop_issuing_at, plane.run(build(spec)))
+}
+
+/// [`run_gryff_on`] the deterministic simulator.
+pub fn run_gryff(spec: GryffClusterSpec) -> GryffRunResult {
+    run_gryff_on(&SimPlane::default(), spec)
 }
 
 /// Appends a client's records to the shared recorder and collects the
@@ -337,7 +412,7 @@ pub fn build_history(result: &GryffRunResult) -> (History, Vec<(OpId, OpId)>) {
 }
 
 /// [`build_history`] from bare per-client completion lists, for harnesses
-/// (e.g. the live execution plane) that do not assemble a [`GryffRunResult`].
+/// (e.g. a multi-process hub) that do not assemble a [`GryffRunResult`].
 pub fn build_history_from(
     completed: &[(NodeId, Vec<CompletedRecord>)],
 ) -> (History, Vec<(OpId, OpId)>) {
@@ -356,6 +431,21 @@ pub fn build_history_from(
     }
     edges.extend(recorder.process_order_edges());
     (recorder.into_history(), edges)
+}
+
+/// The history of bare per-client completion lists together with the witness
+/// assembled from its carstamp/process-order constraints under `model` — or
+/// the reason there is none (the constraints are cyclic), in the sweep's
+/// violation idiom. The witness still has to pass a certificate check.
+pub fn history_and_witness(
+    completed: &[(NodeId, Vec<CompletedRecord>)],
+    model: WitnessModel,
+) -> (History, Result<Vec<OpId>, String>) {
+    let (history, edges) = build_history_from(completed);
+    let witness = assemble_witness(&history, &edges, model).map_err(|e| {
+        format!("carstamp/process-order constraints are cyclic ({} ops unordered)", e.unordered)
+    });
+    (history, witness)
 }
 
 /// Verifies that a run satisfies its consistency model: linearizability for

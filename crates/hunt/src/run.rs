@@ -6,12 +6,12 @@
 //! records exactly the input it was handed. One input, one deterministic
 //! verdict.
 
-use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness, WitnessModel};
 use regular_core::coverage::CoverageSignature;
 use regular_core::history::History;
 use regular_core::types::OpId;
 use regular_gryff::prelude::*;
+use regular_session::SimPlane;
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 
@@ -71,28 +71,27 @@ pub fn run_input(input: &HuntInput, bug_zoo: BugZoo) -> RunVerdict {
             )),
         })
         .collect();
-    let result = run_gryff_with_coverage(GryffClusterSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed: input.seed,
-        clients,
-        stop_issuing_at: SimTime::from_millis(input.stop_ms),
-        drain: SimDuration::from_secs(2),
-        measure_from: SimTime::ZERO,
-    });
-    let coverage = result.coverage.clone().unwrap_or_else(CoverageSignature::empty);
+    // Coverage is a property of the plane: the simulator records it when
+    // handed the protocol's message classifier.
+    let plane = SimPlane { classify: Some(GryffMsg::class), ..SimPlane::default() };
+    let result = run_gryff_on(
+        &plane,
+        GryffClusterSpec {
+            config,
+            net: LatencyMatrix::gryff_wan(),
+            seed: input.seed,
+            clients,
+            stop_issuing_at: SimTime::from_millis(input.stop_ms),
+            drain: SimDuration::from_secs(2),
+            measure_from: SimTime::ZERO,
+        },
+    );
+    let coverage = result.coverage.unwrap_or_else(CoverageSignature::empty);
 
-    let (history, edges) = build_history(&result);
+    let (history, witness) = history_and_witness(&result.completed, WitnessModel::Regular);
     let history_ops = history.len();
-    let failure = match assemble_witness(&history, &edges, WitnessModel::Regular) {
-        Err(e) => Some(HuntFailure {
-            violation: format!(
-                "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                e.unordered
-            ),
-            witness: Vec::new(),
-            history,
-        }),
+    let failure = match witness {
+        Err(violation) => Some(HuntFailure { violation, witness: Vec::new(), history }),
         Ok(witness) => match check_witness(&history, &witness, WitnessModel::Regular) {
             Err(v) => Some(HuntFailure {
                 violation: format!("regular violation: {v:?}"),

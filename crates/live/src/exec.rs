@@ -1,10 +1,10 @@
 //! The live executor: one OS thread per protocol node, driven by a mailbox.
 //!
-//! Each node thread owns its [`Node`] state machine, a local timer heap, a
-//! seeded RNG stream, and a TrueTime clock, and builds the same
-//! [`Context`] the discrete-event engine builds (via
-//! [`ContextParts`]) — so Spanner shards, Gryff replicas, and session
-//! runners execute **unmodified** on real threads. The differences from the
+//! Each node thread owns its [`Node`](regular_sim::Node) state machine, a
+//! local timer heap, a seeded RNG stream, and a TrueTime clock, and builds
+//! the same [`Context`] the discrete-event engine builds (via
+//! [`ContextParts`]) — so shards, replicas, and session runners execute
+//! **unmodified** on real threads. The differences from the
 //! simulator are exactly the ones the live plane exists to exercise: `now`
 //! comes from the wall clock (scaled, see [`crate::clock::LiveClock`]),
 //! handlers run concurrently across nodes, and handler CPU cost is real
@@ -23,68 +23,59 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use regular_session::CompletedRecord;
-use regular_sim::engine::{Context, ContextParts, Node};
+use regular_session::{CompletedRecord, Deployment, Plane, PlaneNode, Ran};
+use regular_sim::engine::{Context, ContextParts};
 use regular_sim::fault::FaultSchedule;
 use regular_sim::net::{NetworkModel, Region};
-use regular_sim::{MessageStats, NodeId, SimDuration, SimTime, TrueTime};
+use regular_sim::{NodeId, SimDuration, SimTime, TrueTime, WireStats};
 
 use crate::clock::LiveClock;
-use crate::net::{run_hub_conns, run_worker_conn, SocketStream, WireStats};
-use crate::transport::{
-    run_router, DeliveryRecord, LiveEvent, Mailbox, Outgoing, RouterReport, TransportKind,
-};
+use crate::net::{run_hub_conns, run_worker_conn, SocketStream};
+use crate::transport::{run_router, LiveEvent, Mailbox, Outgoing, RouterReport, TransportKind};
 use crate::wire::Wire;
 
-/// A node that can run on the live plane.
-///
-/// The supertrait bound is the whole contract: any `Send` [`Node`] runs
-/// unmodified. `drain_completions` is the bridge into the online recorder —
-/// client nodes surface the operations their sessions completed since the
-/// last handler; server nodes use the default no-op.
-pub trait LiveNode<M>: Node<M> + Send {
-    /// Appends `(stream, record)` pairs completed since the last call.
-    ///
-    /// `stream` distinguishes services on multi-service (composed) nodes;
-    /// single-service nodes use 0.
-    fn drain_completions(&mut self, _out: &mut Vec<(usize, CompletedRecord)>) {}
-}
-
-/// Configuration of a live run.
-pub struct LiveConfig {
-    /// Random seed; each node and the router derive disjoint RNG streams
-    /// from it.
-    pub seed: u64,
-    /// Scripted fault plane, reinterpreted on the scaled wall clock.
-    pub faults: FaultSchedule,
-    /// TrueTime uncertainty bound ε for all nodes.
-    pub truetime_epsilon: SimDuration,
+/// The live plane: every node of a [`Deployment`] an OS thread, time the
+/// scaled wall clock, messages routed over the chosen transport. Live runs
+/// are *not* bit-deterministic for a seed (thread interleaving is real);
+/// `record_deliveries` preserves the schedule evidence for artifacts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LivePlane {
     /// Simulated microseconds per wall microsecond (≥ 1).
     pub time_scale: u64,
-    /// Hard stop: the run ends when the scaled clock reaches this instant.
-    pub stop_at: SimTime,
     /// Record the delivery log (for failure artifacts / replay evidence).
     pub record_deliveries: bool,
+    /// Which transport carries the messages (mpsc, UDS, or TCP).
+    pub transport: TransportKind,
 }
 
-/// What a live run produced.
-pub struct LiveOutcome<N> {
-    /// The node state machines, in id order, as they were at the end.
-    pub nodes: Vec<N>,
-    /// Completions per node in completion order (empty for server nodes),
-    /// tagged with the originating service stream.
-    pub completed: Vec<Vec<(usize, CompletedRecord)>>,
-    /// Message counters with engine semantics (`delivered` excludes
-    /// deliveries that expired at a crashed node).
-    pub net_stats: MessageStats,
-    /// The delivery log (empty unless recording was enabled).
-    pub deliveries: Vec<DeliveryRecord>,
-    /// Simulated time when the run stopped.
-    pub finished_at: SimTime,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Socket traffic counters (all zeros on the mpsc transport).
-    pub wire: WireStats,
+impl<M: Wire + Clone + Send + 'static> Plane<M> for LivePlane {
+    /// # Panics
+    ///
+    /// Panics if socket setup fails (an in-process pair failing means the
+    /// host is out of descriptors) or a node/router thread panics.
+    fn run<N: PlaneNode<M>>(&self, deployment: Deployment<N>) -> Ran<N> {
+        run_live_transport(self, deployment)
+    }
+}
+
+/// What the router and the collector keep of a deployment once its nodes
+/// have been handed to their threads.
+pub(crate) struct Fabric {
+    pub(crate) net: Box<dyn NetworkModel>,
+    pub(crate) faults: FaultSchedule,
+    /// Id-indexed regions of **all** nodes.
+    pub(crate) regions: Vec<Region>,
+    pub(crate) seed: u64,
+    pub(crate) stop_at: SimTime,
+}
+
+/// Splits a deployment into its nodes (in id order), the fabric they talk
+/// over, and the TrueTime ε their threads run with.
+pub(crate) fn split<N>(deployment: Deployment<N>) -> (Vec<N>, Fabric, SimDuration) {
+    let Deployment { nodes, net, faults, seed, truetime_epsilon, stop_at } = deployment;
+    let regions = nodes.iter().map(|n| Region(n.region)).collect();
+    let nodes = nodes.into_iter().map(|n| n.node).collect();
+    (nodes, Fabric { net: Box::new(net), faults, regions, seed, stop_at }, truetime_epsilon)
 }
 
 /// What a node handler is being invoked for.
@@ -115,7 +106,7 @@ pub(crate) fn run_node<M, N>(
 ) -> NodeResult<N>
 where
     M: Send + 'static,
-    N: LiveNode<M>,
+    N: PlaneNode<M>,
 {
     // Disjoint per-node stream from the run seed (golden-ratio mix).
     let mut rng = SmallRng::seed_from_u64(
@@ -239,23 +230,20 @@ where
     NodeResult { node, expired }
 }
 
-/// Runs `nodes` (each with its region index) on one thread apiece until
-/// `cfg.stop_at`, routing messages through the live transport.
+/// Runs `deployment` over in-process mpsc channels: one thread per node until
+/// the hard stop, every message routed through the live transport.
 ///
-/// Node ids are assigned by position, matching the discrete-event engine's
-/// `add_node` order, so cluster assemblies translate one-to-one.
-pub fn run_live<M, N>(
-    cfg: LiveConfig,
-    net: Box<dyn NetworkModel>,
-    nodes: Vec<(N, usize)>,
-) -> LiveOutcome<N>
+/// Node ids are positions in the deployment, matching the discrete-event
+/// engine's `add_node` order, so assemblies translate one-to-one.
+fn run_live<M, N>(plane: &LivePlane, deployment: Deployment<N>) -> Ran<N>
 where
     M: Clone + Send + 'static,
-    N: LiveNode<M> + 'static,
+    N: PlaneNode<M>,
 {
     let start_wall = Instant::now();
+    let (nodes, fabric, epsilon) = split(deployment);
+    let Fabric { net, faults, regions, seed, stop_at } = fabric;
     let num_nodes = nodes.len();
-    let regions: Vec<Region> = nodes.iter().map(|&(_, r)| Region(r)).collect();
 
     let mut mailboxes: Vec<Sender<LiveEvent<M>>> = Vec::with_capacity(num_nodes);
     let mut inboxes: Vec<Receiver<LiveEvent<M>>> = Vec::with_capacity(num_nodes);
@@ -267,28 +255,23 @@ where
     let (net_tx, net_rx) = mpsc::channel::<Outgoing<M>>();
     let (rec_tx, rec_rx) = mpsc::channel::<(NodeId, usize, CompletedRecord)>();
 
-    let clock = LiveClock::start(cfg.time_scale);
+    let clock = LiveClock::start(plane.time_scale);
     let router_stop = Arc::new(AtomicBool::new(false));
 
     let router = {
-        let faults = cfg.faults.clone();
-        let regions = regions.clone();
         let router_boxes: Vec<Arc<dyn Mailbox<M>>> =
             mailboxes.iter().map(|tx| Arc::new(tx.clone()) as Arc<dyn Mailbox<M>>).collect();
         let stop = Arc::clone(&router_stop);
-        let seed = cfg.seed;
-        let record = cfg.record_deliveries;
+        let record = plane.record_deliveries;
         std::thread::spawn(move || {
             run_router(clock, net, faults, regions, router_boxes, net_rx, seed, record, stop)
         })
     };
 
     let mut workers = Vec::with_capacity(num_nodes);
-    for (id, ((node, _), inbox)) in nodes.into_iter().zip(inboxes).enumerate() {
+    for (id, (node, inbox)) in nodes.into_iter().zip(inboxes).enumerate() {
         let net_tx = net_tx.clone();
         let rec_tx = rec_tx.clone();
-        let seed = cfg.seed;
-        let epsilon = cfg.truetime_epsilon;
         workers.push(std::thread::spawn(move || {
             run_node(node, id, clock, seed, epsilon, inbox, net_tx, rec_tx)
         }));
@@ -305,10 +288,10 @@ where
     // Collect completions online until the hard stop.
     let mut completed: Vec<Vec<(usize, CompletedRecord)>> = vec![Vec::new(); num_nodes];
     loop {
-        if clock.sim_now() >= cfg.stop_at {
+        if clock.sim_now() >= stop_at {
             break;
         }
-        let wait = clock.wall_until(cfg.stop_at).min(Duration::from_millis(50));
+        let wait = clock.wall_until(stop_at).min(Duration::from_millis(50));
         match rec_rx.recv_timeout(wait) {
             Ok((id, stream, rec)) => completed[id].push((stream, rec)),
             Err(RecvTimeoutError::Timeout) => {}
@@ -340,72 +323,52 @@ where
     stats.delivered = stats.delivered.saturating_sub(expired_total);
     stats.expired = expired_total;
 
-    LiveOutcome {
+    Ran {
         nodes: out_nodes,
         completed,
         net_stats: stats,
-        deliveries,
         finished_at,
+        coverage: None,
         wall: start_wall.elapsed(),
+        deliveries,
         wire: WireStats::default(),
     }
 }
 
-/// [`run_live`] behind a chosen [`TransportKind`].
+/// Runs `deployment` on the live plane behind `plane.transport`.
 ///
-/// `Mpsc` is exactly `run_live`. The socket kinds run the same cluster with
-/// every message crossing a real kernel socket: the node threads live in one
-/// worker group connected to the router over an in-process socket pair
-/// (`UnixStream::pair` or loopback TCP), exercising the full wire path —
-/// encode, frame, syscall, decode — of a multi-process deployment while
-/// still returning the final node states. For genuinely separate OS
-/// processes, see [`crate::net::run_hub_multiproc`] /
-/// [`crate::net::run_worker_multiproc`].
+/// `Mpsc` moves messages between threads over in-process channels. The
+/// socket kinds run the same cluster with every message crossing a real
+/// kernel socket: the node threads live in one worker group connected to the
+/// router over an in-process socket pair (`UnixStream::pair` or loopback
+/// TCP), exercising the full wire path — encode, frame, syscall, decode — of
+/// a multi-process deployment while still returning the final node states.
+/// For genuinely separate OS processes, see
+/// [`crate::net::run_hub_multiproc`] / [`crate::net::run_worker_multiproc`].
 ///
-/// The extra `M: Wire` bound is what a socket demands: messages must
-/// serialize.
-///
-/// # Panics
-///
-/// Panics if socket setup fails (an in-process pair failing means the host
-/// is out of descriptors) or a node/router thread panics.
-pub fn run_live_transport<M, N>(
-    cfg: LiveConfig,
-    net: Box<dyn NetworkModel>,
-    nodes: Vec<(N, usize)>,
-    transport: TransportKind,
-) -> LiveOutcome<N>
+/// The `M: Wire` bound is what a socket demands: messages must serialize.
+fn run_live_transport<M, N>(plane: &LivePlane, deployment: Deployment<N>) -> Ran<N>
 where
     M: Wire + Clone + Send + 'static,
-    N: LiveNode<M> + 'static,
+    N: PlaneNode<M>,
 {
-    if matches!(transport, TransportKind::Mpsc) {
-        return run_live(cfg, net, nodes);
+    if matches!(plane.transport, TransportKind::Mpsc) {
+        return run_live(plane, deployment);
     }
     let (hub_end, worker_end) =
-        SocketStream::pair(transport).expect("live transport socket pair");
-    let regions: Vec<Region> = nodes.iter().map(|&(_, r)| Region(r)).collect();
-    let with_ids: Vec<(NodeId, N)> =
-        nodes.into_iter().enumerate().map(|(id, (n, _))| (id, n)).collect();
-    let (seed, epsilon) = (cfg.seed, cfg.truetime_epsilon);
-    let worker = std::thread::spawn(move || {
-        run_worker_conn::<M, N>(worker_end, 0, with_ids, seed, epsilon)
-    });
-    let hub =
-        run_hub_conns::<M>(&cfg, net, regions, vec![hub_end]).expect("live transport hub failed");
-    let w = worker
+        SocketStream::pair(plane.transport).expect("live transport socket pair");
+    let (nodes, fabric, epsilon) = split(deployment);
+    let with_ids: Vec<(NodeId, N)> = nodes.into_iter().enumerate().collect();
+    let seed = fabric.seed;
+    let worker =
+        std::thread::spawn(move || run_worker_conn::<M, N>(worker_end, 0, with_ids, seed, epsilon));
+    let mut ran =
+        run_hub_conns::<M, N>(plane, fabric, vec![hub_end]).expect("live transport hub failed");
+    let mut nodes_by_id = worker
         .join()
         .expect("live transport worker panicked")
         .expect("live transport worker failed");
-    let mut nodes_by_id = w.nodes;
     nodes_by_id.sort_by_key(|&(id, _)| id);
-    LiveOutcome {
-        nodes: nodes_by_id.into_iter().map(|(_, n)| n).collect(),
-        completed: hub.completed,
-        net_stats: hub.net_stats,
-        deliveries: hub.deliveries,
-        finished_at: hub.finished_at,
-        wall: hub.wall,
-        wire: hub.wire,
-    }
+    ran.nodes = nodes_by_id.into_iter().map(|(_, n)| n).collect();
+    ran
 }

@@ -3,8 +3,12 @@
 //!
 //! The simulator (`regular-sim`) validates the protocols and the RSS/RSC
 //! checkers under deterministic schedules; this crate validates them under
-//! *real* concurrency. Every node — Spanner shard or client, Gryff replica
-//! or client — becomes one OS thread with a private mailbox, timer heap,
+//! *real* concurrency. This crate is one thing: [`LivePlane`], the second
+//! implementation of [`regular_session::Plane`]. A protocol crate builds its
+//! [`Deployment`](regular_session::Deployment) once and passes the plane as
+//! an argument (`run_cluster_on(&LivePlane { .. }, spec)`); nothing here
+//! knows a protocol. Every node of the deployment — shard, replica, client or
+//! composed app — becomes one OS thread with a private mailbox, timer heap,
 //! RNG stream, and TrueTime clock. A router thread plays the network: it
 //! applies the same [`NetworkModel`](regular_sim::NetworkModel) base
 //! verdicts and the same
@@ -22,7 +26,7 @@
 //! whole plane.
 //!
 //! Completions stream out of node threads through a channel into the
-//! caller, which can feed them to the streaming certifier online. Live runs
+//! plane's collector, ready for the streaming certifier. Live runs
 //! are *not* bit-deterministic (thread interleaving is real); the transport
 //! records its delivery order so a failing run leaves replayable evidence.
 //!
@@ -34,7 +38,6 @@
 
 pub mod clock;
 pub mod exec;
-pub mod gryff_live;
 pub mod net;
 pub mod spanner_live;
 pub mod transport;
@@ -43,17 +46,14 @@ pub mod wire;
 pub mod prelude {
     //! Everything a live harness needs.
     pub use crate::clock::LiveClock;
-    pub use crate::exec::{run_live, run_live_transport, LiveConfig, LiveNode, LiveOutcome};
-    pub use crate::gryff_live::{build_gryff_nodes, run_gryff_live, GryffLiveResult, GryffLiveSpec};
+    pub use crate::exec::LivePlane;
     pub use crate::net::{
-        run_hub_multiproc, run_worker_multiproc, ListenAddr, Listener, MultiprocOutcome,
-        SocketStream, WireStats,
+        run_hub_multiproc, run_worker_multiproc, ListenAddr, Listener, SocketStream,
     };
-    pub use crate::spanner_live::{
-        build_spanner_nodes, run_cluster_live, SpannerLiveResult, SpannerLiveSpec,
-    };
-    pub use crate::transport::{DeliveryRecord, LiveEvent, Mailbox, Outgoing, TransportKind};
+    pub use crate::spanner_live::{run_cluster_live, SpannerLiveSpec};
+    pub use crate::transport::{LiveEvent, Mailbox, Outgoing, TransportKind};
     pub use crate::wire::Wire;
+    pub use regular_sim::{DeliveryRecord, WireStats};
 }
 
 pub use prelude::*;

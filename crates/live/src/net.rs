@@ -4,9 +4,10 @@
 //! This module carries the same traffic over kernel sockets — Unix-domain
 //! or TCP — so protocol nodes can run as separate OS processes while the
 //! router keeps doing exactly what it does in-process: apply
-//! [`NetworkModel`] latency and [`FaultSchedule`](regular_sim::fault::FaultSchedule)
+//! [`NetworkModel`](regular_sim::NetworkModel) latency and
+//! [`FaultSchedule`](regular_sim::fault::FaultSchedule)
 //! verdicts on the scaled wall clock, and record
-//! [`DeliveryRecord`](crate::transport::DeliveryRecord)s for failure
+//! [`DeliveryRecord`](regular_sim::DeliveryRecord)s for failure
 //! artifacts.
 //!
 //! # Topology
@@ -28,7 +29,7 @@
 //! hub → receiver) and is encoded/decoded twice — the honest serialization
 //! cost `live_bench --transport` measures against mpsc.
 //!
-//! The in-process entry point [`crate::exec::run_live_transport`] reuses
+//! The in-process socket transports of [`LivePlane`] reuse
 //! this exact machinery over a socket pair, so the differential tests pin
 //! socket behaviour without spawning processes; the multi-process entry
 //! points [`run_hub_multiproc`]/[`run_worker_multiproc`] are the same code
@@ -44,31 +45,13 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use regular_session::CompletedRecord;
-use regular_sim::net::{NetworkModel, Region};
-use regular_sim::{MessageStats, NodeId, SimDuration, SimTime};
+use regular_session::{CompletedRecord, Deployment, PlaneNode, Ran};
+use regular_sim::{NodeId, SimDuration, WireStats};
 
 use crate::clock::LiveClock;
-use crate::exec::{run_node, LiveConfig, LiveNode};
-use crate::transport::{
-    run_router, DeliveryRecord, LiveEvent, Mailbox, Outgoing, TransportKind,
-};
+use crate::exec::{run_node, split, Fabric, LivePlane};
+use crate::transport::{run_router, LiveEvent, Mailbox, Outgoing, TransportKind};
 use crate::wire::{read_wire_frame, write_frame, Frame, Wire, WireEvent};
-
-/// Byte/frame counters of one run's socket traffic, from the hub's
-/// perspective (`tx` = hub → workers, `rx` = workers → hub). All zeros on
-/// the mpsc transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Frames sent by the hub.
-    pub frames_tx: u64,
-    /// Payload + header bytes sent by the hub.
-    pub bytes_tx: u64,
-    /// Frames received by the hub.
-    pub frames_rx: u64,
-    /// Payload + header bytes received by the hub.
-    pub bytes_rx: u64,
-}
 
 #[derive(Default)]
 struct WireCounters {
@@ -126,7 +109,7 @@ impl SocketStream {
     }
 
     /// An in-process connected pair of the given kind — the transport the
-    /// single-process socket modes run over ([`crate::exec::run_live_transport`]).
+    /// single-process socket modes of [`LivePlane`] run over.
     ///
     /// `Mpsc` has no socket form and is rejected.
     pub fn pair(kind: TransportKind) -> io::Result<(SocketStream, SocketStream)> {
@@ -320,31 +303,22 @@ fn write_loop(stream: SocketStream, rx: Receiver<Vec<u8>>, counters: Arc<WireCou
     stream.shutdown_write();
 }
 
-/// What one run accumulated at the hub.
-pub(crate) struct HubRun {
-    pub completed: Vec<Vec<(usize, CompletedRecord)>>,
-    pub net_stats: MessageStats,
-    pub deliveries: Vec<DeliveryRecord>,
-    pub finished_at: SimTime,
-    pub wall: Duration,
-    pub wire: WireStats,
-}
-
 /// The hub half of a socket run: handshakes the given connections, runs the
 /// router over remote mailboxes, collects completions online, and settles
-/// expired-delivery accounting from the workers' `NodeDone` reports.
+/// expired-delivery accounting from the workers' `NodeDone` reports. The
+/// nodes live on the worker side, so the returned [`Ran`] has none.
 ///
-/// `regions` covers **all** nodes (id-indexed); the workers' `Hello` frames
-/// must partition exactly that id space.
-pub(crate) fn run_hub_conns<M>(
-    cfg: &LiveConfig,
-    net: Box<dyn NetworkModel>,
-    regions: Vec<Region>,
+/// `fabric.regions` covers **all** nodes (id-indexed); the workers' `Hello`
+/// frames must partition exactly that id space.
+pub(crate) fn run_hub_conns<M, N>(
+    plane: &LivePlane,
+    fabric: Fabric,
     conns: Vec<SocketStream>,
-) -> io::Result<HubRun>
+) -> io::Result<Ran<N>>
 where
     M: Wire + Clone + Send + 'static,
 {
+    let Fabric { net, faults, regions, seed, stop_at } = fabric;
     let start_wall = Instant::now();
     let num_nodes = regions.len();
     let counters = Arc::new(WireCounters::default());
@@ -386,7 +360,7 @@ where
     let conn_of_node: Vec<usize> = conn_of_node.into_iter().map(|c| c.unwrap()).collect();
 
     // All workers are connected: anchor the clock and release them.
-    let clock = LiveClock::start(cfg.time_scale);
+    let clock = LiveClock::start(plane.time_scale);
     let welcome = Frame::<M>::Welcome {
         epoch_unix_nanos: clock.unix_anchor_nanos(),
         time_scale: clock.scale(),
@@ -451,10 +425,9 @@ where
         .collect();
     let router_stop = Arc::new(AtomicBool::new(false));
     let router = {
-        let faults = cfg.faults.clone();
         let mailboxes = mailboxes.clone();
         let stop = Arc::clone(&router_stop);
-        let (seed, record) = (cfg.seed, cfg.record_deliveries);
+        let record = plane.record_deliveries;
         std::thread::spawn(move || {
             run_router(clock, net, faults, regions, mailboxes, net_rx, seed, record, stop)
         })
@@ -465,10 +438,10 @@ where
 
     let mut completed: Vec<Vec<(usize, CompletedRecord)>> = vec![Vec::new(); num_nodes];
     loop {
-        if clock.sim_now() >= cfg.stop_at {
+        if clock.sim_now() >= stop_at {
             break;
         }
-        let wait = clock.wall_until(cfg.stop_at).min(Duration::from_millis(50));
+        let wait = clock.wall_until(stop_at).min(Duration::from_millis(50));
         match rec_rx.recv_timeout(wait) {
             Ok((id, stream, rec)) => completed[id].push((stream, rec)),
             Err(RecvTimeoutError::Timeout) => {}
@@ -512,35 +485,33 @@ where
     let mut stats = report.stats;
     stats.delivered = stats.delivered.saturating_sub(expired_total);
     stats.expired = expired_total;
-    Ok(HubRun {
+    Ok(Ran {
+        nodes: Vec::new(),
         completed,
         net_stats: stats,
-        deliveries: report.deliveries,
         finished_at,
+        coverage: None,
         wall: start_wall.elapsed(),
+        deliveries: report.deliveries,
         wire: counters.snapshot(),
     })
 }
 
-/// What the worker half returns (useful in-process, discarded by worker
+/// The worker half of a socket run: hosts `nodes` (with their global ids)
+/// as one thread each, bridging their mailboxes and outboxes over `stream`,
+/// and returns them as they ended (useful in-process, discarded by worker
 /// processes). Expired-delivery counts travel in `NodeDone` frames, so the
 /// hub owns that accounting on every path.
-pub(crate) struct WorkerRun<N> {
-    pub nodes: Vec<(NodeId, N)>,
-}
-
-/// The worker half of a socket run: hosts `nodes` (with their global ids)
-/// as one thread each, bridging their mailboxes and outboxes over `stream`.
 pub(crate) fn run_worker_conn<M, N>(
     stream: SocketStream,
     worker: u64,
     nodes: Vec<(NodeId, N)>,
     seed: u64,
     epsilon: SimDuration,
-) -> io::Result<WorkerRun<N>>
+) -> io::Result<Vec<(NodeId, N)>>
 where
     M: Wire + Clone + Send + 'static,
-    N: LiveNode<M> + 'static,
+    N: PlaneNode<M>,
 {
     // Handshake: declare our nodes, receive the shared clock anchor.
     let mut conn = stream;
@@ -657,42 +628,26 @@ where
     drop(writer_tx);
     let _ = writer.join();
     let _ = demux.join();
-    Ok(WorkerRun { nodes: out_nodes })
+    Ok(out_nodes)
 }
 
 // ----- multi-process entry points -----
 
-/// What a multi-process run produced at the hub. Node state machines live
-/// (and die) in the worker processes; certification needs only the
-/// completion stream, which is collected here.
-pub struct MultiprocOutcome {
-    /// Completions per node in completion order, tagged with the service
-    /// stream.
-    pub completed: Vec<Vec<(usize, CompletedRecord)>>,
-    /// Message counters with engine semantics.
-    pub net_stats: MessageStats,
-    /// The delivery log (empty unless recording was enabled).
-    pub deliveries: Vec<DeliveryRecord>,
-    /// Simulated time when the run stopped.
-    pub finished_at: SimTime,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Socket traffic counters.
-    pub wire: WireStats,
-}
-
 /// Runs the hub of a multi-process cluster: accepts `workers` connections
-/// on `listener`, then routes and collects until `cfg.stop_at`.
+/// on `listener`, then routes and collects until the deployment's hard stop.
 ///
-/// `regions` is the full id-indexed region list (the same one the workers
-/// derive from the shared scenario spec).
-pub fn run_hub_multiproc<M>(
-    cfg: &LiveConfig,
-    net: Box<dyn NetworkModel>,
-    regions: Vec<usize>,
+/// The hub takes the same [`Deployment`] the workers build from the shared
+/// spec — its regions, network model, faults, seed and stop instant drive
+/// the router — and hosts none of its nodes: they live (and die) in the
+/// worker processes, so the returned [`Ran`] has an empty `nodes` and
+/// certification works from the completion streams alone. The listener's
+/// address family is the transport; `plane.transport` is not consulted.
+pub fn run_hub_multiproc<M, N>(
+    plane: &LivePlane,
+    deployment: Deployment<N>,
     listener: Listener,
     workers: usize,
-) -> io::Result<MultiprocOutcome>
+) -> io::Result<Ran<N>>
 where
     M: Wire + Clone + Send + 'static,
 {
@@ -700,43 +655,31 @@ where
     for _ in 0..workers {
         conns.push(listener.accept()?);
     }
-    let regions = regions.into_iter().map(Region).collect();
-    let run = run_hub_conns::<M>(cfg, net, regions, conns)?;
-    Ok(MultiprocOutcome {
-        completed: run.completed,
-        net_stats: run.net_stats,
-        deliveries: run.deliveries,
-        finished_at: run.finished_at,
-        wall: run.wall,
-        wire: run.wire,
-    })
+    let (_, fabric, _) = split(deployment);
+    run_hub_conns::<M, N>(plane, fabric, conns)
 }
 
 /// Runs one worker process of a multi-process cluster.
 ///
-/// `nodes` is the **full** deterministic node list of the scenario (every
-/// worker builds it identically from the shared spec, so ids line up); this
-/// worker keeps and hosts the ids with `id % num_workers == worker`.
+/// `deployment` is the **full** deployment of the scenario (every process
+/// builds it identically from the shared spec, so ids line up); this worker
+/// keeps and hosts the ids with `id % num_workers == worker`. Time comes
+/// from the hub's `Welcome` frame, not from a local plane value.
 pub fn run_worker_multiproc<M, N>(
     addr: &ListenAddr,
     worker: usize,
     num_workers: usize,
-    nodes: Vec<(N, usize)>,
-    seed: u64,
-    epsilon: SimDuration,
+    deployment: Deployment<N>,
 ) -> io::Result<()>
 where
     M: Wire + Clone + Send + 'static,
-    N: LiveNode<M> + 'static,
+    N: PlaneNode<M>,
 {
     assert!(num_workers > 0 && worker < num_workers, "worker index out of range");
-    let mine: Vec<(NodeId, N)> = nodes
-        .into_iter()
-        .enumerate()
-        .filter(|(id, _)| id % num_workers == worker)
-        .map(|(id, (n, _region))| (id, n))
-        .collect();
+    let (nodes, fabric, epsilon) = split(deployment);
+    let mine: Vec<(NodeId, N)> =
+        nodes.into_iter().enumerate().filter(|(id, _)| id % num_workers == worker).collect();
     let stream = connect(addr, Duration::from_secs(10))?;
-    run_worker_conn::<M, N>(stream, worker as u64, mine, seed, epsilon)?;
+    run_worker_conn::<M, N>(stream, worker as u64, mine, fabric.seed, epsilon)?;
     Ok(())
 }

@@ -21,8 +21,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use regular_sim::fault::FaultSchedule;
 use regular_sim::net::{Delivery, NetworkModel, Region};
-use regular_sim::{MessageStats, NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use regular_sim::{DeliveryRecord, MessageStats, NodeId, SimDuration, SimTime};
 
 use crate::clock::LiveClock;
 
@@ -117,24 +116,6 @@ pub struct Outgoing<M> {
     pub extra: SimDuration,
     /// The message.
     pub msg: M,
-}
-
-/// One delivery the router performed, in delivery order.
-///
-/// The recorded log makes a live run's nondeterministic interleaving
-/// inspectable after the fact: it is attached to failure artifacts so a
-/// violation found on the live plane ships with the exact delivery
-/// sequence that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeliveryRecord {
-    /// Delivery sequence number (0-based, global).
-    pub seq: u64,
-    /// Simulated delivery instant (microseconds).
-    pub at_us: u64,
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
 }
 
 /// What the router accumulated over the run.

@@ -3,11 +3,16 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use regular_gryff::prelude::{ConflictWorkload, GryffClientSpec, GryffConfig, Mode as GryffMode};
+use regular_gryff::prelude::{
+    run_gryff_on, ConflictWorkload, GryffClientSpec, GryffClusterSpec, GryffConfig,
+    Mode as GryffMode,
+};
 use regular_live::prelude::*;
 use regular_session::{SessionConfig, SessionOp, SessionWorkload};
 use regular_sim::{LatencyMatrix, SimDuration, SimTime};
-use regular_spanner::prelude::{ClientSpec, Mode, SpannerConfig, UniformWorkload};
+use regular_spanner::prelude::{
+    run_cluster_on, ClientSpec, ClusterSpec, Mode, SpannerConfig, UniformWorkload,
+};
 
 /// Wraps a workload so a fixed fraction of operations are libRSS fences.
 struct WithFences<W>(W, f64);
@@ -22,7 +27,11 @@ impl<W: SessionWorkload> SessionWorkload for WithFences<W> {
     }
 }
 
-fn spanner_spec(seed: u64, scale: u64) -> SpannerLiveSpec {
+fn live(time_scale: u64, record_deliveries: bool) -> LivePlane {
+    LivePlane { time_scale, record_deliveries, transport: TransportKind::Mpsc }
+}
+
+fn spanner_spec(seed: u64) -> ClusterSpec {
     let clients = (0..3)
         .map(|region| ClientSpec {
             region,
@@ -31,7 +40,7 @@ fn spanner_spec(seed: u64, scale: u64) -> SpannerLiveSpec {
                 as Box<dyn SessionWorkload>,
         })
         .collect();
-    SpannerLiveSpec {
+    ClusterSpec {
         config: SpannerConfig::wan(Mode::SpannerRss),
         net: LatencyMatrix::spanner_wan(),
         seed,
@@ -39,15 +48,12 @@ fn spanner_spec(seed: u64, scale: u64) -> SpannerLiveSpec {
         stop_issuing_at: SimTime::from_secs(10),
         drain: SimDuration::from_secs(5),
         measure_from: SimTime::from_secs(1),
-        time_scale: scale,
-        record_deliveries: true,
-        transport: TransportKind::Mpsc,
     }
 }
 
 #[test]
 fn live_spanner_makes_progress_and_stops() {
-    let r = run_cluster_live(spanner_spec(7, 40));
+    let r = run_cluster_on(&live(40, true), spanner_spec(7));
     let total: usize = r.completed.iter().map(|(_, v)| v.len()).sum();
     assert!(total > 50, "live cluster barely progressed: {} completions", total);
     assert!(r.net_stats.delivered > 0);
@@ -78,18 +84,18 @@ fn live_gryff_makes_progress_under_crash() {
             }) as Box<dyn SessionWorkload>,
         })
         .collect();
-    let r = run_gryff_live(GryffLiveSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed: 3,
-        clients,
-        stop_issuing_at: SimTime::from_secs(10),
-        drain: SimDuration::from_secs(5),
-        measure_from: SimTime::ZERO,
-        time_scale: 40,
-        record_deliveries: false,
-        transport: TransportKind::Mpsc,
-    });
+    let r = run_gryff_on(
+        &live(40, false),
+        GryffClusterSpec {
+            config,
+            net: LatencyMatrix::gryff_wan(),
+            seed: 3,
+            clients,
+            stop_issuing_at: SimTime::from_secs(10),
+            drain: SimDuration::from_secs(5),
+            measure_from: SimTime::ZERO,
+        },
+    );
     let total: usize = r.completed.iter().map(|(_, v)| v.len()).sum();
     assert!(total > 50, "live gryff barely progressed: {} completions", total);
     assert!(r.net_stats.expired > 0, "crashed replica should have expired deliveries");
@@ -97,13 +103,13 @@ fn live_gryff_makes_progress_under_crash() {
 
 #[test]
 fn fence_ops_flow_through_live_plane() {
-    let mut spec = spanner_spec(11, 50);
+    let mut spec = spanner_spec(11);
     for c in &mut spec.clients {
         c.workload = Box::new(WithFences(
             UniformWorkload { num_keys: 500, ro_fraction: 0.5, keys_per_txn: 2 },
             0.1,
         ));
     }
-    let r = run_cluster_live(spec);
+    let r = run_cluster_on(&live(50, true), spec);
     assert!(r.client_stats.fences > 0, "fence workload should issue fences");
 }

@@ -32,6 +32,7 @@
 
 pub mod config;
 pub mod op;
+pub mod plane;
 pub mod record;
 pub mod runner;
 pub mod scheduler;
@@ -40,6 +41,10 @@ pub mod service;
 pub use config::{SessionConfig, SessionDriver};
 pub use op::{
     MultiServiceWorkload, RoundRobinWorkload, ScriptedSessionWorkload, SessionOp, SessionWorkload,
+};
+pub use plane::{
+    per_sim_second, per_wall_second, untagged, Deployment, NodeSpec, Plane, PlaneNode, Ran,
+    SimPlane,
 };
 pub use record::{CompletedRecord, HistoryRecorder, LaneId, WitnessHint};
 pub use runner::{ComposedRunner, HandoffRecord, SessionRunner, SessionStats};

@@ -18,6 +18,7 @@ use regular_sim::time::{SimDuration, SimTime};
 
 use crate::config::SessionConfig;
 use crate::op::{MultiServiceWorkload, SessionOp, SessionWorkload};
+use crate::plane::PlaneNode;
 use crate::record::{CompletedRecord, LaneId};
 use crate::scheduler::{SessionScheduler, Wake};
 use crate::service::{runner_tag, Service};
@@ -160,6 +161,14 @@ impl<S: Service> SessionRunner<S> {
                 self.completed.push(rec);
             }
         }
+    }
+}
+
+impl<S: Service> PlaneNode<S::Msg> for SessionRunner<S> {
+    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
+        // Taking the buffer (instead of draining it in place) frees it once
+        // moved out, so a simulator run never holds its completions twice.
+        out.extend(std::mem::take(&mut self.completed).into_iter().map(|rec| (0, rec)));
     }
 }
 
@@ -345,36 +354,6 @@ impl<M: 'static> ComposedRunner<M> {
         &self.services
     }
 
-    /// Multi-line summary of in-flight runner and service state, for
-    /// diagnosing stuck lanes under fault schedules.
-    pub fn debug_inflight(&self) -> String {
-        let mut outstanding: Vec<String> =
-            self.outstanding.iter().map(|(s, n)| format!("{s}:{n}")).collect();
-        outstanding.sort();
-        let mut parked: Vec<String> = self
-            .pending_after_fence
-            .iter()
-            .map(|(lane, (target, op))| {
-                format!("{}/{} -> svc {} {:?}", lane.session, lane.slot, target, op)
-            })
-            .collect();
-        parked.sort();
-        let mut out = format!(
-            "runner: outstanding=[{}] parked_after_fence=[{}] pending_context={} timers={}",
-            outstanding.join(", "),
-            parked.join("; "),
-            self.pending_context.is_some(),
-            self.timers.len()
-        );
-        for (idx, s) in self.services.iter().enumerate() {
-            let line = s.debug_inflight();
-            if !line.is_empty() {
-                out.push_str(&format!("\n  svc {idx} ({}): {line}", s.name()));
-            }
-        }
-        out
-    }
-
     fn arm(&mut self, ctx: &mut Context<M>, delay: SimDuration, wake: Wake) {
         let tag = runner_tag(&mut self.next_timer);
         self.timers.insert(tag, wake);
@@ -499,6 +478,12 @@ impl<M: 'static> ComposedRunner<M> {
                 return;
             }
         }
+    }
+}
+
+impl<M: Clone + 'static> PlaneNode<M> for ComposedRunner<M> {
+    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
+        out.append(&mut self.completed);
     }
 }
 

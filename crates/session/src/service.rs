@@ -88,13 +88,6 @@ pub trait Service: Send + 'static {
 
     /// Takes the operations completed since the last call.
     fn drain_completed(&mut self) -> Vec<CompletedRecord>;
-
-    /// One-line summary of in-flight protocol state, for diagnosing stuck
-    /// runs (lanes that stop completing under fault schedules). Purely
-    /// informational; the default reports nothing.
-    fn debug_inflight(&self) -> String {
-        String::new()
-    }
 }
 
 /// Lifts a `Service` with message type `P` into a combined-message simulation
@@ -213,10 +206,6 @@ where
 
     fn drain_completed(&mut self) -> Vec<CompletedRecord> {
         self.inner.drain_completed()
-    }
-
-    fn debug_inflight(&self) -> String {
-        self.inner.debug_inflight()
     }
 }
 

@@ -408,6 +408,11 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
         self.nodes.iter()
     }
 
+    /// Ends the simulation and hands back the nodes, in id order.
+    pub fn into_nodes(self) -> Vec<N> {
+        self.nodes
+    }
+
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -75,7 +75,7 @@ pub mod truetime;
 pub use compose::Embedded;
 pub use engine::{Context, ContextParts, Engine, EngineConfig, Node, NodeId};
 pub use fault::{CrashWindow, FaultSchedule, LinkScope, MessageFault};
-pub use metrics::{LatencyRecorder, MessageStats, ThroughputRecorder};
+pub use metrics::{DeliveryRecord, LatencyRecorder, MessageStats, ThroughputRecorder, WireStats};
 pub use net::{Delivery, LatencyMatrix, NetworkModel, Region};
 pub use queue::{QueueKind, SimQueue};
 pub use time::{SimDuration, SimTime};

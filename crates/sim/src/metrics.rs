@@ -41,6 +41,40 @@ impl MessageStats {
     }
 }
 
+/// One delivery a live plane's router performed, in delivery order.
+///
+/// The recorded log makes a live run's nondeterministic interleaving
+/// inspectable after the fact: it is attached to failure artifacts so a
+/// violation found on the live plane ships with the exact delivery
+/// sequence that produced it. The simulator records none — its seed *is*
+/// the schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DeliveryRecord {
+    /// Delivery sequence number (0-based, global).
+    pub seq: u64,
+    /// Simulated delivery instant (microseconds).
+    pub at_us: u64,
+    /// Sending node.
+    pub from: usize,
+    /// Receiving node.
+    pub to: usize,
+}
+
+/// Byte/frame counters of one run's socket traffic, from the hub's
+/// perspective (`tx` = hub → workers, `rx` = workers → hub). All zeros on
+/// the simulator and on the live plane's mpsc transport.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireStats {
+    /// Frames sent by the hub.
+    pub frames_tx: u64,
+    /// Payload + header bytes sent by the hub.
+    pub bytes_tx: u64,
+    /// Frames received by the hub.
+    pub frames_rx: u64,
+    /// Payload + header bytes received by the hub.
+    pub bytes_rx: u64,
+}
+
 /// Collects individual operation latencies and answers percentile queries.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyRecorder {

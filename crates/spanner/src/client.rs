@@ -159,24 +159,6 @@ pub struct SpannerService {
 }
 
 impl SpannerService {
-    /// One-line summary of in-flight client state, for diagnosing stuck
-    /// lanes: active transactions with their phase and attempt count, plus
-    /// abandoned commits still being probed.
-    pub fn debug_inflight(&self) -> String {
-        let active: Vec<String> = self
-            .txns
-            .iter()
-            .map(|(seq, t)| {
-                format!(
-                    "seq {seq} lane {}/{} phase {:?} attempts {} invoke {:?}",
-                    t.lane.session, t.lane.slot, t.phase, t.attempts, t.invoke
-                )
-            })
-            .collect();
-        let abandoned: Vec<u64> = self.abandoned.keys().copied().collect();
-        format!("active: {active:?} abandoned: {abandoned:?} timers: {}", self.timers.len())
-    }
-
     /// Creates a client protocol core with the given configuration.
     pub fn new(cfg: ClientConfig) -> Self {
         SpannerService {
@@ -476,10 +458,6 @@ impl Service for SpannerService {
 
     fn service_id(&self) -> ServiceId {
         self.service
-    }
-
-    fn debug_inflight(&self) -> String {
-        SpannerService::debug_inflight(self)
     }
 
     fn name(&self) -> &str {

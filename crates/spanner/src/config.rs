@@ -2,7 +2,6 @@
 
 use regular_sim::fault::FaultSchedule;
 use regular_sim::net::LatencyMatrix;
-use regular_sim::queue::QueueKind;
 use regular_sim::time::SimDuration;
 use regular_storage::Durability;
 
@@ -57,10 +56,6 @@ pub struct SpannerConfig {
     /// Scripted faults installed into the engine for this cluster run:
     /// partitions, drop/duplicate windows, shard crashes. Empty by default.
     pub faults: FaultSchedule,
-    /// Event-queue implementation the engine runs on. The default indexed
-    /// queue and the reference heap replay identical histories; the knob
-    /// exists for differential tests and the `engine_hotpath` benchmarks.
-    pub queue_kind: QueueKind,
     /// Storage backing for shard leaders. `InMemory` (the default) keeps the
     /// pre-existing volatile behaviour — healthy-run histories are
     /// byte-identical to builds without the storage layer. `Wal` puts every
@@ -87,7 +82,6 @@ impl SpannerConfig {
             disable_tee_skip: false,
             op_timeout: None,
             faults: FaultSchedule::default(),
-            queue_kind: QueueKind::Indexed,
             durability: Durability::InMemory,
         }
     }
@@ -109,7 +103,6 @@ impl SpannerConfig {
             disable_tee_skip: false,
             op_timeout: None,
             faults: FaultSchedule::default(),
-            queue_kind: QueueKind::Indexed,
             durability: Durability::InMemory,
         }
     }

@@ -1,8 +1,10 @@
 //! Cluster assembly, execution, and result extraction.
 //!
-//! The harness builds a simulated cluster (shard leaders plus client nodes —
+//! The harness [`build`]s a cluster (shard leaders plus client nodes —
 //! [`regular_session::SessionRunner`]s driving the [`SpannerService`] protocol
-//! core), runs it, and turns the recorded [`CompletedRecord`]s into the
+//! core) once as a plane-independent [`Deployment`], runs it on whichever
+//! [`Plane`] the caller passes ([`run_cluster`] is the simulator default),
+//! and turns the recorded [`CompletedRecord`]s into the
 //! artifacts the evaluation and the conformance tests need: latency
 //! distributions, throughput, a [`regular_core::History`] (via the shared
 //! [`regular_session::HistoryRecorder`]), and a serialization witness derived
@@ -10,14 +12,18 @@
 //! timestamps), mirroring the construction in the paper's proof of
 //! correctness (Appendix D.1).
 
+use std::time::Duration;
+
 use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessViolation};
 use regular_core::history::History;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    CompletedRecord, HistoryRecorder, SessionConfig, SessionRunner, SessionWorkload,
+    per_sim_second, per_wall_second, untagged, CompletedRecord, Deployment, HistoryRecorder,
+    NodeSpec, Plane, PlaneNode, Ran, SessionConfig, SessionRunner, SessionStats, SessionWorkload,
+    SimPlane,
 };
-use regular_sim::engine::{Context, Engine, EngineConfig, Node, NodeId};
-use regular_sim::metrics::{LatencyRecorder, MessageStats};
+use regular_sim::engine::{Context, Node, NodeId};
+use regular_sim::metrics::{DeliveryRecord, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_storage::StorageSummary;
@@ -100,20 +106,27 @@ pub struct ClusterSpec {
     pub measure_from: SimTime,
 }
 
-/// The outcome of a cluster run.
+/// The outcome of a cluster run, on either plane.
 pub struct RunResult {
     /// Protocol variant that was run.
     pub mode: Mode,
-    /// Read-write transaction latencies (measurement window only).
+    /// Read-write transaction latencies (measurement window only), in
+    /// simulated time on both planes.
     pub rw_latencies: LatencyRecorder,
     /// Read-only transaction latencies (measurement window only).
     pub ro_latencies: LatencyRecorder,
-    /// Completed transactions per client node (all, including warm-up).
+    /// Completed transactions per client node (all, including warm-up), in
+    /// completion order.
     pub completed: Vec<(NodeId, Vec<CompletedRecord>)>,
-    /// Aggregate throughput over the measurement window (txn/s).
+    /// Aggregate throughput over the measurement window (simulated txn/s).
     pub throughput: f64,
+    /// Measured completions per wall-clock second; 0 on the simulator.
+    pub wall_throughput: f64,
     /// Aggregated client statistics.
     pub client_stats: ClientStats,
+    /// Aggregated session-scheduler statistics across all clients
+    /// (arrivals/shed matter for open-loop runs).
+    pub session_stats: SessionStats,
     /// Per-shard statistics.
     pub shard_stats: Vec<ShardStats>,
     /// Simulated time when the run finished.
@@ -130,6 +143,13 @@ pub struct RunResult {
     /// the differential anchor for durability tests (recovered store must
     /// equal an in-memory reference, offline WAL replay must equal this).
     pub shard_stores: Vec<Vec<(Key, Ts, Value)>>,
+    /// Wall-clock duration of the run; zero on the simulator.
+    pub wall: Duration,
+    /// The live transport's delivery log (empty unless recording was
+    /// enabled; always empty on the simulator).
+    pub deliveries: Vec<DeliveryRecord>,
+    /// Socket traffic counters (all zeros off the socket transports).
+    pub wire: WireStats,
 }
 
 /// Builds the [`ClientConfig`] every client node of a cluster shares.
@@ -154,118 +174,180 @@ pub fn client_config(
     }
 }
 
-/// Builds and runs a cluster, returning the collected results.
+impl PlaneNode<SpannerMsg> for SpannerNode {
+    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
+        if let SpannerNode::Client(c) = self {
+            c.drain_completions(out);
+        }
+    }
+}
+
+/// Assembles the cluster's node graph — shards first (ids
+/// `0..num_shards`), then clients — as a plane-independent [`Deployment`].
+/// Multi-process workers call it too: every process builds the identical
+/// deployment from the shared spec, so node ids line up.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is structurally invalid (see
 /// [`SpannerConfig::validate`]).
-pub fn run_cluster(spec: ClusterSpec) -> RunResult {
-    let ClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from } = spec;
+pub fn build(spec: ClusterSpec) -> Deployment<SpannerNode> {
+    let ClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from: _ } = spec;
     config.validate().expect("invalid Spanner configuration");
-    let engine_cfg = EngineConfig {
-        default_service_time: config.shard_service_time,
-        max_time: stop_issuing_at + drain,
-        truetime_epsilon: config.truetime_epsilon,
-        queue: config.queue_kind,
-    };
-    let mut engine: Engine<SpannerMsg, SpannerNode> = Engine::new(engine_cfg, net.clone(), seed);
-    if !config.faults.is_empty() {
-        engine.install_faults(config.faults.clone());
-    }
-
-    // Shards first (node ids 0..num_shards).
-    let mut shard_nodes = Vec::new();
+    let mut nodes = Vec::with_capacity(config.num_shards + clients.len());
     let mut replication_delays = Vec::new();
     for shard in 0..config.num_shards {
         let delay = config.replication_delay(shard, &net);
         replication_delays.push(delay);
-        let node = SpannerNode::Shard(Box::new(ShardNode::new(&config, shard, delay)));
-        let id =
-            engine.add_node_with(node, config.leader_regions[shard], config.shard_service_time);
-        shard_nodes.push(id);
+        nodes.push(NodeSpec {
+            node: SpannerNode::Shard(Box::new(ShardNode::new(&config, shard, delay))),
+            region: config.leader_regions[shard],
+            service_time: config.shard_service_time,
+        });
     }
-    // Then clients.
-    let mut client_ids = Vec::new();
+    let shard_nodes: Vec<NodeId> = (0..config.num_shards).collect();
     for c in clients {
         let cfg =
             client_config(&config, &net, c.region, shard_nodes.clone(), replication_delays.clone());
         let runner =
             SessionRunner::new(SpannerService::new(cfg), c.sessions, stop_issuing_at, c.workload);
-        let id = engine.add_node_with(
-            SpannerNode::Client(Box::new(runner)),
-            c.region,
-            config.client_service_time,
-        );
-        client_ids.push(id);
+        nodes.push(NodeSpec {
+            node: SpannerNode::Client(Box::new(runner)),
+            region: c.region,
+            service_time: config.client_service_time,
+        });
     }
+    Deployment {
+        nodes,
+        net,
+        faults: config.faults,
+        seed,
+        truetime_epsilon: config.truetime_epsilon,
+        stop_at: stop_issuing_at + drain,
+    }
+}
 
-    let finished_at = engine.run();
+/// The records-only half of collection: everything that is a function of
+/// the completion lists and the measurement window alone — which is all a
+/// multi-process hub, whose nodes never come back, can compute.
+pub struct Measured {
+    /// Read-write transaction latencies inside the window.
+    pub rw_latencies: LatencyRecorder,
+    /// Read-only transaction latencies inside the window.
+    pub ro_latencies: LatencyRecorder,
+    /// Measured completions before `stop_issuing_at`, per simulated second.
+    pub throughput: f64,
+    /// Non-orphan, non-fence completions at or after `measure_from`.
+    pub measured: u64,
+}
 
-    // Collect results.
+/// Measures per-client completion lists over `[measure_from, ..)`.
+pub fn measure(
+    completed: &[(NodeId, Vec<CompletedRecord>)],
+    measure_from: SimTime,
+    stop_issuing_at: SimTime,
+) -> Measured {
     let mut rw = LatencyRecorder::new();
     let mut ro = LatencyRecorder::new();
-    let mut completed = Vec::new();
-    let mut client_stats = ClientStats::default();
+    let mut measured = 0u64;
     let mut window_count = 0u64;
-    for &id in &client_ids {
-        if let SpannerNode::Client(c) = engine.node(id) {
-            for txn in &c.completed {
-                if txn.finish >= measure_from && !txn.orphan && !txn.kind.is_fence() {
-                    let latency = txn.latency();
-                    if txn.kind.is_read_only() {
-                        ro.record(latency);
-                    } else {
-                        rw.record(latency);
-                    }
-                    if txn.finish < stop_issuing_at {
-                        window_count += 1;
-                    }
-                }
+    for txn in completed.iter().flat_map(|(_, recs)| recs) {
+        if txn.finish >= measure_from && !txn.orphan && !txn.kind.is_fence() {
+            let latency = txn.latency();
+            if txn.kind.is_read_only() {
+                ro.record(latency);
+            } else {
+                rw.record(latency);
             }
-            let s = &c.service.stats;
-            client_stats.rw_completed += s.rw_completed;
-            client_stats.ro_completed += s.ro_completed;
-            client_stats.fences += s.fences;
-            client_stats.aborted_attempts += s.aborted_attempts;
-            client_stats.ro_waited_slow += s.ro_waited_slow;
-            client_stats.timeout_retries += s.timeout_retries;
-            completed.push((id, c.completed.clone()));
+            measured += 1;
+            if txn.finish < stop_issuing_at {
+                window_count += 1;
+            }
         }
     }
+    let throughput = per_sim_second(window_count, measure_from, stop_issuing_at);
+    Measured { rw_latencies: rw, ro_latencies: ro, throughput, measured }
+}
+
+/// Turns what a plane handed back into a [`RunResult`]: [`measure`] over the
+/// completion streams, then the nodes half (statistics, WAL counters, final
+/// stores).
+fn collect(
+    mode: Mode,
+    measure_from: SimTime,
+    stop_issuing_at: SimTime,
+    ran: Ran<SpannerNode>,
+) -> RunResult {
+    let mut completed = Vec::new();
+    let mut client_stats = ClientStats::default();
+    let mut session_stats = SessionStats::default();
     let mut shard_stats = Vec::new();
     let mut storage = StorageSummary::default();
     let mut shard_stores = Vec::new();
-    for &id in &shard_nodes {
-        if let SpannerNode::Shard(s) = engine.node(id) {
-            shard_stats.push(s.stats);
-            storage.add_wal(&s.wal_stats());
-            let mut dump = s.store().dump();
-            dump.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
-            shard_stores.push(dump);
+    for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
+        match node {
+            SpannerNode::Shard(s) => {
+                shard_stats.push(s.stats);
+                storage.add_wal(&s.wal_stats());
+                let mut dump = s.store().dump();
+                dump.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
+                shard_stores.push(dump);
+            }
+            SpannerNode::Client(c) => {
+                let s = &c.service.stats;
+                client_stats.rw_completed += s.rw_completed;
+                client_stats.ro_completed += s.ro_completed;
+                client_stats.fences += s.fences;
+                client_stats.aborted_attempts += s.aborted_attempts;
+                client_stats.ro_waited_slow += s.ro_waited_slow;
+                client_stats.timeout_retries += s.timeout_retries;
+                session_stats.merge(&c.stats);
+                completed.push((id, untagged(stream)));
+            }
         }
     }
     debug_assert_eq!(
         storage.skipped_checkpoints, 0,
         "a snapshot outgrew its checkpoint area: that node's log is never pruned again"
     );
-    let window = stop_issuing_at.since(measure_from).as_micros();
-    let throughput =
-        if window == 0 { 0.0 } else { window_count as f64 * 1_000_000.0 / window as f64 };
+    let Measured { rw_latencies, ro_latencies, throughput, measured } =
+        measure(&completed, measure_from, stop_issuing_at);
     RunResult {
-        mode: config.mode,
-        rw_latencies: rw,
-        ro_latencies: ro,
+        mode,
+        rw_latencies,
+        ro_latencies,
         completed,
         throughput,
+        wall_throughput: per_wall_second(measured, ran.wall),
         client_stats,
+        session_stats,
         shard_stats,
-        finished_at,
-        messages: engine.delivered_messages(),
-        net_stats: engine.message_stats(),
+        finished_at: ran.finished_at,
+        messages: ran.net_stats.delivered,
+        net_stats: ran.net_stats,
         storage,
         shard_stores,
+        wall: ran.wall,
+        deliveries: ran.deliveries,
+        wire: ran.wire,
     }
+}
+
+/// Builds a cluster, runs it on `plane`, and collects the results.
+///
+/// # Panics
+///
+/// Panics if the configuration is structurally invalid (see
+/// [`SpannerConfig::validate`]).
+pub fn run_cluster_on(plane: &impl Plane<SpannerMsg>, spec: ClusterSpec) -> RunResult {
+    let (mode, measure_from, stop_issuing_at) =
+        (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
+    collect(mode, measure_from, stop_issuing_at, plane.run(build(spec)))
+}
+
+/// [`run_cluster_on`] the deterministic simulator.
+pub fn run_cluster(spec: ClusterSpec) -> RunResult {
+    run_cluster_on(&SimPlane::default(), spec)
 }
 
 /// Witness sort rank: read-write transactions and fences order first among
@@ -305,7 +387,7 @@ pub fn build_history(result: &RunResult) -> (History, Vec<OpId>) {
 }
 
 /// [`build_history`] from bare per-client completion lists, for harnesses
-/// (e.g. the live execution plane) that do not assemble a [`RunResult`].
+/// (e.g. a multi-process hub) that do not assemble a [`RunResult`].
 pub fn build_history_from(completed: &[(NodeId, Vec<CompletedRecord>)]) -> (History, Vec<OpId>) {
     let mut recorder = HistoryRecorder::new();
     let mut witness_keys: Vec<(u64, u8, u64, OpId)> = Vec::new();

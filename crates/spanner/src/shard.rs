@@ -439,28 +439,6 @@ impl ShardNode {
         &self.store
     }
 
-    /// One-line summary of in-flight 2PC state, for diagnosing stuck runs:
-    /// prepared-but-undecided transactions (their write locks are held),
-    /// prepares queued on locks, open coordinator rounds, and parked
-    /// read-only work.
-    pub fn debug_inflight(&self) -> String {
-        let undriven: Vec<_> = self
-            .coordinating
-            .iter()
-            .filter(|(_, s)| !s.awaiting.is_empty())
-            .map(|(t, s)| (*t, s.awaiting.len()))
-            .collect();
-        format!(
-            "shard {}: prepared={:?} pending={:?} coordinating(awaiting)={:?} blocked_ros={} watchers={}",
-            self.shard_index,
-            self.prepared.keys().collect::<Vec<_>>(),
-            self.pending_prepares.keys().collect::<Vec<_>>(),
-            undriven,
-            self.blocked_ros.len(),
-            self.rss_watchers.len(),
-        )
-    }
-
     fn read_values(&self, keys: &[Key], t_read: Ts) -> Vec<(Key, Ts, Value)> {
         keys.iter()
             .map(|k| {

@@ -24,19 +24,16 @@ use regular_gryff::prelude::{GryffConfig, GryffService};
 use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
 use regular_gryff::{Carstamp, GryffMsg};
-use regular_live::{
-    run_live_transport, DeliveryRecord, LiveConfig, LiveNode, LiveOutcome, TransportKind, WireStats,
-};
 use regular_session::{
-    CompletedRecord, ComposedRunner, HandoffRecord, HistoryRecorder, MappedService,
-    MultiServiceWorkload, RoundRobinWorkload, Service, SessionConfig, SessionWorkload, WitnessHint,
+    per_wall_second, CompletedRecord, ComposedRunner, Deployment, HandoffRecord, HistoryRecorder,
+    MappedService, MultiServiceWorkload, NodeSpec, Plane, PlaneNode, Ran, RoundRobinWorkload,
+    Service, SessionConfig, SessionStats, SessionWorkload, SimPlane, WitnessHint,
 };
 use regular_sim::compose::Embedded;
-use regular_sim::engine::{Context, Engine, EngineConfig, Node, NodeId};
+use regular_sim::engine::{Context, Node, NodeId};
 use regular_sim::fault::FaultSchedule;
-use regular_sim::metrics::MessageStats;
+use regular_sim::metrics::{DeliveryRecord, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
-use regular_sim::queue::QueueKind;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_spanner::prelude::{
     Mode as SpannerMode, SpannerConfig, SpannerService, UniformWorkload,
@@ -106,10 +103,10 @@ enum DuoNode {
     App(ComposedRunner<DuoMsg>),
 }
 
-impl LiveNode<DuoMsg> for DuoNode {
+impl PlaneNode<DuoMsg> for DuoNode {
     fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
         if let DuoNode::App(runner) = self {
-            out.append(&mut runner.completed);
+            runner.drain_completions(out);
         }
     }
 }
@@ -194,7 +191,7 @@ pub struct ComposedRunConfig {
     pub drain_secs: u64,
     /// The application driving the stores.
     pub workload: ComposedWorkload,
-    /// Scripted faults installed into the one shared engine. Node indices:
+    /// Scripted faults of the one shared deployment. Node indices:
     /// Spanner shards are nodes `0..3`, Gryff replicas `3..8`, apps from 8.
     pub faults: FaultSchedule,
     /// Client-side operation timeout for both protocol cores; required (and
@@ -204,16 +201,10 @@ pub struct ComposedRunConfig {
     /// completed batches per app (see
     /// [`ComposedRunner::with_context_handoff`]); `None` disables handoffs.
     pub handoff_every: Option<u64>,
-    /// Event-queue implementation the shared engine runs on (differential
-    /// tests run the same seed on both kinds and compare histories).
-    pub queue_kind: QueueKind,
     /// Storage backing for both stores' nodes (`InMemory` keeps the
     /// pre-existing volatile behaviour; `Wal` routes shard and replica state
     /// through per-node write-ahead logs and recovers crashes from them).
     pub durability: Durability,
-    /// Transport carrying messages on the live plane (ignored by the
-    /// discrete-event engine, which has no transport to choose).
-    pub transport: TransportKind,
 }
 
 impl Default for ComposedRunConfig {
@@ -228,22 +219,33 @@ impl Default for ComposedRunConfig {
             faults: FaultSchedule::default(),
             op_timeout: None,
             handoff_every: None,
-            queue_kind: QueueKind::Indexed,
             durability: Durability::InMemory,
-            transport: TransportKind::Mpsc,
         }
     }
 }
 
-/// The raw output of a composed run.
+/// The raw output of a composed run, on either plane.
 pub struct ComposedOutcome {
     /// Per-app completions.
     pub apps: Vec<AppResult>,
-    /// Engine message counters (drops, duplicates, expirations included).
+    /// Message counters (drops, duplicates, expirations included).
     pub net_stats: MessageStats,
     /// Aggregated WAL counters across every shard and replica (all zeroes
     /// under `Durability::InMemory`).
     pub storage: StorageSummary,
+    /// Aggregated session-scheduler statistics across all apps.
+    pub session_stats: SessionStats,
+    /// Simulated time when the run stopped.
+    pub finished_at: SimTime,
+    /// Wall-clock duration of the run; zero on the simulator.
+    pub wall: Duration,
+    /// Non-fence completions per wall-clock second; 0 on the simulator.
+    pub wall_throughput: f64,
+    /// The live transport's delivery log (empty unless recording was
+    /// enabled; always empty on the simulator).
+    pub deliveries: Vec<DeliveryRecord>,
+    /// Socket traffic counters (all zeros off the socket transports).
+    pub wire: WireStats,
 }
 
 impl ComposedOutcome {
@@ -286,11 +288,12 @@ impl ComposedOutcome {
     }
 }
 
-/// Runs the composite deployment: 3 Spanner-RSS shards + 5 Gryff-RSC
-/// replicas, `config.num_apps` composed client nodes whose sessions
-/// alternate between the two stores every `config.ops_per_service`
-/// operations. Deterministic for a fixed `(seed, config)`.
-pub fn run_composed(seed: u64, config: &ComposedRunConfig) -> ComposedOutcome {
+/// Assembles the composite deployment: 3 Spanner-RSS shards (nodes `0..3`),
+/// 5 Gryff-RSC replicas (`3..8`), then `config.num_apps` composed client
+/// nodes whose sessions alternate between the two stores every
+/// `config.ops_per_service` operations. Fault scripts address these ids on
+/// either plane.
+fn build(seed: u64, config: &ComposedRunConfig) -> Deployment<DuoNode> {
     let mut spanner_cfg = SpannerConfig::wan(SpannerMode::SpannerRss);
     let mut gryff_cfg = GryffConfig::wan(regular_gryff::config::Mode::GryffRsc);
     spanner_cfg.op_timeout = config.op_timeout;
@@ -306,194 +309,34 @@ pub fn run_composed(seed: u64, config: &ComposedRunConfig) -> ComposedOutcome {
     // stores' three leaders sit in regions 0/1/2.
     let net = LatencyMatrix::gryff_wan();
     let stop_issuing_at = SimTime::from_secs(config.duration_secs);
-    let engine_cfg = EngineConfig {
-        default_service_time: spanner_cfg.shard_service_time,
-        max_time: stop_issuing_at + SimDuration::from_secs(config.drain_secs),
-        truetime_epsilon: spanner_cfg.truetime_epsilon,
-        queue: config.queue_kind,
-    };
-    let mut engine: Engine<DuoMsg, DuoNode> = Engine::new(engine_cfg, net.clone(), seed);
-    if !config.faults.is_empty() {
-        engine.install_faults(config.faults.clone());
-    }
+    let mut nodes = Vec::new();
 
     // Spanner shards.
-    let mut shard_nodes = Vec::new();
     let mut replication_delays = Vec::new();
     for shard in 0..spanner_cfg.num_shards {
         let delay = spanner_cfg.replication_delay(shard, &net);
         replication_delays.push(delay);
-        let id = engine.add_node_with(
-            DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner_cfg, shard, delay))),
-            spanner_cfg.leader_regions[shard],
-            spanner_cfg.shard_service_time,
-        );
-        shard_nodes.push(id);
+        nodes.push(NodeSpec {
+            node: DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner_cfg, shard, delay))),
+            region: spanner_cfg.leader_regions[shard],
+            service_time: spanner_cfg.shard_service_time,
+        });
     }
+    let shard_nodes: Vec<NodeId> = (0..nodes.len()).collect();
     // Gryff replicas, at node ids num_shards..num_shards+num_replicas: each
     // replica must know the group's node-id base for its rmw coordination
     // rounds.
-    let replica_base = engine.num_nodes();
-    let mut replica_nodes = Vec::new();
-    for i in 0..gryff_cfg.num_replicas {
-        let replica = GryffReplica::new(&gryff_cfg, i).with_first_node(replica_base);
-        let id = engine.add_node_with(
-            DuoNode::GryffReplica(Embedded::new(replica)),
-            gryff_cfg.replica_regions[i],
-            gryff_cfg.replica_service_time,
-        );
-        replica_nodes.push(id);
-    }
-    // Composed app nodes: each drives sessions hopping between both stores.
-    let mut app_ids = Vec::new();
-    for i in 0..config.num_apps {
-        let region = i % 3;
-        let s_core = SpannerService::new(regular_spanner::client_config(
-            &spanner_cfg,
-            &net,
-            region,
-            shard_nodes.clone(),
-            replication_delays.clone(),
-        ))
-        .with_service_id(SPANNER_SERVICE);
-        let g_core =
-            GryffService::new(regular_gryff::client_config(&gryff_cfg, replica_nodes.clone()))
-                .with_service_id(GRYFF_SERVICE);
-        let services: Vec<Box<dyn Service<Msg = DuoMsg>>> = vec![
-            Box::new(MappedService::with_tag_namespace(s_core, 0, 2)),
-            Box::new(MappedService::with_tag_namespace(g_core, 1, 2)),
-        ];
-        let workload: Box<dyn MultiServiceWorkload> = match config.workload {
-            ComposedWorkload::RoundRobin => Box::new(RoundRobinWorkload::new(
-                vec![
-                    Box::new(UniformWorkload { num_keys: 60, ro_fraction: 0.5, keys_per_txn: 2 })
-                        as Box<dyn SessionWorkload>,
-                    Box::new(ConflictWorkload::ycsb(0.5, 0.4, seed.wrapping_add(i as u64)))
-                        as Box<dyn SessionWorkload>,
-                ],
-                config.ops_per_service,
-            )),
-            ComposedWorkload::PhotoApp => Box::new(PhotoSharingWorkload::default()),
-        };
-        let mut runner = ComposedRunner::new(
-            services,
-            SessionConfig::closed_loop(2, SimDuration::ZERO)
-                .with_batch(config.batch)
-                .with_workload_seed(seed.wrapping_mul(31).wrapping_add(i as u64)),
-            stop_issuing_at,
-            workload,
-        );
-        if let Some(every) = config.handoff_every {
-            runner = runner.with_context_handoff(every);
-        }
-        let id =
-            engine.add_node_with(DuoNode::App(runner), region, spanner_cfg.client_service_time);
-        app_ids.push(id);
-    }
-
-    engine.run();
-
-    if std::env::var_os("COMPOSED_DEBUG").is_some() {
-        for id in 0..engine.num_nodes() {
-            match engine.node(id) {
-                DuoNode::SpannerShard(s) => eprintln!("node {id} {}", s.inner.debug_inflight()),
-                DuoNode::GryffReplica(_) => {}
-                DuoNode::App(runner) => eprintln!("app {id} {}", runner.debug_inflight()),
-            }
-        }
-    }
-
-    let apps = app_ids
-        .into_iter()
-        .map(|id| match engine.node(id) {
-            DuoNode::App(runner) => AppResult {
-                node: id,
-                completed: runner.completed.clone(),
-                auto_fences: runner.fence_stats().executed,
-                handoffs: runner.handoffs.clone(),
-                contexts_imported: runner.stats.contexts_imported,
-            },
-            _ => unreachable!("app ids point at composed runners"),
-        })
-        .collect();
-    let mut storage = StorageSummary::default();
-    for id in shard_nodes.iter().chain(replica_nodes.iter()) {
-        match engine.node(*id) {
-            DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
-            DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
-            DuoNode::App(_) => unreachable!("store ids point at protocol nodes"),
-        }
-    }
-    ComposedOutcome { apps, net_stats: engine.message_stats(), storage }
-}
-
-/// The outcome of a live composed run: the per-app results in the exact
-/// shape [`run_composed`] produces (so [`certify_composed`] is shared
-/// between planes), plus the wall-clock metrics and the transport's
-/// delivery log only the live plane has.
-pub struct ComposedLiveRun {
-    /// Per-app completions and message counters.
-    pub outcome: ComposedOutcome,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Non-fence completions per wall-clock second.
-    pub wall_throughput: f64,
-    /// Simulated time when the run stopped.
-    pub finished_at: SimTime,
-    /// The transport's delivery log (empty unless recording was enabled).
-    pub deliveries: Vec<DeliveryRecord>,
-    /// Socket traffic counters (all zeros on the mpsc transport).
-    pub wire: WireStats,
-}
-
-/// [`run_composed`] on the live execution plane: the same node graph of
-/// 3 shards, 5 replicas, and the app runners, but every node is an OS thread
-/// and time is the scaled wall clock. `config.queue_kind` is ignored — there is no event queue to
-/// choose. Live runs are *not* bit-deterministic for a seed; pass
-/// `record_deliveries` to preserve the schedule evidence for artifacts.
-pub fn run_composed_live(
-    seed: u64,
-    config: &ComposedRunConfig,
-    time_scale: u64,
-    record_deliveries: bool,
-) -> ComposedLiveRun {
-    let mut spanner_cfg = SpannerConfig::wan(SpannerMode::SpannerRss);
-    let mut gryff_cfg = GryffConfig::wan(regular_gryff::config::Mode::GryffRsc);
-    spanner_cfg.op_timeout = config.op_timeout;
-    gryff_cfg.op_timeout = config.op_timeout;
-    spanner_cfg.durability = config.durability.clone();
-    gryff_cfg.durability = config.durability.clone();
-    assert!(
-        config.faults.is_empty() || config.op_timeout.is_some(),
-        "fault schedules need a client operation timeout, or lanes whose \
-         requests are lost stall forever"
-    );
-    let net = LatencyMatrix::gryff_wan();
-    let stop_issuing_at = SimTime::from_secs(config.duration_secs);
-
-    // Same node-id layout as `run_composed`: shards, then replicas, then
-    // apps, so fault scripts written against one plane hit the same victims
-    // on the other.
-    let mut nodes: Vec<(DuoNode, usize)> = Vec::new();
-    let mut shard_nodes = Vec::new();
-    let mut replication_delays = Vec::new();
-    for shard in 0..spanner_cfg.num_shards {
-        let delay = spanner_cfg.replication_delay(shard, &net);
-        replication_delays.push(delay);
-        shard_nodes.push(nodes.len());
-        nodes.push((
-            DuoNode::SpannerShard(Embedded::new(ShardNode::new(&spanner_cfg, shard, delay))),
-            spanner_cfg.leader_regions[shard],
-        ));
-    }
     let replica_base = nodes.len();
-    let mut replica_nodes = Vec::new();
     for i in 0..gryff_cfg.num_replicas {
         let replica = GryffReplica::new(&gryff_cfg, i).with_first_node(replica_base);
-        replica_nodes.push(nodes.len());
-        nodes.push((DuoNode::GryffReplica(Embedded::new(replica)), gryff_cfg.replica_regions[i]));
+        nodes.push(NodeSpec {
+            node: DuoNode::GryffReplica(Embedded::new(replica)),
+            region: gryff_cfg.replica_regions[i],
+            service_time: gryff_cfg.replica_service_time,
+        });
     }
-    let app_base = nodes.len();
+    let replica_nodes: Vec<NodeId> = (replica_base..nodes.len()).collect();
+    // Composed app nodes: each drives sessions hopping between both stores.
     for i in 0..config.num_apps {
         let region = i % 3;
         let s_core = SpannerService::new(regular_spanner::client_config(
@@ -534,46 +377,74 @@ pub fn run_composed_live(
         if let Some(every) = config.handoff_every {
             runner = runner.with_context_handoff(every);
         }
-        nodes.push((DuoNode::App(runner), region));
+        nodes.push(NodeSpec {
+            node: DuoNode::App(runner),
+            region,
+            service_time: spanner_cfg.client_service_time,
+        });
     }
-
-    let live_cfg = LiveConfig {
-        seed,
+    Deployment {
+        nodes,
+        net,
         faults: config.faults.clone(),
+        seed,
         truetime_epsilon: spanner_cfg.truetime_epsilon,
-        time_scale,
         stop_at: stop_issuing_at + SimDuration::from_secs(config.drain_secs),
-        record_deliveries,
-    };
-    let outcome: LiveOutcome<DuoNode> =
-        run_live_transport(live_cfg, Box::new(net), nodes, config.transport);
-    let LiveOutcome { nodes, mut completed, net_stats, deliveries, finished_at, wall, wire } =
-        outcome;
+    }
+}
 
+/// Turns what a plane handed back into a [`ComposedOutcome`].
+fn collect(ran: Ran<DuoNode>) -> ComposedOutcome {
     let mut apps = Vec::new();
     let mut storage = StorageSummary::default();
-    for (id, node) in nodes.into_iter().enumerate() {
+    let mut session_stats = SessionStats::default();
+    for (id, (node, completed)) in ran.nodes.into_iter().zip(ran.completed).enumerate() {
         match node {
             DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
             DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
             DuoNode::App(runner) => {
-                debug_assert!(id >= app_base, "nodes from app_base on are composed runners");
-                let auto_fences = runner.fence_stats().executed;
+                session_stats.merge(&runner.stats);
                 apps.push(AppResult {
                     node: id,
-                    completed: std::mem::take(&mut completed[id]),
-                    auto_fences,
-                    handoffs: runner.handoffs,
+                    completed,
+                    auto_fences: runner.fence_stats().executed,
                     contexts_imported: runner.stats.contexts_imported,
+                    handoffs: runner.handoffs,
                 });
             }
         }
     }
-    let outcome = ComposedOutcome { apps, net_stats, storage };
-    let measured = outcome.spanner_ops() + outcome.gryff_ops();
-    let wall_secs = wall.as_secs_f64();
-    let wall_throughput = if wall_secs > 0.0 { measured as f64 / wall_secs } else { 0.0 };
-    ComposedLiveRun { outcome, wall, wall_throughput, finished_at, deliveries, wire }
+    let measured =
+        apps.iter().flat_map(|a| &a.completed).filter(|(_, rec)| !rec.kind.is_fence()).count();
+    ComposedOutcome {
+        apps,
+        net_stats: ran.net_stats,
+        storage,
+        session_stats,
+        finished_at: ran.finished_at,
+        wall: ran.wall,
+        wall_throughput: per_wall_second(measured as u64, ran.wall),
+        deliveries: ran.deliveries,
+        wire: ran.wire,
+    }
+}
+
+/// Runs the composite deployment — 3 Spanner-RSS shards + 5 Gryff-RSC
+/// replicas + `config.num_apps` composed app nodes — on `plane`. On the
+/// simulator the run is deterministic for a fixed `(seed, config)`; live
+/// runs are not (pass a plane that records deliveries to keep the schedule
+/// evidence for artifacts).
+pub fn run_composed_on(
+    plane: &impl Plane<DuoMsg>,
+    seed: u64,
+    config: &ComposedRunConfig,
+) -> ComposedOutcome {
+    collect(plane.run(build(seed, config)))
+}
+
+/// [`run_composed_on`] the deterministic simulator.
+pub fn run_composed(seed: u64, config: &ComposedRunConfig) -> ComposedOutcome {
+    run_composed_on(&SimPlane::default(), seed, config)
 }
 
 /// A certified composed run: the combined history and the accepted witness.

@@ -1,9 +1,11 @@
-//! Sweepable scenarios: one seeded, certified simulator run per call.
+//! Sweepable scenarios: one seeded, certified run per call.
 //!
-//! Each scenario builds a deterministic simulation from a seed (the engine
-//! seed *and* the per-node workload RNG streams derive from it via
-//! [`SessionConfig::with_workload_seed`]), runs it, assembles the recorded
-//! history and serialization witness, and certifies the history against the
+//! A scenario is one row of a `const` table: which deployment, on which
+//! plane, under which fault script, on which storage. Each run builds the
+//! deployment from a seed (the plane's seed *and* the per-node workload RNG
+//! streams derive from it via [`SessionConfig::with_workload_seed`]), runs
+//! it — deterministically on the simulator — assembles the recorded history
+//! and serialization witness, and certifies the history against the
 //! scenario's consistency model with the sharded certificate checker. A
 //! failure yields a replayable [`FailureArtifact`].
 //!
@@ -14,16 +16,14 @@
 
 use std::time::Instant;
 
-use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness_parallel, WitnessModel};
-use regular_core::history::HistoryIndex;
-use regular_core::ComponentSplit;
+use regular_core::history::{History, HistoryIndex};
+use regular_core::{ComponentSplit, OpId};
 use regular_gryff::prelude as gryff;
-use regular_live::{
-    run_cluster_live, run_gryff_live, DeliveryRecord, GryffLiveSpec, SpannerLiveSpec,
-};
+use regular_live::{LivePlane, TransportKind};
 use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
 use regular_sim::fault::{FaultSchedule, LinkScope};
+use regular_sim::metrics::{DeliveryRecord, MessageStats};
 use regular_sim::net::{LatencyMatrix, Region};
 use regular_sim::time::{SimDuration, SimTime};
 use regular_spanner::prelude as spanner;
@@ -31,7 +31,7 @@ use regular_storage::{Durability, StorageRegistry, StorageSummary, WalOptions};
 
 use crate::artifact::{model_name, FailureArtifact};
 use crate::composed::{
-    certify_composed, run_composed, run_composed_live, ComposedRunConfig, ComposedWorkload,
+    certify_composed, run_composed, run_composed_on, ComposedRunConfig, ComposedWorkload,
 };
 use crate::stream::certify_streaming;
 
@@ -95,87 +95,180 @@ pub enum Scenario {
     LiveSpannerFaults,
 }
 
+/// Which node graph a scenario deploys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Deployed {
+    /// `regular_spanner::build` over [`spanner_seed_spec`].
+    Spanner,
+    /// `regular_gryff::build` over [`gryff_seed_spec`].
+    Gryff,
+    /// The two-store deployment of [`crate::composed`].
+    Composed,
+}
+
+/// One scenario: a deployment, the plane it runs on, and what is done to it.
+struct Row {
+    scenario: Scenario,
+    /// Stable name (reports, artifacts, CLI flags).
+    name: &'static str,
+    /// Forgiving extra spellings [`Scenario::parse`] accepts.
+    aliases: &'static [&'static str],
+    deployed: Deployed,
+    /// `None` runs on the simulator; `Some` on that live plane.
+    live: Option<LivePlane>,
+    /// The seed-driven fault script, if any.
+    faults: Option<fn(u64) -> FaultSchedule>,
+    /// Every protocol node on a write-ahead log.
+    durable: bool,
+    /// Approximate completed operations per simulated second at the sweep
+    /// configuration (measured over seed sweeps); translates an `--ops`
+    /// target into a run duration. The WAL's group-commit window adds
+    /// sub-millisecond latency and the live plane runs the same
+    /// configurations, so variants track their plain sim counterparts.
+    ops_per_sim_sec: f64,
+}
+
+/// Simulated microseconds per wall microsecond for the live sweep
+/// scenarios: 40x compresses a 53-simulated-second Spanner run into ~1.3
+/// wall seconds while keeping even the shortest WAN latency (a few hundred
+/// simulated microseconds) well above the scheduler's wake-up jitter.
+pub const LIVE_TIME_SCALE: u64 = 40;
+
+/// The plane of the live sweep scenarios: the in-process mpsc transport
+/// (the socket backends are exercised by `live_bench --net`), with the
+/// delivery log recorded so a failure artifact carries its schedule.
+const SWEEP_LIVE: LivePlane = LivePlane {
+    time_scale: LIVE_TIME_SCALE,
+    record_deliveries: true,
+    transport: TransportKind::Mpsc,
+};
+
+impl Row {
+    /// A fault-free, volatile scenario on the simulator.
+    const fn sim(
+        scenario: Scenario,
+        name: &'static str,
+        aliases: &'static [&'static str],
+        deployed: Deployed,
+        ops_per_sim_sec: f64,
+    ) -> Row {
+        let (live, faults, durable) = (None, None, false);
+        Row { scenario, name, aliases, deployed, live, faults, durable, ops_per_sim_sec }
+    }
+
+    const fn faults(mut self, script: fn(u64) -> FaultSchedule) -> Row {
+        self.faults = Some(script);
+        self
+    }
+
+    const fn durable(mut self) -> Row {
+        self.durable = true;
+        self
+    }
+
+    const fn live(mut self) -> Row {
+        self.live = Some(SWEEP_LIVE);
+        self
+    }
+}
+
+/// Every scenario, in `Scenario` declaration order: the simulator scenarios
+/// in sweep order, then the live ones. A live variant of a sim scenario is
+/// one more row ending in `.live()`.
+const TABLE: [Row; 15] = {
+    use Deployed::{Composed, Gryff, Spanner};
+    use Scenario as S;
+    [
+        Row::sim(S::SpannerRss, "spanner-rss", &["spanner", "rss"], Spanner, 57.0),
+        Row::sim(S::GryffRsc, "gryff-rsc", &["gryff", "rsc"], Gryff, 102.0),
+        Row::sim(S::Composed, "composed", &["multi-service", "duo"], Composed, 62.0),
+        Row::sim(S::SpannerFaults, "spanner-faults", &[], Spanner, 48.0)
+            .faults(spanner_fault_schedule),
+        Row::sim(S::GryffFaults, "gryff-faults", &[], Gryff, 97.0).faults(gryff_fault_schedule),
+        Row::sim(S::ComposedFaults, "composed-faults", &["faults", "chaos"], Composed, 30.0)
+            .faults(composed_fault_schedule),
+        Row::sim(S::SpannerOneWay, "spanner-oneway", &["oneway", "grey"], Spanner, 48.0)
+            .faults(spanner_oneway_schedule),
+        Row::sim(S::SpannerCommitCrash, "spanner-commit-crash", &["commit-crash"], Spanner, 54.0)
+            .faults(spanner_commit_crash_schedule),
+        Row::sim(
+            S::SpannerFaultsDurable,
+            "spanner-faults-durable",
+            &["spanner-durable"],
+            Spanner,
+            48.0,
+        )
+        .faults(spanner_fault_schedule)
+        .durable(),
+        Row::sim(S::GryffFaultsDurable, "gryff-faults-durable", &["gryff-durable"], Gryff, 97.0)
+            .faults(gryff_fault_schedule)
+            .durable(),
+        Row::sim(
+            S::ComposedFaultsDurable,
+            "composed-faults-durable",
+            &["composed-durable", "durable"],
+            Composed,
+            30.0,
+        )
+        .faults(composed_fault_schedule)
+        .durable(),
+        Row::sim(S::LiveSpannerRss, "live-spanner-rss", &["live-spanner"], Spanner, 57.0).live(),
+        Row::sim(S::LiveGryffRsc, "live-gryff-rsc", &["live-gryff"], Gryff, 102.0).live(),
+        Row::sim(S::LiveComposed, "live-composed", &[], Composed, 62.0).live(),
+        Row::sim(S::LiveSpannerFaults, "live-spanner-faults", &["live-faults"], Spanner, 48.0)
+            .faults(spanner_fault_schedule)
+            .live(),
+    ]
+};
+
+/// The scenarios of [`TABLE`] on the simulator (`live == false`) or on the
+/// live plane, in table order.
+const fn on_plane<const N: usize>(live: bool) -> [Scenario; N] {
+    let mut out = [Scenario::SpannerRss; N];
+    let (mut i, mut n) = (0, 0);
+    while i < TABLE.len() {
+        assert!(TABLE[i].scenario as usize == i, "rows are in Scenario declaration order");
+        if TABLE[i].live.is_some() == live {
+            out[n] = TABLE[i].scenario;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "ALL and LIVE together list every row exactly once");
+    out
+}
+
 impl Scenario {
-    /// Every scenario, in sweep order.
-    pub const ALL: [Scenario; 11] = [
-        Scenario::SpannerRss,
-        Scenario::GryffRsc,
-        Scenario::Composed,
-        Scenario::SpannerFaults,
-        Scenario::GryffFaults,
-        Scenario::ComposedFaults,
-        Scenario::SpannerOneWay,
-        Scenario::SpannerCommitCrash,
-        Scenario::SpannerFaultsDurable,
-        Scenario::GryffFaultsDurable,
-        Scenario::ComposedFaultsDurable,
-    ];
+    /// Every simulator scenario, in sweep order.
+    pub const ALL: [Scenario; 11] = on_plane(false);
 
     /// The live-plane scenarios (not part of [`Scenario::ALL`]: live runs
     /// use real threads and scaled wall-clock time, so they are slower per
     /// seed and not bit-deterministic — sweeps opt into them explicitly).
-    pub const LIVE: [Scenario; 4] = [
-        Scenario::LiveSpannerRss,
-        Scenario::LiveGryffRsc,
-        Scenario::LiveComposed,
-        Scenario::LiveSpannerFaults,
-    ];
+    pub const LIVE: [Scenario; 4] = on_plane(true);
+
+    fn row(&self) -> &'static Row {
+        &TABLE[*self as usize]
+    }
 
     /// True for scenarios that run on the live execution plane.
     pub fn is_live(&self) -> bool {
-        matches!(
-            self,
-            Scenario::LiveSpannerRss
-                | Scenario::LiveGryffRsc
-                | Scenario::LiveComposed
-                | Scenario::LiveSpannerFaults
-        )
+        self.row().live.is_some()
     }
 
     /// Stable scenario name (used in reports, artifacts, and CLI flags).
     pub fn name(&self) -> &'static str {
-        match self {
-            Scenario::SpannerRss => "spanner-rss",
-            Scenario::GryffRsc => "gryff-rsc",
-            Scenario::Composed => "composed",
-            Scenario::SpannerFaults => "spanner-faults",
-            Scenario::GryffFaults => "gryff-faults",
-            Scenario::ComposedFaults => "composed-faults",
-            Scenario::SpannerOneWay => "spanner-oneway",
-            Scenario::SpannerCommitCrash => "spanner-commit-crash",
-            Scenario::SpannerFaultsDurable => "spanner-faults-durable",
-            Scenario::GryffFaultsDurable => "gryff-faults-durable",
-            Scenario::ComposedFaultsDurable => "composed-faults-durable",
-            Scenario::LiveSpannerRss => "live-spanner-rss",
-            Scenario::LiveGryffRsc => "live-gryff-rsc",
-            Scenario::LiveComposed => "live-composed",
-            Scenario::LiveSpannerFaults => "live-spanner-faults",
-        }
+        self.row().name
     }
 
     /// Parses a scenario name (the inverse of [`Scenario::name`], with a few
     /// forgiving aliases).
     pub fn parse(name: &str) -> Option<Scenario> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "spanner-rss" | "spanner" | "rss" => Some(Scenario::SpannerRss),
-            "gryff-rsc" | "gryff" | "rsc" => Some(Scenario::GryffRsc),
-            "composed" | "multi-service" | "duo" => Some(Scenario::Composed),
-            "spanner-faults" => Some(Scenario::SpannerFaults),
-            "gryff-faults" => Some(Scenario::GryffFaults),
-            "composed-faults" | "faults" | "chaos" => Some(Scenario::ComposedFaults),
-            "spanner-oneway" | "oneway" | "grey" => Some(Scenario::SpannerOneWay),
-            "spanner-commit-crash" | "commit-crash" => Some(Scenario::SpannerCommitCrash),
-            "spanner-faults-durable" | "spanner-durable" => Some(Scenario::SpannerFaultsDurable),
-            "gryff-faults-durable" | "gryff-durable" => Some(Scenario::GryffFaultsDurable),
-            "composed-faults-durable" | "composed-durable" | "durable" => {
-                Some(Scenario::ComposedFaultsDurable)
-            }
-            "live-spanner-rss" | "live-spanner" => Some(Scenario::LiveSpannerRss),
-            "live-gryff-rsc" | "live-gryff" => Some(Scenario::LiveGryffRsc),
-            "live-composed" => Some(Scenario::LiveComposed),
-            "live-spanner-faults" | "live-faults" => Some(Scenario::LiveSpannerFaults),
-            _ => None,
-        }
+        let name = name.trim().to_ascii_lowercase();
+        TABLE
+            .iter()
+            .find(|row| row.name == name || row.aliases.contains(&name.as_str()))
+            .map(|row| row.scenario)
     }
 
     /// The witness model this scenario is certified against.
@@ -186,12 +279,7 @@ impl Scenario {
     /// True for the `*-durable` variants, which run every protocol node on a
     /// write-ahead log ([`Durability::Wal`]) instead of volatile state.
     pub fn is_durable(&self) -> bool {
-        matches!(
-            self,
-            Scenario::SpannerFaultsDurable
-                | Scenario::GryffFaultsDurable
-                | Scenario::ComposedFaultsDurable
-        )
+        self.row().durable
     }
 
     /// The storage backing this scenario runs its protocol nodes on.
@@ -388,39 +476,6 @@ fn composed_fault_schedule(seed: u64) -> FaultSchedule {
     fault_script(&[(victim_shard, 5, 8), (victim_replica, 11, 14)], cut_region, (16, 18), (20, 25))
 }
 
-/// Approximate completed operations per simulated second of each scenario at
-/// the sweep configuration (measured over seed sweeps); used to translate an
-/// `--ops` target into a run duration.
-fn ops_per_sim_sec(scenario: Scenario) -> f64 {
-    match scenario {
-        Scenario::SpannerRss => 57.0,
-        Scenario::GryffRsc => 102.0,
-        Scenario::Composed => 62.0,
-        Scenario::SpannerFaults => 48.0,
-        Scenario::GryffFaults => 97.0,
-        Scenario::ComposedFaults => 30.0,
-        Scenario::SpannerOneWay => 48.0,
-        Scenario::SpannerCommitCrash => 54.0,
-        // The WAL's group-commit window adds sub-millisecond latency, so the
-        // durable variants track their volatile counterparts.
-        Scenario::SpannerFaultsDurable => 48.0,
-        Scenario::GryffFaultsDurable => 97.0,
-        Scenario::ComposedFaultsDurable => 30.0,
-        // The live plane runs the same configurations, so simulated-time op
-        // rates carry over from the sim counterparts.
-        Scenario::LiveSpannerRss => 57.0,
-        Scenario::LiveGryffRsc => 102.0,
-        Scenario::LiveComposed => 62.0,
-        Scenario::LiveSpannerFaults => 48.0,
-    }
-}
-
-/// Simulated microseconds per wall microsecond for the live sweep
-/// scenarios: 40x compresses a 53-simulated-second Spanner run into ~1.3
-/// wall seconds while keeping even the shortest WAN latency (a few hundred
-/// simulated microseconds) well above the scheduler's wake-up jitter.
-pub const LIVE_TIME_SCALE: u64 = 40;
-
 /// The simulated seconds to issue load for: the scenario default, or the
 /// duration expected to produce roughly `ops` operations when a target is
 /// set. Clamped so fault scripts (which fire at fixed seconds) still get a
@@ -429,7 +484,7 @@ fn scaled_stop_secs(scenario: Scenario, ops: Option<u64>, default_secs: u64) -> 
     match ops {
         None => default_secs,
         Some(target) => {
-            let secs = (target as f64 / ops_per_sim_sec(scenario)).ceil() as u64;
+            let secs = (target as f64 / scenario.row().ops_per_sim_sec).ceil() as u64;
             secs.clamp(5, 20_000)
         }
     }
@@ -453,203 +508,117 @@ pub fn run_seed_with(
     stream: bool,
 ) -> SeedRun {
     let started = Instant::now();
+    let row = scenario.row();
     // Live scenarios always certify through the streaming checker:
     // completions arrive in completion order (there is no global event queue
     // to replay), and the acceptance bar for the plane is *online*
     // certification.
     let stream = stream || scenario.is_live();
-    let mut wall_ops_per_sec = 0.0;
-    let mut deliveries: Vec<DeliveryRecord> = Vec::new();
-    let mut storage = StorageSummary::default();
-    let (history, witness, p50_ms, p99_ms, net, pre_violation) = match scenario {
-        Scenario::SpannerRss
-        | Scenario::SpannerFaults
-        | Scenario::SpannerOneWay
-        | Scenario::SpannerCommitCrash
-        | Scenario::SpannerFaultsDurable => {
-            let faults = match scenario {
-                Scenario::SpannerFaults | Scenario::SpannerFaultsDurable => {
-                    Some(spanner_fault_schedule(seed))
-                }
-                Scenario::SpannerOneWay => Some(spanner_oneway_schedule(seed)),
-                Scenario::SpannerCommitCrash => Some(spanner_commit_crash_schedule(seed)),
-                _ => None,
+    let faults = row.faults.map(|script| script(seed));
+    let durability = scenario.durability(seed);
+    let Collected {
+        history,
+        witness,
+        pre_violation,
+        batch_checked,
+        cert_started,
+        latency: (p50_ms, p99_ms),
+        net,
+        wall_ops_per_sec,
+        deliveries,
+        storage,
+    } = match row.deployed {
+        Deployed::Spanner => {
+            let spec =
+                spanner_seed_spec(seed, faults, durability, scaled_stop_secs(scenario, ops, 45));
+            let result = match &row.live {
+                None => spanner::run_cluster(spec),
+                Some(plane) => spanner::run_cluster_on(plane, spec),
             };
-            let result = run_spanner_seed(
-                seed,
-                faults,
-                scenario.durability(seed),
-                scaled_stop_secs(scenario, ops, 45),
-            );
-            storage = result.storage;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
             let (history, witness) = spanner::build_history(&result);
-            (history, witness, p50, p99, result.net_stats, None)
-        }
-        Scenario::LiveSpannerRss | Scenario::LiveSpannerFaults => {
-            let faults = match scenario {
-                Scenario::LiveSpannerFaults => Some(spanner_fault_schedule(seed)),
-                _ => None,
-            };
-            let result = run_spanner_live_seed(seed, faults, scaled_stop_secs(scenario, ops, 45));
-            wall_ops_per_sec = result.wall_throughput;
-            deliveries = result.deliveries;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let (history, witness) = spanner::build_history_from(&result.completed);
-            (history, witness, p50, p99, result.net_stats, None)
-        }
-        Scenario::LiveGryffRsc => {
-            let result = run_gryff_live_seed(seed, scaled_stop_secs(scenario, ops, 45));
-            wall_ops_per_sec = result.wall_throughput;
-            deliveries = result.deliveries;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let net = result.net_stats;
-            let (history, edges) = gryff::build_history_from(&result.completed);
-            match assemble_witness(&history, &edges, WitnessModel::Regular) {
-                Ok(witness) => (history, witness, p50, p99, net, None),
-                Err(e) => {
-                    let reason = format!(
-                        "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                        e.unordered
-                    );
-                    (history, Vec::new(), p50, p99, net, Some(reason))
-                }
+            Collected {
+                latency: latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs)),
+                history,
+                witness,
+                pre_violation: None,
+                batch_checked: false,
+                cert_started: Instant::now(),
+                net: result.net_stats,
+                wall_ops_per_sec: result.wall_throughput,
+                deliveries: result.deliveries,
+                storage: result.storage,
             }
         }
-        Scenario::GryffRsc | Scenario::GryffFaults | Scenario::GryffFaultsDurable => {
-            let faults = match scenario {
-                Scenario::GryffFaults | Scenario::GryffFaultsDurable => {
-                    Some(gryff_fault_schedule(seed))
-                }
-                _ => None,
+        Deployed::Gryff => {
+            let spec =
+                gryff_seed_spec(seed, faults, durability, scaled_stop_secs(scenario, ops, 45));
+            let result = match &row.live {
+                None => gryff::run_gryff(spec),
+                Some(plane) => gryff::run_gryff_on(plane, spec),
             };
-            let result = run_gryff_seed(
-                seed,
-                faults,
-                scenario.durability(seed),
-                scaled_stop_secs(scenario, ops, 45),
-            );
-            storage = result.storage;
-            let (p50, p99) =
-                latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs.iter()));
-            let net = result.net_stats;
-            let (history, edges) = gryff::build_history(&result);
-            match assemble_witness(&history, &edges, WitnessModel::Regular) {
-                Ok(witness) => (history, witness, p50, p99, net, None),
-                Err(e) => {
-                    let reason = format!(
-                        "carstamp/process-order constraints are cyclic ({} ops unordered)",
-                        e.unordered
-                    );
-                    (history, Vec::new(), p50, p99, net, Some(reason))
-                }
+            let (history, witness) =
+                gryff::history_and_witness(&result.completed, scenario.model());
+            let (witness, pre_violation) = match witness {
+                Ok(witness) => (witness, None),
+                Err(reason) => (Vec::new(), Some(reason)),
+            };
+            Collected {
+                latency: latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs)),
+                history,
+                witness,
+                pre_violation,
+                batch_checked: false,
+                cert_started: Instant::now(),
+                net: result.net_stats,
+                wall_ops_per_sec: result.wall_throughput,
+                deliveries: result.deliveries,
+                storage: result.storage,
             }
         }
-        Scenario::Composed
-        | Scenario::ComposedFaults
-        | Scenario::ComposedFaultsDurable
-        | Scenario::LiveComposed => {
+        Deployed::Composed => {
             let duration_secs = scaled_stop_secs(scenario, ops, 30);
-            let mut config = match scenario {
-                Scenario::ComposedFaults | Scenario::ComposedFaultsDurable => {
-                    composed_faults_seed_config(seed, duration_secs)
-                }
-                _ => composed_seed_config(duration_secs),
+            let mut config = match faults {
+                Some(faults) => composed_faults_seed_config(faults, duration_secs),
+                None => composed_seed_config(duration_secs),
             };
-            config.durability = scenario.durability(seed);
-            let outcome = if scenario.is_live() {
-                let live = run_composed_live(seed, &config, LIVE_TIME_SCALE, true);
-                wall_ops_per_sec = live.wall_throughput;
-                deliveries = live.deliveries;
-                live.outcome
-            } else {
-                run_composed(seed, &config)
+            config.durability = durability;
+            let outcome = match &row.live {
+                None => run_composed(seed, &config),
+                Some(plane) => run_composed_on(plane, seed, &config),
             };
-            let (p50, p99) = latency_percentiles(
+            let latency = latency_percentiles(
                 outcome.apps.iter().flat_map(|a| a.completed.iter().map(|(_, r)| r)),
             );
-            let net = outcome.net_stats;
-            storage = outcome.storage;
+            // Composed certification assembles the combined history itself,
+            // and batch-checks the witness it finds.
             let cert_started = Instant::now();
-            let (certified, violation, history_ops, components, peak_window, artifact) =
-                match certify_composed(&outcome, check_threads) {
-                    Ok(ok) => {
-                        let components = ComponentSplit::split(&ok.history).len();
-                        match stream_verdict(&ok.history, &ok.witness, scenario.model(), stream) {
-                            Ok(peak) => (true, None, ok.history.len(), components, peak, None),
-                            Err(reason) => (
-                                false,
-                                Some(reason.clone()),
-                                ok.history.len(),
-                                components,
-                                0,
-                                Some(FailureArtifact {
-                                    scenario: scenario.name().to_string(),
-                                    seed,
-                                    model: scenario.model(),
-                                    violation: reason,
-                                    witness: ok.witness,
-                                    history: ok.history,
-                                    deliveries,
-                                    durability: durability_tag(scenario),
-                                    schedule: None,
-                                    coverage: None,
-                                }),
-                            ),
-                        }
-                    }
-                    Err(v) => (
-                        false,
-                        Some(v.reason.clone()),
-                        v.history.len(),
-                        ComponentSplit::split(&v.history).len(),
-                        0,
-                        Some(FailureArtifact {
-                            scenario: scenario.name().to_string(),
-                            seed,
-                            model: scenario.model(),
-                            violation: v.reason,
-                            witness: v.witness,
-                            history: v.history,
-                            deliveries,
-                            durability: durability_tag(scenario),
-                            schedule: None,
-                            coverage: None,
-                        }),
-                    ),
-                };
-            return SeedRun {
-                report: SeedReport {
-                    scenario: scenario.name(),
-                    seed,
-                    certified,
-                    violation,
-                    history_ops,
-                    p50_ms: p50,
-                    p99_ms: p99,
-                    wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
-                    cert_ms: cert_started.elapsed().as_secs_f64() * 1_000.0,
-                    dropped: net.dropped,
-                    duplicated: net.duplicated,
-                    expired: net.expired,
-                    components,
-                    peak_window,
-                    wall_ops_per_sec,
-                    storage,
-                },
-                artifact,
+            let (history, witness, pre_violation) = match certify_composed(&outcome, check_threads)
+            {
+                Ok(ok) => (ok.history, ok.witness, None),
+                Err(v) => (v.history, v.witness, Some(v.reason)),
             };
+            Collected {
+                latency,
+                history,
+                witness,
+                batch_checked: pre_violation.is_none(),
+                pre_violation,
+                cert_started,
+                net: outcome.net_stats,
+                wall_ops_per_sec: outcome.wall_throughput,
+                deliveries: outcome.deliveries,
+                storage: outcome.storage,
+            }
         }
     };
 
-    let cert_started = Instant::now();
     let components = ComponentSplit::split(&history).len();
     let verdict: Result<usize, String> = match pre_violation {
         Some(reason) => Err(reason),
-        None if stream => stream_verdict(&history, &witness, scenario.model(), true),
+        None if stream => certify_streaming(&history, &witness, scenario.model())
+            .map(|stats| stats.peak_window)
+            .map_err(|v| format!("{} violation (streaming): {v:?}", model_name(scenario.model()))),
+        None if batch_checked => Ok(0),
         None => {
             let index = HistoryIndex::new(&history);
             check_witness_parallel(&history, &index, &witness, scenario.model(), check_threads)
@@ -689,7 +658,7 @@ pub fn run_seed_with(
                 witness,
                 history,
                 deliveries,
-                durability: durability_tag(scenario),
+                durability: scenario.is_durable().then(|| "wal".to_string()),
                 schedule: None,
                 coverage: None,
             }),
@@ -697,45 +666,43 @@ pub fn run_seed_with(
     }
 }
 
-/// The durability tag a failure artifact carries: `Some("wal")` for the
-/// durable scenarios, `None` (omitted from the JSON, keeping pre-storage
-/// artifacts byte-identical) otherwise.
-fn durability_tag(scenario: Scenario) -> Option<String> {
-    scenario.is_durable().then(|| "wal".to_string())
-}
-
-/// The streaming leg of certification: when `stream` is set, runs the
-/// windowed checker over the witness and returns the reorder buffer's peak
-/// depth; otherwise a no-op. The verdict is equivalent to the batch check.
-fn stream_verdict(
-    history: &regular_core::History,
-    witness: &[regular_core::OpId],
-    model: WitnessModel,
-    stream: bool,
-) -> Result<usize, String> {
-    if !stream {
-        return Ok(0);
-    }
-    certify_streaming(history, witness, model)
-        .map(|stats| stats.peak_window)
-        .map_err(|v| format!("{} violation (streaming): {v:?}", model_name(model)))
+/// What a deployment's arm of [`run_seed_with`] hands to the shared
+/// certification tail.
+struct Collected {
+    history: History,
+    /// Empty when `pre_violation` says none could be assembled.
+    witness: Vec<OpId>,
+    /// A violation found before any certificate check: the witness
+    /// constraints are cyclic, or composed certification failed.
+    pre_violation: Option<String>,
+    /// The witness already passed the batch certificate check.
+    batch_checked: bool,
+    /// When certification work began.
+    cert_started: Instant,
+    /// Simulated (p50, p99) in milliseconds.
+    latency: (f64, f64),
+    net: MessageStats,
+    wall_ops_per_sec: f64,
+    /// The live transport's delivery log; rides along in failure artifacts.
+    deliveries: Vec<DeliveryRecord>,
+    storage: StorageSummary,
 }
 
 /// Spanner-RSS sweep configuration: WAN topology, three client nodes with
 /// two closed-loop sessions each, moderately contended uniform workload.
 /// With a fault schedule, clients run with the standard operation timeout.
-fn run_spanner_seed(
+/// The same spec deploys on either plane.
+fn spanner_seed_spec(
     seed: u64,
     faults: Option<FaultSchedule>,
     durability: Durability,
     stop_secs: u64,
-) -> spanner::RunResult {
+) -> spanner::ClusterSpec {
     let mut config =
         spanner::SpannerConfig::wan(spanner::Mode::SpannerRss).with_durability(durability);
     if let Some(faults) = faults {
         config = config.with_faults(faults, FAULT_OP_TIMEOUT);
     }
-    let net = LatencyMatrix::spanner_wan();
     let clients = (0..3)
         .map(|i| spanner::ClientSpec {
             region: i % 3,
@@ -748,31 +715,31 @@ fn run_spanner_seed(
             }) as Box<dyn SessionWorkload>,
         })
         .collect();
-    spanner::run_cluster(spanner::ClusterSpec {
+    spanner::ClusterSpec {
         config,
-        net,
+        net: LatencyMatrix::spanner_wan(),
         seed,
         clients,
         stop_issuing_at: SimTime::from_secs(stop_secs),
         drain: SimDuration::from_secs(8),
         measure_from: SimTime::from_secs(1),
-    })
+    }
 }
 
 /// Gryff-RSC sweep configuration: five-region WAN, one client per region
 /// with two closed-loop sessions, conflict-heavy YCSB mix. With a fault
-/// schedule, clients run with the standard operation timeout.
-fn run_gryff_seed(
+/// schedule, clients run with the standard operation timeout. The same spec
+/// deploys on either plane.
+fn gryff_seed_spec(
     seed: u64,
     faults: Option<FaultSchedule>,
     durability: Durability,
     stop_secs: u64,
-) -> gryff::GryffRunResult {
+) -> gryff::GryffClusterSpec {
     let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability);
     if let Some(faults) = faults {
         config = config.with_faults(faults, FAULT_OP_TIMEOUT);
     }
-    let net = LatencyMatrix::gryff_wan();
     let clients = (0..5)
         .map(|i| gryff::GryffClientSpec {
             region: i % 5,
@@ -785,85 +752,15 @@ fn run_gryff_seed(
             )) as Box<dyn SessionWorkload>,
         })
         .collect();
-    gryff::run_gryff(gryff::GryffClusterSpec {
+    gryff::GryffClusterSpec {
         config,
-        net,
+        net: LatencyMatrix::gryff_wan(),
         seed,
         clients,
         stop_issuing_at: SimTime::from_secs(stop_secs),
         drain: SimDuration::from_secs(8),
         measure_from: SimTime::from_secs(1),
-    })
-}
-
-/// The sweep configuration of [`run_spanner_seed`], deployed on the live
-/// execution plane (same topology, workload, and per-client workload seeds;
-/// real threads and the scaled wall clock instead of the event queue).
-fn run_spanner_live_seed(
-    seed: u64,
-    faults: Option<FaultSchedule>,
-    stop_secs: u64,
-) -> regular_live::SpannerLiveResult {
-    let mut config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
     }
-    let net = LatencyMatrix::spanner_wan();
-    let clients = (0..3)
-        .map(|i| spanner::ClientSpec {
-            region: i % 3,
-            sessions: SessionConfig::closed_loop(4, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
-            workload: Box::new(spanner::UniformWorkload {
-                num_keys: 250,
-                ro_fraction: 0.5,
-                keys_per_txn: 2,
-            }) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    run_cluster_live(SpannerLiveSpec {
-        config,
-        net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: LIVE_TIME_SCALE,
-        record_deliveries: true,
-        transport: regular_live::TransportKind::Mpsc,
-    })
-}
-
-/// The sweep configuration of [`run_gryff_seed`] on the live execution
-/// plane.
-fn run_gryff_live_seed(seed: u64, stop_secs: u64) -> regular_live::GryffLiveResult {
-    let config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
-    let net = LatencyMatrix::gryff_wan();
-    let clients = (0..5)
-        .map(|i| gryff::GryffClientSpec {
-            region: i % 5,
-            sessions: SessionConfig::closed_loop(3, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(999_983).wrapping_add(i as u64)),
-            workload: Box::new(gryff::ConflictWorkload::ycsb(
-                0.5,
-                0.25,
-                seed.wrapping_add(i as u64),
-            )) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    run_gryff_live(GryffLiveSpec {
-        config,
-        net,
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: LIVE_TIME_SCALE,
-        record_deliveries: true,
-        transport: regular_live::TransportKind::Mpsc,
-    })
 }
 
 /// Composed sweep configuration (smaller than the integration test's, to
@@ -882,7 +779,7 @@ fn composed_seed_config(duration_secs: u64) -> ComposedRunConfig {
 /// Composed-faults sweep configuration: the photo-sharing app (every step a
 /// fenced service switch), periodic cross-process causal handoffs, and the
 /// seed-driven fault script of [`composed_fault_schedule`].
-fn composed_faults_seed_config(seed: u64, duration_secs: u64) -> ComposedRunConfig {
+fn composed_faults_seed_config(faults: FaultSchedule, duration_secs: u64) -> ComposedRunConfig {
     ComposedRunConfig {
         num_apps: 3,
         ops_per_service: 1,
@@ -890,7 +787,7 @@ fn composed_faults_seed_config(seed: u64, duration_secs: u64) -> ComposedRunConf
         duration_secs,
         drain_secs: 12,
         workload: ComposedWorkload::PhotoApp,
-        faults: composed_fault_schedule(seed),
+        faults,
         op_timeout: Some(FAULT_OP_TIMEOUT),
         handoff_every: Some(8),
         ..ComposedRunConfig::default()

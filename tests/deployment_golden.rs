@@ -1,0 +1,270 @@
+//! Byte-identity pins for the three deployments' simulator runs.
+//!
+//! Every number below was recorded on the commit *before* the
+//! deployment/plane refactor (PR 15) through the sim entry points
+//! `run_cluster`, `run_gryff` and `run_composed`, and the file has not
+//! changed since: a harness refactor that reorders `add_node`, re-derives a
+//! per-node RNG stream, renumbers a node or touches a `SessionConfig` seed
+//! changes some completion record, and with it a digest. The digest is the
+//! FNV-1a of `benchmark/src/workloads.rs::digest` — who, when, how many
+//! attempts, and the serialization point of every completion — extended with
+//! the run's message counters.
+//!
+//! Spanner-RSS, Gryff-RSC and the composed deployment × {healthy, faults,
+//! faults on a WAL} × two seeds.
+
+use regular_seq::gryff::prelude as gryff;
+use regular_seq::session::{CompletedRecord, SessionConfig, SessionWorkload, WitnessHint};
+use regular_seq::sim::fault::{FaultSchedule, LinkScope};
+use regular_seq::sim::net::{LatencyMatrix, Region};
+use regular_seq::sim::time::{SimDuration, SimTime};
+use regular_seq::sim::MessageStats;
+use regular_seq::spanner::prelude as spanner;
+use regular_seq::storage::{Durability, StorageRegistry, WalOptions};
+use regular_seq::sweep::composed::{run_composed, ComposedRunConfig, ComposedWorkload};
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    Healthy,
+    Faults,
+    FaultsDurable,
+}
+
+const VARIANTS: [Variant; 3] = [Variant::Healthy, Variant::Faults, Variant::FaultsDurable];
+const SEEDS: [u64; 2] = [3, 10];
+const OP_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn mix(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn record(&mut self, r: &CompletedRecord) {
+        self.mix(r.session);
+        self.mix(u64::from(r.slot));
+        self.mix(r.invoke.as_micros());
+        self.mix(r.finish.as_micros());
+        self.mix(u64::from(r.attempts));
+        self.mix(u64::from(r.orphan));
+        match r.witness {
+            WitnessHint::None => self.mix(0),
+            WitnessHint::Timestamp { ts } => self.mix(ts),
+            WitnessHint::Carstamp { count, writer, rmwc } => {
+                self.mix(count);
+                self.mix(writer);
+                self.mix(rmwc);
+            }
+        }
+    }
+    fn net(&mut self, s: MessageStats) {
+        self.mix(s.delivered);
+        self.mix(s.dropped);
+        self.mix(s.duplicated);
+        self.mix(s.expired);
+    }
+}
+
+fn digest_clients(completed: &[(usize, Vec<CompletedRecord>)], net: MessageStats) -> u64 {
+    let mut h = Fnv::new();
+    for (node, recs) in completed {
+        h.mix(*node as u64);
+        h.mix(recs.len() as u64);
+        for r in recs {
+            h.record(r);
+        }
+    }
+    h.net(net);
+    h.0
+}
+
+/// One crash of `victim`, one region partition, one drop + duplicate window,
+/// all inside a 12-simulated-second run.
+fn faults(victim: usize, cut: usize) -> FaultSchedule {
+    FaultSchedule::new()
+        .crash(victim, SimTime::from_secs(3), SimTime::from_secs(5))
+        .partition_region(Region(cut), SimTime::from_secs(6), SimTime::from_secs(7))
+        .drop_window(LinkScope::All, SimTime::from_secs(8), SimTime::from_secs(10), 0.03)
+        .duplicate_window(LinkScope::All, SimTime::from_secs(8), SimTime::from_secs(10), 0.03)
+}
+
+fn durability(variant: Variant, seed: u64) -> Durability {
+    match variant {
+        Variant::FaultsDurable => Durability::Wal(
+            WalOptions::mem(StorageRegistry::new())
+                .with_group_commit_us(200)
+                .with_segment_bytes(16 * 1024)
+                .with_checkpoint_every(128)
+                .with_torn_tail_seed(seed),
+        ),
+        _ => Durability::InMemory,
+    }
+}
+
+fn spanner_digest(seed: u64, variant: Variant) -> u64 {
+    let mut config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss)
+        .with_durability(durability(variant, seed));
+    if variant != Variant::Healthy {
+        config =
+            config.with_faults(faults((seed % 3) as usize, ((seed + 1) % 3) as usize), OP_TIMEOUT);
+    }
+    let clients = (0..3)
+        .map(|i| spanner::ClientSpec {
+            region: i % 3,
+            sessions: SessionConfig::closed_loop(3, SimDuration::ZERO)
+                .with_batch(2)
+                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
+            workload: Box::new(spanner::UniformWorkload {
+                num_keys: 150,
+                ro_fraction: 0.5,
+                keys_per_txn: 2,
+            }) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    let r = spanner::run_cluster(spanner::ClusterSpec {
+        config,
+        net: LatencyMatrix::spanner_wan(),
+        seed,
+        clients,
+        stop_issuing_at: SimTime::from_secs(12),
+        drain: SimDuration::from_secs(6),
+        measure_from: SimTime::from_secs(1),
+    });
+    digest_clients(&r.completed, r.net_stats)
+}
+
+fn gryff_digest(seed: u64, variant: Variant) -> u64 {
+    let mut config =
+        gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability(variant, seed));
+    if variant != Variant::Healthy {
+        config =
+            config.with_faults(faults((seed % 5) as usize, ((seed + 2) % 5) as usize), OP_TIMEOUT);
+    }
+    let clients = (0..5)
+        .map(|i| gryff::GryffClientSpec {
+            region: i % 5,
+            sessions: SessionConfig::closed_loop(2, SimDuration::ZERO)
+                .with_workload_seed(seed.wrapping_mul(999_983).wrapping_add(i as u64)),
+            workload: Box::new(gryff::ConflictWorkload {
+                rmw_ratio: 0.1,
+                ..gryff::ConflictWorkload::ycsb(0.5, 0.25, seed.wrapping_add(i as u64))
+            }) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    let r = gryff::run_gryff(gryff::GryffClusterSpec {
+        config,
+        net: LatencyMatrix::gryff_wan(),
+        seed,
+        clients,
+        stop_issuing_at: SimTime::from_secs(12),
+        drain: SimDuration::from_secs(6),
+        measure_from: SimTime::from_secs(1),
+    });
+    digest_clients(&r.completed, r.net_stats)
+}
+
+fn composed_digest(seed: u64, variant: Variant) -> u64 {
+    let mut config = ComposedRunConfig {
+        num_apps: 2,
+        ops_per_service: 2,
+        batch: 2,
+        duration_secs: 12,
+        drain_secs: 8,
+        durability: durability(variant, seed),
+        ..ComposedRunConfig::default()
+    };
+    if variant != Variant::Healthy {
+        // Shards are nodes 0..3, replicas 3..8: crash one of each.
+        config.workload = ComposedWorkload::PhotoApp;
+        config.faults = faults((seed % 3) as usize, ((seed + 1) % 5) as usize).crash(
+            3 + (seed % 5) as usize,
+            SimTime::from_secs(4),
+            SimTime::from_secs(6),
+        );
+        config.op_timeout = Some(OP_TIMEOUT);
+        config.handoff_every = Some(6);
+    }
+    let outcome = run_composed(seed, &config);
+    let mut h = Fnv::new();
+    for app in &outcome.apps {
+        h.mix(app.node as u64);
+        h.mix(app.completed.len() as u64);
+        for (svc, rec) in &app.completed {
+            h.mix(*svc as u64);
+            h.record(rec);
+        }
+        h.mix(app.auto_fences);
+        h.mix(app.handoffs.len() as u64);
+    }
+    h.net(outcome.net_stats);
+    h.0
+}
+
+/// `[deployment][variant][seed]`, recorded on the parent of PR 15.
+const GOLDEN: [[[u64; 2]; 3]; 3] = [
+    [
+        [0x24ff_f1fe_618c_3b31, 0x72ab_e36f_45cb_5181],
+        [0x8d75_daaf_305c_5a01, 0x324f_2dd3_d28a_6269],
+        [0x1caa_b7d9_6631_942d, 0xa47a_2b68_91aa_7eba],
+    ],
+    [
+        [0x0ed3_d331_82a5_3809, 0xc612_cce1_50dc_a48a],
+        [0x8c14_a3c3_6d9f_b760, 0x8008_23c3_22c9_2795],
+        [0x300d_3912_8b6d_3ce6, 0x72b4_553d_01de_ca57],
+    ],
+    [
+        [0x0f71_a57a_fe98_f9a0, 0xaeef_de40_27d8_f286],
+        [0xa1b7_f0b0_522a_0eed, 0xbf5e_d4a4_3d64_c1cb],
+        [0x0c05_dc9f_54f5_7bd1, 0x57fe_5333_bd93_3140],
+    ],
+];
+
+#[test]
+fn sim_runs_of_all_three_deployments_keep_their_digests() {
+    type Deployment = (&'static str, fn(u64, Variant) -> u64);
+    let deployments: [Deployment; 3] =
+        [("spanner", spanner_digest), ("gryff", gryff_digest), ("composed", composed_digest)];
+    let mut actual = [[[0u64; 2]; 3]; 3];
+    for (d, (_, run)) in deployments.iter().enumerate() {
+        for (v, &variant) in VARIANTS.iter().enumerate() {
+            for (s, &seed) in SEEDS.iter().enumerate() {
+                actual[d][v][s] = run(seed, variant);
+            }
+        }
+    }
+    let render = |t: &[[[u64; 2]; 3]; 3]| {
+        t.iter()
+            .map(|d| {
+                let rows: Vec<String> =
+                    d.iter().map(|v| format!("[{:#018x}, {:#018x}]", v[0], v[1])).collect();
+                format!("    [{}],", rows.join(", "))
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert!(
+        actual == GOLDEN,
+        "completion digests moved (rows: {}; columns: {VARIANTS:?} x seeds {SEEDS:?})\n\
+         actual:\n{}\nexpected:\n{}",
+        deployments.map(|(name, _)| name).join(", "),
+        render(&actual),
+        render(&GOLDEN),
+    );
+}
+
+/// The pins are not vacuous: the fault variants differ from the healthy run,
+/// and the seeds differ from each other.
+#[test]
+fn digests_tell_variants_and_seeds_apart() {
+    for d in GOLDEN {
+        let mut flat: Vec<u64> = d.iter().flatten().copied().collect();
+        flat.sort_unstable();
+        flat.dedup();
+        assert_eq!(flat.len(), 6, "a deployment's digests collapse: {d:?}");
+    }
+}

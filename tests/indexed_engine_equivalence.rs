@@ -10,19 +10,24 @@
 
 use proptest::prelude::*;
 use regular_seq::gryff::prelude as gryff;
-use regular_seq::session::{HistoryRecorder, SessionConfig, SessionWorkload};
+use regular_seq::session::{HistoryRecorder, SessionConfig, SessionWorkload, SimPlane};
 use regular_seq::sim::fault::{FaultSchedule, LinkScope};
 use regular_seq::sim::net::{LatencyMatrix, Region};
 use regular_seq::sim::queue::QueueKind;
 use regular_seq::sim::time::{SimDuration, SimTime};
 use regular_seq::spanner::prelude as spanner;
 use regular_seq::sweep::artifact::history_to_json;
-use regular_seq::sweep::composed::{run_composed, ComposedRunConfig, ComposedWorkload};
+use regular_seq::sweep::composed::{run_composed_on, ComposedRunConfig, ComposedWorkload};
+
+/// The simulator plane on the given event queue — the queue is a property of
+/// the plane, not of any protocol's configuration.
+fn sim<M>(queue: QueueKind) -> SimPlane<M> {
+    SimPlane { queue, ..SimPlane::default() }
+}
 
 /// A Spanner-RSS WAN run rendered as canonical history JSON.
 fn spanner_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) -> String {
     let mut config = spanner::SpannerConfig::wan(spanner::Mode::SpannerRss);
-    config.queue_kind = kind;
     if let Some(faults) = faults {
         config = config.with_faults(faults, SimDuration::from_millis(1_500));
     }
@@ -38,15 +43,18 @@ fn spanner_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) ->
             }) as Box<dyn SessionWorkload>,
         })
         .collect();
-    let result = spanner::run_cluster(spanner::ClusterSpec {
-        config,
-        net: LatencyMatrix::spanner_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(15),
-        drain: SimDuration::from_secs(6),
-        measure_from: SimTime::from_secs(1),
-    });
+    let result = spanner::run_cluster_on(
+        &sim(kind),
+        spanner::ClusterSpec {
+            config,
+            net: LatencyMatrix::spanner_wan(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_secs(15),
+            drain: SimDuration::from_secs(6),
+            measure_from: SimTime::from_secs(1),
+        },
+    );
     let (history, _) = spanner::build_history(&result);
     history_to_json(&history).to_pretty()
 }
@@ -54,7 +62,6 @@ fn spanner_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) ->
 /// A Gryff-RSC WAN run rendered as canonical history JSON.
 fn gryff_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) -> String {
     let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc);
-    config.queue_kind = kind;
     if let Some(faults) = faults {
         config = config.with_faults(faults, SimDuration::from_millis(1_500));
     }
@@ -70,15 +77,18 @@ fn gryff_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) -> S
             )) as Box<dyn SessionWorkload>,
         })
         .collect();
-    let result = gryff::run_gryff(gryff::GryffClusterSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(15),
-        drain: SimDuration::from_secs(6),
-        measure_from: SimTime::from_secs(1),
-    });
+    let result = gryff::run_gryff_on(
+        &sim(kind),
+        gryff::GryffClusterSpec {
+            config,
+            net: LatencyMatrix::gryff_wan(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_secs(15),
+            drain: SimDuration::from_secs(6),
+            measure_from: SimTime::from_secs(1),
+        },
+    );
     let (history, _) = gryff::build_history(&result);
     history_to_json(&history).to_pretty()
 }
@@ -98,10 +108,9 @@ fn composed_history(seed: u64, kind: QueueKind) -> String {
             .duplicate_window(LinkScope::All, SimTime::from_secs(7), SimTime::from_secs(9), 0.03),
         op_timeout: Some(SimDuration::from_millis(1_200)),
         handoff_every: Some(6),
-        queue_kind: kind,
         ..ComposedRunConfig::default()
     };
-    let outcome = run_composed(seed, &config);
+    let outcome = run_composed_on(&sim(kind), seed, &config);
     let mut recorder = HistoryRecorder::new();
     for app in &outcome.apps {
         for (_, rec) in &app.completed {

@@ -2,21 +2,30 @@
 //! threads and a scaled wall clock, certified with the same checkers as the
 //! simulator.
 //!
-//! Three angles:
+//! Four angles:
 //!
-//! * a differential check that a minimal zero-latency deployment certifies on
-//!   both planes and makes comparable progress,
+//! * a differential check that a minimal zero-latency deployment — one spec
+//!   function, run on both planes — certifies on both and makes comparable
+//!   progress,
+//! * a live run on a write-ahead log, whose WAL counters and final stores
+//!   come back in the same result struct the simulator fills,
 //! * the acceptance configuration — a 12-thread Spanner-RSS cluster driven
 //!   past 30k operations and streaming-certified online,
 //! * a faulted live run (crashes, partitions, drops on the wall clock) that
 //!   still certifies.
 
 use regular_seq::core::checker::certificate::WitnessModel;
-use regular_seq::live::{run_cluster_live, SpannerLiveSpec, TransportKind};
+use regular_seq::live::{LivePlane, TransportKind};
 use regular_seq::session::{SessionConfig, SessionWorkload};
 use regular_seq::sim::{LatencyMatrix, SimDuration, SimTime};
+use regular_seq::spanner::durable::replay_store;
 use regular_seq::spanner::prelude::*;
+use regular_seq::storage::{Durability, StorageRegistry, WalOptions};
 use regular_seq::sweep::{certify_streaming, run_seed_with, Scenario};
+
+fn live(time_scale: u64, record_deliveries: bool) -> LivePlane {
+    LivePlane { time_scale, record_deliveries, transport: TransportKind::Mpsc }
+}
 
 fn uniform_clients(
     num_clients: usize,
@@ -44,41 +53,30 @@ fn uniform_clients(
 /// the scaled clock).
 #[test]
 fn live_plane_matches_simulator_on_a_zero_latency_cluster() {
-    let seed = 7;
-    let stop = SimTime::from_secs(10);
-    let drain = SimDuration::from_secs(5);
-    let measure_from = SimTime::from_secs(1);
     // Three regions (the wan config spreads replicas over them), zero
     // latency and zero jitter between all of them.
-    let zero = [0.0, 0.0, 0.0];
-    let zero_net = || LatencyMatrix::from_rtt_ms(&[&zero, &zero, &zero], SimDuration::ZERO);
+    let spec = || {
+        let seed = 7;
+        let zero = [0.0, 0.0, 0.0];
+        ClusterSpec {
+            config: SpannerConfig::wan(Mode::SpannerRss),
+            net: LatencyMatrix::from_rtt_ms(&[&zero, &zero, &zero], SimDuration::ZERO),
+            seed,
+            clients: uniform_clients(1, 1, 100, seed),
+            stop_issuing_at: SimTime::from_secs(10),
+            drain: SimDuration::from_secs(5),
+            measure_from: SimTime::from_secs(1),
+        }
+    };
 
-    let sim = run_cluster(ClusterSpec {
-        config: SpannerConfig::wan(Mode::SpannerRss),
-        net: zero_net(),
-        seed,
-        clients: uniform_clients(1, 1, 100, seed),
-        stop_issuing_at: stop,
-        drain,
-        measure_from,
-    });
+    let sim = run_cluster(spec());
     let (sim_history, sim_witness) = build_history(&sim);
     certify_streaming(&sim_history, &sim_witness, WitnessModel::Regular)
         .expect("simulator run must certify RSS");
+    assert!(sim.deliveries.is_empty() && sim.wall.is_zero(), "the simulator reports no wall");
 
-    let live = run_cluster_live(SpannerLiveSpec {
-        config: SpannerConfig::wan(Mode::SpannerRss),
-        net: zero_net(),
-        seed,
-        clients: uniform_clients(1, 1, 100, seed),
-        stop_issuing_at: stop,
-        drain,
-        measure_from,
-        time_scale: 20,
-        record_deliveries: true,
-        transport: TransportKind::Mpsc,
-    });
-    let (live_history, live_witness) = build_history_from(&live.completed);
+    let live = run_cluster_on(&live(20, true), spec());
+    let (live_history, live_witness) = build_history(&live);
     certify_streaming(&live_history, &live_witness, WitnessModel::Regular)
         .expect("live run must certify RSS");
 
@@ -104,6 +102,44 @@ fn live_plane_matches_simulator_on_a_zero_latency_cluster() {
     );
 }
 
+/// What unifying the result struct makes observable: a live run on a
+/// write-ahead log hands back non-zero WAL counters and every shard's final
+/// store — and an offline replay of each shard's device rebuilds exactly that
+/// store — while the history still streaming-certifies.
+#[test]
+fn live_spanner_on_a_wal_returns_storage_counters_and_final_stores() {
+    let seed = 5;
+    let registry = StorageRegistry::new();
+    let config = SpannerConfig::wan(Mode::SpannerRss)
+        .with_durability(Durability::Wal(WalOptions::mem(registry.clone())));
+    let num_shards = config.num_shards;
+    let result = run_cluster_on(
+        &live(40, false),
+        ClusterSpec {
+            config,
+            net: LatencyMatrix::spanner_wan(),
+            seed,
+            clients: uniform_clients(3, 2, 100, seed),
+            stop_issuing_at: SimTime::from_secs(6),
+            drain: SimDuration::from_secs(4),
+            measure_from: SimTime::from_secs(1),
+        },
+    );
+    let s = result.storage;
+    assert!(s.records > 0 && s.bytes > 0 && s.syncs > 0, "shards logged to the WAL ({s:?})");
+    assert_eq!(s.skipped_checkpoints, 0, "no snapshot outgrew its checkpoint area");
+    assert_eq!(result.shard_stores.len(), num_shards);
+    assert!(result.shard_stores.iter().any(|store| !store.is_empty()), "writes committed");
+    for (shard, store) in result.shard_stores.iter().enumerate() {
+        let mut replayed = replay_store(registry.disk(&format!("spanner-shard-{shard}"))).dump();
+        replayed.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
+        assert_eq!(&replayed, store, "offline WAL replay of shard {shard} equals its final store");
+    }
+    let (history, witness) = build_history(&result);
+    certify_streaming(&history, &witness, WitnessModel::Regular)
+        .expect("durable live run must certify RSS");
+}
+
 /// The acceptance configuration of the live plane: 3 shard threads, 8 client
 /// threads, and the router (12 OS threads) driving well past 30k operations,
 /// with the resulting history streaming-certified as RSS.
@@ -113,23 +149,23 @@ fn live_spanner_stress_run_certifies_rss_online() {
     let config = SpannerConfig::wan(Mode::SpannerRss);
     let num_shards = config.num_shards;
     let num_clients = 8;
-    let result = run_cluster_live(SpannerLiveSpec {
-        config,
-        net: LatencyMatrix::spanner_wan(),
-        seed,
-        clients: uniform_clients(num_clients, 4, 500, seed),
-        stop_issuing_at: SimTime::from_secs(280),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-        time_scale: 40,
-        record_deliveries: false,
-        transport: TransportKind::Mpsc,
-    });
+    let result = run_cluster_on(
+        &live(40, false),
+        ClusterSpec {
+            config,
+            net: LatencyMatrix::spanner_wan(),
+            seed,
+            clients: uniform_clients(num_clients, 4, 500, seed),
+            stop_issuing_at: SimTime::from_secs(280),
+            drain: SimDuration::from_secs(8),
+            measure_from: SimTime::from_secs(1),
+        },
+    );
 
     let threads = num_shards + num_clients + 1;
     assert!(threads >= 8, "stress deployment must span at least 8 threads, got {threads}");
 
-    let (history, witness) = build_history_from(&result.completed);
+    let (history, witness) = build_history(&result);
     assert!(
         history.len() >= 30_000,
         "stress run must complete at least 30k operations, got {}",
