@@ -10,14 +10,20 @@
 //!   host parallelism).
 //! * `streaming_100k` — the windowed streaming checker fed in
 //!   completion-time order through a reorder buffer.
+//! * `streaming_100k_10k_sessions` — the same path on a session-shaped
+//!   history (`regular_sweep::synthetic_session_history`: ten ops per
+//!   process, so 10k processes where the rows above have `2 × groups`), as a
+//!   ratio of `witness_full_100k_10k_sessions`, the batch checker on it.
+//!   Per-process work in front of the checker shows here and nowhere else.
 //! * `saturated_search_2k` — the full search-side cascade (saturation
 //!   prefilter + component decomposition + guided search) *finding* a
 //!   witness for a 2k-op history, far past the old 128-op exact frontier.
 //!
-//! The decomposed and streaming rows carry a `speedup` ratio against
-//! `witness_full_100k` measured in the same process, which transfers across
-//! hosts the way absolute milliseconds do not; `bench_gate --checker` gates
-//! those ratios against `ci/checker_scale_reference.json`.
+//! The decomposed and streaming rows carry a `speedup` ratio against the
+//! `witness_full` row of the same history, measured in the same process,
+//! which transfers across hosts the way absolute milliseconds do not;
+//! `bench_gate --checker` gates those ratios against
+//! `ci/checker_scale_reference.json`.
 //!
 //! Usage:
 //!
@@ -32,7 +38,9 @@ use std::time::Instant;
 
 use regular_core::checker::certificate::WitnessModel;
 use regular_core::{check, check_witness, check_witness_decomposed, Model};
-use regular_sweep::{certify_streaming, synthetic_history, write_json, Json};
+use regular_sweep::{
+    certify_streaming, synthetic_history, synthetic_session_history, write_json, Json,
+};
 
 /// Wall-clock milliseconds, median of `ROUNDS` interleaved runs per path.
 ///
@@ -41,14 +49,14 @@ use regular_sweep::{certify_streaming, synthetic_history, write_json, Json};
 /// neighbour) hit every path about equally, and the median resists
 /// outlier-fast and outlier-slow samples alike — the *ratios* the gate
 /// consumes stay stable even when absolute times wobble.
-fn time_all(paths: &mut [(&str, &mut dyn FnMut() -> bool)]) -> Vec<f64> {
+fn time_all(names: &[&str], paths: &mut [&mut dyn FnMut() -> bool]) -> Vec<f64> {
     const ROUNDS: usize = 15;
-    for (name, f) in paths.iter_mut() {
+    for (name, f) in names.iter().zip(paths.iter_mut()) {
         assert!(f(), "{name} failed during warmup");
     }
     let mut samples = vec![Vec::with_capacity(ROUNDS); paths.len()];
     for _ in 0..ROUNDS {
-        for (i, (name, f)) in paths.iter_mut().enumerate() {
+        for (i, (name, f)) in names.iter().zip(paths.iter_mut()).enumerate() {
             let started = Instant::now();
             assert!(f(), "{name} failed");
             samples[i].push(started.elapsed().as_secs_f64() * 1_000.0);
@@ -106,6 +114,9 @@ fn main() -> ExitCode {
     let (history, witness) = synthetic_history(ops, groups);
     let model = WitnessModel::Regular;
 
+    const SESSION_GROUPS: usize = 16;
+    let (session_history, session_witness) = synthetic_session_history(ops, SESSION_GROUPS, 10);
+
     let (search_history, _) = synthetic_history(search_ops, groups.min(4));
 
     let mut peak_window = 0usize;
@@ -118,49 +129,45 @@ fn main() -> ExitCode {
         }
         Err(_) => false,
     };
+    let mut full_sessions = || check_witness(&session_history, &session_witness, model).is_ok();
+    let mut streaming_sessions =
+        || certify_streaming(&session_history, &session_witness, model).is_ok();
     let mut search = || {
         check(&search_history, Model::RegularSequentialConsistency)
             .map(|o| o.satisfied)
             .unwrap_or(false)
     };
-    let times = time_all(&mut [
-        ("witness_full", &mut full),
-        ("witness_decomposed", &mut decomposed),
-        ("streaming", &mut streaming),
-        ("saturated_search", &mut search),
-    ]);
-    let (full_ms, decomposed_ms, streaming_ms, search_ms) =
-        (times[0], times[1], times[2], times[3]);
-    println!("   witness_full       {full_ms:>9.2} ms");
-    println!("   witness_decomposed {decomposed_ms:>9.2} ms ({:.2}x)", full_ms / decomposed_ms);
-    println!("   streaming          {streaming_ms:>9.2} ms ({:.2}x)", full_ms / streaming_ms);
-    println!("   saturated_search   {search_ms:>9.2} ms ({search_ops} ops)");
+    // Per path: name, ops, components, the row its `speedup` is a ratio of.
+    let rows = [
+        ("witness_full_100k", ops, groups, None),
+        ("witness_decomposed_100k", ops, groups, Some(0)),
+        ("streaming_100k", ops, groups, Some(0)),
+        ("witness_full_100k_10k_sessions", ops, SESSION_GROUPS, None),
+        ("streaming_100k_10k_sessions", ops, SESSION_GROUPS, Some(3)),
+        ("saturated_search_2k", search_ops, groups.min(4), None),
+    ];
+    let mut paths: [&mut dyn FnMut() -> bool; 6] = [
+        &mut full,
+        &mut decomposed,
+        &mut streaming,
+        &mut full_sessions,
+        &mut streaming_sessions,
+        &mut search,
+    ];
+    let times = time_all(&rows.map(|row| row.0), &mut paths);
+    let mut entries = Vec::new();
+    for (&(name, ops, components, baseline), &millis) in rows.iter().zip(&times) {
+        let speedup = baseline.map(|row: usize| times[row] / millis);
+        let ratio = speedup.map(|s| format!(" ({s:.2}x)")).unwrap_or_default();
+        println!("   {name:<31} {millis:>9.2} ms{ratio}");
+        entries.push(entry(name, ops, components, millis, speedup));
+    }
 
     let report = Json::Obj(
         vec![
             ("schema".to_string(), Json::str("regular-seq/checker-scale/v1")),
             ("peak_window".to_string(), Json::u64(peak_window as u64)),
-            (
-                "entries".to_string(),
-                Json::Arr(vec![
-                    entry("witness_full_100k", ops, groups, full_ms, None),
-                    entry(
-                        "witness_decomposed_100k",
-                        ops,
-                        groups,
-                        decomposed_ms,
-                        Some(full_ms / decomposed_ms),
-                    ),
-                    entry(
-                        "streaming_100k",
-                        ops,
-                        groups,
-                        streaming_ms,
-                        Some(full_ms / streaming_ms),
-                    ),
-                    entry("saturated_search_2k", search_ops, groups.min(4), search_ms, None),
-                ]),
-            ),
+            ("entries".to_string(), Json::Arr(entries)),
         ]
         .into_iter()
         .collect(),

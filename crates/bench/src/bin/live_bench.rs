@@ -578,10 +578,7 @@ fn net_mode(
                         ("transport", Json::str("uds")),
                         ("history_ops", Json::u64(m.history_ops as u64)),
                         ("certified", Json::Bool(m.certified)),
-                        (
-                            "violation",
-                            m.violation.as_deref().map(Json::str).unwrap_or(Json::Null),
-                        ),
+                        ("violation", m.violation.as_deref().map(Json::str).unwrap_or(Json::Null)),
                         ("sim_ops_per_sec", Json::f64(round2(m.sim_ops_per_sec))),
                         ("wall_ops_per_sec", Json::f64(round2(m.wall_ops_per_sec))),
                         ("wall_ms", Json::f64(round2(m.wall_ms))),

@@ -129,14 +129,11 @@ pub fn assemble_witness(
     model: WitnessModel,
 ) -> Result<Vec<OpId>, AssembleError> {
     // Operations to include: complete ones plus incomplete ones referenced by
-    // the explicit edges.
+    // the explicit edges (an orphan on several edges is pushed once per
+    // endpoint; the dedup below folds them).
     let mut include: Vec<OpId> = history.complete_ids();
-    for (a, b) in extra_edges {
-        for id in [a, b] {
-            if !history.op(*id).is_complete() && !include.contains(id) {
-                include.push(*id);
-            }
-        }
+    for &(a, b) in extra_edges {
+        include.extend([a, b].into_iter().filter(|id| !history.op(*id).is_complete()));
     }
     include.sort_unstable();
     include.dedup();

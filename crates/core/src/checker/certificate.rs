@@ -240,8 +240,8 @@ fn check_order_constraints(
         WitnessModel::ProcessOrder => {}
         WitnessModel::Regular => {
             check_reads_from_edges(index, positions, shard)?;
-            if !history.messages().is_empty() && shard.is_primary() {
-                for (a, b) in message_edges(history) {
+            if shard.is_primary() {
+                for (a, b) in message_edges(history, index.ops_by_process()) {
                     check_edge(positions, a, b, OrderKind::Causal)?;
                 }
             }

@@ -148,7 +148,7 @@ pub fn constraints_for_with(history: &History, index: &HistoryIndex, model: Mode
             Constraints::from_edges(edges)
         }
         Model::ProcessOrderedSerializability | Model::SequentialConsistency => {
-            Constraints::from_edges(index.process_order_pairs().collect())
+            Constraints::from_edges(index.ops_by_process().pairs().collect())
         }
     }
 }

@@ -130,7 +130,7 @@ fn check_total_order(
 
 /// CRDB: process order + real-time order between operations sharing a key.
 fn crdb_constraints(index: &HistoryIndex) -> Constraints {
-    let mut edges: Vec<(OpId, OpId)> = index.process_order_pairs().collect();
+    let mut edges: Vec<(OpId, OpId)> = index.ops_by_process().pairs().collect();
     let accessed = |i: usize| index.read_key_ids(i).iter().chain(index.write_key_ids(i));
     for a in 0..index.len() {
         if !index.is_complete(a) {
@@ -153,7 +153,7 @@ fn crdb_constraints(index: &HistoryIndex) -> Constraints {
 /// OSC(U): process order + everything that precedes a write in real time is
 /// ordered before that write.
 fn osc_u_constraints(index: &HistoryIndex) -> Constraints {
-    let mut edges: Vec<(OpId, OpId)> = index.process_order_pairs().collect();
+    let mut edges: Vec<(OpId, OpId)> = index.ops_by_process().pairs().collect();
     for a in 0..index.len() {
         if !index.is_complete(a) {
             continue;
@@ -195,7 +195,7 @@ fn check_real_time_causal(history: &History, index: &HistoryIndex) -> Result<boo
         .map(|o| OpId(o as u32))
         .collect();
     let pending = index.pending_mutations();
-    for (_, process_ops) in index.ops_by_process() {
+    for (_, process_ops) in index.ops_by_process().iter() {
         let mut included: Vec<OpId> = writes.clone();
         for &id in process_ops {
             if index.is_read_only(id.index()) && index.is_complete(id.index()) {

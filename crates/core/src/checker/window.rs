@@ -5,7 +5,8 @@
 //! still-growing run — or a 100k+-op history whose witness arrives out of
 //! order from sharded assembly — [`StreamingChecker`] validates the same
 //! three clauses *incrementally*: operations are pushed in witness order, and
-//! every constraint family is folded into O(keys + processes) running state:
+//! every constraint family is folded into running state, O(keys + processes)
+//! for all but the two tables named below:
 //!
 //! * **membership** — duplicates are caught on push, missing completed ops at
 //!   [`StreamingChecker::finish`];
@@ -27,10 +28,18 @@
 //! a full push sequence therefore accepts iff
 //! [`check_witness`](crate::checker::check_witness) accepts the
 //! same witness (which violation is reported first may differ — same caveat
-//! as the sharded checker). [`WindowBuffer`] supplies the reordering front
-//! end: out-of-order `(position, item)` arrivals are buffered and released in
-//! contiguous windows, so memory is bounded by the arrival skew (the window),
-//! never the history.
+//! as the sharded checker).
+//!
+//! The two tables that grow with the history: the pushed-id bitset (one bit
+//! per op) and, under [`WitnessModel::Regular`], `first_reader` (one entry
+//! per distinct `(service, key, value)` observed — with unique written
+//! values, one per write that was ever read).
+//!
+//! [`WindowBuffer`] supplies the reordering front end: out-of-order
+//! `(position, item)` arrivals are buffered and released in contiguous
+//! windows, so its memory is the arrival skew of the witness — one record
+//! whose position is far earlier than its arrival holds back everything that
+//! arrived before it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -67,13 +76,8 @@ pub struct StreamingChecker {
 }
 
 impl StreamingChecker {
-    /// A checker for a history without message edges.
-    pub fn new(model: WitnessModel) -> Self {
-        Self::with_message_edges(model, &[])
-    }
-
-    /// A checker that will also enforce the given message-passing causal
-    /// edges (pairs from [`crate::order::message_edges`], checked under
+    /// A checker that also enforces the given message-passing causal edges
+    /// (pairs from [`crate::order::message_edges`], checked under
     /// [`WitnessModel::Regular`] only, as in the batch checker).
     pub fn with_message_edges(model: WitnessModel, edges: &[(OpId, OpId)]) -> Self {
         let mut msg_preds: HashMap<u32, Vec<u32>, FxBuildHasher> = HashMap::default();
@@ -298,85 +302,44 @@ impl StreamingChecker {
 }
 
 /// Reordering front end for [`StreamingChecker`]: items tagged with their
-/// witness position arrive in any order; [`WindowBuffer::pop_ready`] releases
+/// witness position arrive in any order; [`WindowBuffer::pop_next`] releases
 /// the contiguous prefix. Memory is bounded by the arrival skew — the peak
 /// buffered count is reported so drivers can size windows.
 #[derive(Debug)]
 pub struct WindowBuffer<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// Min-heap on position (unique, so `T`'s order never decides).
+    heap: BinaryHeap<Reverse<(u32, T)>>,
     next: u32,
     peak: usize,
 }
 
-#[derive(Debug)]
-struct Entry<T> {
-    pos: u32,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.pos == other.pos
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.pos.cmp(&other.pos)
-    }
-}
-
-impl<T> Default for WindowBuffer<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> WindowBuffer<T> {
+impl<T: Ord> Default for WindowBuffer<T> {
     /// An empty buffer expecting position 0 first.
-    pub fn new() -> Self {
+    fn default() -> Self {
         WindowBuffer { heap: BinaryHeap::new(), next: 0, peak: 0 }
     }
+}
 
+impl<T: Ord> WindowBuffer<T> {
     /// Buffers `item` arriving at witness position `pos`.
     pub fn push(&mut self, pos: u32, item: T) {
-        self.heap.push(Reverse(Entry { pos, item }));
+        self.heap.push(Reverse((pos, item)));
         self.peak = self.peak.max(self.heap.len());
     }
 
-    /// Releases the contiguous run starting at the next expected position,
-    /// in order. Empty if that position has not arrived yet.
-    pub fn pop_ready(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.pos != self.next {
-                break;
-            }
-            let Reverse(e) = self.heap.pop().expect("peeked");
-            out.push(e.item);
-            self.next += 1;
+    /// Releases the item at the next expected position, if it has arrived.
+    /// Calling until `None` drains the contiguous run — one window.
+    pub fn pop_next(&mut self) -> Option<T> {
+        if self.heap.peek()?.0 .0 != self.next {
+            return None;
         }
-        out
+        self.next += 1;
+        self.heap.pop().map(|Reverse((_, item))| item)
     }
 
-    /// Items currently buffered (arrived, not yet released).
-    pub fn buffered(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// High-water mark of [`Self::buffered`] over the buffer's lifetime.
+    /// High-water mark of items buffered (arrived, not yet released).
     pub fn peak_buffered(&self) -> usize {
         self.peak
-    }
-
-    /// The next witness position [`Self::pop_ready`] will release.
-    pub fn next_pos(&self) -> u32 {
-        self.next
     }
 }
 
@@ -384,31 +347,23 @@ impl<T> WindowBuffer<T> {
 mod tests {
     use super::*;
     use crate::checker::certificate::check_witness;
-    use crate::history::{History, HistoryBuilder};
+    use crate::history::{ByProcess, History, HistoryBuilder};
     use crate::order::message_edges;
 
     /// Feeds `witness` through a [`StreamingChecker`] exactly as the sweep
-    /// driver does: process predecessors from the history's per-process
-    /// order, message edges precomputed.
+    /// driver does: process predecessors and message edges from the
+    /// history's one per-process grouping.
     fn stream_check(
         history: &History,
         witness: &[OpId],
         model: WitnessModel,
     ) -> Result<(), WitnessViolation> {
-        let mut prev: HashMap<u32, OpId> = HashMap::new();
-        for p in history.processes() {
-            let mut last: Option<OpId> = None;
-            for id in history.ops_of_process(p) {
-                if let Some(l) = last {
-                    prev.insert(id.0, l);
-                }
-                last = Some(id);
-            }
-        }
-        let edges = message_edges(history);
+        let by_process = ByProcess::new(history);
+        let prev = by_process.predecessors();
+        let edges = message_edges(history, &by_process);
         let mut checker = StreamingChecker::with_message_edges(model, &edges);
         for &id in witness {
-            checker.push(history.op(id), prev.get(&id.0).copied())?;
+            checker.push(history.op(id), prev[id.index()])?;
         }
         let complete = history.complete_ids();
         checker.finish(&complete)
@@ -530,15 +485,18 @@ mod tests {
 
     #[test]
     fn window_buffer_releases_contiguous_runs() {
-        let mut buf: WindowBuffer<&str> = WindowBuffer::new();
+        let mut buf: WindowBuffer<&str> = WindowBuffer::default();
+        let drain = |buf: &mut WindowBuffer<&'static str>| -> Vec<&str> {
+            std::iter::from_fn(|| buf.pop_next()).collect()
+        };
         buf.push(2, "c");
-        assert!(buf.pop_ready().is_empty());
+        assert!(drain(&mut buf).is_empty());
         buf.push(0, "a");
-        assert_eq!(buf.pop_ready(), vec!["a"]);
+        assert_eq!(drain(&mut buf), vec!["a"]);
         buf.push(1, "b");
-        assert_eq!(buf.pop_ready(), vec!["b", "c"]);
-        assert_eq!(buf.buffered(), 0);
+        assert_eq!(drain(&mut buf), vec!["b", "c"]);
         assert_eq!(buf.peak_buffered(), 2);
-        assert_eq!(buf.next_pos(), 3);
+        buf.push(4, "e");
+        assert!(drain(&mut buf).is_empty(), "position 3 has not arrived");
     }
 }

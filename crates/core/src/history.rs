@@ -259,7 +259,8 @@ impl History {
     }
 
     /// Operations of `process`, ordered by invocation time (the process's
-    /// sub-execution restricted to service interactions).
+    /// sub-execution restricted to service interactions). Scans the whole
+    /// history: to walk *every* process, take [`ByProcess`] instead.
     pub fn ops_of_process(&self, process: ProcessId) -> Vec<OpId> {
         let mut ids: Vec<OpId> =
             self.ops.iter().filter(|o| o.process == process).map(|o| o.id).collect();
@@ -284,16 +285,13 @@ impl History {
                 return Err(HistoryError::ResultMismatch(op.id));
             }
         }
-        for p in self.processes() {
-            let ids = self.ops_of_process(p);
-            for pair in ids.windows(2) {
-                let (a, b) = (self.op(pair[0]), self.op(pair[1]));
-                // `a` must respond (or never respond but then it must be the
-                // final op) before `b` is invoked.
-                match a.response {
-                    Some(resp) if resp <= b.invoke => {}
-                    _ => return Err(HistoryError::OverlappingOps(a.id, b.id)),
-                }
+        for (a, b) in ByProcess::new(self).pairs() {
+            let (a, b) = (self.op(a), self.op(b));
+            // `a` must respond (or never respond but then it must be the
+            // final op) before `b` is invoked.
+            match a.response {
+                Some(resp) if resp <= b.invoke => {}
+                _ => return Err(HistoryError::OverlappingOps(a.id, b.id)),
             }
         }
         for (i, m) in self.messages.iter().chain(self.external.iter()).enumerate() {
@@ -320,6 +318,100 @@ impl History {
             })
             .map(|o| o.id)
             .collect()
+    }
+}
+
+/// Every process's operations in process order, derived from a history in
+/// one pass whose cost does not depend on the number of processes. The one
+/// source of process order for whatever walks all processes: validation,
+/// [`crate::order`]'s edges, [`HistoryIndex`], the witness checkers.
+#[derive(Debug, Clone, Default)]
+pub struct ByProcess {
+    /// Every op id, grouped by process, each group sorted by `(invoke, id)`.
+    ids: Vec<OpId>,
+    /// Each process, ascending, with its group's range in `ids`.
+    groups: Vec<(ProcessId, std::ops::Range<u32>)>,
+}
+
+impl ByProcess {
+    /// Groups `history`'s operations by process.
+    pub fn new(history: &History) -> Self {
+        Self::group(history.ops.iter().map(|o| o.process), |id| history.op(id).invoke.as_micros())
+    }
+
+    /// [`Self::new`] from each op's process, in id order, and a way to read an
+    /// op's invocation instant. A counting sort: number the processes as they
+    /// first appear, lay their groups out in ascending order, scatter the ids,
+    /// then sort each group — a scan when ids already ascend with invocations.
+    fn group(processes: impl Iterator<Item = ProcessId>, invoke: impl Fn(OpId) -> u64) -> Self {
+        use crate::hashing::FxBuildHasher;
+        use std::collections::HashMap;
+
+        let mut slot_of: HashMap<ProcessId, u32, FxBuildHasher> = HashMap::default();
+        let mut counts: Vec<(ProcessId, u32)> = Vec::new();
+        let slots: Vec<u32> = processes
+            .map(|p| {
+                let slot = *slot_of.entry(p).or_insert_with(|| {
+                    counts.push((p, 0));
+                    counts.len() as u32 - 1
+                });
+                counts[slot as usize].1 += 1;
+                slot
+            })
+            .collect();
+        let mut ascending: Vec<u32> = (0..counts.len() as u32).collect();
+        ascending.sort_unstable_by_key(|&slot| counts[slot as usize].0);
+        let mut cursor = vec![0u32; counts.len()];
+        let mut groups = Vec::with_capacity(counts.len());
+        let mut start = 0;
+        for slot in ascending {
+            let (process, count) = counts[slot as usize];
+            cursor[slot as usize] = start;
+            groups.push((process, start..start + count));
+            start += count;
+        }
+        let mut ids = vec![OpId(0); slots.len()];
+        for (id, &slot) in slots.iter().enumerate() {
+            ids[cursor[slot as usize] as usize] = OpId(id as u32);
+            cursor[slot as usize] += 1;
+        }
+        for (_, range) in &groups {
+            ids[range.start as usize..range.end as usize]
+                .sort_unstable_by_key(|id| (invoke(*id), *id));
+        }
+        ByProcess { ids, groups }
+    }
+
+    fn slice(&self, range: &std::ops::Range<u32>) -> &[OpId] {
+        &self.ids[range.start as usize..range.end as usize]
+    }
+
+    /// Each process, ascending, with its operations sorted by `(invoke, id)`.
+    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &[OpId])> + '_ {
+        self.groups.iter().map(|(p, range)| (*p, self.slice(range)))
+    }
+
+    /// The operations of `process` sorted by `(invoke, id)`; empty if none.
+    pub fn ops_of(&self, process: ProcessId) -> &[OpId] {
+        match self.groups.binary_search_by_key(&process, |(p, _)| *p) {
+            Ok(slot) => self.slice(&self.groups[slot].1),
+            Err(_) => &[],
+        }
+    }
+
+    /// Direct process-order pairs: consecutive operations of one process.
+    pub fn pairs(&self) -> impl Iterator<Item = (OpId, OpId)> + '_ {
+        self.iter().flat_map(|(_, ids)| ids.windows(2).map(|w| (w[0], w[1])))
+    }
+
+    /// For every op id, its immediate predecessor in its process's order —
+    /// what [`crate::StreamingChecker::push`] takes as `prev_in_process`.
+    pub fn predecessors(&self) -> Vec<Option<OpId>> {
+        let mut prev = vec![None; self.ids.len()];
+        for (a, b) in self.pairs() {
+            prev[b.index()] = Some(a);
+        }
+        prev
     }
 }
 
@@ -397,7 +489,7 @@ pub struct HistoryIndex {
     key_table: Vec<(ServiceId, Key)>,
     complete: Vec<OpId>,
     pending_mutations: Vec<OpId>,
-    ops_by_process: Vec<(ProcessId, Vec<OpId>)>,
+    ops_by_process: ByProcess,
 }
 
 impl HistoryIndex {
@@ -423,7 +515,7 @@ impl HistoryIndex {
             key_table: Vec::new(),
             complete: Vec::new(),
             pending_mutations: Vec::new(),
-            ops_by_process: Vec::new(),
+            ops_by_process: ByProcess::default(),
         };
         let mut key_lookup: HashMap<(u32, u64), u32, FxBuildHasher> = HashMap::default();
         let mut intern = |svc: ServiceId, key: Key, table: &mut Vec<(ServiceId, Key)>| -> u32 {
@@ -435,7 +527,7 @@ impl HistoryIndex {
 
         index.read_key_off.push(0);
         index.write_key_off.push(0);
-        let mut process_slots: HashMap<ProcessId, usize, FxBuildHasher> = HashMap::default();
+        let mut processes = Vec::with_capacity(n);
         for op in history.ops() {
             index.invoke.push(op.invoke.as_micros());
             index.response.push(op.response.map_or(NO_RESPONSE, Timestamp::as_micros));
@@ -539,17 +631,10 @@ impl HistoryIndex {
             index.write_key_off.push(index.write_key_ids.len() as u32);
 
             index.flags.push(f);
-
-            let slot = *process_slots.entry(op.process).or_insert_with(|| {
-                index.ops_by_process.push((op.process, Vec::new()));
-                index.ops_by_process.len() - 1
-            });
-            index.ops_by_process[slot].1.push(op.id);
+            processes.push(op.process);
         }
-        index.ops_by_process.sort_by_key(|(p, _)| *p);
-        for (_, ids) in &mut index.ops_by_process {
-            ids.sort_by_key(|id| (index.invoke[id.index()], *id));
-        }
+        index.ops_by_process =
+            ByProcess::group(processes.into_iter(), |id| index.invoke[id.index()]);
         index
     }
 
@@ -674,16 +759,8 @@ impl HistoryIndex {
     /// Per-process operation lists, sorted by process id; each list is sorted
     /// by `(invoke, id)`.
     #[inline]
-    pub fn ops_by_process(&self) -> &[(ProcessId, Vec<OpId>)] {
+    pub fn ops_by_process(&self) -> &ByProcess {
         &self.ops_by_process
-    }
-
-    /// Direct process-order pairs: for every process, each pair of
-    /// consecutive operations (the full process order is the transitive
-    /// closure). The shared source for every checker's process-order
-    /// constraint.
-    pub fn process_order_pairs(&self) -> impl Iterator<Item = (OpId, OpId)> + '_ {
-        self.ops_by_process.iter().flat_map(|(_, ids)| ids.windows(2).map(|w| (w[0], w[1])))
     }
 }
 

@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::history::History;
+use crate::history::{ByProcess, History};
 use crate::op::{OpKind, OpResult};
 use crate::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 
@@ -98,39 +98,44 @@ pub struct InvariantViolation {
     pub photo: u64,
 }
 
+/// The first read of `photo` by `op`'s process after `op` to return null.
+fn later_null_read(
+    history: &History,
+    by_process: &ByProcess,
+    keys: &PhotoAppKeys,
+    op: &crate::history::OpRecord,
+    photo: u64,
+) -> Option<OpId> {
+    by_process.ops_of(op.process).iter().copied().find(|&later_id| {
+        let later = history.op(later_id);
+        later.invoke >= op.invoke
+            && later.id != op.id
+            && later.service == keys.kv_service
+            && later.observed_value(keys.photo(photo)).is_some_and(|v| v.is_null())
+    })
+}
+
 /// Checks invariant I1 over a history: whenever an operation's result shows an
 /// album referencing photo `i` *and* the same operation (or a causally later
 /// read by the same process) reads photo `i`, the photo's data must be
 /// non-null.
 pub fn check_i1(history: &History, keys: &PhotoAppKeys) -> Result<(), InvariantViolation> {
+    let by_process = ByProcess::new(history);
     for op in history.ops() {
         if op.service != keys.kv_service {
             continue;
         }
         let Some(album_value) = op.observed_value(keys.album) else { continue };
         for i in keys.photos_in_album(album_value) {
-            // Same operation (transactional read of album + photo).
-            if let Some(photo_value) = op.observed_value(keys.photo(i)) {
-                if photo_value.is_null() {
-                    return Err(InvariantViolation { invariant: "I1", observer: op.id, photo: i });
-                }
-            }
-            // Later reads of the photo by the same process.
-            for later_id in history.ops_of_process(op.process) {
-                let later = history.op(later_id);
-                if later.invoke < op.invoke || later.id == op.id || later.service != keys.kv_service
-                {
-                    continue;
-                }
-                if let Some(photo_value) = later.observed_value(keys.photo(i)) {
-                    if photo_value.is_null() {
-                        return Err(InvariantViolation {
-                            invariant: "I1",
-                            observer: later.id,
-                            photo: i,
-                        });
-                    }
-                }
+            // Same operation (transactional read of album + photo), then
+            // later reads of the photo by the same process.
+            let observer = if op.observed_value(keys.photo(i)).is_some_and(|v| v.is_null()) {
+                Some(op.id)
+            } else {
+                later_null_read(history, &by_process, keys, op, i)
+            };
+            if let Some(observer) = observer {
+                return Err(InvariantViolation { invariant: "I1", observer, photo: i });
             }
         }
     }
@@ -141,6 +146,7 @@ pub fn check_i1(history: &History, keys: &PhotoAppKeys) -> Result<(), InvariantV
 /// for photo `i`, every later read of photo `i` by that worker returns
 /// non-null data.
 pub fn check_i2(history: &History, keys: &PhotoAppKeys) -> Result<(), InvariantViolation> {
+    let by_process = ByProcess::new(history);
     for op in history.ops() {
         if op.service != keys.mq_service
             || !matches!(op.kind, OpKind::Dequeue { queue } if queue == keys.queue)
@@ -149,16 +155,8 @@ pub fn check_i2(history: &History, keys: &PhotoAppKeys) -> Result<(), InvariantV
         }
         let Some(OpResult::Value(v)) = op.result.clone() else { continue };
         let Some(photo) = keys.photo_of_message(v) else { continue };
-        for later_id in history.ops_of_process(op.process) {
-            let later = history.op(later_id);
-            if later.invoke < op.invoke || later.id == op.id || later.service != keys.kv_service {
-                continue;
-            }
-            if let Some(photo_value) = later.observed_value(keys.photo(photo)) {
-                if photo_value.is_null() {
-                    return Err(InvariantViolation { invariant: "I2", observer: later.id, photo });
-                }
-            }
+        if let Some(observer) = later_null_read(history, &by_process, keys, op, photo) {
+            return Err(InvariantViolation { invariant: "I2", observer, photo });
         }
     }
     Ok(())
@@ -218,13 +216,12 @@ pub fn detect_a1(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
 /// the album communicates with another process (Bob) — through the application
 /// or entirely out of band — and Bob's subsequent album read misses that photo.
 pub fn detect_a2_a3(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
-    let all_messages: Vec<_> =
-        history.messages().iter().chain(history.external_communications().iter()).collect();
-    for m in all_messages {
+    let by_process = ByProcess::new(history);
+    for m in history.messages().iter().chain(history.external_communications()) {
         // Photos Alice knew about before sending: photos she added or observed.
         let mut known: Vec<u64> = Vec::new();
         let mut wrote_any = false;
-        for id in history.ops_of_process(m.from) {
+        for &id in by_process.ops_of(m.from) {
             let op = history.op(id);
             let Some(resp) = op.response else { continue };
             if resp > m.sent_at || op.service != keys.kv_service {
@@ -245,7 +242,7 @@ pub fn detect_a2_a3(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
         if known.is_empty() {
             continue;
         }
-        for id in history.ops_of_process(m.to) {
+        for &id in by_process.ops_of(m.to) {
             let op = history.op(id);
             if op.invoke < m.received_at || op.service != keys.kv_service {
                 continue;

@@ -80,7 +80,7 @@ pub use checker::window::{StreamingChecker, WindowBuffer};
 pub use coverage::{CoverageBuilder, CoverageMap, CoverageSignature};
 pub use densemap::DenseKeyMap;
 pub use fence::FencedService;
-pub use history::{History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord};
+pub use history::{ByProcess, History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord};
 pub use op::{OpKind, OpResult};
 pub use order::CausalOrder;
 pub use transform::{transform, TransformedExecution};

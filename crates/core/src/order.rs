@@ -18,8 +18,8 @@
 
 use std::collections::HashMap;
 
-use crate::history::History;
-use crate::types::{Key, OpId, ProcessId, Value};
+use crate::history::{ByProcess, History};
+use crate::types::{Key, OpId, Value};
 
 /// True if `a` precedes `b` in real time: `a` has a response and it occurs
 /// before `b`'s invocation.
@@ -29,19 +29,6 @@ pub fn real_time_precedes(history: &History, a: OpId, b: OpId) -> bool {
         Some(resp) => resp < rb.invoke,
         None => false,
     }
-}
-
-/// Direct process-order edges: for every process, an edge between each pair of
-/// consecutive operations (the full process order is the transitive closure).
-pub fn process_order_edges(history: &History) -> Vec<(OpId, OpId)> {
-    let mut edges = Vec::new();
-    for p in history.processes() {
-        let ids = history.ops_of_process(p);
-        for w in ids.windows(2) {
-            edges.push((w[0], w[1]));
-        }
-    }
-    edges
 }
 
 /// The reads-from relation: `(writer, reader)` pairs where the reader observed
@@ -81,20 +68,20 @@ pub fn reads_from_edges(history: &History) -> Vec<(OpId, OpId)> {
 ///
 /// Together with process order and transitivity this captures every
 /// operation-level causal dependency induced by the message.
-pub fn message_edges(history: &History) -> Vec<(OpId, OpId)> {
-    let mut per_process: HashMap<ProcessId, Vec<OpId>> = HashMap::new();
-    for p in history.processes() {
-        per_process.insert(p, history.ops_of_process(p));
-    }
+pub fn message_edges(history: &History, by_process: &ByProcess) -> Vec<(OpId, OpId)> {
     let mut edges = Vec::new();
     for m in history.messages() {
-        let sender_ops = per_process.get(&m.from).cloned().unwrap_or_default();
-        let receiver_ops = per_process.get(&m.to).cloned().unwrap_or_default();
-        let last_before = sender_ops
+        // Both lists are sorted by invocation. Only an op invoked by the send
+        // can have responded by it, so the sender's candidates are a prefix.
+        let sender_ops = by_process.ops_of(m.from);
+        let invoked_by_send = sender_ops.partition_point(|id| history.op(*id).invoke <= m.sent_at);
+        let last_before = sender_ops[..invoked_by_send]
             .iter()
             .rev()
-            .find(|id| history.op(**id).response.map(|r| r <= m.sent_at).unwrap_or(false));
-        let first_after = receiver_ops.iter().find(|id| history.op(**id).invoke >= m.received_at);
+            .find(|id| history.op(**id).response.is_some_and(|r| r <= m.sent_at));
+        let receiver_ops = by_process.ops_of(m.to);
+        let first_after = receiver_ops
+            .get(receiver_ops.partition_point(|id| history.op(*id).invoke < m.received_at));
         if let (Some(a), Some(b)) = (last_before, first_after) {
             if a != b {
                 edges.push((*a, *b));
@@ -117,10 +104,10 @@ impl CausalOrder {
     /// Builds the causal order of a history.
     pub fn new(history: &History) -> Self {
         let n = history.len();
-        let mut edges = Vec::new();
-        edges.extend(process_order_edges(history));
+        let by_process = ByProcess::new(history);
+        let mut edges: Vec<(OpId, OpId)> = by_process.pairs().collect();
         edges.extend(reads_from_edges(history));
-        edges.extend(message_edges(history));
+        edges.extend(message_edges(history, &by_process));
         edges.sort();
         edges.dedup();
         // Drop self-loops defensively (possible only with degenerate input).
@@ -227,7 +214,7 @@ mod tests {
         let a3 = b.read(1, 2, 0, 9, 12);
         let b1 = b.write(2, 2, 5, 0, 4);
         let h = b.build();
-        let edges = process_order_edges(&h);
+        let edges: Vec<_> = ByProcess::new(&h).pairs().collect();
         assert!(edges.contains(&(a1, a2)));
         assert!(edges.contains(&(a2, a3)));
         assert!(!edges.contains(&(a1, a3)), "only consecutive pairs are direct edges");
@@ -265,7 +252,7 @@ mod tests {
         let bob_earlier = b.read(2, 2, 0, 1, 2);
         b.message(1, 6, 2, 10);
         let h = b.build();
-        let edges = message_edges(&h);
+        let edges = message_edges(&h, &ByProcess::new(&h));
         assert_eq!(edges, vec![(alice_write, bob_read)]);
         assert!(!edges.contains(&(alice_write, bob_earlier)));
     }

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use crate::history::History;
-use crate::order::{message_edges, process_order_edges, reads_from_edges};
+use crate::order::reads_from_edges;
 use crate::types::{OpId, ProcessId, Timestamp};
 
 /// One action of the execution's schedule.
@@ -154,21 +154,14 @@ pub fn transform(history: &History, witness: &[OpId]) -> TransformedExecution {
             adjacency[s].push(r);
         }
     }
-    // Reads-from edges: writer response -> reader invocation. Also include
-    // op-level message/process edges for robustness (they are already covered
-    // by the per-process and message edges above, but adding them is harmless).
+    // Reads-from edges: writer response -> reader invocation. (Op-level
+    // process-order and message edges are paths through the action-level
+    // edges above.)
     for (w, r) in reads_from_edges(history) {
         if let (Some(&a), Some(&b)) =
             (index_of.get(&ActionKey::Respond(w)), index_of.get(&ActionKey::Invoke(r)))
         {
             adjacency[a].push(b);
-        }
-    }
-    for (a, b) in process_order_edges(history).into_iter().chain(message_edges(history)) {
-        if let (Some(&x), Some(&y)) =
-            (index_of.get(&ActionKey::Respond(a)), index_of.get(&ActionKey::Invoke(b)))
-        {
-            adjacency[x].push(y);
         }
     }
 

@@ -12,12 +12,11 @@ use regular_core::checker::models::{check, constraints_for, Model};
 use regular_core::checker::saturate::find_sequence_saturated;
 use regular_core::checker::search::{find_sequence, find_sequence_reference};
 use regular_core::checker::window::StreamingChecker;
-use regular_core::history::History;
-use regular_core::history::HistoryIndex;
+use regular_core::history::{ByProcess, History, HistoryIndex};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::order::{message_edges, reads_from_edges, CausalOrder};
 use regular_core::spec::{check_sequence, SpecState};
-use regular_core::types::{Key, ProcessId, ServiceId, Timestamp, Value};
+use regular_core::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 
 /// Operation description used by the generators.
 #[derive(Debug, Clone)]
@@ -177,6 +176,72 @@ fn build_grouped_history(ops: &[GenOp], groups: usize) -> History {
         }
     }
     history
+}
+
+/// A history in the shape that stresses process grouping: `extra.len() + 200`
+/// reads over at least 200 processes, inserted in an order unrelated to
+/// their invocation times, which are drawn from so small a range that many
+/// ops of one process tie on `invoke` (ties break by id); `pending` ops never
+/// respond. `messages` are `(from, sent_at, to, delay)`.
+fn build_scattered_history(
+    seeds: &[(u8, u8)],
+    extra: &[(u16, u8, u8)],
+    messages: &[(u16, u8, u16, u8)],
+) -> History {
+    let mut history = History::new();
+    let every_process = (0..200u16).zip(seeds).map(|(p, &(invoke, len))| (p, invoke, len));
+    for (process, invoke, len) in every_process.chain(extra.iter().copied()) {
+        let (process, invoke) = (ProcessId(process as u32), Timestamp(invoke as u64));
+        let kind = OpKind::Read { key: Key(1) };
+        if len.is_multiple_of(4) {
+            history.add_incomplete(process, ServiceId::KV, kind, invoke);
+        } else {
+            let response = Timestamp(invoke.0 + len as u64 % 7);
+            history.add_complete(
+                process,
+                ServiceId::KV,
+                kind,
+                invoke,
+                response,
+                OpResult::Value(Value::NULL),
+            );
+        }
+    }
+    for &(from, sent_at, to, delay) in messages {
+        history.add_message(
+            ProcessId(from as u32),
+            Timestamp(sent_at as u64),
+            ProcessId(to as u32),
+            Timestamp(sent_at as u64 + delay as u64),
+        );
+    }
+    history
+}
+
+/// `order::message_edges` as it stood before the shared grouping: one
+/// `ops_of_process` scan per process, the sender's and receiver's lists
+/// cloned and scanned linearly per message. Kept as the differential oracle.
+fn message_edges_reference(history: &History) -> Vec<(OpId, OpId)> {
+    let mut per_process: std::collections::HashMap<ProcessId, Vec<OpId>> = Default::default();
+    for p in history.processes() {
+        per_process.insert(p, history.ops_of_process(p));
+    }
+    let mut edges = Vec::new();
+    for m in history.messages() {
+        let sender_ops = per_process.get(&m.from).cloned().unwrap_or_default();
+        let receiver_ops = per_process.get(&m.to).cloned().unwrap_or_default();
+        let last_before = sender_ops
+            .iter()
+            .rev()
+            .find(|id| history.op(**id).response.map(|r| r <= m.sent_at).unwrap_or(false));
+        let first_after = receiver_ops.iter().find(|id| history.op(**id).invoke >= m.received_at);
+        if let (Some(a), Some(b)) = (last_before, first_after) {
+            if a != b {
+                edges.push((*a, *b));
+            }
+        }
+    }
+    edges
 }
 
 proptest! {
@@ -460,16 +525,10 @@ proptest! {
             let n = witness.len();
             witness.swap(0, n - 1);
         }
-        let edges = message_edges(&h);
+        let by_process = ByProcess::new(&h);
+        let edges = message_edges(&h, &by_process);
+        let prev = by_process.predecessors();
         let complete = h.complete_ids();
-        let mut prev = vec![None; h.len()];
-        for p in h.processes() {
-            let mut last = None;
-            for id in h.ops_of_process(p) {
-                prev[id.index()] = last;
-                last = Some(id);
-            }
-        }
         for model in [WitnessModel::RealTime, WitnessModel::Regular, WitnessModel::ProcessOrder] {
             let batch = check_witness(&h, &witness, model);
             let mut checker = StreamingChecker::with_message_edges(model, &edges);
@@ -530,6 +589,61 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The one-pass grouping is `ops_of_process` for every process at once:
+    /// same processes, same lists, same consecutive pairs and predecessors —
+    /// over ≥ 200 processes, out-of-order insertion, invocation ties broken
+    /// by id, and pending ops.
+    #[test]
+    fn shared_grouping_equals_ops_of_process(
+        seeds in prop::collection::vec((0u8..24, any::<u8>()), 200),
+        extra in prop::collection::vec((0u16..320, 0u8..24, any::<u8>()), 0..600),
+    ) {
+        let h = build_scattered_history(&seeds, &extra, &[]);
+        let grouped = ByProcess::new(&h);
+        let processes = h.processes();
+        prop_assert!(processes.len() >= 200);
+        prop_assert_eq!(grouped.iter().count(), processes.len());
+        let mut pairs = Vec::new();
+        let mut prev = vec![None; h.len()];
+        for (&p, (q, ids)) in processes.iter().zip(grouped.iter()) {
+            let expected = h.ops_of_process(p);
+            prop_assert_eq!(p, q);
+            prop_assert_eq!(ids, &expected[..]);
+            prop_assert_eq!(grouped.ops_of(p), &expected[..]);
+            for w in expected.windows(2) {
+                pairs.push((w[0], w[1]));
+                prev[w[1].index()] = Some(w[0]);
+            }
+        }
+        prop_assert!(grouped.ops_of(ProcessId(u32::MAX)).is_empty());
+        prop_assert_eq!(grouped.pairs().collect::<Vec<_>>(), pairs);
+        prop_assert_eq!(grouped.predecessors(), prev);
+        let index = HistoryIndex::new(&h);
+        prop_assert_eq!(
+            index.ops_by_process().iter().collect::<Vec<_>>(),
+            grouped.iter().collect::<Vec<_>>()
+        );
+    }
+
+    /// Binary-searching the borrowed per-process lists finds exactly the
+    /// edges the old clone-and-scan did, message by message — including a
+    /// sender that never completed an operation, a receiver that never
+    /// invokes again, a process that issued nothing, and a self-message.
+    #[test]
+    fn message_edges_equal_the_scanning_reference(
+        seeds in prop::collection::vec((0u8..24, any::<u8>()), 200),
+        extra in prop::collection::vec((0u16..12, 0u8..24, any::<u8>()), 0..120),
+        random in prop::collection::vec((0u16..14, 0u8..32, 0u16..14, 0u8..6), 1..40),
+    ) {
+        let mut messages = random;
+        // Process 300 has only a pending op: as a sender it has completed
+        // nothing. Nobody invokes at or after t = 250. Process 999 is absent.
+        messages.extend([(300, 30, 3, 1), (2, 5, 4, 245), (999, 3, 1, 1), (1, 3, 999, 1), (5, 9, 5, 2)]);
+        let mut h = build_scattered_history(&seeds, &extra, &messages);
+        h.add_incomplete(ProcessId(300), ServiceId::KV, OpKind::Read { key: Key(1) }, Timestamp(2));
+        prop_assert_eq!(message_edges(&h, &ByProcess::new(&h)), message_edges_reference(&h));
     }
 
     /// The exact search and the constraint structure agree on monotonicity:

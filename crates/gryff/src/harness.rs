@@ -16,7 +16,7 @@ use std::time::Duration;
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessViolation};
 use regular_core::coverage::{domain, CoverageBuilder, CoverageSignature};
-use regular_core::history::History;
+use regular_core::history::{ByProcess, History};
 use regular_core::op::OpKind;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
@@ -429,7 +429,7 @@ pub fn build_history_from(
             edges.push((w[0].3, w[1].3));
         }
     }
-    edges.extend(recorder.process_order_edges());
+    edges.extend(ByProcess::new(recorder.history()).pairs());
     (recorder.into_history(), edges)
 }
 

@@ -515,10 +515,8 @@ where
 {
     // Handshake: declare our nodes, receive the shared clock anchor.
     let mut conn = stream;
-    let hello = Frame::<M>::Hello {
-        worker,
-        nodes: nodes.iter().map(|&(id, _)| id as u64).collect(),
-    };
+    let hello =
+        Frame::<M>::Hello { worker, nodes: nodes.iter().map(|&(id, _)| id as u64).collect() };
     write_frame(&mut conn, &hello.to_bytes())?;
     conn.flush()?;
     let mut scratch = Vec::new();
@@ -554,7 +552,9 @@ where
         let (net_tx, rec_tx) = (net_tx.clone(), rec_tx.clone());
         node_threads.push((
             id,
-            std::thread::spawn(move || run_node(node, id, clock, seed, epsilon, rx, net_tx, rec_tx)),
+            std::thread::spawn(move || {
+                run_node(node, id, clock, seed, epsilon, rx, net_tx, rec_tx)
+            }),
         ));
     }
     drop(net_tx);
@@ -602,8 +602,7 @@ where
         let writer_tx = writer_tx.clone();
         std::thread::spawn(move || {
             for (id, stream, rec) in rec_rx.iter() {
-                let frame =
-                    Frame::<M>::Completion { node: id as u64, stream: stream as u64, rec };
+                let frame = Frame::<M>::Completion { node: id as u64, stream: stream as u64, rec };
                 if writer_tx.send(frame.to_bytes()).is_err() {
                     break;
                 }

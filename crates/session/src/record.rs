@@ -127,8 +127,7 @@ impl CompletedRecord {
 pub struct HistoryRecorder {
     history: History,
     process_of: HashMap<(u64, u64, u32), ProcessId>,
-    /// Per-process `(invoke_us, op)` lists, in process-creation order, for
-    /// [`HistoryRecorder::process_order_edges`].
+    /// Per-process `(invoke_us, op)` lists, in process-creation order.
     per_process: Vec<Vec<(u64, OpId)>>,
     orphan_pid: u32,
 }
@@ -246,21 +245,6 @@ impl HistoryRecorder {
             .map(|(_, id)| *id)
     }
 
-    /// Consecutive-operation edges of every lane process, ordered by
-    /// invocation time: the process-order constraints used by edge-based
-    /// witness assembly ([`regular_core::checker::assemble::assemble_witness`]).
-    pub fn process_order_edges(&self) -> Vec<(OpId, OpId)> {
-        let mut edges = Vec::new();
-        for ops in &self.per_process {
-            let mut items = ops.clone();
-            items.sort_unstable();
-            for w in items.windows(2) {
-                edges.push((w[0].1, w[1].1));
-            }
-        }
-        edges
-    }
-
     /// Finishes recording, returning the history.
     pub fn into_history(self) -> History {
         self.history
@@ -355,13 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn process_order_edges_follow_invocation_order() {
+    fn process_order_follows_invocation_order() {
         let mut r = HistoryRecorder::new();
         let a = r.record(0, &write_rec(0, 0, 1, 0, false));
         let b = r.record(0, &write_rec(0, 0, 2, 20, false));
         let c = r.record(0, &write_rec(1, 0, 3, 10, false));
         let orphan = r.record(0, &write_rec(0, 0, 4, 30, true));
-        let edges = r.process_order_edges();
+        let edges: Vec<_> = regular_core::ByProcess::new(r.history()).pairs().collect();
         assert!(edges.contains(&(a, b)));
         assert!(!edges.iter().any(|(x, y)| *x == c || *y == c), "single-op lane has no edges");
         assert!(!edges.iter().any(|(x, y)| *x == orphan || *y == orphan));

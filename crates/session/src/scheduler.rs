@@ -255,10 +255,8 @@ mod tests {
 
     #[test]
     fn open_loop_sessions_issue_once_and_depart() {
-        let mut s = SessionScheduler::new(
-            SessionConfig::open_loop(100.0, 8),
-            SimTime::from_secs(10),
-        );
+        let mut s =
+            SessionScheduler::new(SessionConfig::open_loop(100.0, 8), SimTime::from_secs(10));
         let mut r = rng();
         let timers = s.on_start(&mut r);
         assert_eq!(timers.len(), 1);
@@ -275,10 +273,8 @@ mod tests {
 
     #[test]
     fn open_loop_sheds_arrivals_over_the_cap() {
-        let mut s = SessionScheduler::new(
-            SessionConfig::open_loop(100.0, 2),
-            SimTime::from_secs(10),
-        );
+        let mut s =
+            SessionScheduler::new(SessionConfig::open_loop(100.0, 2), SimTime::from_secs(10));
         let mut r = rng();
         let _ = s.on_start(&mut r);
         let now = SimTime::from_millis(1);

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness_parallel, WitnessModel};
-use regular_core::history::{History, HistoryIndex};
+use regular_core::history::{ByProcess, History, HistoryIndex};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{OpId, ServiceId};
 use regular_gryff::prelude::{GryffConfig, GryffService};
@@ -568,7 +568,7 @@ pub fn certify_composed(
             edges.push((w[0].3, w[1].3));
         }
     }
-    edges.extend(recorder.process_order_edges());
+    edges.extend(ByProcess::new(recorder.history()).pairs());
     // Cross-process causal handoffs (Section 4.2): each is an external
     // communication of the history, and a serialization constraint — every
     // operation the exporter completed before serializing its context must

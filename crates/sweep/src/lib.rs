@@ -42,4 +42,4 @@ pub use json::Json;
 pub use pool::{PoolStats, WorkStealingPool};
 pub use report::{run_sweep, sweep_to_json, write_json, SweepOptions, SweepResult};
 pub use scenario::{run_seed, run_seed_with, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
-pub use stream::{certify_streaming, synthetic_history, StreamStats};
+pub use stream::{certify_streaming, synthetic_history, synthetic_session_history, StreamStats};

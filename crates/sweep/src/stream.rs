@@ -6,16 +6,21 @@
 //! streaming path instead replays the run as it would unfold at a live
 //! certifier: records arrive as they *complete* (response time, invoke time
 //! for pending ops), a [`WindowBuffer`] reorders them into witness order,
-//! and contiguous windows are handed to a checker thread over a channel.
-//! Memory above the history itself is bounded by the deepest window — the
-//! largest set of completed-but-not-yet-releasable records — which for
-//! protocol runs tracks the concurrency of the run, not its length.
-
-use std::sync::mpsc;
+//! and each contiguous window is pushed through the checker as it is
+//! released — O(n log n) in operations whatever the number of processes.
+//!
+//! Memory above the history is a few words per op plus the deepest window,
+//! and that depth is the arrival skew of the *witness*, not the concurrency
+//! of the run: one record whose witness position lies far before its arrival
+//! holds back every record that arrived ahead of it. A strict Spanner run
+//! stamps every transaction inside its real-time interval and peaks at tens;
+//! Spanner-RSS stamps a fresh session's read-only transaction on
+//! never-written keys at timestamp 0, and a few hundred of those keep the
+//! window as deep as the run (ROADMAP item 2).
 
 use regular_core::{
-    order::message_edges, ComponentSplit, History, HistoryBuilder, OpId, StreamingChecker,
-    WindowBuffer, WitnessModel, WitnessViolation,
+    order::message_edges, ByProcess, ComponentSplit, History, HistoryBuilder, OpId,
+    StreamingChecker, WindowBuffer, WitnessModel, WitnessViolation,
 };
 
 /// What the streaming pass observed while certifying a run.
@@ -34,7 +39,7 @@ pub struct StreamStats {
 }
 
 /// Certifies `witness` for `history` under `model` by streaming records in
-/// arrival order through a [`StreamingChecker`] on a dedicated thread.
+/// arrival order through a [`StreamingChecker`].
 ///
 /// The verdict is equivalent to [`regular_core::check_witness`]: `Ok` exactly
 /// when the batch checker accepts, `Err` exactly when it rejects (the
@@ -45,83 +50,45 @@ pub fn certify_streaming(
     witness: &[OpId],
     model: WitnessModel,
 ) -> Result<StreamStats, WitnessViolation> {
-    let n = history.len();
-
-    // Witness membership, mirrored from the batch checker's validation.
-    let mut pos_of: Vec<u32> = vec![u32::MAX; n];
-    for (pos, &id) in witness.iter().enumerate() {
-        if id.index() >= n {
-            return Err(WitnessViolation::UnknownOp(id));
-        }
-        if pos_of[id.index()] != u32::MAX {
-            return Err(WitnessViolation::DuplicateOp(id));
-        }
-        pos_of[id.index()] = pos as u32;
-    }
-
-    // Process-order predecessor of every op, so the checker can enforce
-    // process order incrementally.
-    let mut prev: Vec<Option<OpId>> = vec![None; n];
-    for p in history.processes() {
-        let mut last: Option<OpId> = None;
-        for id in history.ops_of_process(p) {
-            prev[id.index()] = last;
-            last = Some(id);
-        }
-    }
-
-    // Arrival order: a record becomes available once it completes (or, for
+    // Witness membership, mirrored from the batch checker's validation, and
+    // arrival order: a record becomes available once it completes (or, for
     // pending ops, once it is invoked). Ties release in witness order.
-    let mut arrivals: Vec<(u64, u32, OpId)> = witness
-        .iter()
-        .map(|&id| {
-            let op = history.op(id);
-            let at = op.response.unwrap_or(op.invoke).as_micros();
-            (at, pos_of[id.index()], id)
-        })
-        .collect();
-    arrivals.sort_unstable_by_key(|&(at, pos, _)| (at, pos));
+    let mut seen = vec![false; history.len()];
+    let mut arrivals: Vec<(u64, u32, OpId)> = Vec::with_capacity(witness.len());
+    for (pos, &id) in witness.iter().enumerate() {
+        match seen.get_mut(id.index()) {
+            None => return Err(WitnessViolation::UnknownOp(id)),
+            Some(seen) if *seen => return Err(WitnessViolation::DuplicateOp(id)),
+            Some(seen) => *seen = true,
+        }
+        let op = history.op(id);
+        arrivals.push((op.response.unwrap_or(op.invoke).as_micros(), pos as u32, id));
+    }
+    drop(seen);
+    arrivals.sort_unstable();
 
-    let edges = message_edges(history);
-    let complete = history.complete_ids();
+    // Every op's process-order predecessor (the checker enforces process
+    // order incrementally) and the message edges, from one grouping — which,
+    // like `seen`, is dropped before the window fills to keep peak heap down.
+    let by_process = ByProcess::new(history);
+    let (prev, edges) = (by_process.predecessors(), message_edges(history, &by_process));
+    drop(by_process);
     let components = ComponentSplit::split(history).len();
 
-    let mut buffer: WindowBuffer<OpId> = WindowBuffer::new();
+    let mut checker = StreamingChecker::with_message_edges(model, &edges);
+    let mut buffer: WindowBuffer<OpId> = WindowBuffer::default();
     let mut windows = 0usize;
-    let (tx, rx) = mpsc::channel::<Vec<OpId>>();
-
-    let verdict = std::thread::scope(|scope| {
-        let prev = &prev;
-        let complete = &complete;
-        let edges = &edges;
-        let worker = scope.spawn(move || -> Result<usize, WitnessViolation> {
-            let mut checker = StreamingChecker::with_message_edges(model, edges);
-            while let Ok(batch) = rx.recv() {
-                for id in batch {
-                    checker.push(history.op(id), prev[id.index()])?;
-                }
-            }
-            let pushed = checker.ops_pushed();
-            checker.finish(complete)?;
-            Ok(pushed)
-        });
-
-        for (_, pos, id) in arrivals {
-            buffer.push(pos, id);
-            let batch = buffer.pop_ready();
-            if !batch.is_empty() {
-                windows += 1;
-                if tx.send(batch).is_err() {
-                    // The checker hit a violation and hung up; stop feeding.
-                    break;
-                }
-            }
+    for (_, pos, id) in arrivals {
+        buffer.push(pos, id);
+        let mut released = false;
+        while let Some(id) = buffer.pop_next() {
+            checker.push(history.op(id), prev[id.index()])?;
+            released = true;
         }
-        drop(tx);
-        worker.join().expect("streaming checker thread panicked")
-    });
-
-    let ops = verdict?;
+        windows += usize::from(released);
+    }
+    let ops = checker.ops_pushed();
+    checker.finish(&history.complete_ids())?;
     Ok(StreamStats { ops, windows, peak_window: buffer.peak_buffered(), components })
 }
 
@@ -136,6 +103,34 @@ pub fn certify_streaming(
 /// and the `large_history_certify` example to get arbitrarily long histories
 /// with known structure.
 pub fn synthetic_history(ops: usize, groups: usize) -> (History, Vec<OpId>) {
+    synthetic(ops, groups, |g, round| (1 + g as u32 * 2 + (round % 2) as u32, 5))
+}
+
+/// [`synthetic_history`] in the shape of a partly-open run: every process is
+/// a session that issues `session_len` operations and leaves, so there are
+/// `ops / session_len` processes instead of `2 × groups`. Operations take up
+/// to 35 time units: neighbours overlap and complete out of invocation order
+/// while (with `groups ≥ 4`) each session stays sequential, and the identity
+/// witness — invocation order — is still valid under every model.
+pub fn synthetic_session_history(
+    ops: usize,
+    groups: usize,
+    session_len: usize,
+) -> (History, Vec<OpId>) {
+    assert!(groups >= 4 && session_len >= 1, "sessions need ≥ 4 groups to stay sequential");
+    synthetic(ops, groups, |g, round| {
+        let session = round / session_len;
+        ((1 + g + groups * session) as u32, 5 + 10 * ((g + round) % 4) as u64)
+    })
+}
+
+/// Op `t` belongs to group `t % groups` and is invoked at `10 t`;
+/// `shape(group, round)` names its process and how long it takes.
+fn synthetic(
+    ops: usize,
+    groups: usize,
+    shape: impl Fn(usize, usize) -> (u32, u64),
+) -> (History, Vec<OpId>) {
     assert!(groups >= 1, "synthetic_history needs at least one group");
     const KEYS_PER_GROUP: u64 = 8;
     let mut builder = HistoryBuilder::new();
@@ -146,15 +141,16 @@ pub fn synthetic_history(ops: usize, groups: usize) -> (History, Vec<OpId>) {
         let round = t / groups;
         let slot = (round / 2) as u64 % KEYS_PER_GROUP;
         let key = 1 + g as u64 * KEYS_PER_GROUP + slot;
+        let (process, duration) = shape(g, round);
         let invoke = t as u64 * 10;
-        let response = invoke + 5;
+        let response = invoke + duration;
         let id = if round.is_multiple_of(2) {
             let value = t as u64 + 1;
             last_value[g * KEYS_PER_GROUP as usize + slot as usize] = value;
-            builder.write(1 + g as u32 * 2, key, value, invoke, response)
+            builder.write(process, key, value, invoke, response)
         } else {
             let value = last_value[g * KEYS_PER_GROUP as usize + slot as usize];
-            builder.read(2 + g as u32 * 2, key, value, invoke, response)
+            builder.read(process, key, value, invoke, response)
         };
         witness.push(id);
     }
@@ -192,6 +188,41 @@ mod tests {
             assert_eq!(batch.is_ok(), streamed.is_ok(), "disagreement under {model:?}");
             assert!(streamed.is_err(), "corrupted witness accepted under {model:?}");
         }
+    }
+
+    /// Certification must cost what the operations cost, not operations ×
+    /// sessions: a partly-open run makes every session a process, and the
+    /// path in front of the checker used to rescan the history once per
+    /// process (8× the history took 170× the time). Stats are pinned to what
+    /// that quadratic implementation returned for the same inputs.
+    #[test]
+    fn session_shaped_history_certifies_in_near_linear_time() {
+        let certify_min_of_3 = |ops: usize, expected: StreamStats| {
+            let (history, witness) = synthetic_session_history(ops, 16, 10);
+            assert!(history.validate().is_ok());
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let stats = certify_streaming(&history, &witness, WitnessModel::Regular);
+                    let elapsed = started.elapsed();
+                    assert_eq!(stats, Ok(expected));
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        };
+        let small = certify_min_of_3(
+            5_000,
+            StreamStats { ops: 5_000, windows: 3_673, peak_window: 2, components: 16 },
+        );
+        let large = certify_min_of_3(
+            40_000,
+            StreamStats { ops: 40_000, windows: 29_376, peak_window: 2, components: 16 },
+        );
+        assert!(
+            large < small * 24,
+            "8x the sessions took {large:?} against {small:?}: more than 24x (quadratic is 64x)"
+        );
     }
 
     #[test]
