@@ -7,8 +7,8 @@
 //! byte-identical histories (pinned in `tests/queue_determinism.rs` and
 //! `tests/indexed_engine_equivalence.rs`) — so the delta between the paired
 //! rows is purely the event-storage cost the PR 5 tentpole removed.
-//! `sim_profile` reports the same comparison as wall-clock numbers and
-//! feeds the `bench_gate` engine-hotpath gate.
+//! `regular-bench engine` reports the same comparison as wall-clock numbers
+//! and feeds the engine gate (`ci/engine_reference.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;

@@ -1,0 +1,190 @@
+//! Wall-clock profiles whose *ratios* are gated: the engine hot path and
+//! certification at scale.
+//!
+//! Both measure two ways of doing the same work in one process on one host
+//! and report the quotient, which transfers across machines the way absolute
+//! milliseconds do not. What the work *is* (message and operation counts) is
+//! simulated and gated `exact`; milliseconds are informational.
+
+use std::process::ExitCode;
+use std::time::Instant;
+
+use regular_core::checker::certificate::WitnessModel;
+use regular_core::{check, check_witness, check_witness_decomposed, Model};
+use regular_sim::queue::QueueKind;
+use regular_sweep::{certify_streaming, synthetic_history, synthetic_session_history, Json};
+
+use crate::cli::Args;
+use crate::report::{emit, round2, Cell, Report, Rule};
+use crate::runs::{engine_profile_gryff, engine_profile_spanner};
+
+/// Simulated seconds and seed of both engine profiles.
+const ENGINE_SECONDS: u64 = 10;
+const ENGINE_SEED: u64 = 1;
+
+/// Gryff iterations per Spanner iteration. The Gryff profile runs in ~17 ms,
+/// a thousandth of the Spanner one; at three iterations its ratio read
+/// anywhere in 1.02–1.38 on one tree on one host (a gate's whole floor), so it
+/// gets more of them — two more seconds in all.
+const GRYFF_REPEATS: usize = 25;
+
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// One engine row: `run` on the indexed queue and on the reference heap,
+/// alternately, `iters` times each, so a slow host phase hits both about
+/// equally; the speedup is the median over iterations of that iteration's
+/// quotient. The two queues pop in identical order, so the executions are
+/// event-for-event the same — asserted before reporting.
+fn engine_row(iters: usize, run: impl Fn(QueueKind) -> (u64, u64)) -> Vec<Cell> {
+    let time = |queue: QueueKind| {
+        let started = Instant::now();
+        let observed = run(queue);
+        (started.elapsed().as_secs_f64() * 1_000.0, observed)
+    };
+    let (mut indexed_ms, mut heap_ms, mut observed) = (Vec::new(), Vec::new(), (0, 0));
+    for _ in 0..iters {
+        let (indexed, heap) = (time(QueueKind::Indexed), time(QueueKind::ReferenceHeap));
+        assert_eq!(indexed.1, heap.1, "the two queue kinds must replay the identical execution");
+        indexed_ms.push(indexed.0);
+        heap_ms.push(heap.0);
+        observed = indexed.1;
+    }
+    let speedup = median(indexed_ms.iter().zip(&heap_ms).map(|(i, h)| h / i).collect());
+    vec![
+        ("messages", Rule::Exact, Json::u64(observed.0)),
+        ("sim_ops", Rule::Exact, Json::u64(observed.1)),
+        ("indexed_wall_ms", Rule::Info, Json::f64(round2(median(indexed_ms)))),
+        ("heap_wall_ms", Rule::Info, Json::f64(round2(median(heap_ms)))),
+        ("speedup", Rule::Floor(0.25), Json::f64(round2(speedup))),
+    ]
+}
+
+/// The `engine` subcommand: the fixed engine hot-path configurations (a
+/// saturated single-DC Spanner-RSS run and a pipelined Gryff-RSC WAN run) on
+/// both event-queue implementations, median wall-clock of `--iters` runs
+/// each, and the indexed queue's speedup over the reference heap.
+pub fn engine(mut args: Args) -> Result<ExitCode, String> {
+    let (iters, out) = (args.value("--iters")?.unwrap_or(3usize).max(1), args.out()?);
+    args.finish()?;
+    let params = [("seconds", ENGINE_SECONDS), ("seed", ENGINE_SEED), ("iters", iters as u64)];
+    let mut report = Report::new("engine", params.map(|(k, v)| (k, Json::u64(v))).to_vec());
+    let spanner = |queue| {
+        let run = engine_profile_spanner(ENGINE_SECONDS, ENGINE_SEED, queue);
+        (run.messages, run.client_stats.rw_completed + run.client_stats.ro_completed)
+    };
+    let gryff = |queue| {
+        let run = engine_profile_gryff(ENGINE_SECONDS, ENGINE_SEED, queue);
+        (run.messages, run.client_stats.reads + run.client_stats.writes)
+    };
+    report.push("spanner_rss_saturated", engine_row(iters, spanner));
+    report.push("gryff_rsc_wan", engine_row(iters * GRYFF_REPEATS, gryff));
+    emit(&report, out.as_deref())
+}
+
+/// Sizes of the checker profile's histories; the row names carry them.
+const CHECKER_OPS: usize = 100_000;
+const CHECKER_GROUPS: usize = 8;
+const SESSION_GROUPS: usize = 16;
+const SEARCH_OPS: usize = 2_000;
+const SEARCH_GROUPS: usize = 4;
+
+/// Interleaved timing rounds per path.
+const ROUNDS: usize = 15;
+
+/// How far a gated checker ratio may fall below its reference: three times
+/// the widest quartile spread any gated ratio showed over ten profiles of one
+/// tree on one host (the `rows` table below records each; BENCHMARKS.md
+/// "PR 17"), so an unchanged tree passes — over two such sets the lowest
+/// reading sat 19% under its median — and a path that became half again as
+/// slow does not.
+const CHECKER_FLOOR: f64 = 0.30;
+
+/// The `checker` subcommand: certification cost on 100k-op histories.
+///
+/// * `witness_full_100k` — the sequential batch certificate checker over the
+///   whole history, the baseline the next two rows are a ratio of.
+/// * `witness_decomposed_100k` — component-decomposed witness checking
+///   (single-threaded, so the ratio measures the decomposition itself).
+/// * `streaming_100k` — the windowed streaming checker fed in
+///   completion-time order through a reorder buffer.
+/// * `streaming_100k_10k_sessions` — the same path on a session-shaped
+///   history (ten ops per process, so 10k processes where the rows above
+///   have 16), as a ratio of `witness_full_100k_10k_sessions`. Per-process
+///   work in front of the checker shows here and nowhere else.
+/// * `saturated_search_2k` — the full search-side cascade *finding* a
+///   witness for a 2k-op history.
+///
+/// The paths are timed round-robin (one run of each per round), so slow host
+/// phases hit every path about equally, and each ratio is the median over
+/// rounds of that round's quotient.
+pub fn checker(mut args: Args) -> Result<ExitCode, String> {
+    let out = args.out()?;
+    args.finish()?;
+    let model = WitnessModel::Regular;
+    let (history, witness) = synthetic_history(CHECKER_OPS, CHECKER_GROUPS);
+    let (sessions, sessions_witness) = synthetic_session_history(CHECKER_OPS, SESSION_GROUPS, 10);
+    let (search_history, _) = synthetic_history(SEARCH_OPS, SEARCH_GROUPS);
+
+    // Per path: name, ops, components and, for a gated path, the row its
+    // `speedup` is a ratio of with that ratio's quartile spread (Q3 − Q1 over
+    // the median) across ten profiles of the PR 17 tree on one host.
+    let rows = [
+        ("witness_full_100k", CHECKER_OPS, CHECKER_GROUPS, None),
+        ("witness_decomposed_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.096))),
+        ("streaming_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.067))),
+        ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, None),
+        ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((3, 0.046))),
+        ("saturated_search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
+    ];
+    let mut peak_window = 0;
+    let mut paths: [&mut dyn FnMut() -> bool; 6] = [
+        &mut || check_witness(&history, &witness, model).is_ok(),
+        &mut || check_witness_decomposed(&history, &witness, model, 1).is_ok(),
+        &mut || {
+            let stats = certify_streaming(&history, &witness, model);
+            stats.map(|stats| peak_window = stats.peak_window).is_ok()
+        },
+        &mut || check_witness(&sessions, &sessions_witness, model).is_ok(),
+        &mut || certify_streaming(&sessions, &sessions_witness, model).is_ok(),
+        &mut || {
+            let outcome = check(&search_history, Model::RegularSequentialConsistency);
+            outcome.is_ok_and(|outcome| outcome.satisfied)
+        },
+    ];
+    // One warm-up round, then the timed ones: `rounds[r][path]` milliseconds.
+    let mut round = || -> Vec<f64> {
+        let time = |(run, row): (&mut &mut dyn FnMut() -> bool, &(&str, _, _, _))| {
+            let started = Instant::now();
+            assert!(run(), "{} did not certify", row.0);
+            started.elapsed().as_secs_f64() * 1_000.0
+        };
+        paths.iter_mut().zip(&rows).map(time).collect()
+    };
+    round();
+    let rounds: Vec<Vec<f64>> = (0..ROUNDS).map(|_| round()).collect();
+
+    let mut report = Report::new("checker", vec![("rounds", Json::u64(ROUNDS as u64))]);
+    let mut spreads = Vec::new();
+    for (i, (name, ops, components, ratio)) in rows.iter().enumerate() {
+        let millis = median(rounds.iter().map(|round| round[i]).collect());
+        let mut cells = vec![
+            ("ops", Rule::Exact, Json::u64(*ops as u64)),
+            ("components", Rule::Exact, Json::u64(*components as u64)),
+            ("millis", Rule::Info, Json::f64(round2(millis))),
+            ("ops_per_sec", Rule::Info, Json::f64((*ops as f64 / (millis / 1_000.0)).round())),
+        ];
+        if let Some((base, spread)) = *ratio {
+            let speedup = median(rounds.iter().map(|round| round[base] / round[i]).collect());
+            cells.push(("speedup", Rule::Floor(CHECKER_FLOOR), Json::f64(round2(speedup))));
+            spreads.push((name.to_string(), Json::f64(spread)));
+        }
+        report.push(*name, cells);
+    }
+    report.param("speedup_quartile_spread", Json::Obj(spreads));
+    report.param("peak_window", Json::u64(peak_window as u64));
+    emit(&report, out.as_deref())
+}

@@ -1,43 +1,18 @@
-//! Shared experiment configurations for the figure/table harnesses.
+//! The deployments the subcommands measure, each described once.
 //!
-//! Every binary in `src/bin/` builds on these helpers so that the exact
-//! workload parameters of each experiment live in one place and match the
-//! paper's evaluation setup (scaled to simulation: the key space is smaller
-//! than the paper's ten million keys, and load levels are scaled accordingly;
-//! see DESIGN.md for the substitution rationale).
+//! Every experiment of the `paper` table, the session baselines, the engine
+//! profile and the live benches build their cluster here, so the exact
+//! workload parameters live in one place and match the paper's evaluation
+//! setup (scaled to simulation: the key space is smaller than the paper's
+//! ten million keys, and load levels are scaled accordingly; see
+//! ARCHITECTURE.md, "Substitutions and simplifications").
 
-use rand::rngs::SmallRng;
 use regular_gryff::prelude as gryff;
-use regular_session::{SessionConfig, SessionOp, SessionWorkload, SimPlane};
-use regular_sim::metrics::LatencyRecorder;
+use regular_session::{SessionConfig, SessionWorkload, SimPlane};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_spanner::prelude as spanner;
 use regular_workloads::Retwis;
-
-/// Adapts the Retwis generator to the protocol-agnostic session interface.
-pub struct RetwisAdapter {
-    retwis: Retwis,
-}
-
-impl RetwisAdapter {
-    /// Creates an adapter over `num_keys` keys with the given Zipf skew.
-    pub fn new(num_keys: u64, skew: f64) -> Self {
-        RetwisAdapter { retwis: Retwis::new(num_keys, skew) }
-    }
-}
-
-impl SessionWorkload for RetwisAdapter {
-    fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp {
-        let txn = self.retwis.next_txn(rng);
-        let keys = txn.keys.iter().map(|&k| regular_core::types::Key(k)).collect();
-        if txn.read_only {
-            SessionOp::RoTxn { keys }
-        } else {
-            SessionOp::RwTxn { keys }
-        }
-    }
-}
 
 /// Parameters of a Figure 5 style run (Retwis over the wide-area topology).
 #[derive(Debug, Clone)]
@@ -90,7 +65,7 @@ pub fn run_spanner_retwis(mode: spanner::Mode, params: &RetwisRunParams) -> span
                 params.stay_probability,
                 SimDuration::ZERO,
             ),
-            workload: Box::new(RetwisAdapter::new(params.num_keys, params.skew))
+            workload: Box::new(Retwis::new(params.num_keys, params.skew))
                 as Box<dyn SessionWorkload>,
         })
         .collect();
@@ -105,21 +80,38 @@ pub fn run_spanner_retwis(mode: spanner::Mode, params: &RetwisRunParams) -> span
     })
 }
 
+/// Runs the Figure 4 micro-experiment: one writer keeps a two-shard
+/// read-write transaction in its prepared window on two hot keys while two
+/// readers issue read-only transactions on them.
+pub fn run_spanner_blocked_reader(mode: spanner::Mode, secs: u64, seed: u64) -> spanner::RunResult {
+    let client = |region, think_ms, ro_fraction, keys_per_txn| spanner::ClientSpec {
+        region,
+        sessions: SessionConfig::closed_loop(1, SimDuration::from_millis(think_ms)),
+        workload: Box::new(spanner::UniformWorkload { num_keys: 2, ro_fraction, keys_per_txn })
+            as Box<dyn SessionWorkload>,
+    };
+    spanner::run_cluster(spanner::ClusterSpec {
+        config: spanner::SpannerConfig::wan(mode),
+        net: LatencyMatrix::spanner_wan(),
+        seed,
+        // The writer (C_W) spans shards 0 and 1; the reader (C_R2) is remote;
+        // a second reader (C_R1) sits beside the coordinator shard, observes
+        // the write early and (under strict serializability) forces others to.
+        clients: vec![client(0, 0, 0.0, 2), client(1, 20, 1.0, 1), client(0, 15, 1.0, 1)],
+        stop_issuing_at: SimTime::from_secs(secs),
+        drain: SimDuration::from_secs(10),
+        measure_from: SimTime::from_secs(5),
+    })
+}
+
 /// Runs one point of the Figure 6 configuration: eight shards in one data
-/// center, uniform workload, a given number of closed-loop sessions.
+/// center, uniform workload, `total_sessions` closed-loop sessions of
+/// pipelining depth `batch`.
 pub fn run_spanner_overhead(
     mode: spanner::Mode,
     total_sessions: usize,
-    seed: u64,
-) -> spanner::RunResult {
-    run_spanner_overhead_batched(mode, total_sessions, 1, seed)
-}
-
-/// [`run_spanner_overhead`] with an explicit per-session pipelining depth.
-pub fn run_spanner_overhead_batched(
-    mode: spanner::Mode,
-    total_sessions: usize,
     batch: usize,
+    secs: u64,
     seed: u64,
 ) -> spanner::RunResult {
     let config = spanner::SpannerConfig::single_dc(mode, 8);
@@ -145,7 +137,7 @@ pub fn run_spanner_overhead_batched(
         net,
         seed,
         clients,
-        stop_issuing_at: SimTime::from_secs(10),
+        stop_issuing_at: SimTime::from_secs(secs),
         drain: SimDuration::from_secs(5),
         measure_from: SimTime::from_secs(2),
     })
@@ -181,13 +173,9 @@ impl Default for GryffRunParams {
     }
 }
 
-/// Runs the Figure 7 / §7.4 configuration.
-pub fn run_gryff_ycsb(mode: gryff::Mode, params: &GryffRunParams) -> gryff::GryffRunResult {
-    run_gryff_ycsb_batched(mode, params, 1)
-}
-
-/// [`run_gryff_ycsb`] with an explicit per-session pipelining depth.
-pub fn run_gryff_ycsb_batched(
+/// Runs the Figure 7 / §7.4 configuration with sessions of pipelining depth
+/// `batch`.
+pub fn run_gryff_ycsb(
     mode: gryff::Mode,
     params: &GryffRunParams,
     batch: usize,
@@ -219,15 +207,15 @@ pub fn run_gryff_ycsb_batched(
     })
 }
 
-/// The fixed Spanner-RSS configuration of the `engine_hotpath` profile — the
+/// The fixed Spanner-RSS configuration of the engine hot-path profile — the
 /// "10 s Spanner run" of the ROADMAP's engine-hot-path item: the throughput
 /// experiment's single-DC eight-shard cluster (§6.2) under saturating load
 /// (4 client nodes × 32 sessions × batch 8 = 1024 lanes), where the
 /// simulator pushes millions of messages through the event queue and the
 /// shards' busy-deferral churn makes event storage dominate wall-clock.
-/// `queue` selects the event-queue implementation so the bench and
-/// `sim_profile` can A/B the indexed queue against the retained reference
-/// heap on an otherwise identical execution.
+/// `queue` selects the event-queue implementation so the criterion bench and
+/// the `engine` subcommand can A/B the indexed queue against the retained
+/// reference heap on an otherwise identical execution.
 pub fn engine_profile_spanner(
     seconds: u64,
     seed: u64,
@@ -290,38 +278,93 @@ pub fn engine_profile_gryff(
     )
 }
 
-/// Formats a latency value in milliseconds with two decimals.
-pub fn fmt_ms(d: Option<SimDuration>) -> String {
-    match d {
-        Some(d) => format!("{:.2}", d.as_millis_f64()),
-        None => "-".to_string(),
+/// How the live benches drive the Spanner clients: the fixed closed-loop
+/// fleet of the standard rows, or open-loop Poisson arrivals for the knee
+/// ladder.
+#[derive(Clone, Copy)]
+pub enum Drive {
+    /// `sessions_per_client` closed-loop sessions on every client node.
+    Closed {
+        /// Sessions per client node.
+        sessions_per_client: usize,
+    },
+    /// Poisson arrivals, shed past `max_in_flight`.
+    Open {
+        /// Arrivals per second per client node.
+        rate_per_client: f64,
+        /// In-flight cap per client node.
+        max_in_flight: usize,
+    },
+}
+
+/// Client nodes of the live Spanner-RSS deployment.
+pub const LIVE_SPANNER_CLIENTS: usize = 8;
+
+/// The closed-loop drive shared by the standard live Spanner row and the
+/// multi-process run (hub and workers must agree on it byte for byte).
+pub const LIVE_DRIVE: Drive = Drive::Closed { sessions_per_client: 4 };
+
+/// The live benches' Spanner-RSS WAN deployment, deterministic in
+/// `(seed, stop_secs, drive)`: the single-process rows, the multi-process
+/// hub and every worker build their deployment from this one spec, so node
+/// ids, the hard stop, ε and the fault schedule line up across processes.
+pub fn live_spanner_spec(seed: u64, stop_secs: u64, drive: Drive) -> spanner::ClusterSpec {
+    let clients = (0..LIVE_SPANNER_CLIENTS)
+        .map(|i| {
+            let sessions = match drive {
+                Drive::Closed { sessions_per_client } => {
+                    SessionConfig::closed_loop(sessions_per_client, SimDuration::ZERO)
+                }
+                Drive::Open { rate_per_client, max_in_flight } => {
+                    SessionConfig::open_loop(rate_per_client, max_in_flight)
+                }
+            };
+            spanner::ClientSpec {
+                region: i % 3,
+                sessions: sessions
+                    .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
+                workload: Box::new(spanner::UniformWorkload {
+                    num_keys: 500,
+                    ro_fraction: 0.5,
+                    keys_per_txn: 2,
+                }) as Box<dyn SessionWorkload>,
+            }
+        })
+        .collect();
+    spanner::ClusterSpec {
+        config: spanner::SpannerConfig::wan(spanner::Mode::SpannerRss),
+        net: LatencyMatrix::spanner_wan(),
+        seed,
+        clients,
+        stop_issuing_at: SimTime::from_secs(stop_secs),
+        drain: SimDuration::from_secs(8),
+        measure_from: SimTime::from_secs(1),
     }
 }
 
-/// Prints a tail-latency row (p50/p90/p99/p99.5/p99.9/max) for a recorder.
-pub fn print_tail_row(label: &str, recorder: &LatencyRecorder) {
-    let mut r = recorder.clone();
-    println!(
-        "{:<28} n={:<7} p50={:>8} p90={:>8} p99={:>8} p99.5={:>8} p99.9={:>8} max={:>8}  (ms)",
-        label,
-        r.len(),
-        fmt_ms(r.percentile(50.0)),
-        fmt_ms(r.percentile(90.0)),
-        fmt_ms(r.percentile(99.0)),
-        fmt_ms(r.percentile(99.5)),
-        fmt_ms(r.percentile(99.9)),
-        fmt_ms(r.max()),
-    );
-}
-
-/// Prints a CDF (fraction, latency ms) table for plotting, one row per named
-/// fraction — the format of Figures 5 and 7's axes.
-pub fn print_cdf(label: &str, recorder: &LatencyRecorder, fractions: &[f64]) {
-    let mut r = recorder.clone();
-    println!("# CDF {label}");
-    println!("{:>10}  {:>12}", "fraction", "latency_ms");
-    for p in r.cdf(fractions) {
-        println!("{:>10.4}  {:>12.2}", p.fraction, p.latency.as_millis_f64());
+/// The live benches' five-region Gryff-RSC deployment: one client node per
+/// region, three closed-loop sessions each, YCSB 50 % writes / 25 % conflicts.
+pub fn live_gryff_spec(seed: u64, stop_secs: u64) -> gryff::GryffClusterSpec {
+    let clients = (0..5)
+        .map(|i| gryff::GryffClientSpec {
+            region: i,
+            sessions: SessionConfig::closed_loop(3, SimDuration::ZERO)
+                .with_workload_seed(seed.wrapping_mul(999_983).wrapping_add(i as u64)),
+            workload: Box::new(gryff::ConflictWorkload::ycsb(
+                0.5,
+                0.25,
+                seed.wrapping_add(i as u64),
+            )) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    gryff::GryffClusterSpec {
+        config: gryff::GryffConfig::wan(gryff::Mode::GryffRsc),
+        net: LatencyMatrix::gryff_wan(),
+        seed,
+        clients,
+        stop_issuing_at: SimTime::from_secs(stop_secs),
+        drain: SimDuration::from_secs(8),
+        measure_from: SimTime::from_secs(1),
     }
 }
 
@@ -338,26 +381,6 @@ pub fn reduction_pct(old: Option<SimDuration>, new: Option<SimDuration>) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retwis_adapter_produces_valid_requests() {
-        use rand::SeedableRng;
-        let mut adapter = RetwisAdapter::new(1_000, 0.7);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut ro = 0;
-        for _ in 0..200 {
-            let (keys, read_only) = match adapter.next_op(&mut rng) {
-                SessionOp::RoTxn { keys } => (keys, true),
-                SessionOp::RwTxn { keys } => (keys, false),
-                other => panic!("unexpected op {other:?}"),
-            };
-            assert!(!keys.is_empty());
-            if read_only {
-                ro += 1;
-            }
-        }
-        assert!(ro > 50, "about half the Retwis mix is read-only");
-    }
 
     #[test]
     fn reduction_percentage() {

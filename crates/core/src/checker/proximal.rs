@@ -811,6 +811,75 @@ mod tests {
         assert!(allowed(&h, ProximalModel::MwrWeak));
     }
 
+    /// Appendix A as one matrix: the schedules of Figures 9–11 and 13–16
+    /// against the five core and nine proximal models (`+` allowed, `-`
+    /// disallowed; printed under `--nocapture`). The paper states the cells
+    /// the `figure_*` tests above assert — each figure separates one pair of
+    /// models; the rest of the matrix pins what the exact checkers decide for
+    /// the same seven schedules, so a verdict that moves is seen.
+    #[test]
+    fn appendix_matrix_matches_the_paper() {
+        const EXPECTED: [(&str, &str); 14] = [
+            ("Strict Serializability", "-------"),
+            ("RSS", "-+--+--"),
+            ("RSC", "-+--+--"),
+            ("PO Serializability", "++-++-+"),
+            ("Sequential Consistency", "++-++-+"),
+            ("CRDB", "+------"),
+            ("Strong SI", "--+----"),
+            ("OSC(U)", "-+-+--+"),
+            ("VV Regularity", "-+--++-"),
+            ("Real-Time Causal", "-+-++++"),
+            ("MWR-Weak", "-++-+++"),
+            ("MWR-WO", "-++-++-"),
+            ("MWR-RF", "-++--++"),
+            ("MWR-NI", "-++-+++"),
+        ];
+        let figures = [
+            figure_9(),
+            figure_10(),
+            figure_11(),
+            figure_13(),
+            figure_14(),
+            figure_15(),
+            figure_16(),
+        ];
+        let row = |allows: &dyn Fn(&History) -> bool| -> String {
+            figures.iter().map(|h| if allows(h) { '+' } else { '-' }).collect()
+        };
+        let core = [
+            Model::StrictSerializability,
+            Model::RegularSequentialSerializability,
+            Model::RegularSequentialConsistency,
+            Model::ProcessOrderedSerializability,
+            Model::SequentialConsistency,
+        ];
+        let proximal = [
+            ProximalModel::Crdb,
+            ProximalModel::StrongSnapshotIsolation,
+            ProximalModel::OscU,
+            ProximalModel::VvRegularity,
+            ProximalModel::RealTimeCausal,
+            ProximalModel::MwrWeak,
+            ProximalModel::MwrWriteOrder,
+            ProximalModel::MwrReadsFrom,
+            ProximalModel::MwrNoInversion,
+        ];
+        let computed: Vec<(&str, String)> = core
+            .iter()
+            .map(|&m| (m.name(), row(&|h| satisfies(h, m))))
+            .chain(proximal.iter().map(|&m| (m.name(), row(&|h| allowed(h, m)))))
+            .collect();
+        println!("{:<24} Fig 9 10 11 13 14 15 16", "model");
+        for (name, verdicts) in &computed {
+            let spaced: Vec<String> = verdicts.chars().map(|c| format!("{c:>2}")).collect();
+            println!("{name:<24}    {}", spaced.join(" "));
+        }
+        let expected: Vec<(&str, String)> =
+            EXPECTED.iter().map(|(name, row)| (*name, row.to_string())).collect();
+        assert_eq!(computed, expected);
+    }
+
     #[test]
     fn linearizable_history_allowed_by_all_weaker_models() {
         let mut b = HistoryBuilder::new();

@@ -16,7 +16,7 @@
 //! after it completed — an execution with *no* legal serialization. (A
 //! 256-seed conformance sweep of the composed fault scenario caught exactly
 //! that anomaly against a two-component simplification; see
-//! `spec_violation` artifacts from `conformance_sweep` for what it looks
+//! `spec_violation` artifacts from `regular-bench sweep` for what it looks
 //! like.) With `rmwc`, a concurrent base write always orders above the rmw
 //! chain it raced, exactly as in Gryff.
 

@@ -7,7 +7,7 @@
 //! deterministic coordinator replica (`key mod num_replicas`), which runs a
 //! read phase and a write phase against a quorum — a simplification of
 //! Gryff's EPaxos-based consensus path that preserves per-key atomicity of
-//! rmws (see DESIGN.md).
+//! rmws (see ARCHITECTURE.md, "Substitutions and simplifications").
 
 use std::collections::VecDeque;
 

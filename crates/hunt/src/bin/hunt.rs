@@ -3,7 +3,7 @@
 //! Runs the evaluator cascade (smoke → random → guided mutation) under a
 //! time/execution budget; on the first certification failure, minimizes the
 //! triggering input with the ddmin shrinker and writes a replayable
-//! artifact that `conformance_sweep --replay` reproduces without
+//! artifact that `regular-bench replay` reproduces without
 //! re-simulating.
 //!
 //! Usage:
@@ -135,7 +135,7 @@ fn main() -> ExitCode {
     match artifact.save(&out) {
         Ok(path) => {
             println!("artifact written: {}", path.display());
-            println!("replay with: conformance_sweep --replay {}", path.display());
+            println!("replay with: regular-bench replay {}", path.display());
         }
         Err(e) => {
             eprintln!("failed to write artifact to {}: {e}", out.display());

@@ -33,7 +33,7 @@
 //! ```
 //!
 //! The artifact's `schedule` field carries the serialized [`HuntInput`], so
-//! `conformance_sweep --replay` reproduces the verdict from the recorded
+//! `regular-bench replay` reproduces the verdict from the recorded
 //! history without re-simulating — and anyone who wants to watch the bug
 //! live can feed the schedule back through [`run_input`].
 

@@ -27,7 +27,7 @@
 //!
 //! Every message therefore crosses the kernel twice (sender → hub,
 //! hub → receiver) and is encoded/decoded twice — the honest serialization
-//! cost `live_bench --transport` measures against mpsc.
+//! cost `regular-bench live --transport` measures against mpsc.
 //!
 //! The in-process socket transports of [`LivePlane`] reuse
 //! this exact machinery over a socket pair, so the differential tests pin

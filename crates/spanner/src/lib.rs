@@ -18,8 +18,8 @@
 //! The cluster is simulated: each shard is represented by its leader, Paxos
 //! replication is a configurable delay, and clients/load generators drive the
 //! workloads of the paper's evaluation (Retwis over a wide-area topology,
-//! uniform workloads in a single data center). See `DESIGN.md` at the
-//! repository root for the full list of substitutions and simplifications.
+//! uniform workloads in a single data center). See `ARCHITECTURE.md`
+//! ("Substitutions and simplifications") at the repository root for the list.
 //!
 //! # Example
 //!

@@ -6,8 +6,8 @@
 //! to block. Conflicting prepares queue in arrival order; cross-shard
 //! deadlocks (possible with multi-shard transactions preparing in opposite
 //! orders) are broken by a client-side commit timeout that aborts and retries
-//! the transaction (see DESIGN.md for the discussion of this simplification
-//! relative to Spanner's wound-wait).
+//! the transaction (see ARCHITECTURE.md, "Substitutions and simplifications",
+//! for this simplification relative to Spanner's wound-wait).
 
 use regular_core::hashing::FxHashMap;
 use regular_core::types::Key;

@@ -3,7 +3,7 @@
 //! When a sweep seed fails certification, the offending run is dumped as a
 //! self-contained JSON artifact: the scenario, the seed, the witness model,
 //! the full recorded history, and the witness that was rejected. CI uploads
-//! the file; `conformance_sweep --replay <file>` (or
+//! the file; `regular-bench replay <file>` (or
 //! [`FailureArtifact::replay`]) re-runs the certificate checker on the exact
 //! same history without re-simulating, so a violation found on a 32-core
 //! runner reproduces on a laptop byte-for-byte.

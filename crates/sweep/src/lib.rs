@@ -20,14 +20,15 @@
 //! * [`stream`] — streaming certification: witnesses fed in completion
 //!   order through `regular_core`'s windowed checker, plus the synthetic
 //!   histories used by the scale benchmarks.
-//! * [`report`] — sweep orchestration and the `BENCH_sweep.json` schema.
+//! * [`report`] — sweep orchestration: options, the pool fan-out, per-seed
+//!   reports and failure artifacts (`regular-bench sweep` aggregates them
+//!   into `BENCH_sweep.json`).
 //! * [`artifact`] — replayable failing-history dumps for CI upload.
 //! * [`json`] — the minimal JSON tree backing all of the above (the vendored
 //!   `serde` is a derive-only stub).
 //!
-//! The `conformance_sweep` binary in `regular-bench` is the CLI front end;
-//! CI runs it over ≥32 seeds per scenario (fault scenarios included) on
-//! every push.
+//! `regular-bench sweep` is the CLI front end; CI runs it over ≥32 seeds per
+//! scenario (fault scenarios included) on every push.
 
 pub mod artifact;
 pub mod composed;
@@ -40,6 +41,6 @@ pub mod stream;
 pub use artifact::FailureArtifact;
 pub use json::Json;
 pub use pool::{PoolStats, WorkStealingPool};
-pub use report::{run_sweep, sweep_to_json, write_json, SweepOptions, SweepResult};
+pub use report::{run_sweep, SweepOptions, SweepResult};
 pub use scenario::{run_seed, run_seed_with, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
 pub use stream::{certify_streaming, synthetic_history, synthetic_session_history, StreamStats};

@@ -80,7 +80,7 @@ pub enum Scenario {
     /// an OS thread, time the scaled wall clock, completions certified RSS
     /// through the streaming checker. The sweep runs it over the in-process
     /// mpsc transport; the plane's socket backends (UDS/TCP, including
-    /// multi-process deployments) are exercised by `live_bench --net`.
+    /// multi-process deployments) are exercised by `regular-bench net`.
     /// Not bit-deterministic; the transport's delivery log rides along in
     /// failure artifacts.
     LiveSpannerRss,
@@ -135,7 +135,7 @@ struct Row {
 pub const LIVE_TIME_SCALE: u64 = 40;
 
 /// The plane of the live sweep scenarios: the in-process mpsc transport
-/// (the socket backends are exercised by `live_bench --net`), with the
+/// (the socket backends are exercised by `regular-bench net`), with the
 /// delivery log recorded so a failure artifact carries its schedule.
 const SWEEP_LIVE: LivePlane = LivePlane {
     time_scale: LIVE_TIME_SCALE,

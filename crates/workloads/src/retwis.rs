@@ -12,6 +12,8 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use regular_core::types::Key;
+use regular_session::{SessionOp, SessionWorkload};
 use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
@@ -111,10 +113,41 @@ impl Retwis {
     }
 }
 
+/// Retwis behind the protocol-agnostic session interface: every generated
+/// transaction becomes a read-only or read-write transaction over its keys.
+impl SessionWorkload for Retwis {
+    fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp {
+        let txn = self.next_txn(rng);
+        let keys = txn.keys.into_iter().map(Key).collect();
+        if txn.read_only {
+            SessionOp::RoTxn { keys }
+        } else {
+            SessionOp::RwTxn { keys }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn session_workload_produces_valid_requests() {
+        let mut retwis = Retwis::new(1_000, 0.7);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut ro = 0;
+        for _ in 0..200 {
+            let (keys, read_only) = match retwis.next_op(&mut rng) {
+                SessionOp::RoTxn { keys } => (keys, true),
+                SessionOp::RwTxn { keys } => (keys, false),
+                other => panic!("unexpected op {other:?}"),
+            };
+            assert!(!keys.is_empty());
+            ro += usize::from(read_only);
+        }
+        assert!(ro > 50, "about half the Retwis mix is read-only");
+    }
 
     #[test]
     fn mix_matches_paper_proportions() {

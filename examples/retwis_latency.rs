@@ -4,34 +4,16 @@
 //! Run with: `cargo run --release --example retwis_latency`
 //! (Use `--release`; the simulation covers ~40 simulated seconds per variant.)
 
-use rand::rngs::SmallRng;
-use regular_seq::core::types::Key;
 use regular_seq::sim::{LatencyMatrix, SimDuration, SimTime};
 use regular_seq::spanner::prelude::*;
 use regular_seq::workloads::Retwis;
-
-/// Adapter from the Retwis generator to the session workload interface.
-struct RetwisWorkload(Retwis);
-
-impl SessionWorkload for RetwisWorkload {
-    fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp {
-        let txn = self.0.next_txn(rng);
-        let keys = txn.keys.iter().map(|&k| Key(k)).collect();
-        if txn.read_only {
-            SessionOp::RoTxn { keys }
-        } else {
-            SessionOp::RwTxn { keys }
-        }
-    }
-}
 
 fn run(mode: Mode) -> RunResult {
     let clients = (0..3)
         .map(|region| ClientSpec {
             region,
             sessions: SessionConfig::partly_open(4.0, 0.9, SimDuration::ZERO),
-            workload: Box::new(RetwisWorkload(Retwis::new(200_000, 0.7)))
-                as Box<dyn SessionWorkload>,
+            workload: Box::new(Retwis::new(200_000, 0.7)) as Box<dyn SessionWorkload>,
         })
         .collect();
     run_cluster(ClusterSpec {

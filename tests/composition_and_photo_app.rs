@@ -18,36 +18,45 @@ fn table_1_verdicts_match_the_paper() {
     assert!(detect_a2_a3(&scenarios::a2_anomaly(&keys), &keys).is_some());
     assert!(detect_a2_a3(&scenarios::a3_anomaly(&keys), &keys).is_some());
 
-    // I1: never violated under any of the three models.
-    let i1 = scenarios::i1_violation(&keys);
-    assert!(!satisfies(&i1, Model::StrictSerializability));
-    assert!(!satisfies(&i1, Model::RegularSequentialSerializability));
-    assert!(!satisfies_composed(&i1, Model::ProcessOrderedSerializability));
-
-    // I2: violated only when the services are composed without a composable
-    // guarantee (PO serializability).
-    let i2 = scenarios::i2_violation(&keys);
-    assert!(!satisfies(&i2, Model::StrictSerializability));
-    assert!(!satisfies(&i2, Model::RegularSequentialSerializability));
-    assert!(satisfies_composed(&i2, Model::ProcessOrderedSerializability));
-
-    // A1: never under all three.
-    let a1 = scenarios::a1_anomaly(&keys);
-    assert!(!satisfies(&a1, Model::StrictSerializability));
-    assert!(!satisfies(&a1, Model::RegularSequentialSerializability));
-    assert!(!satisfies_composed(&a1, Model::ProcessOrderedSerializability));
-
-    // A2: never under strict serializability and RSS; possible under PO.
-    let a2 = scenarios::a2_anomaly(&keys);
-    assert!(!satisfies(&a2, Model::StrictSerializability));
-    assert!(!satisfies(&a2, Model::RegularSequentialSerializability));
-    assert!(satisfies_composed(&a2, Model::ProcessOrderedSerializability));
-
-    // A3: never under strict serializability; temporarily possible under RSS.
-    let a3 = scenarios::a3_anomaly(&keys);
-    assert!(!satisfies(&a3, Model::StrictSerializability));
-    assert!(satisfies(&a3, Model::RegularSequentialSerializability));
-    assert!(satisfies_composed(&a3, Model::ProcessOrderedSerializability));
+    // Table 1, cell by cell: does the model admit the execution that exhibits
+    // the violation / anomaly ("possible") or reject it ("never")? PO
+    // serializability is not composable, so it only guarantees each service
+    // independently. (A4 — a request that never receives a response — is
+    // outside any consistency model's scope: "possible" under all three.)
+    let table = [
+        (
+            "I1 violation (album references missing photo)",
+            scenarios::i1_violation(&keys),
+            [false; 3],
+        ),
+        (
+            "I2 violation (worker reads null after dequeue)",
+            scenarios::i2_violation(&keys),
+            [false, false, true],
+        ),
+        ("A1 (lost photo)", scenarios::a1_anomaly(&keys), [false; 3]),
+        (
+            "A2 (Alice adds, calls Bob, Bob misses it)",
+            scenarios::a2_anomaly(&keys),
+            [false, false, true],
+        ),
+        (
+            "A3 (Alice sees Charlie's in-flight photo, Bob misses it)",
+            scenarios::a3_anomaly(&keys),
+            [false, true, true],
+        ),
+    ];
+    println!("{:<58} | {:>11} | {:>8} | {:>8}", "scenario", "strict ser.", "RSS", "PO ser.");
+    for (name, history, paper) in &table {
+        let admitted = [
+            satisfies(history, Model::StrictSerializability),
+            satisfies(history, Model::RegularSequentialSerializability),
+            satisfies_composed(history, Model::ProcessOrderedSerializability),
+        ];
+        let [strict, rss, po] = admitted.map(|a| if a { "possible" } else { "never" });
+        println!("{name:<58} | {strict:>11} | {rss:>8} | {po:>8}");
+        assert_eq!(admitted, *paper, "{name}: [strict ser., RSS, PO ser.] admit it");
+    }
 
     // The correct execution passes every invariant and anomaly detector.
     let good = scenarios::correct_execution(&keys);

@@ -1,33 +1,17 @@
 //! Cross-crate integration tests: full Spanner / Spanner-RSS simulations whose
 //! recorded histories are verified with the `regular-core` checkers.
 
-use rand::rngs::SmallRng;
 use regular_seq::core::checker::certificate::{check_witness, WitnessModel};
-use regular_seq::core::types::Key;
 use regular_seq::sim::{LatencyMatrix, SimDuration, SimTime};
 use regular_seq::spanner::prelude::*;
 use regular_seq::workloads::Retwis;
-
-struct RetwisWorkload(Retwis);
-
-impl SessionWorkload for RetwisWorkload {
-    fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp {
-        let txn = self.0.next_txn(rng);
-        let keys = txn.keys.iter().map(|&k| Key(k)).collect();
-        if txn.read_only {
-            SessionOp::RoTxn { keys }
-        } else {
-            SessionOp::RwTxn { keys }
-        }
-    }
-}
 
 fn retwis_cluster(mode: Mode, skew: f64, seed: u64, keys: u64) -> RunResult {
     let clients = (0..3)
         .map(|region| ClientSpec {
             region,
             sessions: SessionConfig::partly_open(4.0, 0.9, SimDuration::ZERO),
-            workload: Box::new(RetwisWorkload(Retwis::new(keys, skew))) as Box<dyn SessionWorkload>,
+            workload: Box::new(Retwis::new(keys, skew)) as Box<dyn SessionWorkload>,
         })
         .collect();
     run_cluster(ClusterSpec {
