@@ -211,8 +211,8 @@ pub fn run_gryff_ycsb(
 /// "10 s Spanner run" of the ROADMAP's engine-hot-path item: the throughput
 /// experiment's single-DC eight-shard cluster (§6.2) under saturating load
 /// (4 client nodes × 32 sessions × batch 8 = 1024 lanes), where the
-/// simulator pushes millions of messages through the event queue and the
-/// shards' busy-deferral churn makes event storage dominate wall-clock.
+/// simulator pushes millions of messages through the event queue and every
+/// event waits out dozens of busy deferrals in its shard's run queue.
 /// `queue` selects the event-queue implementation so the criterion bench and
 /// the `engine` subcommand can A/B the indexed queue against the retained
 /// reference heap on an otherwise identical execution.

@@ -25,7 +25,7 @@ use regular_session::{
     SimPlane, WitnessHint,
 };
 use regular_sim::engine::{Context, Node, NodeId};
-use regular_sim::metrics::{DeliveryRecord, LatencyRecorder, MessageStats, WireStats};
+use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_storage::StorageSummary;
@@ -146,6 +146,8 @@ pub struct GryffRunResult {
     /// Full message counters, including the fault plane's drops, duplicates,
     /// and expirations.
     pub net_stats: MessageStats,
+    /// The simulator's event-loop counters (zeroes on the live plane).
+    pub engine: EngineStats,
     /// Aggregated write-ahead-log counters across every replica (all zeroes
     /// under `Durability::InMemory`).
     pub storage: StorageSummary,
@@ -354,6 +356,7 @@ fn collect(
         finished_at: ran.finished_at,
         messages: net.delivered,
         net_stats: net,
+        engine: ran.engine,
         storage,
         replica_registers,
         coverage,

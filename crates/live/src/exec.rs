@@ -328,6 +328,7 @@ where
         completed,
         net_stats: stats,
         finished_at,
+        engine: Default::default(),
         coverage: None,
         wall: start_wall.elapsed(),
         deliveries,

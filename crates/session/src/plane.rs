@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use regular_sim::engine::{Engine, EngineConfig, Node};
 use regular_sim::fault::FaultSchedule;
-use regular_sim::metrics::{DeliveryRecord, MessageStats, WireStats};
+use regular_sim::metrics::{DeliveryRecord, EngineStats, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::queue::QueueKind;
 use regular_sim::time::{SimDuration, SimTime};
@@ -77,6 +77,9 @@ pub struct Ran<N> {
     pub net_stats: MessageStats,
     /// Simulated time when the run stopped.
     pub finished_at: SimTime,
+    /// The simulator's event-loop counters; zeroes on the live plane, which
+    /// has no event queue.
+    pub engine: EngineStats,
     /// Distinct `(message class, receiver phase tag)` pairs, `(class,
     /// 0xFFFF)` for messages that expired at a crashed receiver. `None`
     /// unless the plane recorded coverage (see [`SimPlane::classify`]).
@@ -166,6 +169,7 @@ impl<M: Clone + 'static> Plane<M> for SimPlane<M> {
         }
         let finished_at = engine.run();
         let net_stats = engine.message_stats();
+        let engine_stats = engine.stats();
         let coverage = self.classify.map(|_| engine.coverage_pairs().collect());
         let mut nodes = engine.into_nodes();
         let completed = nodes
@@ -181,6 +185,7 @@ impl<M: Clone + 'static> Plane<M> for SimPlane<M> {
             completed,
             net_stats,
             finished_at,
+            engine: engine_stats,
             coverage,
             wall: Duration::ZERO,
             deliveries: Vec::new(),

@@ -24,6 +24,11 @@
 //!   message arrives while the node is still busy, its processing is delayed
 //!   until the node frees up. This produces queueing, which is what makes the
 //!   throughput/latency experiments (Figure 6, §7.4) saturate realistically.
+//!   The ordering contract: a deferred event is re-keyed `(busy_until, fresh
+//!   seq)` at the moment it reaches the global head; an event arriving at
+//!   exactly the busy instant with an older seq is served first. The queue
+//!   parks each node's backlog in a run queue of its own without changing
+//!   that order ([`crate::queue`], "The busy path").
 //! * Events scheduled for the same instant are processed in scheduling order,
 //!   which keeps runs bit-for-bit deterministic for a fixed seed — with or
 //!   without faults, since drop/duplicate sampling draws from the same
@@ -48,7 +53,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::fault::FaultSchedule;
-use crate::metrics::MessageStats;
+use crate::metrics::{EngineStats, MessageStats};
 use crate::net::{Delivery, NetworkModel, Region};
 use crate::queue::{QueueKind, SimQueue};
 use crate::time::{SimDuration, SimTime};
@@ -454,6 +459,15 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
     /// Total events (start, message, timer) processed so far.
     pub fn processed_events(&self) -> u64 {
         self.processed_events
+    }
+
+    /// The event loop's work counters so far.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            events: self.processed_events,
+            deferrals: self.queue.deferrals(),
+            queue_ops: self.queue.heap_ops(),
+        }
     }
 
     /// Total messages dispatched so far — the sequence space

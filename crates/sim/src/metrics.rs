@@ -41,6 +41,17 @@ impl MessageStats {
     }
 }
 
+/// What an execution cost the engine's event loop, in seed-exact counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Events processed: starts, messages, timers, crashes and recoveries.
+    pub events: u64,
+    /// Events re-keyed because they reached the head of a busy node.
+    pub deferrals: u64,
+    /// Pushes and pops on the indexed queue's wheel and overflow heaps.
+    pub queue_ops: u64,
+}
+
 /// One delivery a live plane's router performed, in delivery order.
 ///
 /// The recorded log makes a live run's nondeterministic interleaving

@@ -13,13 +13,34 @@
 //!   path that semantically *is* a copy (`Delivery::Duplicate`).
 //! * **Calendar time wheel**: near-future events (the common case — message
 //!   latencies and service times are micro- to milliseconds) land in one of
-//!   [`NUM_BUCKETS`] buckets of [`BUCKET_WIDTH_US`] µs; each bucket holds
-//!   compact 24-byte `(time, seq, slot)` refs, scanned linearly on pop
-//!   (buckets hold a handful of events in practice).
+//!   [`NUM_BUCKETS`] buckets of [`BUCKET_WIDTH_US`] µs; each bucket is a
+//!   small heap of compact 24-byte `(time, seq, slot)` refs (buckets hold a
+//!   handful of events in practice).
 //! * **Heap fallback for far timers**: events beyond the wheel's span
 //!   (commit timeouts, crash windows seconds away) overflow into a small
 //!   binary heap of refs and are folded back into the wheel as its horizon
 //!   advances past them.
+//!
+//! # The busy path
+//!
+//! An event that reaches the global head while its node is still serving
+//! another is re-keyed `(busy_until, fresh seq)` by [`SimQueue::defer_head`]
+//! (the contract is the engine's: [`crate::engine`], "Time model"). The ref
+//! does not go back into the wheel: it is *parked* in its node's run queue
+//! — a `VecDeque` whose keys ascend, since a node's busy instants never move
+//! backwards and seqs are fresh — and the wheel holds one *proxy* ref per
+//! non-empty run queue, keyed like its front. Every head is found at the
+//! same `(time, seq)` as if the parked refs were in the wheel, and a waiting
+//! event costs the wheel nothing per service slot. A proxy popped (its node
+//! is free, or crashed) yields the front's payload and goes back in keyed
+//! like the next front. A proxy deferred (its node is busy) re-keys the
+//! front and, in the same pass, every following front that shares its
+//! instant and precedes the wheel's next head: each would have been the
+//! next global head, of the same busy node at the same instant, and been
+//! deferred likewise with the next seq before any other event could be
+//! served or scheduled. The pass hands out exactly those consecutive seqs
+//! and stops where another node's event comes first, so same-instant ties
+//! across nodes resolve as before.
 //!
 //! Pops are in strict global `(time, seq)` order — the exact order the seed
 //! heap produced — so a fixed seed replays to a byte-identical history on
@@ -30,7 +51,7 @@
 //! profile, which is what `benches/engine_hotpath.rs` measures against).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -89,6 +110,11 @@ struct EventRef {
 /// bypass the CPU/busy model.
 const POWER_BIT: u32 = 1 << 31;
 
+/// The `slot` of a run-queue proxy: a wheel ref with no payload of its own
+/// that stands for the front of its target node's run queue, under the
+/// front's key. The arena never hands this slot out.
+const PROXY_SLOT: u32 = u32::MAX;
+
 fn pack_target(node: usize, power: bool) -> u32 {
     let node = u32::try_from(node).expect("node id fits u31");
     assert!(node & POWER_BIT == 0, "node id fits u31");
@@ -99,9 +125,9 @@ fn pack_target(node: usize, power: bool) -> u32 {
 ///
 /// Buckets are small binary heaps of 24-byte [`EventRef`]s: radix
 /// bucketing does the coarse (64 µs) ordering, the per-bucket heap the fine
-/// ordering, so even pathological buckets (a saturated node deferring
-/// hundreds of events to the same busy instant) cost `O(log k)` per
-/// operation — and nothing ever moves a payload.
+/// ordering — and nothing ever moves a payload. A saturated node's backlog
+/// never piles into a bucket: it waits in that node's run queue behind one
+/// proxy ref.
 struct IndexedQueue<T> {
     /// Slab of payloads; `None` slots are free.
     slots: Vec<Option<T>>,
@@ -118,10 +144,15 @@ struct IndexedQueue<T> {
     min_abs: u64,
     /// Events beyond the wheel horizon, by `(time, seq)`.
     overflow: BinaryHeap<Reverse<EventRef>>,
-    /// Scheduled refs currently in the wheel (not the overflow).
+    /// Refs currently in the wheel (not the overflow), proxies included.
     wheel_len: usize,
-    /// Total scheduled refs.
+    /// Scheduled events, wherever their refs wait (proxies do not count).
     len: usize,
+    /// Per-node run queues of busy-deferred refs, keys ascending. A
+    /// non-empty one has exactly one proxy in the wheel or the overflow.
+    runs: Vec<VecDeque<EventRef>>,
+    /// Pushes and pops performed on wheel buckets and the overflow heap.
+    heap_ops: u64,
 }
 
 impl<T> IndexedQueue<T> {
@@ -135,6 +166,8 @@ impl<T> IndexedQueue<T> {
             overflow: BinaryHeap::new(),
             wheel_len: 0,
             len: 0,
+            runs: Vec::new(),
+            heap_ops: 0,
         }
     }
 
@@ -181,9 +214,9 @@ impl<T> IndexedQueue<T> {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
+                assert!(self.slots.len() < PROXY_SLOT as usize, "event arena exceeds u32 slots");
                 self.slots.push(Some(payload));
-                slot
+                self.slots.len() as u32 - 1
             }
         }
     }
@@ -193,7 +226,8 @@ impl<T> IndexedQueue<T> {
         time.as_micros() >> BUCKET_SHIFT
     }
 
-    fn schedule(&mut self, entry: EventRef) {
+    /// Places a ref (an event's or a proxy's) in the wheel or the overflow.
+    fn insert(&mut self, entry: EventRef) {
         let abs = Self::abs_bucket(entry.time);
         if abs >= self.min_abs + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(entry));
@@ -207,7 +241,7 @@ impl<T> IndexedQueue<T> {
             self.mark_occupied(bucket);
             self.wheel_len += 1;
         }
-        self.len += 1;
+        self.heap_ops += 1;
     }
 
     /// Folds overflow events that now fall inside the wheel horizon back
@@ -223,6 +257,7 @@ impl<T> IndexedQueue<T> {
             self.wheel[bucket].push(Reverse(entry));
             self.mark_occupied(bucket);
             self.wheel_len += 1;
+            self.heap_ops += 2;
         }
     }
 
@@ -231,13 +266,10 @@ impl<T> IndexedQueue<T> {
     /// first bucket when the wheel is empty). Returns `None` on an empty
     /// queue.
     fn min_bucket(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
         if self.wheel_len == 0 {
             // Everything lives past the horizon: leap the wheel to the
             // earliest overflow event's bucket.
-            let &Reverse(first) = self.overflow.peek().expect("len > 0");
+            let &Reverse(first) = self.overflow.peek()?;
             self.min_abs = Self::abs_bucket(first.time);
             self.drain_overflow();
         }
@@ -257,7 +289,7 @@ impl<T> IndexedQueue<T> {
         self.wheel[bucket].peek().map(|&Reverse(e)| e)
     }
 
-    /// Removes and returns the head ref, leaving its payload slot in place.
+    /// Removes and returns the head ref (an event's or a proxy's).
     fn pop_head_ref(&mut self) -> Option<EventRef> {
         let bucket = self.min_bucket()?;
         let Reverse(entry) = self.wheel[bucket].pop().expect("min bucket is non-empty");
@@ -265,15 +297,64 @@ impl<T> IndexedQueue<T> {
             self.mark_empty(bucket);
         }
         self.wheel_len -= 1;
-        self.len -= 1;
+        self.heap_ops += 1;
         Some(entry)
     }
 
     fn pop(&mut self) -> Option<(SimTime, T)> {
-        let entry = self.pop_head_ref()?;
+        let mut entry = self.pop_head_ref()?;
+        if entry.slot == PROXY_SLOT {
+            // The head is parked: serve it, and re-key the proxy to the next.
+            let run = &mut self.runs[(entry.target & !POWER_BIT) as usize];
+            entry = run.pop_front().expect("a proxy stands for a non-empty run queue");
+            if let Some(&next) = run.front() {
+                self.insert(EventRef { slot: PROXY_SLOT, ..next });
+            }
+        }
+        self.len -= 1;
         let payload = self.slots[entry.slot as usize].take().expect("scheduled slot is occupied");
         self.free.push(entry.slot);
         Some((entry.time, payload))
+    }
+
+    /// [`SimQueue::defer_head`] as the module docs' "The busy path" describes
+    /// it, drawing fresh seqs from `seq`.
+    fn defer_head(&mut self, new_time: SimTime, seq: &mut u64) {
+        let head = self.pop_head_ref().expect("defer_head on an empty queue");
+        let node = (head.target & !POWER_BIT) as usize;
+        if self.runs.len() <= node {
+            self.runs.resize_with(node + 1, VecDeque::new);
+        }
+        // What keeps a run queue sorted: deferrals of one node never move
+        // backwards in time, and seqs are fresh.
+        let ascends = self.runs[node].back().is_none_or(|back| back.time <= new_time);
+        assert!(ascends, "node {node} deferred to before an event it already parked");
+        let mut rekeyed = |entry: EventRef| {
+            let entry = EventRef { time: new_time, seq: *seq, ..entry };
+            *seq += 1;
+            entry
+        };
+        if head.slot != PROXY_SLOT {
+            // A fresh arrival at a busy node joins the back of its run.
+            self.runs[node].push_back(rekeyed(head));
+            if self.runs[node].len() > 1 {
+                return;
+            }
+        } else {
+            // Keys ascend, so the fronts to re-key are a prefix (never
+            // empty: the head was the front); re-keyed in place, in order,
+            // it is the run queue's new tail.
+            let limit = self.peek_head();
+            let run = &mut self.runs[node];
+            let pass = run.partition_point(|front| {
+                front.time == head.time && limit.is_none_or(|limit| *front < limit)
+            });
+            for front in run.iter_mut().take(pass) {
+                *front = rekeyed(*front);
+            }
+            run.rotate_left(pass);
+        }
+        self.insert(EventRef { slot: PROXY_SLOT, ..self.runs[node][0] });
     }
 }
 
@@ -347,6 +428,8 @@ pub struct SimQueue<T> {
     /// here (not per implementation) so both kinds share the exact
     /// assignment discipline.
     seq: u64,
+    /// Events re-keyed by `defer_head`.
+    deferrals: u64,
 }
 
 // One queue exists per engine, so the variants' inline-size difference (the
@@ -364,7 +447,7 @@ impl<T> SimQueue<T> {
             QueueKind::Indexed => QueueImpl::Indexed(IndexedQueue::new()),
             QueueKind::ReferenceHeap => QueueImpl::Heap(HeapQueue::new()),
         };
-        SimQueue { inner, seq: 0 }
+        SimQueue { inner, seq: 0, deferrals: 0 }
     }
 
     /// The kind this queue was created with.
@@ -420,7 +503,10 @@ impl<T> SimQueue<T> {
         self.seq += 1;
         let target = pack_target(node, power);
         match &mut self.inner {
-            QueueImpl::Indexed(q) => q.schedule(EventRef { time, seq, slot: id.0, target }),
+            QueueImpl::Indexed(q) => {
+                q.insert(EventRef { time, seq, slot: id.0, target });
+                q.len += 1;
+            }
             QueueImpl::Heap(q) => {
                 let payload = q.take_pending(id.0);
                 q.heap.push(Reverse(HeapEntry { time, seq, target, payload }));
@@ -457,25 +543,44 @@ impl<T> SimQueue<T> {
     }
 
     /// Reschedules the earliest event at `new_time` with a fresh sequence
-    /// number — the busy-deferral path. The indexed queue moves only the
-    /// 24-byte ref; the reference heap pops and re-pushes the whole entry,
-    /// which is exactly what the seed engine's deferral did.
+    /// number — the busy-deferral path: the head's node is serving another
+    /// event until `new_time`, later than the head's instant. The caller
+    /// promises the same call for every later head of that node at that
+    /// instant that nothing else precedes (the engine's busy check depends
+    /// on the head's node and instant alone); the indexed queue re-keys that
+    /// whole run in this one call, with the seqs those calls would draw. The
+    /// reference heap pops and re-pushes one whole entry per call, which is
+    /// exactly what the seed engine's deferral did.
     ///
     /// # Panics
     ///
-    /// Panics if the queue is empty.
+    /// Panics if the queue is empty, or if `new_time` precedes an earlier
+    /// deferral of the same node that is still queued.
     pub fn defer_head(&mut self, new_time: SimTime) {
-        let seq = self.seq;
-        self.seq += 1;
+        let first_seq = self.seq;
         match &mut self.inner {
-            QueueImpl::Indexed(q) => {
-                let entry = q.pop_head_ref().expect("defer_head on an empty queue");
-                q.schedule(EventRef { time: new_time, seq, ..entry });
-            }
+            QueueImpl::Indexed(q) => q.defer_head(new_time, &mut self.seq),
             QueueImpl::Heap(q) => {
+                let seq = self.seq;
+                self.seq += 1;
                 let Reverse(entry) = q.heap.pop().expect("defer_head on an empty queue");
                 q.heap.push(Reverse(HeapEntry { time: new_time, seq, ..entry }));
             }
+        }
+        self.deferrals += self.seq - first_seq;
+    }
+
+    /// Events re-keyed by [`SimQueue::defer_head`] so far, on either kind.
+    pub fn deferrals(&self) -> u64 {
+        self.deferrals
+    }
+
+    /// Pushes and pops on the wheel's buckets and the overflow heap so far;
+    /// zero on the reference heap, which has neither.
+    pub fn heap_ops(&self) -> u64 {
+        match &self.inner {
+            QueueImpl::Indexed(q) => q.heap_ops,
+            QueueImpl::Heap(_) => 0,
         }
     }
 
@@ -560,58 +665,175 @@ mod tests {
         }
     }
 
-    /// The pin for byte-identical replay: any interleaving of pushes and
-    /// pops produces the same pop sequence on both implementations,
-    /// including same-instant tie-breaks and wheel/overflow boundaries.
-    #[test]
-    fn randomized_differential_wheel_vs_reference_heap() {
-        for trial in 0..50u64 {
-            let mut rng = SmallRng::seed_from_u64(trial);
-            let mut wheel = SimQueue::new(QueueKind::Indexed);
-            let mut heap = SimQueue::new(QueueKind::ReferenceHeap);
-            let mut now = 0u64;
-            let mut next_payload = 0u64;
-            let mut popped_wheel = Vec::new();
-            let mut popped_heap = Vec::new();
-            for _ in 0..400 {
-                if rng.gen_bool(0.6) || wheel.is_empty() {
-                    // Schedules are at or after the latest pop, like the
-                    // engine's. Mix of near (same bucket), mid (in-span), and
-                    // far (overflow) horizons, with deliberate exact ties.
-                    let delta = match rng.gen_range(0..10u32) {
-                        0..=3 => rng.gen_range(0..BUCKET_WIDTH_US),
-                        4..=7 => rng.gen_range(0..NUM_BUCKETS as u64 * BUCKET_WIDTH_US),
-                        8 => 0,
-                        _ => rng.gen_range(0..4 * NUM_BUCKETS as u64 * BUCKET_WIDTH_US),
-                    };
-                    let t = SimTime::from_micros(now + delta);
-                    let p = next_payload;
-                    next_payload += 1;
-                    let id = wheel.alloc(p);
-                    wheel.schedule(t, id, 0, false);
-                    let id = heap.alloc(p);
-                    heap.schedule(t, id, 0, false);
-                } else {
-                    let (tw, pw) = wheel.pop().expect("non-empty");
-                    let (th, ph) = heap.pop().expect("same length");
-                    assert_eq!((tw, pw), (th, ph), "trial {trial} diverged");
-                    now = tw.as_micros();
-                    popped_wheel.push((tw, pw));
-                    popped_heap.push((th, ph));
-                }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "trial {trial} peek diverged");
-            }
-            while let Some(entry) = wheel.pop() {
-                popped_wheel.push(entry);
-                popped_heap.push(heap.pop().expect("same length"));
-            }
-            assert!(heap.pop().is_none());
-            assert_eq!(popped_wheel, popped_heap, "trial {trial}");
-            // And the pop sequence is globally sorted by time.
-            for w in popped_wheel.windows(2) {
-                assert!(w[0].0 <= w[1].0);
+    /// Payloads at or above this are power events: `CRASH` or `RECOVER`.
+    const CRASH: u64 = 1 << 40;
+    const RECOVER: u64 = CRASH + 1;
+
+    /// Per-node service times of [`BusyModel`], in µs: never busy, within a
+    /// bucket, a few buckets, and past the wheel's whole span (so that
+    /// node's deferrals, and its run queue's proxy, land in the overflow).
+    const SERVICE_US: [u64; 4] = [0, 40, 900, NUM_BUCKETS as u64 * BUCKET_WIDTH_US + 5_000];
+
+    /// The engine's busy model over a bare queue, so the busy path can be
+    /// differential-tested below the engine: the head is served unless its
+    /// node is still serving (then it is deferred to the busy instant), a
+    /// crashed node's events are popped and lost, power events flip the
+    /// crash state and skip the busy check.
+    struct BusyModel {
+        q: SimQueue<u64>,
+        busy_until: [SimTime; 4],
+        crashed: [bool; 4],
+    }
+
+    impl BusyModel {
+        fn new(kind: QueueKind) -> Self {
+            BusyModel {
+                q: SimQueue::new(kind),
+                busy_until: [SimTime::ZERO; 4],
+                crashed: [false; 4],
             }
         }
+
+        fn push(&mut self, time_us: u64, node: usize, payload: u64) {
+            let id = self.q.alloc(payload);
+            self.q.schedule(SimTime::from_micros(time_us), id, node, payload >= CRASH);
+        }
+
+        /// One turn of the engine's loop: defers busy heads until one can be
+        /// popped, and pops it.
+        fn serve(&mut self) -> Option<(SimTime, u64)> {
+            loop {
+                let (time, node, power) = self.q.peek_head()?;
+                if !power && !self.crashed[node] && self.busy_until[node] > time {
+                    self.q.defer_head(self.busy_until[node]);
+                    continue;
+                }
+                let (time, payload) = self.q.pop().expect("peeked head exists");
+                if power {
+                    self.crashed[node] = payload == CRASH;
+                    self.busy_until[node] = time;
+                } else if !self.crashed[node] {
+                    self.busy_until[node] =
+                        time + crate::time::SimDuration::from_micros(SERVICE_US[node]);
+                }
+                return Some((time, payload));
+            }
+        }
+    }
+
+    /// Serves both models once and checks they agree on what was served and
+    /// on everything observable about what is left.
+    fn serve_both(wheel: &mut BusyModel, heap: &mut BusyModel) -> Option<(SimTime, u64)> {
+        let served = wheel.serve();
+        assert_eq!(served, heap.serve(), "pop order diverged");
+        assert_eq!(wheel.q.len(), heap.q.len());
+        assert_eq!(wheel.q.deferrals(), heap.q.deferrals());
+        assert_eq!(wheel.q.peek_head(), heap.q.peek_head(), "next head diverged");
+        served
+    }
+
+    /// The pin for byte-identical replay: any interleaving of schedules and
+    /// engine turns — pops, busy deferrals, crashes — produces the same pop
+    /// sequence on both implementations, including same-instant tie-breaks
+    /// (between events, and between a parked run and other nodes' events)
+    /// and wheel/overflow boundaries.
+    #[test]
+    fn randomized_differential_wheel_vs_reference_heap() {
+        let mut deferrals = 0;
+        for trial in 0..50u64 {
+            let mut rng = SmallRng::seed_from_u64(trial);
+            let mut wheel = BusyModel::new(QueueKind::Indexed);
+            let mut heap = BusyModel::new(QueueKind::ReferenceHeap);
+            let mut now = 0u64;
+            let mut next_payload = 0u64;
+            let mut popped = Vec::new();
+            for _ in 0..600 {
+                if rng.gen_bool(0.6) || wheel.q.is_empty() {
+                    // Schedules are at or after the latest pop, like the
+                    // engine's. Mix of near (same bucket), mid (in-span), and
+                    // far (overflow) horizons, with deliberate exact ties:
+                    // with the latest pop, and with the instant a busy node
+                    // frees up — where its parked run is keyed.
+                    let node = rng.gen_range(0..4usize);
+                    let time = match rng.gen_range(0..10u32) {
+                        0..=3 => now + rng.gen_range(0..BUCKET_WIDTH_US),
+                        4..=5 => now + rng.gen_range(0..NUM_BUCKETS as u64 * BUCKET_WIDTH_US),
+                        6 => now,
+                        7..=8 => wheel.busy_until[rng.gen_range(0..4usize)].as_micros().max(now),
+                        _ => now + rng.gen_range(0..4 * NUM_BUCKETS as u64 * BUCKET_WIDTH_US),
+                    };
+                    let payload = if rng.gen_bool(0.02) { CRASH } else { next_payload };
+                    next_payload += 1;
+                    for model in [&mut wheel, &mut heap] {
+                        model.push(time, node, payload);
+                        if payload == CRASH {
+                            model.push(time + 1_500, node, RECOVER);
+                        }
+                    }
+                } else {
+                    let served = serve_both(&mut wheel, &mut heap).expect("non-empty");
+                    now = served.0.as_micros();
+                    popped.push(served);
+                }
+                assert_eq!(wheel.q.len(), heap.q.len());
+                assert_eq!(wheel.q.peek_head(), heap.q.peek_head(), "trial {trial} peek diverged");
+            }
+            while let Some(served) = serve_both(&mut wheel, &mut heap) {
+                popped.push(served);
+            }
+            assert!(wheel.q.is_empty() && heap.q.is_empty());
+            // And the pop sequence is globally sorted by time.
+            for w in popped.windows(2) {
+                assert!(w[0].0 <= w[1].0);
+            }
+            deferrals += wheel.q.deferrals();
+        }
+        assert!(deferrals > 50 * 600, "the busy path was barely exercised: {deferrals} deferrals");
+    }
+
+    /// The storm shape: N same-instant arrivals at one busy node, another
+    /// node's events wedged between their seqs at every busy instant, and a
+    /// crash of the busy node mid-backlog. Pops follow the reference heap,
+    /// and the wheel does O(1) work per event where deferring through it
+    /// costs a pop and a push per deferral — ~N²/2 of them.
+    #[test]
+    fn storm_at_a_busy_node_costs_the_wheel_constant_work_per_event() {
+        const N: u64 = 400;
+        let mut wheel = BusyModel::new(QueueKind::Indexed);
+        let mut heap = BusyModel::new(QueueKind::ReferenceHeap);
+        let mut events = 0;
+        let mut push_both = |wheel: &mut BusyModel, heap: &mut BusyModel, time, node, payload| {
+            wheel.push(time, node, payload);
+            heap.push(time, node, payload);
+            events += 1;
+        };
+        // Node 2 (900 µs a turn) takes the storm; every tenth arrival is
+        // followed by one for node 0, which is never busy.
+        for i in 0..N {
+            push_both(&mut wheel, &mut heap, 10, 2, i);
+            if i % 10 == 9 {
+                push_both(&mut wheel, &mut heap, 10, 0, N + i);
+            }
+        }
+        // It goes down with three quarters of the backlog served, loses
+        // what reaches the head while it is down, and takes the rest after.
+        let crash_at = 10 + 900 * (3 * N / 4) + 17;
+        push_both(&mut wheel, &mut heap, crash_at, 2, CRASH);
+        push_both(&mut wheel, &mut heap, crash_at + 450, 2, RECOVER);
+        let mut served = 0;
+        while let Some((time, payload)) = serve_both(&mut wheel, &mut heap) {
+            served += 1;
+            // A foreign event at the instant the busy node frees up,
+            // scheduled mid-storm: its seq falls between those of the
+            // parked run, which was re-keyed to that instant partly before
+            // and partly after it.
+            if (N..CRASH).contains(&payload) && served < 3 * N {
+                let frees = wheel.busy_until[2].as_micros().max(time.as_micros());
+                push_both(&mut wheel, &mut heap, frees, 0, 2 * N + payload);
+            }
+        }
+        let (deferrals, heap_ops) = (wheel.q.deferrals(), wheel.q.heap_ops());
+        assert!(deferrals > N * N / 4, "not a storm: {deferrals} deferrals");
+        assert!(heap_ops <= 8 * events, "{heap_ops} wheel operations for {events} events");
     }
 }

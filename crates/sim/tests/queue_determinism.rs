@@ -27,8 +27,40 @@ enum Msg {
     Pong(u64),
 }
 
-#[derive(Default)]
+/// How dense a run is: the paced runs tick every 50 ms for 8 s and leave
+/// the nodes mostly idle; [`saturated`] runs drown two of them.
+#[derive(Clone, Copy)]
+struct Shape {
+    tick: SimDuration,
+    send_until: SimTime,
+    /// Per-node service times.
+    service: [SimDuration; 3],
+    max_time: SimTime,
+}
+
+const PACED: Shape = Shape {
+    tick: SimDuration::from_millis(50),
+    send_until: SimTime::from_secs(8),
+    service: [SimDuration::from_micros(200); 3],
+    max_time: SimTime::from_secs(10),
+};
+
+/// Node 0 costs nothing per event, so its ticks are never throttled: it
+/// sprays a ping at each of nodes 1 and 2 every `tick_us`, and they take
+/// `slowdown` ticks to serve one. Their run queues grow by the thousand, and
+/// the hard stop cuts the run with the backlog still parked.
+fn saturated(tick_us: u64, slowdown: u64) -> Shape {
+    let slow = SimDuration::from_micros(tick_us * slowdown);
+    Shape {
+        tick: SimDuration::from_micros(tick_us),
+        send_until: SimTime::from_millis(400),
+        service: [SimDuration::ZERO, slow, slow],
+        max_time: SimTime::from_secs(1),
+    }
+}
+
 struct Chatty {
+    shape: Shape,
     peers: Vec<NodeId>,
     /// Trace of (now, from, payload) for every delivery, the equality pin.
     trace: Vec<(SimTime, NodeId, u64)>,
@@ -40,7 +72,7 @@ struct Chatty {
 
 impl Node<Msg> for Chatty {
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        ctx.set_timer(SimDuration::from_millis(50), 1);
+        ctx.set_timer(self.shape.tick, 1);
     }
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
         match msg {
@@ -60,8 +92,8 @@ impl Node<Msg> for Chatty {
             self.sent += 1;
             ctx.send(p, Msg::Ping(self.sent));
         }
-        if ctx.now() < SimTime::from_secs(8) {
-            ctx.set_timer(SimDuration::from_millis(50), 1);
+        if ctx.now() < self.shape.send_until {
+            ctx.set_timer(self.shape.tick, 1);
         }
     }
     fn on_crash(&mut self, _ctx: &mut Context<Msg>) {
@@ -73,14 +105,12 @@ impl Node<Msg> for Chatty {
     }
 }
 
-fn build(seed: u64, kind: QueueKind, faults: &FaultSchedule) -> Engine<Msg, Chatty> {
+fn build(seed: u64, kind: QueueKind, faults: &FaultSchedule, shape: Shape) -> Engine<Msg, Chatty> {
     let cfg = EngineConfig {
-        // Short service time but a dense send pattern: nodes saturate and
-        // the busy-deferral path gets exercised heavily.
-        default_service_time: SimDuration::from_micros(200),
-        max_time: SimTime::from_secs(10),
+        max_time: shape.max_time,
         truetime_epsilon: SimDuration::from_millis(3),
         queue: kind,
+        ..EngineConfig::default()
     };
     let net = LatencyMatrix::from_rtt_ms(
         &[&[0.2, 10.0, 30.0], &[10.0, 0.2, 24.0], &[30.0, 24.0, 0.2]],
@@ -88,13 +118,17 @@ fn build(seed: u64, kind: QueueKind, faults: &FaultSchedule) -> Engine<Msg, Chat
     );
     let mut engine = Engine::new(cfg, net, seed);
     for region in 0..3 {
-        engine.add_node(Chatty::default(), region);
-    }
-    let peers: Vec<NodeId> = (0..3).collect();
-    for id in 0..3 {
-        let mut p = peers.clone();
-        p.retain(|&x| x != id);
-        engine.node_mut(id).peers = p;
+        let peers = (0..3).filter(|&peer| peer != region).collect();
+        let node = Chatty {
+            shape,
+            peers,
+            trace: Vec::new(),
+            timer_trace: Vec::new(),
+            crashes: 0,
+            recoveries: 0,
+            sent: 0,
+        };
+        engine.add_node_with(node, region, shape.service[region]);
     }
     if !faults.is_empty() {
         engine.install_faults(faults.clone());
@@ -102,15 +136,18 @@ fn build(seed: u64, kind: QueueKind, faults: &FaultSchedule) -> Engine<Msg, Chat
     engine
 }
 
-fn assert_equivalent(seed: u64, faults: &FaultSchedule) {
-    let mut indexed = build(seed, QueueKind::Indexed, faults);
-    let mut heap = build(seed, QueueKind::ReferenceHeap, faults);
+/// Runs `shape` on both queue kinds, checks the executions are the same,
+/// and returns the busy deferrals per processed event.
+fn assert_equivalent(seed: u64, faults: &FaultSchedule, shape: Shape) -> f64 {
+    let mut indexed = build(seed, QueueKind::Indexed, faults, shape);
+    let mut heap = build(seed, QueueKind::ReferenceHeap, faults, shape);
     indexed.run();
     heap.run();
+    let (stats, heap_stats) = (indexed.stats(), heap.stats());
     assert_eq!(
-        indexed.processed_events(),
-        heap.processed_events(),
-        "seed {seed}: processed-event counts diverged"
+        (stats.events, stats.deferrals),
+        (heap_stats.events, heap_stats.deferrals),
+        "seed {seed}: processed-event or deferral counts diverged"
     );
     assert_eq!(indexed.message_stats(), heap.message_stats(), "seed {seed}: stats diverged");
     assert_eq!(indexed.now(), heap.now(), "seed {seed}: final clocks diverged");
@@ -120,12 +157,13 @@ fn assert_equivalent(seed: u64, faults: &FaultSchedule) {
         assert_eq!(a.timer_trace, b.timer_trace, "seed {seed}: node {id} timer traces diverged");
         assert_eq!((a.crashes, a.recoveries), (b.crashes, b.recoveries), "seed {seed}: hooks");
     }
+    stats.deferrals as f64 / stats.events as f64
 }
 
 #[test]
 fn fault_free_runs_are_identical_across_queue_kinds() {
     for seed in 0..8 {
-        assert_equivalent(seed, &FaultSchedule::new());
+        assert_equivalent(seed, &FaultSchedule::new(), PACED);
     }
 }
 
@@ -145,7 +183,7 @@ fn scripted_fault_runs_are_identical_across_queue_kinds() {
             SimDuration::from_millis(9),
         );
     for seed in [3, 17, 992] {
-        assert_equivalent(seed, &faults);
+        assert_equivalent(seed, &faults, PACED);
     }
 }
 
@@ -208,6 +246,33 @@ proptest! {
                 0.5,
                 SimDuration::from_millis(delay_ms),
             );
-        assert_equivalent(seed, &faults);
+        assert_equivalent(seed, &faults, PACED);
+    }
+
+    /// The same under saturation: a service time of 50 to 200 mean
+    /// inter-arrival gaps, so events wait in run queues thousands long, with
+    /// a crash of a saturated node (its parked backlog expires one head at
+    /// a time; parked timers move to the recovery instant) and a duplicate
+    /// window that doubles the arrival rate mid-run.
+    #[test]
+    fn saturated_runs_replay_identically(
+        seed in 0u64..10_000,
+        tick_us in 50u64..400,
+        slowdown in 50u64..200,
+        crash_node in 1usize..3,
+        crash_at_ms in 20u64..600,
+        crash_len_ms in 1u64..300,
+    ) {
+        let crash_at = SimTime::from_millis(crash_at_ms);
+        let faults = FaultSchedule::new()
+            .crash(crash_node, crash_at, crash_at + SimDuration::from_millis(crash_len_ms))
+            .duplicate_window(
+                LinkScope::All,
+                SimTime::from_millis(100),
+                SimTime::from_millis(200),
+                0.5,
+            );
+        let deferrals_per_event = assert_equivalent(seed, &faults, saturated(tick_us, slowdown));
+        prop_assert!(deferrals_per_event > 5.0, "run queues stayed short: {deferrals_per_event}");
     }
 }

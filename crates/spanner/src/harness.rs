@@ -23,7 +23,7 @@ use regular_session::{
     SimPlane,
 };
 use regular_sim::engine::{Context, Node, NodeId};
-use regular_sim::metrics::{DeliveryRecord, LatencyRecorder, MessageStats, WireStats};
+use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
 use regular_storage::StorageSummary;
@@ -136,6 +136,8 @@ pub struct RunResult {
     /// Full message counters, including the fault plane's drops, duplicates,
     /// and expirations.
     pub net_stats: MessageStats,
+    /// The simulator's event-loop counters (zeroes on the live plane).
+    pub engine: EngineStats,
     /// Aggregated write-ahead-log counters across every shard (all zeroes
     /// under `Durability::InMemory`).
     pub storage: StorageSummary,
@@ -325,6 +327,7 @@ fn collect(
         finished_at: ran.finished_at,
         messages: ran.net_stats.delivered,
         net_stats: ran.net_stats,
+        engine: ran.engine,
         storage,
         shard_stores,
         wall: ran.wall,
