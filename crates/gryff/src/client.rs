@@ -18,8 +18,7 @@
 //! single-key transactions are served as plain operations and multi-key
 //! transactions are rejected.
 
-use std::collections::{HashMap, HashSet};
-
+use regular_core::hashing::{FxHashMap, FxHashSet};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{ServiceId, Value};
 use regular_session::{service_tag, CompletedRecord, LaneId, Service, SessionOp, WitnessHint};
@@ -85,7 +84,7 @@ struct ActiveOp {
     /// Replicas that answered the current round. A set, not a counter:
     /// rounds may be re-sent after a timeout and messages may be duplicated
     /// by the fault plane, and a quorum must mean *distinct* replicas.
-    replied: HashSet<NodeId>,
+    replied: FxHashSet<NodeId>,
     /// Maximum (carstamp, value) observed in the current round.
     max: (Carstamp, Value),
     /// Whether the first-round quorum disagreed.
@@ -110,11 +109,11 @@ struct ActiveOp {
 pub struct GryffService {
     cfg: GryffClientConfig,
     service: ServiceId,
-    ops: HashMap<u64, ActiveOp>,
+    ops: FxHashMap<u64, ActiveOp>,
     next_seq: u64,
     value_counter: u64,
     /// Operation-timeout timers: tag -> watched sequence number.
-    timers: HashMap<u64, u64>,
+    timers: FxHashMap<u64, u64>,
     next_timer: u64,
     /// The pending dependency (Gryff-RSC): the last read observation not yet
     /// known to be at a quorum. Shared by all of this node's sessions, as in
@@ -131,10 +130,10 @@ impl GryffService {
         GryffService {
             cfg,
             service: ServiceId::KV,
-            ops: HashMap::new(),
+            ops: FxHashMap::default(),
             next_seq: 0,
             value_counter: 0,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             next_timer: 0,
             dep: None,
             completed: Vec::new(),
@@ -363,7 +362,7 @@ impl Service for GryffService {
             request: request.clone(),
             invoke: ctx.now(),
             phase: OpPhase::ReadRound,
-            replied: HashSet::new(),
+            replied: FxHashSet::default(),
             max: (Carstamp::ZERO, Value::NULL),
             disagreement: false,
             write_value: Value::NULL,

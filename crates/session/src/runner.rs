@@ -7,11 +7,10 @@
 //! real-time fence at the previous service whenever a session switches
 //! services (Section 4.1, Figure 3).
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use regular_core::fence::FenceStats;
+use regular_core::hashing::FxHashMap;
 use regular_librss::{CausalContext, FencePlanner};
 use regular_sim::engine::{Context, Node, NodeId};
 use regular_sim::time::{SimDuration, SimTime};
@@ -81,9 +80,9 @@ pub struct SessionRunner<S: Service> {
     /// Dedicated workload RNG (see [`SessionConfig::workload_seed`]); `None`
     /// draws from the engine RNG.
     workload_rng: Option<SmallRng>,
-    timers: HashMap<u64, Wake>,
+    timers: FxHashMap<u64, Wake>,
     next_timer: u64,
-    outstanding: HashMap<u64, usize>,
+    outstanding: FxHashMap<u64, usize>,
     /// All completions, including warm-up and orphans, in completion order.
     pub completed: Vec<CompletedRecord>,
     /// Aggregate session statistics.
@@ -103,9 +102,9 @@ impl<S: Service> SessionRunner<S> {
             workload_rng: sessions.workload_seed.map(SmallRng::seed_from_u64),
             scheduler: SessionScheduler::new(sessions, stop_issuing_at),
             workload,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             next_timer: 0,
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             completed: Vec::new(),
             stats: SessionStats::default(),
         }
@@ -234,11 +233,11 @@ pub struct ComposedRunner<M: 'static> {
     /// Dedicated workload RNG (see [`SessionConfig::workload_seed`]); `None`
     /// draws from the engine RNG.
     workload_rng: Option<SmallRng>,
-    timers: HashMap<u64, Wake>,
+    timers: FxHashMap<u64, Wake>,
     next_timer: u64,
-    outstanding: HashMap<u64, usize>,
+    outstanding: FxHashMap<u64, usize>,
     /// Operations waiting for their preceding auto-fence, keyed by lane.
-    pending_after_fence: HashMap<LaneId, (usize, SessionOp)>,
+    pending_after_fence: FxHashMap<LaneId, (usize, SessionOp)>,
     /// Export a causal context every this many completed batches (see
     /// [`ComposedRunner::with_context_handoff`]); `None` disables handoffs.
     handoff_every: Option<u64>,
@@ -283,10 +282,10 @@ impl<M: 'static> ComposedRunner<M> {
             workload_rng: sessions.workload_seed.map(SmallRng::seed_from_u64),
             scheduler: SessionScheduler::new(sessions, stop_issuing_at),
             workload,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             next_timer: 0,
-            outstanding: HashMap::new(),
-            pending_after_fence: HashMap::new(),
+            outstanding: FxHashMap::default(),
+            pending_after_fence: FxHashMap::default(),
             handoff_every: None,
             pending_context: None,
             handoffs: Vec::new(),

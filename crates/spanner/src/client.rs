@@ -21,10 +21,9 @@
 //! another service — is serialized after everything that committed before the
 //! fence.
 
-use std::collections::{HashMap, HashSet};
-
 use rand::Rng;
 
+use regular_core::hashing::{FxHashMap, FxHashSet};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{Key, ServiceId, Value};
 use regular_session::{service_tag, CompletedRecord, LaneId, Service, SessionOp, WitnessHint};
@@ -90,11 +89,11 @@ struct Session {
 #[derive(Debug)]
 enum Phase {
     Execute {
-        pending: HashSet<NodeId>,
+        pending: FxHashSet<NodeId>,
     },
     Committing,
     RoFast {
-        pending: HashSet<NodeId>,
+        pending: FxHashSet<NodeId>,
     },
     RoSlow,
     /// A fence waiting out its TrueTime barrier.
@@ -126,9 +125,9 @@ struct ActiveTxn {
     // Read-only state.
     t_read: Ts,
     t_min_at_start: Ts,
-    versions: HashMap<Key, Vec<(Ts, Value)>>,
-    skipped: HashMap<TxnId, Ts>,
-    resolved_early: HashSet<TxnId>,
+    versions: FxHashMap<Key, Vec<(Ts, Value)>>,
+    skipped: FxHashMap<TxnId, Ts>,
+    resolved_early: FxHashSet<TxnId>,
     t_snap: Ts,
 }
 
@@ -146,12 +145,12 @@ enum TimerAction {
 pub struct SpannerService {
     cfg: ClientConfig,
     service: ServiceId,
-    sessions: HashMap<u64, Session>,
-    txns: HashMap<u64, ActiveTxn>,
-    abandoned: HashMap<u64, AbandonedTxn>,
+    sessions: FxHashMap<u64, Session>,
+    txns: FxHashMap<u64, ActiveTxn>,
+    abandoned: FxHashMap<u64, AbandonedTxn>,
     next_seq: u64,
     value_counter: u64,
-    timers: HashMap<u64, TimerAction>,
+    timers: FxHashMap<u64, TimerAction>,
     next_timer: u64,
     completed: Vec<CompletedRecord>,
     /// Aggregate statistics.
@@ -164,12 +163,12 @@ impl SpannerService {
         SpannerService {
             cfg,
             service: ServiceId::KV,
-            sessions: HashMap::new(),
-            txns: HashMap::new(),
-            abandoned: HashMap::new(),
+            sessions: FxHashMap::default(),
+            txns: FxHashMap::default(),
+            abandoned: FxHashMap::default(),
             next_seq: 0,
             value_counter: 0,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             next_timer: 0,
             completed: Vec::new(),
             stats: ClientStats::default(),
@@ -286,7 +285,7 @@ impl SpannerService {
         match &request {
             TxnRequest::ReadWrite { keys } => {
                 let shards = self.shards_for(keys);
-                let pending: HashSet<NodeId> =
+                let pending: FxHashSet<NodeId> =
                     shards.iter().map(|&s| self.cfg.shard_nodes[s]).collect();
                 for &s in &shards {
                     let shard_keys: Vec<Key> =
@@ -306,7 +305,7 @@ impl SpannerService {
                     Mode::SpannerRss => self.t_min_of(session),
                 };
                 let shards = self.shards_for(keys);
-                let pending: HashSet<NodeId> =
+                let pending: FxHashSet<NodeId> =
                     shards.iter().map(|&s| self.cfg.shard_nodes[s]).collect();
                 for &s in &shards {
                     let shard_keys: Vec<Key> =
@@ -500,9 +499,9 @@ impl Service for SpannerService {
                         commit_timer: None,
                         t_read: t_f,
                         t_min_at_start: 0,
-                        versions: HashMap::new(),
-                        skipped: HashMap::new(),
-                        resolved_early: HashSet::new(),
+                        versions: FxHashMap::default(),
+                        skipped: FxHashMap::default(),
+                        resolved_early: FxHashSet::default(),
                         t_snap: 0,
                     },
                 );
@@ -520,7 +519,7 @@ impl Service for SpannerService {
                 lane,
                 request,
                 invoke: ctx.now(),
-                phase: Phase::Execute { pending: HashSet::new() },
+                phase: Phase::Execute { pending: FxHashSet::default() },
                 attempts: 1,
                 writes_by_shard: Vec::new(),
                 coordinator: 0,
@@ -528,9 +527,9 @@ impl Service for SpannerService {
                 commit_timer: None,
                 t_read: 0,
                 t_min_at_start: 0,
-                versions: HashMap::new(),
-                skipped: HashMap::new(),
-                resolved_early: HashSet::new(),
+                versions: FxHashMap::default(),
+                skipped: FxHashMap::default(),
+                resolved_early: FxHashSet::default(),
                 t_snap: 0,
             },
         );
@@ -564,7 +563,7 @@ impl Service for SpannerService {
                         lane: old.lane,
                         request: old.request,
                         invoke: old.invoke,
-                        phase: Phase::Execute { pending: HashSet::new() },
+                        phase: Phase::Execute { pending: FxHashSet::default() },
                         attempts: old.attempts + 1,
                         writes_by_shard: Vec::new(),
                         coordinator: 0,
@@ -572,9 +571,9 @@ impl Service for SpannerService {
                         commit_timer: None,
                         t_read: 0,
                         t_min_at_start: 0,
-                        versions: HashMap::new(),
-                        skipped: HashMap::new(),
-                        resolved_early: HashSet::new(),
+                        versions: FxHashMap::default(),
+                        skipped: FxHashMap::default(),
+                        resolved_early: FxHashSet::default(),
                         t_snap: 0,
                     },
                 );
@@ -621,7 +620,7 @@ impl Service for SpannerService {
                         lane: old.lane,
                         request: old.request,
                         invoke: old.invoke,
-                        phase: Phase::Execute { pending: HashSet::new() },
+                        phase: Phase::Execute { pending: FxHashSet::default() },
                         attempts: old.attempts + 1,
                         writes_by_shard: Vec::new(),
                         coordinator: 0,
@@ -629,9 +628,9 @@ impl Service for SpannerService {
                         commit_timer: None,
                         t_read: 0,
                         t_min_at_start: 0,
-                        versions: HashMap::new(),
-                        skipped: HashMap::new(),
-                        resolved_early: HashSet::new(),
+                        versions: FxHashMap::default(),
+                        skipped: FxHashMap::default(),
+                        resolved_early: FxHashSet::default(),
                         t_snap: 0,
                     },
                 );
@@ -779,7 +778,7 @@ impl Service for SpannerService {
                     // Aborted by the coordinator; retry after a back-off.
                     let t = self.txns.get_mut(&seq).expect("transaction exists");
                     t.attempts += 1;
-                    t.phase = Phase::Execute { pending: HashSet::new() };
+                    t.phase = Phase::Execute { pending: FxHashSet::default() };
                     let attempts = t.attempts;
                     self.stats.aborted_attempts += 1;
                     let backoff = self.retry_delay(ctx, attempts);

@@ -6,6 +6,8 @@
 //! the nearest replica), and the Paxos safe time is advanced eagerly as the
 //! leader-lease optimization in the paper permits.
 
+use std::collections::VecDeque;
+
 use regular_core::hashing::{FxHashMap, FxHashSet};
 
 use regular_core::types::{Key, Value};
@@ -83,6 +85,77 @@ struct RssWatcher {
     pending: FxHashSet<TxnId>,
 }
 
+/// A queue of cooperative-termination checks behind at most one engine timer.
+///
+/// Every prepare and every coordinator round queues a check one
+/// `commit_timeout` ahead; almost all of them find their transaction long
+/// closed. So the checks wait here, in due order (each is queued at `now +
+/// commit_timeout` and `now` only grows), and one engine timer is armed for
+/// the front. Its firing hands back every entry that is due and still open,
+/// and walks past the closed ones up to the next open entry, which it
+/// re-arms for: a closed entry never takes a turn (or a service time) of its
+/// own, and a stuck transaction is checked at the instant a timer of its own
+/// would have fired.
+#[derive(Debug, Default)]
+struct TerminationQueue {
+    /// `(due µs, transaction)`, due ascending.
+    checks: VecDeque<(u64, TxnId)>,
+    /// Tag of the engine timer in flight; `Some` exactly while `checks` is
+    /// non-empty. A tag that fires without matching (armed before a crash
+    /// wiped the queue) is stale and ignored.
+    armed: Option<u64>,
+}
+
+impl TerminationQueue {
+    /// Queues a check of `txn` one `interval` from now.
+    fn push(
+        &mut self,
+        ctx: &mut Context<SpannerMsg>,
+        next_timer: &mut u64,
+        interval: SimDuration,
+        txn: TxnId,
+    ) {
+        self.checks.push_back((ctx.now().as_micros() + interval.as_micros(), txn));
+        self.arm(ctx, next_timer);
+    }
+
+    /// Arms the engine timer for the front check unless one is in flight.
+    fn arm(&mut self, ctx: &mut Context<SpannerMsg>, next_timer: &mut u64) {
+        let (None, Some(&(at, _))) = (self.armed, self.checks.front()) else { return };
+        let delay = SimDuration::from_micros(at.saturating_sub(ctx.now().as_micros()));
+        ctx.set_timer(delay, *next_timer);
+        self.armed = Some(*next_timer);
+        *next_timer += 1;
+    }
+
+    /// The armed timer fired: removes and returns the transactions whose
+    /// check is due and that are still `open` (the caller acts and queues
+    /// them again), drops closed entries up to the first open one that is
+    /// not due yet, and re-arms for it.
+    fn fire(
+        &mut self,
+        ctx: &mut Context<SpannerMsg>,
+        next_timer: &mut u64,
+        open: impl Fn(&TxnId) -> bool,
+    ) -> Vec<TxnId> {
+        self.armed = None;
+        let now = ctx.now().as_micros();
+        let mut due = Vec::new();
+        while let Some(&(at, txn)) = self.checks.front() {
+            let is_open = open(&txn);
+            if is_open && at > now {
+                break;
+            }
+            self.checks.pop_front();
+            if is_open {
+                due.push(txn);
+            }
+        }
+        self.arm(ctx, next_timer);
+        due
+    }
+}
+
 /// Counters exposed for the evaluation harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
@@ -124,20 +197,19 @@ pub struct ShardNode {
     max_ts: Ts,
     /// Commit-wait timers: tag -> transaction.
     timers: FxHashMap<u64, TxnId>,
-    /// Decision-probe timers (tag -> transaction): a prepared participant
-    /// that has not learned its outcome re-acks `PrepareOk` so the
-    /// coordinator re-answers from the decision log (2PC cooperative
-    /// termination). Without it, one dropped `CommitDecision` leaves the
-    /// participant's write locks held forever and every later transaction
-    /// touching those keys livelocks.
-    probe_timers: FxHashMap<u64, TxnId>,
-    /// Prepare re-drive timers (tag -> transaction): a coordinator whose
-    /// vote set is still incomplete re-sends `Prepare` to the awaited
-    /// participants, exactly as crash recovery does. Without it, one
-    /// dropped `Prepare` leaves the round open forever — and the
-    /// cooperative-termination `StatusRequest` stays silent while a round
-    /// is open, so the client's probe loop never terminates either.
-    redrive_timers: FxHashMap<u64, TxnId>,
+    /// Decision probes: a prepared participant that has not learned its
+    /// outcome re-acks `PrepareOk` so the coordinator re-answers from the
+    /// decision log (2PC cooperative termination). Without it, one dropped
+    /// `CommitDecision` leaves the participant's write locks held forever
+    /// and every later transaction touching those keys livelocks.
+    probes: TerminationQueue,
+    /// Prepare re-drives: a coordinator whose vote set is still incomplete
+    /// re-sends `Prepare` to the awaited participants, exactly as crash
+    /// recovery does. Without it, one dropped `Prepare` leaves the round
+    /// open forever — and the cooperative-termination `StatusRequest` stays
+    /// silent while a round is open, so the client's probe loop never
+    /// terminates either.
+    redrives: TerminationQueue,
     /// Interval between decision probes for prepared-but-undecided
     /// transactions and prepare re-drives for open coordinator rounds.
     decision_probe: SimDuration,
@@ -180,8 +252,8 @@ impl ShardNode {
             rss_watchers: Vec::new(),
             max_ts: 0,
             timers: FxHashMap::default(),
-            probe_timers: FxHashMap::default(),
-            redrive_timers: FxHashMap::default(),
+            probes: TerminationQueue::default(),
+            redrives: TerminationQueue::default(),
             decision_probe: cfg.commit_timeout,
             next_timer: 0,
             stats: ShardStats::default(),
@@ -469,10 +541,12 @@ impl ShardNode {
         let tt = ctx.truetime_now();
         let t_prepare = (self.max_ts + 1).max(tt.latest.as_micros());
         self.max_ts = t_prepare;
-        self.prepared
-            .insert(txn, PreparedTxn { writes: writes.clone(), t_prepare, t_ee, coordinator });
+        if self.wal.is_some() {
+            let writes = writes.clone();
+            self.log(ctx, &ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes });
+        }
+        self.prepared.insert(txn, PreparedTxn { writes, t_prepare, t_ee, coordinator });
         self.stats.prepares += 1;
-        self.log(ctx, &ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes });
         // The prepare record is durable at a majority after one replication
         // round trip; only then may the participant vote yes.
         self.send_d(
@@ -489,20 +563,14 @@ impl ShardNode {
     /// coordinator (or its decision log) re-sends the decision this shard
     /// may have missed.
     fn arm_decision_probe(&mut self, ctx: &mut Context<SpannerMsg>, txn: TxnId) {
-        let tag = self.next_timer;
-        self.next_timer += 1;
-        self.probe_timers.insert(tag, txn);
-        ctx.set_timer(self.decision_probe, tag);
+        self.probes.push(ctx, &mut self.next_timer, self.decision_probe, txn);
     }
 
     /// Arms the prepare re-drive for a coordinator round still awaiting
     /// votes; the timer keeps re-arming until the vote set completes or the
     /// round is aborted.
     fn arm_prepare_redrive(&mut self, ctx: &mut Context<SpannerMsg>, txn: TxnId) {
-        let tag = self.next_timer;
-        self.next_timer += 1;
-        self.redrive_timers.insert(tag, txn);
-        ctx.set_timer(self.decision_probe, tag);
+        self.redrives.push(ctx, &mut self.next_timer, self.decision_probe, txn);
     }
 
     fn handle_prepare(
@@ -550,23 +618,20 @@ impl ShardNode {
         if prepared.is_some() {
             self.log(ctx, &ShardRecord::Decision { txn, commit, t_commit });
         }
-        let written: Vec<(Key, Value)> = match (&prepared, commit) {
+        match (&prepared, commit) {
             (Some(p), true) => {
                 for (k, v) in &p.writes {
                     self.store.apply(*k, t_commit, *v);
                 }
                 self.max_ts = self.max_ts.max(t_commit);
                 self.stats.commits += 1;
-                p.writes.clone()
             }
             _ => {
                 if prepared.is_some() || pending.is_some() {
                     self.stats.aborts += 1;
                 }
-                Vec::new()
             }
-        };
-        let _ = written;
+        }
         // Release locks and grant queued prepares.
         let granted = self.locks.release(txn);
         for g in granted {
@@ -909,43 +974,50 @@ impl ShardNode {
         }
     }
 
+    /// Re-sends `Prepare` to the participants coordinator round `txn` still
+    /// awaits.
+    fn resend_prepares(&mut self, ctx: &mut Context<SpannerMsg>, txn: TxnId) {
+        let state = &self.coordinating[&txn];
+        let resend: Vec<(NodeId, Vec<(Key, Value)>)> = state
+            .writes_by_shard
+            .iter()
+            .filter(|(node, _)| state.awaiting.contains(node))
+            .cloned()
+            .collect();
+        let t_ee = state.t_ee;
+        let coordinator = ctx.node_id();
+        for (node, writes) in resend {
+            let msg = SpannerMsg::Prepare { txn, writes, t_ee, coordinator };
+            self.send_d(ctx, node, SimDuration::ZERO, msg);
+        }
+    }
+
     fn dispatch_timer(&mut self, ctx: &mut Context<SpannerMsg>, tag: u64) {
-        if let Some(txn) = self.probe_timers.remove(&tag) {
-            // Decision probe: if the transaction is still prepared with no
-            // outcome, re-ack the coordinator (idempotent — it re-answers
-            // from the decision log once decided) and keep probing.
-            if let Some(p) = self.prepared.get(&txn) {
-                let (coordinator, t_prepare) = (p.coordinator, p.t_prepare);
-                let reply = SpannerMsg::PrepareOk { txn, shard: ctx.node_id(), t_prepare };
-                self.send_d(ctx, coordinator, SimDuration::ZERO, reply);
+        if self.probes.armed == Some(tag) {
+            // Decision probes: every transaction still prepared with no
+            // outcome a `commit_timeout` after its last ack re-acks the
+            // coordinator (idempotent — it re-answers from the decision log
+            // once decided) and keeps probing.
+            let prepared = &self.prepared;
+            let open = |txn: &TxnId| prepared.contains_key(txn);
+            for txn in self.probes.fire(ctx, &mut self.next_timer, open) {
+                let p = &self.prepared[&txn];
+                let reply =
+                    SpannerMsg::PrepareOk { txn, shard: ctx.node_id(), t_prepare: p.t_prepare };
+                self.send_d(ctx, p.coordinator, SimDuration::ZERO, reply);
                 self.arm_decision_probe(ctx, txn);
             }
             return;
         }
-        if let Some(txn) = self.redrive_timers.remove(&tag) {
-            // Prepare re-drive: if this coordinator round is still missing
-            // votes, re-send Prepare to the awaited participants (they
-            // re-ack idempotently) and keep the timer armed.
-            if let Some(state) = self.coordinating.get(&txn) {
-                if !state.awaiting.is_empty() {
-                    let resend: Vec<(NodeId, Vec<(Key, Value)>)> = state
-                        .writes_by_shard
-                        .iter()
-                        .filter(|(node, _)| state.awaiting.contains(node))
-                        .cloned()
-                        .collect();
-                    let t_ee = state.t_ee;
-                    let coordinator = ctx.node_id();
-                    for (node, writes) in resend {
-                        self.send_d(
-                            ctx,
-                            node,
-                            SimDuration::ZERO,
-                            SpannerMsg::Prepare { txn, writes, t_ee, coordinator },
-                        );
-                    }
-                    self.arm_prepare_redrive(ctx, txn);
-                }
+        if self.redrives.armed == Some(tag) {
+            // Prepare re-drives: every coordinator round still missing
+            // votes re-sends Prepare to the awaited participants (they
+            // re-ack idempotently) and stays queued.
+            let coordinating = &self.coordinating;
+            let open = |txn: &TxnId| coordinating.get(txn).is_some_and(|s| !s.awaiting.is_empty());
+            for txn in self.redrives.fire(ctx, &mut self.next_timer, open) {
+                self.resend_prepares(ctx, txn);
+                self.arm_prepare_redrive(ctx, txn);
             }
             return;
         }
@@ -1015,8 +1087,8 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
             self.rss_watchers.clear();
             self.max_ts = 0;
             self.timers.clear();
-            self.probe_timers.clear();
-            self.redrive_timers.clear();
+            self.probes = TerminationQueue::default();
+            self.redrives = TerminationQueue::default();
             // `next_timer` is deliberately NOT reset: engine timers armed
             // before the crash are deferred and still fire with their old
             // tags after recovery; a reused tag would collide with a timer
@@ -1088,23 +1160,7 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
             .collect();
         coordinating.sort_unstable();
         for txn in coordinating {
-            let state = &self.coordinating[&txn];
-            let resend: Vec<(NodeId, Vec<(Key, Value)>)> = state
-                .writes_by_shard
-                .iter()
-                .filter(|(node, _)| state.awaiting.contains(node))
-                .cloned()
-                .collect();
-            let t_ee = state.t_ee;
-            let coordinator = ctx.node_id();
-            for (node, writes) in resend {
-                self.send_d(
-                    ctx,
-                    node,
-                    SimDuration::ZERO,
-                    SpannerMsg::Prepare { txn, writes, t_ee, coordinator },
-                );
-            }
+            self.resend_prepares(ctx, txn);
         }
         // As participant: the commit/abort decision may have expired at our
         // door — re-ack every prepared transaction so the coordinator

@@ -97,6 +97,9 @@ wire_layout! {
 }
 
 /// A node of the composite deployment.
+// A deployment has a dozen of these, each held for the whole run: the size
+// difference between a shard leader and a replica costs nothing.
+#[allow(clippy::large_enum_variant)]
 enum DuoNode {
     SpannerShard(Embedded<ShardNode, SpannerMsg>),
     GryffReplica(Embedded<GryffReplica, GryffMsg>),

@@ -205,12 +205,17 @@ fn composed_digest(seed: u64, variant: Variant) -> u64 {
     h.0
 }
 
-/// `[deployment][variant][seed]`, recorded on the parent of PR 15.
+/// `[deployment][variant][seed]`, recorded on the parent of PR 15. PR 18 moved
+/// the six Spanner digests and `composed` Faults seed 3, on purpose: a shard's
+/// termination checks share one engine timer per queue, so the tens of
+/// thousands of timers that fired for closed transactions no longer take a
+/// service time each, and shards are busy at other instants. The per-node
+/// run queues of the same PR moved nothing, and Gryff's six did not move.
 const GOLDEN: [[[u64; 2]; 3]; 3] = [
     [
-        [0x24ff_f1fe_618c_3b31, 0x72ab_e36f_45cb_5181],
-        [0x8d75_daaf_305c_5a01, 0x324f_2dd3_d28a_6269],
-        [0x1caa_b7d9_6631_942d, 0xa47a_2b68_91aa_7eba],
+        [0x5646_9676_a728_5e83, 0xc3ff_c84f_6dba_879e],
+        [0xe58b_b167_6f3f_e751, 0x662f_90b9_3ca9_2bf4],
+        [0x7c84_a64b_5b4e_e9ca, 0x3e70_a515_f09b_a147],
     ],
     [
         [0x0ed3_d331_82a5_3809, 0xc612_cce1_50dc_a48a],
@@ -219,7 +224,7 @@ const GOLDEN: [[[u64; 2]; 3]; 3] = [
     ],
     [
         [0x0f71_a57a_fe98_f9a0, 0xaeef_de40_27d8_f286],
-        [0xa1b7_f0b0_522a_0eed, 0xbf5e_d4a4_3d64_c1cb],
+        [0x8bb2_613a_d323_e199, 0xbf5e_d4a4_3d64_c1cb],
         [0x0c05_dc9f_54f5_7bd1, 0x57fe_5333_bd93_3140],
     ],
 ];
