@@ -68,7 +68,7 @@ const COMMANDS: [(&str, &str, Run); 11] = [
     (
         "sweep",
         "[--seeds N] [--threads T1[,T2,...]] [--scenarios all|live|NAME,...] [--ops N] \
-         [--stream] [--artifact-dir DIR] [--out PATH]",
+         [--artifact-dir DIR] [--out PATH]",
         sweep::sweep,
     ),
     ("replay", "ARTIFACT.json", sweep::replay),

@@ -1,5 +1,5 @@
 //! The live-plane benches: wall-clock throughput and latency of the protocol
-//! crates on real OS threads, certified online.
+//! crates on real OS threads, each recorded history certified after its run.
 //!
 //! `live` runs two deployments on the `regular-live` plane — the 3-shard
 //! Spanner-RSS cluster with 8 client nodes (12 OS threads including the

@@ -10,7 +10,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use regular_core::checker::certificate::WitnessModel;
-use regular_core::{check, check_witness, check_witness_decomposed, Model};
+use regular_core::{check, check_witness, Model};
 use regular_sim::metrics::EngineStats;
 use regular_sim::queue::QueueKind;
 use regular_sweep::{certify_streaming, synthetic_history, synthetic_session_history, Json};
@@ -122,18 +122,16 @@ const CHECKER_FLOOR: f64 = 0.30;
 
 /// The `checker` subcommand: certification cost on 100k-op histories.
 ///
-/// * `witness_full_100k` — the sequential batch certificate checker over the
-///   whole history, the baseline the next two rows are a ratio of.
-/// * `witness_decomposed_100k` — component-decomposed witness checking
-///   (single-threaded, so the ratio measures the decomposition itself).
+/// * `witness_full_100k` — the reference batch certificate checker over the
+///   whole history, the baseline the next row is a ratio of.
 /// * `streaming_100k` — the windowed streaming checker fed in
 ///   completion-time order through a reorder buffer.
 /// * `streaming_100k_10k_sessions` — the same path on a session-shaped
 ///   history (ten ops per process, so 10k processes where the rows above
 ///   have 16), as a ratio of `witness_full_100k_10k_sessions`. Per-process
 ///   work in front of the checker shows here and nowhere else.
-/// * `saturated_search_2k` — the full search-side cascade *finding* a
-///   witness for a 2k-op history.
+/// * `saturated_search_2k` — the search pipeline (decompose → saturate →
+///   search) *finding* a witness for a 2k-op history.
 ///
 /// The paths are timed round-robin (one run of each per round), so slow host
 /// phases hit every path about equally, and each ratio is the median over
@@ -151,16 +149,14 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
     // the median) across ten profiles of the PR 17 tree on one host.
     let rows = [
         ("witness_full_100k", CHECKER_OPS, CHECKER_GROUPS, None),
-        ("witness_decomposed_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.096))),
         ("streaming_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.067))),
         ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, None),
-        ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((3, 0.046))),
+        ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((2, 0.046))),
         ("saturated_search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
     ];
     let mut peak_window = 0;
-    let mut paths: [&mut dyn FnMut() -> bool; 6] = [
+    let mut paths: [&mut dyn FnMut() -> bool; 5] = [
         &mut || check_witness(&history, &witness, model).is_ok(),
-        &mut || check_witness_decomposed(&history, &witness, model, 1).is_ok(),
         &mut || {
             let stats = certify_streaming(&history, &witness, model);
             stats.map(|stats| peak_window = stats.peak_window).is_ok()

@@ -4,30 +4,29 @@
 //! `sweep` fans seeded runs of every selected scenario (Spanner-RSS,
 //! Gryff-RSC and the composed two-store deployment, plain, under fault
 //! scripts and on write-ahead logs) across a work-stealing thread pool,
-//! certifies each history against its RSS/RSC witness model, and reports one
+//! certifies each recorded history against its RSS/RSC witness model after
+//! the run (`regular_sweep::certify_streaming`, whose `peak_window` is the
+//! reorder window an online certifier would have needed), and reports one
 //! row per scenario. Seeds that fail certification are dumped as replayable
 //! artifacts and fail the run — the CI gate.
 //!
 //! `--threads T1,T2,…` re-runs the whole sweep once per thread count and
 //! records the wall-clock of each in the report's `scaling` parameter
 //! (`scaling_speedup` is `wall(T1) / wall(Tlast)`). `--ops N` scales each
-//! scenario's simulated duration toward roughly `N` operations per run;
-//! `--stream` certifies through the windowed streaming checker instead of
-//! the batch parallel checker.
+//! scenario's simulated duration toward roughly `N` operations per run.
 //!
 //! `--scenarios live` sweeps the live execution plane instead
 //! (`live-spanner-rss,live-gryff-rsc,live-composed,live-spanner-faults`):
-//! every node an OS thread on scaled wall-clock time, certified online
-//! through the streaming checker, over the in-process mpsc transport (the
-//! `net` subcommand exercises the socket backends; see `OPERATIONS.md`).
+//! every node an OS thread on scaled wall-clock time, over the in-process
+//! mpsc transport (the `net` subcommand exercises the socket backends; see
+//! `OPERATIONS.md`), certified the same way once the run has stopped.
 //! Live runs occupy real cores, so pair them with `--threads 1`.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use regular_sweep::{
-    certify_streaming, run_sweep, FailureArtifact, Json, Scenario, SeedReport, SweepOptions,
-    SweepResult,
+    run_sweep, FailureArtifact, Json, Scenario, SeedReport, SweepOptions, SweepResult,
 };
 
 use crate::cli::Args;
@@ -60,9 +59,7 @@ pub fn sweep_report(result: &SweepResult, opts: &SweepOptions, scaling: &[(usize
         // generating host actually had (a 1-core dev container cannot show
         // parallel speedup).
         ("host_threads", Json::u64(host_threads)),
-        ("check_threads", Json::u64(opts.check_threads as u64)),
         ("ops_target", opts.ops.map(Json::u64).unwrap_or(Json::Null)),
-        ("stream", Json::Bool(opts.stream)),
         ("total_runs", Json::u64(result.reports.len() as u64)),
         ("total_failures", Json::u64(result.failures() as u64)),
         ("wall_clock_ms", Json::f64(round2(result.wall_ms))),
@@ -149,7 +146,6 @@ pub fn sweep(mut args: Args) -> Result<ExitCode, String> {
     if opts.ops.is_some_and(|ops| !(100..=1_000_000).contains(&ops)) {
         return Err("bad --ops (a target operation count in 100..=1000000)".to_string());
     }
-    opts.stream = args.flag("--stream");
     opts.artifact_dir = args.value("--artifact-dir")?.unwrap_or(opts.artifact_dir);
     let threads = match args.value::<String>("--threads")? {
         None => vec![std::thread::available_parallelism().map_or(1, |n| n.get())],
@@ -195,11 +191,6 @@ pub fn sweep(mut args: Args) -> Result<ExitCode, String> {
     Ok(written)
 }
 
-/// Artifacts at least this long replay through the windowed streaming
-/// checker, so the checking state stays bounded by the reorder window; the
-/// verdict is equivalent to the batch check.
-const STREAM_REPLAY_MIN_OPS: usize = 10_000;
-
 /// The `replay` subcommand: re-checks a failure artifact's recorded witness
 /// against its recorded history, without re-simulating. Exit 1 means the
 /// violation reproduced.
@@ -232,13 +223,7 @@ pub fn replay(mut args: Args) -> Result<ExitCode, String> {
              regular-hunt crate; this replay checks the evidence only)"
         );
     }
-    let verdict = if artifact.history.len() >= STREAM_REPLAY_MIN_OPS {
-        println!("replaying via the streaming checker ({} ops)", artifact.history.len());
-        certify_streaming(&artifact.history, &artifact.witness, artifact.model).map(|_| ())
-    } else {
-        artifact.replay()
-    };
-    Ok(match verdict {
+    Ok(match artifact.replay() {
         Ok(()) => {
             println!("replay verdict: CERTIFIED — the recorded witness now passes");
             ExitCode::SUCCESS
@@ -263,10 +248,8 @@ mod tests {
             seeds: 1,
             base_seed: 7,
             threads: 2,
-            check_threads: 1,
             artifact_dir: std::env::temp_dir().join("regular-bench-sweep-test"),
             ops: None,
-            stream: false,
         };
         let result = run_sweep(&opts);
         assert_eq!(result.reports.len(), 2);

@@ -40,10 +40,15 @@ fn every_subcommand_refuses_an_unknown_flag_with_usage_and_exit_2() {
         );
     }
     // A flag that is known but malformed is refused the same way, not by a
-    // panic; so are a missing subcommand and a name that is not one.
-    for args in
-        [&["engine", "--iters", "many"][..], &["sweep", "--seeds"], &["paper", "fig99"], &[]]
-    {
+    // panic; so are a missing subcommand, a name that is not one, and
+    // `sweep --stream` (there is one certifier, so nothing to select).
+    for args in [
+        &["engine", "--iters", "many"][..],
+        &["sweep", "--seeds"],
+        &["sweep", "--stream", "--seeds", "1"],
+        &["paper", "fig99"],
+        &[],
+    ] {
         let (code, stderr) = bench(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: regular-bench"), "{args:?}: {stderr}");

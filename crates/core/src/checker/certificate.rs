@@ -1,22 +1,25 @@
-//! Scalable witness (certificate) checkers.
+//! The reference witness (certificate) checker.
 //!
 //! The protocol implementations in this repository do not merely claim to
 //! satisfy their consistency model — they emit a *witness*: the total order of
 //! transactions/operations induced by their commit timestamps (Spanner) or
 //! carstamps (Gryff), exactly as in the paper's correctness proofs
-//! (Appendix D). Validating a witness is tractable even for histories with
-//! tens of thousands of operations:
+//! (Appendix D). Validating a given total order is the linear case — no
+//! search — and [`check_witness`] does it over the whole history at once:
 //!
 //! 1. every completed operation appears in the witness exactly once,
 //! 2. replaying the witness against the sequential specification reproduces
 //!    every recorded result,
 //! 3. the witness respects the model's order constraints, checked edge-by-edge
-//!    for causal/process-order constraints and with per-key sweeps for the
+//!    for causal/process-order constraints and with sort-and-sweeps for the
 //!    real-time constraints.
 //!
-//! This is the machinery the cross-crate integration tests use to establish
-//! that Spanner ⊨ strict serializability, Spanner-RSS ⊨ RSS, Gryff ⊨
-//! linearizability, and Gryff-RSC ⊨ RSC on real simulated runs.
+//! This is what the cross-crate integration tests, `verify_run` and the
+//! hunter use to establish that Spanner ⊨ strict serializability,
+//! Spanner-RSS ⊨ RSS, Gryff ⊨ linearizability, and Gryff-RSC ⊨ RSC on real
+//! runs, and the reference the incremental validator
+//! ([`StreamingChecker`](crate::checker::window::StreamingChecker), which the
+//! sweeps certify through) is differentially tested against.
 //!
 //! # Hot-path structure
 //!
@@ -26,35 +29,11 @@
 //! the sweeps uses the index's interned dense key ids instead of
 //! `HashMap<(ServiceId, Key), _>`. The only remaining per-check allocations
 //! are the grouped source/target vectors themselves.
-//!
-//! # Sharded (parallel) checking
-//!
-//! The order checks are *shardable*: every constraint family partitions by
-//! process, dense key, or message index, and each shard reads only the
-//! immutable [`HistoryIndex`] and the shared witness-position table. The
-//! whole plan is expressed once, through a (private) `Shard` selector —
-//! [`check_witness_with`] runs the single shard that covers everything, and
-//! [`check_witness_parallel`] fans the same code across scoped threads for
-//! the multi-run conformance sweeps (large histories amortize the spawn
-//! cost; the membership scan and spec replay are inherently sequential and
-//! stay on the calling thread). `HistoryIndex` is statically asserted
-//! `Send + Sync`, which is what makes the borrow-based fan-out sound.
 
 use crate::history::{History, HistoryIndex};
 use crate::order::message_edges;
 use crate::spec::{check_sequence, IndexedSpecState, SpecViolation};
 use crate::types::OpId;
-
-/// Compile-time proof that the read-only index (and the violation type the
-/// shards send back) can cross threads — the property
-/// [`check_witness_parallel`]'s scoped borrows rely on.
-#[allow(dead_code)]
-const fn _witness_sharding_is_send_sync() {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<HistoryIndex>();
-    assert_send_sync::<WitnessViolation>();
-    assert_send_sync::<WitnessModel>();
-}
 
 /// Which constraint family the witness must respect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,36 +86,6 @@ pub enum WitnessViolation {
 /// Position sentinel: the operation does not appear in the witness.
 const ABSENT: u32 = u32::MAX;
 
-/// Which slice of the order checks one invocation covers: shard `id` of
-/// `count` equal residue classes over the partitionable dimensions
-/// (processes, dense keys, message indices), with the non-partitionable
-/// global sweeps run by the primary shard only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shard {
-    id: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// The single shard covering every check (the sequential path).
-    const ALL: Shard = Shard { id: 0, count: 1 };
-
-    /// True if this shard owns residue class `i`. The single-shard
-    /// (sequential) case short-circuits so the hot certificate loops don't
-    /// pay a division.
-    #[inline]
-    fn covers(&self, i: usize) -> bool {
-        self.count == 1 || i % self.count == self.id
-    }
-
-    /// True for the shard that additionally runs the global (unpartitioned)
-    /// sweeps.
-    #[inline]
-    fn is_primary(&self) -> bool {
-        self.id == 0
-    }
-}
-
 /// Checks that `witness` certifies `history` under `model`.
 ///
 /// The witness must contain every completed operation exactly once and may
@@ -161,76 +110,20 @@ pub fn check_witness_with(
 ) -> Result<(), WitnessViolation> {
     let positions = validate_membership(index, witness)?;
     replay_witness(history, index, witness)?;
-    check_order_constraints(history, index, &positions, model, Shard::ALL)
+    check_order_constraints(history, index, &positions, model)
 }
 
-/// Histories below this many ops take the sequential path regardless of
-/// `threads`: the order checks are microseconds there, below thread-spawn
-/// cost.
-const PARALLEL_MIN_OPS: usize = 512;
-
-/// [`check_witness_with`] with the order checks sharded across `threads`
-/// scoped worker threads.
-///
-/// Accepts and rejects exactly the same witnesses as the sequential checker
-/// (both run the same order-constraint code, just under different shard
-/// selectors); when several shards find violations concurrently, *which* one
-/// is reported may differ from the sequential checker's first hit. Intended
-/// for the conformance sweeps' large protocol histories. Falls back to the
-/// sequential path when `threads <= 1`, when the history is too small to
-/// repay thread spawns, or for [`WitnessModel::RealTime`] — whose dominant
-/// cost is the single global real-time sweep, which sharding cannot split.
-pub fn check_witness_parallel(
-    history: &History,
-    index: &HistoryIndex,
-    witness: &[OpId],
-    model: WitnessModel,
-    threads: usize,
-) -> Result<(), WitnessViolation> {
-    let positions = validate_membership(index, witness)?;
-    replay_witness(history, index, witness)?;
-    if threads <= 1 || index.len() < PARALLEL_MIN_OPS || model == WitnessModel::RealTime {
-        return check_order_constraints(history, index, &positions, model, Shard::ALL);
-    }
-    let failure: std::sync::Mutex<Option<WitnessViolation>> = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        let positions = &positions;
-        let failure = &failure;
-        for id in 0..threads {
-            scope.spawn(move || {
-                let shard = Shard { id, count: threads };
-                if let Err(v) = check_order_constraints(history, index, positions, model, shard) {
-                    failure.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(v);
-                }
-            });
-        }
-    });
-    match failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        Some(v) => Err(v),
-        None => Ok(()),
-    }
-}
-
-/// The order-constraint half of the witness check, restricted to one
-/// [`Shard`]. The union over a full shard family `{0..count}` is exactly the
-/// sequential check. Each shard scans all ops and sizes its own per-key
-/// grouping tables (an O(len + keys) overhead per shard, accepted so shards
-/// share nothing mutable); only the grouped sweeps themselves are
-/// partitioned.
+/// The order-constraint half of the witness check.
 fn check_order_constraints(
     history: &History,
     index: &HistoryIndex,
     positions: &[u32],
     model: WitnessModel,
-    shard: Shard,
 ) -> Result<(), WitnessViolation> {
     // Process order holds for every model (it is subsumed by real time for
     // complete ops, but checking it directly also covers included incomplete
-    // operations). Partitioned by process slot.
-    for (slot, (_, ids)) in index.ops_by_process().iter().enumerate() {
-        if !shard.covers(slot) {
-            continue;
-        }
+    // operations).
+    for (_, ids) in index.ops_by_process().iter() {
         for w in ids.windows(2) {
             check_edge(positions, w[0], w[1], OrderKind::ProcessOrder)?;
         }
@@ -239,19 +132,13 @@ fn check_order_constraints(
     match model {
         WitnessModel::ProcessOrder => {}
         WitnessModel::Regular => {
-            check_reads_from_edges(index, positions, shard)?;
-            if shard.is_primary() {
-                for (a, b) in message_edges(history, index.ops_by_process()) {
-                    check_edge(positions, a, b, OrderKind::Causal)?;
-                }
+            check_reads_from_edges(index, positions)?;
+            for (a, b) in message_edges(history, index.ops_by_process()) {
+                check_edge(positions, a, b, OrderKind::Causal)?;
             }
-            check_regular_write_constraint(index, positions, shard)?;
+            check_regular_write_constraint(index, positions)?;
         }
-        WitnessModel::RealTime => {
-            if shard.is_primary() {
-                check_real_time_all(index, positions)?;
-            }
-        }
+        WitnessModel::RealTime => check_real_time_all(index, positions)?,
     }
     Ok(())
 }
@@ -316,20 +203,14 @@ fn check_edge(
 /// (in the witness) some write of that value to the same key. Writers are
 /// grouped per dense key id and sorted by value once, so each observation is
 /// a binary search — no `HashMap<(service, key, value), _>` construction.
-/// Partitioned by dense key id: each shard groups and checks only the keys
-/// it covers.
-fn check_reads_from_edges(
-    index: &HistoryIndex,
-    positions: &[u32],
-    shard: Shard,
-) -> Result<(), WitnessViolation> {
-    // (value, writer) per dense key id (covered keys only).
+fn check_reads_from_edges(index: &HistoryIndex, positions: &[u32]) -> Result<(), WitnessViolation> {
+    // (value, writer) per dense key id.
     let mut writers: Vec<Vec<(u64, u32)>> = vec![Vec::new(); index.num_dense_keys()];
     for op in 0..index.len() {
         let keys = index.write_key_ids(op);
         let vals = index.write_values(op);
         for (k, v) in keys.iter().zip(vals) {
-            if *v != 0 && shard.covers(*k as usize) {
+            if *v != 0 {
                 writers[*k as usize].push((*v, op as u32));
             }
         }
@@ -344,7 +225,7 @@ fn check_reads_from_edges(
         let keys = index.read_key_ids(op);
         let obs = index.read_observations(op);
         for (k, v) in keys.iter().zip(obs) {
-            if *v == 0 || !shard.covers(*k as usize) {
+            if *v == 0 {
                 continue;
             }
             let list = &writers[*k as usize];
@@ -382,33 +263,27 @@ fn check_real_time_all(index: &HistoryIndex, positions: &[u32]) -> Result<(), Wi
 
 /// Checks clause (3) of the RSS/RSC definitions:
 /// * completed mutating operations precede (in the witness) every mutating
-///   operation that follows them in real time (global: primary shard), and
+///   operation that follows them in real time (every mutating pair is
+///   constrained, regardless of key), and
 /// * completed mutating operations precede every conflicting read-only
-///   operation that follows them in real time (partitioned by dense key id).
+///   operation that follows them in real time (grouped by dense key id).
 fn check_regular_write_constraint(
     index: &HistoryIndex,
     positions: &[u32],
-    shard: Shard,
 ) -> Result<(), WitnessViolation> {
-    // Global write-write constraint (not partitionable: every mutating pair
-    // is constrained regardless of key).
-    if shard.is_primary() {
-        let mut write_sources: Vec<(u64, u32, u32)> = Vec::new();
-        let mut write_targets: Vec<(u64, u32, u32)> = Vec::new();
-        for (op, &pos) in positions.iter().enumerate() {
-            if !index.is_mutating(op) || pos == ABSENT {
-                continue;
-            }
-            if let Some(resp) = index.response_us(op) {
-                write_sources.push((resp, pos, op as u32));
-            }
-            write_targets.push((index.invoke_us(op), pos, op as u32));
+    let mut write_sources: Vec<(u64, u32, u32)> = Vec::new();
+    let mut write_targets: Vec<(u64, u32, u32)> = Vec::new();
+    for (op, &pos) in positions.iter().enumerate() {
+        if !index.is_mutating(op) || pos == ABSENT {
+            continue;
         }
-        sweep(&mut write_sources, &mut write_targets, OrderKind::RegularWrite)?;
+        if let Some(resp) = index.response_us(op) {
+            write_sources.push((resp, pos, op as u32));
+        }
+        write_targets.push((index.invoke_us(op), pos, op as u32));
     }
+    sweep(&mut write_sources, &mut write_targets, OrderKind::RegularWrite)?;
 
-    // Per-(service, key) write-read constraint, grouped by dense key id
-    // (covered keys only).
     let num_keys = index.num_dense_keys();
     let mut writers: Vec<Vec<(u64, u32, u32)>> = vec![Vec::new(); num_keys];
     let mut readers: Vec<Vec<(u64, u32, u32)>> = vec![Vec::new(); num_keys];
@@ -419,16 +294,12 @@ fn check_regular_write_constraint(
         if index.is_mutating(op) {
             if let Some(resp) = index.response_us(op) {
                 for k in index.write_key_ids(op) {
-                    if shard.covers(*k as usize) {
-                        writers[*k as usize].push((resp, pos, op as u32));
-                    }
+                    writers[*k as usize].push((resp, pos, op as u32));
                 }
             }
         } else if index.is_read_only(op) {
             for k in index.read_key_ids(op) {
-                if shard.covers(*k as usize) {
-                    readers[*k as usize].push((index.invoke_us(op), pos, op as u32));
-                }
+                readers[*k as usize].push((index.invoke_us(op), pos, op as u32));
             }
         }
     }
@@ -611,36 +482,6 @@ mod tests {
             Err(WitnessViolation::OrderViolation { kind: OrderKind::RegularWrite, .. })
         ));
         assert_eq!(check_witness(&h, &[w1, w2], WitnessModel::Regular), Ok(()));
-    }
-
-    #[test]
-    fn parallel_checker_agrees_with_sequential() {
-        use crate::history::HistoryIndex;
-        // A valid regular witness and an invalid one; the sharded checker
-        // must accept/reject identically at several thread counts.
-        let mut b = HistoryBuilder::new();
-        let w1 = b.write(1, 1, 1, 0, 10);
-        let w2 = b.write(2, 2, 2, 20, 30);
-        let r = b.read(3, 1, 1, 40, 50);
-        let h = b.build();
-        let index = HistoryIndex::new(&h);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                check_witness_parallel(&h, &index, &[w1, w2, r], WitnessModel::Regular, threads),
-                Ok(()),
-                "{threads} threads accept the valid witness"
-            );
-            assert!(
-                check_witness_parallel(&h, &index, &[w2, w1, r], WitnessModel::Regular, threads)
-                    .is_err(),
-                "{threads} threads reject the write-order inversion"
-            );
-            assert!(
-                check_witness_parallel(&h, &index, &[w1, w2], WitnessModel::Regular, threads)
-                    .is_err(),
-                "{threads} threads reject the missing op"
-            );
-        }
     }
 
     #[test]

@@ -1,47 +1,41 @@
-//! Communication-component decomposition: stage 2 of the certification
-//! cascade.
+//! Communication-component decomposition for the witness *search*.
 //!
 //! Two operations must be ordered *relative to each other* by a checker only
 //! if some chain of constraints connects them. [`ComponentSplit`] computes
 //! the connected components of the communication graph — union-find over
 //! shared `(service, key)` accesses, process membership, and message /
 //! external-communication endpoints (fences and causal-context handoffs ride
-//! along through their process) — so certification runs per component:
-//!
-//! * **Search** ([`find_sequence_decomposed`]): each component is searched
-//!   independently (through the saturation prefilter of
-//!   [`crate::checker::saturate`](mod@crate::checker::saturate)); per-component
-//!   witnesses are then merged
-//!   into one global witness. Since components share no keys, the merged
-//!   sequence replays exactly as the components did; the only global
-//!   constraints a model imposes *across* components are real-time edges,
-//!   which [`CrossEdges`] characterizes per model and the merge enforces by
-//!   interleaving on invocation/response times. If the greedy merge cannot
-//!   honor them (per-component witnesses over-committed an internal order),
-//!   the checker falls back to the whole-history search, so the verdict is
-//!   always exact.
-//! * **Witness checking** ([`check_witness_decomposed`]): a certificate for a
-//!   large history is validated per component on scoped threads — membership
-//!   globally, then each component's sub-history/sub-witness through
-//!   [`check_witness`], plus the one truly global constraint (the RSS/RSC
-//!   write-write real-time sweep) checked directly on the full witness.
+//! along through their process) — so the NP-hard question *does a witness
+//! exist* is asked per component ([`find_sequence_decomposed`]): each
+//! component is searched independently (through the saturation prefilter of
+//! [`crate::checker::saturate`](mod@crate::checker::saturate)) and the
+//! per-component witnesses are merged into one global witness. Since
+//! components share no keys, the merged sequence replays exactly as the
+//! components did; the only global constraints a model imposes *across*
+//! components are real-time edges, which [`CrossEdges`] characterizes per
+//! model and the merge enforces by interleaving on invocation/response
+//! times. If the greedy merge cannot honor them (per-component witnesses
+//! over-committed an internal order), the checker falls back to the
+//! whole-history search, so the verdict is always exact.
 //!
 //! The decomposition is sound in both directions: a violation inside a
 //! component is a violation of the whole history (the component's ops are
 //! constrained only among themselves plus cross real-time edges, which the
-//! merge/global sweep handles), and per-component witnesses concatenate into
-//! a legal global witness because components are key-disjoint.
+//! merge handles), and per-component witnesses concatenate into a legal
+//! global witness because components are key-disjoint.
+//!
+//! Validating a *given* witness is never decomposed: it is the linear case,
+//! and splitting a protocol history (always one component) only adds the
+//! split's cost. [`ComponentSplit`] is still what the certifiers report as a
+//! history's `components`.
 
 use std::collections::HashMap;
 
-use crate::checker::certificate::{check_witness, check_witness_parallel, OrderKind};
 use crate::checker::models::Model;
 use crate::checker::saturate::find_sequence_saturated;
 use crate::checker::search::{Constraints, SearchError};
-use crate::checker::{WitnessModel, WitnessViolation};
 use crate::hashing::FxBuildHasher;
 use crate::history::{History, HistoryIndex};
-use crate::spec::SpecViolation;
 use crate::types::OpId;
 
 /// Union-find with path halving; elements are op ids.
@@ -354,180 +348,11 @@ fn merge_witnesses(
     Some(out)
 }
 
-/// [`check_witness_parallel`] with component-level parallelism: membership is
-/// validated globally, each component's sub-history and sub-witness are
-/// checked independently on scoped threads, and the one cross-component
-/// constraint (the RSS/RSC global write-write real-time sweep) is checked
-/// directly on the full witness. Accepts and rejects exactly the same
-/// witnesses as [`check_witness`]; as with the sharded checker, *which*
-/// violation is reported may differ.
-///
-/// [`WitnessModel::RealTime`] histories take the whole-history path — the
-/// all-pairs real-time sweep is inherently global.
-pub fn check_witness_decomposed(
-    history: &History,
-    witness: &[OpId],
-    model: WitnessModel,
-    threads: usize,
-) -> Result<(), WitnessViolation> {
-    let split = ComponentSplit::split(history);
-    if model == WitnessModel::RealTime || split.len() <= 1 {
-        let index = HistoryIndex::new(history);
-        return check_witness_parallel(history, &index, witness, model, threads);
-    }
-
-    // Global membership: unknown ids, duplicates, missing complete ops.
-    let mut positions = vec![u32::MAX; history.len()];
-    for (pos, &id) in witness.iter().enumerate() {
-        if id.index() >= history.len() {
-            return Err(WitnessViolation::UnknownOp(id));
-        }
-        if positions[id.index()] != u32::MAX {
-            return Err(WitnessViolation::DuplicateOp(id));
-        }
-        positions[id.index()] = pos as u32;
-    }
-    for op in history.ops() {
-        if op.is_complete() && positions[op.id.index()] == u32::MAX {
-            return Err(WitnessViolation::MissingCompleteOp(op.id));
-        }
-    }
-
-    // Per-component sub-histories (fresh dense ids in ascending old-id order,
-    // which preserves per-process `(invoke, id)` sorting) and sub-witnesses.
-    let comps = split.components();
-    let mut tasks: Vec<(History, Vec<OpId>, &[OpId])> = Vec::with_capacity(comps.len());
-    for old_ids in comps {
-        let mut sub = History::new();
-        for &old in old_ids {
-            let op = history.op(old);
-            match (&op.response, &op.result) {
-                (Some(resp), Some(result)) => {
-                    sub.add_complete(
-                        op.process,
-                        op.service,
-                        op.kind.clone(),
-                        op.invoke,
-                        *resp,
-                        result.clone(),
-                    );
-                }
-                _ => {
-                    sub.add_incomplete(op.process, op.service, op.kind.clone(), op.invoke);
-                }
-            }
-        }
-        // Copy every message edge; edges whose endpoint processes are not in
-        // this component bind no operations here (and both endpoints of a
-        // message always share a component, so the owning component sees the
-        // identical edge set).
-        for m in history.messages() {
-            sub.add_message(m.from, m.sent_at, m.to, m.received_at);
-        }
-        tasks.push((sub, Vec::new(), old_ids));
-    }
-    for &id in witness {
-        let c = split.comp_of(id);
-        let local = comps[c].binary_search(&id).expect("witness op is in its component");
-        tasks[c].1.push(OpId(local as u32));
-    }
-
-    let threads = threads.max(1).min(tasks.len());
-    let failure: std::sync::Mutex<Option<WitnessViolation>> = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        let failure = &failure;
-        let tasks = &tasks;
-        for t in 0..threads {
-            scope.spawn(move || {
-                for (c, (sub, sub_witness, old_ids)) in tasks.iter().enumerate() {
-                    if c % threads != t {
-                        continue;
-                    }
-                    if let Err(v) = check_witness(sub, sub_witness, model) {
-                        let remapped = remap_violation(v, old_ids);
-                        failure.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(remapped);
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(v) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(v);
-    }
-
-    // The global write-write real-time sweep (clause 3 of RSS/RSC) is the one
-    // Regular constraint that crosses components; every other family was
-    // covered per component.
-    if model == WitnessModel::Regular {
-        check_global_write_write(history, &positions)?;
-    }
-    Ok(())
-}
-
-/// Maps a violation reported against a component sub-history back to the
-/// original op ids.
-fn remap_violation(v: WitnessViolation, old_ids: &[OpId]) -> WitnessViolation {
-    let map = |id: OpId| old_ids[id.index()];
-    match v {
-        WitnessViolation::UnknownOp(id) => WitnessViolation::UnknownOp(map(id)),
-        WitnessViolation::DuplicateOp(id) => WitnessViolation::DuplicateOp(map(id)),
-        WitnessViolation::MissingCompleteOp(id) => WitnessViolation::MissingCompleteOp(map(id)),
-        WitnessViolation::Spec(SpecViolation { op, expected, actual }) => {
-            WitnessViolation::Spec(SpecViolation { op: map(op), expected, actual })
-        }
-        WitnessViolation::OrderViolation { kind, first, second } => {
-            WitnessViolation::OrderViolation { kind, first: map(first), second: map(second) }
-        }
-    }
-}
-
-/// The global RSS/RSC write-write constraint on the full witness: every
-/// completed mutating op precedes (in the witness) every mutating op that
-/// follows it in real time. Mirrors the certificate checker's sweep exactly
-/// (strict `<` on times, running maximum over responded sources).
-fn check_global_write_write(history: &History, positions: &[u32]) -> Result<(), WitnessViolation> {
-    let mut sources: Vec<(u64, u32, u32)> = Vec::new();
-    let mut targets: Vec<(u64, u32, u32)> = Vec::new();
-    for op in history.ops() {
-        let pos = positions[op.id.index()];
-        if pos == u32::MAX || !op.kind.is_mutating() {
-            continue;
-        }
-        if let Some(resp) = op.response {
-            sources.push((resp.as_micros(), pos, op.id.0));
-        }
-        targets.push((op.invoke.as_micros(), pos, op.id.0));
-    }
-    sources.sort_unstable();
-    targets.sort_unstable();
-    let mut max_pos: Option<(u32, u32)> = None;
-    let mut si = 0;
-    for &(t_inv, pos_b, id_b) in &targets {
-        while si < sources.len() && sources[si].0 < t_inv {
-            let (_, pos_a, id_a) = sources[si];
-            if max_pos.map(|(p, _)| pos_a > p).unwrap_or(true) {
-                max_pos = Some((pos_a, id_a));
-            }
-            si += 1;
-        }
-        if let Some((p, id_a)) = max_pos {
-            if p > pos_b && id_a != id_b {
-                return Err(WitnessViolation::OrderViolation {
-                    kind: OrderKind::RegularWrite,
-                    first: OpId(id_a),
-                    second: OpId(id_b),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::models::{check, constraints_for_with, satisfies};
+    use crate::checker::certificate::{check_witness, WitnessModel};
+    use crate::checker::models::{constraints_for_with, satisfies};
     use crate::history::HistoryBuilder;
     use crate::spec::check_sequence;
 
@@ -663,72 +488,5 @@ mod tests {
         .unwrap();
         assert!(verdict.is_none());
         assert!(!satisfies(&h, Model::Linearizability));
-    }
-
-    #[test]
-    fn decomposed_witness_check_agrees_with_whole_check() {
-        let h = two_group_history();
-        let outcome = check(&h, Model::RegularSequentialConsistency).unwrap();
-        let witness = outcome.witness.expect("satisfiable");
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                check_witness_decomposed(&h, &witness, WitnessModel::Regular, threads),
-                Ok(()),
-                "{threads} threads accept"
-            );
-            // Swap two ops of one process: a process-order violation both
-            // checkers reject.
-            let mut bad = witness.clone();
-            let (i, j) = (
-                bad.iter().position(|&x| x == OpId(0)).unwrap(),
-                bad.iter().position(|&x| x == OpId(3)).unwrap(),
-            );
-            bad.swap(i, j);
-            assert!(
-                check_witness(&h, &bad, WitnessModel::Regular).is_err(),
-                "whole checker rejects"
-            );
-            assert!(
-                check_witness_decomposed(&h, &bad, WitnessModel::Regular, threads).is_err(),
-                "{threads} threads reject"
-            );
-        }
-    }
-
-    #[test]
-    fn decomposed_witness_check_enforces_cross_component_write_write() {
-        // Two disjoint components; w1 finishes before w2 starts, so Regular
-        // requires w1 before w2 in the witness even though no key is shared.
-        let mut b = HistoryBuilder::new();
-        let w1 = b.write(1, 1, 10, 0, 5);
-        let w2 = b.write(2, 2, 20, 10, 15);
-        let h = b.build();
-        assert_eq!(ComponentSplit::split(&h).len(), 2);
-        assert_eq!(check_witness_decomposed(&h, &[w1, w2], WitnessModel::Regular, 2), Ok(()));
-        let err = check_witness_decomposed(&h, &[w2, w1], WitnessModel::Regular, 2).unwrap_err();
-        assert!(matches!(
-            err,
-            WitnessViolation::OrderViolation { kind: OrderKind::RegularWrite, .. }
-        ));
-        // And matches the whole-history checker.
-        assert!(check_witness(&h, &[w2, w1], WitnessModel::Regular).is_err());
-    }
-
-    #[test]
-    fn decomposed_witness_check_reports_membership_errors() {
-        let h = two_group_history();
-        let witness = check(&h, Model::SequentialConsistency).unwrap().witness.unwrap();
-        let mut missing = witness.clone();
-        let dropped = missing.pop().unwrap();
-        assert_eq!(
-            check_witness_decomposed(&h, &missing, WitnessModel::ProcessOrder, 2),
-            Err(WitnessViolation::MissingCompleteOp(dropped))
-        );
-        let mut dup = witness.clone();
-        dup.push(witness[0]);
-        assert_eq!(
-            check_witness_decomposed(&h, &dup, WitnessModel::ProcessOrder, 2),
-            Err(WitnessViolation::DuplicateOp(witness[0]))
-        );
     }
 }

@@ -1,26 +1,33 @@
-//! Consistency checkers.
+//! Consistency checkers, organised around the two questions they answer.
 //!
-//! Two complementary families:
+//! **Does a witness exist?** — NP-hard, for the small histories of Table 1,
+//! Appendix A and the property tests. [`models::check`] runs decompose →
+//! saturate → search: [`decompose`] splits the history into communication
+//! components searched independently, [`saturate`](mod@saturate) derives
+//! forced order edges in polynomial time (a cycle is a counterexample
+//! without any search), and [`search`] is the one exact backtracking
+//! searcher. `search::find_sequence_reference` is the oracle the tests
+//! compare it against. [`proximal`] answers the same question for the
+//! neighbouring models of Appendix A (CRDB, strong snapshot isolation,
+//! OSC(U), VV-regularity, real-time causal, and the Shao et al. multi-writer
+//! regularity family).
 //!
-//! * [`search`] + [`models`]: exact, search-based checkers that decide whether
-//!   a (small) history satisfies a consistency model by looking for a legal
-//!   sequence. Used for the Table 1 / Appendix A comparisons and for property
-//!   tests of the definitions themselves.
-//! * [`certificate`]: scalable witness checkers. The protocol implementations
-//!   (Spanner-RSS, Gryff-RSC, and their baselines) emit a serialization
-//!   witness (commit timestamps / carstamps); the certificate checker
-//!   validates the witness against the model's constraints in near-linear
-//!   time, which lets the integration tests verify histories with tens of
-//!   thousands of operations.
-//! * [`proximal`]: checkers for the neighbouring consistency models discussed
-//!   in Appendix A (CRDB, strong snapshot isolation, OSC(U), VV-regularity,
-//!   real-time causal, and the Shao et al. multi-writer regularity family).
-//! * [`saturate`](mod@saturate) + [`decompose`] + [`window`]: the certification cascade for
-//!   large histories — a polynomial saturation prefilter deriving forced
-//!   order edges (cycle ⇒ counterexample without search), communication-
-//!   component decomposition so independent components certify separately,
-//!   and a streaming checker that certifies windows of a still-growing run
-//!   with memory bounded by window size.
+//! **Is this witness valid?** — the linear case, for every protocol run. The
+//! protocols (Spanner-RSS, Gryff-RSC, and their baselines) emit the
+//! serialization order their commit timestamps / carstamps induce
+//! ([`assemble`] turns the edges into a total order); validating it needs no
+//! search. Two validators, one per situation, with no switch between them:
+//!
+//! * [`certificate`]: [`check_witness`], the whole-history sort-and-sweep. It
+//!   stays because it is the reference every other validator is compared
+//!   against, the fastest on a history already in memory, and what the
+//!   conformance tests and the hunter call.
+//! * [`window`]: [`StreamingChecker`] + [`WindowBuffer`], the only
+//!   incremental validator — the same clauses folded into running state over
+//!   records arriving in completion order. It stays because it is what the
+//!   sweep, `regular-bench replay`/`live` and `benchmark/` certify through
+//!   (`regular_sweep::certify_streaming`), and the one that meters the
+//!   reorder window an online certifier would need.
 
 pub mod assemble;
 pub mod certificate;
@@ -32,10 +39,8 @@ pub mod search;
 pub mod window;
 
 pub use assemble::{assemble_witness, AssembleError};
-pub use certificate::{check_witness, check_witness_parallel, WitnessModel, WitnessViolation};
-pub use decompose::{
-    check_witness_decomposed, find_sequence_decomposed, ComponentSplit, CrossEdges,
-};
+pub use certificate::{check_witness, WitnessModel, WitnessViolation};
+pub use decompose::{find_sequence_decomposed, ComponentSplit, CrossEdges};
 pub use models::{check, CheckOutcome, Model};
 pub use saturate::{find_sequence_saturated, saturate, Saturation};
 pub use search::{

@@ -155,7 +155,7 @@ pub fn constraints_for_with(history: &History, index: &HistoryIndex, model: Mode
 
 /// Checks whether `history` satisfies `model`.
 ///
-/// Runs the full certification cascade: the saturation prefilter derives
+/// Runs the full search pipeline: the saturation prefilter derives
 /// forced order edges (a cycle refutes without search), communication
 /// components are searched independently and their witnesses merged, and only
 /// then does the exponential search run — per component, over the saturated

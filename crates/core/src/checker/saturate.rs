@@ -1,4 +1,4 @@
-//! Saturation prefilter: stage 1 of the certification cascade.
+//! Saturation prefilter: the polynomial stage in front of the witness search.
 //!
 //! Before the exponential sequence search runs, this module *saturates* the
 //! constraint set the way polynomial consistency-checking algorithms do

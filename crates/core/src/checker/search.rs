@@ -22,13 +22,11 @@
 //! * [`Constraints`] is an edge list with a sorted/deduplicated invariant;
 //!   it is compiled once per [`find_sequence`] call into a
 //!   [`ConstraintGraph`] of per-node predecessor bitset rows.
-//! * Scheduled sets, candidate masks, and the memo key are bitsets over the
-//!   local indices, and there is no hard size ceiling anymore: histories up
-//!   to 128 ops run the monomorphized `u128` fast path (bit-for-bit the old
-//!   hot loop, so small searches pay nothing for the lifted ceiling), and
-//!   larger histories switch to the word-arena [`OpSet`] representation.
-//!   (The old `MAX_SEARCH_OPS` cap survives only in
-//!   [`find_sequence_reference`], whose masks are still plain `u128`.)
+//! * Scheduled sets, candidate masks, and the memo key are [`OpSet`] bitsets
+//!   over the local indices — one searcher for every size, inline (no heap)
+//!   up to 128 ops and a word arena past that, so there is no size ceiling.
+//!   (The `MAX_SEARCH_OPS` cap survives only in
+//!   [`find_sequence_reference`], whose masks are plain `u128`.)
 //! * Cycle checks per optional-subset are bitset Kahn peels on the compiled
 //!   graph — no hash maps, no sorting, and no allocation in the subset loop
 //!   for ≤128-op histories.
@@ -40,8 +38,9 @@
 //!   incrementally-maintained fingerprint.
 //!
 //! [`find_sequence_reference`] retains the straightforward clone-per-step
-//! implementation; the property tests assert the two agree on randomized
-//! histories.
+//! implementation. It is the oracle, not a second production path: nothing
+//! outside tests calls it, and the unit and property tests assert the
+//! searcher agrees with it on randomized histories.
 
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -234,45 +233,6 @@ impl ConstraintGraph {
             .any(|(w, &row)| row & active.word(w) & !placed.word(w) != 0)
     }
 
-    /// Predecessor row of node `i` as a single `u128`. Only meaningful on
-    /// the ≤128-node fast path (`words_per_row() <= 2`).
-    #[inline]
-    fn preds_u128(&self, i: usize) -> u128 {
-        debug_assert!(self.wpr <= 2);
-        let row = self.preds_row(i);
-        let lo = row[0] as u128;
-        if self.wpr == 2 {
-            lo | (row[1] as u128) << 64
-        } else {
-            lo
-        }
-    }
-
-    /// [`ConstraintGraph::has_cycle_masked`] on the `u128` fast path: the
-    /// flat-word Kahn peel the ≤128-op searches use.
-    fn has_cycle_u128(&self, active: u128) -> bool {
-        let mut remaining = active;
-        loop {
-            let mut peeled = 0u128;
-            let mut scan = remaining;
-            while scan != 0 {
-                let i = scan.trailing_zeros() as usize;
-                let bit = 1u128 << i;
-                scan &= scan - 1;
-                if self.preds_u128(i) & remaining == 0 {
-                    peeled |= bit;
-                }
-            }
-            if peeled == 0 {
-                return remaining != 0;
-            }
-            remaining &= !peeled;
-            if remaining == 0 {
-                return false;
-            }
-        }
-    }
-
     /// True if the graph restricted to `active` contains a cycle: a bitset
     /// Kahn peel (repeatedly remove nodes with no unremoved predecessors).
     /// Allocation-free for inline-sized (≤128-op) searches.
@@ -367,79 +327,11 @@ pub fn find_sequence_with(
     ids.extend_from_slice(optional);
     let universe = ids.len();
     let graph = ConstraintGraph::compile(constraints, &ids, index.len());
-
-    if universe <= OpSet::INLINE_BITS {
-        // Fast path: the whole old `u128` regime, monomorphized flat-word
-        // arithmetic with no per-word indirection.
-        return Ok(search_small(index, &graph, &ids, required.len(), optional.len()));
-    }
-    Ok(search_large(index, &graph, &ids, required.len(), optional.len()))
-}
-
-/// The low `n` bits of a `u128`. Safe at both edges: `n == 0` (the old
-/// `u128::MAX >> (128 - n)` idiom would shift by 128 and panic) and
-/// `n == 128`.
-#[inline]
-fn low_bits_u128(n: usize) -> u128 {
-    debug_assert!(n <= 128);
-    if n == 0 {
-        0
-    } else {
-        u128::MAX >> (128 - n)
-    }
-}
-
-/// The ≤128-op search: `u128` scheduled sets (the pre-`OpSet` hot path,
-/// kept monomorphized so small searches pay nothing for the lifted ceiling).
-fn search_small(
-    index: &HistoryIndex,
-    graph: &ConstraintGraph,
-    ids: &[OpId],
-    required: usize,
-    optional: usize,
-) -> Option<Vec<OpId>> {
-    let required_mask = low_bits_u128(required);
-    let mut searcher = SmallSearcher {
+    let required_set = OpSet::first_n(universe, required.len());
+    let mut searcher = Searcher {
         index,
-        graph,
-        ids,
-        state: IndexedSpecState::new(index.num_dense_keys()),
-        seen: FxSeenSet::default(),
-        seq: Vec::with_capacity(ids.len()),
-    };
-    let subsets = 1usize << optional;
-    for subset in 0..subsets {
-        // `subset > 0` implies `optional > 0`, which keeps the shift below
-        // 128 (`required + optional == ids.len() <= 128`).
-        let active = if subset == 0 {
-            required_mask
-        } else {
-            required_mask | ((subset as u128) << required)
-        };
-        if graph.has_cycle_u128(active) {
-            continue;
-        }
-        if searcher.search(active) {
-            return Some(searcher.seq);
-        }
-    }
-    None
-}
-
-/// The >128-op search: [`OpSet`] scheduled sets of any width.
-fn search_large(
-    index: &HistoryIndex,
-    graph: &ConstraintGraph,
-    ids: &[OpId],
-    required: usize,
-    optional: usize,
-) -> Option<Vec<OpId>> {
-    let universe = ids.len();
-    let required_set = OpSet::first_n(universe, required);
-    let mut searcher = LargeSearcher {
-        index,
-        graph,
-        ids,
+        graph: &graph,
+        ids: &ids,
         state: IndexedSpecState::new(index.num_dense_keys()),
         seen: FxSeenSet::default(),
         seq: Vec::with_capacity(universe),
@@ -447,81 +339,27 @@ fn search_large(
         placed: OpSet::empty(universe),
         active_count: 0,
     };
-    let subsets = 1usize << optional;
+    let subsets = 1usize << optional.len();
     for subset in 0..subsets {
         let mut active = required_set.clone();
         if subset != 0 {
             // `subset > 0` implies `optional` is non-empty, so the shifted
             // bits stay inside the universe.
-            active.or_shifted(subset as u64, required);
+            active.or_shifted(subset as u64, required.len());
         }
         if graph.has_cycle_masked(&active) {
             continue;
         }
         if searcher.search(active) {
-            return Some(searcher.seq);
+            return Ok(Some(searcher.seq));
         }
     }
-    None
+    Ok(None)
 }
 
-/// The ≤128-op searcher: scheduled sets are `u128` bitmasks.
-struct SmallSearcher<'a> {
-    index: &'a HistoryIndex,
-    graph: &'a ConstraintGraph,
-    ids: &'a [OpId],
-    state: IndexedSpecState,
-    seen: FxSeenSet<u128>,
-    seq: Vec<OpId>,
-}
-
-impl SmallSearcher<'_> {
-    /// Searches for a topological order of `active` that replays legally.
-    fn search(&mut self, active: u128) -> bool {
-        debug_assert_eq!(self.state.checkpoint(), 0, "state is pristine between subsets");
-        self.seen.clear();
-        self.seq.clear();
-        let found = self.backtrack(active, 0);
-        // `seq` keeps the witness on success; the state is always reset for
-        // the next subset.
-        self.state.rollback(0);
-        found
-    }
-
-    fn backtrack(&mut self, active: u128, placed: u128) -> bool {
-        if placed == active {
-            return true;
-        }
-        if !self.seen.insert((placed, self.state.fingerprint())) {
-            return false;
-        }
-        let mut candidates = active & !placed;
-        while candidates != 0 {
-            let i = candidates.trailing_zeros() as usize;
-            let bit = 1u128 << i;
-            candidates &= candidates - 1;
-            if self.graph.preds_u128(i) & active & !placed != 0 {
-                continue;
-            }
-            let op = self.ids[i].index();
-            let cp = self.state.checkpoint();
-            if !self.state.apply_checked(self.index, op) {
-                continue;
-            }
-            self.seq.push(self.ids[i]);
-            if self.backtrack(active, placed | bit) {
-                return true;
-            }
-            self.seq.pop();
-            self.state.rollback(cp);
-        }
-        false
-    }
-}
-
-/// The arbitrary-size searcher: scheduled sets are [`OpSet`]s; holds the
+/// The searcher: scheduled sets are [`OpSet`]s of any width; holds the
 /// mutable state reused across optional-subsets.
-struct LargeSearcher<'a> {
+struct Searcher<'a> {
     index: &'a HistoryIndex,
     graph: &'a ConstraintGraph,
     ids: &'a [OpId],
@@ -533,7 +371,7 @@ struct LargeSearcher<'a> {
     active_count: usize,
 }
 
-impl LargeSearcher<'_> {
+impl Searcher<'_> {
     /// Searches for a topological order of `active` that replays legally.
     fn search(&mut self, active: OpSet) -> bool {
         debug_assert_eq!(self.state.checkpoint(), 0, "state is pristine between subsets");
@@ -889,8 +727,9 @@ mod tests {
 
     #[test]
     fn handles_histories_at_every_representation_boundary() {
-        // 64 (one-word boundary), 127/128 (the old u128 ceiling), and 129
-        // (the first spilled size, which the old path rejected outright).
+        // 64 (one-word boundary), 127/128 (the last inline `OpSet` sizes, and
+        // the reference's ceiling), and 129 (the first spilled size): one
+        // searcher covers them all.
         for n in [64u64, 127, 128, 129] {
             let (h, cons) = chain_of_writes(n);
             let seq = find_sequence(&h, &h.complete_ids(), &[], &cons).unwrap();
@@ -900,7 +739,7 @@ mod tests {
 
     #[test]
     fn searches_large_histories_the_old_path_rejected() {
-        // 130 ops: beyond the old `u128` ceiling. Mixed reads/writes so the
+        // 130 ops: beyond the reference's ceiling. Mixed reads/writes so the
         // spec replay is exercised, not just topological enumeration.
         let mut b = HistoryBuilder::new();
         for i in 0..65u64 {
@@ -986,26 +825,19 @@ mod tests {
         *s
     }
 
-    /// Runs both private searcher implementations on identical compiled
-    /// inputs and checks they agree on satisfiability; any witness either
-    /// produces must replay legally and respect the constraints.
-    fn assert_small_and_large_agree(h: &History, cons: &Constraints, label: &str) {
-        let index = HistoryIndex::new(h);
-        let required = h.complete_ids();
-        let optional: Vec<OpId> =
-            h.pending_mutations().into_iter().take(MAX_OPTIONAL_OPS).collect();
-        let mut ids = required.clone();
-        ids.extend_from_slice(&optional);
-        assert!(ids.len() <= 128, "the small path only covers 128 ops ({label})");
-        let graph = ConstraintGraph::compile(cons, &ids, index.len());
-        let small = search_small(&index, &graph, &ids, required.len(), optional.len());
-        let large = search_large(&index, &graph, &ids, required.len(), optional.len());
+    /// Runs the searcher and the reference on the same inputs and checks
+    /// they agree on satisfiability; the searcher's witness must replay
+    /// legally and respect the constraints.
+    fn assert_agrees_with_reference(h: &History, cons: &Constraints, label: &str) {
+        let (required, optional) = (h.complete_ids(), h.pending_mutations());
+        let fast = find_sequence(h, &required, &optional, cons).unwrap();
+        let slow = find_sequence_reference(h, &required, &optional, cons).unwrap();
         assert_eq!(
-            small.is_some(),
-            large.is_some(),
-            "small/large searchers disagree ({label}): small={small:?} large={large:?}"
+            fast.is_some(),
+            slow.is_some(),
+            "searcher and reference disagree ({label}): fast={fast:?} slow={slow:?}"
         );
-        for seq in [&small, &large].into_iter().flatten() {
+        if let Some(seq) = &fast {
             assert!(crate::spec::check_sequence(h, seq).is_ok(), "illegal witness ({label})");
             let pos = |id: OpId| seq.iter().position(|&x| x == id);
             for &(a, b) in cons.edges() {
@@ -1017,11 +849,21 @@ mod tests {
     }
 
     #[test]
-    fn small_and_large_searchers_agree_on_randomized_histories() {
-        // The LargeSearcher's word-loop candidate enumeration and OpSet memo
-        // key must match the u128 fast path bit for bit. Random small
-        // histories (mixed reads/writes/pending, reads sometimes of
-        // impossible values) cover the one-word regime densely.
+    fn optimized_and_reference_agree_on_small_histories() {
+        // A hand-picked shape (two readers around a write, one pending write
+        // on another key) ...
+        let mut b = HistoryBuilder::new();
+        b.write(1, 1, 1, 0, 100);
+        b.read(2, 1, 1, 10, 20);
+        b.read(3, 1, 0, 30, 40);
+        b.pending_write(2, 2, 9, 50);
+        let h = b.build();
+        let cons = Constraints::from_edges(CausalOrder::new(&h).direct_edges().to_vec());
+        assert_agrees_with_reference(&h, &cons, "hand-picked");
+
+        // ... random small histories (mixed reads/writes/pending, reads
+        // sometimes of impossible values), which cover the one-word regime
+        // densely ...
         for seed in 1..=120u64 {
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let n = 4 + xorshift(&mut s) % 7; // 4..=10 ops
@@ -1050,21 +892,17 @@ mod tests {
             }
             let h = b.build();
             let cons = Constraints::from_edges(CausalOrder::new(&h).direct_edges().to_vec());
-            assert_small_and_large_agree(&h, &cons, &format!("random seed {seed}"));
+            assert_agrees_with_reference(&h, &cons, &format!("random seed {seed}"));
         }
-    }
 
-    #[test]
-    fn small_and_large_searchers_agree_across_word_boundaries() {
-        // Structured multi-chain histories at 70 and 100 ops: the OpSet path
-        // runs two-word candidate masks (word-boundary crossings after deep
-        // recursive returns) while staying tractable — three processes write
-        // independent keys, so the searchers interleave three chains.
+        // ... and structured multi-chain histories at 70 and 100 ops: two-word
+        // candidate masks (word-boundary crossings after deep recursive
+        // returns) that stay tractable — three processes write independent
+        // keys, so the searchers interleave three chains.
         for (n, impossible_read) in [(70u64, false), (70, true), (100, false), (100, true)] {
             let mut b = HistoryBuilder::new();
             for i in 0..n {
                 let p = 1 + (i % 3) as u32;
-                // One key per process: chains are independent.
                 b.write(p, p as u64, i + 1, i * 10, i * 10 + 5);
             }
             if impossible_read {
@@ -1073,25 +911,7 @@ mod tests {
             let h = b.build();
             let cons = Constraints::from_edges(CausalOrder::new(&h).direct_edges().to_vec());
             let label = format!("{n} ops, impossible_read={impossible_read}");
-            assert_small_and_large_agree(&h, &cons, &label);
+            assert_agrees_with_reference(&h, &cons, &label);
         }
-    }
-
-    #[test]
-    fn optimized_and_reference_agree_on_small_histories() {
-        // A handful of hand-picked shapes; the exhaustive randomized check
-        // lives in tests/properties.rs.
-        let mut b = HistoryBuilder::new();
-        b.write(1, 1, 1, 0, 100);
-        b.read(2, 1, 1, 10, 20);
-        b.read(3, 1, 0, 30, 40);
-        b.pending_write(2, 2, 9, 50);
-        let h = b.build();
-        let cons = Constraints::from_edges(CausalOrder::new(&h).direct_edges().to_vec());
-        let required = h.complete_ids();
-        let optional = h.pending_mutations();
-        let fast = find_sequence(&h, &required, &optional, &cons).unwrap();
-        let slow = find_sequence_reference(&h, &required, &optional, &cons).unwrap();
-        assert_eq!(fast.is_some(), slow.is_some());
     }
 }

@@ -1,12 +1,12 @@
-//! Windowed streaming certification: stage 3 of the cascade.
+//! Windowed streaming certification: the incremental witness validator.
 //!
 //! The batch certificate checker ([`check_witness`](crate::checker::check_witness))
-//! needs the whole history and the whole witness up front. For a
-//! still-growing run — or a 100k+-op history whose witness arrives out of
-//! order from sharded assembly — [`StreamingChecker`] validates the same
-//! three clauses *incrementally*: operations are pushed in witness order, and
-//! every constraint family is folded into running state, O(keys + processes)
-//! for all but the two tables named below:
+//! needs the whole history and the whole witness up front. For records that
+//! arrive one at a time, in completion order, [`StreamingChecker`] validates
+//! the same three clauses *incrementally*: operations are pushed in witness
+//! order (a [`WindowBuffer`] restores it from arrival order), and every
+//! constraint family is folded into running state, O(keys + processes) for
+//! all but the two tables named below:
 //!
 //! * **membership** — duplicates are caught on push, missing completed ops at
 //!   [`StreamingChecker::finish`];
@@ -27,8 +27,9 @@
 //! Every rule mirrors a clause of the batch checker on the *pushed prefix*;
 //! a full push sequence therefore accepts iff
 //! [`check_witness`](crate::checker::check_witness) accepts the
-//! same witness (which violation is reported first may differ — same caveat
-//! as the sharded checker).
+//! same witness (which violation is reported first may differ: the batch
+//! checker finishes the replay before any order rule, this one interleaves
+//! them).
 //!
 //! The two tables that grow with the history: the pushed-id bitset (one bit
 //! per op) and, under [`WitnessModel::Regular`], `first_reader` (one entry

@@ -9,8 +9,8 @@
 //! the photo-sharing application used throughout the paper to compare models.
 //!
 //! A map of the whole workspace — every crate, the two execution planes
-//! (deterministic simulation and live threads), the three-stage certification
-//! cascade, and how a sweep seed becomes a certified verdict — lives in
+//! (deterministic simulation and live threads), the search and the two witness
+//! validators, and how a sweep seed becomes a certified verdict — lives in
 //! `ARCHITECTURE.md` at the repository root.
 //!
 //! # Layout
@@ -67,12 +67,8 @@ pub mod spec;
 pub mod transform;
 pub mod types;
 
-pub use checker::certificate::{
-    check_witness, check_witness_parallel, WitnessModel, WitnessViolation,
-};
-pub use checker::decompose::{
-    check_witness_decomposed, find_sequence_decomposed, ComponentSplit, CrossEdges,
-};
+pub use checker::certificate::{check_witness, WitnessModel, WitnessViolation};
+pub use checker::decompose::{find_sequence_decomposed, ComponentSplit, CrossEdges};
 pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
 pub use checker::saturate::{find_sequence_saturated, saturate, Saturation};

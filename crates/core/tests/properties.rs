@@ -4,14 +4,12 @@
 
 use proptest::prelude::*;
 use regular_core::checker::assemble::assemble_witness;
-use regular_core::checker::certificate::{check_witness, check_witness_parallel, WitnessModel};
-use regular_core::checker::decompose::{
-    check_witness_decomposed, find_sequence_decomposed, CrossEdges,
-};
+use regular_core::checker::certificate::{check_witness, WitnessModel};
+use regular_core::checker::decompose::{find_sequence_decomposed, CrossEdges};
 use regular_core::checker::models::{check, constraints_for, Model};
 use regular_core::checker::saturate::find_sequence_saturated;
 use regular_core::checker::search::{find_sequence, find_sequence_reference};
-use regular_core::checker::window::StreamingChecker;
+use regular_core::checker::window::{StreamingChecker, WindowBuffer};
 use regular_core::history::{ByProcess, History, HistoryIndex};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::order::{message_edges, reads_from_edges, CausalOrder};
@@ -409,44 +407,6 @@ proptest! {
         }
     }
 
-    /// Sharded parallel witness checking is *equivalent* to the sequential
-    /// checker: identical accept/reject verdicts at every thread count, on
-    /// random histories well past the 128-op ceiling the old `u128` search
-    /// masks imposed on the exact checkers. Histories range to ~700 ops so
-    /// a large fraction exceed the checker's parallel-dispatch threshold and
-    /// exercise the real multi-thread shards, while the smaller ones pin the
-    /// sequential fallback. (When a witness is invalid the *reported*
-    /// violation may differ between shards — only the verdict is compared.)
-    #[test]
-    fn parallel_witness_check_agrees_with_sequential(ops in gen_ops(700), flip in any::<bool>()) {
-        let h = build_history(&ops);
-        let index = HistoryIndex::new(&h);
-        // Candidate witnesses: history order (often valid for ProcessOrder,
-        // sometimes for the others) and a deliberately perturbed order that
-        // usually trips a constraint.
-        let mut witness = h.complete_ids();
-        if flip && witness.len() >= 2 {
-            let n = witness.len();
-            witness.swap(0, n - 1);
-        }
-        for model in [WitnessModel::RealTime, WitnessModel::Regular, WitnessModel::ProcessOrder] {
-            let sequential = check_witness(&h, &witness, model);
-            for threads in [2usize, 3, 5] {
-                let parallel = check_witness_parallel(&h, &index, &witness, model, threads);
-                prop_assert_eq!(
-                    sequential.is_ok(),
-                    parallel.is_ok(),
-                    "verdicts diverge ({} ops, {} threads, {:?}): seq={:?} par={:?}",
-                    h.len(),
-                    threads,
-                    model,
-                    &sequential,
-                    &parallel
-                );
-            }
-        }
-    }
-
     /// The certification cascade — saturation prefilter alone, and saturation
     /// + component decomposition — reaches exactly the same satisfiability
     /// verdict as the naive reference search under every model, on histories
@@ -512,56 +472,20 @@ proptest! {
         }
     }
 
-    /// The windowed streaming checker — fed the witness one operation at a
-    /// time, with the same message edges and per-process predecessor pairs
-    /// the batch checker walks — reaches exactly the batch checker's verdict
-    /// under every witness model, on valid and deliberately perturbed
-    /// witnesses alike.
+    /// The windowed streaming checker reaches exactly the batch checker's
+    /// verdict under every witness model, on valid and deliberately perturbed
+    /// witnesses alike — fed the witness one operation at a time, and fed
+    /// through a [`WindowBuffer`] under a shuffled arrival order. Histories
+    /// range to ~2 000 ops over up to three disjoint groups, so the
+    /// cross-group write-write sweep has pairs to look at. (The two checkers
+    /// interleave replay and order rules differently — only the verdict is
+    /// compared.)
     #[test]
-    fn streaming_checker_agrees_with_batch(ops in gen_ops(40), flip in any::<bool>()) {
-        let h = build_history(&ops);
-        let mut witness = h.complete_ids();
-        if flip && witness.len() >= 2 {
-            let n = witness.len();
-            witness.swap(0, n - 1);
-        }
-        let by_process = ByProcess::new(&h);
-        let edges = message_edges(&h, &by_process);
-        let prev = by_process.predecessors();
-        let complete = h.complete_ids();
-        for model in [WitnessModel::RealTime, WitnessModel::Regular, WitnessModel::ProcessOrder] {
-            let batch = check_witness(&h, &witness, model);
-            let mut checker = StreamingChecker::with_message_edges(model, &edges);
-            let mut streamed = Ok(());
-            for &id in &witness {
-                if let Err(v) = checker.push(h.op(id), prev[id.index()]) {
-                    streamed = Err(v);
-                    break;
-                }
-            }
-            let streamed = streamed.and_then(|()| checker.finish(&complete));
-            prop_assert_eq!(
-                batch.is_ok(),
-                streamed.is_ok(),
-                "verdicts diverge ({} ops, {:?}): batch={:?} streamed={:?}",
-                h.len(),
-                model,
-                &batch,
-                &streamed
-            );
-        }
-    }
-
-    /// Component-decomposed witness checking is equivalent to the sequential
-    /// checker — identical accept/reject verdicts at every thread count and
-    /// witness model, on multi-group histories where the decomposition
-    /// genuinely splits (and the cross-component write-write sweep carries
-    /// the global constraint).
-    #[test]
-    fn decomposed_witness_check_agrees_with_sequential(
-        ops in gen_ops(40),
+    fn streaming_checker_agrees_with_batch(
+        ops in gen_ops(700),
         groups in 1usize..4,
         flip in any::<bool>(),
+        shuffle in any::<u64>(),
     ) {
         let h = build_grouped_history(&ops, groups);
         // A plausibly-valid candidate: global invocation order interleaves
@@ -572,20 +496,45 @@ proptest! {
             let n = witness.len();
             witness.swap(0, n - 1);
         }
+        // Arrival orders: witness order, and a seeded Fisher–Yates shuffle.
+        let in_order: Vec<u32> = (0..witness.len() as u32).collect();
+        let mut shuffled = in_order.clone();
+        let mut state = shuffle | 1;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let by_process = ByProcess::new(&h);
+        let edges = message_edges(&h, &by_process);
+        let prev = by_process.predecessors();
+        let complete = h.complete_ids();
         for model in [WitnessModel::RealTime, WitnessModel::Regular, WitnessModel::ProcessOrder] {
-            let sequential = check_witness(&h, &witness, model);
-            for threads in [1usize, 3] {
-                let decomposed = check_witness_decomposed(&h, &witness, model, threads);
+            let batch = check_witness(&h, &witness, model);
+            for arrivals in [&in_order, &shuffled] {
+                let mut checker = StreamingChecker::with_message_edges(model, &edges);
+                let mut buffer: WindowBuffer<OpId> = WindowBuffer::default();
+                let mut streamed = Ok(());
+                'arrivals: for &pos in arrivals {
+                    buffer.push(pos, witness[pos as usize]);
+                    while let Some(id) = buffer.pop_next() {
+                        if let Err(v) = checker.push(h.op(id), prev[id.index()]) {
+                            streamed = Err(v);
+                            break 'arrivals;
+                        }
+                    }
+                }
+                let streamed = streamed.and_then(|()| checker.finish(&complete));
                 prop_assert_eq!(
-                    sequential.is_ok(),
-                    decomposed.is_ok(),
-                    "verdicts diverge ({} ops, {} groups, {} threads, {:?}): seq={:?} dec={:?}",
+                    batch.is_ok(),
+                    streamed.is_ok(),
+                    "verdicts diverge ({} ops, {} groups, {:?}): batch={:?} streamed={:?}",
                     h.len(),
                     groups,
-                    threads,
                     model,
-                    &sequential,
-                    &decomposed
+                    &batch,
+                    &streamed
                 );
             }
         }

@@ -7,6 +7,7 @@
 //! dev-dependency feature; release builds of the protocols never contain
 //! them.)
 
+use regular_core::check_witness;
 use regular_gryff::prelude::BugZoo;
 use regular_hunt::{failure_artifact, hunt, shrink, HuntConfig, HuntInput};
 use regular_sweep::artifact::FailureArtifact;
@@ -49,10 +50,17 @@ fn the_shrunk_artifact_is_tiny_and_replays_without_resimulating() {
     assert!(minimized.input.scripted_ops() <= found.input.scripted_ops());
 
     // The artifact replays the recorded history against the rejected witness
-    // with no simulator involved, reproducing the failing verdict...
+    // with no simulator involved, reproducing the failing verdict. The hunter
+    // found and shrank the failure under the batch `check_witness`; replay is
+    // the streaming certifier, which interleaves the replay and the order
+    // rules differently — so the verdict must match, not the reported pair.
     let artifact = failure_artifact(&minimized.input, failure, &minimized.verdict.coverage);
     let verdict = artifact.replay();
-    assert!(verdict.is_err(), "replay must reproduce the failure");
+    let batch = check_witness(&artifact.history, &artifact.witness, artifact.model);
+    assert!(
+        verdict.is_err() && batch.is_err(),
+        "both validators must reject the minimized artifact: streaming {verdict:?}, batch {batch:?}"
+    );
 
     // ...and survives a disk round trip byte-exactly, including the new
     // schedule and coverage fields.

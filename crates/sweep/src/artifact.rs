@@ -4,13 +4,13 @@
 //! self-contained JSON artifact: the scenario, the seed, the witness model,
 //! the full recorded history, and the witness that was rejected. CI uploads
 //! the file; `regular-bench replay <file>` (or
-//! [`FailureArtifact::replay`]) re-runs the certificate checker on the exact
-//! same history without re-simulating, so a violation found on a 32-core
-//! runner reproduces on a laptop byte-for-byte.
+//! [`FailureArtifact::replay`]) re-runs the certifier every sweep verdict
+//! came from on the exact same history without re-simulating, so a violation
+//! found on a 32-core runner reproduces on a laptop byte-for-byte.
 
 use std::path::{Path, PathBuf};
 
-use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessViolation};
+use regular_core::checker::certificate::{WitnessModel, WitnessViolation};
 use regular_core::coverage::CoverageSignature;
 use regular_core::history::History;
 use regular_core::op::{OpKind, OpResult};
@@ -18,6 +18,7 @@ use regular_core::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 use regular_live::DeliveryRecord;
 
 use crate::json::Json;
+use crate::stream::certify_streaming;
 
 /// A certification failure with everything needed to reproduce it.
 #[derive(Debug, Clone)]
@@ -56,9 +57,9 @@ pub struct FailureArtifact {
 }
 
 impl FailureArtifact {
-    /// Re-runs the certificate checker on the recorded history and witness.
+    /// Re-runs the sweep's certifier on the recorded history and witness.
     pub fn replay(&self) -> Result<(), WitnessViolation> {
-        check_witness(&self.history, &self.witness, self.model)
+        certify_streaming(&self.history, &self.witness, self.model).map(|_| ())
     }
 
     /// Serializes the artifact. The delivery log is only emitted when

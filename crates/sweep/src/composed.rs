@@ -16,8 +16,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use regular_core::checker::assemble::assemble_witness;
-use regular_core::checker::certificate::{check_witness_parallel, WitnessModel};
-use regular_core::history::{ByProcess, History, HistoryIndex};
+use regular_core::checker::certificate::{check_witness, WitnessModel};
+use regular_core::history::{ByProcess, History};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{OpId, ServiceId};
 use regular_gryff::prelude::{GryffConfig, GryffService};
@@ -472,8 +472,22 @@ pub struct ComposedViolation {
 }
 
 /// Builds the combined history of a composed run and certifies it against
-/// the RSS (Regular) witness model, sharding the certificate check across
-/// `check_threads` threads.
+/// the RSS (Regular) witness model with the reference checker.
+pub fn certify_composed(run: &ComposedOutcome) -> Result<CertifiedComposed, ComposedViolation> {
+    let (history, witness) = assemble_composed(run)?;
+    match check_witness(&history, &witness, WitnessModel::Regular) {
+        Ok(()) => Ok(CertifiedComposed { history, witness }),
+        Err(v) => Err(ComposedViolation {
+            reason: format!("combined execution violates RSS: {v:?}"),
+            history,
+            witness,
+        }),
+    }
+}
+
+/// Builds the combined history of a composed run and the serialization
+/// witness its timestamps and carstamps induce; checks neither (the sweep
+/// hands both to the certifier every scenario shares).
 ///
 /// Edge construction per protocol:
 ///
@@ -487,10 +501,9 @@ pub struct ComposedViolation {
 /// * Gryff ops contribute their per-key carstamp chains.
 /// * Every session lane contributes its process order — including the
 ///   cross-service hops the fences make safe.
-pub fn certify_composed(
+pub(crate) fn assemble_composed(
     run: &ComposedOutcome,
-    check_threads: usize,
-) -> Result<CertifiedComposed, ComposedViolation> {
+) -> Result<(History, Vec<OpId>), ComposedViolation> {
     let mut recorder = HistoryRecorder::new();
     // Spanner read-write transactions: (ts, finish, op).
     let mut spanner_rw: Vec<(u64, u64, OpId)> = Vec::new();
@@ -605,26 +618,15 @@ pub fn certify_composed(
             witness: Vec::new(),
         });
     }
-    let witness = match assemble_witness(&history, &edges, WitnessModel::Regular) {
-        Ok(w) => w,
-        Err(e) => {
-            return Err(ComposedViolation {
-                reason: format!(
-                    "combined constraints are cyclic ({} ops unordered): no RSS serialization",
-                    e.unordered
-                ),
-                history,
-                witness: Vec::new(),
-            });
-        }
-    };
-    let index = HistoryIndex::new(&history);
-    match check_witness_parallel(&history, &index, &witness, WitnessModel::Regular, check_threads) {
-        Ok(()) => Ok(CertifiedComposed { history, witness }),
-        Err(v) => Err(ComposedViolation {
-            reason: format!("combined execution violates RSS: {v:?}"),
+    match assemble_witness(&history, &edges, WitnessModel::Regular) {
+        Ok(witness) => Ok((history, witness)),
+        Err(e) => Err(ComposedViolation {
+            reason: format!(
+                "combined constraints are cyclic ({} ops unordered): no RSS serialization",
+                e.unordered
+            ),
             history,
-            witness,
+            witness: Vec::new(),
         }),
     }
 }

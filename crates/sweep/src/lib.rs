@@ -11,15 +11,15 @@
 //! * [`scenario`] — seeded, certified runs of Spanner-RSS, Gryff-RSC, and
 //!   the composed two-store deployment — each also swept under a
 //!   seed-driven fault script (crashes, partitions, drop/duplicate windows
-//!   fired during libRSS service switches); witness checks sharded via
-//!   `regular_core::checker::certificate::check_witness_parallel`.
+//!   fired during libRSS service switches); every verdict comes from
+//!   [`certify_streaming`].
 //! * [`composed`] — the multi-service deployment (extracted from the
 //!   `multi_service` integration test) as a reusable scenario: round-robin
 //!   or photo-sharing-app workloads, scripted faults, and cross-process
 //!   `CausalContext` handoffs.
-//! * [`stream`] — streaming certification: witnesses fed in completion
-//!   order through `regular_core`'s windowed checker, plus the synthetic
-//!   histories used by the scale benchmarks.
+//! * [`stream`] — the certifier of every sweep verdict: a recorded run's
+//!   witness fed in completion order through `regular_core`'s windowed
+//!   checker, plus the synthetic histories used by the scale benchmarks.
 //! * [`report`] — sweep orchestration: options, the pool fan-out, per-seed
 //!   reports and failure artifacts (`regular-bench sweep` aggregates them
 //!   into `BENCH_sweep.json`).
@@ -42,5 +42,5 @@ pub use artifact::FailureArtifact;
 pub use json::Json;
 pub use pool::{PoolStats, WorkStealingPool};
 pub use report::{run_sweep, SweepOptions, SweepResult};
-pub use scenario::{run_seed, run_seed_with, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
+pub use scenario::{run_seed, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
 pub use stream::{certify_streaming, synthetic_history, synthetic_session_history, StreamStats};

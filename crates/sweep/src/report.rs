@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use crate::pool::{PoolStats, WorkStealingPool};
-use crate::scenario::{run_seed_with, Scenario, SeedReport, SeedRun};
+use crate::scenario::{run_seed, Scenario, SeedReport, SeedRun};
 
 /// What to sweep.
 #[derive(Debug, Clone)]
@@ -21,19 +21,12 @@ pub struct SweepOptions {
     pub base_seed: u64,
     /// Worker threads fanning the runs.
     pub threads: usize,
-    /// Threads sharding each run's witness check. Keep at 1 when the pool
-    /// already saturates the machine; raise for few-but-huge histories.
-    pub check_threads: usize,
     /// Directory failing runs are dumped into.
     pub artifact_dir: PathBuf,
     /// Target operations per run: scales each scenario's simulated duration
     /// toward roughly this many history operations. `None` keeps the
     /// scenario defaults.
     pub ops: Option<u64>,
-    /// Certify through the windowed streaming checker instead of the batch
-    /// parallel checker (verdict-equivalent; reports the reorder buffer's
-    /// peak depth).
-    pub stream: bool,
 }
 
 impl Default for SweepOptions {
@@ -43,10 +36,8 @@ impl Default for SweepOptions {
             seeds: 32,
             base_seed: 1,
             threads: 1,
-            check_threads: 1,
             artifact_dir: PathBuf::from("sweep-artifacts"),
             ops: None,
-            stream: false,
         }
     }
 }
@@ -85,7 +76,7 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
     let (runs, pool_stats): (Vec<SeedRun>, PoolStats) = pool.run(jobs, |i| {
         let scenario = scenarios[i % scenarios.len()];
         let seed = opts.base_seed + (i / scenarios.len()) as u64;
-        run_seed_with(scenario, seed, opts.check_threads, opts.ops, opts.stream)
+        run_seed(scenario, seed, opts.ops)
     });
     let mut reports = Vec::with_capacity(runs.len());
     let mut artifact_paths = Vec::new();

@@ -6,8 +6,9 @@
 //! streams derive from it via [`SessionConfig::with_workload_seed`]), runs
 //! it — deterministically on the simulator — assembles the recorded history
 //! and serialization witness, and certifies the history against the
-//! scenario's consistency model with the sharded certificate checker. A
-//! failure yields a replayable [`FailureArtifact`].
+//! scenario's consistency model through [`certify_streaming`] — one tail for
+//! every scenario on either plane. A failure yields a replayable
+//! [`FailureArtifact`].
 //!
 //! Run sizes are tuned so one seed takes on the order of a hundred
 //! milliseconds: large enough that every history is far past the old 128-op
@@ -16,9 +17,7 @@
 
 use std::time::Instant;
 
-use regular_core::checker::certificate::{check_witness_parallel, WitnessModel};
-use regular_core::history::{History, HistoryIndex};
-use regular_core::{ComponentSplit, OpId};
+use regular_core::{History, OpId, WitnessModel};
 use regular_gryff::prelude as gryff;
 use regular_live::{LivePlane, TransportKind};
 use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
@@ -31,7 +30,7 @@ use regular_storage::{Durability, StorageRegistry, StorageSummary, WalOptions};
 
 use crate::artifact::{model_name, FailureArtifact};
 use crate::composed::{
-    certify_composed, run_composed, run_composed_on, ComposedRunConfig, ComposedWorkload,
+    assemble_composed, run_composed, run_composed_on, ComposedRunConfig, ComposedWorkload,
 };
 use crate::stream::certify_streaming;
 
@@ -77,8 +76,8 @@ pub enum Scenario {
     /// logs; the combined history still certified RSS.
     ComposedFaultsDurable,
     /// Spanner-RSS on the live execution plane (`regular-live`): every node
-    /// an OS thread, time the scaled wall clock, completions certified RSS
-    /// through the streaming checker. The sweep runs it over the in-process
+    /// an OS thread, time the scaled wall clock, the recorded completions
+    /// certified RSS after the run. The sweep runs it over the in-process
     /// mpsc transport; the plane's socket backends (UDS/TCP, including
     /// multi-process deployments) are exercised by `regular-bench net`.
     /// Not bit-deterministic; the transport's delivery log rides along in
@@ -335,9 +334,11 @@ pub struct SeedReport {
     /// Messages that expired at a crashed node.
     pub expired: u64,
     /// Connected components of the certified history (shared keys,
-    /// processes, messages), as split by the decomposed checker.
+    /// processes, messages); 0 when certification failed.
     pub components: usize,
-    /// High-water mark of the streaming reorder buffer; 0 on batch runs.
+    /// High-water mark of the certifier's reorder buffer — the window an
+    /// online certifier fed in completion order would have needed; 0 when
+    /// certification failed.
     pub peak_window: usize,
     /// Measured completions per wall-clock second on the live execution
     /// plane; 0 for simulator runs (their wall clock measures the host, not
@@ -490,38 +491,18 @@ fn scaled_stop_secs(scenario: Scenario, ops: Option<u64>, default_secs: u64) -> 
     }
 }
 
-/// Runs one seed of `scenario`, certifying the resulting history with the
-/// witness check sharded across `check_threads` threads.
-pub fn run_seed(scenario: Scenario, seed: u64, check_threads: usize) -> SeedRun {
-    run_seed_with(scenario, seed, check_threads, None, false)
-}
-
-/// [`run_seed`] with scale knobs: `ops` scales the run duration to target
-/// roughly that many operations, and `stream` certifies through the windowed
-/// streaming checker (completion-order arrival, bounded reorder buffer)
-/// instead of the batch parallel checker.
-pub fn run_seed_with(
-    scenario: Scenario,
-    seed: u64,
-    check_threads: usize,
-    ops: Option<u64>,
-    stream: bool,
-) -> SeedRun {
+/// Runs one seed of `scenario` and certifies the resulting history. `ops`
+/// scales the run duration to target roughly that many operations; `None`
+/// keeps the scenario default.
+pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
     let started = Instant::now();
     let row = scenario.row();
-    // Live scenarios always certify through the streaming checker:
-    // completions arrive in completion order (there is no global event queue
-    // to replay), and the acceptance bar for the plane is *online*
-    // certification.
-    let stream = stream || scenario.is_live();
     let faults = row.faults.map(|script| script(seed));
     let durability = scenario.durability(seed);
     let Collected {
         history,
         witness,
         pre_violation,
-        batch_checked,
-        cert_started,
         latency: (p50_ms, p99_ms),
         net,
         wall_ops_per_sec,
@@ -541,8 +522,6 @@ pub fn run_seed_with(
                 history,
                 witness,
                 pre_violation: None,
-                batch_checked: false,
-                cert_started: Instant::now(),
                 net: result.net_stats,
                 wall_ops_per_sec: result.wall_throughput,
                 deliveries: result.deliveries,
@@ -567,8 +546,6 @@ pub fn run_seed_with(
                 history,
                 witness,
                 pre_violation,
-                batch_checked: false,
-                cert_started: Instant::now(),
                 net: result.net_stats,
                 wall_ops_per_sec: result.wall_throughput,
                 deliveries: result.deliveries,
@@ -589,21 +566,15 @@ pub fn run_seed_with(
             let latency = latency_percentiles(
                 outcome.apps.iter().flat_map(|a| a.completed.iter().map(|(_, r)| r)),
             );
-            // Composed certification assembles the combined history itself,
-            // and batch-checks the witness it finds.
-            let cert_started = Instant::now();
-            let (history, witness, pre_violation) = match certify_composed(&outcome, check_threads)
-            {
-                Ok(ok) => (ok.history, ok.witness, None),
+            let (history, witness, pre_violation) = match assemble_composed(&outcome) {
+                Ok((history, witness)) => (history, witness, None),
                 Err(v) => (v.history, v.witness, Some(v.reason)),
             };
             Collected {
                 latency,
                 history,
                 witness,
-                batch_checked: pre_violation.is_none(),
                 pre_violation,
-                cert_started,
                 net: outcome.net_stats,
                 wall_ops_per_sec: outcome.wall_throughput,
                 deliveries: outcome.deliveries,
@@ -612,27 +583,21 @@ pub fn run_seed_with(
         }
     };
 
-    let components = ComponentSplit::split(&history).len();
-    let verdict: Result<usize, String> = match pre_violation {
+    // The shared tail: every scenario's verdict comes from the one certifier,
+    // and `cert_ms` times that call alone.
+    let cert_started = Instant::now();
+    let verdict = match pre_violation {
         Some(reason) => Err(reason),
-        None if stream => certify_streaming(&history, &witness, scenario.model())
-            .map(|stats| stats.peak_window)
-            .map_err(|v| format!("{} violation (streaming): {v:?}", model_name(scenario.model()))),
-        None if batch_checked => Ok(0),
-        None => {
-            let index = HistoryIndex::new(&history);
-            check_witness_parallel(&history, &index, &witness, scenario.model(), check_threads)
-                .map(|()| 0)
-                .map_err(|v| format!("{} violation: {v:?}", model_name(scenario.model())))
-        }
+        None => certify_streaming(&history, &witness, scenario.model())
+            .map_err(|v| format!("{} violation: {v:?}", model_name(scenario.model()))),
     };
     let cert_ms = cert_started.elapsed().as_secs_f64() * 1_000.0;
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-    let report = |certified: bool, violation: Option<String>, peak_window: usize| SeedReport {
+    let report = SeedReport {
         scenario: scenario.name(),
         seed,
-        certified,
-        violation,
+        certified: verdict.is_ok(),
+        violation: verdict.as_ref().err().cloned(),
         history_ops: history.len(),
         p50_ms,
         p99_ms,
@@ -641,44 +606,35 @@ pub fn run_seed_with(
         dropped: net.dropped,
         duplicated: net.duplicated,
         expired: net.expired,
-        components,
-        peak_window,
+        components: verdict.as_ref().map_or(0, |stats| stats.components),
+        peak_window: verdict.as_ref().map_or(0, |stats| stats.peak_window),
         wall_ops_per_sec,
         storage,
     };
-    match verdict {
-        Ok(peak_window) => SeedRun { report: report(true, None, peak_window), artifact: None },
-        Err(reason) => SeedRun {
-            report: report(false, Some(reason.clone()), 0),
-            artifact: Some(FailureArtifact {
-                scenario: scenario.name().to_string(),
-                seed,
-                model: scenario.model(),
-                violation: reason,
-                witness,
-                history,
-                deliveries,
-                durability: scenario.is_durable().then(|| "wal".to_string()),
-                schedule: None,
-                coverage: None,
-            }),
-        },
-    }
+    let artifact = verdict.err().map(|violation| FailureArtifact {
+        scenario: scenario.name().to_string(),
+        seed,
+        model: scenario.model(),
+        violation,
+        witness,
+        history,
+        deliveries,
+        durability: scenario.is_durable().then(|| "wal".to_string()),
+        schedule: None,
+        coverage: None,
+    });
+    SeedRun { report, artifact }
 }
 
-/// What a deployment's arm of [`run_seed_with`] hands to the shared
-/// certification tail.
+/// What a deployment's arm of [`run_seed`] hands to the shared certification
+/// tail.
 struct Collected {
     history: History,
     /// Empty when `pre_violation` says none could be assembled.
     witness: Vec<OpId>,
-    /// A violation found before any certificate check: the witness
-    /// constraints are cyclic, or composed certification failed.
+    /// A violation found while assembling, before any witness check: the
+    /// combined history is malformed or the witness constraints are cyclic.
     pre_violation: Option<String>,
-    /// The witness already passed the batch certificate check.
-    batch_checked: bool,
-    /// When certification work began.
-    cert_started: Instant,
     /// Simulated (p50, p99) in milliseconds.
     latency: (f64, f64),
     net: MessageStats,
@@ -692,7 +648,7 @@ struct Collected {
 /// two closed-loop sessions each, moderately contended uniform workload.
 /// With a fault schedule, clients run with the standard operation timeout.
 /// The same spec deploys on either plane.
-fn spanner_seed_spec(
+pub(crate) fn spanner_seed_spec(
     seed: u64,
     faults: Option<FaultSchedule>,
     durability: Durability,
@@ -730,7 +686,7 @@ fn spanner_seed_spec(
 /// with two closed-loop sessions, conflict-heavy YCSB mix. With a fault
 /// schedule, clients run with the standard operation timeout. The same spec
 /// deploys on either plane.
-fn gryff_seed_spec(
+pub(crate) fn gryff_seed_spec(
     seed: u64,
     faults: Option<FaultSchedule>,
     durability: Durability,
@@ -813,15 +769,15 @@ mod tests {
     #[test]
     fn ops_target_scales_runs_and_streaming_certifies() {
         for &scenario in &[Scenario::SpannerRss, Scenario::ComposedFaults] {
-            let run = run_seed_with(scenario, 7, 2, Some(600), true);
+            let run = run_seed(scenario, 7, Some(600));
             assert!(
                 run.report.certified,
-                "{} seed 7 (ops target, streamed) must certify: {:?}",
+                "{} seed 7 (ops target) must certify: {:?}",
                 scenario.name(),
                 run.report.violation
             );
             assert!(run.report.components >= 1);
-            assert!(run.report.peak_window >= 1, "streaming reorder buffer was exercised");
+            assert!(run.report.peak_window >= 1, "the reorder buffer was exercised");
             assert!(
                 run.report.history_ops < 2_000,
                 "{} duration scaled down toward the 600-op target ({} ops)",
@@ -834,7 +790,7 @@ mod tests {
     #[test]
     fn each_scenario_certifies_one_seed() {
         for scenario in Scenario::ALL {
-            let run = run_seed(scenario, 42, 2);
+            let run = run_seed(scenario, 42, None);
             assert!(
                 run.report.certified,
                 "{} seed 42 must certify: {:?}",

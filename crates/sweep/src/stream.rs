@@ -1,13 +1,15 @@
 //! Streaming certification: feed a run's witness through the windowed
-//! [`StreamingChecker`] in arrival (completion-time) order.
+//! [`StreamingChecker`] in arrival (completion-time) order. Every sweep
+//! verdict, `regular-bench replay`/`live` and `benchmark/` certify here.
 //!
-//! The batch certifier ([`regular_core::check_witness_parallel`]) holds the
-//! whole history and witness in memory and makes several passes. The
-//! streaming path instead replays the run as it would unfold at a live
-//! certifier: records arrive as they *complete* (response time, invoke time
-//! for pending ops), a [`WindowBuffer`] reorders them into witness order,
-//! and each contiguous window is pushed through the checker as it is
-//! released — O(n log n) in operations whatever the number of processes.
+//! The reference checker ([`regular_core::check_witness`]) sorts and sweeps
+//! the whole history. This path runs after the run too, over the recorded
+//! history, but replays it as it would unfold at an online certifier:
+//! records arrive as they *complete* (response time, invoke time for pending
+//! ops), a [`WindowBuffer`] reorders them into witness order, and each
+//! contiguous window is pushed through the checker as it is released —
+//! O(n log n) in operations whatever the number of processes. `peak_window`
+//! is therefore the window an online certifier *would* have needed.
 //!
 //! Memory above the history is a few words per op plus the deepest window,
 //! and that depth is the arrival skew of the *witness*, not the concurrency
@@ -42,9 +44,9 @@ pub struct StreamStats {
 /// arrival order through a [`StreamingChecker`].
 ///
 /// The verdict is equivalent to [`regular_core::check_witness`]: `Ok` exactly
-/// when the batch checker accepts, `Err` exactly when it rejects (the
-/// specific violating pair reported for an ordering violation may differ,
-/// as with the parallel batch checker).
+/// when the batch checker accepts, `Err` exactly when it rejects (which
+/// violation is reported first may differ: the batch checker finishes the
+/// replay before any order rule, this one interleaves them).
 pub fn certify_streaming(
     history: &History,
     witness: &[OpId],
@@ -223,6 +225,72 @@ mod tests {
             large < small * 24,
             "8x the sessions took {large:?} against {small:?}: more than 24x (quadratic is 64x)"
         );
+    }
+
+    /// The sweep's verdicts rest on this certifier alone, so it is attacked
+    /// with real runs: ≥ 200 seeded single-element moves of a certified
+    /// protocol witness, each judged by the reference checker too. The
+    /// mutants must not all die by the same clause — some in the replay,
+    /// some only on an order rule (a reads-from inversion always fails the
+    /// replay first, so `Causal` is not demanded).
+    #[test]
+    fn streaming_agrees_with_batch_on_mutated_protocol_witnesses() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use regular_core::checker::certificate::OrderKind;
+        use regular_gryff::prelude as gryff;
+        use regular_spanner::prelude as spanner;
+        use regular_storage::Durability;
+
+        let model = WitnessModel::Regular;
+        let spanner_spec = crate::scenario::spanner_seed_spec(11, None, Durability::InMemory, 12);
+        let gryff_spec = crate::scenario::gryff_seed_spec(11, None, Durability::InMemory, 8);
+        let (gryff_history, gryff_witness) =
+            gryff::history_and_witness(&gryff::run_gryff(gryff_spec).completed, model);
+        let runs = [
+            ("spanner-rss", spanner::build_history(&spanner::run_cluster(spanner_spec))),
+            ("gryff-rsc", (gryff_history, gryff_witness.expect("acyclic constraints"))),
+        ];
+        for (name, (history, witness)) in runs {
+            assert!(witness.len() > 300, "{name}: a real run ({} ops)", witness.len());
+            assert_eq!(check_witness(&history, &witness, model), Ok(()), "{name}");
+            assert!(certify_streaming(&history, &witness, model).is_ok(), "{name}");
+            let mut rng = SmallRng::seed_from_u64(0x5EED);
+            let (mut accepted, mut replay, mut order, mut other) = (0, 0, 0, 0);
+            for mutant in 0..240 {
+                // Half the moves are short hops (neighbours rarely conflict,
+                // so they survive the replay), half land anywhere.
+                let from = rng.gen_range(0..witness.len());
+                let to = if mutant % 2 == 0 {
+                    (from + rng.gen_range(1..=6usize)).min(witness.len() - 1)
+                } else {
+                    rng.gen_range(0..witness.len())
+                };
+                let mut moved = witness.clone();
+                let id = moved.remove(from);
+                moved.insert(to, id);
+                let batch = check_witness(&history, &moved, model);
+                let streamed = certify_streaming(&history, &moved, model);
+                assert_eq!(
+                    batch.is_ok(),
+                    streamed.is_ok(),
+                    "{name} mutant {mutant} ({from} -> {to}): batch={batch:?} streamed={streamed:?}"
+                );
+                match batch {
+                    Ok(()) => accepted += 1,
+                    Err(WitnessViolation::Spec(_)) => replay += 1,
+                    Err(WitnessViolation::OrderViolation {
+                        kind: OrderKind::ProcessOrder | OrderKind::RegularWrite,
+                        ..
+                    }) => order += 1,
+                    Err(_) => other += 1,
+                }
+            }
+            assert!(
+                replay >= 1 && order >= 1,
+                "{name}: mutants must die by different clauses \
+                 (accepted {accepted}, replay {replay}, order {order}, other {other})"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() {
     println!("  messages dropped      : {} (partition cut links)", net.dropped);
     println!("  messages expired      : {}", net.expired);
 
-    match certify_composed(&outcome, 1) {
+    match certify_composed(&outcome) {
         Ok(certified) => {
             println!(
                 "\nverdict: CERTIFIED — the combined {}-op history satisfies RSS \

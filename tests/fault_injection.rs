@@ -50,7 +50,7 @@ fn composed_photo_app_with_faults_and_handoffs_satisfies_rss() {
     assert!(outcome.handoffs() > 0, "cross-process causal handoffs happened");
     let net = outcome.net_stats;
     assert!(net.dropped > 0 && net.duplicated > 0 && net.expired > 0, "faults fired ({net:?})");
-    let certified = certify_composed(&outcome, 2)
+    let certified = certify_composed(&outcome)
         .unwrap_or_else(|v| panic!("chaotic composed run satisfies RSS: {}", v.reason));
     assert!(
         !certified.history.external_communications().is_empty(),
@@ -65,7 +65,7 @@ fn a_fault_run_artifact_replays_without_resimulating() {
     // violation from the recorded history alone (no simulator involved).
     let outcome = run_composed(5, &chaotic_config(0.02));
     let certified =
-        certify_composed(&outcome, 1).unwrap_or_else(|v| panic!("seed 5 certifies: {}", v.reason));
+        certify_composed(&outcome).unwrap_or_else(|v| panic!("seed 5 certifies: {}", v.reason));
     let mut witness = certified.witness.clone();
     let last = witness.len() - 1;
     witness.swap(0, last);

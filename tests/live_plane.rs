@@ -22,7 +22,7 @@ use regular_seq::sim::{LatencyMatrix, SimDuration, SimTime};
 use regular_seq::spanner::durable::replay_store;
 use regular_seq::spanner::prelude::*;
 use regular_seq::storage::{Durability, StorageRegistry, WalOptions};
-use regular_seq::sweep::{certify_streaming, run_seed_with, Scenario};
+use regular_seq::sweep::{certify_streaming, run_seed, Scenario};
 
 fn live(time_scale: u64, record_deliveries: bool) -> LivePlane {
     LivePlane { time_scale, record_deliveries, transport: TransportKind::Mpsc }
@@ -195,7 +195,7 @@ fn live_spanner_stress_run_certifies_rss_online() {
 /// history: lost messages cost throughput and retries, never correctness.
 #[test]
 fn live_spanner_run_with_faults_still_certifies() {
-    let run = run_seed_with(Scenario::LiveSpannerFaults, 1, 2, Some(2_000), false);
+    let run = run_seed(Scenario::LiveSpannerFaults, 1, Some(2_000));
     assert!(
         run.report.certified,
         "faulted live run must certify, got violation: {:?}",

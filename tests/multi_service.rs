@@ -35,7 +35,7 @@ fn composed_spanner_rss_and_gryff_rsc_satisfy_rss_together() {
     assert!(gryff_ops > 100, "the Gryff-RSC store served operations ({gryff_ops})");
     assert!(auto_fences > 50, "libRSS inserted fences on service switches ({auto_fences})");
     assert!(run.fences() >= auto_fences, "every planned fence executed as a protocol operation");
-    let certified = certify_composed(&run, 1)
+    let certified = certify_composed(&run)
         .unwrap_or_else(|v| panic!("the combined execution satisfies RSS: {}", v.reason));
     assert_eq!(
         certified.history.services(),
@@ -47,12 +47,11 @@ fn composed_spanner_rss_and_gryff_rsc_satisfy_rss_together() {
 #[test]
 fn composed_run_with_batched_sessions_satisfies_rss() {
     // Pipelined sessions hop between the stores too: each slot fences
-    // independently, and the combined history still certifies as RSS —
-    // here with the witness check itself sharded across threads.
+    // independently, and the combined history still certifies as RSS.
     let run = run_composed(7, &config(2, 2, 4));
     let total = run.total_completed();
     assert!(total > 400, "batched composed sessions complete real load ({total})");
-    certify_composed(&run, 4)
+    certify_composed(&run)
         .unwrap_or_else(|v| panic!("batched composed run satisfies RSS: {}", v.reason));
 }
 
@@ -76,8 +75,7 @@ fn photo_sharing_app_over_the_composed_deployment_satisfies_rss() {
         "nearly every step switches services ({} fences)",
         run.auto_fences()
     );
-    certify_composed(&run, 1)
-        .unwrap_or_else(|v| panic!("the photo app satisfies RSS: {}", v.reason));
+    certify_composed(&run).unwrap_or_else(|v| panic!("the photo app satisfies RSS: {}", v.reason));
 }
 
 #[test]

@@ -4,6 +4,7 @@
 use regular_seq::core::checker::certificate::{check_witness, WitnessModel};
 use regular_seq::sim::{LatencyMatrix, SimDuration, SimTime};
 use regular_seq::spanner::prelude::*;
+use regular_seq::sweep::certify_streaming;
 use regular_seq::workloads::Retwis;
 
 fn retwis_cluster(mode: Mode, skew: f64, seed: u64, keys: u64) -> RunResult {
@@ -94,6 +95,12 @@ fn witness_model_mismatch_is_detected() {
     assert!(
         check_witness(&history, &witness, WitnessModel::RealTime).is_err(),
         "the contended RSS run should visibly relax real-time ordering"
+    );
+    // The sweep's certifier draws the same line on the same history.
+    certify_streaming(&history, &witness, WitnessModel::Regular).expect("RSS witness streams");
+    assert!(
+        certify_streaming(&history, &witness, WitnessModel::RealTime).is_err(),
+        "the streaming certifier must reject the RSS order under real time too"
     );
 }
 
