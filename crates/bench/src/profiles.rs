@@ -9,7 +9,9 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::WitnessModel;
+use regular_core::history::ByProcess;
 use regular_core::{check, check_witness, Model};
 use regular_sim::metrics::EngineStats;
 use regular_sim::queue::QueueKind;
@@ -132,6 +134,9 @@ const CHECKER_FLOOR: f64 = 0.30;
 ///   work in front of the checker shows here and nowhere else.
 /// * `saturated_search_2k` — the search pipeline (decompose → saturate →
 ///   search) *finding* a witness for a 2k-op history.
+/// * `assemble_regular_100k`, `assemble_realtime_100k` — `assemble_witness`
+///   on the first row's history from what Gryff hands it: each key's accesses
+///   chained in order, then process order.
 ///
 /// The paths are timed round-robin (one run of each per round), so slow host
 /// phases hit every path about equally, and each ratio is the median over
@@ -143,6 +148,12 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
     let (history, witness) = synthetic_history(CHECKER_OPS, CHECKER_GROUPS);
     let (sessions, sessions_witness) = synthetic_session_history(CHECKER_OPS, SESSION_GROUPS, 10);
     let (search_history, _) = synthetic_history(SEARCH_OPS, SEARCH_GROUPS);
+    let mut by_key: Vec<_> =
+        witness.iter().map(|&id| (history.op(id).kind.accessed_keys()[0], id)).collect();
+    by_key.sort_unstable();
+    let chains = by_key.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[0].1, w[1].1));
+    let edges: Vec<_> = chains.chain(ByProcess::new(&history).pairs()).collect();
+    let assembles = |model| assemble_witness(&history, &edges, model).is_ok_and(|w| w == witness);
 
     // Per path: name, ops, components and, for a gated path, the row its
     // `speedup` is a ratio of with that ratio's quartile spread (Q3 − Q1 over
@@ -153,9 +164,11 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
         ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, None),
         ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((2, 0.046))),
         ("saturated_search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
+        ("assemble_regular_100k", CHECKER_OPS, CHECKER_GROUPS, None),
+        ("assemble_realtime_100k", CHECKER_OPS, CHECKER_GROUPS, None),
     ];
     let mut peak_window = 0;
-    let mut paths: [&mut dyn FnMut() -> bool; 5] = [
+    let mut paths: [&mut dyn FnMut() -> bool; 7] = [
         &mut || check_witness(&history, &witness, model).is_ok(),
         &mut || {
             let stats = certify_streaming(&history, &witness, model);
@@ -167,6 +180,8 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
             let outcome = check(&search_history, Model::RegularSequentialConsistency);
             outcome.is_ok_and(|outcome| outcome.satisfied)
         },
+        &mut || assembles(WitnessModel::Regular),
+        &mut || assembles(WitnessModel::RealTime),
     ];
     // One warm-up round, then the timed ones: `rounds[r][path]` milliseconds.
     let mut round = || -> Vec<f64> {

@@ -14,11 +14,34 @@
 //!   reads for RSS/RSC),
 //!
 //! exactly the relation `<ψ` whose acyclicity the paper proves in
-//! Appendix D.2. Real-time constraints are encoded sparsely with *barrier*
-//! nodes (one per relevant response event) so the construction stays
-//! `O(n log n)` in the number of operations.
+//! Appendix D.2. A cycle in it *is* the violation report.
+//!
+//! **Nodes.** The included operations are nodes `0..n` in ascending id order;
+//! *barrier* nodes follow in creation order, so "is this an operation" is an
+//! index comparison. Real-time constraints stay encoded as barrier chains —
+//! one barrier per response event, chained in time order, each later
+//! invocation hanging off the latest barrier strictly before it — because
+//! "every response before `t` precedes every invocation at `t`" is then
+//! `O(sources + targets)` edges where the explicit relation is their product;
+//! the construction stays `O(n log n)`.
+//!
+//! **Memory.** No node owns an allocation: edges are collected once into a
+//! flat `(from, to)` list and counting-sorted into CSR `offsets` / `succ`
+//! (8 + 4 = 12 bytes an edge), beside `priority`, `indegree` and `offsets`
+//! (8 + 4 + 4 = 16 bytes a node); the model's per-key groups are two
+//! `(service, key, time, node)` row vectors sorted once and walked in
+//! lock-step.
+//!
+//! **Determinism.** Kahn's loop pops a min-heap keyed `(priority, node)`. That
+//! key is a total order, so the pop sequence depends only on *which* nodes are
+//! ready — never on the order edges were supplied or stored. Barriers are
+//! numbered in sorted `(service, key)` order; even that numbering cannot move
+//! an operation: a barrier only releases nodes of strictly later priority or
+//! further barriers, so every ready barrier of one instant is popped before
+//! the next operation whichever of them goes first.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::checker::certificate::WitnessModel;
 use crate::history::History;
@@ -33,85 +56,54 @@ pub struct AssembleError {
     pub unordered: usize,
 }
 
-/// Node index space: operations first, then barrier nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeKind {
-    Op(OpId),
-    Barrier,
-}
+/// A response (source) or invocation (target) event of node `.3` at `.2`,
+/// grouped by `(service, key)`; the global chains use one constant group.
+type Row = (ServiceId, Key, Timestamp, u32);
 
-struct Graph {
-    nodes: Vec<NodeKind>,
-    /// Priority used to break ties deterministically (invocation time for
-    /// operations, event time for barriers).
+/// The group of the chains that are not per key.
+const GLOBAL: (ServiceId, Key) = (ServiceId(0), Key(0));
+
+/// The constraint graph under construction: one priority per node (invocation
+/// time for operations, event time for barriers; ties break by node index)
+/// and the flat edge list.
+struct Constraints {
     priority: Vec<u64>,
-    adjacency: Vec<Vec<usize>>,
-    indegree: Vec<usize>,
+    edges: Vec<(u32, u32)>,
 }
 
-impl Graph {
-    fn new() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            priority: Vec::new(),
-            adjacency: Vec::new(),
-            indegree: Vec::new(),
-        }
-    }
-
-    fn add_node(&mut self, kind: NodeKind, priority: u64) -> usize {
-        self.nodes.push(kind);
-        self.priority.push(priority);
-        self.adjacency.push(Vec::new());
-        self.indegree.push(0);
-        self.nodes.len() - 1
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        self.adjacency[from].push(to);
-        self.indegree[to] += 1;
-    }
-}
-
-/// Builds a barrier chain over the given `(time, node)` response events and
-/// connects each target `(time, node)` to the latest barrier strictly before
-/// its time. Returns nothing; edges are added to the graph.
-fn add_interval_constraints(
-    graph: &mut Graph,
-    mut sources: Vec<(Timestamp, usize)>,
-    mut targets: Vec<(Timestamp, usize)>,
-) {
-    if sources.is_empty() || targets.is_empty() {
-        return;
-    }
-    sources.sort_unstable_by_key(|&(t, n)| (t, n));
-    targets.sort_unstable_by_key(|&(t, n)| (t, n));
-    // One barrier per source event.
-    let mut barriers = Vec::with_capacity(sources.len());
-    let mut prev: Option<usize> = None;
-    for &(t, source) in &sources {
-        let b = graph.add_node(NodeKind::Barrier, t.as_micros());
-        graph.add_edge(source, b);
-        if let Some(p) = prev {
-            graph.add_edge(p, b);
-        }
-        prev = Some(b);
-        barriers.push((t, b));
-    }
-    // Each target depends on the latest barrier with time strictly before its
-    // invocation.
-    let mut bi = 0usize;
-    let mut latest: Option<usize> = None;
-    for &(t, target) in &targets {
-        while bi < barriers.len() && barriers[bi].0 < t {
-            latest = Some(barriers[bi].1);
-            bi += 1;
-        }
-        if let Some(b) = latest {
-            graph.add_edge(b, target);
+impl Constraints {
+    /// Per `(service, key)` group present on both sides: a barrier chain over
+    /// the group's source events, and an edge to each target from the latest
+    /// barrier strictly before its time.
+    fn add_interval_constraints(&mut self, mut sources: Vec<Row>, mut targets: Vec<Row>) {
+        sources.sort_unstable();
+        targets.sort_unstable();
+        self.priority.reserve_exact(sources.len());
+        self.edges.reserve_exact(2 * sources.len() + targets.len());
+        let mut rest = &targets[..];
+        for group in sources.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let key = (group[0].0, group[0].1);
+            rest = &rest[rest.partition_point(|t| (t.0, t.1) < key)..];
+            let (readers, later) = rest.split_at(rest.partition_point(|t| (t.0, t.1) == key));
+            rest = later;
+            if readers.is_empty() {
+                continue;
+            }
+            let first = self.priority.len() as u32;
+            for (b, &(_, _, t, source)) in (first..).zip(group) {
+                self.priority.push(t.as_micros());
+                self.edges.push((source, b));
+                if b > first {
+                    self.edges.push((b - 1, b));
+                }
+            }
+            let mut passed = 0;
+            for &(_, _, t, target) in readers {
+                passed += group[passed..].partition_point(|s| s.2 < t);
+                if passed > 0 {
+                    self.edges.push((first + passed as u32 - 1, target));
+                }
+            }
         }
     }
 }
@@ -138,100 +130,86 @@ pub fn assemble_witness(
     include.sort_unstable();
     include.dedup();
 
-    let mut graph = Graph::new();
-    let mut node_of: HashMap<OpId, usize> = HashMap::new();
-    for &id in &include {
-        let op = history.op(id);
-        let n = graph.add_node(NodeKind::Op(id), op.invoke.as_micros());
-        node_of.insert(id, n);
+    // Every edge endpoint is included, so its slot below is always filled.
+    let mut node_of = vec![0u32; history.len()];
+    for (n, id) in include.iter().enumerate() {
+        node_of[id.index()] = n as u32;
     }
-    for &(a, b) in extra_edges {
-        if let (Some(&na), Some(&nb)) = (node_of.get(&a), node_of.get(&b)) {
-            graph.add_edge(na, nb);
-        }
-    }
+    let nodes = || include.iter().map(|id| (history.op(*id), node_of[id.index()]));
+    let mut graph = Constraints {
+        priority: nodes().map(|(op, _)| op.invoke.as_micros()).collect(),
+        edges: Vec::with_capacity(extra_edges.len()),
+    };
+    let explicit = extra_edges.iter().map(|&(a, b)| (node_of[a.index()], node_of[b.index()]));
+    graph.edges.extend(explicit.filter(|(from, to)| from != to));
 
+    let (service, key) = GLOBAL;
     match model {
         WitnessModel::ProcessOrder => {}
         WitnessModel::RealTime => {
             // Every completed operation's response constrains every later
             // invocation.
-            let sources: Vec<(Timestamp, usize)> = include
-                .iter()
-                .filter_map(|id| {
-                    let op = history.op(*id);
-                    op.response.map(|r| (r, node_of[id]))
-                })
-                .collect();
-            let targets: Vec<(Timestamp, usize)> =
-                include.iter().map(|id| (history.op(*id).invoke, node_of[id])).collect();
-            add_interval_constraints(&mut graph, sources, targets);
+            let sources = nodes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
+            let targets = nodes().map(|(op, n)| (service, key, op.invoke, n));
+            graph.add_interval_constraints(sources.collect(), targets.collect());
         }
         WitnessModel::Regular => {
             // Completed mutating operations constrain later mutating
             // operations (globally) ...
-            let write_sources: Vec<(Timestamp, usize)> = include
-                .iter()
-                .filter_map(|id| {
-                    let op = history.op(*id);
-                    if op.kind.is_mutating() {
-                        op.response.map(|r| (r, node_of[id]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let write_targets: Vec<(Timestamp, usize)> = include
-                .iter()
-                .filter(|id| history.op(**id).kind.is_mutating())
-                .map(|id| (history.op(*id).invoke, node_of[id]))
-                .collect();
-            add_interval_constraints(&mut graph, write_sources, write_targets);
+            let writes = || nodes().filter(|(op, _)| op.kind.is_mutating());
+            let sources = writes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
+            let targets = writes().map(|(op, n)| (service, key, op.invoke, n));
+            graph.add_interval_constraints(sources.collect(), targets.collect());
             // ... and later conflicting read-only operations (per service/key).
-            let mut writers: HashMap<(ServiceId, Key), Vec<(Timestamp, usize)>> = HashMap::new();
-            let mut readers: HashMap<(ServiceId, Key), Vec<(Timestamp, usize)>> = HashMap::new();
-            for &id in &include {
-                let op = history.op(id);
-                if op.kind.is_mutating() {
-                    if let Some(r) = op.response {
-                        for k in op.kind.written_keys() {
-                            writers.entry((op.service, k)).or_default().push((r, node_of[&id]));
-                        }
-                    }
+            let (mut writers, mut readers): (Vec<Row>, Vec<Row>) = (Vec::new(), Vec::new());
+            for (op, n) in nodes() {
+                if let (true, Some(r)) = (op.kind.is_mutating(), op.response) {
+                    writers.extend(op.kind.written_keys_iter().map(|k| (op.service, k, r, n)));
                 } else if op.kind.is_read_only() {
-                    for k in op.kind.read_keys() {
-                        readers.entry((op.service, k)).or_default().push((op.invoke, node_of[&id]));
-                    }
+                    readers.extend(op.kind.read_keys_iter().map(|k| (op.service, k, op.invoke, n)));
                 }
             }
-            for (key, sources) in writers {
-                if let Some(targets) = readers.get(&key) {
-                    add_interval_constraints(&mut graph, sources, targets.clone());
-                }
-            }
+            graph.add_interval_constraints(writers, readers);
         }
     }
+    let Constraints { priority, edges } = graph;
+
+    // CSR by counting sort: `offsets[i]` ends up the start of node `i`'s
+    // successors in `succ` (filled back to front), `offsets[n]` their total.
+    let n = priority.len();
+    assert!(n.max(edges.len()) <= u32::MAX as usize, "node and edge indices are u32");
+    let (mut offsets, mut indegree) = (vec![0u32; n + 1], vec![0u32; n]);
+    for &(from, to) in &edges {
+        offsets[from as usize] += 1;
+        indegree[to as usize] += 1;
+    }
+    let mut end = 0;
+    for slot in &mut offsets {
+        end += *slot;
+        *slot = end;
+    }
+    let mut succ = vec![0u32; edges.len()];
+    for &(from, to) in &edges {
+        offsets[from as usize] -= 1;
+        succ[offsets[from as usize] as usize] = to;
+    }
+    drop(edges);
 
     // Kahn's algorithm with a deterministic priority (smallest priority first).
-    let n = graph.nodes.len();
-    let mut indegree = graph.indegree.clone();
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, &degree) in indegree.iter().enumerate() {
-        if degree == 0 {
-            heap.push(std::cmp::Reverse((graph.priority[i], i)));
-        }
-    }
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    let ready = |i: u32| Reverse((priority[i as usize], i));
+    heap.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0).map(ready));
     let mut order = Vec::with_capacity(include.len());
     let mut emitted = 0usize;
-    while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
+    while let Some(Reverse((_, i))) = heap.pop() {
         emitted += 1;
-        if let NodeKind::Op(id) = graph.nodes[i] {
+        if let Some(&id) = include.get(i as usize) {
             order.push(id);
         }
-        for &next in &graph.adjacency[i] {
-            indegree[next] -= 1;
-            if indegree[next] == 0 {
-                heap.push(std::cmp::Reverse((graph.priority[next], next)));
+        for &next in &succ[offsets[i as usize] as usize..offsets[i as usize + 1] as usize] {
+            indegree[next as usize] -= 1;
+            if indegree[next as usize] == 0 {
+                heap.push(ready(next));
             }
         }
     }
@@ -327,5 +305,116 @@ mod tests {
         // observed the initial value), assembly succeeds for process order.
         let witness = assemble_witness(&h, &[(r, w)], WitnessModel::ProcessOrder).unwrap();
         assert!(check_witness(&h, &witness, WitnessModel::ProcessOrder).is_ok());
+    }
+
+    #[test]
+    fn self_edges_are_ignored() {
+        let mut b = HistoryBuilder::new();
+        let w = b.write(1, 1, 1, 0, 10);
+        let r = b.read(2, 1, 1, 20, 30);
+        let h = b.build();
+        for model in [WitnessModel::ProcessOrder, WitnessModel::Regular, WitnessModel::RealTime] {
+            assert_eq!(assemble_witness(&h, &[(w, w), (w, r), (r, r)], model).unwrap(), [w, r]);
+        }
+    }
+
+    #[test]
+    fn duplicate_edges_are_counted_on_both_ends() {
+        // A duplicate counted into the indegree but released once would leave
+        // `r` waiting forever; released twice but counted once, emitted twice.
+        let mut b = HistoryBuilder::new();
+        let w = b.write(1, 1, 1, 0, 10);
+        let r = b.read(2, 1, 1, 5, 30);
+        let h = b.build();
+        let edges = [(w, r), (w, r), (w, r)];
+        assert_eq!(assemble_witness(&h, &edges, WitnessModel::Regular).unwrap(), [w, r]);
+        let cyclic = [(w, r), (w, r), (r, w)];
+        assert_eq!(
+            assemble_witness(&h, &cyclic, WitnessModel::ProcessOrder).unwrap_err().unordered,
+            2
+        );
+    }
+
+    #[test]
+    fn incomplete_op_on_several_edges_is_included_once() {
+        let mut b = HistoryBuilder::new();
+        let w = b.write(1, 1, 1, 0, 10);
+        let pending = b.pending_write(2, 1, 2, 12);
+        let unobserved = b.pending_write(3, 1, 3, 14);
+        let r1 = b.read(4, 1, 2, 20, 30);
+        let r2 = b.read(5, 1, 2, 40, 50);
+        let h = b.build();
+        let edges = [(w, pending), (pending, r1), (pending, r2), (r1, r2)];
+        let witness = assemble_witness(&h, &edges, WitnessModel::Regular).unwrap();
+        assert_eq!(witness, [w, pending, r1, r2]);
+        assert!(!witness.contains(&unobserved));
+        assert!(check_witness(&h, &witness, WitnessModel::Regular).is_ok());
+    }
+
+    #[test]
+    fn groups_missing_a_side_add_no_constraints() {
+        // Reads only: no source events at all, under either real-time model.
+        let mut b = HistoryBuilder::new();
+        let r1 = b.read(1, 1, 0, 0, 10);
+        let r2 = b.read(2, 2, 0, 20, 30);
+        let h = b.build();
+        assert_eq!(assemble_witness(&h, &[(r2, r1)], WitnessModel::Regular).unwrap(), [r2, r1]);
+        assert!(assemble_witness(&h, &[(r2, r1)], WitnessModel::RealTime).is_err());
+        // Incomplete writes only: targets without a single response.
+        let mut b = HistoryBuilder::new();
+        let p1 = b.pending_write(1, 1, 1, 0);
+        let p2 = b.pending_write(2, 1, 2, 5);
+        let h = b.build();
+        assert_eq!(assemble_witness(&h, &[(p2, p1)], WitnessModel::Regular).unwrap(), [p2, p1]);
+        // A writer of one key and a later reader of another share no group:
+        // only the strict model orders them.
+        let mut b = HistoryBuilder::new();
+        let w_x = b.write(1, 1, 1, 0, 10);
+        let r_y = b.read(2, 2, 0, 20, 30);
+        let r_x = b.read(3, 1, 0, 40, 50);
+        let h = b.build();
+        assert_eq!(assemble_witness(&h, &[(r_y, w_x)], WitnessModel::Regular).unwrap().len(), 3);
+        assert!(assemble_witness(&h, &[(r_y, w_x)], WitnessModel::RealTime).is_err());
+        // ... while the same key's later reader is held behind the write.
+        assert!(assemble_witness(&h, &[(r_x, w_x)], WitnessModel::Regular).is_err());
+    }
+
+    #[test]
+    fn witness_does_not_depend_on_edge_order() {
+        // Sixty sequential operations over four keys and five processes; the
+        // edges are the per-key chains followed by process order.
+        let mut b = HistoryBuilder::new();
+        let ids: Vec<OpId> = (0..60u64)
+            .map(|i| {
+                let (p, key, at) = ((i * 7 % 5) as u32 + 1, i * 11 % 4 + 1, i * 10);
+                if i % 3 == 0 {
+                    b.write(p, key, 100 + i, at, at + 5)
+                } else {
+                    let last_write = (0..i).rev().find(|j| j % 3 == 0 && j * 11 % 4 + 1 == key);
+                    b.read(p, key, last_write.map_or(0, |j| 100 + j), at, at + 5)
+                }
+            })
+            .collect();
+        let h = b.build();
+        let chain = |same: &dyn Fn(u64) -> u64| {
+            let mut edges = Vec::new();
+            for (i, a) in ids.iter().enumerate() {
+                let next = (i + 1..60).find(|j| same(*j as u64) == same(i as u64));
+                edges.extend(next.map(|j| (*a, ids[j])));
+            }
+            edges
+        };
+        let mut edges = chain(&|i| i * 11 % 4);
+        edges.extend(chain(&|i| i * 7 % 5));
+        for model in [WitnessModel::ProcessOrder, WitnessModel::Regular, WitnessModel::RealTime] {
+            let witness = assemble_witness(&h, &edges, model).unwrap();
+            assert!(check_witness(&h, &witness, model).is_ok());
+            assert_eq!(assemble_witness(&h, &edges, model).unwrap(), witness);
+            let mut shuffled = edges.clone();
+            shuffled.reverse();
+            shuffled.rotate_left(17);
+            shuffled.swap(3, 40);
+            assert_eq!(assemble_witness(&h, &shuffled, model).unwrap(), witness);
+        }
     }
 }

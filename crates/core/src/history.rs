@@ -91,6 +91,11 @@ impl History {
         Self::default()
     }
 
+    /// An empty history with room for `ops` operations.
+    pub fn with_capacity(ops: usize) -> Self {
+        History { ops: Vec::with_capacity(ops), ..Self::default() }
+    }
+
     /// Records a complete operation and returns its id.
     #[allow(clippy::too_many_arguments)]
     pub fn add_complete(

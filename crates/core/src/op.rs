@@ -103,6 +103,17 @@ impl OpKind {
         }
     }
 
+    /// [`Self::written_keys`] without the `Vec`.
+    pub fn written_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
+        let (one, many): (Option<Key>, &[(Key, Value)]) = match self {
+            OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (Some(*key), &[]),
+            OpKind::RwTxn { writes, .. } => (None, writes),
+            OpKind::Enqueue { queue, .. } => (Some(*queue), &[]),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(many.iter().map(|(k, _)| *k))
+    }
+
     /// Keys read by this operation (for dequeues, the queue key). `Rmw` and
     /// `RwTxn` read as well as write.
     pub fn read_keys(&self) -> Vec<Key> {
@@ -113,6 +124,18 @@ impl OpKind {
             OpKind::Dequeue { queue } => vec![*queue],
             _ => Vec::new(),
         }
+    }
+
+    /// [`Self::read_keys`] without the `Vec`.
+    pub fn read_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
+        let (one, many): (Option<Key>, &[Key]) = match self {
+            OpKind::Read { key } | OpKind::Rmw { key, .. } => (Some(*key), &[]),
+            OpKind::RoTxn { keys } => (None, keys),
+            OpKind::RwTxn { read_keys, .. } => (None, read_keys),
+            OpKind::Dequeue { queue } => (Some(*queue), &[]),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(many.iter().copied())
     }
 
     /// All keys accessed (read or written) by this operation.
@@ -287,6 +310,29 @@ mod tests {
         let op = OpKind::Rmw { key: Key(4), value: Value(10) };
         assert_eq!(op.read_keys(), vec![Key(4)]);
         assert_eq!(op.written_keys(), vec![Key(4)]);
+    }
+
+    #[test]
+    fn key_iterators_agree_with_the_vec_visitors() {
+        let (key, queue, value) = (Key(1), Key(2), Value(3));
+        let kinds = [
+            OpKind::Read { key },
+            OpKind::Write { key, value },
+            OpKind::Rmw { key, value },
+            OpKind::RoTxn { keys: vec![Key(4), Key(5)] },
+            rw(&[1, 2], &[(2, 9), (3, 9)]),
+            OpKind::Enqueue { queue, value },
+            OpKind::Dequeue { queue },
+            OpKind::Fence,
+        ];
+        for kind in kinds {
+            assert_eq!(kind.read_keys_iter().collect::<Vec<_>>(), kind.read_keys(), "{kind:?}");
+            assert_eq!(
+                kind.written_keys_iter().collect::<Vec<_>>(),
+                kind.written_keys(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use regular_core::checker::models::{check, constraints_for, Model};
 use regular_core::checker::saturate::find_sequence_saturated;
 use regular_core::checker::search::{find_sequence, find_sequence_reference};
 use regular_core::checker::window::{StreamingChecker, WindowBuffer};
-use regular_core::history::{ByProcess, History, HistoryIndex};
+use regular_core::history::{ByProcess, History, HistoryIndex, OpRecord};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::order::{message_edges, reads_from_edges, CausalOrder};
 use regular_core::spec::{check_sequence, SpecState};
@@ -95,14 +95,11 @@ fn build_history(ops: &[GenOp]) -> History {
     history
 }
 
-/// Like [`build_history`], but writes with `duration == 2` are recorded as
-/// incomplete (pending), so the optional-subset enumeration of the search is
-/// exercised as well.
-fn build_history_with_pending(ops: &[GenOp]) -> History {
-    let complete = build_history(ops);
+/// `complete` with the operations `pending` picks recorded as incomplete.
+fn pending_where(complete: &History, pending: impl Fn(&OpRecord) -> bool) -> History {
     let mut history = History::new();
-    for (op, gen) in complete.ops().iter().zip(ops) {
-        if gen.is_write && gen.duration == 2 {
+    for op in complete.ops() {
+        if pending(op) {
             history.add_incomplete(op.process, op.service, op.kind.clone(), op.invoke);
         } else {
             history.add_complete(
@@ -116,6 +113,16 @@ fn build_history_with_pending(ops: &[GenOp]) -> History {
         }
     }
     history
+}
+
+/// Like [`build_history`], but writes with `duration == 2` are recorded as
+/// incomplete (pending), so the optional-subset enumeration of the search is
+/// exercised as well.
+fn build_history_with_pending(ops: &[GenOp]) -> History {
+    pending_where(&build_history(ops), |op| {
+        let gen = &ops[op.id.index()];
+        gen.is_write && gen.duration == 2
+    })
 }
 
 /// Builds `groups` disjoint copies of the generated history — distinct
@@ -363,6 +370,62 @@ proptest! {
             let assembled = assemble_witness(&h, &edges, WitnessModel::RealTime);
             prop_assert!(assembled.is_ok(), "assembler failed on a linearizable history");
             prop_assert!(check_witness(&h, &assembled.unwrap(), WitnessModel::RealTime).is_ok());
+        }
+    }
+
+    /// The assembler under all three witness models, fed what a protocol
+    /// provides (per-key chains and process order, here read off a search
+    /// witness that kept some pending writes): the order is every complete
+    /// operation once plus exactly the incomplete ones an edge names, extends
+    /// every edge, and certifies; a planted 2-cycle is refused.
+    #[test]
+    fn assembler_extends_its_edges_under_every_model(ops in gen_ops(7)) {
+        // Well-formed: a process stops at its pending write.
+        let complete = build_history(&ops);
+        let by_process = ByProcess::new(&complete);
+        let h = pending_where(&complete, |op| {
+            op.kind.is_mutating() && by_process.ops_of(op.process).last() == Some(&op.id)
+        });
+        prop_assert!(h.validate().is_ok());
+        for (model, witness_model) in [
+            (Model::Linearizability, WitnessModel::RealTime),
+            (Model::RegularSequentialConsistency, WitnessModel::Regular),
+            (Model::SequentialConsistency, WitnessModel::ProcessOrder),
+        ] {
+            let outcome = check(&h, model).unwrap();
+            let (true, Some(found)) = (outcome.satisfied, outcome.witness) else { continue };
+            let chain = |keep: &dyn Fn(OpId) -> bool| -> Vec<(OpId, OpId)> {
+                let kept: Vec<OpId> = found.iter().copied().filter(|id| keep(*id)).collect();
+                kept.windows(2).map(|w| (w[0], w[1])).collect()
+            };
+            let mut edges = Vec::new();
+            for n in 1..=3 {
+                edges.extend(chain(&|id| h.op(id).kind.accessed_keys().contains(&Key(n))));
+                edges.extend(chain(&|id| h.op(id).process == ProcessId(n as u32)));
+            }
+            let order = assemble_witness(&h, &edges, witness_model);
+            prop_assert!(order.is_ok(), "{witness_model:?}: {order:?} on edges {edges:?}");
+            let order = order.unwrap();
+            let mut expected = h.complete_ids();
+            expected.extend(
+                edges.iter().flat_map(|&(a, b)| [a, b]).filter(|id| !h.op(*id).is_complete()),
+            );
+            expected.sort_unstable();
+            expected.dedup();
+            let mut emitted = order.clone();
+            emitted.sort_unstable();
+            prop_assert_eq!(&emitted, &expected, "{:?}", witness_model);
+            let pos = |id| order.iter().position(|x| *x == id).unwrap();
+            for &(a, b) in &edges {
+                prop_assert!(pos(a) < pos(b), "{witness_model:?}: edge {a} -> {b} not respected");
+            }
+            let checked = check_witness(&h, &order, witness_model);
+            prop_assert!(checked.is_ok(), "{witness_model:?}: {checked:?} on {order:?} for {h:?}");
+            if let [a, b, ..] = order[..] {
+                edges.extend([(a, b), (b, a)]);
+                let err = assemble_witness(&h, &edges, witness_model).unwrap_err();
+                prop_assert!(err.unordered >= 2);
+            }
         }
     }
 

@@ -382,31 +382,27 @@ pub fn run_gryff(spec: GryffClusterSpec) -> GryffRunResult {
     run_gryff_on(&SimPlane::default(), spec)
 }
 
-/// Appends a client's records to the shared recorder and collects the
-/// per-key `(carstamp, rank, finish, op)` chain entries (writes before reads
-/// among carstamp ties) into `per_key`.
-pub fn record_with_carstamp_chains(
-    recorder: &mut HistoryRecorder,
-    client: u64,
-    records: &[CompletedRecord],
-    per_key: &mut std::collections::HashMap<u64, Vec<(Carstamp, u8, u64, OpId)>>,
-) {
-    for op in records {
-        let id = recorder.record(client, op);
-        let (key, rank) = match &op.kind {
-            OpKind::Read { key } => (Some(*key), 1),
-            OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (Some(*key), 0),
-            _ => (None, 0),
-        };
-        if let (Some(k), WitnessHint::Carstamp { count, writer, rmwc }) = (key, op.witness) {
-            per_key.entry(k.0).or_default().push((
-                Carstamp { count, writer, rmwc },
-                rank,
-                op.finish.as_micros(),
-                id,
-            ));
-        }
-    }
+/// One entry of a key's carstamp chain: `(key, carstamp, rank, finish, op)`.
+pub type ChainRow = (u64, Carstamp, u8, u64, OpId);
+
+/// The chain entry of one completion recorded as `id` (writes rank before
+/// reads among carstamp ties), if it carries a carstamp.
+pub fn carstamp_chain_row(rec: &CompletedRecord, id: OpId) -> Option<ChainRow> {
+    let (key, rank) = match &rec.kind {
+        OpKind::Read { key } => (*key, 1),
+        OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (*key, 0),
+        _ => return None,
+    };
+    let WitnessHint::Carstamp { count, writer, rmwc } = rec.witness else { return None };
+    Some((key.0, Carstamp { count, writer, rmwc }, rank, rec.finish.as_micros(), id))
+}
+
+/// The per-key carstamp chains as constraint edges: each key's entries in
+/// carstamp order, consecutive ones linked; keys ascending.
+pub fn carstamp_chain_edges(mut rows: Vec<ChainRow>) -> impl Iterator<Item = (OpId, OpId)> {
+    rows.sort_unstable();
+    (1..rows.len())
+        .filter_map(move |i| (rows[i - 1].0 == rows[i].0).then_some((rows[i - 1].4, rows[i].4)))
 }
 
 /// Builds the history and the per-key/process-order constraint edges of a run.
@@ -419,19 +415,18 @@ pub fn build_history(result: &GryffRunResult) -> (History, Vec<(OpId, OpId)>) {
 pub fn build_history_from(
     completed: &[(NodeId, Vec<CompletedRecord>)],
 ) -> (History, Vec<(OpId, OpId)>) {
-    let mut recorder = HistoryRecorder::new();
-    let mut per_key: std::collections::HashMap<u64, Vec<(Carstamp, u8, u64, OpId)>> =
-        std::collections::HashMap::new();
+    let total = completed.iter().map(|(_, ops)| ops.len()).sum();
+    let mut recorder = HistoryRecorder::with_capacity(total);
+    let mut rows: Vec<ChainRow> = Vec::with_capacity(total);
     for (client, ops) in completed {
-        record_with_carstamp_chains(&mut recorder, *client as u64, ops, &mut per_key);
-    }
-    let mut edges = Vec::new();
-    for (_, mut items) in per_key {
-        items.sort_unstable();
-        for w in items.windows(2) {
-            edges.push((w[0].3, w[1].3));
+        for op in ops {
+            let id = recorder.record(*client as u64, op);
+            rows.extend(carstamp_chain_row(op, id));
         }
     }
+    // At most one chain edge and one process-order edge an operation.
+    let mut edges = Vec::with_capacity(2 * total);
+    edges.extend(carstamp_chain_edges(rows));
     edges.extend(ByProcess::new(recorder.history()).pairs());
     (recorder.into_history(), edges)
 }
@@ -589,6 +584,24 @@ mod tests {
         let b = run(Mode::GryffRsc, 9, 0.3, 0.1);
         assert_eq!(a.client_stats.reads, b.client_stats.reads);
         assert_eq!(a.messages, b.messages);
+    }
+
+    /// Certification input is a function of the records: key groups are walked
+    /// in sorted order, never in a hash map's, so two builds agree edge for
+    /// edge — and the assembled witness does not depend on edge order at all.
+    #[test]
+    fn constraint_edges_and_witness_are_deterministic() {
+        let result = run(Mode::GryffRsc, 9, 0.5, 0.25);
+        let (history, edges) = build_history(&result);
+        assert!(edges.len() > 500, "the run must produce a real constraint set");
+        assert_eq!(build_history(&result).1, edges);
+        let witness = assemble_witness(&history, &edges, WitnessModel::Regular).unwrap();
+        assert_eq!(assemble_witness(&history, &edges, WitnessModel::Regular).unwrap(), witness);
+        let mut shuffled = edges.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(edges.len() / 3);
+        shuffled.swap(0, edges.len() / 2);
+        assert_eq!(assemble_witness(&history, &shuffled, WitnessModel::Regular).unwrap(), witness);
     }
 
     #[test]

@@ -138,8 +138,13 @@ const ORPHAN_PID_BASE: u32 = 1_000_000;
 impl HistoryRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty recorder whose history has room for `ops` completions.
+    pub fn with_capacity(ops: usize) -> Self {
         HistoryRecorder {
-            history: History::new(),
+            history: History::with_capacity(ops),
             process_of: HashMap::new(),
             per_process: Vec::new(),
             orphan_pid: ORPHAN_PID_BASE,

@@ -392,8 +392,9 @@ pub fn build_history(result: &RunResult) -> (History, Vec<OpId>) {
 /// [`build_history`] from bare per-client completion lists, for harnesses
 /// (e.g. a multi-process hub) that do not assemble a [`RunResult`].
 pub fn build_history_from(completed: &[(NodeId, Vec<CompletedRecord>)]) -> (History, Vec<OpId>) {
-    let mut recorder = HistoryRecorder::new();
-    let mut witness_keys: Vec<(u64, u8, u64, OpId)> = Vec::new();
+    let total = completed.iter().map(|(_, txns)| txns.len()).sum();
+    let mut recorder = HistoryRecorder::with_capacity(total);
+    let mut witness_keys: Vec<(u64, u8, u64, OpId)> = Vec::with_capacity(total);
     for (client, txns) in completed {
         witness_keys.extend(record_with_witness_keys(&mut recorder, *client as u64, txns));
     }

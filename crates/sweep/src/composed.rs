@@ -23,11 +23,11 @@ use regular_core::types::{OpId, ServiceId};
 use regular_gryff::prelude::{GryffConfig, GryffService};
 use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
-use regular_gryff::{Carstamp, GryffMsg};
+use regular_gryff::{carstamp_chain_edges, carstamp_chain_row, ChainRow, GryffMsg};
 use regular_session::{
     per_wall_second, CompletedRecord, ComposedRunner, Deployment, HandoffRecord, HistoryRecorder,
     MappedService, MultiServiceWorkload, NodeSpec, Plane, PlaneNode, Ran, RoundRobinWorkload,
-    Service, SessionConfig, SessionStats, SessionWorkload, SimPlane, WitnessHint,
+    Service, SessionConfig, SessionStats, SessionWorkload, SimPlane,
 };
 use regular_sim::compose::Embedded;
 use regular_sim::engine::{Context, Node, NodeId};
@@ -504,7 +504,8 @@ pub fn certify_composed(run: &ComposedOutcome) -> Result<CertifiedComposed, Comp
 pub(crate) fn assemble_composed(
     run: &ComposedOutcome,
 ) -> Result<(History, Vec<OpId>), ComposedViolation> {
-    let mut recorder = HistoryRecorder::new();
+    let total = run.apps.iter().map(|app| app.completed.len()).sum();
+    let mut recorder = HistoryRecorder::with_capacity(total);
     // Spanner read-write transactions: (ts, finish, op).
     let mut spanner_rw: Vec<(u64, u64, OpId)> = Vec::new();
     // Spanner writes per key: (ts, value, op).
@@ -512,7 +513,7 @@ pub(crate) fn assemble_composed(
     // Spanner read-only transactions: (serialization ts, op, [(key, value)]).
     type SpannerRo = (u64, OpId, Vec<(u64, u64)>);
     let mut spanner_ro: Vec<SpannerRo> = Vec::new();
-    let mut per_key: HashMap<u64, Vec<(Carstamp, u8, u64, OpId)>> = HashMap::new();
+    let mut gryff_rows: Vec<ChainRow> = Vec::new();
     for app in &run.apps {
         let client = app.node;
         for (svc, rec) in &app.completed {
@@ -533,27 +534,11 @@ pub(crate) fn assemble_composed(
                         _ => {} // fences: process order only
                     }
                 }
-                _ => {
-                    let (key, rank) = match &rec.kind {
-                        OpKind::Read { key } => (Some(*key), 1),
-                        OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (Some(*key), 0),
-                        _ => (None, 0),
-                    };
-                    if let (Some(k), WitnessHint::Carstamp { count, writer, rmwc }) =
-                        (key, rec.witness)
-                    {
-                        per_key.entry(k.0).or_default().push((
-                            Carstamp { count, writer, rmwc },
-                            rank,
-                            rec.finish.as_micros(),
-                            id,
-                        ));
-                    }
-                }
+                _ => gryff_rows.extend(carstamp_chain_row(rec, id)),
             }
         }
     }
-    let mut edges: Vec<(OpId, OpId)> = Vec::new();
+    let mut edges: Vec<(OpId, OpId)> = Vec::with_capacity(2 * total);
     // Spanner write chain.
     spanner_rw.sort_unstable();
     for w in spanner_rw.windows(2) {
@@ -577,13 +562,7 @@ pub(crate) fn assemble_composed(
             }
         }
     }
-    // Gryff carstamp chains.
-    for (_, mut items) in per_key {
-        items.sort_unstable();
-        for w in items.windows(2) {
-            edges.push((w[0].3, w[1].3));
-        }
-    }
+    edges.extend(carstamp_chain_edges(gryff_rows));
     edges.extend(ByProcess::new(recorder.history()).pairs());
     // Cross-process causal handoffs (Section 4.2): each is an external
     // communication of the history, and a serialization constraint — every

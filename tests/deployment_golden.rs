@@ -12,7 +12,15 @@
 //!
 //! Spanner-RSS, Gryff-RSC and the composed deployment × {healthy, faults,
 //! faults on a WAL} × two seeds.
+//!
+//! The `WITNESS` column pins what `assemble_witness` makes of the Gryff-RSC
+//! and composed runs above (their only certifier input that is not a sort):
+//! the FNV-1a of the assembled serialization, op ids in order, recorded on
+//! the parent of PR 23 from the per-node `Vec<Vec<usize>>` graph that PR
+//! replaced.
 
+use regular_seq::core::checker::certificate::WitnessModel;
+use regular_seq::core::types::OpId;
 use regular_seq::gryff::prelude as gryff;
 use regular_seq::session::{CompletedRecord, SessionConfig, SessionWorkload, WitnessHint};
 use regular_seq::sim::fault::{FaultSchedule, LinkScope};
@@ -21,7 +29,9 @@ use regular_seq::sim::time::{SimDuration, SimTime};
 use regular_seq::sim::MessageStats;
 use regular_seq::spanner::prelude as spanner;
 use regular_seq::storage::{Durability, StorageRegistry, WalOptions};
-use regular_seq::sweep::composed::{run_composed, ComposedRunConfig, ComposedWorkload};
+use regular_seq::sweep::composed::{
+    certify_composed, run_composed, ComposedOutcome, ComposedRunConfig, ComposedWorkload,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Variant {
@@ -138,9 +148,8 @@ fn spanner_digest(seed: u64, variant: Variant) -> u64 {
     digest_clients(&r.completed, r.net_stats)
 }
 
-fn gryff_digest(seed: u64, variant: Variant) -> u64 {
-    let mut config =
-        gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability(variant, seed));
+fn gryff_run(seed: u64, variant: Variant, mode: gryff::Mode) -> gryff::GryffRunResult {
+    let mut config = gryff::GryffConfig::wan(mode).with_durability(durability(variant, seed));
     if variant != Variant::Healthy {
         config =
             config.with_faults(faults((seed % 5) as usize, ((seed + 2) % 5) as usize), OP_TIMEOUT);
@@ -156,7 +165,7 @@ fn gryff_digest(seed: u64, variant: Variant) -> u64 {
             }) as Box<dyn SessionWorkload>,
         })
         .collect();
-    let r = gryff::run_gryff(gryff::GryffClusterSpec {
+    gryff::run_gryff(gryff::GryffClusterSpec {
         config,
         net: LatencyMatrix::gryff_wan(),
         seed,
@@ -164,11 +173,15 @@ fn gryff_digest(seed: u64, variant: Variant) -> u64 {
         stop_issuing_at: SimTime::from_secs(12),
         drain: SimDuration::from_secs(6),
         measure_from: SimTime::from_secs(1),
-    });
+    })
+}
+
+fn gryff_digest(seed: u64, variant: Variant) -> u64 {
+    let r = gryff_run(seed, variant, gryff::Mode::GryffRsc);
     digest_clients(&r.completed, r.net_stats)
 }
 
-fn composed_digest(seed: u64, variant: Variant) -> u64 {
+fn composed_run(seed: u64, variant: Variant) -> ComposedOutcome {
     let mut config = ComposedRunConfig {
         num_apps: 2,
         ops_per_service: 2,
@@ -189,7 +202,11 @@ fn composed_digest(seed: u64, variant: Variant) -> u64 {
         config.op_timeout = Some(OP_TIMEOUT);
         config.handoff_every = Some(6);
     }
-    let outcome = run_composed(seed, &config);
+    run_composed(seed, &config)
+}
+
+fn composed_digest(seed: u64, variant: Variant) -> u64 {
+    let outcome = composed_run(seed, variant);
     let mut h = Fnv::new();
     for app in &outcome.apps {
         h.mix(app.node as u64);
@@ -228,6 +245,61 @@ const GOLDEN: [[[u64; 2]; 3]; 3] = [
         [0x0c05_dc9f_54f5_7bd1, 0x57fe_5333_bd93_3140],
     ],
 ];
+
+fn digest_witness(witness: &[OpId]) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(witness.len() as u64);
+    for id in witness {
+        h.mix(u64::from(id.0));
+    }
+    h.0
+}
+
+fn gryff_witness(seed: u64, variant: Variant, mode: gryff::Mode, model: WitnessModel) -> u64 {
+    let r = gryff_run(seed, variant, mode);
+    let (_, witness) = gryff::history_and_witness(&r.completed, model);
+    digest_witness(&witness.expect("the run's constraints are acyclic"))
+}
+
+/// `[gryff, composed][variant][seed]`: the serialization assembled under
+/// `WitnessModel::Regular`, recorded on the parent of PR 23.
+const WITNESS: [[[u64; 2]; 3]; 2] = [
+    [
+        [0xea39_2a87_cb72_5404, 0x99a4_2f32_e44c_4418],
+        [0x6278_8570_a86f_5154, 0x1d98_a5e3_e91f_f1cf],
+        [0x193d_d886_cdfd_78fc, 0x8971_1be4_6779_a551],
+    ],
+    [
+        [0x3f22_20f8_64ae_a183, 0xde18_837d_a7bf_e2df],
+        [0xba6a_9115_cb38_e1dd, 0x2576_a37e_536c_dd7d],
+        [0xfd13_c38e_26fd_4129, 0x085a_6fbc_bf45_c564],
+    ],
+];
+
+/// The healthy Gryff spec of seed 3 run as `Mode::Gryff` and assembled under
+/// `WitnessModel::RealTime`: the strict model's all-pairs barrier chain.
+const WITNESS_STRICT: u64 = 0x1e55_39fe_e4bd_e684;
+
+#[test]
+fn assembled_witnesses_keep_their_digests() {
+    let mut actual = [[[0u64; 2]; 3]; 2];
+    for (v, &variant) in VARIANTS.iter().enumerate() {
+        for (s, &seed) in SEEDS.iter().enumerate() {
+            actual[0][v][s] =
+                gryff_witness(seed, variant, gryff::Mode::GryffRsc, WitnessModel::Regular);
+            let certified = certify_composed(&composed_run(seed, variant));
+            actual[1][v][s] =
+                digest_witness(&certified.unwrap_or_else(|v| panic!("{}", v.reason)).witness);
+        }
+    }
+    let strict =
+        gryff_witness(SEEDS[0], Variant::Healthy, gryff::Mode::Gryff, WitnessModel::RealTime);
+    assert!(
+        actual == WITNESS && strict == WITNESS_STRICT,
+        "assembled witnesses moved (rows: gryff, composed; columns: {VARIANTS:?} x seeds \
+         {SEEDS:?})\nactual: {actual:#018x?}\nstrict: {strict:#018x}",
+    );
+}
 
 #[test]
 fn sim_runs_of_all_three_deployments_keep_their_digests() {
