@@ -10,15 +10,13 @@
 //! sequential specification (enforced by replay during the search), which is
 //! the "equivalent to `complete(α₂)`" clause of the definitions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::checker::search::{Constraints, SearchError};
 use crate::history::{History, HistoryIndex};
 use crate::order::CausalOrder;
 use crate::types::OpId;
 
 /// A consistency model checkable by the exact search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Model {
     /// Strict serializability (transactions) \[Papadimitriou 1979\].
     StrictSerializability,

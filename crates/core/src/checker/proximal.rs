@@ -33,8 +33,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::checker::decompose::{find_sequence_decomposed, CrossEdges};
 use crate::checker::saturate::find_sequence_saturated;
 use crate::checker::search::{Constraints, SearchError};
@@ -43,7 +41,7 @@ use crate::order::{real_time_precedes, CausalOrder};
 use crate::types::{Key, OpId, Value};
 
 /// The proximal models of Appendix A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProximalModel {
     /// CockroachDB's consistency model.
     Crdb,

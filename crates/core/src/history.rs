@@ -8,13 +8,11 @@
 //! between processes. The per-process sub-execution, the real-time order, and
 //! the causal order are all derived from this record (see [`crate::order`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::{OpKind, OpResult};
 use crate::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 
 /// One recorded operation: invocation, optional response, and metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {
     /// Dense identifier (index into the history).
     pub id: OpId,
@@ -47,7 +45,7 @@ impl OpRecord {
 
 /// A message-passing interaction between two processes (out-of-band of the
 /// services), used to derive causal edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageEdge {
     /// Sending process.
     pub from: ProcessId,
@@ -60,7 +58,7 @@ pub struct MessageEdge {
 }
 
 /// Problems detected by [`History::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HistoryError {
     /// An operation's response precedes its invocation.
     ResponseBeforeInvoke(OpId),
@@ -74,7 +72,7 @@ pub enum HistoryError {
 }
 
 /// An execution history over a (possibly composite) service.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     ops: Vec<OpRecord>,
     messages: Vec<MessageEdge>,

@@ -18,14 +18,12 @@
 //! used by the Table 1 harness to ask each consistency model "do you admit an
 //! execution that breaks this?".
 
-use serde::{Deserialize, Serialize};
-
 use crate::history::{ByProcess, History};
 use crate::op::{OpKind, OpResult};
 use crate::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 
 /// Key layout of the photo-sharing application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhotoAppKeys {
     /// The key-value service storing albums and photos.
     pub kv_service: ServiceId,

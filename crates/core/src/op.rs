@@ -7,12 +7,11 @@
 //! describe executions against a composite service.
 
 use regular_storage::wire_layout;
-use serde::{Deserialize, Serialize};
 
 use crate::types::{Key, Value};
 
 /// The kind (and arguments) of an operation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Non-transactional read of a single key.
     Read { key: Key },
@@ -33,7 +32,7 @@ pub enum OpKind {
 }
 
 /// The result carried by an operation's response.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpResult {
     /// A single value: `Read` and `Dequeue` results, or the *prior* value for `Rmw`.
     Value(Value),

@@ -3,21 +3,20 @@
 use core::fmt;
 
 use regular_storage::wire_layout;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an application process (Section 3.1 of the paper).
 ///
 /// Processes issue operations on services, exchange messages with one another,
 /// and are the unit over which per-process (sub-execution) equivalence is
 /// defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 /// Identifier of an operation (or transaction) within a [`crate::history::History`].
 ///
 /// Operation ids are dense indices assigned by the history builder in
 /// insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -31,7 +30,7 @@ impl OpId {
 ///
 /// A composite service is the composition of several constituent services;
 /// transactions never span services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId(pub u32);
 
 wire_layout! { struct ServiceId(id) }
@@ -45,7 +44,7 @@ impl ServiceId {
 }
 
 /// A key in a key-value or queue service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(pub u64);
 
 wire_layout! { struct Key(key) }
@@ -54,7 +53,7 @@ wire_layout! { struct Key(key) }
 ///
 /// The all-zero value is reserved to mean "not present" ([`Value::NULL`]),
 /// matching the paper's convention that reading an absent key returns null.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(pub u64);
 
 wire_layout! { struct Value(value) }
@@ -74,9 +73,7 @@ impl Value {
 ///
 /// Application processes cannot observe this clock; it exists only in the
 /// formal model (and in the simulator harness recording histories).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

@@ -21,16 +21,13 @@
 //! chain it raced, exactly as in Gryff.
 
 use regular_storage::wire_layout;
-use serde::{Deserialize, Serialize};
 
 /// A carstamp: a logical count, the writer's identifier for tie-breaking,
 /// and the read-modify-write counter extending a base value.
 ///
 /// Ordering is lexicographic over `(count, writer, rmwc)` — the field order
 /// of the struct.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Carstamp {
     /// Logical counter (dominant component), advanced by base writes.
     pub count: u64,

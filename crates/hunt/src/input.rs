@@ -10,16 +10,16 @@
 //! accepts: windows are clamped to positive length, node and region indices
 //! wrapped into range, and overlapping crash windows of one node dropped.
 //!
-//! The JSON form ([`HuntInput::to_json`]) is what a minimized
-//! `FailureArtifact` carries in its `schedule` field: enough to re-simulate
-//! the exact failing execution from nothing but the artifact.
+//! The JSON form ([`JsonLayout`]) is what a minimized `FailureArtifact`
+//! carries in its `schedule` field: enough to re-simulate the exact failing
+//! execution from nothing but the artifact.
 
 use regular_core::types::Key;
 use regular_gryff::prelude::SessionOp;
 use regular_sim::fault::{FaultSchedule, LinkScope};
 use regular_sim::net::Region;
 use regular_sim::time::{SimDuration, SimTime};
-use regular_sweep::Json;
+use regular_sweep::{json_layout, Json, JsonLayout};
 
 /// Number of regions (and replicas) in the hunted deployment — the paper's
 /// five-region WAN.
@@ -52,22 +52,21 @@ impl HuntOp {
             HuntOp::Read(k) | HuntOp::Write(k) | HuntOp::Rmw(k) => k,
         }
     }
+}
 
-    fn code(self) -> (u64, u64) {
-        match self {
-            HuntOp::Read(k) => (0, k),
-            HuntOp::Write(k) => (1, k),
-            HuntOp::Rmw(k) => (2, k),
-        }
+/// A scripted op is `[kind, key]`, its kind the index of its variant here;
+/// not a layout, because the variant is a number inside the array.
+const HUNT_OPS: [fn(u64) -> HuntOp; 3] = [HuntOp::Read, HuntOp::Write, HuntOp::Rmw];
+
+impl JsonLayout for HuntOp {
+    fn to_json(&self) -> Json {
+        let kind = HUNT_OPS.iter().position(|op| op(self.key()) == *self);
+        (kind.expect("every op is in HUNT_OPS"), self.key()).to_json()
     }
 
-    fn from_code(kind: u64, key: u64) -> Result<Self, String> {
-        match kind {
-            0 => Ok(HuntOp::Read(key)),
-            1 => Ok(HuntOp::Write(key)),
-            2 => Ok(HuntOp::Rmw(key)),
-            other => Err(format!("unknown hunt op kind {other}")),
-        }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        let (kind, key): (usize, u64) = JsonLayout::from_json(json)?;
+        HUNT_OPS.get(kind).map(|op| op(key)).ok_or_else(|| format!("unknown hunt op kind {kind}"))
     }
 }
 
@@ -126,65 +125,14 @@ impl FaultEvent {
             | FaultEvent::Drop { at_ms, .. } => at_ms,
         }
     }
+}
 
-    fn to_json(self) -> Json {
-        match self {
-            FaultEvent::Crash { node, at_ms, dur_ms } => Json::obj(vec![
-                ("f", Json::str("crash")),
-                ("node", Json::u64(node as u64)),
-                ("at_ms", Json::u64(at_ms)),
-                ("dur_ms", Json::u64(dur_ms)),
-            ]),
-            FaultEvent::Partition { region, at_ms, dur_ms } => Json::obj(vec![
-                ("f", Json::str("partition")),
-                ("region", Json::u64(region as u64)),
-                ("at_ms", Json::u64(at_ms)),
-                ("dur_ms", Json::u64(dur_ms)),
-            ]),
-            FaultEvent::CutOneWay { from, to, at_ms, dur_ms } => Json::obj(vec![
-                ("f", Json::str("cut_oneway")),
-                ("from", Json::u64(from as u64)),
-                ("to", Json::u64(to as u64)),
-                ("at_ms", Json::u64(at_ms)),
-                ("dur_ms", Json::u64(dur_ms)),
-            ]),
-            FaultEvent::Drop { at_ms, dur_ms, permille } => Json::obj(vec![
-                ("f", Json::str("drop")),
-                ("at_ms", Json::u64(at_ms)),
-                ("dur_ms", Json::u64(dur_ms)),
-                ("permille", Json::u64(permille as u64)),
-            ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<Self, String> {
-        let u = |k: &str| {
-            json.get(k).and_then(Json::as_u64).ok_or_else(|| format!("fault missing '{k}'"))
-        };
-        match json.get("f").and_then(Json::as_str) {
-            Some("crash") => Ok(FaultEvent::Crash {
-                node: u("node")? as usize,
-                at_ms: u("at_ms")?,
-                dur_ms: u("dur_ms")?,
-            }),
-            Some("partition") => Ok(FaultEvent::Partition {
-                region: u("region")? as usize,
-                at_ms: u("at_ms")?,
-                dur_ms: u("dur_ms")?,
-            }),
-            Some("cut_oneway") => Ok(FaultEvent::CutOneWay {
-                from: u("from")? as usize,
-                to: u("to")? as usize,
-                at_ms: u("at_ms")?,
-                dur_ms: u("dur_ms")?,
-            }),
-            Some("drop") => Ok(FaultEvent::Drop {
-                at_ms: u("at_ms")?,
-                dur_ms: u("dur_ms")?,
-                permille: u("permille")? as u32,
-            }),
-            other => Err(format!("unknown fault event tag {other:?}")),
-        }
+json_layout! {
+    enum FaultEvent on "f" {
+        "crash" => Crash { node, at_ms, dur_ms },
+        "partition" => Partition { region, at_ms, dur_ms },
+        "cut_oneway" => CutOneWay { from, to, at_ms, dur_ms },
+        "drop" => Drop { at_ms, dur_ms, permille },
     }
 }
 
@@ -272,74 +220,10 @@ impl HuntInput {
         }
         schedule
     }
+}
 
-    /// Serializes the input (the `schedule` payload of a failure artifact).
-    pub fn to_json(&self) -> Json {
-        let session = |ops: &Vec<HuntOp>| {
-            Json::Arr(
-                ops.iter()
-                    .map(|op| {
-                        let (kind, key) = op.code();
-                        Json::Arr(vec![Json::u64(kind), Json::u64(key)])
-                    })
-                    .collect(),
-            )
-        };
-        Json::obj(vec![
-            ("kind", Json::str("hunt-input")),
-            ("seed", Json::u64(self.seed)),
-            ("stop_ms", Json::u64(self.stop_ms)),
-            ("sessions", Json::Arr(self.sessions.iter().map(session).collect())),
-            ("faults", Json::Arr(self.faults.iter().map(|f| f.to_json()).collect())),
-            (
-                "nudges",
-                Json::Arr(
-                    self.nudges
-                        .iter()
-                        .map(|&(seq, us)| Json::Arr(vec![Json::u64(seq), Json::u64(us)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes an input written by [`HuntInput::to_json`].
-    pub fn from_json(json: &Json) -> Result<Self, String> {
-        let u =
-            |k: &str| json.get(k).and_then(Json::as_u64).ok_or_else(|| format!("missing '{k}'"));
-        let pair = |v: &Json| -> Result<(u64, u64), String> {
-            let p = v.as_arr().filter(|p| p.len() == 2).ok_or("expected a two-element array")?;
-            Ok((p[0].as_u64().ok_or("expected an integer")?, p[1].as_u64().ok_or("integer")?))
-        };
-        let sessions = json
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'sessions'")?
-            .iter()
-            .map(|ops| {
-                ops.as_arr()
-                    .ok_or_else(|| "session must be an array".to_string())?
-                    .iter()
-                    .map(|op| pair(op).and_then(|(kind, key)| HuntOp::from_code(kind, key)))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let faults = json
-            .get("faults")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'faults'")?
-            .iter()
-            .map(FaultEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let nudges = json
-            .get("nudges")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'nudges'")?
-            .iter()
-            .map(pair)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(HuntInput { seed: u("seed")?, sessions, faults, nudges, stop_ms: u("stop_ms")? })
-    }
+json_layout! {
+    struct HuntInput as "kind": "hunt-input" { seed, stop_ms, sessions, faults, nudges }
 }
 
 #[cfg(test)]

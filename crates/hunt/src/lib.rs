@@ -52,6 +52,7 @@ pub use shrink::{shrink, ShrinkResult};
 use regular_core::checker::certificate::WitnessModel;
 use regular_core::coverage::CoverageSignature;
 use regular_sweep::artifact::FailureArtifact;
+use regular_sweep::JsonLayout;
 
 /// Scenario name stamped on hunter-produced artifacts.
 pub const HUNT_SCENARIO: &str = "hunt-gryff-rsc";

@@ -11,6 +11,7 @@ use regular_core::check_witness;
 use regular_gryff::prelude::BugZoo;
 use regular_hunt::{failure_artifact, hunt, shrink, HuntConfig, HuntInput};
 use regular_sweep::artifact::FailureArtifact;
+use regular_sweep::JsonLayout;
 
 fn mutant() -> BugZoo {
     BugZoo { two_component_carstamps: true }

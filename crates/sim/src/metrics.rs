@@ -6,13 +6,11 @@
 //! percentiles and CDF rows; [`ThroughputRecorder`] counts completed
 //! operations over a measurement window.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Message delivery counters kept by the engine, including the fault plane's
 /// outcomes (see [`crate::fault::FaultSchedule`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageStats {
     /// Messages delivered to a live node (both copies of a duplicate count).
     pub delivered: u64,
@@ -59,7 +57,7 @@ pub struct EngineStats {
 /// violation found on the live plane ships with the exact delivery
 /// sequence that produced it. The simulator records none — its seed *is*
 /// the schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Delivery sequence number (0-based, global).
     pub seq: u64,
@@ -87,7 +85,7 @@ pub struct WireStats {
 }
 
 /// Collects individual operation latencies and answers percentile queries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples_us: Vec<u64>,
     sorted: bool,
@@ -95,7 +93,7 @@ pub struct LatencyRecorder {
 
 /// A single row of a latency CDF: fraction of operations completing within
 /// `latency`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdfPoint {
     /// Cumulative fraction in `[0, 1]`.
     pub fraction: f64,
@@ -214,7 +212,7 @@ impl LatencyRecorder {
 
 /// Counts operations completed within a measurement window to compute
 /// throughput, optionally excluding a warm-up prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputRecorder {
     window_start: SimTime,
     window_end: SimTime,

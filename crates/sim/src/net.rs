@@ -23,14 +23,13 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// A geographic region (data center) hosting simulation nodes.
 ///
 /// Regions are small integer identifiers into a [`LatencyMatrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Region(pub usize);
 
 /// Well-known regions used by the paper's experiments.
@@ -114,7 +113,7 @@ impl NetworkModel for LatencyMatrix {
 }
 
 /// A symmetric matrix of round-trip times between regions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyMatrix {
     /// `rtt[i][j]` is the round-trip time between regions `i` and `j`.
     rtt: Vec<Vec<SimDuration>>,

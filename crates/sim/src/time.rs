@@ -4,7 +4,6 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
 use regular_storage::wire_layout;
-use serde::{Deserialize, Serialize};
 
 /// An instant on the simulated clock, measured in microseconds since the start
 /// of the simulation.
@@ -12,15 +11,11 @@ use serde::{Deserialize, Serialize};
 /// `SimTime` is totally ordered and starts at [`SimTime::ZERO`]. It is *not* a
 /// wall-clock time; protocol code that needs bounded-uncertainty wall-clock
 /// time uses [`crate::truetime::TrueTime`] on top of it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 wire_layout! { struct SimTime(micros) }

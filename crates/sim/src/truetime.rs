@@ -14,13 +14,11 @@
 //! time — exactly the property the paper's correctness argument (Appendix D.1)
 //! relies on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// An interval returned by [`TrueTime::now`]; the true (simulated) time is
 /// guaranteed to lie within `[earliest, latest]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TtInterval {
     /// Lower bound on the current time.
     pub earliest: SimTime,

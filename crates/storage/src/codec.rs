@@ -2,8 +2,7 @@
 //!
 //! Everything this workspace turns into bytes — WAL records, checkpoint
 //! snapshots, socket messages and control frames — goes through [`Wire`].
-//! The workspace's vendored `serde` is derive-only (it serializes nothing),
-//! so the codec is written here, once: the primitives and containers are
+//! The codec is written here, once: the primitives and containers are
 //! implemented by hand below, and every struct and enum declares its layout
 //! next to its definition with [`wire_layout!`](crate::wire_layout), which
 //! takes the field names once and generates both directions.

@@ -24,8 +24,8 @@
 //!   reports and failure artifacts (`regular-bench sweep` aggregates them
 //!   into `BENCH_sweep.json`).
 //! * [`artifact`] — replayable failing-history dumps for CI upload.
-//! * [`json`] — the minimal JSON tree backing all of the above (the vendored
-//!   `serde` is a derive-only stub).
+//! * [`json`] — the JSON tree backing all of the above, and
+//!   [`json_layout!`], the one declaration of each JSON format.
 //!
 //! `regular-bench sweep` is the CLI front end; CI runs it over ≥32 seeds per
 //! scenario (fault scenarios included) on every push.
@@ -39,7 +39,7 @@ pub mod scenario;
 pub mod stream;
 
 pub use artifact::FailureArtifact;
-pub use json::Json;
+pub use json::{Json, JsonLayout};
 pub use pool::{PoolStats, WorkStealingPool};
 pub use report::{run_sweep, SweepOptions, SweepResult};
 pub use scenario::{run_seed, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};

@@ -14,12 +14,11 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use regular_core::types::Key;
 use regular_session::{SessionOp, SessionWorkload};
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
 /// A generated transaction: its keys and whether it is read-only.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratedTxn {
     /// True for read-only transactions.
     pub read_only: bool,
@@ -30,7 +29,7 @@ pub struct GeneratedTxn {
 }
 
 /// The four Retwis transaction types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetwisKind {
     /// Create a user (read-write, 1 key).
     AddUser,

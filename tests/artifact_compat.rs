@@ -16,7 +16,7 @@ use regular_seq::core::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value
 use regular_seq::hunt::{FaultEvent, HuntInput, HuntOp};
 use regular_seq::live::DeliveryRecord;
 use regular_seq::sweep::artifact::FailureArtifact;
-use regular_seq::sweep::Json;
+use regular_seq::sweep::{Json, JsonLayout};
 
 /// Builds a small but varied artifact: `n` write/read pairs over `keys`
 /// keys, optionally carrying the new hunter fields.
@@ -257,6 +257,115 @@ proptest! {
         prop_assert_eq!(&parsed.witness, &artifact.witness);
         prop_assert_eq!(parsed.replay(), artifact.replay(), "the replay verdict is unchanged");
     }
+}
+
+/// Loads an artifact text, or says why not.
+fn load(text: &str) -> Result<FailureArtifact, String> {
+    FailureArtifact::from_json(&Json::parse(text)?)
+}
+
+/// The golden artifact with the first `from` replaced by `to`.
+fn edited(from: &str, to: &str) -> String {
+    assert!(LOADED_ARTIFACT.contains(from), "the golden text has no {from:?}");
+    LOADED_ARTIFACT.replacen(from, to, 1)
+}
+
+#[test]
+fn every_strict_prefix_of_an_artifact_is_refused() {
+    let text = LOADED_ARTIFACT.trim_end();
+    for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+        assert!(load(&text[..cut]).is_err(), "a prefix of {cut} bytes loaded");
+    }
+}
+
+/// A hand-edited or truncated artifact is an error naming the field or tag
+/// at fault, never a panic and never a silently cut number.
+#[test]
+fn hostile_artifacts_are_refused_by_path() {
+    let cases = [
+        ("  \"scenario\": \"golden-loaded\",\n", "", "missing field 'scenario'"),
+        (
+            "conformance-failure-artifact",
+            "hunt-input",
+            "kind: expected 'conformance-failure-artifact', found 'hunt-input'",
+        ),
+        (
+            "\"seed\": 9007199254740991",
+            "\"seed\": \"1\"",
+            "seed: expected an unsigned integer, found a string",
+        ),
+        ("\"real-time\"", "\"eventual\"", "model: unknown WitnessModel 'eventual'"),
+        // Used to load as op 1.
+        (
+            "\"witness\": [\n    0,\n    1,",
+            "\"witness\": [\n    0,\n    4294967297,",
+            "witness[1]: 4294967297 is out of range for u32",
+        ),
+        ("\"op\": \"fence\"", "\"op\": \"cas\"", "history: ops[7]: kind: unknown \"op\" tag 'cas'"),
+        (
+            "\"r\": \"values\"",
+            "\"r\": \"maybe\"",
+            "history: ops[3]: result: unknown \"r\" tag 'maybe'",
+        ),
+        (
+            "        \"response\": 1700000000000010,\n",
+            "",
+            "history: ops[0]: response and result must be present together",
+        ),
+        ("\"messages\": [", "\"messagez\": [", "history: missing field 'messages'"),
+        ("\"durability\": \"wal\"", "\"durability\": 1", "durability: expected a string, found 1"),
+        (
+            "      0,\n      11,\n",
+            "      0,\n",
+            "deliveries[0]: expected [seq, at_us, from, to], found an array of 3",
+        ),
+        (
+            "\"coverage\": [\n    7,",
+            "\"coverage\": [\n    -7,",
+            "coverage[0]: expected an unsigned integer, found -7",
+        ),
+    ];
+    for (from, to, error) in cases {
+        assert_eq!(
+            load(&edited(from, to)).map(|_| ()),
+            Err(error.to_string()),
+            "{from:?} -> {to:?}"
+        );
+    }
+    // The schedule is opaque to the sweep; the hunter reads it the same way.
+    let schedule = |from: &str, to: &str| {
+        HuntInput::from_json(load(&edited(from, to)).unwrap().schedule.as_ref().unwrap())
+    };
+    let cases = [
+        ("\"f\": \"crash\"", "\"f\": \"meteor\"", "faults[0]: unknown \"f\" tag 'meteor'"),
+        (
+            "\"node\": 1",
+            "\"node\": 1.5",
+            "faults[0]: node: expected an unsigned integer, found 1.5",
+        ),
+        (
+            "[\n          1,\n          0\n",
+            "[\n          3,\n          0\n",
+            "sessions[0][0]: unknown hunt op kind 3",
+        ),
+        ("\"stop_ms\": 4000,\n", "", "missing field 'stop_ms'"),
+    ];
+    for (from, to, error) in cases {
+        assert_eq!(schedule(from, to), Err(error.to_string()), "{from:?} -> {to:?}");
+    }
+}
+
+/// Members this build does not know, as a newer build may write them, are
+/// ignored at every level.
+#[test]
+fn unknown_members_are_ignored() {
+    let newer = edited("{\n", "{\n  \"spans\": [[1, 2]],\n")
+        .replacen("\"process\": 1,", "\"process\": 1,\n        \"trace\": {\"at\": 3},", 1)
+        .replacen("\"op\": \"fence\"", "\"op\": \"fence\", \"why\": \"later\"", 1);
+    let parsed = load(&newer).expect("a newer artifact loads");
+    assert_eq!(parsed.to_json().to_pretty(), LOADED_ARTIFACT);
+    let newer = HUNT_INPUT.replacen("\"f\": \"drop\",", "\"f\": \"drop\", \"links\": \"all\",", 1);
+    assert_eq!(HuntInput::from_json(&Json::parse(&newer).unwrap()), Ok(golden_hunt_input()));
 }
 
 /// `golden_loaded_artifact()` as the parent of PR 25 wrote it.
