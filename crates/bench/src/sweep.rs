@@ -92,6 +92,8 @@ pub fn sweep_report(result: &SweepResult, opts: &SweepOptions, scaling: &[(usize
         );
         let components = rs.iter().map(|r| r.components as u64).max().unwrap_or(0);
         let peak_window = rs.iter().map(|r| r.peak_window as u64).max().unwrap_or(0);
+        let checkpoints: u64 = rs.iter().map(|r| r.storage.checkpoints).sum();
+        let snapshot_bytes: u64 = rs.iter().map(|r| r.storage.snapshot_bytes).sum();
         report.push(
             s.name(),
             vec![
@@ -115,6 +117,11 @@ pub fn sweep_report(result: &SweepResult, opts: &SweepOptions, scaling: &[(usize
                 ("wal_syncs_total", Exact, sum(|r| r.storage.syncs)),
                 ("wal_recoveries_total", Exact, sum(|r| r.storage.recoveries)),
                 ("wal_replayed_total", Exact, sum(|r| r.storage.replayed)),
+                (
+                    "wal_snapshot_bytes_per_checkpoint",
+                    Info,
+                    Json::u64(snapshot_bytes.checked_div(checkpoints).unwrap_or(0)),
+                ),
             ],
         );
     }

@@ -316,10 +316,6 @@ fn collect(
             }
         }
     }
-    debug_assert_eq!(
-        storage.skipped_checkpoints, 0,
-        "a snapshot outgrew its checkpoint area: that node's log is never pruned again"
-    );
     let net = ran.net_stats;
     let coverage = ran.coverage.map(|pairs| {
         let mut b = CoverageBuilder::new();

@@ -221,8 +221,8 @@ impl GryffReplica {
         }
         if self.wal.as_ref().unwrap().checkpoint_due() {
             // Out of `self` while the encoder borrows the rest of it. A
-            // snapshot that outgrew its area is skipped and counted; the
-            // harness reads the count (`StorageSummary::skipped_checkpoints`).
+            // snapshot that outgrew its area is skipped and counted, and a
+            // sweep seed with any skip fails (`StorageSummary::skipped_checkpoints`).
             let mut wal = self.wal.take().unwrap();
             let _wrote = wal.checkpoint_with(|enc| self.encode_snapshot(enc));
             self.wal = Some(wal);

@@ -202,6 +202,8 @@ pub struct StorageSummary {
     pub syncs: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
+    /// Snapshot bytes those checkpoints carried, in total.
+    pub snapshot_bytes: u64,
     /// Checkpoints skipped because a snapshot outgrew its area — each one
     /// leaves a log unpruned; a run that ends with any is misconfigured.
     pub skipped_checkpoints: u64,
@@ -219,6 +221,7 @@ impl StorageSummary {
         self.bytes += stats.bytes;
         self.syncs += stats.syncs;
         self.checkpoints += stats.checkpoints;
+        self.snapshot_bytes += stats.snapshot_bytes;
         self.skipped_checkpoints += stats.skipped_checkpoints;
         self.recoveries += stats.recoveries;
         self.replayed += stats.replayed;
@@ -230,6 +233,7 @@ impl StorageSummary {
         self.bytes += other.bytes;
         self.syncs += other.syncs;
         self.checkpoints += other.checkpoints;
+        self.snapshot_bytes += other.snapshot_bytes;
         self.skipped_checkpoints += other.skipped_checkpoints;
         self.recoveries += other.recoveries;
         self.replayed += other.replayed;

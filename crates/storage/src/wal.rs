@@ -31,6 +31,20 @@
 //! syncs before rotating segments: unsynced frames exist only in the final
 //! segment, so a crash can tear the log's tail but never its middle, and the
 //! replayed records are always an exact prefix of what was appended.
+//!
+//! ## Memory
+//!
+//! Between checkpoints a log holds one frame-sized buffer. Frames are
+//! encoded in place into that reused buffer, so its capacity is the largest
+//! frame's. A snapshot is the whole node state. If it were encoded into the
+//! same buffer, every log would keep a snapshot-sized allocation for the
+//! rest of the run, long after the write. So [`Wal::checkpoint_with`] encodes
+//! into a buffer of its own and frees it when the checkpoint is written. The
+//! buffer is pre-sized to the last snapshot's length plus the frame bytes
+//! logged since. The state grows only through logged records, and a record
+//! (header, ids, timestamps) takes more bytes than it adds to a snapshot
+//! unless it carries many writes. So the encoder does not reallocate
+//! mid-snapshot in practice, and where it must, `Vec` grows as usual.
 
 use crate::codec::{crc32, frame_header, frame_len, frame_matches, Enc, FRAME_HEADER};
 use crate::device::{DirDisk, NodeDisk, PAGE_SIZE};
@@ -48,6 +62,8 @@ pub struct WalStats {
     pub bytes: u64,
     pub syncs: u64,
     pub checkpoints: u64,
+    /// Snapshot bytes the written checkpoints carried, in total.
+    pub snapshot_bytes: u64,
     /// Checkpoints skipped because the snapshot outgrew its area.
     pub skipped_checkpoints: u64,
     pub recoveries: u64,
@@ -66,6 +82,13 @@ pub struct RecoveredLog {
 impl RecoveredLog {
     pub fn is_empty(&self) -> bool {
         self.snapshot.is_none() && self.records.is_empty()
+    }
+
+    /// The snapshot's bytes plus the framed bytes of every record after it:
+    /// the recovered state's [`Wal`] snapshot hint.
+    fn snapshot_hint(&self) -> usize {
+        let records: usize = self.records.iter().map(|r| FRAME_HEADER + r.len()).sum();
+        self.snapshot.as_ref().map_or(0, Vec::len) + records
     }
 }
 
@@ -91,9 +114,12 @@ struct Dirty {
 
 pub struct Wal {
     disk: NodeDisk,
-    /// Reused scratch buffer: the frame being appended, or the snapshot
-    /// being checkpointed.
+    /// Reused scratch buffer of the frame being appended: frame-sized, since
+    /// a snapshot is encoded into a buffer of its own.
     enc: Enc,
+    /// What the next snapshot's buffer is pre-sized to: the last snapshot's
+    /// length plus every frame byte logged since (module docs, "Memory").
+    snapshot_hint: usize,
     group_commit_us: u64,
     segment_bytes: u64,
     checkpoint_every: u64,
@@ -121,6 +147,7 @@ impl Wal {
         let mut wal = Wal {
             disk,
             enc: Enc::new(),
+            snapshot_hint: log.snapshot_hint(),
             group_commit_us: opts.group_commit_us,
             segment_bytes: opts.segment_bytes.max(FRAME_HEADER as u64 + 1),
             checkpoint_every: opts.checkpoint_every,
@@ -178,6 +205,7 @@ impl Wal {
         }
         self.disk.append_segment(self.cur_segment, &self.enc.buf);
         self.cur_len += frame_len;
+        self.snapshot_hint += frame_len as usize;
         self.stats.records += 1;
         self.stats.bytes += frame_len;
         self.records_since_checkpoint += 1;
@@ -216,6 +244,7 @@ impl Wal {
     /// only trace, so callers surface it.
     #[must_use]
     pub fn checkpoint(&mut self, snapshot: &[u8]) -> bool {
+        self.snapshot_hint = snapshot.len();
         if snapshot.len() as u64 > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
             self.stats.skipped_checkpoints += 1;
             // Back off so the caller doesn't re-encode its state every turn.
@@ -250,19 +279,18 @@ impl Wal {
         }
         self.records_since_checkpoint = 0;
         self.stats.checkpoints += 1;
+        self.stats.snapshot_bytes += snapshot.len() as u64;
         true
     }
 
-    /// [`Wal::checkpoint`] of the snapshot `encode` writes into the log's
-    /// reused buffer.
+    /// [`Wal::checkpoint`] of the snapshot `encode` writes. It gets a buffer
+    /// of its own, pre-sized so it does not regrow, and freed once written:
+    /// between checkpoints the log holds no snapshot-sized allocation.
     #[must_use]
     pub fn checkpoint_with(&mut self, encode: impl FnOnce(&mut Enc)) -> bool {
-        let mut enc = std::mem::take(&mut self.enc);
-        enc.buf.clear();
+        let mut enc = Enc::with_capacity(self.snapshot_hint);
         encode(&mut enc);
-        let wrote = self.checkpoint(&enc.buf);
-        self.enc = enc;
-        wrote
+        self.checkpoint(&enc.buf)
     }
 
     /// The node crashed: apply device crash semantics (lost unsynced pages,
@@ -281,6 +309,7 @@ impl Wal {
         self.epoch = end.epoch;
         self.dirty = None;
         self.records_since_checkpoint = log.records.len() as u64;
+        self.snapshot_hint = log.snapshot_hint();
         self.disk.create_segment(self.cur_segment);
         self.stats.recoveries += 1;
         self.stats.replayed += log.records.len() as u64;
@@ -788,6 +817,37 @@ mod tests {
         for id in a.segment_ids() {
             assert_eq!(a.read_segment(id), b.read_segment(id), "segment {id}");
         }
+    }
+
+    #[test]
+    fn a_checkpoint_leaves_no_snapshot_sized_buffer_behind() {
+        let registry = StorageRegistry::new();
+        let (mut wal, _) = Wal::open(&mem_opts(&registry), "node");
+        let largest_frame = (0..40).map(|i| FRAME_HEADER + record(i).len()).max().unwrap();
+        for round in 0..3u64 {
+            for i in 0..40 {
+                wal.append(&record(i), 0);
+            }
+            let hint = wal.snapshot_hint;
+            let snapshot = vec![round as u8; 64 * 1024 + round as usize];
+            let mut capacity = 0;
+            assert!(wal.checkpoint_with(|enc| {
+                enc.raw(&snapshot);
+                capacity = enc.buf.capacity();
+            }));
+            if round > 0 {
+                // The last snapshot plus the frames since: room enough.
+                assert_eq!(capacity, hint, "round {round}: the snapshot buffer regrew");
+            }
+            assert!(
+                wal.enc.buf.capacity() <= largest_frame.next_power_of_two(),
+                "round {round}: the log keeps {} bytes for {largest_frame}-byte frames",
+                wal.enc.buf.capacity()
+            );
+            let log = Wal::read_log(&mut NodeDisk::Mem(registry.disk("node")));
+            assert_eq!(log.snapshot, Some(snapshot), "round {round}");
+        }
+        assert_eq!(wal.stats().snapshot_bytes, 3 * 64 * 1024 + 3);
     }
 
     #[test]

@@ -313,9 +313,9 @@ pub struct SeedReport {
     pub scenario: &'static str,
     /// The seed.
     pub seed: u64,
-    /// True if the history certified.
+    /// True if the history certified and no log skipped a checkpoint.
     pub certified: bool,
-    /// Violation description when certification failed.
+    /// Why the seed failed, when it did.
     pub violation: Option<String>,
     /// Operations in the certified history.
     pub history_ops: usize,
@@ -584,7 +584,8 @@ pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
     };
 
     // The shared tail: every scenario's verdict comes from the one certifier,
-    // and `cert_ms` times that call alone.
+    // and `cert_ms` times that call alone. A certified history still fails
+    // the seed if a log skipped a checkpoint.
     let cert_started = Instant::now();
     let verdict = match pre_violation {
         Some(reason) => Err(reason),
@@ -592,6 +593,7 @@ pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
             .map_err(|v| format!("{} violation: {v:?}", model_name(scenario.model()))),
     };
     let cert_ms = cert_started.elapsed().as_secs_f64() * 1_000.0;
+    let verdict = verdict.and_then(|stats| storage_verdict(&storage).map(|()| stats));
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
     let report = SeedReport {
         scenario: scenario.name(),
@@ -624,6 +626,18 @@ pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
         coverage: None,
     });
     SeedRun { report, artifact }
+}
+
+/// The storage half of a seed's verdict. A snapshot that outgrew its area
+/// is skipped, not fatal, at the log (`Wal::checkpoint`), but that log is
+/// never pruned again, so a run with any skip fails here, in every build.
+fn storage_verdict(storage: &StorageSummary) -> Result<(), String> {
+    match storage.skipped_checkpoints {
+        0 => Ok(()),
+        skipped => Err(format!(
+            "storage: {skipped} checkpoint(s) skipped because a snapshot outgrew its area"
+        )),
+    }
 }
 
 /// What a deployment's arm of [`run_seed`] hands to the shared certification
@@ -764,6 +778,15 @@ mod tests {
         assert_eq!(Scenario::parse("nope"), None);
         assert!(Scenario::LIVE.iter().all(Scenario::is_live));
         assert!(!Scenario::ALL.iter().any(Scenario::is_live));
+    }
+
+    #[test]
+    fn a_skipped_checkpoint_fails_the_seed_and_names_the_count() {
+        assert_eq!(storage_verdict(&StorageSummary::default()), Ok(()));
+        let skipped =
+            StorageSummary { checkpoints: 9, skipped_checkpoints: 1, ..Default::default() };
+        let verdict = storage_verdict(&skipped).expect_err("a skipped checkpoint fails the seed");
+        assert!(verdict.contains("1 checkpoint(s) skipped"), "{verdict}");
     }
 
     #[test]
