@@ -19,9 +19,12 @@
 //! what a checkpoint costs; so a second set of rows checkpoints snapshots of
 //! realistic size (64 KiB, 1 MiB) on both devices. On `MemDisk` each row
 //! reports `device_bytes_per_snapshot_byte` — bytes the device copied per
-//! checkpoint over the snapshot's size, a count that repeats exactly — under
-//! a ceiling: a checkpoint must cost what it writes, not what the page file
-//! holds.
+//! checkpoint over the bytes checkpointed, a count that repeats exactly —
+//! under a ceiling: a checkpoint must cost what it writes, not what the page
+//! file holds. The `chain-mem-*` rows do the same for checkpoints that also
+//! append a 4 KiB chunk to a growing chain: at 64 KiB, a checkpoint that
+//! wrote the chain again instead of its new chunk would cross the ceiling
+//! halfway through the row.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -98,7 +101,7 @@ fn append_row(opts: &WalOptions, name: &str, backend: &str, n: u64) -> Vec<Cell>
     let recover_started = Instant::now();
     let log = wal.recover();
     let recover_ms = recover_started.elapsed().as_secs_f64() * 1_000.0;
-    let base = match &log.snapshot {
+    let base = match &log.whole {
         None => 0,
         Some(snap) => u64::from_bytes(snap).expect("snapshot carries the next sequence number"),
     };
@@ -131,53 +134,77 @@ const CHECKPOINT_ROUNDS: u64 = 20;
 /// a device that copies what the page file holds instead is in the hundreds.
 const MAX_DEVICE_BYTES_PER_SNAPSHOT_BYTE: f64 = 1.25;
 
+/// Bytes of chunk each `chain-mem-*` checkpoint appends.
+const CHAIN_CHUNK_BYTES: usize = 4 * 1024;
+
 /// One checkpoint row: [`CHECKPOINT_ROUNDS`] checkpoints of a `snapshot_bytes`
-/// snapshot, a few records apart, then crash + recover: the last snapshot and
-/// the records after it must come back. `disk` is the memory device behind
-/// `opts`, when there is one (a real device does not count what it copies).
+/// whole part — each appending a `chunk_bytes` chunk to the chain, unless
+/// that is 0 — a few records apart, then crash + recover: every chunk, the
+/// last whole part and the records after it must come back. `disk` is the
+/// memory device behind `opts`, when there is one (a real device does not
+/// count what it copies).
 fn checkpoint_row(
     opts: &WalOptions,
     disk: Option<MemDisk>,
     name: &str,
     backend: &str,
-    snapshot_bytes: usize,
+    (snapshot_bytes, chunk_bytes): (usize, usize),
 ) -> Vec<Cell> {
     use Rule::{Exact, Info};
     let rounds = CHECKPOINT_ROUNDS;
     let (mut wal, recovered) = Wal::open(opts, name);
     assert!(recovered.is_empty(), "profile logs start empty");
-    let snapshot_of =
-        |round: u64| -> Vec<u8> { (0..snapshot_bytes).map(|i| (i as u64 ^ round) as u8).collect() };
+    let bytes_of = |len: usize, round: u64| -> Vec<u8> {
+        (0..len).map(|i| (i as u64 ^ round) as u8).collect()
+    };
     let mut in_checkpoint = 0.0;
     for round in 0..rounds {
         for seq in 0..8 {
             wal.append(&payload(round * 8 + seq), 0);
         }
-        let snapshot = snapshot_of(round);
+        let (snapshot, chunk) = (bytes_of(snapshot_bytes, round), bytes_of(chunk_bytes, !round));
         let started = Instant::now();
-        assert!(wal.checkpoint(&snapshot), "the snapshot fits its area");
+        let fits = if chunk.is_empty() {
+            wal.checkpoint(&snapshot)
+        } else {
+            wal.checkpoint_with(
+                |enc| {
+                    enc.raw(&chunk);
+                },
+                |enc| {
+                    enc.raw(&snapshot);
+                },
+            )
+        };
         in_checkpoint += started.elapsed().as_secs_f64();
+        assert!(fits, "the snapshot fits its area");
     }
     let copied = disk.map(|d| d.page_bytes_copied());
     wal.append(&payload(rounds * 8), 0);
     wal.sync();
     wal.on_crash();
     let log = wal.recover();
-    let verified = log.snapshot == Some(snapshot_of(rounds - 1))
+    let chain: Vec<Vec<u8>> = (0..rounds)
+        .filter(|_| chunk_bytes > 0)
+        .map(|round| bytes_of(chunk_bytes, !round))
+        .collect();
+    let verified = log.chunks == chain
+        && log.whole == Some(bytes_of(snapshot_bytes, rounds - 1))
         && log.records.len() == 1
         && parse_payload(&log.records[0]) == Some(rounds * 8);
-    let snapshot_total = (rounds * snapshot_bytes as u64) as f64;
-    let copied_ratio = copied.map(|c| Json::f64((c as f64 / snapshot_total * 1e4).round() / 1e4));
+    let checkpointed = (rounds * (snapshot_bytes + chunk_bytes) as u64) as f64;
+    let copied_ratio = copied.map(|c| Json::f64((c as f64 / checkpointed * 1e4).round() / 1e4));
     vec![
         ("backend", Info, Json::str(backend)),
         ("snapshot_bytes", Exact, Json::u64(snapshot_bytes as u64)),
+        ("chunk_bytes", Exact, Json::u64(chunk_bytes as u64)),
         ("rounds", Exact, Json::u64(rounds)),
         (
             "device_bytes_per_snapshot_byte",
             Rule::Ceiling(MAX_DEVICE_BYTES_PER_SNAPSHOT_BYTE),
             copied_ratio.unwrap_or(Json::Null),
         ),
-        ("us_per_kb", Info, Json::f64(round2(in_checkpoint * 1e6 / (snapshot_total / 1024.0)))),
+        ("us_per_kb", Info, Json::f64(round2(in_checkpoint * 1e6 / (checkpointed / 1024.0)))),
         ("recovery_verified", Rule::True, Json::Bool(verified)),
     ]
 }
@@ -212,12 +239,20 @@ pub fn storage(mut args: Args) -> Result<ExitCode, String> {
         let opts = WalOptions::mem(registry.clone()).with_checkpoint_every(0);
         let name = format!("ckpt-mem-{label}");
         let disk = registry.disk(&name);
-        report.push(name.clone(), checkpoint_row(&opts, Some(disk), &name, "mem", bytes));
+        report.push(name.clone(), checkpoint_row(&opts, Some(disk), &name, "mem", (bytes, 0)));
     }
     for (label, bytes) in CHECKPOINT_SNAPSHOT_BYTES {
         let opts = WalOptions::dir(scratch.join(format!("ckpt-{label}"))).with_checkpoint_every(0);
         let name = format!("ckpt-dir-{label}");
-        report.push(name.clone(), checkpoint_row(&opts, None, &name, "dir", bytes));
+        report.push(name.clone(), checkpoint_row(&opts, None, &name, "dir", (bytes, 0)));
+    }
+    for (label, bytes) in CHECKPOINT_SNAPSHOT_BYTES {
+        let registry = StorageRegistry::new();
+        let opts = WalOptions::mem(registry.clone()).with_checkpoint_every(0);
+        let name = format!("chain-mem-{label}");
+        let disk = registry.disk(&name);
+        let sizes = (bytes, CHAIN_CHUNK_BYTES);
+        report.push(name.clone(), checkpoint_row(&opts, Some(disk), &name, "mem", sizes));
     }
     let _ = std::fs::remove_dir_all(&scratch);
 

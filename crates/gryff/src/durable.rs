@@ -2,15 +2,19 @@
 //!
 //! Under `Durability::Wal` a replica logs every durable state transition —
 //! register applies, rmw coordination steps — and a checkpoint serializes
-//! the full durable state. Crash recovery replays snapshot + records;
-//! nothing else survives. The byte layouts are declared with
-//! [`regular_storage::codec`]'s `wire_layout!`.
+//! the full durable state as its whole part, with an empty chunk. A
+//! register is overwritten in place, so the state is bounded by the key
+//! space, while a chain of its overwrites would grow with the run. (A
+//! Spanner shard's store only grows, which is why it checkpoints in chunks;
+//! see `regular_storage::wal`, "On-device layout".) Crash recovery replays
+//! the whole part + records; nothing else survives. The byte layouts are
+//! declared with [`regular_storage::codec`]'s `wire_layout!`.
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
 use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
-use regular_storage::wal::Wal;
+use regular_storage::wal::{RecoveredLog, Wal};
 use regular_storage::{wire_layout, MemDisk};
 
 use crate::carstamp::Carstamp;
@@ -59,8 +63,8 @@ impl GryffRecord {
 /// state. Replays the checkpoint snapshot, then every surviving `Apply`
 /// record under the write-if-newer rule.
 pub fn replay_registers(disk: MemDisk) -> Vec<(Key, Value, Carstamp)> {
-    let mut node_disk = NodeDisk::Mem(disk);
-    let log = Wal::read_log(&mut node_disk);
+    let log = Wal::read_log(&mut NodeDisk::Mem(disk));
+    let (snapshot, records) = decode_log("a gryff replica's device (offline replay)", log);
     let mut registers: Vec<(Key, Value, Carstamp)> = Vec::new();
     let mut apply = |key: Key, value: Value, cs: Carstamp| match registers
         .iter_mut()
@@ -74,20 +78,47 @@ pub fn replay_registers(disk: MemDisk) -> Vec<(Key, Value, Carstamp)> {
         }
         None => registers.push((key, value, cs)),
     };
-    if let Some(snapshot) = &log.snapshot {
-        if let Some(snap) = GryffSnapshot::decode(snapshot) {
-            for (key, value, cs) in snap.store {
-                apply(key, value, cs);
-            }
-        }
+    for (key, value, cs) in snapshot.into_iter().flat_map(|snap| snap.store) {
+        apply(key, value, cs);
     }
-    for bytes in &log.records {
-        if let Some(GryffRecord::Apply { key, value, cs }) = GryffRecord::decode(bytes) {
+    for rec in records {
+        if let GryffRecord::Apply { key, value, cs } = rec {
             apply(key, value, cs);
         }
     }
     registers.sort_unstable_by_key(|(k, _, _)| k.0);
     registers
+}
+
+/// Decodes everything a recovery scan read: the whole part, then the log
+/// tail. Every part passed its CRC, so one that does not decode is a format
+/// this build cannot read (or a bug), never a torn write. Skipping it would
+/// bring `node` back with that state missing, so this panics instead, in
+/// every build, naming the node and the part. A replica writes no chunks,
+/// so a chain is one too.
+pub(crate) fn decode_log(
+    node: &str,
+    log: RecoveredLog,
+) -> (Option<GryffSnapshot>, Vec<GryffRecord>) {
+    let stop = |what: String| -> ! {
+        panic!("{node}: {what} passed its CRC but does not decode; refusing to recover without it")
+    };
+    if !log.chunks.is_empty() {
+        stop(format!("a chain of {} chunk(s), which a replica never writes,", log.chunks.len()));
+    }
+    let snapshot = log.whole.map(|bytes| {
+        GryffSnapshot::decode(&bytes).unwrap_or_else(|| {
+            let version = bytes.first_chunk().map(|v| u32::from_le_bytes(*v));
+            let version = version.map_or("unreadable".to_string(), |v| v.to_string());
+            stop(format!("the snapshot, version {version} (this build reads {SNAPSHOT_VERSION}),"))
+        })
+    });
+    let records = (log.records.iter().enumerate())
+        .map(|(i, bytes)| {
+            GryffRecord::decode(bytes).unwrap_or_else(|| stop(format!("log tail record {i}")))
+        })
+        .collect();
+    (snapshot, records)
 }
 
 /// An in-flight rmw coordination as serialized into a checkpoint snapshot.
@@ -244,6 +275,22 @@ mod tests {
         // A register count of u32::MAX with nothing behind it.
         let snapshot = (SNAPSHOT_VERSION, u32::MAX).to_bytes();
         assert_eq!(GryffSnapshot::decode(&snapshot), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "gryff-replica-0: the snapshot, version 2 (this build reads 1)")]
+    fn recovering_a_snapshot_of_an_unknown_version_stops_the_replica() {
+        use regular_storage::{Durability, StorageRegistry, WalOptions};
+        let registry = StorageRegistry::new();
+        let opts = WalOptions::mem(registry);
+        let (mut wal, _) = Wal::open(&opts, "gryff-replica-0");
+        // An empty replica's snapshot, as a version 2 would lead it.
+        let mut e = Enc::new();
+        e.u32(2).u32(0).u32(0).u64(0).u32(0);
+        assert!(wal.checkpoint(e.as_slice()));
+        let config = crate::config::GryffConfig::wan(crate::config::Mode::GryffRsc)
+            .with_durability(Durability::Wal(opts));
+        let _ = crate::replica::GryffReplica::new(&config, 0);
     }
 
     #[test]

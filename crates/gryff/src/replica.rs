@@ -23,7 +23,7 @@ use regular_storage::Durability;
 
 use crate::carstamp::Carstamp;
 use crate::config::GryffConfig;
-use crate::durable::{self, GryffRecord, GryffSnapshot, SnapRmw};
+use crate::durable::{self, GryffRecord, SnapRmw};
 use crate::messages::{Dep, GryffMsg, OpRef};
 
 /// Counters exposed for the evaluation harness.
@@ -220,11 +220,13 @@ impl GryffReplica {
             return;
         }
         if self.wal.as_ref().unwrap().checkpoint_due() {
-            // Out of `self` while the encoder borrows the rest of it. A
-            // snapshot that outgrew its area is skipped and counted, and a
-            // sweep seed with any skip fails (`StorageSummary::skipped_checkpoints`).
+            // Out of `self` while the encoder borrows the rest of it. The
+            // whole state is the whole part, and the chunk is empty (module
+            // docs of `durable`). A snapshot that outgrew its area is skipped
+            // and counted, and a sweep seed with any skip fails
+            // (`StorageSummary::skipped_checkpoints`).
             let mut wal = self.wal.take().unwrap();
-            let _wrote = wal.checkpoint_with(|enc| self.encode_snapshot(enc));
+            let _wrote = wal.checkpoint_with(|_| {}, |enc| self.encode_snapshot(enc));
             self.wal = Some(wal);
         }
         let now = ctx.now().as_micros();
@@ -276,7 +278,9 @@ impl GryffReplica {
     /// `replied` sets stay empty; the recovery hook re-drives head-of-queue
     /// rounds to re-collect their quorums.
     fn apply_replay(&mut self, log: RecoveredLog) {
-        if let Some(snap) = log.snapshot.as_deref().and_then(GryffSnapshot::decode) {
+        let node = format!("gryff-replica-{}", self.index);
+        let (snapshot, records) = durable::decode_log(&node, log);
+        if let Some(snap) = snapshot {
             for (key, value, cs) in snap.store {
                 self.apply_raw(key, value, cs);
             }
@@ -304,11 +308,7 @@ impl GryffReplica {
                 self.finished_rmws.insert(op, (value, cs));
             }
         }
-        for bytes in &log.records {
-            let Some(rec) = GryffRecord::decode(bytes) else {
-                debug_assert!(false, "crc-valid record failed to decode");
-                continue;
-            };
+        for rec in records {
             self.replay_record(rec);
         }
     }

@@ -1,10 +1,25 @@
-//! WAL records and checkpoint snapshots for a durable shard.
+//! WAL records and checkpoint parts for a durable shard.
 //!
 //! Under `Durability::Wal` a shard logs every durable state transition —
 //! prepares, 2PC coordinator steps, decisions, safe-time advances — as one of
-//! these records, and a checkpoint serializes the full durable state. Crash
-//! recovery replays snapshot + records; nothing else survives. The byte
-//! layouts are declared with [`regular_storage::codec`]'s `wire_layout!`.
+//! these records, and a checkpoint persists the durable state in two parts
+//! (`regular_storage::wal`, "On-device layout"):
+//!
+//! * the *chunk* appended to the device's chain: the versions installed and
+//!   the decisions recorded since the previous checkpoint (`ShardChunk`).
+//!   The store and the decision log only ever grow, so they are the bulk of
+//!   the state and the part a checkpoint must not write again.
+//! * the *whole part*: the safe time, the prepared transactions and the open
+//!   coordinator rounds (`ShardSnapshot`), which change in place and stay
+//!   small, written in full.
+//!
+//! A Gryff replica checkpoints the other way, whole part only: its registers
+//! are overwritten in place, so its state is bounded by the key space, while
+//! a chain of overwrites would grow with the run.
+//!
+//! Crash recovery replays chain, whole part, then the records after the
+//! checkpoint; nothing else survives. The byte layouts are declared with
+//! [`regular_storage::codec`]'s `wire_layout!`.
 
 use std::borrow::Cow;
 
@@ -12,7 +27,7 @@ use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
 use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
-use regular_storage::wal::Wal;
+use regular_storage::wal::{RecoveredLog, Wal};
 use regular_storage::{wire_layout, MemDisk};
 
 use crate::messages::{Ts, TxnId};
@@ -71,31 +86,30 @@ impl ShardRecord {
 
 /// Offline reconstruction of a shard's committed store from its device —
 /// what the differential tests pin against the live shard's final state.
-/// Replays the checkpoint snapshot, then every surviving record: prepares
-/// buffer writes, commit decisions install them.
+/// Replays the chain's versions, the whole part's prepared writes, then every
+/// surviving record: prepares buffer writes, commit decisions install them.
 pub fn replay_store(disk: MemDisk) -> MvccStore {
-    let mut node_disk = NodeDisk::Mem(disk);
-    let log = Wal::read_log(&mut node_disk);
+    let log = Wal::read_log(&mut NodeDisk::Mem(disk));
+    let (chunks, whole, records) = decode_log("a spanner shard's device (offline replay)", log);
     let mut store = MvccStore::new();
-    let mut prepared: Vec<(TxnId, Vec<(Key, Value)>)> = Vec::new();
-    if let Some(snapshot) = &log.snapshot {
-        if let Some(snap) = ShardSnapshot::decode(snapshot) {
-            for (key, ts, value) in snap.versions {
-                store.apply(key, ts, value);
-            }
-            for p in snap.prepared {
-                prepared.push((p.txn, p.writes.into_owned()));
-            }
+    for chunk in chunks {
+        for (key, ts, value) in chunk.versions {
+            store.apply(key, ts, value);
         }
     }
-    for bytes in &log.records {
-        match ShardRecord::decode(bytes) {
-            Some(ShardRecord::Prepare { txn, writes, .. })
+    let mut prepared: Vec<(TxnId, Vec<(Key, Value)>)> = whole
+        .into_iter()
+        .flat_map(|whole| whole.prepared)
+        .map(|p| (p.txn, p.writes.into_owned()))
+        .collect();
+    for rec in records {
+        match rec {
+            ShardRecord::Prepare { txn, writes, .. }
                 if !prepared.iter().any(|(t, _)| *t == txn) =>
             {
                 prepared.push((txn, writes));
             }
-            Some(ShardRecord::Decision { txn, commit, t_commit }) => {
+            ShardRecord::Decision { txn, commit, t_commit } => {
                 if let Some(pos) = prepared.iter().position(|(t, _)| *t == txn) {
                     let (_, writes) = prepared.remove(pos);
                     if commit {
@@ -111,8 +125,43 @@ pub fn replay_store(disk: MemDisk) -> MvccStore {
     store
 }
 
-/// A prepared transaction as serialized into a checkpoint snapshot: borrowed
-/// from the shard when encoding, owned when decoded.
+/// Decodes everything a recovery scan read, in the order it is applied:
+/// the chain's chunks, the whole part, the log tail. Every part passed its
+/// CRC, so one that does not decode is a format this build cannot read (or
+/// a bug), never a torn write. Skipping it would bring `node` back with that
+/// state missing, so this panics instead, in every build, naming the node
+/// and the part.
+pub(crate) fn decode_log(
+    node: &str,
+    log: RecoveredLog,
+) -> (Vec<ShardChunk>, Option<ShardSnapshot>, Vec<ShardRecord>) {
+    let stop = |what: String| -> ! {
+        panic!("{node}: {what} passed its CRC but does not decode; refusing to recover without it")
+    };
+    let chunks = (log.chunks.iter().enumerate())
+        .map(|(i, bytes)| {
+            ShardChunk::from_bytes(bytes).unwrap_or_else(|| stop(format!("chain chunk {i}")))
+        })
+        .collect();
+    let whole = log.whole.map(|bytes| {
+        ShardSnapshot::decode(&bytes).unwrap_or_else(|| {
+            let version = bytes.first_chunk().map(|v| u32::from_le_bytes(*v));
+            let version = version.map_or("unreadable".to_string(), |v| v.to_string());
+            stop(format!(
+                "the whole part, snapshot version {version} (this build reads {SNAPSHOT_VERSION}),"
+            ))
+        })
+    });
+    let records = (log.records.iter().enumerate())
+        .map(|(i, bytes)| {
+            ShardRecord::decode(bytes).unwrap_or_else(|| stop(format!("log tail record {i}")))
+        })
+        .collect();
+    (chunks, whole, records)
+}
+
+/// A prepared transaction as serialized into a checkpoint's whole part:
+/// borrowed from the shard when encoding, owned when decoded.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SnapPrepared<'a> {
     pub txn: TxnId,
@@ -127,7 +176,7 @@ wire_layout! { struct SnapPrepared<'a> { txn, t_prepare, t_ee, coordinator, writ
 /// One participant's share of a transaction's writes.
 type ShardWrites = (NodeId, Vec<(Key, Value)>);
 
-/// A coordinator round as serialized into a checkpoint snapshot.
+/// A coordinator round as serialized into a checkpoint's whole part.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SnapCoord<'a> {
     pub txn: TxnId,
@@ -145,42 +194,47 @@ wire_layout! {
     }
 }
 
-/// The full durable state of a shard, as decoded from a checkpoint.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct ShardSnapshot {
-    pub max_ts: Ts,
+/// A checkpoint's append part: the versions a shard installed and the
+/// decisions it recorded since the previous checkpoint, in install order.
+/// A committed version is never rewritten and a decision never taken back,
+/// so the chain of these, replayed in order, rebuilds the store and the
+/// decision log, and no checkpoint writes either twice. The shard keeps the
+/// one it is filling in this type too.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct ShardChunk {
     pub versions: Vec<(Key, Ts, Value)>,
-    pub prepared: Vec<SnapPrepared<'static>>,
-    pub coordinating: Vec<SnapCoord<'static>>,
     pub decided: Vec<(TxnId, bool, Ts)>,
 }
 
-wire_layout! { struct ShardSnapshot { max_ts, versions, prepared, coordinating, decided } }
+wire_layout! { struct ShardChunk { versions, decided } }
 
-/// Leads every snapshot; one with any other version is not decoded.
-const SNAPSHOT_VERSION: u32 = 1;
+/// A checkpoint's whole part: the durable state a shard changes in place,
+/// written in full every time.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct ShardSnapshot {
+    pub max_ts: Ts,
+    pub prepared: Vec<SnapPrepared<'static>>,
+    pub coordinating: Vec<SnapCoord<'static>>,
+}
 
-/// Streams a checkpoint snapshot into `e` straight from the shard's state —
-/// the version chains as the store holds them, the rest borrowed — so a
-/// checkpoint copies each byte once. Every slice arrives in its canonical
-/// order (keys, transaction ids, node ids ascending), which makes the bytes
-/// a function of the state alone.
-pub(crate) fn encode_snapshot(
+wire_layout! { struct ShardSnapshot { max_ts, prepared, coordinating } }
+
+/// Leads every whole part; one with any other version is not decoded.
+/// Version 1 was one snapshot of the whole state, chains and decision log
+/// included.
+const SNAPSHOT_VERSION: u32 = 2;
+
+/// Streams a checkpoint's whole part into `e` straight from the shard's
+/// state, borrowed, so a checkpoint copies each byte once. Every slice
+/// arrives in its canonical order (transaction ids, node ids ascending),
+/// which makes the bytes a function of the state alone.
+pub(crate) fn encode_whole(
     e: &mut Enc,
     max_ts: Ts,
-    chains: &[(Key, &[(Ts, Value)])],
     prepared: &[SnapPrepared],
     coordinating: &[SnapCoord],
-    decided: &[(TxnId, bool, Ts)],
 ) {
-    e.u32(SNAPSHOT_VERSION).u64(max_ts);
-    e.u32(chains.iter().map(|(_, chain)| chain.len()).sum::<usize>() as u32);
-    for (key, chain) in chains {
-        for (ts, value) in *chain {
-            (*key, *ts, *value).encode_into(e);
-        }
-    }
-    e.slice(prepared).slice(coordinating).slice(decided);
+    e.u32(SNAPSHOT_VERSION).u64(max_ts).slice(prepared).slice(coordinating);
 }
 
 impl ShardSnapshot {
@@ -257,13 +311,10 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips() {
+        // Re-recorded for version 2, when the store's chains and the decision
+        // log moved out of the whole part into the chain's chunks.
         let snap = ShardSnapshot {
             max_ts: 123456,
-            versions: vec![
-                (Key(1), 10, Value(100)),
-                (Key(1), 20, Value(200)),
-                (Key(2), 5, Value(50)),
-            ],
             prepared: vec![SnapPrepared {
                 txn: txn(3, 7),
                 writes: vec![(Key(9), Value(90))].into(),
@@ -280,34 +331,65 @@ mod tests {
                 writes_by_shard: vec![(0, vec![(Key(2), Value(22))])].into(),
                 awaiting: vec![],
             }],
-            decided: vec![(txn(5, 5), true, 99), (txn(5, 6), false, 0)],
         };
-        // Two chains, as the store would hand them over.
-        let chains: [(Key, &[(Ts, Value)]); 2] =
-            [(Key(1), &[(10, Value(100)), (20, Value(200))]), (Key(2), &[(5, Value(50))])];
         let mut e = Enc::new();
-        encode_snapshot(
-            &mut e,
-            snap.max_ts,
-            &chains,
-            &snap.prepared,
-            &snap.coordinating,
-            &snap.decided,
-        );
+        encode_whole(&mut e, snap.max_ts, &snap.prepared, &snap.coordinating);
         let bytes = e.finish();
-        // The streaming encoder and the declared layout write the same bytes,
-        // the ones snapshots have always had.
+        // The streaming encoder and the declared layout write the same bytes.
         assert_eq!(ShardSnapshot::decode(&bytes).as_ref(), Some(&snap));
         let versioned = (SNAPSHOT_VERSION, snap);
         assert_eq!(bytes, versioned.to_bytes());
-        check_layout(&[], &[(versioned, "0100000040e20100000000000300000001000000000000000a00000000000000640000000000000001000000000000001400000000000000c80000000000000002000000000000000500000000000000320000000000000001000000030000000000000007000000000000001e00000000000000280000000000000001000000000000000100000009000000000000005a000000000000000100000004000000000000000200000000000000040000000000000037000000000000003c00000000000000014600000000000000010000000000000000000000010000000200000000000000160000000000000000000000020000000500000000000000050000000000000001630000000000000005000000000000000600000000000000000000000000000000")]);
+        check_layout(&[], &[(versioned, "0200000040e201000000000001000000030000000000000007000000000000001e00000000000000280000000000000001000000000000000100000009000000000000005a000000000000000100000004000000000000000200000000000000040000000000000037000000000000003c00000000000000014600000000000000010000000000000000000000010000000200000000000000160000000000000000000000")]);
+
+        // A chunk: versions in install order (not key order), then decisions.
+        let chunk = ShardChunk {
+            versions: vec![
+                (Key(2), 5, Value(50)),
+                (Key(1), 20, Value(200)),
+                (Key(1), 10, Value(100)),
+            ],
+            decided: vec![(txn(5, 6), false, 0), (txn(5, 5), true, 99)],
+        };
+        check_layout(&[], &[(chunk, "0300000002000000000000000500000000000000320000000000000001000000000000001400000000000000c80000000000000001000000000000000a000000000000006400000000000000020000000500000000000000060000000000000000000000000000000005000000000000000500000000000000016300000000000000")]);
     }
 
     #[test]
     fn hostile_counts_are_rejected_without_allocation() {
-        // A version count of u32::MAX with nothing behind it.
+        // A prepared count of u32::MAX with nothing behind it.
         let snapshot = (SNAPSHOT_VERSION, (0u64, u32::MAX)).to_bytes();
         assert_eq!(ShardSnapshot::decode(&snapshot), None);
+        assert_eq!(ShardChunk::from_bytes(&u32::MAX.to_bytes()), None);
+    }
+
+    /// A device whose one checkpoint carries `whole` as its whole part.
+    fn device_with_whole(whole: &[u8]) -> regular_storage::StorageRegistry {
+        use regular_storage::{StorageRegistry, WalOptions};
+        let registry = StorageRegistry::new();
+        let (mut wal, _) = Wal::open(&WalOptions::mem(registry.clone()), "spanner-shard-0");
+        assert!(wal.checkpoint(whole));
+        registry
+    }
+
+    #[test]
+    #[should_panic(expected = "spanner-shard-0: the whole part, snapshot version 1 (this build")]
+    fn recovering_a_snapshot_of_an_unknown_version_stops_the_shard() {
+        // A version-1 snapshot of an empty shard: it decoded as version 2
+        // never would, and skipping it used to recover an empty shard.
+        let mut v1 = Enc::new();
+        v1.u32(1).u64(0).u32(0).u32(0).u32(0).u32(0);
+        let registry = device_with_whole(v1.as_slice());
+        let config = crate::config::SpannerConfig::wan(crate::config::Mode::SpannerRss)
+            .with_durability(regular_storage::Durability::Wal(regular_storage::WalOptions::mem(
+                registry,
+            )));
+        let _ = crate::shard::ShardNode::new(&config, 0, regular_sim::time::SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot version 99 (this build reads 2), passed its CRC")]
+    fn offline_replay_of_an_unknown_version_stops_too() {
+        let registry = device_with_whole(&(99u32, 0u64).to_bytes());
+        let _ = replay_store(registry.disk("spanner-shard-0"));
     }
 
     #[test]

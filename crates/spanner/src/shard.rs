@@ -18,7 +18,7 @@ use regular_storage::wal::{RecoveredLog, Wal, WalStats};
 use regular_storage::Durability;
 
 use crate::config::{Mode, SpannerConfig};
-use crate::durable::{self, ShardRecord, ShardSnapshot, SnapCoord, SnapPrepared};
+use crate::durable::{self, ShardChunk, ShardRecord, SnapCoord, SnapPrepared};
 use crate::locks::LockTable;
 use crate::messages::{PreparedInfo, SpannerMsg, Ts, TxnId};
 use crate::storage::MvccStore;
@@ -190,6 +190,10 @@ pub struct ShardNode {
     /// Commit/abort decisions this shard coordinated (the durable decision
     /// log): lets a recovered participant re-learn an outcome it missed.
     decided: FxHashMap<TxnId, (bool, Ts)>,
+    /// The versions installed and the decisions recorded since the last
+    /// checkpoint: its chunk. Filled only under a WAL, where the device's
+    /// chain plus this always equals the store and the decision log.
+    unsaved: ShardChunk,
     blocked_ros: Vec<BlockedRo>,
     rss_watchers: Vec<RssWatcher>,
     /// Floor for prepare and commit timestamps chosen at this shard; also
@@ -248,6 +252,7 @@ impl ShardNode {
             pending_prepares: FxHashMap::default(),
             coordinating: FxHashMap::default(),
             decided: FxHashMap::default(),
+            unsaved: ShardChunk::default(),
             blocked_ros: Vec::new(),
             rss_watchers: Vec::new(),
             max_ts: 0,
@@ -329,12 +334,18 @@ impl ShardNode {
             return;
         }
         if self.wal.as_ref().unwrap().checkpoint_due() {
-            // Out of `self` while the encoder borrows the rest of it. A
-            // snapshot that outgrew its area is skipped and counted, and a
-            // sweep seed with any skip fails (`StorageSummary::skipped_checkpoints`).
+            // Out of `self` while the encoders borrow the rest of it. A whole
+            // part that outgrew its area is skipped and counted, and a sweep
+            // seed with any skip fails (`StorageSummary::skipped_checkpoints`);
+            // the chunk then stays here for the next checkpoint.
             let mut wal = self.wal.take().unwrap();
-            let _wrote = wal.checkpoint_with(|enc| self.encode_snapshot(enc));
+            let wrote = wal
+                .checkpoint_with(|enc| self.unsaved.encode_into(enc), |enc| self.encode_whole(enc));
             self.wal = Some(wal);
+            if wrote {
+                self.unsaved.versions.clear();
+                self.unsaved.decided.clear();
+            }
         }
         let now = ctx.now().as_micros();
         let wal = self.wal.as_mut().unwrap();
@@ -354,9 +365,10 @@ impl ShardNode {
         }
     }
 
-    /// Serializes the durable state for a checkpoint, deterministically:
-    /// every hash-map section sorted, nothing cloned.
-    fn encode_snapshot(&self, enc: &mut Enc) {
+    /// Serializes a checkpoint's whole part, deterministically: both
+    /// hash-map sections sorted, nothing cloned. Only these two are sorted:
+    /// the store and the decision log travel in chunks, in install order.
+    fn encode_whole(&self, enc: &mut Enc) {
         let mut prepared: Vec<SnapPrepared> = self
             .prepared
             .iter()
@@ -387,22 +399,45 @@ impl ShardNode {
             })
             .collect();
         coordinating.sort_unstable_by_key(|c| c.txn);
-        let mut decided: Vec<(TxnId, bool, Ts)> =
-            self.decided.iter().map(|(txn, &(c, t))| (*txn, c, t)).collect();
-        decided.sort_unstable_by_key(|d| d.0);
-        let chains = self.store.chains_by_key();
-        durable::encode_snapshot(enc, self.max_ts, &chains, &prepared, &coordinating, &decided);
+        durable::encode_whole(enc, self.max_ts, &prepared, &coordinating);
     }
 
-    /// Rebuilds durable state from a recovered snapshot + log tail. Volatile
-    /// state (pending prepares, parked reads, timers) stays empty; the
-    /// recovery hook re-arms what protocol liveness needs.
+    /// Installs a committed version, noting it for the next chunk when
+    /// durable.
+    fn install(&mut self, key: Key, ts: Ts, value: Value) {
+        self.store.apply(key, ts, value);
+        if self.wal.is_some() {
+            self.unsaved.versions.push((key, ts, value));
+        }
+    }
+
+    /// Records an outcome in the decision log, noting it for the next chunk
+    /// when durable.
+    fn decide(&mut self, txn: TxnId, commit: bool, t_commit: Ts) {
+        self.decided.insert(txn, (commit, t_commit));
+        if self.wal.is_some() {
+            self.unsaved.decided.push((txn, commit, t_commit));
+        }
+    }
+
+    /// Rebuilds durable state from a recovered chain + whole part + log
+    /// tail. The chain is on the device already, so its entries skip the
+    /// chunk buffers; the tail's go through them, exactly as they did before
+    /// the crash. Volatile state (pending prepares, parked reads, timers)
+    /// stays empty; the recovery hook re-arms what protocol liveness needs.
     fn apply_replay(&mut self, log: RecoveredLog) {
-        if let Some(snap) = log.snapshot.as_deref().and_then(ShardSnapshot::decode) {
-            self.max_ts = self.max_ts.max(snap.max_ts);
-            for (key, ts, value) in snap.versions {
+        let node = format!("spanner-shard-{}", self.shard_index);
+        let (chunks, whole, records) = durable::decode_log(&node, log);
+        for chunk in chunks {
+            for (key, ts, value) in chunk.versions {
                 self.store.apply(key, ts, value);
             }
+            for (txn, commit, t_commit) in chunk.decided {
+                self.decided.insert(txn, (commit, t_commit));
+            }
+        }
+        if let Some(snap) = whole {
+            self.max_ts = self.max_ts.max(snap.max_ts);
             for p in snap.prepared {
                 let keys: Vec<Key> = p.writes.iter().map(|(k, _)| *k).collect();
                 let granted = self.locks.acquire(p.txn, &keys);
@@ -432,15 +467,8 @@ impl ShardNode {
                     },
                 );
             }
-            for (txn, commit, t_commit) in snap.decided {
-                self.decided.insert(txn, (commit, t_commit));
-            }
         }
-        for bytes in &log.records {
-            let Some(rec) = ShardRecord::decode(bytes) else {
-                debug_assert!(false, "crc-valid record failed to decode");
-                continue;
-            };
+        for rec in records {
             self.replay_record(rec);
         }
     }
@@ -455,12 +483,12 @@ impl ShardNode {
                 self.prepared.insert(txn, PreparedTxn { writes, t_prepare, t_ee, coordinator });
             }
             ShardRecord::Decision { txn, commit, t_commit } => {
-                self.decided.insert(txn, (commit, t_commit));
+                self.decide(txn, commit, t_commit);
                 self.coordinating.remove(&txn);
                 if let Some(p) = self.prepared.remove(&txn) {
                     if commit {
-                        for (k, v) in &p.writes {
-                            self.store.apply(*k, t_commit, *v);
+                        for &(k, v) in &p.writes {
+                            self.install(k, t_commit, v);
                         }
                         self.max_ts = self.max_ts.max(t_commit);
                     }
@@ -620,8 +648,8 @@ impl ShardNode {
         }
         match (&prepared, commit) {
             (Some(p), true) => {
-                for (k, v) in &p.writes {
-                    self.store.apply(*k, t_commit, *v);
+                for &(k, v) in &p.writes {
+                    self.install(k, t_commit, v);
                 }
                 self.max_ts = self.max_ts.max(t_commit);
                 self.stats.commits += 1;
@@ -902,7 +930,7 @@ impl ShardNode {
                     // participants are answered from the log (the old
                     // tombstoned-in-place entry silently swallowed them,
                     // leaving participant locks held forever).
-                    self.decided.insert(txn, (false, 0));
+                    self.decide(txn, false, 0);
                     self.log(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
                     for p in state.participants {
                         self.send_d(
@@ -929,7 +957,7 @@ impl ShardNode {
                     match self.decided.get(&txn) {
                         Some(&(true, t_commit)) => self.apply_decision(ctx, txn, true, t_commit),
                         _ => {
-                            self.decided.insert(txn, (false, 0));
+                            self.decide(txn, false, 0);
                             self.log(
                                 ctx,
                                 &ShardRecord::Decision { txn, commit: false, t_commit: 0 },
@@ -952,7 +980,7 @@ impl ShardNode {
                         SpannerMsg::CommitReply { txn, commit, t_commit },
                     );
                 } else if !self.coordinating.contains_key(&txn) {
-                    self.decided.insert(txn, (false, 0));
+                    self.decide(txn, false, 0);
                     self.log(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
                     self.send_d(
                         ctx,
@@ -1024,7 +1052,7 @@ impl ShardNode {
         let Some(txn) = self.timers.remove(&tag) else { return };
         let Some(state) = self.coordinating.remove(&txn) else { return };
         let t_commit = state.max_prepare;
-        self.decided.insert(txn, (true, t_commit));
+        self.decide(txn, true, t_commit);
         // The coordinator-side commit point: commit wait elapsed, the
         // decision enters the durable decision log and is released.
         self.log(ctx, &ShardRecord::Decision { txn, commit: true, t_commit });
@@ -1083,6 +1111,7 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
             self.pending_prepares.clear();
             self.coordinating.clear();
             self.decided.clear();
+            self.unsaved = ShardChunk::default();
             self.blocked_ros.clear();
             self.rss_watchers.clear();
             self.max_ts = 0;
@@ -1118,8 +1147,8 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
 
     fn on_recover(&mut self, ctx: &mut Context<SpannerMsg>) {
         if self.wal.is_some() {
-            // Rebuild durable state from the device: last checkpoint snapshot
-            // plus the log tail that survived the crash.
+            // Rebuild durable state from the device: the checkpoint's chain
+            // and whole part, plus the log tail that survived the crash.
             let log = self.wal.as_mut().unwrap().recover();
             self.apply_replay(log);
             // Volatile timers died with the machine; re-arm what liveness

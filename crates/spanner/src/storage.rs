@@ -17,8 +17,13 @@
 //! `Vec`'s first push reserves four slots, which would leave three of every
 //! four version slots empty. So a key's first version allocates exactly
 //! one slot (16 B instead of 64 B). Growth after that is `Vec`'s own, so a
-//! chain stays one contiguous slice for reads and for
-//! [`MvccStore::chains_by_key`].
+//! chain stays one contiguous slice for reads.
+//!
+//! A committed version is never rewritten: [`MvccStore::apply`] only adds.
+//! So a durable shard never checkpoints the store whole. Each checkpoint
+//! appends the versions installed since the last one to the device's chain,
+//! in install order (`crate::durable::ShardChunk`), and recovery applies
+//! the chain in order.
 
 use regular_core::densemap::DenseKeyMap;
 use regular_core::types::{Key, Value};
@@ -72,14 +77,6 @@ impl MvccStore {
         self.versions.values().map(|c| c.len()).sum()
     }
 
-    /// Every version chain, borrowed, ordered by key (each chain is ordered by
-    /// timestamp): the deterministic walk a checkpoint streams from.
-    pub fn chains_by_key(&self) -> Vec<(Key, &[(Ts, Value)])> {
-        let mut chains: Vec<_> = self.versions.iter().map(|(k, c)| (k, c.as_slice())).collect();
-        chains.sort_unstable_by_key(|(k, _)| k.0);
-        chains
-    }
-
     /// Every stored version, for differential tests. Unordered; callers sort
     /// as needed.
     pub fn dump(&self) -> Vec<(Key, Ts, Value)> {
@@ -93,6 +90,8 @@ impl MvccStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::ShardChunk;
+    use regular_storage::codec::Wire;
 
     #[test]
     fn empty_store_reads_null() {
@@ -133,18 +132,6 @@ mod tests {
         assert_eq!(s.read_at(Key(2), 100), (0, Value::NULL));
     }
 
-    /// The snapshot bytes `encode_snapshot` writes for `chains` and nothing
-    /// else, as `length:fnv1a64`.
-    fn snapshot_digest(chains: &[(Key, &[(Ts, Value)])]) -> String {
-        let mut enc = regular_storage::codec::Enc::new();
-        crate::durable::encode_snapshot(&mut enc, 0, chains, &[], &[], &[]);
-        let bytes = enc.finish();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        });
-        format!("{}:{fnv:016x}", bytes.len())
-    }
-
     /// The store against the plainest model of it: a sorted map of keys to
     /// version lists kept sorted by timestamp. Installs arrive with
     /// out-of-order timestamps; a few hot keys take many versions while the
@@ -158,6 +145,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(26);
         let mut store = MvccStore::new();
         let mut model: BTreeMap<Key, Vec<(Ts, Value)>> = BTreeMap::new();
+        let mut installs = Vec::new();
         for i in 0..2_000u64 {
             let key = match rng.gen_range(0..10u32) {
                 0..=2 => Key(rng.gen_range(0..8)),
@@ -168,6 +156,7 @@ mod tests {
             let ts = 10 * i + 5_000 - rng.gen_range(0..max_lag);
             let value = Value(rng.gen_range(1..1_000_000));
             store.apply(key, ts, value);
+            installs.push((key, ts, value));
             let chain = model.entry(key).or_default();
             let at = chain.partition_point(|(t, _)| *t <= ts);
             chain.insert(at, (ts, value));
@@ -180,9 +169,9 @@ mod tests {
             let at = chain.partition_point(|(t, _)| *t <= ts);
             at.checked_sub(1).map_or((0, Value::NULL), |i| chain[i])
         };
-        for _ in 0..5_000 {
-            let key = Key(rng.gen_range(0..3_100));
-            let ts = rng.gen_range(0..26_000);
+        let probes: Vec<(Key, Ts)> =
+            (0..5_000).map(|_| (Key(rng.gen_range(0..3_100)), rng.gen_range(0..26_000))).collect();
+        for &(key, ts) in &probes {
             assert_eq!(store.read_at(key, ts), model_read(key, ts), "{key:?} at {ts}");
         }
         for (&key, chain) in &model {
@@ -190,22 +179,40 @@ mod tests {
         }
         assert_eq!(store.latest_ts(Key(99)), 0);
         assert_eq!(store.version_count(), 2_000);
-        let mut dump = store.dump();
-        dump.sort_unstable();
         let mut expected: Vec<(Key, Ts, Value)> = model
             .iter()
             .flat_map(|(&k, chain)| chain.iter().map(move |&(ts, v)| (k, ts, v)))
             .collect();
         expected.sort_unstable();
-        assert_eq!(dump, expected);
+        let sorted_dump = |store: &MvccStore| {
+            let mut dump = store.dump();
+            dump.sort_unstable();
+            dump
+        };
+        assert_eq!(sorted_dump(&store), expected);
 
-        // The checkpoint bytes: the model's chains encode alike, and both
-        // match the digest of the bytes this store wrote when its chains
-        // still started at four slots.
-        let chains: Vec<(Key, &[(Ts, Value)])> =
-            model.iter().map(|(&k, chain)| (k, chain.as_slice())).collect();
-        let written = snapshot_digest(&store.chains_by_key());
-        assert_eq!(written, snapshot_digest(&chains));
-        assert_eq!(written, "48028:56cbc78f4208c0fb");
+        // What a durable shard checkpoints: the installs as chunks of what
+        // arrived since the last checkpoint, in install order. Replayed into
+        // an empty store, they read as the model does. (This used to pin a
+        // digest of one snapshot with every chain in key order; that format
+        // went when the chains moved to the chain of chunks.)
+        let mut replayed = MvccStore::new();
+        let mut written = Vec::new();
+        for since_checkpoint in installs.chunks(250) {
+            let chunk = ShardChunk { versions: since_checkpoint.to_vec(), decided: Vec::new() };
+            let bytes = chunk.to_bytes();
+            for (key, ts, value) in ShardChunk::from_bytes(&bytes).unwrap().versions {
+                replayed.apply(key, ts, value);
+            }
+            written.extend(bytes);
+        }
+        assert_eq!(sorted_dump(&replayed), expected);
+        for &(key, ts) in &probes {
+            assert_eq!(replayed.read_at(key, ts), model_read(key, ts), "replayed {key:?} at {ts}");
+        }
+        let fnv = written.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(format!("{}:{fnv:016x}", written.len()), "48064:b7a5a290b2a8dc6f");
     }
 }

@@ -23,10 +23,13 @@
 //! * [`wal`] — the write-ahead log: append-only segments of frames encoded
 //!   in place in one reused buffer ([`Wal::append_with`]), **group commit**
 //!   (appends hit the device immediately; the fsync is deferred up to
-//!   `group_commit_us` so many records share one sync), checkpoints (the snapshot goes straight to the
-//!   inactive one of two ping-pong areas as one run, then a crc-guarded meta
-//!   page flips to it, then covered segments are pruned), and a recovery scan
-//!   that replays snapshot + log tail and stops cleanly at a torn frame.
+//!   `group_commit_us` so many records share one sync), checkpoints in two
+//!   parts (a chunk of what the node appended since the last one goes to the
+//!   end of an append-only chain, the whole part goes straight to the
+//!   inactive one of two ping-pong areas, then a crc-guarded meta page flips
+//!   to both, then covered segments are pruned), and a recovery scan that
+//!   replays chain, whole part and log tail and stops cleanly at a torn
+//!   frame.
 //! * [`Durability`] — the knob the protocol configs carry. `InMemory` is the
 //!   default and leaves every existing code path untouched; `Wal` routes node
 //!   state through a per-node log.
@@ -202,9 +205,9 @@ pub struct StorageSummary {
     pub syncs: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
-    /// Snapshot bytes those checkpoints carried, in total.
+    /// Bytes those checkpoints carried, in total: whole parts plus chunks.
     pub snapshot_bytes: u64,
-    /// Checkpoints skipped because a snapshot outgrew its area — each one
+    /// Checkpoints skipped because a whole part outgrew its area — each one
     /// leaves a log unpruned; a run that ends with any is misconfigured.
     pub skipped_checkpoints: u64,
     /// Crash recoveries that replayed from the log.

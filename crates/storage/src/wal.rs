@@ -5,12 +5,28 @@
 //!
 //! Log records live in append-only segments (`wal-NNNNNN.seg`), each a run of
 //! frames ([`crate::codec::frame_header`] then the payload). The page file
-//! holds checkpoints: pages 0 and 1 are ping-ponged, crc-guarded *meta*
-//! pages (the valid one with the highest epoch wins), and two snapshot areas
-//! alternate starting at page 2 so a crash mid-checkpoint never damages the
-//! previous checkpoint. A checkpoint writes the snapshot to the inactive
-//! area as one run, syncs, then writes the meta page that points at it and
-//! syncs again: until that second sync the old meta page still wins.
+//! holds checkpoints, in three regions:
+//!
+//! * pages 0 and 1: ping-ponged, crc-guarded *meta* pages (the valid one with
+//!   the highest epoch wins). A meta page records the epoch, the whole part's
+//!   length and CRC, the chain's length in bytes, and the log position the
+//!   checkpoint covers.
+//! * two *whole-part* areas of 16 MiB each, from page 2, alternating by
+//!   epoch.
+//! * the *chain* region after them, with no fixed cap: an append-only run of
+//!   chunks, each framed like a log record, packed back to back.
+//!
+//! A checkpoint has two parts. The *append part* is one chunk, written once
+//! at the chain's recorded end: what the node appended to its state since the
+//! previous checkpoint. The *whole part* is written in full to the inactive
+//! area, as a snapshot of the state that changes in place. Then the log
+//! syncs the pages, writes the meta page that records the new chain length
+//! and points at the new area, and syncs again. Until that second sync the
+//! old meta page wins, and it names the old area, untouched, and an older
+//! chain length. A chunk written past the recorded length is ignored by
+//! recovery and overwritten by the next checkpoint. The chain's partial last
+//! page is rewritten with its old bytes in front of the new chunk, and page
+//! writes are atomic, so a cut never damages a recorded chunk.
 //!
 //! ## Group commit
 //!
@@ -23,36 +39,42 @@
 //!
 //! ## Recovery
 //!
-//! The scan loads the best meta page, restores the snapshot it points at,
-//! then replays frames from the recorded log position. It stops — without
-//! panicking — at the first incomplete or checksum-failing frame, truncates
-//! the torn bytes, and discards any later segments. Data appended after a
-//! lost record is unreachable by construction *because* [`Wal::append`]
-//! syncs before rotating segments: unsynced frames exist only in the final
-//! segment, so a crash can tear the log's tail but never its middle, and the
-//! replayed records are always an exact prefix of what was appended.
+//! The scan loads the best meta page, reads the chain's chunks and the whole
+//! part it points at, then replays frames from the recorded log position. It
+//! stops — without panicking — at the first incomplete or checksum-failing
+//! frame, truncates the torn bytes, and discards any later segments. Data
+//! appended after a lost record is unreachable by construction *because*
+//! [`Wal::append`] syncs before rotating segments: unsynced frames exist only
+//! in the final segment, so a crash can tear the log's tail but never its
+//! middle, and the replayed records are always an exact prefix of what was
+//! appended.
 //!
 //! ## Memory
 //!
 //! Between checkpoints a log holds one frame-sized buffer. Frames are
 //! encoded in place into that reused buffer, so its capacity is the largest
-//! frame's. A snapshot is the whole node state. If it were encoded into the
-//! same buffer, every log would keep a snapshot-sized allocation for the
-//! rest of the run, long after the write. So [`Wal::checkpoint_with`] encodes
-//! into a buffer of its own and frees it when the checkpoint is written. The
-//! buffer is pre-sized to the last snapshot's length plus the frame bytes
-//! logged since. The state grows only through logged records, and a record
-//! (header, ids, timestamps) takes more bytes than it adds to a snapshot
-//! unless it carries many writes. So the encoder does not reallocate
-//! mid-snapshot in practice, and where it must, `Vec` grows as usual.
+//! frame's. [`Wal::checkpoint_with`] encodes both parts into one buffer of
+//! its own, the whole part first and then the chunk, and frees it when the
+//! checkpoint is written. The buffer is pre-sized to the last whole part's
+//! length plus the frame bytes logged since, plus one page and a frame
+//! header. The state grows only through logged records, and a record
+//! (header, ids, timestamps) takes more bytes than it adds to either part
+//! unless it carries many writes. The chunk is encoded behind the chain's
+//! partial last page (under one page) and its frame header. So neither part
+//! reallocates mid-encode in practice, and where one must, `Vec` grows as
+//! usual.
 
 use crate::codec::{crc32, frame_header, frame_len, frame_matches, Enc, FRAME_HEADER};
 use crate::device::{DirDisk, NodeDisk, PAGE_SIZE};
 use crate::{Backing, WalOptions};
 
-/// Pages reserved per snapshot area (16 MiB each).
+/// Pages reserved per whole-part area (16 MiB each).
 const MAX_SNAPSHOT_PAGES: u64 = 4096;
+/// First page of the chain region, after the meta pages and both areas.
+const CHAIN_BASE: u64 = 2 + 2 * MAX_SNAPSHOT_PAGES;
 const META_MAGIC: u32 = 0x5253_574C; // "RSWL"
+/// A meta page's bytes before its trailing CRC.
+const META_BODY: usize = 48;
 
 /// Per-WAL counters; aggregated across nodes into
 /// [`crate::StorageSummary`].
@@ -62,40 +84,44 @@ pub struct WalStats {
     pub bytes: u64,
     pub syncs: u64,
     pub checkpoints: u64,
-    /// Snapshot bytes the written checkpoints carried, in total.
+    /// Bytes the written checkpoints carried, in total: whole parts plus
+    /// chunk payloads.
     pub snapshot_bytes: u64,
-    /// Checkpoints skipped because the snapshot outgrew its area.
+    /// Checkpoints skipped because the whole part outgrew its area.
     pub skipped_checkpoints: u64,
     pub recoveries: u64,
     pub replayed: u64,
     pub torn_bytes: u64,
 }
 
-/// What a recovery scan hands back to the protocol.
+/// What a recovery scan hands back to the protocol, in the order it is
+/// applied.
 pub struct RecoveredLog {
-    /// The last checkpoint's snapshot, if one was ever written.
-    pub snapshot: Option<Vec<u8>>,
+    /// The chunks every checkpoint appended to the chain, oldest first.
+    pub chunks: Vec<Vec<u8>>,
+    /// The last checkpoint's whole part, if one was ever written.
+    pub whole: Option<Vec<u8>>,
     /// Every intact record after the checkpoint position, in append order.
     pub records: Vec<Vec<u8>>,
 }
 
 impl RecoveredLog {
     pub fn is_empty(&self) -> bool {
-        self.snapshot.is_none() && self.records.is_empty()
+        self.chunks.is_empty() && self.whole.is_none() && self.records.is_empty()
     }
 
-    /// The snapshot's bytes plus the framed bytes of every record after it:
-    /// the recovered state's [`Wal`] snapshot hint.
-    fn snapshot_hint(&self) -> usize {
-        let records: usize = self.records.iter().map(|r| FRAME_HEADER + r.len()).sum();
-        self.snapshot.as_ref().map_or(0, Vec::len) + records
+    /// The framed bytes of every record after the checkpoint: what the next
+    /// checkpoint's buffer counts as logged since (module docs, "Memory").
+    fn logged_bytes(&self) -> usize {
+        self.records.iter().map(|r| FRAME_HEADER + r.len()).sum()
     }
 }
 
 struct Meta {
     epoch: u64,
-    snap_len: u64,
-    snap_crc: u32,
+    whole_len: u64,
+    whole_crc: u32,
+    chain_len: u64,
     wal_seg: u64,
     wal_off: u64,
 }
@@ -104,6 +130,7 @@ struct ScanEnd {
     segment: u64,
     offset: u64,
     epoch: u64,
+    chain_len: u64,
     torn_bytes: u64,
 }
 
@@ -115,11 +142,14 @@ struct Dirty {
 pub struct Wal {
     disk: NodeDisk,
     /// Reused scratch buffer of the frame being appended: frame-sized, since
-    /// a snapshot is encoded into a buffer of its own.
+    /// a checkpoint is encoded into a buffer of its own.
     enc: Enc,
-    /// What the next snapshot's buffer is pre-sized to: the last snapshot's
-    /// length plus every frame byte logged since (module docs, "Memory").
-    snapshot_hint: usize,
+    /// The last whole part's length and the frame bytes logged since: what
+    /// the next checkpoint's buffer is pre-sized from (module docs, "Memory").
+    whole_hint: usize,
+    logged_since: usize,
+    /// Bytes of the chain the current meta page records.
+    chain_len: u64,
     group_commit_us: u64,
     segment_bytes: u64,
     checkpoint_every: u64,
@@ -147,7 +177,9 @@ impl Wal {
         let mut wal = Wal {
             disk,
             enc: Enc::new(),
-            snapshot_hint: log.snapshot_hint(),
+            whole_hint: log.whole.as_ref().map_or(0, Vec::len),
+            logged_since: log.logged_bytes(),
+            chain_len: end.chain_len,
             group_commit_us: opts.group_commit_us,
             segment_bytes: opts.segment_bytes.max(FRAME_HEADER as u64 + 1),
             checkpoint_every: opts.checkpoint_every,
@@ -205,7 +237,7 @@ impl Wal {
         }
         self.disk.append_segment(self.cur_segment, &self.enc.buf);
         self.cur_len += frame_len;
-        self.snapshot_hint += frame_len as usize;
+        self.logged_since += frame_len as usize;
         self.stats.records += 1;
         self.stats.bytes += frame_len;
         self.records_since_checkpoint += 1;
@@ -237,60 +269,114 @@ impl Wal {
         self.checkpoint_every > 0 && self.records_since_checkpoint >= self.checkpoint_every
     }
 
-    /// Write a checkpoint: sync the log, persist `snapshot` into the inactive
-    /// snapshot area, flip the meta page, and prune fully covered segments.
-    /// Returns false (and keeps counting) if the snapshot doesn't fit: the
-    /// log then goes unpruned, and [`WalStats::skipped_checkpoints`] is the
-    /// only trace, so callers surface it.
+    /// [`Wal::checkpoint_with`] of a whole part alone: the chain does not
+    /// grow. Returns false (and keeps counting) if `whole` doesn't fit its
+    /// area: the log then goes unpruned, and
+    /// [`WalStats::skipped_checkpoints`] is the only trace, so callers
+    /// surface it.
     #[must_use]
-    pub fn checkpoint(&mut self, snapshot: &[u8]) -> bool {
-        self.snapshot_hint = snapshot.len();
-        if snapshot.len() as u64 > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
+    pub fn checkpoint(&mut self, whole: &[u8]) -> bool {
+        if !self.write_whole(whole) {
+            return false;
+        }
+        self.commit(whole.len(), crc32(whole), 0);
+        true
+    }
+
+    /// Write a checkpoint: sync the log, append the chunk `chunk` writes to
+    /// the chain (nothing, if it writes nothing), persist the whole part
+    /// `whole` writes into the inactive area, flip the meta page, and prune
+    /// fully covered segments. Both parts are encoded into one buffer that
+    /// is pre-sized so it does not regrow, and freed once written: between
+    /// checkpoints the log holds no checkpoint-sized allocation. Returns
+    /// false, having written nothing the device keeps, where
+    /// [`Wal::checkpoint`] would: the caller still holds everything the
+    /// chunk would have carried.
+    #[must_use]
+    pub fn checkpoint_with(
+        &mut self,
+        chunk: impl FnOnce(&mut Enc),
+        whole: impl FnOnce(&mut Enc),
+    ) -> bool {
+        let mut enc =
+            Enc::with_capacity(self.whole_hint + self.logged_since + PAGE_SIZE + FRAME_HEADER);
+        whole(&mut enc);
+        if !self.write_whole(&enc.buf) {
+            return false;
+        }
+        let (whole_len, whole_crc) = (enc.buf.len(), crc32(&enc.buf));
+        // The chunk goes behind the bytes the chain's last page already
+        // holds, which are written again unchanged: page writes are whole.
+        let page = CHAIN_BASE + self.chain_len / PAGE_SIZE as u64;
+        let held = (self.chain_len % PAGE_SIZE as u64) as usize;
+        enc.buf.clear();
+        enc.buf.resize(held + FRAME_HEADER, 0);
+        self.disk.read_run(page, &mut enc.buf[..held]);
+        chunk(&mut enc);
+        let run = &mut enc.buf;
+        let mut appended = 0;
+        if run.len() > held + FRAME_HEADER {
+            let header = frame_header(&run[held + FRAME_HEADER..]);
+            run[held..held + FRAME_HEADER].copy_from_slice(&header);
+            self.disk.write_run(page, run);
+            appended = (run.len() - held) as u64;
+        }
+        self.commit(whole_len, whole_crc, appended);
+        true
+    }
+
+    /// The first half of every checkpoint: refuse a whole part that outgrows
+    /// its area; otherwise sync the log and write the whole part to the
+    /// inactive area.
+    fn write_whole(&mut self, whole: &[u8]) -> bool {
+        self.whole_hint = whole.len();
+        if whole.len() as u64 > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
             self.stats.skipped_checkpoints += 1;
             // Back off so the caller doesn't re-encode its state every turn.
             self.records_since_checkpoint = 0;
+            self.logged_since = 0;
             return false;
         }
-        // The snapshot reflects state that includes unsynced records; sync
+        // The checkpoint reflects state that includes unsynced records; sync
         // first so the meta page never points past durable data... and more
         // importantly so the caller can release held-back messages.
         self.sync();
-        let next_epoch = self.epoch + 1;
-        // The snapshot must be durable before the meta page that points at
-        // it: a crash before the second sync leaves the old meta page — and
-        // the other area, untouched — in charge.
-        self.disk.write_run(area_base(next_epoch), snapshot);
+        self.disk.write_run(area_base(self.epoch + 1), whole);
+        true
+    }
+
+    /// The second half: once both parts are durable, write the meta page
+    /// that records them — `chunk_frame` more bytes of chain — and prune the
+    /// segments the checkpoint covers.
+    fn commit(&mut self, whole_len: usize, whole_crc: u32, chunk_frame: u64) {
+        // Both parts must be durable before the meta page that points at
+        // them: a crash before the second sync leaves the old meta page — and
+        // the other area and the shorter chain, untouched — in charge.
         self.disk.sync_pages();
+        let next_epoch = self.epoch + 1;
         let meta = encode_meta(&Meta {
             epoch: next_epoch,
-            snap_len: snapshot.len() as u64,
-            snap_crc: crc32(snapshot),
+            whole_len: whole_len as u64,
+            whole_crc,
+            chain_len: self.chain_len + chunk_frame,
             wal_seg: self.cur_segment,
             wal_off: self.cur_len,
         });
         self.disk.write_run(next_epoch % 2, &meta);
         self.disk.sync_pages();
         self.epoch = next_epoch;
-        // Everything before the current segment is covered by the snapshot.
+        self.chain_len += chunk_frame;
+        // Everything before the current segment is covered by the checkpoint.
         for seg in self.disk.segment_ids() {
             if seg < self.cur_segment {
                 self.disk.delete_segment(seg);
             }
         }
         self.records_since_checkpoint = 0;
+        self.logged_since = 0;
         self.stats.checkpoints += 1;
-        self.stats.snapshot_bytes += snapshot.len() as u64;
-        true
-    }
-
-    /// [`Wal::checkpoint`] of the snapshot `encode` writes. It gets a buffer
-    /// of its own, pre-sized so it does not regrow, and freed once written:
-    /// between checkpoints the log holds no snapshot-sized allocation.
-    #[must_use]
-    pub fn checkpoint_with(&mut self, encode: impl FnOnce(&mut Enc)) -> bool {
-        let mut enc = Enc::with_capacity(self.snapshot_hint);
-        encode(&mut enc);
-        self.checkpoint(&enc.buf)
+        let chunk_payload = chunk_frame.saturating_sub(FRAME_HEADER as u64);
+        self.stats.snapshot_bytes += whole_len as u64 + chunk_payload;
     }
 
     /// The node crashed: apply device crash semantics (lost unsynced pages,
@@ -301,15 +387,17 @@ impl Wal {
     }
 
     /// Rescan the device after a crash, repairing torn tails, and hand back
-    /// snapshot + surviving records for the protocol to replay.
+    /// chain + whole part + surviving records for the protocol to replay.
     pub fn recover(&mut self) -> RecoveredLog {
         let (log, end) = scan(&mut self.disk, true);
         self.cur_segment = end.segment;
         self.cur_len = end.offset;
         self.epoch = end.epoch;
+        self.chain_len = end.chain_len;
         self.dirty = None;
         self.records_since_checkpoint = log.records.len() as u64;
-        self.snapshot_hint = log.snapshot_hint();
+        self.whole_hint = log.whole.as_ref().map_or(0, Vec::len);
+        self.logged_since = log.logged_bytes();
         self.disk.create_segment(self.cur_segment);
         self.stats.recoveries += 1;
         self.stats.replayed += log.records.len() as u64;
@@ -324,17 +412,18 @@ impl Wal {
     }
 }
 
-/// First page of the snapshot area checkpoint `epoch` writes.
+/// First page of the whole-part area checkpoint `epoch` writes.
 fn area_base(epoch: u64) -> u64 {
     2 + (epoch % 2) * MAX_SNAPSHOT_PAGES
 }
 
 fn encode_meta(meta: &Meta) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(44);
+    let mut buf = Vec::with_capacity(META_BODY + 4);
     buf.extend_from_slice(&META_MAGIC.to_le_bytes());
     buf.extend_from_slice(&meta.epoch.to_le_bytes());
-    buf.extend_from_slice(&meta.snap_len.to_le_bytes());
-    buf.extend_from_slice(&meta.snap_crc.to_le_bytes());
+    buf.extend_from_slice(&meta.whole_len.to_le_bytes());
+    buf.extend_from_slice(&meta.whole_crc.to_le_bytes());
+    buf.extend_from_slice(&meta.chain_len.to_le_bytes());
     buf.extend_from_slice(&meta.wal_seg.to_le_bytes());
     buf.extend_from_slice(&meta.wal_off.to_le_bytes());
     let crc = crc32(&buf);
@@ -343,24 +432,20 @@ fn encode_meta(meta: &Meta) -> Vec<u8> {
 }
 
 fn decode_meta(page: &[u8]) -> Option<Meta> {
-    if page.len() < 44 {
-        return None;
-    }
-    let body = &page[..40];
-    let stored_crc = u32::from_le_bytes(page[40..44].try_into().unwrap());
-    if crc32(body) != stored_crc {
-        return None;
-    }
-    let magic = u32::from_le_bytes(body[0..4].try_into().unwrap());
-    if magic != META_MAGIC {
+    let (body, rest) = page.split_first_chunk::<META_BODY>()?;
+    let stored_crc = u32::from_le_bytes(*rest.first_chunk::<4>()?);
+    let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+    if crc32(body) != stored_crc || u32_at(0) != META_MAGIC {
         return None;
     }
     Some(Meta {
-        epoch: u64::from_le_bytes(body[4..12].try_into().unwrap()),
-        snap_len: u64::from_le_bytes(body[12..20].try_into().unwrap()),
-        snap_crc: u32::from_le_bytes(body[20..24].try_into().unwrap()),
-        wal_seg: u64::from_le_bytes(body[24..32].try_into().unwrap()),
-        wal_off: u64::from_le_bytes(body[32..40].try_into().unwrap()),
+        epoch: u64_at(4),
+        whole_len: u64_at(12),
+        whole_crc: u32_at(20),
+        chain_len: u64_at(24),
+        wal_seg: u64_at(32),
+        wal_off: u64_at(40),
     })
 }
 
@@ -370,13 +455,22 @@ fn read_best_meta(disk: &mut NodeDisk) -> Option<Meta> {
     pages.chunks(PAGE_SIZE).filter_map(decode_meta).max_by_key(|meta| meta.epoch)
 }
 
-fn read_snapshot(disk: &mut NodeDisk, meta: &Meta) -> Option<Vec<u8>> {
-    if meta.snap_len > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
+fn read_whole(disk: &mut NodeDisk, meta: &Meta) -> Option<Vec<u8>> {
+    if meta.whole_len > MAX_SNAPSHOT_PAGES * PAGE_SIZE as u64 {
         return None;
     }
-    let mut snap = vec![0u8; meta.snap_len as usize];
-    disk.read_run(area_base(meta.epoch), &mut snap);
-    (crc32(&snap) == meta.snap_crc).then_some(snap)
+    let mut whole = vec![0u8; meta.whole_len as usize];
+    disk.read_run(area_base(meta.epoch), &mut whole);
+    (crc32(&whole) == meta.whole_crc).then_some(whole)
+}
+
+/// The chain's chunks, if its recorded length is exactly a run of intact
+/// frames.
+fn read_chain(disk: &mut NodeDisk, meta: &Meta) -> Option<Vec<Vec<u8>>> {
+    let mut chain = vec![0u8; usize::try_from(meta.chain_len).ok()?];
+    disk.read_run(CHAIN_BASE, &mut chain);
+    let mut chunks = Vec::new();
+    (read_frames(&chain, 0, &mut chunks) == chain.len()).then_some(chunks)
 }
 
 /// Walks the frames of `data` from `off`, pushing every intact payload.
@@ -402,17 +496,18 @@ fn read_frames(data: &[u8], mut off: usize, records: &mut Vec<Vec<u8>>) -> usize
 /// segments deleted, and surviving data marked durable.
 fn scan(disk: &mut NodeDisk, repair: bool) -> (RecoveredLog, ScanEnd) {
     let meta = read_best_meta(disk);
-    let (snapshot, mut start_seg, mut start_off, epoch) = match &meta {
-        Some(m) => match read_snapshot(disk, m) {
-            Some(snap) => (Some(snap), m.wal_seg, m.wal_off, m.epoch),
-            // A valid meta with an unreadable snapshot means the device is
-            // damaged beyond the crash model; recover what the raw log holds.
-            None => (None, 0, 0, m.epoch),
-        },
-        None => (None, 0, 0, 0),
+    let checkpoint =
+        meta.as_ref().and_then(|m| Some((m, read_chain(disk, m)?, read_whole(disk, m)?)));
+    let (chunks, whole, chain_len, mut start_seg, mut start_off) = match checkpoint {
+        Some((m, chunks, whole)) => (chunks, Some(whole), m.chain_len, m.wal_seg, m.wal_off),
+        // No checkpoint; or a valid meta with an unreadable chain or whole
+        // part, which means the device is damaged beyond the crash model:
+        // recover what the raw log holds.
+        None => (Vec::new(), None, 0, 0, 0),
     };
+    let epoch = meta.map_or(0, |m| m.epoch);
     let ids = disk.segment_ids();
-    if snapshot.is_none() {
+    if whole.is_none() {
         if let Some(&first) = ids.first() {
             start_seg = first.max(start_seg);
             start_off = if start_seg == ids[0] { start_off } else { 0 };
@@ -447,7 +542,7 @@ fn scan(disk: &mut NodeDisk, repair: bool) -> (RecoveredLog, ScanEnd) {
         }
     }
     if repair {
-        // Segments wholly covered by the snapshot (a crash can land between
+        // Segments wholly covered by the checkpoint (a crash can land between
         // the meta flush and pruning on a real filesystem) are dead weight.
         for &id in ids.iter().filter(|&&id| id < start_seg) {
             disk.delete_segment(id);
@@ -455,8 +550,8 @@ fn scan(disk: &mut NodeDisk, repair: bool) -> (RecoveredLog, ScanEnd) {
         disk.mark_all_synced();
     }
     (
-        RecoveredLog { snapshot, records },
-        ScanEnd { segment: end_seg, offset: end_off, epoch, torn_bytes },
+        RecoveredLog { chunks, whole, records },
+        ScanEnd { segment: end_seg, offset: end_off, epoch, chain_len, torn_bytes },
     )
 }
 
@@ -476,6 +571,18 @@ mod tests {
         v
     }
 
+    /// A checkpoint of both parts, each copied in from a slice.
+    fn checkpoint_both(wal: &mut Wal, chunk: &[u8], whole: &[u8]) -> bool {
+        wal.checkpoint_with(
+            |enc| {
+                enc.raw(chunk);
+            },
+            |enc| {
+                enc.raw(whole);
+            },
+        )
+    }
+
     #[test]
     fn append_sync_reopen_round_trip() {
         let registry = StorageRegistry::new();
@@ -487,7 +594,7 @@ mod tests {
         }
         wal.sync();
         let (_, log) = Wal::open(&opts, "node");
-        assert!(log.snapshot.is_none());
+        assert!(log.whole.is_none() && log.chunks.is_empty());
         assert_eq!(log.records.len(), 50);
         for (i, rec) in log.records.iter().enumerate() {
             assert_eq!(rec, &record(i as u64));
@@ -701,7 +808,8 @@ mod tests {
         wal.sync();
         wal.on_crash();
         let log = wal.recover();
-        assert_eq!(log.snapshot.as_deref(), Some(&snapshot[..]));
+        assert_eq!(log.whole.as_deref(), Some(&snapshot[..]));
+        assert!(log.chunks.is_empty(), "a whole-only checkpoint grows no chain");
         assert_eq!(log.records.len(), 4, "only the post-checkpoint tail replays");
         assert_eq!(log.records[0], record(10));
     }
@@ -719,61 +827,122 @@ mod tests {
             assert!(wal.checkpoint(&snap));
             wal.on_crash();
             let log = wal.recover();
-            assert_eq!(log.snapshot, Some(format!("round-{round}").into_bytes()));
+            assert_eq!(log.whole, Some(format!("round-{round}").into_bytes()));
             assert!(log.records.is_empty());
         }
         assert_eq!(wal.stats().checkpoints, 6);
     }
 
+    /// Round `round`'s chunk: sizes that straddle page boundaries, so chunks
+    /// share pages with their neighbours.
+    fn chunk(round: u64) -> Vec<u8> {
+        vec![0xC0 | round as u8; 3_000 + 700 * round as usize]
+    }
+
+    #[test]
+    fn chunks_chain_up_across_checkpoints_crashes_and_reopens() {
+        let registry = StorageRegistry::new();
+        let opts = mem_opts(&registry).with_checkpoint_every(0);
+        let (mut wal, _) = Wal::open(&opts, "node");
+        let mut chain = Vec::new();
+        for round in 1..=6u64 {
+            wal.append(&record(round), 0);
+            let chunk = chunk(round);
+            let whole = format!("whole-{round}").into_bytes();
+            let copied_before = registry.disk("node").page_bytes_copied();
+            assert!(checkpoint_both(&mut wal, &chunk, &whole));
+            // The checkpoint copied its chunk (with the chain's partial last
+            // page in front), one page of whole part and a meta page: never
+            // the chain before it.
+            let copied = registry.disk("node").page_bytes_copied() - copied_before;
+            let chunk_pages = (chunk.len() + FRAME_HEADER).div_ceil(PAGE_SIZE) + 1;
+            assert!(copied <= ((chunk_pages + 2) * PAGE_SIZE) as u64, "round {round}: {copied}");
+            chain.push(chunk);
+            // An empty chunk appends nothing.
+            wal.append(&record(100 + round), 0);
+            assert!(checkpoint_both(&mut wal, &[], &whole));
+            wal.on_crash();
+            let log = wal.recover();
+            assert_eq!(log.chunks, chain, "round {round}");
+            assert_eq!(log.whole, Some(whole), "round {round}");
+            assert!(log.records.is_empty(), "round {round}");
+        }
+        let framed: usize = chain.iter().map(|c| FRAME_HEADER + c.len()).sum();
+        assert_eq!(wal.chain_len, framed as u64, "chunks are packed back to back");
+        let payload: usize = chain.iter().map(Vec::len).sum();
+        let wholes: usize = (1..=6).map(|r| 2 * format!("whole-{r}").len()).sum();
+        assert_eq!(wal.stats().snapshot_bytes, (payload + wholes) as u64);
+        // A process restart reads the same chain.
+        drop(wal);
+        let (_, log) = Wal::open(&opts, "node");
+        assert_eq!(log.chunks, chain);
+    }
+
     #[test]
     fn a_power_cut_at_any_step_of_a_checkpoint_keeps_the_previous_one() {
-        // A checkpoint is four page-file operations: write the snapshot run,
-        // sync, write the meta page, sync. Cut the power after 0..=4 of them,
-        // on each of four consecutive checkpoints (both areas and both meta
-        // pages take their turn as the one being overwritten): only a cut
-        // after the fourth may show the new checkpoint, and every record
-        // appended since the one that is recovered must replay.
-        for victim in 1u64..=4 {
-            for ops_before_cut in 0u64..=4 {
-                let registry = StorageRegistry::new();
-                let opts = mem_opts(&registry).with_segment_bytes(64).with_checkpoint_every(0);
-                let (mut wal, _) = Wal::open(&opts, "node");
-                let snapshot = |round: u64| vec![round as u8; PAGE_SIZE + 100 * round as usize];
-                for round in 1..=victim {
-                    for i in 0..6 {
-                        wal.append(&record(round * 6 + i), 0);
+        // A checkpoint is five page-file operations: write the whole part,
+        // write the chunk (none when it is empty), sync, write the meta page,
+        // sync. Cut the power after each of them, on each of four consecutive
+        // checkpoints (both areas and both meta pages take their turn as the
+        // one being overwritten, and every chunk shares a page with the one
+        // before): only a cut after the last may show the new checkpoint —
+        // its whole part and its chunk — and every record appended since the
+        // one that is recovered must replay. A chunk the cut orphans past
+        // the recorded chain is never read, and the next checkpoint's chunk
+        // overwrites it.
+        for with_chunk in [false, true] {
+            let page_ops = if with_chunk { 5 } else { 4 };
+            for victim in 1u64..=4 {
+                for ops_before_cut in 0u64..=page_ops {
+                    let registry = StorageRegistry::new();
+                    let opts = mem_opts(&registry).with_segment_bytes(64).with_checkpoint_every(0);
+                    let (mut wal, _) = Wal::open(&opts, "node");
+                    let whole = |round: u64| vec![round as u8; PAGE_SIZE + 100 * round as usize];
+                    let chunk = |round: u64| if with_chunk { chunk(round) } else { Vec::new() };
+                    for round in 1..=victim {
+                        for i in 0..6 {
+                            wal.append(&record(round * 6 + i), 0);
+                        }
+                        if round == victim {
+                            // Acknowledged records are synced ones: the cut
+                            // may take the checkpoint, never these.
+                            wal.sync();
+                            registry.disk("node").power_cut_after_page_ops(ops_before_cut);
+                        }
+                        assert!(checkpoint_both(&mut wal, &chunk(round), &whole(round)));
                     }
-                    if round == victim {
-                        // Acknowledged records are synced ones: the cut may
-                        // take the checkpoint, never these.
-                        wal.sync();
-                        registry.disk("node").power_cut_after_page_ops(ops_before_cut);
+                    wal.on_crash();
+                    let log = wal.recover();
+                    let case = format!(
+                        "checkpoint {victim} (chunk: {with_chunk}) cut after {ops_before_cut} page ops"
+                    );
+                    let durable = if ops_before_cut == page_ops { victim } else { victim - 1 };
+                    let chain: Vec<Vec<u8>> =
+                        (1..=durable).map(chunk).filter(|c| !c.is_empty()).collect();
+                    assert_eq!(log.chunks, chain, "{case}: the old chain or the new, whole");
+                    assert_eq!(log.whole, (durable > 0).then(|| whole(durable)), "{case}");
+                    if durable == victim {
+                        // Durable, though the segments it covers were never
+                        // pruned: recovery's repair deletes them.
+                        assert!(log.records.is_empty(), "{case}");
+                        assert_eq!(registry.disk("node").segment_ids().len(), 1, "{case}");
+                    } else {
+                        let first = if victim > 1 { victim * 6 } else { 6 };
+                        let tail: Vec<Vec<u8>> = (first..victim * 6 + 6).map(record).collect();
+                        assert_eq!(log.records, tail, "{case}: the full log tail replays");
                     }
-                    assert!(wal.checkpoint(&snapshot(round)));
-                }
-                wal.on_crash();
-                let log = wal.recover();
-                let case = format!("checkpoint {victim} cut after {ops_before_cut} page ops");
-                if ops_before_cut == 4 {
-                    // Durable, though the segments it covers were never
-                    // pruned: recovery's repair deletes them.
-                    assert_eq!(log.snapshot, Some(snapshot(victim)), "{case}");
+                    // The log keeps working, and the next checkpoint lands:
+                    // its chunk goes where an orphan may lie.
+                    wal.append(&record(99), 0);
+                    let after = vec![0xAF; 5_000];
+                    assert!(checkpoint_both(&mut wal, &after, b"after"));
+                    wal.on_crash();
+                    let log = wal.recover();
+                    let chain: Vec<Vec<u8>> = chain.into_iter().chain([after]).collect();
+                    assert_eq!(log.chunks, chain, "{case}");
+                    assert_eq!(log.whole.as_deref(), Some(&b"after"[..]), "{case}");
                     assert!(log.records.is_empty(), "{case}");
-                    assert_eq!(registry.disk("node").segment_ids().len(), 1, "{case}");
-                } else {
-                    let previous = (victim > 1).then(|| snapshot(victim - 1));
-                    assert_eq!(log.snapshot, previous, "{case}");
-                    let first = if victim > 1 { victim * 6 } else { 6 };
-                    let tail: Vec<Vec<u8>> = (first..victim * 6 + 6).map(record).collect();
-                    assert_eq!(log.records, tail, "{case}: the full log tail replays");
                 }
-                // The log keeps working, and the next checkpoint lands.
-                wal.append(&record(99), 0);
-                assert!(wal.checkpoint(b"after"));
-                wal.on_crash();
-                let log = wal.recover();
-                assert_eq!(log.snapshot.as_deref(), Some(&b"after"[..]), "{case}");
-                assert!(log.records.is_empty(), "{case}");
             }
         }
     }
@@ -797,6 +966,21 @@ mod tests {
             let per_checkpoint = registry.disk("node").page_bytes_copied() / 5;
             assert_eq!(per_checkpoint, bound / 2);
         }
+    }
+
+    #[test]
+    fn the_page_file_holds_the_chain_once() {
+        // Forty 4 KiB chunks beside a small whole part: the chain's pages,
+        // two whole parts and two meta pages, whatever the cuts between
+        // syncs left pending.
+        let registry = StorageRegistry::new();
+        let (mut wal, _) = Wal::open(&mem_opts(&registry), "node");
+        for round in 0..40u8 {
+            assert!(checkpoint_both(&mut wal, &[round; 4096], &[round; 100]));
+        }
+        let chain_pages = (40 * (4096 + FRAME_HEADER)).div_ceil(PAGE_SIZE);
+        let resident = registry.disk("node").resident_page_bytes();
+        assert_eq!(resident, ((chain_pages + 4) * PAGE_SIZE) as u64);
     }
 
     #[test]
@@ -824,30 +1008,45 @@ mod tests {
         let registry = StorageRegistry::new();
         let (mut wal, _) = Wal::open(&mem_opts(&registry), "node");
         let largest_frame = (0..40).map(|i| FRAME_HEADER + record(i).len()).max().unwrap();
+        let mut chain = Vec::new();
         for round in 0..3u64 {
             for i in 0..40 {
                 wal.append(&record(i), 0);
             }
-            let hint = wal.snapshot_hint;
-            let snapshot = vec![round as u8; 64 * 1024 + round as usize];
-            let mut capacity = 0;
-            assert!(wal.checkpoint_with(|enc| {
-                enc.raw(&snapshot);
-                capacity = enc.buf.capacity();
-            }));
+            let hint = wal.whole_hint + wal.logged_since + PAGE_SIZE + FRAME_HEADER;
+            let whole = vec![round as u8; 64 * 1024 + round as usize];
+            let chunk = vec![0xC0 | round as u8; 900];
+            let (mut whole_capacity, mut chunk_capacity) = (0, 0);
+            assert!(wal.checkpoint_with(
+                |enc| {
+                    enc.raw(&chunk);
+                    chunk_capacity = enc.buf.capacity();
+                },
+                |enc| {
+                    enc.raw(&whole);
+                    whole_capacity = enc.buf.capacity();
+                },
+            ));
             if round > 0 {
-                // The last snapshot plus the frames since: room enough.
-                assert_eq!(capacity, hint, "round {round}: the snapshot buffer regrew");
+                // The last whole part plus the frames since: room enough for
+                // both parts.
+                assert_eq!(
+                    [whole_capacity, chunk_capacity],
+                    [hint; 2],
+                    "round {round}: the buffer regrew"
+                );
             }
             assert!(
                 wal.enc.buf.capacity() <= largest_frame.next_power_of_two(),
                 "round {round}: the log keeps {} bytes for {largest_frame}-byte frames",
                 wal.enc.buf.capacity()
             );
+            chain.push(chunk);
             let log = Wal::read_log(&mut NodeDisk::Mem(registry.disk("node")));
-            assert_eq!(log.snapshot, Some(snapshot), "round {round}");
+            assert_eq!(log.whole, Some(whole), "round {round}");
+            assert_eq!(log.chunks, chain, "round {round}");
         }
-        assert_eq!(wal.stats().snapshot_bytes, 3 * 64 * 1024 + 3);
+        assert_eq!(wal.stats().snapshot_bytes, 3 * 64 * 1024 + 3 + 3 * 900);
     }
 
     #[test]
@@ -868,9 +1067,12 @@ mod tests {
         wal.append(&record(0), 0);
         let huge = vec![0u8; MAX_SNAPSHOT_PAGES as usize * PAGE_SIZE + 1];
         assert!(!wal.checkpoint(&huge));
-        assert_eq!(wal.stats().skipped_checkpoints, 1);
+        assert!(!checkpoint_both(&mut wal, b"a chunk", &huge));
+        assert_eq!(wal.stats().skipped_checkpoints, 2);
+        assert_eq!(wal.chain_len, 0, "a skipped checkpoint appends no chunk");
         wal.sync();
         let (_, log) = Wal::open(&opts, "node");
         assert_eq!(log.records.len(), 1, "log intact after skipped checkpoint");
+        assert!(log.chunks.is_empty());
     }
 }

@@ -66,7 +66,7 @@ pub enum Scenario {
     SpannerCommitCrash,
     /// The `spanner-faults` script with every shard running on a write-ahead
     /// log (`Durability::Wal`): crashes wipe all volatile state, recovery
-    /// replays snapshot + log tail (seeded torn tails included), group
+    /// replays checkpoint + log tail (seeded torn tails included), group
     /// commit batches fsyncs — and the history still certifies RSS.
     SpannerFaultsDurable,
     /// The `gryff-faults` script with every replica on a write-ahead log;
@@ -808,6 +808,26 @@ mod tests {
                 run.report.history_ops
             );
         }
+    }
+
+    #[test]
+    fn bytes_per_checkpoint_stay_flat_as_the_run_grows() {
+        // A shard checkpoints what changed, not what it holds: a run four
+        // times as long writes about as many bytes per checkpoint. (When a
+        // checkpoint rewrote every version chain and the decision log, they
+        // grew with the run: 4x the run was ~4x the bytes.)
+        let per_checkpoint = |ops| {
+            let run = run_seed(Scenario::SpannerFaultsDurable, 3, Some(ops));
+            assert!(run.report.certified, "{ops} ops: {:?}", run.report.violation);
+            let s = run.report.storage;
+            assert!(s.checkpoints >= 8 && s.recoveries > 0, "{ops} ops: {s:?}");
+            s.snapshot_bytes as f64 / s.checkpoints as f64
+        };
+        let (short, long) = (per_checkpoint(2_500), per_checkpoint(10_000));
+        assert!(
+            long <= 1.5 * short,
+            "{short:.0} B per checkpoint at 2 500 ops, {long:.0} at 10 000"
+        );
     }
 
     #[test]
