@@ -1,6 +1,6 @@
 //! Criterion benchmarks of certification at scale: the batch reference and
 //! the windowed streaming witness validators on long synthetic histories,
-//! plus the saturation-prefiltered search far past the old 128-op exact
+//! the component split, plus the exact search far past the old 128-op
 //! frontier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -26,10 +26,10 @@ fn bench_checker_scale(c: &mut Criterion) {
         });
     }
 
-    // The search pipeline (decomposition + saturation + guided search)
-    // *finding* a witness, not just validating one.
+    // The one exact searcher, through `models::check`, *finding* a witness
+    // over the whole history, not just validating one.
     let (search_history, _) = synthetic_history(2_000, 4);
-    group.bench_function("saturated_search_rsc_2000_ops", |b| {
+    group.bench_function("search_rsc_2000_ops", |b| {
         b.iter(|| {
             assert!(check(&search_history, Model::RegularSequentialConsistency).unwrap().satisfied)
         })

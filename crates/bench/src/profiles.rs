@@ -132,8 +132,8 @@ const CHECKER_FLOOR: f64 = 0.30;
 ///   history (ten ops per process, so 10k processes where the rows above
 ///   have 16), as a ratio of `witness_full_100k_10k_sessions`. Per-process
 ///   work in front of the checker shows here and nowhere else.
-/// * `saturated_search_2k` — the search pipeline (decompose → saturate →
-///   search) *finding* a witness for a 2k-op history.
+/// * `search_2k` — `models::check` *finding* an RSC witness for a 2k-op
+///   history: one call of the exact searcher over the whole history.
 /// * `assemble_regular_100k`, `assemble_realtime_100k` — `assemble_witness`
 ///   on the first row's history from what Gryff hands it: each key's accesses
 ///   chained in order, then process order.
@@ -163,7 +163,7 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
         ("streaming_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.067))),
         ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, None),
         ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((2, 0.046))),
-        ("saturated_search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
+        ("search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
         ("assemble_regular_100k", CHECKER_OPS, CHECKER_GROUPS, None),
         ("assemble_realtime_100k", CHECKER_OPS, CHECKER_GROUPS, None),
     ];

@@ -3,11 +3,12 @@
 //!
 //! `sweep` fans seeded runs of every selected scenario (Spanner-RSS,
 //! Gryff-RSC and the composed two-store deployment, plain, under fault
-//! scripts and on write-ahead logs) across a work-stealing thread pool,
-//! certifies each recorded history against its RSS/RSC witness model after
-//! the run (`regular_sweep::certify_streaming`, whose `peak_window` is the
-//! reorder window an online certifier would have needed), and reports one
-//! row per scenario. Seeds that fail certification are dumped as replayable
+//! scripts and on write-ahead logs) across worker threads that each claim
+//! the next seed from one shared cursor, certifies each recorded history
+//! against its RSS/RSC witness model after the run
+//! (`regular_sweep::certify_streaming`, whose `peak_window` is the reorder
+//! window an online certifier would have needed), and reports one row per
+//! scenario. Seeds that fail certification are dumped as replayable
 //! artifacts and fail the run — the CI gate.
 //!
 //! `--threads T1,T2,…` re-runs the whole sweep once per thread count and
@@ -63,7 +64,6 @@ pub fn sweep_report(result: &SweepResult, opts: &SweepOptions, scaling: &[(usize
         ("total_runs", Json::u64(result.reports.len() as u64)),
         ("total_failures", Json::u64(result.failures() as u64)),
         ("wall_clock_ms", Json::f64(round2(result.wall_ms))),
-        ("pool_steals", Json::u64(result.pool.steals as u64)),
         ("failures", Json::Arr(failures.collect())),
     ];
     let mut report = Report::new("sweep", params);
@@ -173,11 +173,10 @@ pub fn sweep(mut args: Args) -> Result<ExitCode, String> {
         opts.threads = count;
         let result = run_sweep(&opts);
         println!(
-            "threads={count}: {} runs in {:.0} ms ({} failures, {} steals)",
+            "threads={count}: {} runs in {:.0} ms ({} failures)",
             result.reports.len(),
             result.wall_ms,
             result.failures(),
-            result.pool.steals,
         );
         measured.push((count, result.wall_ms));
         last = Some(result);

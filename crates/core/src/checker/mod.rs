@@ -1,16 +1,17 @@
 //! Consistency checkers, organised around the two questions they answer.
 //!
 //! **Does a witness exist?** — NP-hard, for the small histories of Table 1,
-//! Appendix A and the property tests. [`models::check`] runs decompose →
-//! saturate → search: [`decompose`] splits the history into communication
-//! components searched independently, [`saturate`](mod@saturate) derives
-//! forced order edges in polynomial time (a cycle is a counterexample
-//! without any search), and [`search`] is the one exact backtracking
-//! searcher. `search::find_sequence_reference` is the oracle the tests
-//! compare it against. [`proximal`] answers the same question for the
-//! neighbouring models of Appendix A (CRDB, strong snapshot isolation,
-//! OSC(U), VV-regularity, real-time causal, and the Shao et al. multi-writer
-//! regularity family).
+//! Appendix A and the property tests. One searcher answers it:
+//! [`search::find_sequence_with`], an exact backtracking search over the
+//! whole history. [`models::check`] calls it once with the model's
+//! constraint set, and [`proximal`] calls it for the neighbouring models of
+//! Appendix A that are total orders or per-process serializations (CRDB,
+//! OSC(U), VV-regularity, real-time causal; strong snapshot isolation and
+//! the Shao et al. multi-writer regularity family have their own small
+//! searches). [`search::find_sequence_reference`] is its oracle: the
+//! clone-per-step search the tests compare it against, called by nothing
+//! else. [`decompose`] only splits a history into communication components,
+//! for the `components` a certifier reports.
 //!
 //! **Is this witness valid?** — the linear case, for every protocol run. The
 //! protocols (Spanner-RSS, Gryff-RSC, and their baselines) emit the
@@ -34,15 +35,13 @@ pub mod certificate;
 pub mod decompose;
 pub mod models;
 pub mod proximal;
-pub mod saturate;
 pub mod search;
 pub mod window;
 
 pub use assemble::{assemble_witness, AssembleError};
 pub use certificate::{check_witness, WitnessModel, WitnessViolation};
-pub use decompose::{find_sequence_decomposed, ComponentSplit, CrossEdges};
+pub use decompose::ComponentSplit;
 pub use models::{check, CheckOutcome, Model};
-pub use saturate::{find_sequence_saturated, saturate, Saturation};
 pub use search::{
     find_sequence, find_sequence_reference, find_sequence_with, ConstraintGraph, Constraints,
 };

@@ -10,7 +10,7 @@
 //! sequential specification (enforced by replay during the search), which is
 //! the "equivalent to `complete(α₂)`" clause of the definitions.
 
-use crate::checker::search::{Constraints, SearchError};
+use crate::checker::search::{find_sequence_with, Constraints, SearchError};
 use crate::history::{History, HistoryIndex};
 use crate::order::CausalOrder;
 use crate::types::OpId;
@@ -153,39 +153,31 @@ pub fn constraints_for_with(history: &History, index: &HistoryIndex, model: Mode
 
 /// Checks whether `history` satisfies `model`.
 ///
-/// Runs the full search pipeline: the saturation prefilter derives
-/// forced order edges (a cycle refutes without search), communication
-/// components are searched independently and their witnesses merged, and only
-/// then does the exponential search run — per component, over the saturated
-/// constraint set.
+/// One call of the exact searcher ([`find_sequence_with`]) over the model's
+/// constraint set: every complete operation is required, and any subset of
+/// the pending mutating ones may have taken effect. There is no size
+/// ceiling, but the search is exponential in the worst case — use the
+/// certificate checkers for protocol-scale histories.
 ///
 /// # Errors
 ///
-/// The `Result` is kept for signature stability; the exact search no longer
-/// has a size ceiling. It is still exponential in the worst case — use the
-/// certificate checkers for protocol-scale histories.
+/// [`SearchError::TooManyPending`] if the history has more than 12 pending
+/// mutating operations.
 pub fn check(history: &History, model: Model) -> Result<CheckOutcome, SearchError> {
     let index = HistoryIndex::new(history);
     let constraints = constraints_for_with(history, &index, model);
-    let required = index.complete_ids();
-    let optional = index.pending_mutations();
-    let cross = crate::checker::decompose::CrossEdges::for_model(model);
-    match crate::checker::decompose::find_sequence_decomposed(
-        history,
-        &index,
-        required,
-        optional,
-        &constraints,
-        cross,
-    )? {
-        Some(witness) => Ok(CheckOutcome::satisfied(witness)),
-        None => Ok(CheckOutcome::violated()),
-    }
+    let found =
+        find_sequence_with(&index, index.complete_ids(), index.pending_mutations(), &constraints)?;
+    Ok(found.map_or_else(CheckOutcome::violated, CheckOutcome::satisfied))
 }
 
 /// Convenience wrapper asserting satisfaction, for use in tests and examples.
+///
+/// # Panics
+///
+/// Panics, naming the [`SearchError`], where [`check`] cannot decide.
 pub fn satisfies(history: &History, model: Model) -> bool {
-    check(history, model).map(|o| o.satisfied).unwrap_or(false)
+    check(history, model).expect("models::check cannot decide this history").satisfied
 }
 
 /// Checks a history against a *composition of independently consistent
@@ -213,8 +205,15 @@ pub fn check_composed(history: &History, model: Model) -> Result<CheckOutcome, S
 }
 
 /// Convenience wrapper over [`check_composed`].
+///
+/// # Panics
+///
+/// Panics, naming the [`SearchError`], where [`check_composed`] cannot
+/// decide.
 pub fn satisfies_composed(history: &History, model: Model) -> bool {
-    check_composed(history, model).map(|o| o.satisfied).unwrap_or(false)
+    check_composed(history, model)
+        .expect("models::check_composed cannot decide this history")
+        .satisfied
 }
 
 #[cfg(test)]

@@ -33,9 +33,7 @@
 
 use std::collections::HashMap;
 
-use crate::checker::decompose::{find_sequence_decomposed, CrossEdges};
-use crate::checker::saturate::find_sequence_saturated;
-use crate::checker::search::{Constraints, SearchError};
+use crate::checker::search::{find_sequence_with, Constraints, SearchError};
 use crate::history::{History, HistoryIndex};
 use crate::order::{real_time_precedes, CausalOrder};
 use crate::types::{Key, OpId, Value};
@@ -82,30 +80,22 @@ impl ProximalModel {
 
 /// Checks whether `history` is allowed under the given proximal model.
 ///
+/// CRDB, OSC(U), VV regularity and real-time causal are calls of the one
+/// exact searcher ([`find_sequence_with`]) over the whole history; they have
+/// no size ceiling but are exponential in the worst case, so they are meant
+/// for the small hand-built schedules of the appendix comparisons and for
+/// property tests.
+///
 /// # Errors
 ///
-/// The `Result` is kept for signature stability, but the search-based
-/// checkers no longer have a size ceiling (the scheduled-set is an
-/// [`crate::opset::OpSet`] bitset arena); these checkers are still meant for
-/// the small hand-built schedules of the appendix comparisons and for
-/// property tests — they are exponential in the worst case.
+/// [`SearchError::TooManyPending`] from the searcher if the history has more
+/// than 12 pending mutating operations.
 pub fn check_proximal(history: &History, model: ProximalModel) -> Result<bool, SearchError> {
     let index = HistoryIndex::new(history);
     match model {
-        // CRDB's real-time edges require a shared key, so they never cross
-        // communication components.
-        ProximalModel::Crdb => {
-            check_total_order(history, &index, crdb_constraints(&index), CrossEdges::None)
-        }
-        ProximalModel::OscU => check_total_order(
-            history,
-            &index,
-            osc_u_constraints(&index),
-            CrossEdges::CompleteToWrite,
-        ),
-        ProximalModel::VvRegularity => {
-            check_total_order(history, &index, vv_constraints(&index), CrossEdges::WriteToAll)
-        }
+        ProximalModel::Crdb => check_total_order(&index, crdb_constraints(&index)),
+        ProximalModel::OscU => check_total_order(&index, osc_u_constraints(&index)),
+        ProximalModel::VvRegularity => check_total_order(&index, vv_constraints(&index)),
         ProximalModel::RealTimeCausal => check_real_time_causal(history, &index),
         ProximalModel::StrongSnapshotIsolation => Ok(check_strong_si(history)),
         ProximalModel::MwrWeak => Ok(check_mwr(history, MwrVariant::Weak)),
@@ -115,19 +105,16 @@ pub fn check_proximal(history: &History, model: ProximalModel) -> Result<bool, S
     }
 }
 
-fn check_total_order(
-    history: &History,
-    index: &HistoryIndex,
-    constraints: Constraints,
-    cross: CrossEdges,
-) -> Result<bool, SearchError> {
-    let required = index.complete_ids();
-    let optional = index.pending_mutations();
-    Ok(find_sequence_decomposed(history, index, required, optional, &constraints, cross)?.is_some())
+/// A total order over every complete operation and any subset of the pending
+/// mutating ones, respecting `constraints`.
+fn check_total_order(index: &HistoryIndex, constraints: Constraints) -> Result<bool, SearchError> {
+    let found =
+        find_sequence_with(index, index.complete_ids(), index.pending_mutations(), &constraints)?;
+    Ok(found.is_some())
 }
 
 /// CRDB: process order + real-time order between operations sharing a key.
-fn crdb_constraints(index: &HistoryIndex) -> Constraints {
+pub fn crdb_constraints(index: &HistoryIndex) -> Constraints {
     let mut edges: Vec<(OpId, OpId)> = index.ops_by_process().pairs().collect();
     let accessed = |i: usize| index.read_key_ids(i).iter().chain(index.write_key_ids(i));
     for a in 0..index.len() {
@@ -150,7 +137,7 @@ fn crdb_constraints(index: &HistoryIndex) -> Constraints {
 
 /// OSC(U): process order + everything that precedes a write in real time is
 /// ordered before that write.
-fn osc_u_constraints(index: &HistoryIndex) -> Constraints {
+pub fn osc_u_constraints(index: &HistoryIndex) -> Constraints {
     let mut edges: Vec<(OpId, OpId)> = index.ops_by_process().pairs().collect();
     for a in 0..index.len() {
         if !index.is_complete(a) {
@@ -167,7 +154,7 @@ fn osc_u_constraints(index: &HistoryIndex) -> Constraints {
 
 /// VV regularity: everything that follows a completed write in real time is
 /// ordered after it; no process-order requirement.
-fn vv_constraints(index: &HistoryIndex) -> Constraints {
+pub fn vv_constraints(index: &HistoryIndex) -> Constraints {
     let mut edges = Vec::new();
     for w in 0..index.len() {
         if !index.is_mutating(w) || !index.is_complete(w) {
@@ -220,7 +207,7 @@ fn check_real_time_causal(history: &History, index: &HistoryIndex) -> Result<boo
             }
         }
         let constraints = Constraints::from_edges(edges);
-        if find_sequence_saturated(index, &included, pending, &constraints)?.is_none() {
+        if find_sequence_with(index, &included, pending, &constraints)?.is_none() {
             return Ok(false);
         }
     }

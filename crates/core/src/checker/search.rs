@@ -9,10 +9,13 @@
 //! existential search: a backtracking topological enumeration with spec replay
 //! and memoization on (scheduled-set, state) pairs.
 //!
-//! The search is exponential in the worst case (the problem is NP-hard), so it
-//! is intended for the small histories used in Table 1, Appendix A, and the
-//! property tests — not for full protocol runs, which use the certificate
-//! checkers instead.
+//! [`find_sequence_with`] is the only searcher: `models::check` and the
+//! total-order models of `proximal` hand it their constraint set over the
+//! whole history, with no decomposition or prefilter in front. It is
+//! exponential in the worst case (the problem is NP-hard), so it is intended
+//! for the small histories used in Table 1, Appendix A, and the property
+//! tests — not for full protocol runs, which use the certificate checkers
+//! instead.
 //!
 //! # Hot-path structure
 //!
@@ -57,7 +60,8 @@ use crate::types::OpId;
 pub const MAX_SEARCH_OPS: usize = 128;
 
 /// Maximum number of optional (pending mutating) operations whose subsets are
-/// enumerated.
+/// enumerated; past it both searchers refuse with
+/// [`SearchError::TooManyPending`] rather than drop some.
 const MAX_OPTIONAL_OPS: usize = 12;
 
 /// Precedence constraints: `a` must appear before `b` whenever both are in the
@@ -290,6 +294,21 @@ pub enum SearchError {
         /// Number of operations in the history.
         ops: usize,
     },
+    /// More than `MAX_OPTIONAL_OPS` (12) optional operations: their `2^n`
+    /// subsets are not enumerated, and dropping any of them could turn a
+    /// satisfiable history into a violation.
+    TooManyPending {
+        /// Number of optional (pending mutating) operations passed in.
+        pending: usize,
+    },
+}
+
+/// Refuses an optional set whose subsets the searchers will not enumerate.
+fn check_pending(optional: &[OpId]) -> Result<(), SearchError> {
+    if optional.len() > MAX_OPTIONAL_OPS {
+        return Err(SearchError::TooManyPending { pending: optional.len() });
+    }
+    Ok(())
 }
 
 /// Searches for a legal sequence containing every operation in `required` and
@@ -301,6 +320,10 @@ pub enum SearchError {
 /// size ceiling (the scheduled-set is an [`OpSet`] bitset arena), but the
 /// search is exponential in the worst case — protocol-scale histories belong
 /// to the certificate checkers.
+///
+/// # Errors
+///
+/// [`SearchError::TooManyPending`] if `optional` holds more than 12 ops.
 pub fn find_sequence(
     history: &History,
     required: &[OpId],
@@ -319,9 +342,7 @@ pub fn find_sequence_with(
     optional: &[OpId],
     constraints: &Constraints,
 ) -> Result<Option<Vec<OpId>>, SearchError> {
-    // Try subsets of the optional operations, smallest first (the common case
-    // is that pending writes need not be included).
-    let optional = &optional[..optional.len().min(MAX_OPTIONAL_OPS)];
+    check_pending(optional)?;
     let mut ids = Vec::with_capacity(required.len() + optional.len());
     ids.extend_from_slice(required);
     ids.extend_from_slice(optional);
@@ -339,6 +360,8 @@ pub fn find_sequence_with(
         placed: OpSet::empty(universe),
         active_count: 0,
     };
+    // Subsets of the optional operations in counting order, starting from
+    // none (the common case is that pending writes need not be included).
     let subsets = 1usize << optional.len();
     for subset in 0..subsets {
         let mut active = required_set.clone();
@@ -439,6 +462,11 @@ impl Searcher<'_> {
 /// Retained (not cfg-gated) so the property tests can assert the optimized
 /// search agrees with it on randomized histories, and as executable
 /// documentation of the definitions.
+///
+/// # Errors
+///
+/// [`SearchError::TooLarge`] past [`MAX_SEARCH_OPS`] ops, and
+/// [`SearchError::TooManyPending`] as for [`find_sequence`].
 pub fn find_sequence_reference(
     history: &History,
     required: &[OpId],
@@ -448,7 +476,7 @@ pub fn find_sequence_reference(
     if history.len() > MAX_SEARCH_OPS {
         return Err(SearchError::TooLarge { ops: history.len() });
     }
-    let optional = &optional[..optional.len().min(MAX_OPTIONAL_OPS)];
+    check_pending(optional)?;
     let subsets = 1usize << optional.len();
     for subset in 0..subsets {
         let mut included: Vec<OpId> = required.to_vec();
@@ -771,6 +799,39 @@ mod tests {
         let h = b.build();
         let cons = Constraints::from_edges(CausalOrder::new(&h).direct_edges().to_vec());
         assert_eq!(find_sequence(&h, &h.complete_ids(), &[], &cons).unwrap(), None);
+    }
+
+    /// `count` pending writes of 1..=count to key 1, then a read of `count`
+    /// that only the last pending write explains.
+    fn pending_writes_then_read(count: u64) -> History {
+        let mut b = HistoryBuilder::new();
+        for v in 1..=count {
+            b.pending_write(v as u32, 1, v, 0);
+        }
+        b.read(100, 1, count, 1000, 1010);
+        b.build()
+    }
+
+    #[test]
+    fn pending_writes_past_the_cap_are_refused_not_dropped() {
+        use crate::checker::models::{check, Model};
+        // Twelve pending writes: every subset is tried, and the read of 12
+        // is explained by the last one.
+        let twelve = pending_writes_then_read(12);
+        for model in [Model::SequentialConsistency, Model::Linearizability] {
+            assert_eq!(check(&twelve, model).map(|o| o.satisfied), Ok(true), "{model:?}");
+        }
+        // Thirteen: truncating to the first twelve would drop the write the
+        // read needs and answer a wrong `false`; both searchers refuse.
+        let thirteen = pending_writes_then_read(13);
+        let refused = Some(SearchError::TooManyPending { pending: 13 });
+        for model in [Model::SequentialConsistency, Model::Linearizability] {
+            assert_eq!(check(&thirteen, model).err(), refused, "{model:?}");
+        }
+        let (required, optional) = (thirteen.complete_ids(), thirteen.pending_mutations());
+        let free = Constraints::new();
+        assert_eq!(find_sequence(&thirteen, &required, &optional, &free).err(), refused);
+        assert_eq!(find_sequence_reference(&thirteen, &required, &optional, &free).err(), refused);
     }
 
     #[test]

@@ -68,10 +68,9 @@ pub mod transform;
 pub mod types;
 
 pub use checker::certificate::{check_witness, WitnessModel, WitnessViolation};
-pub use checker::decompose::{find_sequence_decomposed, ComponentSplit, CrossEdges};
+pub use checker::decompose::ComponentSplit;
 pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
-pub use checker::saturate::{find_sequence_saturated, saturate, Saturation};
 pub use checker::window::{StreamingChecker, WindowBuffer};
 pub use coverage::{CoverageBuilder, CoverageMap, CoverageSignature};
 pub use densemap::DenseKeyMap;

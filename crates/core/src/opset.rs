@@ -9,8 +9,7 @@
 //! word box only for larger universes.
 //!
 //! All sets participating in one search share one universe size, fixed at
-//! construction; operations that combine two sets debug-assert that the word
-//! counts agree.
+//! construction.
 
 use std::hash::{Hash, Hasher};
 
@@ -139,21 +138,6 @@ impl OpSet {
                 words[w + 1] |= spill;
             }
         }
-    }
-
-    /// ORs `other` into `self`, returning true if any bit changed. The
-    /// word-parallel union underlying the saturation closure rows
-    /// ([`crate::checker::saturate`](mod@crate::checker::saturate)); both sets
-    /// must share one universe.
-    pub fn union_with(&mut self, other: &OpSet) -> bool {
-        debug_assert_eq!(self.num_words(), other.num_words(), "universe mismatch in union");
-        let mut changed = false;
-        for (w, &o) in self.words_mut().iter_mut().zip(other.words()) {
-            let merged = *w | o;
-            changed |= merged != *w;
-            *w = merged;
-        }
-        changed
     }
 
     /// Number of elements.

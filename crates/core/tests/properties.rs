@@ -5,9 +5,10 @@
 use proptest::prelude::*;
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::{check_witness, WitnessModel};
-use regular_core::checker::decompose::{find_sequence_decomposed, CrossEdges};
 use regular_core::checker::models::{check, constraints_for, Model};
-use regular_core::checker::saturate::find_sequence_saturated;
+use regular_core::checker::proximal::{
+    check_proximal, crdb_constraints, osc_u_constraints, vv_constraints, ProximalModel,
+};
 use regular_core::checker::search::{find_sequence, find_sequence_reference};
 use regular_core::checker::window::{StreamingChecker, WindowBuffer};
 use regular_core::history::{ByProcess, History, HistoryIndex, OpRecord};
@@ -115,20 +116,10 @@ fn pending_where(complete: &History, pending: impl Fn(&OpRecord) -> bool) -> His
     history
 }
 
-/// Like [`build_history`], but writes with `duration == 2` are recorded as
-/// incomplete (pending), so the optional-subset enumeration of the search is
-/// exercised as well.
-fn build_history_with_pending(ops: &[GenOp]) -> History {
-    pending_where(&build_history(ops), |op| {
-        let gen = &ops[op.id.index()];
-        gen.is_write && gen.duration == 2
-    })
-}
-
 /// Builds `groups` disjoint copies of the generated history — distinct
 /// processes, keys, and write values per group, but overlapping real-time
-/// intervals — so the component decomposition actually splits the work and
-/// the cross-component real-time sweep has pairs to look at.
+/// intervals — so the history has `groups` communication components and the
+/// real-time edges between them have pairs to look at.
 fn build_grouped_history(ops: &[GenOp], groups: usize) -> History {
     let mut history = History::new();
     for g in 0..groups as u64 {
@@ -181,6 +172,17 @@ fn build_grouped_history(ops: &[GenOp], groups: usize) -> History {
         }
     }
     history
+}
+
+/// Like [`build_grouped_history`], but writes with `duration == 2` among the
+/// first six ops of each group are recorded as incomplete (pending), so the
+/// optional-subset enumeration of the search is exercised as well. Two
+/// groups then stay within the searchers' cap of 12 pending ops.
+fn build_grouped_history_with_pending(ops: &[GenOp], groups: usize) -> History {
+    pending_where(&build_grouped_history(ops, groups), |op| {
+        let i = op.id.index() % ops.len();
+        ops[i].is_write && ops[i].duration == 2 && i < 6
+    })
 }
 
 /// A history in the shape that stresses process grouping: `extra.len() + 200`
@@ -432,11 +434,14 @@ proptest! {
     /// The index-based search (compiled constraint graph, mutable spec state
     /// with undo, bitmask cycle checks) agrees exactly with the retained
     /// naive reference implementation — same satisfiability verdict under
-    /// every model's constraint set, and any witness it produces passes the
-    /// spec replay and the constraints.
+    /// every model's constraint set, both called directly and through
+    /// `models::check` — and any witness it produces passes the spec replay
+    /// and the constraints. With two groups the history has two
+    /// communication components, so the real-time edges between them are
+    /// searched like any other.
     #[test]
-    fn optimized_search_agrees_with_reference(ops in gen_ops(8)) {
-        let h = build_history_with_pending(&ops);
+    fn optimized_search_agrees_with_reference(ops in gen_ops(8), groups in 1usize..3) {
+        let h = build_grouped_history_with_pending(&ops, groups);
         let required = h.complete_ids();
         let optional = h.pending_mutations();
         for model in [
@@ -458,7 +463,16 @@ proptest! {
                 &fast,
                 &slow
             );
-            if let Some(witness) = &fast {
+            let checked = check(&h, model).unwrap();
+            prop_assert_eq!(
+                checked.satisfied,
+                slow.is_some(),
+                "{} verdicts diverge: check={:?} reference={:?}",
+                model.name(),
+                &checked,
+                &slow
+            );
+            for witness in [&fast, &checked.witness].into_iter().flatten() {
                 prop_assert!(check_sequence(&h, witness).is_ok());
                 let pos = |id| witness.iter().position(|x| *x == id);
                 for (a, b) in constraints.edges() {
@@ -470,61 +484,48 @@ proptest! {
         }
     }
 
-    /// The certification cascade — saturation prefilter alone, and saturation
-    /// + component decomposition — reaches exactly the same satisfiability
-    /// verdict as the naive reference search under every model, on histories
-    /// whose disjoint groups force the decomposed path to actually split.
-    /// Any witness the cascade produces passes the spec replay and the
-    /// model's constraint edges.
+    /// The certification path — `models::check`'s search, then the
+    /// certificate checker on the witness it returns — reaches exactly the
+    /// naive reference search's verdict under every model, on histories of
+    /// up to two disjoint groups (so up to two communication components).
+    /// Every witness it produces passes the certificate checker under the
+    /// model's witness model and respects the model's constraint edges.
     #[test]
     fn certification_cascade_agrees_with_reference_search(
         ops in gen_ops(7),
         groups in 1usize..3,
     ) {
         let h = build_grouped_history(&ops, groups);
-        let index = HistoryIndex::new(&h);
         let required = h.complete_ids();
         let optional = h.pending_mutations();
-        for model in [
-            Model::StrictSerializability,
-            Model::Linearizability,
-            Model::RegularSequentialSerializability,
-            Model::RegularSequentialConsistency,
-            Model::ProcessOrderedSerializability,
-            Model::SequentialConsistency,
+        for (model, witness_model) in [
+            (Model::StrictSerializability, WitnessModel::RealTime),
+            (Model::Linearizability, WitnessModel::RealTime),
+            (Model::RegularSequentialSerializability, WitnessModel::Regular),
+            (Model::RegularSequentialConsistency, WitnessModel::Regular),
+            (Model::ProcessOrderedSerializability, WitnessModel::ProcessOrder),
+            (Model::SequentialConsistency, WitnessModel::ProcessOrder),
         ] {
             let constraints = constraints_for(&h, model);
             let reference =
                 find_sequence_reference(&h, &required, &optional, &constraints).unwrap();
-            let saturated =
-                find_sequence_saturated(&index, &required, &optional, &constraints).unwrap();
-            let cascaded = find_sequence_decomposed(
-                &h,
-                &index,
-                &required,
-                &optional,
-                &constraints,
-                CrossEdges::for_model(model),
-            )
-            .unwrap();
+            let checked = check(&h, model).unwrap();
             prop_assert_eq!(
-                saturated.is_some(),
+                checked.satisfied,
                 reference.is_some(),
-                "{} verdicts diverge: saturated={:?} reference={:?}",
+                "{} verdicts diverge: check={:?} reference={:?}",
                 model.name(),
-                &saturated,
+                &checked,
                 &reference
             );
-            prop_assert_eq!(
-                cascaded.is_some(),
-                reference.is_some(),
-                "{} verdicts diverge: decomposed={:?} reference={:?}",
-                model.name(),
-                &cascaded,
-                &reference
-            );
-            for witness in [&saturated, &cascaded].into_iter().flatten() {
-                prop_assert!(check_sequence(&h, witness).is_ok());
+            if let Some(witness) = &checked.witness {
+                let certified = check_witness(&h, witness, witness_model);
+                prop_assert!(
+                    certified.is_ok(),
+                    "{} witness rejected by the certificate checker: {:?}",
+                    model.name(),
+                    certified
+                );
                 let pos = |id| witness.iter().position(|x| *x == id);
                 for (a, b) in constraints.edges() {
                     if let (Some(pa), Some(pb)) = (pos(*a), pos(*b)) {
@@ -532,6 +533,33 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// The total-order models of Appendix A (CRDB, OSC(U), VV regularity)
+    /// reach the reference search's verdict over the same constraint sets,
+    /// on the same grouped histories with pending writes.
+    #[test]
+    fn proximal_total_orders_agree_with_reference(ops in gen_ops(8), groups in 1usize..3) {
+        let h = build_grouped_history_with_pending(&ops, groups);
+        let index = HistoryIndex::new(&h);
+        let required = h.complete_ids();
+        let optional = h.pending_mutations();
+        for (model, constraints) in [
+            (ProximalModel::Crdb, crdb_constraints(&index)),
+            (ProximalModel::OscU, osc_u_constraints(&index)),
+            (ProximalModel::VvRegularity, vv_constraints(&index)),
+        ] {
+            let slow = find_sequence_reference(&h, &required, &optional, &constraints).unwrap();
+            let allowed = check_proximal(&h, model).unwrap();
+            prop_assert_eq!(
+                allowed,
+                slow.is_some(),
+                "{} verdicts diverge: check_proximal={} reference={:?}",
+                model.name(),
+                allowed,
+                &slow
+            );
         }
     }
 

@@ -49,8 +49,8 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use regular_core::fence::{FenceStats, FencedService};
 
 pub mod planner;
@@ -240,13 +240,20 @@ impl SharedLibRss {
         Self::default()
     }
 
+    /// Locks the registry. A panic while it was held leaves the registry as
+    /// that call left it, and every later call proceeds on that state rather
+    /// than panicking too.
+    fn lock(&self) -> MutexGuard<'_, LibRss> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// See [`LibRss::register_service`].
     pub fn register_service(
         &self,
         name: impl Into<String>,
         fence: impl FnMut() + Send + 'static,
     ) -> ServiceIdx {
-        self.inner.lock().register_service(name, fence)
+        self.lock().register_service(name, fence)
     }
 
     /// See [`LibRss::register_fenced_service`].
@@ -254,43 +261,43 @@ impl SharedLibRss {
         &self,
         service: S,
     ) -> ServiceIdx {
-        self.inner.lock().register_fenced_service(service)
+        self.lock().register_fenced_service(service)
     }
 
     /// See [`LibRss::unregister_service`].
     pub fn unregister_service(&self, name: &str) -> bool {
-        self.inner.lock().unregister_service(name)
+        self.lock().unregister_service(name)
     }
 
     /// See [`LibRss::start_transaction`].
     pub fn start_transaction(&self, name: &str) -> Result<(), LibRssError> {
-        self.inner.lock().start_transaction(name)
+        self.lock().start_transaction(name)
     }
 
     /// See [`LibRss::start_transaction_at`].
     pub fn start_transaction_at(&self, service: ServiceIdx) -> Result<(), LibRssError> {
-        self.inner.lock().start_transaction_at(service)
+        self.lock().start_transaction_at(service)
     }
 
     /// See [`LibRss::export_context`].
     pub fn export_context(&self, min_timestamp: u64) -> CausalContext {
-        self.inner.lock().export_context(min_timestamp)
+        self.lock().export_context(min_timestamp)
     }
 
     /// See [`LibRss::import_context`].
     pub fn import_context(&self, ctx: &CausalContext) {
-        self.inner.lock().import_context(ctx)
+        self.lock().import_context(ctx)
     }
 
     /// See [`LibRss::last_service`]. Returns an owned name because the lock is
     /// released before returning.
     pub fn last_service(&self) -> Option<String> {
-        self.inner.lock().last_service().map(str::to_string)
+        self.lock().last_service().map(str::to_string)
     }
 
     /// See [`LibRss::stats`].
     pub fn stats(&self) -> FenceStats {
-        self.inner.lock().stats()
+        self.lock().stats()
     }
 }
 

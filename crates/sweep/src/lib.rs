@@ -6,8 +6,6 @@
 //! scales that to *fleets* of seeded runs, the way automated
 //! consistency-violation detectors sweep many executions:
 //!
-//! * [`pool`] — a work-stealing thread pool (vendored `parking_lot` +
-//!   `std::thread::scope`) fanning coarse jobs across cores.
 //! * [`scenario`] — seeded, certified runs of Spanner-RSS, Gryff-RSC, and
 //!   the composed two-store deployment — each also swept under a
 //!   seed-driven fault script (crashes, partitions, drop/duplicate windows
@@ -20,8 +18,9 @@
 //! * [`stream`] — the certifier of every sweep verdict: a recorded run's
 //!   witness fed in completion order through `regular_core`'s windowed
 //!   checker, plus the synthetic histories used by the scale benchmarks.
-//! * [`report`] — sweep orchestration: options, the pool fan-out, per-seed
-//!   reports and failure artifacts (`regular-bench sweep` aggregates them
+//! * [`report`] — sweep orchestration: options, the fan-out of seeds across
+//!   scoped worker threads (one shared job cursor, in the private `pool`
+//!   module), per-seed reports and failure artifacts (`regular-bench sweep` aggregates them
 //!   into `BENCH_sweep.json`).
 //! * [`artifact`] — replayable failing-history dumps for CI upload.
 //! * [`json`] — the JSON tree backing all of the above, and
@@ -33,14 +32,13 @@
 pub mod artifact;
 pub mod composed;
 pub mod json;
-pub mod pool;
+mod pool;
 pub mod report;
 pub mod scenario;
 pub mod stream;
 
 pub use artifact::FailureArtifact;
 pub use json::{Json, JsonLayout};
-pub use pool::{PoolStats, WorkStealingPool};
 pub use report::{run_sweep, SweepOptions, SweepResult};
 pub use scenario::{run_seed, Scenario, SeedReport, SeedRun, LIVE_TIME_SCALE};
 pub use stream::{certify_streaming, synthetic_history, synthetic_session_history, StreamStats};

@@ -1,212 +1,100 @@
-//! A work-stealing thread pool for fanning independent jobs across cores.
+//! The sweep's fan-out: independent jobs over scoped worker threads.
 //!
 //! The conformance sweep's unit of work is coarse — one seeded simulator run
-//! plus its certification, tens to hundreds of milliseconds — so the pool
-//! optimizes for simplicity and load balance rather than fine-grained task
-//! overhead: jobs are identified by dense indices, each worker owns a
-//! contiguous index range, and an idle worker *steals the far half* of the
-//! largest remaining range. Range halving keeps steals `O(log jobs)` per
-//! worker while letting a long-running straggler shed all but the job it is
-//! executing.
-//!
-//! Built on `std::thread::scope` (borrowed jobs, no `'static` bound) and the
-//! vendored `parking_lot` mutex; no channels, no condvars — workers exit when
-//! every range is empty, which is exactly when no unstarted work exists.
+//! plus its certification, tens to hundreds of milliseconds — so the loop is
+//! as simple as it can be: jobs are dense indices, and every worker claims
+//! the next unclaimed index from one shared `AtomicUsize` cursor until none
+//! is left. A worker stuck on a long job holds only that job; the others
+//! keep draining the cursor.
 
-use parking_lot::Mutex;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One worker's claimable index range (`next..end`).
-#[derive(Debug, Clone, Copy)]
-struct Range {
-    next: usize,
-    end: usize,
-}
-
-impl Range {
-    fn len(&self) -> usize {
-        self.end - self.next
+/// Runs `job(i)` for every `i in 0..jobs` on `threads.max(1).min(jobs)`
+/// scoped workers, each claiming the next unclaimed index from one shared
+/// cursor, and returns the results in job order. One worker runs the jobs
+/// on the calling thread without spawning. A panicking job panics the call.
+pub(crate) fn run_jobs<R, F>(jobs: usize, threads: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = threads.max(1).min(jobs);
+    if workers <= 1 {
+        return (0..jobs).map(job).collect();
     }
-}
-
-/// A fixed-width work-stealing pool.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkStealingPool {
-    threads: usize,
-}
-
-/// Counters describing how a [`WorkStealingPool::run`] call balanced itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Jobs executed (equals the job count on success).
-    pub executed: usize,
-    /// Range-halving steals that transferred at least one job.
-    pub steals: usize,
-}
-
-impl WorkStealingPool {
-    /// A pool with `threads` workers (clamped to at least one).
-    pub fn new(threads: usize) -> Self {
-        WorkStealingPool { threads: threads.max(1) }
-    }
-
-    /// A pool sized to the machine (`std::thread::available_parallelism`).
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f(i)` for every `i in 0..jobs` across the pool, returning the
-    /// results in job order plus balance counters.
-    ///
-    /// `f` runs concurrently from several threads (hence `Sync`); a single
-    /// worker (no spawns) is used when `threads == 1` or there is at most one
-    /// job, so small inputs pay no thread cost.
-    pub fn run<R, F>(&self, jobs: usize, f: F) -> (Vec<R>, PoolStats)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.threads.min(jobs.max(1));
-        if workers <= 1 || jobs <= 1 {
-            let results = (0..jobs).map(&f).collect();
-            return (results, PoolStats { executed: jobs, steals: 0 });
-        }
-
-        // Initial even split of 0..jobs into per-worker ranges.
-        let ranges: Vec<Mutex<Range>> = (0..workers)
-            .map(|w| {
-                let next = w * jobs / workers;
-                let end = (w + 1) * jobs / workers;
-                Mutex::new(Range { next, end })
-            })
-            .collect();
-        let slots: Vec<Mutex<Option<R>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-        let steals = Mutex::new(0usize);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let ranges = &ranges;
-                let slots = &slots;
-                let steals = &steals;
-                let f = &f;
-                scope.spawn(move || loop {
-                    // Claim from the worker's own range first.
-                    let mine = {
-                        let mut r = ranges[w].lock();
-                        if r.next < r.end {
-                            let i = r.next;
-                            r.next += 1;
-                            Some(i)
-                        } else {
-                            None
-                        }
-                    };
-                    let job = match mine {
-                        Some(i) => i,
-                        None => {
-                            // Steal the far half of the largest other range
-                            // (the whole range when it holds a single job).
-                            let victim = (0..ranges.len())
-                                .filter(|&v| v != w)
-                                .max_by_key(|&v| ranges[v].lock().len());
-                            let Some(v) = victim else { break };
-                            let taken = {
-                                let mut r = ranges[v].lock();
-                                let len = r.len();
-                                if len == 0 {
-                                    // The largest range is empty, so every
-                                    // unclaimed job is gone: done. (A range
-                                    // that refilled between the scan and this
-                                    // lock only means another worker stole
-                                    // it — the jobs are still claimed.)
-                                    None
-                                } else {
-                                    let keep = len / 2;
-                                    let t = Range { next: r.next + keep, end: r.end };
-                                    r.end = r.next + keep;
-                                    Some(t)
-                                }
-                            };
-                            let Some(mut taken) = taken else { break };
-                            *steals.lock() += 1;
-                            let i = taken.next;
-                            taken.next += 1;
-                            if taken.len() > 0 {
-                                *ranges[w].lock() = taken;
-                            }
-                            i
-                        }
-                    };
-                    *slots[job].lock() = Some(f(job));
-                });
+    let cursor = AtomicUsize::new(0);
+    let claim = || -> Vec<(usize, R)> {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out indices; the results reach
+            // the caller through `join`, which synchronizes.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
             }
-        });
-
-        let stolen = *steals.lock();
-        let results: Vec<R> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every job index was claimed exactly once"))
-            .collect();
-        let executed = results.len();
-        (results, PoolStats { executed, steals: stolen })
-    }
+            done.push((i, job(i)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))).collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn runs_every_job_exactly_once_in_order() {
-        let calls = AtomicUsize::new(0);
-        let pool = WorkStealingPool::new(4);
-        let (results, stats) = pool.run(100, |i| {
-            calls.fetch_add(1, Ordering::SeqCst);
+        let calls: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+        let results = run_jobs(100, 4, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
             i * 3
         });
-        assert_eq!(calls.load(Ordering::SeqCst), 100);
-        assert_eq!(stats.executed, 100);
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{calls:?}");
         assert_eq!(results, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+        // More threads than jobs: the worker count is clamped to the jobs.
+        assert_eq!(run_jobs(3, 16, |i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn single_thread_and_empty_inputs() {
-        let pool = WorkStealingPool::new(1);
-        let (results, stats) = pool.run(5, |i| i + 1);
-        assert_eq!(results, vec![1, 2, 3, 4, 5]);
-        assert_eq!(stats.steals, 0);
-        let (empty, _) = WorkStealingPool::new(8).run(0, |i| i);
-        assert!(empty.is_empty());
-        assert_eq!(WorkStealingPool::new(0).threads(), 1, "thread count is clamped");
+        // One thread (or a zero count, clamped to one) spawns nothing: every
+        // job runs on the caller's thread.
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            let on_caller = run_jobs(5, threads, |_| std::thread::current().id() == caller);
+            assert_eq!(on_caller, [true; 5], "threads = {threads}");
+        }
+        assert_eq!(run_jobs(5, 1, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        // No jobs, with or without threads.
+        assert!(run_jobs(0, 8, |i| i).is_empty());
+        assert!(run_jobs(0, 0, |i| i).is_empty());
     }
 
     #[test]
     fn unbalanced_jobs_complete_under_stealing() {
         // A few heavy jobs at the front of the index space; with four workers
-        // the back ranges drain instantly and their owners steal. The
-        // assertion is correctness (every result present), not timing.
-        let pool = WorkStealingPool::new(4);
-        let (results, stats) = pool.run(64, |i| {
+        // the idle ones take every later job from the cursor while the heavy
+        // ones run. The assertion is correctness (every result present, in
+        // order), not timing.
+        let results = run_jobs(64, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             i
         });
         assert_eq!(results, (0..64).collect::<Vec<_>>());
-        assert_eq!(stats.executed, 64);
     }
 
     #[test]
     fn results_can_borrow_the_environment() {
         let inputs: Vec<String> = (0..10).map(|i| format!("job-{i}")).collect();
-        let pool = WorkStealingPool::new(3);
-        let (lens, _) = pool.run(inputs.len(), |i| inputs[i].len());
-        assert_eq!(lens.iter().sum::<usize>(), inputs.iter().map(String::len).sum::<usize>());
+        let lens = run_jobs(inputs.len(), 3, |i| inputs[i].len());
+        assert_eq!(lens, inputs.iter().map(String::len).collect::<Vec<_>>());
     }
 }

@@ -1,13 +1,14 @@
 //! Sweep orchestration.
 //!
-//! [`run_sweep`] fans `scenarios × seeds` certified simulator runs across a
-//! [`WorkStealingPool`], collects per-seed reports, and writes failing runs
-//! as replayable artifacts. `regular-bench sweep` aggregates the result into
-//! the report behind `BENCH_sweep.json` (documented in `BENCHMARKS.md`).
+//! [`run_sweep`] fans `scenarios × seeds` certified simulator runs across
+//! scoped worker threads that claim jobs from one shared cursor, collects
+//! per-seed reports, and writes failing runs as replayable artifacts.
+//! `regular-bench sweep` aggregates the result into the report behind
+//! `BENCH_sweep.json` (documented in `BENCHMARKS.md`).
 
 use std::path::PathBuf;
 
-use crate::pool::{PoolStats, WorkStealingPool};
+use crate::pool::run_jobs;
 use crate::scenario::{run_seed, Scenario, SeedReport, SeedRun};
 
 /// What to sweep.
@@ -52,8 +53,6 @@ pub struct SweepResult {
     pub wall_ms: f64,
     /// Worker threads used.
     pub threads: usize,
-    /// Pool balance counters.
-    pub pool: PoolStats,
 }
 
 impl SweepResult {
@@ -65,15 +64,14 @@ impl SweepResult {
 
 /// Runs the sweep described by `opts`.
 ///
-/// Jobs are laid out scenario-interleaved (`s0 seed0, s1 seed0, …`) so the
-/// pool's range-stealing balances dissimilar scenario costs; the report
+/// Jobs are laid out scenario-interleaved (`s0 seed0, s1 seed0, …`), so
+/// workers claiming them in order mix dissimilar scenario costs; the report
 /// order matches the job order.
 pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
     let started = std::time::Instant::now();
     let scenarios = &opts.scenarios;
     let jobs = scenarios.len() * opts.seeds as usize;
-    let pool = WorkStealingPool::new(opts.threads);
-    let (runs, pool_stats): (Vec<SeedRun>, PoolStats) = pool.run(jobs, |i| {
+    let runs: Vec<SeedRun> = run_jobs(jobs, opts.threads, |i| {
         let scenario = scenarios[i % scenarios.len()];
         let seed = opts.base_seed + (i / scenarios.len()) as u64;
         run_seed(scenario, seed, opts.ops)
@@ -96,8 +94,7 @@ pub fn run_sweep(opts: &SweepOptions) -> SweepResult {
         reports,
         artifact_paths,
         wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
-        threads: pool.threads(),
-        pool: pool_stats,
+        threads: opts.threads.max(1),
     }
 }
 

@@ -4,7 +4,7 @@
 //! This facade crate re-exports the workspace members so examples, integration
 //! tests, and downstream users can depend on a single crate. For the map of
 //! the whole stack — crate layering, the two execution planes, the durable
-//! storage layer, the certification cascade, and the seed flow — see
+//! storage layer, certification, and the seed flow — see
 //! [`ARCHITECTURE.md`](https://github.com/paper-repro/regular-seq/blob/main/ARCHITECTURE.md)
 //! at the repository root. The members:
 //!
