@@ -149,7 +149,7 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
     let (sessions, sessions_witness) = synthetic_session_history(CHECKER_OPS, SESSION_GROUPS, 10);
     let (search_history, _) = synthetic_history(SEARCH_OPS, SEARCH_GROUPS);
     let mut by_key: Vec<_> =
-        witness.iter().map(|&id| (history.op(id).kind.accessed_keys()[0], id)).collect();
+        witness.iter().map(|&id| (history.op(id).kind.accessed_keys_iter().next(), id)).collect();
     by_key.sort_unstable();
     let chains = by_key.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[0].1, w[1].1));
     let edges: Vec<_> = chains.chain(ByProcess::new(&history).pairs()).collect();

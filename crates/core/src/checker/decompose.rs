@@ -71,7 +71,7 @@ impl ComponentSplit {
                     v.insert(id);
                 }
             }
-            for k in op.kind.accessed_keys() {
+            for k in op.kind.accessed_keys_iter() {
                 match key_rep.entry((op.service.0, k.0)) {
                     std::collections::hash_map::Entry::Occupied(e) => uf.union(*e.get(), id),
                     std::collections::hash_map::Entry::Vacant(v) => {

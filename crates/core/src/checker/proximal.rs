@@ -292,13 +292,13 @@ fn si_search(
                     }
                     // Snapshot reads must match the recorded values.
                     let op = history.op(txns[i]);
-                    let reads_ok = op.kind.read_keys().iter().all(|k| {
+                    let reads_ok = op.kind.read_keys_iter().all(|k| {
                         let snapshot = state
                             .committed_values
-                            .get(&(op.service.0, *k))
+                            .get(&(op.service.0, k))
                             .copied()
                             .unwrap_or(Value::NULL);
-                        op.observed_value(*k).map(|v| v == snapshot).unwrap_or(true)
+                        op.observed_value(k).map(|v| v == snapshot).unwrap_or(true)
                     });
                     if !reads_ok {
                         continue;
@@ -316,10 +316,10 @@ fn si_search(
                     let start = state.start_index[i].expect("started before committing");
                     // First-committer-wins: nobody committed a write to any of
                     // our written keys after we started.
-                    let conflict = op.kind.written_keys().iter().any(|k| {
+                    let conflict = op.kind.written_keys_iter().any(|k| {
                         state
                             .last_commit_index
-                            .get(&(op.service.0, *k))
+                            .get(&(op.service.0, k))
                             .map(|&idx| idx > start)
                             .unwrap_or(false)
                     });
@@ -328,27 +328,25 @@ fn si_search(
                     }
                     let saved_values: Vec<((u32, Key), Option<Value>)> = op
                         .kind
-                        .written_values()
-                        .iter()
-                        .map(|(k, _)| {
+                        .written_keys_iter()
+                        .map(|k| {
                             (
-                                (op.service.0, *k),
-                                state.committed_values.get(&(op.service.0, *k)).copied(),
+                                (op.service.0, k),
+                                state.committed_values.get(&(op.service.0, k)).copied(),
                             )
                         })
                         .collect();
                     let saved_indices: Vec<((u32, Key), Option<usize>)> = op
                         .kind
-                        .written_keys()
-                        .iter()
+                        .written_keys_iter()
                         .map(|k| {
                             (
-                                (op.service.0, *k),
-                                state.last_commit_index.get(&(op.service.0, *k)).copied(),
+                                (op.service.0, k),
+                                state.last_commit_index.get(&(op.service.0, k)).copied(),
                             )
                         })
                         .collect();
-                    for (k, v) in op.kind.written_values() {
+                    for (k, v) in op.kind.written_values_iter() {
                         state.committed_values.insert((op.service.0, k), v);
                         state.last_commit_index.insert((op.service.0, k), state.event_count);
                     }
@@ -559,12 +557,12 @@ fn serialization_is_valid(
     }
     // The read must return the latest preceding write to each key it reads
     // (NULL if none precedes it).
-    for key in read.kind.read_keys() {
+    for key in read.kind.read_keys_iter() {
         let expected = write_order[..read_pos]
             .iter()
             .rev()
             .find_map(|&w| {
-                history.op(w).kind.written_values().iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+                history.op(w).kind.written_values_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
             })
             .unwrap_or(Value::NULL);
         if let Some(observed) = read.observed_value(key) {

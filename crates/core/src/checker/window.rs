@@ -48,7 +48,7 @@ use std::collections::{BinaryHeap, HashMap};
 use crate::checker::certificate::{OrderKind, WitnessModel, WitnessViolation};
 use crate::hashing::FxBuildHasher;
 use crate::history::{result_shape_matches, OpRecord};
-use crate::spec::{results_compatible, SpecState, SpecViolation};
+use crate::spec::{SpecState, SpecViolation};
 use crate::types::OpId;
 
 /// Incremental witness checker; see the module docs for the rule-by-rule
@@ -157,15 +157,10 @@ impl StreamingChecker {
         }
 
         // Replay (all models).
-        let produced = self.state.apply(op.service, &op.kind);
-        if let Some(recorded) = &op.result {
-            if !results_compatible(&op.kind, &produced, recorded) {
-                return Err(WitnessViolation::Spec(SpecViolation {
-                    op: op.id,
-                    expected: produced,
-                    actual: recorded.clone(),
-                }));
-            }
+        if let Err(expected) = self.state.apply_expecting(op.service, &op.kind, op.result.as_ref())
+        {
+            let actual = op.result.clone().expect("only a recorded result can disagree");
+            return Err(WitnessViolation::Spec(SpecViolation { op: op.id, expected, actual }));
         }
 
         match self.model {
@@ -219,7 +214,7 @@ impl StreamingChecker {
 
         // Reads-from: a writer of `(service, key, value)` pushed after a
         // reader that observed that value inverts a reads-from edge.
-        for (k, v) in op.kind.written_values() {
+        for (k, v) in op.kind.written_values_iter() {
             if v.0 == 0 {
                 continue;
             }
@@ -235,7 +230,7 @@ impl StreamingChecker {
         }
         if let Some(result) = &op.result {
             if result_shape_matches(&op.kind, result) {
-                for (k, v) in result.observed(&op.kind) {
+                for (k, v) in result.observed_iter(&op.kind) {
                     if v.0 != 0 {
                         self.first_reader.entry((op.service.0, k.0, v.0)).or_insert(id);
                     }
@@ -248,7 +243,7 @@ impl StreamingChecker {
         if op.kind.is_mutating() {
             if let Some(resp) = op.response {
                 let resp = resp.as_micros();
-                for k in op.kind.written_keys() {
+                for k in op.kind.written_keys_iter() {
                     if let Some(&(max_inv, reader)) = self.reader_max.get(&(op.service.0, k.0)) {
                         if max_inv > resp {
                             return Err(WitnessViolation::OrderViolation {
@@ -277,7 +272,7 @@ impl StreamingChecker {
             }
         } else if op.kind.is_read_only() {
             let inv = op.invoke.as_micros();
-            for k in op.kind.read_keys() {
+            for k in op.kind.read_keys_iter() {
                 let e = self.reader_max.entry((op.service.0, k.0)).or_insert((inv, id));
                 if inv > e.0 {
                     *e = (inv, id);

@@ -310,14 +310,14 @@ impl History {
     /// key that `w` writes.
     pub fn conflicting_read_only(&self, w: OpId) -> Vec<OpId> {
         let wrec = self.op(w);
-        let written = wrec.kind.written_keys();
+        let writes = |k: Key| wrec.kind.written_keys_iter().any(|written| written == k);
         self.ops
             .iter()
             .filter(|o| {
                 o.id != w
                     && o.service == wrec.service
                     && o.kind.is_read_only()
-                    && o.kind.read_keys().iter().any(|k| written.contains(k))
+                    && o.kind.read_keys_iter().any(writes)
             })
             .map(|o| o.id)
             .collect()

@@ -180,7 +180,7 @@ pub fn detect_a1(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
         .filter(|o| {
             o.is_complete()
                 && o.service == keys.kv_service
-                && o.kind.written_keys().contains(&keys.album)
+                && o.kind.written_keys_iter().any(|k| k == keys.album)
         })
         .collect();
     for read in history.ops() {
@@ -197,10 +197,9 @@ pub fn detect_a1(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
             // Which photos did this add put in the album?
             let added: Vec<u64> = add
                 .kind
-                .written_values()
-                .iter()
+                .written_values_iter()
                 .filter(|(k, _)| *k == keys.album)
-                .flat_map(|(_, v)| keys.photos_in_album(*v))
+                .flat_map(|(_, v)| keys.photos_in_album(v))
                 .collect();
             if added.iter().any(|p| !in_album.contains(p)) {
                 return Some(Anomaly { anomaly: "A1", observer: read.id });
@@ -225,7 +224,7 @@ pub fn detect_a2_a3(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
             if resp > m.sent_at || op.service != keys.kv_service {
                 continue;
             }
-            for (k, v) in op.kind.written_values() {
+            for (k, v) in op.kind.written_values_iter() {
                 if k == keys.album {
                     wrote_any = true;
                     known.extend(keys.photos_in_album(v));

@@ -10,6 +10,9 @@ use regular_storage::wire_layout;
 
 use crate::types::{Key, Value};
 
+/// A key and the value written to or read from it.
+type KeyValue = (Key, Value);
+
 /// The kind (and arguments) of an operation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
@@ -93,39 +96,26 @@ impl OpKind {
     }
 
     /// Keys written by this operation (for queues, the queue key).
-    pub fn written_keys(&self) -> Vec<Key> {
-        match self {
-            OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => vec![*key],
-            OpKind::RwTxn { writes, .. } => writes.iter().map(|(k, _)| *k).collect(),
-            OpKind::Enqueue { queue, .. } => vec![*queue],
-            _ => Vec::new(),
-        }
+    pub fn written_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
+        self.written_values_iter().map(|(k, _)| k)
     }
 
-    /// [`Self::written_keys`] without the `Vec`.
-    pub fn written_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
-        let (one, many): (Option<Key>, &[(Key, Value)]) = match self {
-            OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (Some(*key), &[]),
+    /// The values this operation writes, as `(key, value)` pairs (for
+    /// queues, the queue key and the enqueued value).
+    pub fn written_values_iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
+        let (one, many): (Option<KeyValue>, &[KeyValue]) = match self {
+            OpKind::Write { key, value } | OpKind::Rmw { key, value } => {
+                (Some((*key, *value)), &[])
+            }
             OpKind::RwTxn { writes, .. } => (None, writes),
-            OpKind::Enqueue { queue, .. } => (Some(*queue), &[]),
+            OpKind::Enqueue { queue, value } => (Some((*queue, *value)), &[]),
             _ => (None, &[]),
         };
-        one.into_iter().chain(many.iter().map(|(k, _)| *k))
+        one.into_iter().chain(many.iter().copied())
     }
 
     /// Keys read by this operation (for dequeues, the queue key). `Rmw` and
     /// `RwTxn` read as well as write.
-    pub fn read_keys(&self) -> Vec<Key> {
-        match self {
-            OpKind::Read { key } | OpKind::Rmw { key, .. } => vec![*key],
-            OpKind::RoTxn { keys } => keys.clone(),
-            OpKind::RwTxn { read_keys, .. } => read_keys.clone(),
-            OpKind::Dequeue { queue } => vec![*queue],
-            _ => Vec::new(),
-        }
-    }
-
-    /// [`Self::read_keys`] without the `Vec`.
     pub fn read_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
         let (one, many): (Option<Key>, &[Key]) = match self {
             OpKind::Read { key } | OpKind::Rmw { key, .. } => (Some(*key), &[]),
@@ -137,38 +127,10 @@ impl OpKind {
         one.into_iter().chain(many.iter().copied())
     }
 
-    /// All keys accessed (read or written) by this operation.
-    pub fn accessed_keys(&self) -> Vec<Key> {
-        let mut keys = self.read_keys();
-        for k in self.written_keys() {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        keys
-    }
-
-    /// The values this operation writes, as `(key, value)` pairs.
-    pub fn written_values(&self) -> Vec<(Key, Value)> {
-        match self {
-            OpKind::Write { key, value } | OpKind::Rmw { key, value } => vec![(*key, *value)],
-            OpKind::RwTxn { writes, .. } => writes.clone(),
-            OpKind::Enqueue { queue, value } => vec![(*queue, *value)],
-            _ => Vec::new(),
-        }
-    }
-
-    /// True if this operation *conflicts* with `other`: they access a common
-    /// key and at least one of them writes it (the paper's conflict relation,
-    /// Section 3.3, generalized to both transactional and non-transactional
-    /// operations).
-    pub fn conflicts_with(&self, other: &OpKind) -> bool {
-        let my_writes = self.written_keys();
-        let my_reads = self.accessed_keys();
-        let their_writes = other.written_keys();
-        let their_reads = other.accessed_keys();
-        my_writes.iter().any(|k| their_reads.contains(k))
-            || their_writes.iter().any(|k| my_reads.contains(k))
+    /// Every key accessed: the read keys, then the written ones (a key both
+    /// read and written appears twice).
+    pub fn accessed_keys_iter(&self) -> impl Iterator<Item = Key> + '_ {
+        self.read_keys_iter().chain(self.written_keys_iter())
     }
 }
 
@@ -193,17 +155,19 @@ impl OpResult {
         }
     }
 
-    /// All `(key, value)` pairs observed by this result.
-    pub fn observed(&self, kind: &OpKind) -> Vec<(Key, Value)> {
-        match self {
+    /// All `(key, value)` pairs observed by this result of a `kind` op.
+    pub fn observed_iter(&self, kind: &OpKind) -> impl Iterator<Item = (Key, Value)> + '_ {
+        let (one, many): (Option<KeyValue>, &[KeyValue]) = match self {
             OpResult::Value(v) => match kind {
-                OpKind::Read { key } | OpKind::Rmw { key, .. } => vec![(*key, *v)],
-                OpKind::Dequeue { queue } => vec![(*queue, *v)],
-                _ => Vec::new(),
+                OpKind::Read { key } | OpKind::Rmw { key, .. } | OpKind::Dequeue { queue: key } => {
+                    (Some((*key, *v)), &[])
+                }
+                _ => (None, &[]),
             },
-            OpResult::Values(vs) => vs.clone(),
-            OpResult::Ack => Vec::new(),
-        }
+            OpResult::Values(vs) => (None, vs),
+            OpResult::Ack => (None, &[]),
+        };
+        one.into_iter().chain(many.iter().copied())
     }
 }
 
@@ -294,60 +258,49 @@ mod tests {
     #[test]
     fn key_sets() {
         let op = rw(&[1, 2], &[(2, 9), (3, 9)]);
-        assert_eq!(op.read_keys(), vec![Key(1), Key(2)]);
-        assert_eq!(op.written_keys(), vec![Key(2), Key(3)]);
-        let accessed = op.accessed_keys();
-        assert!(
-            accessed.contains(&Key(1)) && accessed.contains(&Key(2)) && accessed.contains(&Key(3))
+        assert_eq!(op.read_keys_iter().collect::<Vec<_>>(), [Key(1), Key(2)]);
+        assert_eq!(op.written_keys_iter().collect::<Vec<_>>(), [Key(2), Key(3)]);
+        assert_eq!(op.accessed_keys_iter().collect::<Vec<_>>(), [1, 2, 2, 3].map(Key));
+        assert_eq!(
+            op.written_values_iter().collect::<Vec<_>>(),
+            [(Key(2), Value(9)), (Key(3), Value(9))]
         );
-        assert_eq!(accessed.len(), 3);
-        assert_eq!(op.written_values(), vec![(Key(2), Value(9)), (Key(3), Value(9))]);
     }
 
     #[test]
     fn rmw_reads_and_writes() {
         let op = OpKind::Rmw { key: Key(4), value: Value(10) };
-        assert_eq!(op.read_keys(), vec![Key(4)]);
-        assert_eq!(op.written_keys(), vec![Key(4)]);
+        assert_eq!(op.read_keys_iter().collect::<Vec<_>>(), [Key(4)]);
+        assert_eq!(op.written_values_iter().collect::<Vec<_>>(), [(Key(4), Value(10))]);
     }
 
     #[test]
     fn key_iterators_agree_with_the_vec_visitors() {
+        // What the deleted `Vec` visitors (`read_keys`, `written_keys`,
+        // `written_values`, `accessed_keys`) returned, variant by variant.
         let (key, queue, value) = (Key(1), Key(2), Value(3));
-        let kinds = [
-            OpKind::Read { key },
-            OpKind::Write { key, value },
-            OpKind::Rmw { key, value },
-            OpKind::RoTxn { keys: vec![Key(4), Key(5)] },
-            rw(&[1, 2], &[(2, 9), (3, 9)]),
-            OpKind::Enqueue { queue, value },
-            OpKind::Dequeue { queue },
-            OpKind::Fence,
+        let cases: [(OpKind, &[Key], &[KeyValue]); 8] = [
+            (OpKind::Read { key }, &[key], &[]),
+            (OpKind::Write { key, value }, &[], &[(key, value)]),
+            (OpKind::Rmw { key, value }, &[key], &[(key, value)]),
+            (OpKind::RoTxn { keys: vec![Key(4), Key(5)] }, &[Key(4), Key(5)], &[]),
+            (
+                rw(&[1, 2], &[(2, 9), (3, 9)]),
+                &[Key(1), Key(2)],
+                &[(Key(2), Value(9)), (Key(3), Value(9))],
+            ),
+            (OpKind::Enqueue { queue, value }, &[], &[(queue, value)]),
+            (OpKind::Dequeue { queue }, &[queue], &[]),
+            (OpKind::Fence, &[], &[]),
         ];
-        for kind in kinds {
-            assert_eq!(kind.read_keys_iter().collect::<Vec<_>>(), kind.read_keys(), "{kind:?}");
-            assert_eq!(
-                kind.written_keys_iter().collect::<Vec<_>>(),
-                kind.written_keys(),
-                "{kind:?}"
-            );
+        for (kind, reads, writes) in cases {
+            assert_eq!(kind.read_keys_iter().collect::<Vec<_>>(), reads, "{kind:?}");
+            assert_eq!(kind.written_values_iter().collect::<Vec<_>>(), writes, "{kind:?}");
+            let written: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
+            assert_eq!(kind.written_keys_iter().collect::<Vec<_>>(), written, "{kind:?}");
+            let accessed: Vec<Key> = reads.iter().copied().chain(written).collect();
+            assert_eq!(kind.accessed_keys_iter().collect::<Vec<_>>(), accessed, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn conflict_relation() {
-        let w = OpKind::Write { key: Key(1), value: Value(5) };
-        let r_same = OpKind::Read { key: Key(1) };
-        let r_other = OpKind::Read { key: Key(2) };
-        let w_other = OpKind::Write { key: Key(2), value: Value(5) };
-        assert!(w.conflicts_with(&r_same));
-        assert!(r_same.conflicts_with(&w));
-        assert!(!w.conflicts_with(&r_other));
-        assert!(!w.conflicts_with(&w_other));
-        assert!(!r_same.conflicts_with(&r_same), "two reads never conflict");
-        let rw1 = rw(&[1], &[(2, 1)]);
-        let rw2 = rw(&[2], &[(3, 1)]);
-        assert!(rw1.conflicts_with(&rw2), "rw1 writes a key rw2 reads");
     }
 
     #[test]
@@ -357,13 +310,17 @@ mod tests {
         assert_eq!(res.value_for(Key(1), &kind), Some(Value(7)));
         assert_eq!(res.value_for(Key(2), &kind), Some(Value::NULL));
         assert_eq!(res.value_for(Key(3), &kind), None);
-        assert_eq!(res.observed(&kind).len(), 2);
+        assert_eq!(res.observed_iter(&kind).count(), 2);
 
         let kind = OpKind::Read { key: Key(9) };
         let res = OpResult::Value(Value(3));
         assert_eq!(res.value_for(Key(9), &kind), Some(Value(3)));
         assert_eq!(res.value_for(Key(8), &kind), None);
         assert_eq!(OpResult::Ack.value_for(Key(9), &kind), None);
-        assert!(OpResult::Ack.observed(&kind).is_empty());
+        assert_eq!(OpResult::Ack.observed_iter(&kind).count(), 0);
+        let dequeue = OpKind::Dequeue { queue: Key(4) };
+        let observed: Vec<_> = OpResult::Value(Value(6)).observed_iter(&dequeue).collect();
+        assert_eq!(observed, [(Key(4), Value(6))]);
+        assert_eq!(OpResult::Value(Value(6)).observed_iter(&OpKind::Fence).count(), 0);
     }
 }

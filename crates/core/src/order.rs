@@ -37,7 +37,7 @@ pub fn reads_from_edges(history: &History) -> Vec<(OpId, OpId)> {
     // Index written (service, key, value) -> writers.
     let mut writers: HashMap<(u32, Key, Value), Vec<OpId>> = HashMap::new();
     for op in history.ops() {
-        for (k, v) in op.kind.written_values() {
+        for (k, v) in op.kind.written_values_iter() {
             if !v.is_null() {
                 writers.entry((op.service.0, k, v)).or_default().push(op.id);
             }
@@ -46,7 +46,7 @@ pub fn reads_from_edges(history: &History) -> Vec<(OpId, OpId)> {
     let mut edges = Vec::new();
     for op in history.ops() {
         let Some(result) = op.result.as_ref() else { continue };
-        for (k, v) in result.observed(&op.kind) {
+        for (k, v) in result.observed_iter(&op.kind) {
             if v.is_null() {
                 continue;
             }

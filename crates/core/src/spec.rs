@@ -112,6 +112,51 @@ impl SpecState {
             OpKind::Fence => OpResult::Ack,
         }
     }
+
+    /// [`SpecState::apply`] followed by the comparison [`check_sequence`]
+    /// makes, without building the result unless it is wrong: a transaction's
+    /// reads are compared in place. `recorded` is the op's recorded result
+    /// (`None` for a pending op, which only takes effect). On a mismatch
+    /// returns what the replay produced; the state is left exactly as
+    /// `apply` leaves it either way.
+    pub fn apply_expecting(
+        &mut self,
+        service: ServiceId,
+        kind: &OpKind,
+        recorded: Option<&OpResult>,
+    ) -> Result<(), OpResult> {
+        let reads_match = |state: &Self, keys: &[Key]| match recorded {
+            None => true,
+            Some(OpResult::Values(vs)) => {
+                vs.len() == keys.len()
+                    && vs
+                        .iter()
+                        .zip(keys)
+                        .all(|(&(k, v), &key)| k == key && v == state.get(service, key))
+            }
+            Some(_) => false,
+        };
+        match kind {
+            OpKind::RoTxn { keys } if reads_match(self, keys) => Ok(()),
+            OpKind::RwTxn { read_keys, writes } if reads_match(self, read_keys) => {
+                for (k, v) in writes {
+                    self.kv.insert((service, *k), *v);
+                }
+                Ok(())
+            }
+            // Everything else builds no `Vec`, and a transaction only gets
+            // here when it is already wrong.
+            _ => {
+                let produced = self.apply(service, kind);
+                match recorded {
+                    Some(recorded) if !results_compatible(kind, &produced, recorded) => {
+                        Err(produced)
+                    }
+                    _ => Ok(()),
+                }
+            }
+        }
+    }
 }
 
 /// Entry in the [`IndexedSpecState`] undo log.
@@ -444,6 +489,78 @@ mod tests {
         assert!(check_sequence(&h, &[pw, r]).is_ok());
         // Excluding it does not.
         assert!(check_sequence(&h, &[r]).is_err());
+    }
+
+    /// One generated op: `(kind, key, value, key count, recording)`.
+    type GenOp = (u8, u64, u64, u64, u8);
+
+    /// The op `g` describes, and the service it targets.
+    fn op_of(&(kind, key, value, n, _): &GenOp) -> (ServiceId, OpKind) {
+        let keys = (0..n).map(|i| Key((key + i) % 3));
+        let kv = ServiceId::KV;
+        match kind {
+            0 => (kv, OpKind::Read { key: Key(key) }),
+            1 => (kv, OpKind::Write { key: Key(key), value: Value(value) }),
+            2 => (kv, OpKind::Rmw { key: Key(key), value: Value(value) }),
+            3 => (kv, OpKind::RoTxn { keys: keys.collect() }),
+            4 => {
+                let writes = keys.clone().map(|k| (k, Value(value + k.0))).collect();
+                (kv, OpKind::RwTxn { read_keys: keys.rev().collect(), writes })
+            }
+            5 => (ServiceId::QUEUE, OpKind::Enqueue { queue: Key(key), value: Value(value) }),
+            6 => (ServiceId::QUEUE, OpKind::Dequeue { queue: Key(key) }),
+            _ => (kv, OpKind::Fence),
+        }
+    }
+
+    /// The recorded result: the correct one, none (a pending op), or one
+    /// perturbed in value, key, length or shape.
+    fn record(correct: OpResult, how: u8) -> Option<OpResult> {
+        let bump = |v: Value| Value(v.0 + 1);
+        Some(match (how, correct) {
+            (0 | 1, r) => r,
+            (2, _) => return None,
+            (3, OpResult::Value(v)) => OpResult::Value(bump(v)),
+            (3, OpResult::Values(mut vs)) => {
+                match vs.last_mut() {
+                    Some((_, v)) => *v = bump(*v),
+                    None => vs.push((Key(0), Value::NULL)),
+                }
+                OpResult::Values(vs)
+            }
+            (4, OpResult::Values(mut vs)) if !vs.is_empty() => {
+                vs[0].0 = Key(vs[0].0 .0 + 1);
+                OpResult::Values(vs)
+            }
+            (4, OpResult::Values(mut vs)) => {
+                vs.pop();
+                OpResult::Values(vs)
+            }
+            (5, OpResult::Value(v)) => OpResult::Values(vec![(Key(0), v)]),
+            _ => OpResult::Ack,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn apply_expecting_agrees_with_apply_and_compare(
+            ops in proptest::collection::vec((0u8..8, 0u64..3, 1u64..4, 0u64..4, 0u8..7), 1..24)
+        ) {
+            let (mut reference, mut fast) = (SpecState::new(), SpecState::new());
+            for g in &ops {
+                let (service, kind) = op_of(g);
+                let recorded = record(reference.clone().apply(service, &kind), g.4);
+                let produced = reference.apply(service, &kind);
+                let verdict = match &recorded {
+                    Some(r) if !results_compatible(&kind, &produced, r) => Err(produced),
+                    _ => Ok(()),
+                };
+                proptest::prop_assert_eq!(fast.apply_expecting(service, &kind, recorded.as_ref()), verdict, "{:?}", kind);
+                proptest::prop_assert_eq!(&fast, &reference);
+            }
+        }
     }
 
     #[test]

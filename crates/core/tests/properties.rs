@@ -322,9 +322,8 @@ proptest! {
         for (w, r) in reads_from_edges(&h) {
             prop_assert!(h.op(w).kind.is_mutating());
             prop_assert!(!h.op(r).kind.is_mutating());
-            let wk = h.op(w).kind.written_keys();
-            let rk = h.op(r).kind.read_keys();
-            prop_assert!(wk.iter().any(|k| rk.contains(k)));
+            let written = |k| h.op(w).kind.written_keys_iter().any(|key| key == k);
+            prop_assert!(h.op(r).kind.read_keys_iter().any(written));
         }
     }
 
@@ -363,7 +362,7 @@ proptest! {
                 let chain: Vec<_> = witness
                     .iter()
                     .copied()
-                    .filter(|id| h.op(*id).kind.accessed_keys().contains(&Key(key)))
+                    .filter(|id| h.op(*id).kind.accessed_keys_iter().any(|k| k == Key(key)))
                     .collect();
                 for w in chain.windows(2) {
                     edges.push((w[0], w[1]));
@@ -402,7 +401,7 @@ proptest! {
             };
             let mut edges = Vec::new();
             for n in 1..=3 {
-                edges.extend(chain(&|id| h.op(id).kind.accessed_keys().contains(&Key(n))));
+                edges.extend(chain(&|id| h.op(id).kind.accessed_keys_iter().any(|k| k == Key(n))));
                 edges.extend(chain(&|id| h.op(id).process == ProcessId(n as u32)));
             }
             let order = assemble_witness(&h, &edges, witness_model);

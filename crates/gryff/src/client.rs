@@ -597,8 +597,8 @@ impl Service for GryffService {
         }
     }
 
-    fn drain_completed(&mut self) -> Vec<CompletedRecord> {
-        std::mem::take(&mut self.completed)
+    fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>) {
+        out.append(&mut self.completed);
     }
 }
 

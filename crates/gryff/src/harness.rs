@@ -477,7 +477,7 @@ pub fn all_reads_explainable(result: &GryffRunResult) -> bool {
     let mut written: std::collections::HashSet<Value> = std::collections::HashSet::new();
     for (_, ops) in &result.completed {
         for op in ops {
-            for (_, v) in op.kind.written_values() {
+            for (_, v) in op.kind.written_values_iter() {
                 written.insert(v);
             }
         }

@@ -129,35 +129,37 @@ impl<S: Service> SessionRunner<S> {
         }
     }
 
-    /// Collects completions; when a session's batch fully completes, asks the
-    /// scheduler how the session continues. Loops because a submission issued
-    /// from a completion (none today, but cheap to be safe) may itself
-    /// complete synchronously.
+    /// Collects completions straight into [`SessionRunner::completed`]; when
+    /// a session's batch fully completes, asks the scheduler how the session
+    /// continues. Loops because a submission issued from a completion (none
+    /// today, but cheap to be safe) may itself complete synchronously.
     fn drain(&mut self, ctx: &mut Context<S::Msg>) {
+        let mut next = self.completed.len();
         loop {
-            let records = self.service.drain_completed();
-            if records.is_empty() {
+            self.service.drain_completed(&mut self.completed);
+            if next == self.completed.len() {
                 return;
             }
-            for rec in records {
-                if !rec.orphan {
-                    self.stats.ops_completed += 1;
-                    if let Some(n) = self.outstanding.get_mut(&rec.session) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.outstanding.remove(&rec.session);
-                            let timers =
-                                self.scheduler.on_batch_complete(ctx.now(), ctx.rng(), rec.session);
-                            for (delay, wake) in timers {
-                                self.arm(ctx, delay, wake);
-                            }
-                            if !self.scheduler.is_active(rec.session) {
-                                self.service.end_session(rec.session);
-                            }
-                        }
+            while let Some(rec) = self.completed.get(next) {
+                next += 1;
+                if rec.orphan {
+                    continue;
+                }
+                let session = rec.session;
+                self.stats.ops_completed += 1;
+                let Some(n) = self.outstanding.get_mut(&session) else { continue };
+                *n -= 1;
+                if *n == 0 {
+                    self.outstanding.remove(&session);
+                    if let Some((delay, wake)) =
+                        self.scheduler.on_batch_complete(ctx.now(), ctx.rng(), session)
+                    {
+                        self.arm(ctx, delay, wake);
+                    }
+                    if !self.scheduler.is_active(session) {
+                        self.service.end_session(session);
                     }
                 }
-                self.completed.push(rec);
             }
         }
     }
@@ -190,13 +192,13 @@ impl<S: Service> Node<S::Msg> for SessionRunner<S> {
             self.service.on_timer(ctx, tag);
         } else {
             let Some(wake) = self.timers.remove(&tag) else { return };
-            let (issue, timers) = self.scheduler.on_wake(ctx.now(), ctx.rng(), wake);
+            let (issue, timer) = self.scheduler.on_wake(ctx.now(), ctx.rng(), wake);
             self.stats.arrivals = self.scheduler.arrivals();
             self.stats.shed = self.scheduler.shed();
-            for (delay, next) in timers {
+            if let Some((delay, next)) = timer {
                 self.arm(ctx, delay, next);
             }
-            for session in issue {
+            if let Some(session) = issue {
                 self.issue_batch(ctx, session);
             }
             // The stop-issuing cutoff retires sessions at wake time.
@@ -249,6 +251,8 @@ pub struct ComposedRunner<M: 'static> {
     /// All completions from every service, including auto-fences, annotated
     /// with the index of the service that produced them.
     pub completed: Vec<(usize, CompletedRecord)>,
+    /// Scratch buffer one service's completions are drained into.
+    drained: Vec<CompletedRecord>,
     /// Aggregate session statistics.
     pub stats: SessionStats,
 }
@@ -290,6 +294,7 @@ impl<M: 'static> ComposedRunner<M> {
             pending_context: None,
             handoffs: Vec::new(),
             completed: Vec::new(),
+            drained: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -422,7 +427,9 @@ impl<M: 'static> ComposedRunner<M> {
         loop {
             let mut progressed = false;
             for idx in 0..self.services.len() {
-                for rec in self.services[idx].drain_completed() {
+                let mut drained = std::mem::take(&mut self.drained);
+                self.services[idx].drain_completed(&mut drained);
+                for rec in drained.drain(..) {
                     progressed = true;
                     let lane = LaneId { session: rec.session, slot: rec.slot };
                     let release = if rec.kind.is_fence() && !rec.orphan {
@@ -444,12 +451,11 @@ impl<M: 'static> ComposedRunner<M> {
                             if *n == 0 {
                                 batch_done = true;
                                 self.outstanding.remove(&lane.session);
-                                let timers = self.scheduler.on_batch_complete(
+                                if let Some((delay, wake)) = self.scheduler.on_batch_complete(
                                     ctx.now(),
                                     ctx.rng(),
                                     lane.session,
-                                );
-                                for (delay, wake) in timers {
+                                ) {
                                     self.arm(ctx, delay, wake);
                                 }
                                 if !self.scheduler.is_active(lane.session) {
@@ -472,6 +478,7 @@ impl<M: 'static> ComposedRunner<M> {
                         }
                     }
                 }
+                self.drained = drained;
             }
             if !progressed {
                 return;
@@ -516,13 +523,13 @@ impl<M: Clone + 'static> Node<M> for ComposedRunner<M> {
             }
         } else {
             let Some(wake) = self.timers.remove(&tag) else { return };
-            let (issue, timers) = self.scheduler.on_wake(ctx.now(), ctx.rng(), wake);
+            let (issue, timer) = self.scheduler.on_wake(ctx.now(), ctx.rng(), wake);
             self.stats.arrivals = self.scheduler.arrivals();
             self.stats.shed = self.scheduler.shed();
-            for (delay, next) in timers {
+            if let Some((delay, next)) = timer {
                 self.arm(ctx, delay, next);
             }
-            for session in issue {
+            if let Some(session) = issue {
                 self.issue_batch(ctx, session);
             }
             // The stop-issuing cutoff retires sessions at wake time.

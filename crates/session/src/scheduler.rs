@@ -108,79 +108,78 @@ impl SessionScheduler {
         }
     }
 
-    /// Handles a fired timer. Returns the sessions that must issue a batch
-    /// *now* and any new timers to arm.
+    /// Handles a fired timer. Returns the session that must issue a batch
+    /// *now*, if any, and the timer to arm, if any.
     pub fn on_wake(
         &mut self,
         now: SimTime,
         rng: &mut SmallRng,
         wake: Wake,
-    ) -> (Vec<u64>, Vec<(SimDuration, Wake)>) {
+    ) -> (Option<u64>, Option<(SimDuration, Wake)>) {
         match wake {
             Wake::Issue { session } => {
                 if now >= self.stop_issuing_at || !self.active.contains(&session) {
                     self.active.remove(&session);
-                    (Vec::new(), Vec::new())
+                    (None, None)
                 } else {
-                    (vec![session], Vec::new())
+                    (Some(session), None)
                 }
             }
             Wake::Arrival => {
                 if now >= self.stop_issuing_at {
-                    return (Vec::new(), Vec::new());
+                    return (None, None);
                 }
                 self.arrivals += 1;
                 // Open-loop arrivals keep coming regardless of what happens
                 // to this one — that independence is the whole model — but an
                 // arrival over the in-flight cap is shed, not queued.
                 if let SessionDriver::OpenLoop { arrival_rate, max_in_flight } = self.cfg.driver {
-                    let timers = vec![(exponential_delay(rng, arrival_rate), Wake::Arrival)];
+                    let next = Some((exponential_delay(rng, arrival_rate), Wake::Arrival));
                     if self.active.len() >= max_in_flight {
                         self.shed += 1;
-                        return (Vec::new(), timers);
+                        return (None, next);
                     }
-                    let id = self.spawn_session();
-                    return (vec![id], timers);
+                    return (Some(self.spawn_session()), next);
                 }
                 let id = self.spawn_session();
-                let timers = match self.cfg.driver {
+                let next = match self.cfg.driver {
                     SessionDriver::PartlyOpen { arrival_rate, .. } => {
-                        vec![(exponential_delay(rng, arrival_rate), Wake::Arrival)]
+                        Some((exponential_delay(rng, arrival_rate), Wake::Arrival))
                     }
-                    SessionDriver::ClosedLoop { .. } | SessionDriver::OpenLoop { .. } => Vec::new(),
+                    SessionDriver::ClosedLoop { .. } | SessionDriver::OpenLoop { .. } => None,
                 };
-                (vec![id], timers)
+                (Some(id), next)
             }
         }
     }
 
     /// Handles a session completing its whole batch: decides whether the
-    /// session continues (after thinking) or departs.
+    /// session continues (the returned think-time timer) or departs.
     pub fn on_batch_complete(
         &mut self,
         _now: SimTime,
         rng: &mut SmallRng,
         session: u64,
-    ) -> Vec<(SimDuration, Wake)> {
+    ) -> Option<(SimDuration, Wake)> {
         if !self.active.contains(&session) {
-            return Vec::new();
+            return None;
         }
         match self.cfg.driver {
             SessionDriver::ClosedLoop { think_time, .. } => {
-                vec![(think_time, Wake::Issue { session })]
+                Some((think_time, Wake::Issue { session }))
             }
             SessionDriver::PartlyOpen { stay_probability, think_time, .. } => {
                 if rng.gen_bool(stay_probability) {
-                    vec![(think_time, Wake::Issue { session })]
+                    Some((think_time, Wake::Issue { session }))
                 } else {
                     self.active.remove(&session);
-                    Vec::new()
+                    None
                 }
             }
             // Open-loop sessions issue exactly one batch, then depart.
             SessionDriver::OpenLoop { .. } => {
                 self.active.remove(&session);
-                Vec::new()
+                None
             }
         }
     }
@@ -215,11 +214,11 @@ mod tests {
         assert_eq!(s.active_sessions(), 3);
         assert!(timers.iter().all(|(d, _)| *d < SimDuration::from_millis(1)));
         let (issue, more) = s.on_wake(SimTime::from_millis(1), &mut r, timers[0].1);
-        assert_eq!(issue.len(), 1);
-        assert!(more.is_empty());
+        let issue = issue.expect("the session issues");
+        assert!(more.is_none());
         // After the batch completes, the session thinks then re-issues.
-        let next = s.on_batch_complete(SimTime::from_millis(2), &mut r, issue[0]);
-        assert_eq!(next.len(), 1);
+        let next = s.on_batch_complete(SimTime::from_millis(2), &mut r, issue);
+        assert_eq!(next, Some((SimDuration::ZERO, Wake::Issue { session: issue })));
     }
 
     #[test]
@@ -231,7 +230,7 @@ mod tests {
         let mut r = rng();
         let timers = s.on_start(&mut r);
         let (issue, _) = s.on_wake(SimTime::from_secs(2), &mut r, timers[0].1);
-        assert!(issue.is_empty(), "no batches after the cutoff");
+        assert!(issue.is_none(), "no batches after the cutoff");
         assert_eq!(s.active_sessions(), 0);
     }
 
@@ -245,11 +244,10 @@ mod tests {
         let timers = s.on_start(&mut r);
         assert_eq!(timers.len(), 1);
         let (issue, more) = s.on_wake(SimTime::from_millis(5), &mut r, Wake::Arrival);
-        assert_eq!(issue.len(), 1);
-        assert_eq!(more.len(), 1, "the next arrival is scheduled");
+        assert!(matches!(more, Some((_, Wake::Arrival))), "the next arrival is scheduled");
         // stay_probability 0: the session leaves after one batch.
-        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue[0]);
-        assert!(next.is_empty());
+        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue.unwrap());
+        assert!(next.is_none());
         assert_eq!(s.active_sessions(), 0);
     }
 
@@ -261,12 +259,11 @@ mod tests {
         let timers = s.on_start(&mut r);
         assert_eq!(timers.len(), 1);
         let (issue, more) = s.on_wake(SimTime::from_millis(5), &mut r, Wake::Arrival);
-        assert_eq!(issue.len(), 1);
-        assert_eq!(more.len(), 1, "the next arrival is always scheduled");
+        assert!(more.is_some(), "the next arrival is always scheduled");
         assert_eq!(s.arrivals(), 1);
         // One batch, then gone — no think timer, no re-issue.
-        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue[0]);
-        assert!(next.is_empty());
+        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue.unwrap());
+        assert!(next.is_none());
         assert_eq!(s.active_sessions(), 0);
         assert_eq!(s.shed(), 0);
     }
@@ -280,19 +277,19 @@ mod tests {
         let now = SimTime::from_millis(1);
         let (a, _) = s.on_wake(now, &mut r, Wake::Arrival);
         let (b, _) = s.on_wake(now, &mut r, Wake::Arrival);
-        assert_eq!(a.len() + b.len(), 2);
+        assert!(a.is_some() && b.is_some());
         assert_eq!(s.active_sessions(), 2);
         // Third arrival while two are in flight: shed, but the arrival
         // process keeps going.
         let (c, more) = s.on_wake(now, &mut r, Wake::Arrival);
-        assert!(c.is_empty());
-        assert_eq!(more.len(), 1);
+        assert!(c.is_none());
+        assert!(more.is_some());
         assert_eq!(s.shed(), 1);
         assert_eq!(s.arrivals(), 3);
         // A completion frees a slot; the next arrival is admitted again.
-        let _ = s.on_batch_complete(now, &mut r, a.first().copied().unwrap_or(b[0]));
+        let _ = s.on_batch_complete(now, &mut r, a.unwrap());
         let (d, _) = s.on_wake(now, &mut r, Wake::Arrival);
-        assert_eq!(d.len(), 1);
+        assert!(d.is_some());
     }
 
     #[test]

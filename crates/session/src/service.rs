@@ -86,8 +86,9 @@ pub trait Service: Send + 'static {
     /// causal past. Services without a timestamped floor ignore it.
     fn raise_session_floor(&mut self, _session: u64, _floor: u64) {}
 
-    /// Takes the operations completed since the last call.
-    fn drain_completed(&mut self) -> Vec<CompletedRecord>;
+    /// Appends the operations completed since the last call to `out`, in
+    /// completion order. The service keeps its own buffer's capacity.
+    fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>);
 }
 
 /// Lifts a `Service` with message type `P` into a combined-message simulation
@@ -204,8 +205,8 @@ where
         self.inner.raise_session_floor(session, floor);
     }
 
-    fn drain_completed(&mut self) -> Vec<CompletedRecord> {
-        self.inner.drain_completed()
+    fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>) {
+        self.inner.drain_completed(out);
     }
 }
 
@@ -238,9 +239,7 @@ mod tests {
             }
             fn submit(&mut self, _: &mut Context<()>, _: LaneId, _: SessionOp) {}
             fn on_message(&mut self, _: &mut Context<()>, _: NodeId, _: ()) {}
-            fn drain_completed(&mut self) -> Vec<CompletedRecord> {
-                Vec::new()
-            }
+            fn drain_completed(&mut self, _: &mut Vec<CompletedRecord>) {}
         }
         let a: MappedService<Dummy, ()> = MappedService::with_tag_namespace(Dummy, 0, 2);
         let b: MappedService<Dummy, ()> = MappedService::with_tag_namespace(Dummy, 1, 2);

@@ -86,14 +86,30 @@ struct Session {
     t_min: Ts,
 }
 
+/// A set of shard indices, bit `s` for shard `s` (a client serves at most 64
+/// shards; [`SpannerService::new`] checks).
+type ShardMask = u64;
+
+/// The shard indices in `mask`, ascending.
+fn shards_in(mut mask: ShardMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let s = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            s
+        })
+    })
+}
+
 #[derive(Debug)]
 enum Phase {
+    /// Reading at the participants; `pending` still owe a reply.
     Execute {
-        pending: FxHashSet<NodeId>,
+        pending: ShardMask,
     },
     Committing,
     RoFast {
-        pending: FxHashSet<NodeId>,
+        pending: ShardMask,
     },
     RoSlow,
     /// A fence waiting out its TrueTime barrier.
@@ -118,17 +134,81 @@ struct ActiveTxn {
     phase: Phase,
     attempts: u32,
     // Read-write state.
-    writes_by_shard: Vec<(NodeId, Vec<(Key, Value)>)>,
+    /// Every write, grouped by participant shard in ascending shard order.
+    writes: Vec<(Key, Value)>,
     coordinator: NodeId,
     t_ee: Ts,
     commit_timer: Option<u64>,
     // Read-only state.
     t_read: Ts,
     t_min_at_start: Ts,
-    versions: FxHashMap<Key, Vec<(Ts, Value)>>,
+    /// Every version the shards returned, in arrival order.
+    versions: Vec<(Key, Ts, Value)>,
     skipped: FxHashMap<TxnId, Ts>,
     resolved_early: FxHashSet<TxnId>,
     t_snap: Ts,
+}
+
+impl ActiveTxn {
+    /// An attempt about to be issued.
+    fn new(lane: LaneId, request: TxnRequest, invoke: SimTime, attempts: u32) -> Self {
+        ActiveTxn {
+            lane,
+            request,
+            invoke,
+            phase: Phase::Execute { pending: 0 },
+            attempts,
+            writes: Vec::new(),
+            coordinator: 0,
+            t_ee: 0,
+            commit_timer: None,
+            t_read: 0,
+            t_min_at_start: 0,
+            versions: Vec::new(),
+            skipped: FxHashMap::default(),
+            resolved_early: FxHashSet::default(),
+            t_snap: 0,
+        }
+    }
+
+    /// `key`'s versions, in arrival order.
+    fn versions_of(&self, key: Key) -> impl Iterator<Item = (Ts, Value)> + '_ {
+        self.versions.iter().filter(move |(k, ..)| *k == key).map(|&(_, ts, v)| (ts, v))
+    }
+
+    /// Algorithm 1's snapshot: the latest, over the keys read, of each key's
+    /// earliest returned version (0 for a key with none).
+    fn calculate_snapshot(&self) -> Ts {
+        let earliest = |key: &Key| self.versions_of(*key).map(|(ts, _)| ts).min().unwrap_or(0);
+        self.request.keys().iter().map(earliest).fold(0, Ts::max)
+    }
+
+    /// Appends a reply's versions. The first reply's buffer is kept, grown
+    /// once to hold a version of every key the transaction reads.
+    fn add_versions(&mut self, values: Vec<(Key, Ts, Value)>) {
+        if self.versions.is_empty() {
+            self.versions = values;
+            let missing = self.request.keys().len().saturating_sub(self.versions.len());
+            self.versions.reserve_exact(missing);
+        } else {
+            self.versions.extend(values);
+        }
+    }
+
+    /// Notes that `from` answered a phase waiting on shard replies; true
+    /// once it was the last one awaited. A reply from a node that is not one
+    /// of `shard_nodes` answers nothing.
+    fn replied(&mut self, shard_nodes: &[NodeId], from: NodeId) -> bool {
+        match &mut self.phase {
+            Phase::Execute { pending } | Phase::RoFast { pending } => {
+                if let Some(s) = shard_nodes.iter().position(|&n| n == from) {
+                    *pending &= !(1 << s);
+                }
+                *pending == 0
+            }
+            _ => false,
+        }
+    }
 }
 
 enum TimerAction {
@@ -159,7 +239,17 @@ pub struct SpannerService {
 
 impl SpannerService {
     /// Creates a client protocol core with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cluster has more than 64 shards: a transaction keeps
+    /// the shards it still waits on as a bit mask.
     pub fn new(cfg: ClientConfig) -> Self {
+        assert!(
+            cfg.shard_nodes.len() <= 64,
+            "a Spanner client tracks shards in a 64-bit mask; this cluster has {} shards",
+            cfg.shard_nodes.len()
+        );
         SpannerService {
             cfg,
             service: ServiceId::KV,
@@ -213,16 +303,13 @@ impl SpannerService {
         (key.0 % self.cfg.shard_nodes.len() as u64) as usize
     }
 
-    fn shards_for(&self, keys: &[Key]) -> Vec<usize> {
-        let mut shards: Vec<usize> = keys.iter().map(|k| self.shard_of(*k)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+    fn shards_for(&self, keys: &[Key]) -> ShardMask {
+        keys.iter().fold(0, |mask, k| mask | 1 << self.shard_of(*k))
     }
 
-    fn fresh_value(&mut self, ctx: &Context<SpannerMsg>) -> Value {
-        self.value_counter += 1;
-        Value(((ctx.node_id() as u64 + 1) << 40) | self.value_counter)
+    /// The keys of `keys` that live on shard `s`, in request order.
+    fn keys_on<'a>(&'a self, keys: &'a [Key], s: usize) -> impl Iterator<Item = Key> + 'a {
+        keys.iter().copied().filter(move |k| self.shard_of(*k) == s)
     }
 
     fn t_min_of(&self, session: u64) -> Ts {
@@ -236,13 +323,12 @@ impl SpannerService {
 
     /// Estimated minimum commit latency (in microseconds) when using
     /// `coordinator` for a transaction spanning `participants`.
-    fn estimate_commit_latency(&self, coordinator: usize, participants: &[usize]) -> u64 {
+    fn estimate_commit_latency(&self, coordinator: usize, participants: ShardMask) -> u64 {
         let client = Region(self.cfg.region);
         let coord_region = Region(self.cfg.shard_regions[coordinator]);
         let one_way_client = self.cfg.net.one_way(client, coord_region).as_micros();
-        let prepare = participants
-            .iter()
-            .map(|&p| {
+        let prepare = shards_in(participants)
+            .map(|p| {
                 let pr = Region(self.cfg.shard_regions[p]);
                 let net = if p == coordinator {
                     0
@@ -258,10 +344,9 @@ impl SpannerService {
         2 * one_way_client + prepare + commit
     }
 
-    fn pick_coordinator(&self, participants: &[usize]) -> (usize, u64) {
-        participants
-            .iter()
-            .map(|&c| (c, self.estimate_commit_latency(c, participants)))
+    fn pick_coordinator(&self, participants: ShardMask) -> (usize, u64) {
+        shards_in(participants)
+            .map(|c| (c, self.estimate_commit_latency(c, participants)))
             .min_by_key(|&(_, est)| est)
             .expect("transactions access at least one shard")
     }
@@ -271,10 +356,9 @@ impl SpannerService {
     /// already abandoned (and re-issued under a fresh number) — that retry
     /// must die here, not resurrect the old attempt.
     fn issue(&mut self, ctx: &mut Context<SpannerMsg>, seq: u64) {
-        let (request, session) = {
-            let Some(t) = self.txns.get(&seq) else { return };
-            (t.request.clone(), t.lane.session)
-        };
+        if !self.txns.contains_key(&seq) {
+            return;
+        }
         // Under a fault schedule the request (or every reply) may be lost:
         // watch the pre-commit phases with a timeout so the lane cannot
         // stall forever on a crashed shard.
@@ -282,83 +366,80 @@ impl SpannerService {
             self.set_timer(ctx, timeout, TimerAction::OpTimeout { seq });
         }
         let txn_id = TxnId { client: ctx.node_id(), seq };
-        match &request {
-            TxnRequest::ReadWrite { keys } => {
-                let shards = self.shards_for(keys);
-                let pending: FxHashSet<NodeId> =
-                    shards.iter().map(|&s| self.cfg.shard_nodes[s]).collect();
-                for &s in &shards {
-                    let shard_keys: Vec<Key> =
-                        keys.iter().filter(|k| self.shard_of(**k) == s).copied().collect();
-                    ctx.send(
-                        self.cfg.shard_nodes[s],
-                        SpannerMsg::ExecRead { txn: txn_id, keys: shard_keys },
-                    );
-                }
-                let t = self.txns.get_mut(&seq).expect("transaction exists");
-                t.phase = Phase::Execute { pending };
+        let t = &self.txns[&seq];
+        let keys = t.request.keys();
+        let pending = self.shards_for(keys);
+        let read_only = t.request.is_read_only();
+        let (t_read, t_min) = if read_only {
+            let t_read = ctx.truetime_now().latest.as_micros();
+            match self.cfg.mode {
+                Mode::Spanner => (t_read, 0),
+                Mode::SpannerRss => (t_read, self.t_min_of(t.lane.session)),
             }
-            TxnRequest::ReadOnly { keys } => {
-                let t_read = ctx.truetime_now().latest.as_micros();
-                let t_min = match self.cfg.mode {
-                    Mode::Spanner => 0,
-                    Mode::SpannerRss => self.t_min_of(session),
-                };
-                let shards = self.shards_for(keys);
-                let pending: FxHashSet<NodeId> =
-                    shards.iter().map(|&s| self.cfg.shard_nodes[s]).collect();
-                for &s in &shards {
-                    let shard_keys: Vec<Key> =
-                        keys.iter().filter(|k| self.shard_of(**k) == s).copied().collect();
-                    ctx.send(
-                        self.cfg.shard_nodes[s],
-                        SpannerMsg::RoCommit { txn: txn_id, keys: shard_keys, t_read, t_min },
-                    );
-                }
-                let t = self.txns.get_mut(&seq).expect("transaction exists");
-                t.t_read = t_read;
-                t.t_min_at_start = t_min;
-                t.phase = Phase::RoFast { pending };
-            }
+        } else {
+            (0, 0)
+        };
+        for s in shards_in(pending) {
+            let keys = self.keys_on(keys, s).collect();
+            let msg = if read_only {
+                SpannerMsg::RoCommit { txn: txn_id, keys, t_read, t_min }
+            } else {
+                SpannerMsg::ExecRead { txn: txn_id, keys }
+            };
+            ctx.send(self.cfg.shard_nodes[s], msg);
+        }
+        let t = self.txns.get_mut(&seq).expect("transaction exists");
+        if read_only {
+            t.t_read = t_read;
+            t.t_min_at_start = t_min;
+            t.phase = Phase::RoFast { pending };
+        } else {
+            t.phase = Phase::Execute { pending };
         }
     }
 
     fn begin_commit(&mut self, ctx: &mut Context<SpannerMsg>, seq: u64) {
-        let keys: Vec<Key> = self.txns[&seq].request.keys().to_vec();
-        let shards = self.shards_for(&keys);
-        let (coordinator, est) = self.pick_coordinator(&shards);
+        let keys = self.txns[&seq].request.keys();
+        let participants = self.shards_for(keys);
+        let (coordinator, est) = self.pick_coordinator(participants);
         let t_ee = ctx.truetime_now().earliest.as_micros() + est;
         // Assign fresh, globally unique values to every written key and group
         // the writes by participant shard.
-        let mut assigned: Vec<(NodeId, Vec<(Key, Value)>)> = Vec::new();
-        for &s in &shards {
-            let shard_keys: Vec<Key> =
-                keys.iter().filter(|k| self.shard_of(**k) == s).copied().collect();
-            let mut vs = Vec::with_capacity(shard_keys.len());
-            for k in shard_keys {
-                let v = self.fresh_value(ctx);
-                vs.push((k, v));
-            }
-            assigned.push((self.cfg.shard_nodes[s], vs));
+        let node_bits = (ctx.node_id() as u64 + 1) << 40;
+        let mut counter = self.value_counter;
+        let mut assigned = Vec::with_capacity(participants.count_ones() as usize);
+        let mut writes = Vec::with_capacity(keys.len());
+        for s in shards_in(participants) {
+            let shard_writes: Vec<(Key, Value)> = self
+                .keys_on(keys, s)
+                .map(|k| {
+                    counter += 1;
+                    (k, Value(node_bits | counter))
+                })
+                .collect();
+            writes.extend_from_slice(&shard_writes);
+            assigned.push((self.cfg.shard_nodes[s], shard_writes));
         }
+        self.value_counter = counter;
         let txn_id = TxnId { client: ctx.node_id(), seq };
         let coord_node = self.cfg.shard_nodes[coordinator];
         ctx.send(
             coord_node,
-            SpannerMsg::CommitRequest { txn: txn_id, writes_by_shard: assigned.clone(), t_ee },
+            SpannerMsg::CommitRequest { txn: txn_id, writes_by_shard: assigned, t_ee },
         );
         let timeout = self.cfg.commit_timeout;
         let tag = self.set_timer(ctx, timeout, TimerAction::CommitTimeout { seq });
         let t = self.txns.get_mut(&seq).expect("transaction exists");
         t.phase = Phase::Committing;
-        t.writes_by_shard = assigned;
+        t.writes = writes;
         t.coordinator = coord_node;
         t.t_ee = t_ee;
         t.commit_timer = Some(tag);
     }
 
-    fn finish_txn(&mut self, seq: u64, record: CompletedRecord) {
-        self.txns.remove(&seq).expect("transaction exists");
+    /// Counts and records a finished operation (its transaction is already
+    /// out of `txns`).
+    fn finish_txn(&mut self, record: CompletedRecord) {
         if record.kind.is_read_only() {
             self.stats.ro_completed += 1;
         } else if record.kind.is_fence() {
@@ -371,37 +452,13 @@ impl SpannerService {
 
     // ----- Read-only completion logic (Algorithm 1) -----
 
-    fn ro_calculate_snapshot(&self, seq: u64) -> Ts {
-        let txn = &self.txns[&seq];
-        let mut t_snap = 0;
-        for key in txn.request.keys() {
-            let earliest = txn
-                .versions
-                .get(key)
-                .and_then(|vs| vs.iter().map(|(ts, _)| *ts).min())
-                .unwrap_or(0);
-            t_snap = t_snap.max(earliest);
-        }
-        t_snap
-    }
-
     fn ro_try_finish(&mut self, ctx: &mut Context<SpannerMsg>, seq: u64) {
-        let (t_snap, ready) = {
-            let txn = &self.txns[&seq];
-            let t_snap = if txn.t_snap == 0 { self.ro_calculate_snapshot(seq) } else { txn.t_snap };
-            let min_prepared = txn.skipped.values().copied().min();
-            let ready = match min_prepared {
-                None => true,
-                Some(tp) => tp > t_snap,
-            };
-            (t_snap, ready)
-        };
-        {
-            let txn = self.txns.get_mut(&seq).expect("transaction exists");
-            txn.t_snap = t_snap;
+        let txn = self.txns.get_mut(&seq).expect("transaction exists");
+        if txn.t_snap == 0 {
+            txn.t_snap = txn.calculate_snapshot();
         }
-        if !ready {
-            let txn = self.txns.get_mut(&seq).expect("transaction exists");
+        let t_snap = txn.t_snap;
+        if txn.skipped.values().any(|&tp| tp <= t_snap) {
             if !matches!(txn.phase, Phase::RoSlow) {
                 txn.phase = Phase::RoSlow;
                 self.stats.ro_waited_slow += 1;
@@ -409,46 +466,32 @@ impl SpannerService {
             return;
         }
         // Assemble the result: for each key, the latest version at or before
-        // the snapshot timestamp.
-        let (record, session, t_snap) = {
-            let txn = &self.txns[&seq];
-            let keys = txn.request.keys().to_vec();
-            let mut results = Vec::new();
-            for key in &keys {
-                let v = txn
-                    .versions
-                    .get(key)
-                    .and_then(|vs| {
-                        vs.iter().filter(|(ts, _)| *ts <= t_snap).max_by_key(|(ts, _)| *ts).copied()
-                    })
-                    .map(|(_, v)| v)
-                    .unwrap_or(Value::NULL);
-                results.push((*key, v));
-            }
-            let timestamp = match self.cfg.mode {
-                Mode::Spanner => txn.t_read,
-                Mode::SpannerRss => t_snap.max(txn.t_min_at_start),
-            };
-            (
-                CompletedRecord {
-                    service: self.service,
-                    kind: OpKind::RoTxn { keys },
-                    result: OpResult::Values(results),
-                    invoke: txn.invoke,
-                    finish: ctx.now(),
-                    session: txn.lane.session,
-                    slot: txn.lane.slot,
-                    attempts: txn.attempts,
-                    rounds: 1,
-                    orphan: false,
-                    witness: WitnessHint::Timestamp { ts: timestamp },
-                },
-                txn.lane.session,
-                t_snap,
-            )
+        // the snapshot timestamp (the later arrival among equal timestamps).
+        let txn = self.txns.remove(&seq).expect("transaction exists");
+        let latest = |key: Key| {
+            (txn.versions_of(key).filter(|&(ts, _)| ts <= t_snap).max_by_key(|&(ts, _)| ts))
+                .map_or(Value::NULL, |(_, v)| v)
         };
-        self.raise_t_min(session, t_snap);
-        self.finish_txn(seq, record);
+        let results = txn.request.keys().iter().map(|&key| (key, latest(key))).collect();
+        let timestamp = match self.cfg.mode {
+            Mode::Spanner => txn.t_read,
+            Mode::SpannerRss => t_snap.max(txn.t_min_at_start),
+        };
+        let record = CompletedRecord {
+            service: self.service,
+            kind: OpKind::RoTxn { keys: txn.request.into_keys() },
+            result: OpResult::Values(results),
+            invoke: txn.invoke,
+            finish: ctx.now(),
+            session: txn.lane.session,
+            slot: txn.lane.slot,
+            attempts: txn.attempts,
+            rounds: 1,
+            orphan: false,
+            witness: WitnessHint::Timestamp { ts: timestamp },
+        };
+        self.raise_t_min(txn.lane.session, t_snap);
+        self.finish_txn(record);
     }
 }
 
@@ -485,26 +528,11 @@ impl Service for SpannerService {
                 let t_f = now.latest.as_micros();
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.txns.insert(
-                    seq,
-                    ActiveTxn {
-                        lane,
-                        request: TxnRequest::ReadOnly { keys: Vec::new() },
-                        invoke: ctx.now(),
-                        phase: Phase::Fence,
-                        attempts: 1,
-                        writes_by_shard: Vec::new(),
-                        coordinator: 0,
-                        t_ee: 0,
-                        commit_timer: None,
-                        t_read: t_f,
-                        t_min_at_start: 0,
-                        versions: FxHashMap::default(),
-                        skipped: FxHashMap::default(),
-                        resolved_early: FxHashSet::default(),
-                        t_snap: 0,
-                    },
-                );
+                let request = TxnRequest::ReadOnly { keys: Vec::new() };
+                let mut fence = ActiveTxn::new(lane, request, ctx.now(), 1);
+                fence.phase = Phase::Fence;
+                fence.t_read = t_f;
+                self.txns.insert(seq, fence);
                 let wait =
                     SimDuration::from_micros(t_f.saturating_sub(now.earliest.as_micros()) + 1);
                 self.set_timer(ctx, wait, TimerAction::FinishFence { seq });
@@ -513,26 +541,7 @@ impl Service for SpannerService {
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.txns.insert(
-            seq,
-            ActiveTxn {
-                lane,
-                request,
-                invoke: ctx.now(),
-                phase: Phase::Execute { pending: FxHashSet::default() },
-                attempts: 1,
-                writes_by_shard: Vec::new(),
-                coordinator: 0,
-                t_ee: 0,
-                commit_timer: None,
-                t_read: 0,
-                t_min_at_start: 0,
-                versions: FxHashMap::default(),
-                skipped: FxHashMap::default(),
-                resolved_early: FxHashSet::default(),
-                t_snap: 0,
-            },
-        );
+        self.txns.insert(seq, ActiveTxn::new(lane, request, ctx.now(), 1));
         self.issue(ctx, seq);
     }
 
@@ -557,26 +566,8 @@ impl Service for SpannerService {
                 let old = self.txns.remove(&seq).expect("transaction exists");
                 let new_seq = self.next_seq;
                 self.next_seq += 1;
-                self.txns.insert(
-                    new_seq,
-                    ActiveTxn {
-                        lane: old.lane,
-                        request: old.request,
-                        invoke: old.invoke,
-                        phase: Phase::Execute { pending: FxHashSet::default() },
-                        attempts: old.attempts + 1,
-                        writes_by_shard: Vec::new(),
-                        coordinator: 0,
-                        t_ee: 0,
-                        commit_timer: None,
-                        t_read: 0,
-                        t_min_at_start: 0,
-                        versions: FxHashMap::default(),
-                        skipped: FxHashMap::default(),
-                        resolved_early: FxHashSet::default(),
-                        t_snap: 0,
-                    },
-                );
+                let retry = ActiveTxn::new(old.lane, old.request, old.invoke, old.attempts + 1);
+                self.txns.insert(new_seq, retry);
                 self.issue(ctx, new_seq);
             }
             TimerAction::CommitTimeout { seq } => {
@@ -597,7 +588,7 @@ impl Service for SpannerService {
                         lane: old.lane,
                         invoke: old.invoke,
                         attempts: old.attempts,
-                        writes: old.writes_by_shard.iter().flat_map(|(_, w)| w.clone()).collect(),
+                        writes: old.writes,
                         coordinator,
                     },
                 );
@@ -614,26 +605,8 @@ impl Service for SpannerService {
                 // not confused with the new attempt.
                 let new_seq = self.next_seq;
                 self.next_seq += 1;
-                self.txns.insert(
-                    new_seq,
-                    ActiveTxn {
-                        lane: old.lane,
-                        request: old.request,
-                        invoke: old.invoke,
-                        phase: Phase::Execute { pending: FxHashSet::default() },
-                        attempts: old.attempts + 1,
-                        writes_by_shard: Vec::new(),
-                        coordinator: 0,
-                        t_ee: 0,
-                        commit_timer: None,
-                        t_read: 0,
-                        t_min_at_start: 0,
-                        versions: FxHashMap::default(),
-                        skipped: FxHashMap::default(),
-                        resolved_early: FxHashSet::default(),
-                        t_snap: 0,
-                    },
-                );
+                let retry = ActiveTxn::new(old.lane, old.request, old.invoke, old.attempts + 1);
+                self.txns.insert(new_seq, retry);
                 let backoff = self.retry_delay(ctx, old.attempts + 1);
                 self.set_timer(ctx, backoff, TimerAction::RetryTxn { seq: new_seq });
             }
@@ -648,13 +621,10 @@ impl Service for SpannerService {
                 self.set_timer(ctx, probe_after, TimerAction::ProbeAbandoned { seq });
             }
             TimerAction::FinishRw { seq, t_commit } => {
-                let Some(txn) = self.txns.get(&seq) else { return };
+                let Some(txn) = self.txns.remove(&seq) else { return };
                 let record = CompletedRecord {
                     service: self.service,
-                    kind: OpKind::RwTxn {
-                        read_keys: Vec::new(),
-                        writes: txn.writes_by_shard.iter().flat_map(|(_, w)| w.clone()).collect(),
-                    },
+                    kind: OpKind::RwTxn { read_keys: Vec::new(), writes: txn.writes },
                     result: OpResult::Values(Vec::new()),
                     invoke: txn.invoke,
                     finish: ctx.now(),
@@ -665,15 +635,14 @@ impl Service for SpannerService {
                     orphan: false,
                     witness: WitnessHint::Timestamp { ts: t_commit },
                 };
-                let session = txn.lane.session;
-                self.raise_t_min(session, t_commit);
-                self.finish_txn(seq, record);
+                self.raise_t_min(txn.lane.session, t_commit);
+                self.finish_txn(record);
             }
             TimerAction::FinishFence { seq } => {
-                let Some(txn) = self.txns.get(&seq) else { return };
-                if !matches!(txn.phase, Phase::Fence) {
+                if !self.txns.get(&seq).is_some_and(|t| matches!(t.phase, Phase::Fence)) {
                     return;
                 }
+                let txn = self.txns.remove(&seq).expect("transaction exists");
                 let t_f = txn.t_read;
                 let record = CompletedRecord {
                     service: self.service,
@@ -688,9 +657,8 @@ impl Service for SpannerService {
                     orphan: false,
                     witness: WitnessHint::Timestamp { ts: t_f },
                 };
-                let session = txn.lane.session;
-                self.raise_t_min(session, t_f);
-                self.finish_txn(seq, record);
+                self.raise_t_min(txn.lane.session, t_f);
+                self.finish_txn(record);
             }
         }
     }
@@ -718,17 +686,8 @@ impl Service for SpannerService {
         match msg {
             SpannerMsg::ExecReadReply { txn, .. } => {
                 let seq = txn.seq;
-                let ready = {
-                    let Some(t) = self.txns.get_mut(&seq) else { return };
-                    match &mut t.phase {
-                        Phase::Execute { pending } => {
-                            pending.remove(&from);
-                            pending.is_empty()
-                        }
-                        _ => false,
-                    }
-                };
-                if ready {
+                let Some(t) = self.txns.get_mut(&seq) else { return };
+                if t.replied(&self.cfg.shard_nodes, from) {
                     self.begin_commit(ctx, seq);
                 }
             }
@@ -778,7 +737,7 @@ impl Service for SpannerService {
                     // Aborted by the coordinator; retry after a back-off.
                     let t = self.txns.get_mut(&seq).expect("transaction exists");
                     t.attempts += 1;
-                    t.phase = Phase::Execute { pending: FxHashSet::default() };
+                    t.phase = Phase::Execute { pending: 0 };
                     let attempts = t.attempts;
                     self.stats.aborted_attempts += 1;
                     let backoff = self.retry_delay(ctx, attempts);
@@ -787,66 +746,38 @@ impl Service for SpannerService {
             }
             SpannerMsg::RoReply { txn, values, .. } => {
                 let seq = txn.seq;
-                let ready = {
-                    let Some(t) = self.txns.get_mut(&seq) else { return };
-                    for (k, ts, v) in values {
-                        t.versions.entry(k).or_default().push((ts, v));
-                    }
-                    match &mut t.phase {
-                        Phase::RoFast { pending } => {
-                            pending.remove(&from);
-                            pending.is_empty()
-                        }
-                        _ => false,
-                    }
-                };
-                if ready {
+                let Some(t) = self.txns.get_mut(&seq) else { return };
+                t.add_versions(values);
+                if t.replied(&self.cfg.shard_nodes, from) {
                     self.ro_try_finish(ctx, seq);
                 }
             }
             SpannerMsg::RoFastReply { txn, skipped, values, .. } => {
                 let seq = txn.seq;
-                let ready = {
-                    let Some(t) = self.txns.get_mut(&seq) else { return };
-                    for (k, ts, v) in values {
-                        t.versions.entry(k).or_default().push((ts, v));
+                let Some(t) = self.txns.get_mut(&seq) else { return };
+                t.add_versions(values);
+                for PreparedInfo { txn: id, t_prepare } in skipped {
+                    if !t.resolved_early.contains(&id) {
+                        t.skipped.insert(id, t_prepare);
                     }
-                    for PreparedInfo { txn: id, t_prepare } in skipped {
-                        if !t.resolved_early.contains(&id) {
-                            t.skipped.insert(id, t_prepare);
-                        }
-                    }
-                    match &mut t.phase {
-                        Phase::RoFast { pending } => {
-                            pending.remove(&from);
-                            pending.is_empty()
-                        }
-                        _ => false,
-                    }
-                };
-                if ready {
+                }
+                if t.replied(&self.cfg.shard_nodes, from) {
                     self.ro_try_finish(ctx, seq);
                 }
             }
-            SpannerMsg::RoSlowReply { txn, resolved, committed, t_commit, values, .. } => {
+            SpannerMsg::RoSlowReply { txn, resolved, committed, values, .. } => {
                 let seq = txn.seq;
-                let evaluate = {
-                    let Some(t) = self.txns.get_mut(&seq) else { return };
-                    t.skipped.remove(&resolved);
-                    // Remember every resolution (not only early ones): a
-                    // duplicated fast reply arriving after the slow reply
-                    // must not resurrect the skipped transaction, or the
-                    // read-only transaction waits on it forever.
-                    t.resolved_early.insert(resolved);
-                    if committed {
-                        for (k, ts, v) in values {
-                            let _ = t_commit;
-                            t.versions.entry(k).or_default().push((ts, v));
-                        }
-                    }
-                    matches!(t.phase, Phase::RoSlow)
-                };
-                if evaluate {
+                let Some(t) = self.txns.get_mut(&seq) else { return };
+                t.skipped.remove(&resolved);
+                // Remember every resolution (not only early ones): a
+                // duplicated fast reply arriving after the slow reply must
+                // not resurrect the skipped transaction, or the read-only
+                // transaction waits on it forever.
+                t.resolved_early.insert(resolved);
+                if committed {
+                    t.add_versions(values);
+                }
+                if matches!(t.phase, Phase::RoSlow) {
                     self.ro_try_finish(ctx, seq);
                 }
             }
@@ -854,8 +785,8 @@ impl Service for SpannerService {
         }
     }
 
-    fn drain_completed(&mut self) -> Vec<CompletedRecord> {
-        std::mem::take(&mut self.completed)
+    fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>) {
+        out.append(&mut self.completed);
     }
 }
 
@@ -870,6 +801,75 @@ mod tests {
         assert!(!rw.is_read_only());
         assert!(ro.is_read_only());
         assert_eq!(rw.keys().len(), 2);
+    }
+
+    const SHARD: NodeId = 0;
+    const CLIENT: NodeId = 1;
+
+    /// Runs `f` on `client` at 1 ms, dropping what it sends and the timers it
+    /// sets.
+    fn turn(
+        client: &mut SpannerService,
+        f: impl FnOnce(&mut SpannerService, &mut Context<SpannerMsg>),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut truetime = regular_sim::truetime::TrueTime::perfect(1);
+        let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+        let mut ctx = Context::from_parts(regular_sim::engine::ContextParts {
+            now: SimTime::from_millis(1),
+            node_id: CLIENT,
+            rng: &mut rng,
+            truetime: &mut truetime,
+            outbox: &mut outbox,
+            timers: &mut timers,
+        });
+        f(client, &mut ctx);
+    }
+
+    #[test]
+    fn equal_timestamps_resolve_to_the_later_arrival() {
+        let mut client = SpannerService::new(ClientConfig {
+            mode: Mode::SpannerRss,
+            region: 0,
+            shard_nodes: vec![SHARD],
+            shard_regions: vec![0],
+            replication_delays: vec![SimDuration::ZERO],
+            net: LatencyMatrix::single_region(SimDuration::from_millis(1)),
+            truetime_epsilon: SimDuration::ZERO,
+            commit_timeout: SimDuration::from_secs(1),
+            retry_backoff: SimDuration::from_millis(1),
+            op_timeout: None,
+        });
+        let (txn, skipped) = (TxnId { client: CLIENT, seq: 0 }, TxnId { client: 7, seq: 3 });
+        let lane = LaneId { session: 0, slot: 0 };
+        turn(&mut client, |c, ctx| c.submit(ctx, lane, SessionOp::RoTxn { keys: vec![Key(4)] }));
+        // The fast reply skips a transaction prepared below the snapshot, so
+        // the read waits for its slow reply, which brings a second version
+        // of key 4 at the same timestamp.
+        let fast = SpannerMsg::RoFastReply {
+            txn,
+            shard: SHARD,
+            skipped: vec![PreparedInfo { txn: skipped, t_prepare: 50 }],
+            values: vec![(Key(4), 100, Value(1))],
+        };
+        turn(&mut client, |c, ctx| c.on_message(ctx, SHARD, fast));
+        let mut completed = Vec::new();
+        client.drain_completed(&mut completed);
+        assert!(completed.is_empty(), "the skipped prepare holds the read back");
+        let slow = SpannerMsg::RoSlowReply {
+            txn,
+            shard: SHARD,
+            resolved: skipped,
+            committed: true,
+            t_commit: 100,
+            values: vec![(Key(4), 100, Value(2))],
+        };
+        turn(&mut client, |c, ctx| c.on_message(ctx, SHARD, slow));
+        client.drain_completed(&mut completed);
+        assert_eq!(completed.len(), 1);
+        assert_eq!(completed[0].result, OpResult::Values(vec![(Key(4), Value(2))]));
+        assert_eq!(completed[0].witness_ts(), Some(100));
     }
 
     #[test]

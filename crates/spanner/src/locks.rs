@@ -44,17 +44,23 @@ impl LockTable {
     ///
     /// Returns `true` if all locks were granted immediately; otherwise the
     /// request is queued and will be granted by a later [`LockTable::release`]
-    /// (reported through its return value).
-    pub fn acquire(&mut self, txn: TxnId, keys: &[Key]) -> bool {
-        if keys.iter().all(|k| self.owners.get(k).map(|o| *o == txn).unwrap_or(true))
-            && !self.queue.iter().any(|w| w.txn != txn && w.keys.iter().any(|k| keys.contains(k)))
+    /// (reported through its return value). `keys` is walked more than once
+    /// and copied only when the request has to wait.
+    pub fn acquire<'a>(
+        &mut self,
+        txn: TxnId,
+        keys: impl IntoIterator<Item = &'a Key> + Clone,
+    ) -> bool {
+        let wanted = |k: &Key| keys.clone().into_iter().any(|w| w == k);
+        if keys.clone().into_iter().all(|k| self.owners.get(k).is_none_or(|o| *o == txn))
+            && !self.queue.iter().any(|w| w.txn != txn && w.keys.iter().any(wanted))
         {
             for k in keys {
                 self.owners.insert(*k, txn);
             }
             true
         } else {
-            self.queue.push(Waiter { txn, keys: keys.to_vec() });
+            self.queue.push(Waiter { txn, keys: keys.into_iter().copied().collect() });
             false
         }
     }

@@ -49,11 +49,11 @@ struct PendingPrepare {
 #[derive(Debug, Clone)]
 struct CoordState {
     client: NodeId,
-    participants: Vec<NodeId>,
-    awaiting: FxHashSet<NodeId>,
+    /// The participants whose vote has not arrived.
+    awaiting: Vec<NodeId>,
     max_prepare: Ts,
     /// The prepared writes per participant, kept so a recovered coordinator
-    /// can re-drive the prepare round.
+    /// can re-drive the prepare round. Its nodes are the participants.
     writes_by_shard: Vec<(NodeId, Vec<(Key, Value)>)>,
     t_ee: Ts,
     /// When the vote set is complete: the simulated time at which the
@@ -61,6 +61,33 @@ struct CoordState {
     /// WAL-logged via `CoordTs`) so a recovered coordinator re-arms the
     /// release instead of holding a complete round forever.
     commit_fire_at_us: Option<u64>,
+}
+
+impl CoordState {
+    /// A round that has just sent `writes_by_shard`'s prepares.
+    fn open(client: NodeId, t_ee: Ts, writes_by_shard: Vec<(NodeId, Vec<(Key, Value)>)>) -> Self {
+        CoordState {
+            client,
+            awaiting: writes_by_shard.iter().map(|(n, _)| *n).collect(),
+            max_prepare: 0,
+            writes_by_shard,
+            t_ee,
+            commit_fire_at_us: None,
+        }
+    }
+
+    /// The participants, in the order the client listed them.
+    fn participants(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.writes_by_shard.iter().map(|(n, _)| *n)
+    }
+
+    /// Counts `shard`'s vote (a repeated vote changes nothing but the max).
+    fn vote(&mut self, shard: NodeId, t_prepare: Ts) {
+        if let Some(i) = self.awaiting.iter().position(|&n| n == shard) {
+            self.awaiting.swap_remove(i);
+        }
+        self.max_prepare = self.max_prepare.max(t_prepare);
+    }
 }
 
 /// A baseline read-only transaction blocked on conflicting prepared
@@ -385,7 +412,7 @@ impl ShardNode {
             .coordinating
             .iter()
             .map(|(txn, s)| {
-                let mut awaiting: Vec<NodeId> = s.awaiting.iter().copied().collect();
+                let mut awaiting = s.awaiting.clone();
                 awaiting.sort_unstable();
                 SnapCoord {
                     txn: *txn,
@@ -439,8 +466,7 @@ impl ShardNode {
         if let Some(snap) = whole {
             self.max_ts = self.max_ts.max(snap.max_ts);
             for p in snap.prepared {
-                let keys: Vec<Key> = p.writes.iter().map(|(k, _)| *k).collect();
-                let granted = self.locks.acquire(p.txn, &keys);
+                let granted = self.locks.acquire(p.txn, p.writes.iter().map(|(k, _)| k));
                 debug_assert!(granted, "prepared transactions hold disjoint locks");
                 self.prepared.insert(
                     p.txn,
@@ -453,13 +479,11 @@ impl ShardNode {
                 );
             }
             for c in snap.coordinating {
-                let participants: Vec<NodeId> = c.writes_by_shard.iter().map(|(n, _)| *n).collect();
                 self.coordinating.insert(
                     c.txn,
                     CoordState {
                         client: c.client,
-                        participants,
-                        awaiting: c.awaiting.into_iter().collect(),
+                        awaiting: c.awaiting,
                         max_prepare: c.max_prepare,
                         writes_by_shard: c.writes_by_shard.into_owned(),
                         t_ee: c.t_ee,
@@ -476,8 +500,7 @@ impl ShardNode {
     fn replay_record(&mut self, rec: ShardRecord) {
         match rec {
             ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes } => {
-                let keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
-                let granted = self.locks.acquire(txn, &keys);
+                let granted = self.locks.acquire(txn, writes.iter().map(|(k, _)| k));
                 debug_assert!(granted, "replayed prepares hold disjoint locks");
                 self.max_ts = self.max_ts.max(t_prepare);
                 self.prepared.insert(txn, PreparedTxn { writes, t_prepare, t_ee, coordinator });
@@ -496,24 +519,11 @@ impl ShardNode {
                 }
             }
             ShardRecord::CoordBegin { txn, client, t_ee, writes_by_shard } => {
-                let participants: Vec<NodeId> = writes_by_shard.iter().map(|(n, _)| *n).collect();
-                self.coordinating.insert(
-                    txn,
-                    CoordState {
-                        client,
-                        participants: participants.clone(),
-                        awaiting: participants.into_iter().collect(),
-                        max_prepare: 0,
-                        writes_by_shard,
-                        t_ee,
-                        commit_fire_at_us: None,
-                    },
-                );
+                self.coordinating.insert(txn, CoordState::open(client, t_ee, writes_by_shard));
             }
             ShardRecord::CoordVote { txn, shard, t_prepare } => {
                 if let Some(state) = self.coordinating.get_mut(&txn) {
-                    state.awaiting.remove(&shard);
-                    state.max_prepare = state.max_prepare.max(t_prepare);
+                    state.vote(shard, t_prepare);
                 }
             }
             ShardRecord::CoordTs { txn, t_commit, fire_at_us } => {
@@ -621,8 +631,7 @@ impl ShardNode {
         if self.pending_prepares.contains_key(&txn) {
             return;
         }
-        let keys: Vec<Key> = writes.iter().map(|(k, _)| *k).collect();
-        if self.locks.acquire(txn, &keys) {
+        if self.locks.acquire(txn, writes.iter().map(|(k, _)| k)) {
             self.finish_prepare(ctx, txn, writes, t_ee, coordinator);
         } else {
             self.pending_prepares.insert(txn, PendingPrepare { writes, t_ee, coordinator });
@@ -827,39 +836,22 @@ impl ShardNode {
                 if self.coordinating.contains_key(&txn) || self.decided.contains_key(&txn) {
                     return;
                 }
-                let participants: Vec<NodeId> = writes_by_shard.iter().map(|(n, _)| *n).collect();
-                self.coordinating.insert(
-                    txn,
-                    CoordState {
-                        client: from,
-                        participants: participants.clone(),
-                        awaiting: participants.iter().copied().collect(),
-                        max_prepare: 0,
-                        writes_by_shard: writes_by_shard.clone(),
-                        t_ee,
-                        commit_fire_at_us: None,
-                    },
-                );
                 // The coordinator state is Paxos-replicated in Spanner; here
                 // the round is opened in the log before any Prepare leaves.
-                self.log(
-                    ctx,
-                    &ShardRecord::CoordBegin {
-                        txn,
-                        client: from,
-                        t_ee,
-                        writes_by_shard: writes_by_shard.clone(),
-                    },
-                );
-                let coordinator = ctx.node_id();
-                for (node, writes) in writes_by_shard {
-                    self.send_d(
+                if self.wal.is_some() {
+                    let writes_by_shard = writes_by_shard.clone();
+                    self.log(
                         ctx,
-                        node,
-                        SimDuration::ZERO,
-                        SpannerMsg::Prepare { txn, writes, t_ee, coordinator },
+                        &ShardRecord::CoordBegin { txn, client: from, t_ee, writes_by_shard },
                     );
                 }
+                let coordinator = ctx.node_id();
+                for (node, writes) in &writes_by_shard {
+                    let writes = writes.clone();
+                    let prepare = SpannerMsg::Prepare { txn, writes, t_ee, coordinator };
+                    self.send_d(ctx, *node, SimDuration::ZERO, prepare);
+                }
+                self.coordinating.insert(txn, CoordState::open(from, t_ee, writes_by_shard));
                 self.arm_prepare_redrive(ctx, txn);
             }
             SpannerMsg::Prepare { txn, writes, t_ee, coordinator } => {
@@ -886,8 +878,7 @@ impl ShardNode {
                 if state.awaiting.is_empty() {
                     return;
                 }
-                state.awaiting.remove(&shard);
-                state.max_prepare = state.max_prepare.max(t_prepare);
+                state.vote(shard, t_prepare);
                 let complete = state.awaiting.is_empty();
                 let max_prepare = state.max_prepare;
                 self.log(ctx, &ShardRecord::CoordVote { txn, shard, t_prepare });
@@ -932,7 +923,7 @@ impl ShardNode {
                     // leaving participant locks held forever).
                     self.decide(txn, false, 0);
                     self.log(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
-                    for p in state.participants {
+                    for p in state.participants() {
                         self.send_d(
                             ctx,
                             p,
@@ -1056,10 +1047,10 @@ impl ShardNode {
         // The coordinator-side commit point: commit wait elapsed, the
         // decision enters the durable decision log and is released.
         self.log(ctx, &ShardRecord::Decision { txn, commit: true, t_commit });
-        for p in &state.participants {
+        for p in state.participants() {
             self.send_d(
                 ctx,
-                *p,
+                p,
                 SimDuration::ZERO,
                 SpannerMsg::CommitDecision { txn, commit: true, t_commit },
             );

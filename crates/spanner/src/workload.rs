@@ -36,6 +36,13 @@ impl TxnRequest {
         }
     }
 
+    /// The keys accessed by the request, moved out.
+    pub fn into_keys(self) -> Vec<Key> {
+        match self {
+            TxnRequest::ReadWrite { keys } | TxnRequest::ReadOnly { keys } => keys,
+        }
+    }
+
     /// True for read-only requests.
     pub fn is_read_only(&self) -> bool {
         matches!(self, TxnRequest::ReadOnly { .. })
@@ -43,7 +50,8 @@ impl TxnRequest {
 }
 
 /// A simple uniform workload: `ro_fraction` read-only transactions over
-/// `keys_per_txn` uniformly random keys, the rest read-write.
+/// `keys_per_txn` distinct uniformly random keys (every key, when there are
+/// fewer), the rest read-write.
 #[derive(Debug, Clone)]
 pub struct UniformWorkload {
     /// Size of the key space.
@@ -56,8 +64,9 @@ pub struct UniformWorkload {
 
 impl SessionWorkload for UniformWorkload {
     fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp {
-        let mut keys = Vec::with_capacity(self.keys_per_txn);
-        while keys.len() < self.keys_per_txn {
+        let count = self.keys_per_txn.min(usize::try_from(self.num_keys).unwrap_or(usize::MAX));
+        let mut keys = Vec::with_capacity(count);
+        while keys.len() < count {
             let k = Key(rng.gen_range(0..self.num_keys));
             if !keys.contains(&k) {
                 keys.push(k);
@@ -99,5 +108,20 @@ mod tests {
             }
         }
         assert!((400..600).contains(&ro), "read-only fraction should be near 50%, got {ro}");
+    }
+
+    #[test]
+    fn more_keys_per_txn_than_keys_takes_every_key() {
+        let mut w = UniformWorkload { num_keys: 2, ro_fraction: 0.5, keys_per_txn: 3 };
+        let mut rng = SmallRng::seed_from_u64(1);
+        for _ in 0..100 {
+            let (SessionOp::RoTxn { mut keys } | SessionOp::RwTxn { mut keys }) =
+                w.next_op(&mut rng)
+            else {
+                panic!("uniform workloads issue transactions");
+            };
+            keys.sort();
+            assert_eq!(keys, [Key(0), Key(1)]);
+        }
     }
 }

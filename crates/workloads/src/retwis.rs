@@ -58,7 +58,9 @@ impl Retwis {
         self.zipf.n()
     }
 
+    /// `count` distinct keys, or every key when the space has fewer.
     fn distinct_keys(&self, rng: &mut SmallRng, count: usize) -> Vec<u64> {
+        let count = count.min(usize::try_from(self.zipf.n()).unwrap_or(usize::MAX));
         let mut keys = Vec::with_capacity(count);
         let mut guard = 0;
         while keys.len() < count && guard < count * 100 {
@@ -68,12 +70,12 @@ impl Retwis {
             }
             guard += 1;
         }
-        // Degenerate key spaces may not have enough distinct keys; pad
-        // deterministically so the transaction is still well-formed.
+        // Sampling a small key space may keep missing its last free keys;
+        // pad with the lowest ones, deterministically.
         let mut next = 0;
         while keys.len() < count {
             if !keys.contains(&next) {
-                keys.push(next % self.zipf.n().max(1));
+                keys.push(next);
             }
             next += 1;
         }
@@ -198,10 +200,18 @@ mod tests {
     fn works_with_tiny_key_spaces() {
         let retwis = Retwis::new(3, 0.9);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut capped = 0;
         for _ in 0..200 {
             let txn = retwis.next_txn(&mut rng);
             assert!(!txn.keys.is_empty());
-            assert!(txn.keys.len() <= 3 || txn.read_only);
+            assert!(txn.keys.len() <= 3);
+            assert!(txn.keys.iter().all(|&k| k < 3), "{:?}", txn.keys);
+            let mut distinct = txn.keys.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), txn.keys.len(), "keys repeat: {:?}", txn.keys);
+            capped += usize::from(txn.keys.len() == 3);
         }
+        assert!(capped > 0, "some timelines ask for more keys than exist");
     }
 }
