@@ -1,6 +1,7 @@
 //! The Spanner client protocol core: read-write transactions via two-phase
-//! commit, the read-only transaction protocols of Spanner (blocking) and
-//! Spanner-RSS (Algorithm 1), and a TrueTime-based real-time fence.
+//! commit, read-only transactions (one path for both protocols: replies go
+//! to a [`RoRead`], whose [`ReadPolicy`] stamps the read), and a
+//! TrueTime-based real-time fence.
 //!
 //! The core implements [`regular_session::Service`]: session arrival, pacing,
 //! and batching live in the protocol-agnostic
@@ -23,7 +24,7 @@
 
 use rand::Rng;
 
-use regular_core::hashing::{FxHashMap, FxHashSet};
+use regular_core::hashing::FxHashMap;
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{Key, ServiceId, Value};
 use regular_session::{service_tag, CompletedRecord, LaneId, Service, SessionOp, WitnessHint};
@@ -32,7 +33,8 @@ use regular_sim::net::{LatencyMatrix, Region};
 use regular_sim::time::{SimDuration, SimTime};
 
 use crate::config::Mode;
-use crate::messages::{PreparedInfo, SpannerMsg, Ts, TxnId};
+use crate::messages::{SpannerMsg, Ts, TxnId};
+use crate::ro::{ReadPolicy, RoRead};
 use crate::workload::TxnRequest;
 
 /// Static client configuration (shared by every client node of a cluster).
@@ -81,11 +83,6 @@ pub struct ClientStats {
     pub timeout_retries: u64,
 }
 
-#[derive(Debug)]
-struct Session {
-    t_min: Ts,
-}
-
 /// A set of shard indices, bit `s` for shard `s` (a client serves at most 64
 /// shards; [`SpannerService::new`] checks).
 type ShardMask = u64;
@@ -108,12 +105,12 @@ enum Phase {
         pending: ShardMask,
     },
     Committing,
-    RoFast {
-        pending: ShardMask,
+    /// A read-only transaction (Algorithm 1).
+    Ro(RoRead),
+    /// A fence waiting out its TrueTime barrier at `t_f`.
+    Fence {
+        t_f: Ts,
     },
-    RoSlow,
-    /// A fence waiting out its TrueTime barrier.
-    Fence,
 }
 
 #[derive(Debug)]
@@ -139,14 +136,6 @@ struct ActiveTxn {
     coordinator: NodeId,
     t_ee: Ts,
     commit_timer: Option<u64>,
-    // Read-only state.
-    t_read: Ts,
-    t_min_at_start: Ts,
-    /// Every version the shards returned, in arrival order.
-    versions: Vec<(Key, Ts, Value)>,
-    skipped: FxHashMap<TxnId, Ts>,
-    resolved_early: FxHashSet<TxnId>,
-    t_snap: Ts,
 }
 
 impl ActiveTxn {
@@ -162,51 +151,6 @@ impl ActiveTxn {
             coordinator: 0,
             t_ee: 0,
             commit_timer: None,
-            t_read: 0,
-            t_min_at_start: 0,
-            versions: Vec::new(),
-            skipped: FxHashMap::default(),
-            resolved_early: FxHashSet::default(),
-            t_snap: 0,
-        }
-    }
-
-    /// `key`'s versions, in arrival order.
-    fn versions_of(&self, key: Key) -> impl Iterator<Item = (Ts, Value)> + '_ {
-        self.versions.iter().filter(move |(k, ..)| *k == key).map(|&(_, ts, v)| (ts, v))
-    }
-
-    /// Algorithm 1's snapshot: the latest, over the keys read, of each key's
-    /// earliest returned version (0 for a key with none).
-    fn calculate_snapshot(&self) -> Ts {
-        let earliest = |key: &Key| self.versions_of(*key).map(|(ts, _)| ts).min().unwrap_or(0);
-        self.request.keys().iter().map(earliest).fold(0, Ts::max)
-    }
-
-    /// Appends a reply's versions. The first reply's buffer is kept, grown
-    /// once to hold a version of every key the transaction reads.
-    fn add_versions(&mut self, values: Vec<(Key, Ts, Value)>) {
-        if self.versions.is_empty() {
-            self.versions = values;
-            let missing = self.request.keys().len().saturating_sub(self.versions.len());
-            self.versions.reserve_exact(missing);
-        } else {
-            self.versions.extend(values);
-        }
-    }
-
-    /// Notes that `from` answered a phase waiting on shard replies; true
-    /// once it was the last one awaited. A reply from a node that is not one
-    /// of `shard_nodes` answers nothing.
-    fn replied(&mut self, shard_nodes: &[NodeId], from: NodeId) -> bool {
-        match &mut self.phase {
-            Phase::Execute { pending } | Phase::RoFast { pending } => {
-                if let Some(s) = shard_nodes.iter().position(|&n| n == from) {
-                    *pending &= !(1 << s);
-                }
-                *pending == 0
-            }
-            _ => false,
         }
     }
 }
@@ -224,8 +168,11 @@ enum TimerAction {
 /// [`regular_session::Service`]).
 pub struct SpannerService {
     cfg: ClientConfig,
+    /// Stamps read-only transactions (the `t_ee` skip is the shards' call).
+    policy: ReadPolicy,
     service: ServiceId,
-    sessions: FxHashMap<u64, Session>,
+    /// Each live session's `t_min`.
+    sessions: FxHashMap<u64, Ts>,
     txns: FxHashMap<u64, ActiveTxn>,
     abandoned: FxHashMap<u64, AbandonedTxn>,
     next_seq: u64,
@@ -251,6 +198,7 @@ impl SpannerService {
             cfg.shard_nodes.len()
         );
         SpannerService {
+            policy: ReadPolicy::new(cfg.mode, false),
             cfg,
             service: ServiceId::KV,
             sessions: FxHashMap::default(),
@@ -299,6 +247,11 @@ impl SpannerService {
         SimDuration::from_micros(base + ctx.rng().gen_range(0..window))
     }
 
+    /// The index of the shard led by `node`.
+    fn shard_index(&self, node: NodeId) -> Option<usize> {
+        self.cfg.shard_nodes.iter().position(|&n| n == node)
+    }
+
     fn shard_of(&self, key: Key) -> usize {
         (key.0 % self.cfg.shard_nodes.len() as u64) as usize
     }
@@ -313,12 +266,12 @@ impl SpannerService {
     }
 
     fn t_min_of(&self, session: u64) -> Ts {
-        self.sessions.get(&session).map(|s| s.t_min).unwrap_or(0)
+        self.sessions.get(&session).copied().unwrap_or(0)
     }
 
     fn raise_t_min(&mut self, session: u64, to: Ts) {
-        let s = self.sessions.entry(session).or_insert(Session { t_min: 0 });
-        s.t_min = s.t_min.max(to);
+        let t_min = self.sessions.entry(session).or_insert(0);
+        *t_min = (*t_min).max(to);
     }
 
     /// Estimated minimum commit latency (in microseconds) when using
@@ -371,11 +324,7 @@ impl SpannerService {
         let pending = self.shards_for(keys);
         let read_only = t.request.is_read_only();
         let (t_read, t_min) = if read_only {
-            let t_read = ctx.truetime_now().latest.as_micros();
-            match self.cfg.mode {
-                Mode::Spanner => (t_read, 0),
-                Mode::SpannerRss => (t_read, self.t_min_of(t.lane.session)),
-            }
+            (ctx.truetime_now().latest.as_micros(), self.t_min_of(t.lane.session))
         } else {
             (0, 0)
         };
@@ -390,9 +339,8 @@ impl SpannerService {
         }
         let t = self.txns.get_mut(&seq).expect("transaction exists");
         if read_only {
-            t.t_read = t_read;
-            t.t_min_at_start = t_min;
-            t.phase = Phase::RoFast { pending };
+            let reads = t.request.keys().len();
+            t.phase = Phase::Ro(RoRead::new(self.policy, t_read, t_min, pending, reads));
         } else {
             t.phase = Phase::Execute { pending };
         }
@@ -437,61 +385,54 @@ impl SpannerService {
         t.commit_timer = Some(tag);
     }
 
-    /// Counts and records a finished operation (its transaction is already
-    /// out of `txns`).
-    fn finish_txn(&mut self, record: CompletedRecord) {
-        if record.kind.is_read_only() {
-            self.stats.ro_completed += 1;
-        } else if record.kind.is_fence() {
-            self.stats.fences += 1;
-        } else {
-            self.stats.rw_completed += 1;
-        }
-        self.completed.push(record);
-    }
-
-    // ----- Read-only completion logic (Algorithm 1) -----
-
-    fn ro_try_finish(&mut self, ctx: &mut Context<SpannerMsg>, seq: u64) {
-        let txn = self.txns.get_mut(&seq).expect("transaction exists");
-        if txn.t_snap == 0 {
-            txn.t_snap = txn.calculate_snapshot();
-        }
-        let t_snap = txn.t_snap;
-        if txn.skipped.values().any(|&tp| tp <= t_snap) {
-            if !matches!(txn.phase, Phase::RoSlow) {
-                txn.phase = Phase::RoSlow;
-                self.stats.ro_waited_slow += 1;
+    /// Records `txn`'s operation, returning `result` and serialized at `ts`,
+    /// and raises its session's `t_min` to `floor`.
+    fn finish_txn(
+        &mut self,
+        ctx: &Context<SpannerMsg>,
+        txn: ActiveTxn,
+        ts: Ts,
+        floor: Ts,
+        result: OpResult,
+    ) {
+        let (kind, done) = match txn.phase {
+            Phase::Ro(_) => {
+                (OpKind::RoTxn { keys: txn.request.into_keys() }, &mut self.stats.ro_completed)
             }
-            return;
-        }
-        // Assemble the result: for each key, the latest version at or before
-        // the snapshot timestamp (the later arrival among equal timestamps).
-        let txn = self.txns.remove(&seq).expect("transaction exists");
-        let latest = |key: Key| {
-            (txn.versions_of(key).filter(|&(ts, _)| ts <= t_snap).max_by_key(|&(ts, _)| ts))
-                .map_or(Value::NULL, |(_, v)| v)
+            Phase::Fence { .. } => (OpKind::Fence, &mut self.stats.fences),
+            _ => (
+                OpKind::RwTxn { read_keys: Vec::new(), writes: txn.writes },
+                &mut self.stats.rw_completed,
+            ),
         };
-        let results = txn.request.keys().iter().map(|&key| (key, latest(key))).collect();
-        let timestamp = match self.cfg.mode {
-            Mode::Spanner => txn.t_read,
-            Mode::SpannerRss => t_snap.max(txn.t_min_at_start),
-        };
-        let record = CompletedRecord {
+        *done += 1;
+        self.raise_t_min(txn.lane.session, floor);
+        self.completed.push(CompletedRecord {
             service: self.service,
-            kind: OpKind::RoTxn { keys: txn.request.into_keys() },
-            result: OpResult::Values(results),
+            rounds: if kind.is_fence() { 0 } else { 1 },
+            kind,
+            result,
             invoke: txn.invoke,
             finish: ctx.now(),
             session: txn.lane.session,
             slot: txn.lane.slot,
             attempts: txn.attempts,
-            rounds: 1,
             orphan: false,
-            witness: WitnessHint::Timestamp { ts: timestamp },
+            witness: WitnessHint::Timestamp { ts },
+        });
+    }
+
+    /// Decides read-only transaction `seq` once its replies say a decision
+    /// is due; false if it now waits for slow replies.
+    fn ro_try_finish(&mut self, ctx: &mut Context<SpannerMsg>, seq: u64) -> bool {
+        let txn = self.txns.get_mut(&seq).expect("transaction exists");
+        let Phase::Ro(ro) = &mut txn.phase else { unreachable!("a read-only phase") };
+        let Some((result, stamp, t_snap)) = ro.try_finish(txn.request.keys()) else {
+            return false;
         };
-        self.raise_t_min(txn.lane.session, t_snap);
-        self.finish_txn(record);
+        let txn = self.txns.remove(&seq).expect("transaction exists");
+        self.finish_txn(ctx, txn, stamp, t_snap, result);
+        true
     }
 }
 
@@ -510,7 +451,7 @@ impl Service for SpannerService {
     }
 
     fn submit(&mut self, ctx: &mut Context<SpannerMsg>, lane: LaneId, op: SessionOp) {
-        self.sessions.entry(lane.session).or_insert(Session { t_min: 0 });
+        self.sessions.entry(lane.session).or_insert(0);
         let request = match op {
             SessionOp::RoTxn { keys } => TxnRequest::ReadOnly { keys },
             SessionOp::Read { key } => TxnRequest::ReadOnly { keys: vec![key] },
@@ -530,8 +471,7 @@ impl Service for SpannerService {
                 self.next_seq += 1;
                 let request = TxnRequest::ReadOnly { keys: Vec::new() };
                 let mut fence = ActiveTxn::new(lane, request, ctx.now(), 1);
-                fence.phase = Phase::Fence;
-                fence.t_read = t_f;
+                fence.phase = Phase::Fence { t_f };
                 self.txns.insert(seq, fence);
                 let wait =
                     SimDuration::from_micros(t_f.saturating_sub(now.earliest.as_micros()) + 1);
@@ -556,10 +496,7 @@ impl Service for SpannerService {
                 // locally. Pre-commit phases have no visible effects, so the
                 // attempt can be abandoned outright and re-issued fresh
                 // (stale replies to the old sequence number are ignored).
-                if !matches!(
-                    txn.phase,
-                    Phase::Execute { .. } | Phase::RoFast { .. } | Phase::RoSlow
-                ) {
+                if !matches!(txn.phase, Phase::Execute { .. } | Phase::Ro(_)) {
                     return;
                 }
                 self.stats.timeout_retries += 1;
@@ -622,43 +559,15 @@ impl Service for SpannerService {
             }
             TimerAction::FinishRw { seq, t_commit } => {
                 let Some(txn) = self.txns.remove(&seq) else { return };
-                let record = CompletedRecord {
-                    service: self.service,
-                    kind: OpKind::RwTxn { read_keys: Vec::new(), writes: txn.writes },
-                    result: OpResult::Values(Vec::new()),
-                    invoke: txn.invoke,
-                    finish: ctx.now(),
-                    session: txn.lane.session,
-                    slot: txn.lane.slot,
-                    attempts: txn.attempts,
-                    rounds: 1,
-                    orphan: false,
-                    witness: WitnessHint::Timestamp { ts: t_commit },
-                };
-                self.raise_t_min(txn.lane.session, t_commit);
-                self.finish_txn(record);
+                self.finish_txn(ctx, txn, t_commit, t_commit, OpResult::Values(Vec::new()));
             }
             TimerAction::FinishFence { seq } => {
-                if !self.txns.get(&seq).is_some_and(|t| matches!(t.phase, Phase::Fence)) {
+                let Some(&ActiveTxn { phase: Phase::Fence { t_f }, .. }) = self.txns.get(&seq)
+                else {
                     return;
-                }
-                let txn = self.txns.remove(&seq).expect("transaction exists");
-                let t_f = txn.t_read;
-                let record = CompletedRecord {
-                    service: self.service,
-                    kind: OpKind::Fence,
-                    result: OpResult::Ack,
-                    invoke: txn.invoke,
-                    finish: ctx.now(),
-                    session: txn.lane.session,
-                    slot: txn.lane.slot,
-                    attempts: 1,
-                    rounds: 0,
-                    orphan: false,
-                    witness: WitnessHint::Timestamp { ts: t_f },
                 };
-                self.raise_t_min(txn.lane.session, t_f);
-                self.finish_txn(record);
+                let txn = self.txns.remove(&seq).expect("transaction exists");
+                self.finish_txn(ctx, txn, t_f, t_f, OpResult::Ack);
             }
         }
     }
@@ -686,8 +595,16 @@ impl Service for SpannerService {
         match msg {
             SpannerMsg::ExecReadReply { txn, .. } => {
                 let seq = txn.seq;
-                let Some(t) = self.txns.get_mut(&seq) else { return };
-                if t.replied(&self.cfg.shard_nodes, from) {
+                let s = self.shard_index(from);
+                let Some(ActiveTxn { phase: Phase::Execute { pending }, .. }) =
+                    self.txns.get_mut(&seq)
+                else {
+                    return;
+                };
+                if let Some(s) = s {
+                    *pending &= !(1 << s);
+                }
+                if *pending == 0 {
                     self.begin_commit(ctx, seq);
                 }
             }
@@ -744,40 +661,24 @@ impl Service for SpannerService {
                     self.set_timer(ctx, backoff, TimerAction::RetryTxn { seq });
                 }
             }
-            SpannerMsg::RoReply { txn, values, .. } => {
+            SpannerMsg::RoFastReply { txn, shard, skipped, values } => {
                 let seq = txn.seq;
-                let Some(t) = self.txns.get_mut(&seq) else { return };
-                t.add_versions(values);
-                if t.replied(&self.cfg.shard_nodes, from) {
-                    self.ro_try_finish(ctx, seq);
+                let Some(s) = self.shard_index(shard) else { return };
+                let Some(ActiveTxn { phase: Phase::Ro(ro), .. }) = self.txns.get_mut(&seq) else {
+                    return;
+                };
+                // A read that does not finish on its last fast reply waits.
+                if ro.on_fast(s, values, skipped) && !self.ro_try_finish(ctx, seq) {
+                    self.stats.ro_waited_slow += 1;
                 }
             }
-            SpannerMsg::RoFastReply { txn, skipped, values, .. } => {
+            SpannerMsg::RoSlowReply { txn, shard, resolved, committed, values, .. } => {
                 let seq = txn.seq;
-                let Some(t) = self.txns.get_mut(&seq) else { return };
-                t.add_versions(values);
-                for PreparedInfo { txn: id, t_prepare } in skipped {
-                    if !t.resolved_early.contains(&id) {
-                        t.skipped.insert(id, t_prepare);
-                    }
-                }
-                if t.replied(&self.cfg.shard_nodes, from) {
-                    self.ro_try_finish(ctx, seq);
-                }
-            }
-            SpannerMsg::RoSlowReply { txn, resolved, committed, values, .. } => {
-                let seq = txn.seq;
-                let Some(t) = self.txns.get_mut(&seq) else { return };
-                t.skipped.remove(&resolved);
-                // Remember every resolution (not only early ones): a
-                // duplicated fast reply arriving after the slow reply must
-                // not resurrect the skipped transaction, or the read-only
-                // transaction waits on it forever.
-                t.resolved_early.insert(resolved);
-                if committed {
-                    t.add_versions(values);
-                }
-                if matches!(t.phase, Phase::RoSlow) {
+                let Some(s) = self.shard_index(shard) else { return };
+                let Some(ActiveTxn { phase: Phase::Ro(ro), .. }) = self.txns.get_mut(&seq) else {
+                    return;
+                };
+                if ro.on_slow(s, resolved, committed, values) {
                     self.ro_try_finish(ctx, seq);
                 }
             }
@@ -793,6 +694,7 @@ impl Service for SpannerService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::PreparedInfo;
 
     #[test]
     fn txn_request_accessors() {

@@ -40,11 +40,9 @@ pub struct SpannerConfig {
     pub commit_timeout: SimDuration,
     /// Back-off before retrying an aborted read-write transaction.
     pub retry_backoff: SimDuration,
-    /// Ablation switch: when true, Spanner-RSS read-only transactions do not
-    /// use the earliest-end-time (`t_ee`) fast path and must wait for every
-    /// conflicting prepared transaction, exactly like the baseline. Used by
-    /// the ablation harness to isolate the contribution of the `t_ee`
-    /// mechanism.
+    /// Ablation switch: Spanner-RSS read-only transactions wait for every
+    /// conflicting prepare, like the baseline, instead of skipping those
+    /// whose earliest end time `t_ee` has not passed.
     pub disable_tee_skip: bool,
     /// Client-side timeout after which a transaction stuck *before* its
     /// commit phase (execute round, read-only round) is abandoned and

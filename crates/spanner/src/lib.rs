@@ -50,6 +50,7 @@ pub mod durable;
 pub mod harness;
 pub mod locks;
 pub mod messages;
+pub mod ro;
 pub mod shard;
 pub mod storage;
 pub mod workload;

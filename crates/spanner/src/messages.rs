@@ -119,8 +119,8 @@ pub enum SpannerMsg {
     },
 
     // ----- Read-only transactions -----
-    /// Read-only transaction request (both variants). `t_min` is meaningful
-    /// only for Spanner-RSS.
+    /// Read-only transaction request (both variants). The strict policy
+    /// ignores `t_min`.
     RoCommit {
         /// Issuing transaction.
         txn: TxnId,
@@ -131,17 +131,8 @@ pub enum SpannerMsg {
         /// Minimum read timestamp capturing the client's causal past.
         t_min: Ts,
     },
-    /// Baseline Spanner reply: sent only once all conflicting prepared
-    /// transactions with `t_p ≤ t_read` have resolved.
-    RoReply {
-        /// Transaction.
-        txn: TxnId,
-        /// Responding shard.
-        shard: NodeId,
-        /// For each requested key, the latest version at or before `t_read`.
-        values: Vec<(Key, Ts, Value)>,
-    },
-    /// Spanner-RSS fast reply (Algorithm 2, line 10).
+    /// Fast reply (Algorithm 2, line 10), sent once the must-observe set
+    /// has resolved. Under strict Spanner it skips nothing.
     RoFastReply {
         /// Transaction.
         txn: TxnId,
@@ -153,8 +144,8 @@ pub enum SpannerMsg {
         /// For each requested key, the latest version at or before `t_read`.
         values: Vec<(Key, Ts, Value)>,
     },
-    /// Spanner-RSS slow reply (Algorithm 2, lines 13-17): the outcome of one
-    /// previously skipped transaction.
+    /// Slow reply (Algorithm 2, lines 13-17): the outcome of one previously
+    /// skipped transaction. Only Spanner-RSS skips, so only it sends these.
     RoSlowReply {
         /// The read-only transaction this reply belongs to.
         txn: TxnId,
@@ -184,7 +175,6 @@ wire_layout! {
         7 => CommitReply { txn, commit, t_commit },
         8 => AbortRequest { txn },
         9 => RoCommit { txn, keys, t_read, t_min },
-        10 => RoReply { txn, shard, values },
         11 => RoFastReply { txn, shard, skipped, values },
         12 => RoSlowReply { txn, shard, resolved, committed, t_commit, values },
     }
@@ -229,7 +219,6 @@ mod tests {
                 (SpannerMsg::CommitReply { txn: txn(7, 43), commit: false, t_commit: 0 }, "0707000000000000002b00000000000000000000000000000000"),
                 (SpannerMsg::AbortRequest { txn: txn(1, 2) }, "0801000000000000000200000000000000"),
                 (SpannerMsg::RoCommit { txn: txn(3, 9), keys: vec![Key(5)], t_read: 900, t_min: 850 }, "090300000000000000090000000000000001000000050000000000000084030000000000005203000000000000"),
-                (SpannerMsg::RoReply { txn: txn(3, 9), shard: 2, values: vec![(Key(5), 88, Value(6))] }, "0a03000000000000000900000000000000020000000000000001000000050000000000000058000000000000000600000000000000"),
                 (
                     SpannerMsg::RoFastReply {
                         txn: txn(3, 9),

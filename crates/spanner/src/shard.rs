@@ -17,10 +17,11 @@ use regular_storage::codec::{Enc, Wire};
 use regular_storage::wal::{RecoveredLog, Wal, WalStats};
 use regular_storage::Durability;
 
-use crate::config::{Mode, SpannerConfig};
+use crate::config::SpannerConfig;
 use crate::durable::{self, ShardChunk, ShardRecord, SnapCoord, SnapPrepared};
 use crate::locks::LockTable;
 use crate::messages::{PreparedInfo, SpannerMsg, Ts, TxnId};
+use crate::ro::ReadPolicy;
 use crate::storage::MvccStore;
 
 /// A prepared-but-undecided read-write transaction at this shard.
@@ -90,26 +91,16 @@ impl CoordState {
     }
 }
 
-/// A baseline read-only transaction blocked on conflicting prepared
-/// transactions (Spanner) or a Spanner-RSS read-only transaction blocked on
-/// its must-observe set `B` (Algorithm 2, line 7).
+/// A read-only transaction parked on prepared transactions: blocked on its
+/// must-observe set `B` (Algorithm 2, line 7), or answered and owed one slow
+/// reply per skipped prepare (lines 11-18).
 #[derive(Debug, Clone)]
-struct BlockedRo {
+struct ParkedRo {
     client: NodeId,
     txn: TxnId,
     keys: Vec<Key>,
     t_read: Ts,
-    blockers: FxHashSet<TxnId>,
-}
-
-/// A Spanner-RSS read-only transaction for which this shard still owes slow
-/// replies about skipped prepared transactions (Algorithm 2, lines 11-18).
-#[derive(Debug, Clone)]
-struct RssWatcher {
-    client: NodeId,
-    txn: TxnId,
-    keys: Vec<Key>,
-    pending: FxHashSet<TxnId>,
+    waiting_on: FxHashSet<TxnId>,
 }
 
 /// A queue of cooperative-termination checks behind at most one engine timer.
@@ -193,7 +184,7 @@ pub struct ShardStats {
     pub ro_blocked: u64,
     /// Prepared transactions skipped by Spanner-RSS fast replies.
     pub ro_skipped_prepared: u64,
-    /// Slow replies sent (Spanner-RSS only).
+    /// Slow replies sent.
     pub ro_slow_replies: u64,
     /// Transactions prepared.
     pub prepares: u64,
@@ -205,8 +196,8 @@ pub struct ShardStats {
 
 /// The shard leader node.
 pub struct ShardNode {
-    mode: Mode,
-    disable_tee_skip: bool,
+    /// Which conflicting prepares a read-only transaction must observe.
+    policy: ReadPolicy,
     shard_index: usize,
     replication_delay: SimDuration,
     store: MvccStore,
@@ -221,8 +212,8 @@ pub struct ShardNode {
     /// checkpoint: its chunk. Filled only under a WAL, where the device's
     /// chain plus this always equals the store and the decision log.
     unsaved: ShardChunk,
-    blocked_ros: Vec<BlockedRo>,
-    rss_watchers: Vec<RssWatcher>,
+    blocked_ros: Vec<ParkedRo>,
+    rss_watchers: Vec<ParkedRo>,
     /// Floor for prepare and commit timestamps chosen at this shard; also
     /// plays the role of the Paxos safe time.
     max_ts: Ts,
@@ -269,8 +260,7 @@ impl ShardNode {
             }
         };
         let mut node = ShardNode {
-            mode: cfg.mode,
-            disable_tee_skip: cfg.disable_tee_skip,
+            policy: ReadPolicy::new(cfg.mode, cfg.disable_tee_skip),
             shard_index,
             replication_delay,
             store: MvccStore::new(),
@@ -558,14 +548,16 @@ impl ShardNode {
             .collect()
     }
 
-    fn conflicting_prepared(&self, keys: &[Key], t_read: Ts) -> Vec<(TxnId, Ts, Ts)> {
-        self.prepared
-            .iter()
-            .filter(|(_, p)| {
-                p.t_prepare <= t_read && p.writes.iter().any(|(k, _)| keys.contains(k))
-            })
-            .map(|(id, p)| (*id, p.t_prepare, p.t_ee))
-            .collect()
+    /// The prepared transactions at or below `t_read` that write one of
+    /// `keys`.
+    fn conflicting_prepared<'a>(
+        &'a self,
+        keys: &'a [Key],
+        t_read: Ts,
+    ) -> impl Iterator<Item = (&'a TxnId, &'a PreparedTxn)> + 'a {
+        self.prepared.iter().filter(move |(_, p)| {
+            p.t_prepare <= t_read && p.writes.iter().any(|(k, _)| keys.contains(k))
+        })
     }
 
     fn finish_prepare(
@@ -676,67 +668,42 @@ impl ShardNode {
                 self.finish_prepare(ctx, g, p.writes, p.t_ee, p.coordinator);
             }
         }
-        // Wake blocked read-only transactions.
-        let mut ready = Vec::new();
-        for (i, b) in self.blocked_ros.iter_mut().enumerate() {
-            if b.blockers.remove(&txn) && b.blockers.is_empty() {
-                ready.push(i);
-            }
-        }
-        for i in ready.into_iter().rev() {
-            let b = self.blocked_ros.remove(i);
+        // Wake blocked read-only transactions, latest first.
+        let woken = |b: &mut ParkedRo| b.waiting_on.remove(&txn) && b.waiting_on.is_empty();
+        let ready: Vec<ParkedRo> = self.blocked_ros.extract_if(.., woken).collect();
+        for b in ready.into_iter().rev() {
             self.answer_ro(ctx, b.client, b.txn, &b.keys, b.t_read);
         }
         // Send slow replies for RSS watchers (collected first: sends go
         // through the WAL gate, which needs `&mut self`).
-        let mut done = Vec::new();
-        let mut slow_replies = Vec::new();
-        for (i, w) in self.rss_watchers.iter_mut().enumerate() {
-            if w.pending.remove(&txn) {
-                let values = if commit {
-                    let relevant: Vec<(Key, Ts, Value)> = prepared
-                        .as_ref()
-                        .map(|p| {
-                            p.writes
-                                .iter()
-                                .filter(|(k, _)| w.keys.contains(k))
-                                .map(|(k, v)| (*k, t_commit, *v))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    relevant
-                } else {
-                    Vec::new()
-                };
-                self.stats.ro_slow_replies += 1;
-                slow_replies.push((
-                    w.client,
-                    SpannerMsg::RoSlowReply {
-                        txn: w.txn,
-                        shard: ctx.node_id(),
-                        resolved: txn,
-                        committed: commit,
-                        t_commit,
-                        values,
-                    },
-                ));
-                if w.pending.is_empty() {
-                    done.push(i);
-                }
+        let (shard, mut slow_replies) = (ctx.node_id(), Vec::new());
+        self.rss_watchers.retain_mut(|w| {
+            if !w.waiting_on.remove(&txn) {
+                return true;
             }
-        }
+            let values = match (&prepared, commit) {
+                (Some(p), true) => {
+                    let read = p.writes.iter().filter(|(k, _)| w.keys.contains(k));
+                    read.map(|&(k, v)| (k, t_commit, v)).collect()
+                }
+                _ => Vec::new(),
+            };
+            let (resolved, committed, txn) = (txn, commit, w.txn);
+            let reply =
+                SpannerMsg::RoSlowReply { txn, shard, resolved, committed, t_commit, values };
+            slow_replies.push((w.client, reply));
+            !w.waiting_on.is_empty()
+        });
+        self.stats.ro_slow_replies += slow_replies.len() as u64;
         for (client, reply) in slow_replies {
             self.send_d(ctx, client, SimDuration::ZERO, reply);
         }
-        for i in done.into_iter().rev() {
-            self.rss_watchers.remove(i);
-        }
     }
 
-    /// Answers a read-only request whose blocking requirement has been met:
-    /// baseline replies with the snapshot at `t_read`; Spanner-RSS sends a
-    /// fast reply listing any still-prepared conflicting transactions it
-    /// skipped and registers a watcher for their outcomes.
+    /// Answers a read-only request whose must-observe set has resolved: the
+    /// snapshot at `t_read` and the undecided conflicting prepares skipped,
+    /// each owed a slow reply. Strict skips none: `handle_ro` raised `max_ts`
+    /// to `t_read`, so all such prepares were blockers.
     fn answer_ro(
         &mut self,
         ctx: &mut Context<SpannerMsg>,
@@ -746,30 +713,19 @@ impl ShardNode {
         t_read: Ts,
     ) {
         let values = self.read_values(keys, t_read);
-        match self.mode {
-            Mode::Spanner => {
-                let reply = SpannerMsg::RoReply { txn, shard: ctx.node_id(), values };
-                self.send_d(ctx, client, SimDuration::ZERO, reply);
-            }
-            Mode::SpannerRss => {
-                let skipped: Vec<PreparedInfo> = self
-                    .conflicting_prepared(keys, t_read)
-                    .into_iter()
-                    .map(|(id, t_prepare, _)| PreparedInfo { txn: id, t_prepare })
-                    .collect();
-                self.stats.ro_skipped_prepared += skipped.len() as u64;
-                if !skipped.is_empty() {
-                    self.rss_watchers.push(RssWatcher {
-                        client,
-                        txn,
-                        keys: keys.to_vec(),
-                        pending: skipped.iter().map(|p| p.txn).collect(),
-                    });
-                }
-                let reply = SpannerMsg::RoFastReply { txn, shard: ctx.node_id(), skipped, values };
-                self.send_d(ctx, client, SimDuration::ZERO, reply);
-            }
+        let skipped: Vec<PreparedInfo> = self
+            .conflicting_prepared(keys, t_read)
+            .map(|(&txn, p)| PreparedInfo { txn, t_prepare: p.t_prepare })
+            .collect();
+        debug_assert!(skipped.is_empty() || self.policy != ReadPolicy::Strict);
+        self.stats.ro_skipped_prepared += skipped.len() as u64;
+        if !skipped.is_empty() {
+            let waiting_on = skipped.iter().map(|p| p.txn).collect();
+            let keys = keys.to_vec();
+            self.rss_watchers.push(ParkedRo { client, txn, keys, t_read, waiting_on });
         }
+        let reply = SpannerMsg::RoFastReply { txn, shard: ctx.node_id(), skipped, values };
+        self.send_d(ctx, client, SimDuration::ZERO, reply);
     }
 
     fn handle_ro(
@@ -789,25 +745,17 @@ impl ShardNode {
             self.log(ctx, &ShardRecord::SafeTime { ts: t_read });
         }
         self.max_ts = self.max_ts.max(t_read);
-        let conflicting = self.conflicting_prepared(&keys, t_read);
-        let blockers: FxHashSet<TxnId> = match self.mode {
-            // Baseline: block on every conflicting prepared transaction.
-            Mode::Spanner => conflicting.iter().map(|(id, _, _)| *id).collect(),
-            // Spanner-RSS: block only on the must-observe set B
-            // (t_p ≤ t_min, or the transaction could have finished before the
-            // read-only transaction started: t_ee ≤ t_read).
-            Mode::SpannerRss => conflicting
-                .iter()
-                .filter(|(_, t_p, t_ee)| self.disable_tee_skip || *t_p <= t_min || *t_ee <= t_read)
-                .map(|(id, _, _)| *id)
-                .collect(),
-        };
-        if blockers.is_empty() {
+        let waiting_on: FxHashSet<TxnId> = self
+            .conflicting_prepared(&keys, t_read)
+            .filter(|(_, p)| self.policy.must_observe(p.t_prepare, p.t_ee, t_read, t_min))
+            .map(|(&id, _)| id)
+            .collect();
+        if waiting_on.is_empty() {
             self.stats.ro_immediate += 1;
             self.answer_ro(ctx, from, txn, &keys, t_read);
         } else {
             self.stats.ro_blocked += 1;
-            self.blocked_ros.push(BlockedRo { client: from, txn, keys, t_read, blockers });
+            self.blocked_ros.push(ParkedRo { client: from, txn, keys, t_read, waiting_on });
         }
     }
 }
@@ -985,9 +933,7 @@ impl ShardNode {
             SpannerMsg::RoCommit { txn, keys, t_read, t_min } => {
                 self.handle_ro(ctx, from, txn, keys, t_read, t_min);
             }
-            SpannerMsg::RoReply { .. }
-            | SpannerMsg::RoFastReply { .. }
-            | SpannerMsg::RoSlowReply { .. } => {
+            SpannerMsg::RoFastReply { .. } | SpannerMsg::RoSlowReply { .. } => {
                 // Client-bound messages; a shard never receives them.
             }
         }
