@@ -729,20 +729,27 @@ mod tests {
         f(client, &mut ctx);
     }
 
-    #[test]
-    fn equal_timestamps_resolve_to_the_later_arrival() {
-        let mut client = SpannerService::new(ClientConfig {
+    /// A Spanner-RSS client of the shards led by `shard_nodes`, all in one
+    /// region.
+    fn rss_client(shard_nodes: Vec<NodeId>) -> SpannerService {
+        let shards = shard_nodes.len();
+        SpannerService::new(ClientConfig {
             mode: Mode::SpannerRss,
             region: 0,
-            shard_nodes: vec![SHARD],
-            shard_regions: vec![0],
-            replication_delays: vec![SimDuration::ZERO],
+            shard_nodes,
+            shard_regions: vec![0; shards],
+            replication_delays: vec![SimDuration::ZERO; shards],
             net: LatencyMatrix::single_region(SimDuration::from_millis(1)),
             truetime_epsilon: SimDuration::ZERO,
             commit_timeout: SimDuration::from_secs(1),
             retry_backoff: SimDuration::from_millis(1),
             op_timeout: None,
-        });
+        })
+    }
+
+    #[test]
+    fn equal_timestamps_resolve_to_the_later_arrival() {
+        let mut client = rss_client(vec![SHARD]);
         let (txn, skipped) = (TxnId { client: CLIENT, seq: 0 }, TxnId { client: 7, seq: 3 });
         let lane = LaneId { session: 0, slot: 0 };
         turn(&mut client, |c, ctx| c.submit(ctx, lane, SessionOp::RoTxn { keys: vec![Key(4)] }));
@@ -772,6 +779,52 @@ mod tests {
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].result, OpResult::Values(vec![(Key(4), Value(2))]));
         assert_eq!(completed[0].witness_ts(), Some(100));
+    }
+
+    /// A read of key 4 on shard A and key 5 on shard B, which both skip the
+    /// prepared transaction W. A slow reply carries one shard's writes of
+    /// W, so A's resolves W at A only: the read must wait for B's and return
+    /// W's writes on both keys.
+    #[test]
+    fn a_skipped_transaction_resolves_per_shard() {
+        const SHARD_B: NodeId = 2;
+        let (txn, w) = (TxnId { client: CLIENT, seq: 0 }, TxnId { client: 7, seq: 3 });
+        let fast = |shard, key, value| SpannerMsg::RoFastReply {
+            txn,
+            shard,
+            skipped: vec![PreparedInfo { txn: w, t_prepare: 50 }],
+            values: vec![(key, 100, value)],
+        };
+        let slow = |shard, key, value| SpannerMsg::RoSlowReply {
+            txn,
+            shard,
+            resolved: w,
+            committed: true,
+            t_commit: 100,
+            values: vec![(key, 100, value)],
+        };
+        let a = [(SHARD, fast(SHARD, Key(4), Value(1))), (SHARD, slow(SHARD, Key(4), Value(2)))];
+        let b = [
+            (SHARD_B, fast(SHARD_B, Key(5), Value(3))),
+            (SHARD_B, slow(SHARD_B, Key(5), Value(4))),
+        ];
+        // A's committing slow reply (i) before B's fast reply and (ii) between
+        // B's fast and slow replies.
+        let orders = [[&a[0], &a[1], &b[0], &b[1]], [&a[0], &b[0], &a[1], &b[1]]];
+        for (o, order) in orders.into_iter().enumerate() {
+            let mut client = rss_client(vec![SHARD, SHARD_B]);
+            let lane = LaneId { session: 0, slot: 0 };
+            let read = SessionOp::RoTxn { keys: vec![Key(4), Key(5)] };
+            turn(&mut client, |c, ctx| c.submit(ctx, lane, read));
+            let mut completed = Vec::new();
+            for (i, (from, msg)) in order.into_iter().enumerate() {
+                turn(&mut client, |c, ctx| c.on_message(ctx, *from, msg.clone()));
+                client.drain_completed(&mut completed);
+                assert_eq!(completed.len(), usize::from(i == 3), "order {o}: after message {i}");
+            }
+            let both = vec![(Key(4), Value(2)), (Key(5), Value(4))];
+            assert_eq!(completed[0].result, OpResult::Values(both), "order {o}");
+        }
     }
 
     #[test]

@@ -175,6 +175,7 @@ wire_layout! {
         7 => CommitReply { txn, commit, t_commit },
         8 => AbortRequest { txn },
         9 => RoCommit { txn, keys, t_read, t_min },
+        // Tag 10 was strict Spanner's read-only reply; it is not reused.
         11 => RoFastReply { txn, shard, skipped, values },
         12 => RoSlowReply { txn, shard, resolved, committed, t_commit, values },
     }

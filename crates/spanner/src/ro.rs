@@ -57,7 +57,7 @@ impl ReadPolicy {
 /// The client's side of one read-only transaction (Algorithm 1). Shards are
 /// indices below 64; when [`RoRead::on_fast`] or [`RoRead::on_slow`] says a
 /// decision is due, the caller asks [`RoRead::try_finish`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoRead {
     policy: ReadPolicy,
     t_read: Ts,
@@ -68,10 +68,12 @@ pub struct RoRead {
     reads: usize,
     /// Every version returned, in arrival order.
     versions: Vec<(Key, Ts, Value)>,
-    /// The skipped prepares, with their `t_p` until resolved. Resolutions
-    /// are kept even before the fast reply that skips them: a late or
-    /// duplicated fast reply must not resurrect a resolved transaction.
-    skips: Vec<(TxnId, Option<Ts>)>,
+    /// The skipped prepares per shard, with their `t_p` until resolved. A
+    /// slow reply carries one shard's writes, so it resolves that shard's
+    /// entry only. Resolutions are kept per shard even before the fast reply
+    /// that skips them: a late or duplicated fast reply from that shard must
+    /// not resurrect a resolved transaction.
+    skips: Vec<(usize, TxnId, Option<Ts>)>,
     /// Chosen at the first decision; an undecided read then waits.
     t_snap: Option<Ts>,
 }
@@ -93,10 +95,8 @@ impl RoRead {
     ) -> bool {
         self.add_versions(versions);
         for PreparedInfo { txn, t_prepare } in skipped {
-            match self.skip_mut(shard, txn) {
-                Some((_, Some(t))) => *t = t_prepare,
-                Some(_) => {}
-                None => self.skips.push((txn, Some(t_prepare))),
+            if self.skip_mut(shard, txn).is_none() {
+                self.skips.push((shard, txn, Some(t_prepare)));
             }
         }
         self.pending &= !(1 << shard);
@@ -113,8 +113,8 @@ impl RoRead {
         versions: Vec<(Key, Ts, Value)>,
     ) -> bool {
         match self.skip_mut(shard, resolved) {
-            Some((_, t)) => *t = None,
-            None => self.skips.push((resolved, None)),
+            Some((.., t)) => *t = None,
+            None => self.skips.push((shard, resolved, None)),
         }
         if committed {
             self.add_versions(versions);
@@ -131,7 +131,7 @@ impl RoRead {
             move |key: Key| versions.iter().filter(move |v| v.0 == key).map(|&(_, ts, v)| (ts, v));
         let earliest = |key: &Key| of(*key).map(|(ts, _)| ts).min().unwrap_or(0);
         let t_snap = *self.t_snap.get_or_insert_with(|| keys.iter().map(earliest).fold(0, Ts::max));
-        if self.skips.iter().any(|&(_, t_p)| t_p.is_some_and(|t_p| t_p <= t_snap)) {
+        if self.skips.iter().any(|&(.., t_p)| t_p.is_some_and(|t_p| t_p <= t_snap)) {
             return None;
         }
         let latest = |key: Key| {
@@ -141,8 +141,8 @@ impl RoRead {
         Some((values, self.policy.stamp(self.t_read, t_snap, self.t_min), t_snap))
     }
 
-    fn skip_mut(&mut self, _shard: usize, txn: TxnId) -> Option<&mut (TxnId, Option<Ts>)> {
-        self.skips.iter_mut().find(|s| s.0 == txn)
+    fn skip_mut(&mut self, shard: usize, txn: TxnId) -> Option<&mut (usize, TxnId, Option<Ts>)> {
+        self.skips.iter_mut().find(|s| (s.0, s.1) == (shard, txn))
     }
 
     /// Keeps the first reply's buffer, grown once to hold every key read.

@@ -1,5 +1,8 @@
 //! The shard leader node: two-phase commit participant/coordinator and the
-//! read-only transaction server (Algorithm 2).
+//! read-only transaction server (Algorithm 2) of both protocols. A read
+//! waits for the prepares its [`ReadPolicy`] must observe, then gets a fast
+//! reply listing the conflicting prepares it skipped (none under strict
+//! Spanner) and one slow reply as each skipped prepare resolves.
 //!
 //! Each shard is simulated as its leader; replication of prepare and commit
 //! records to a majority is modeled as a fixed delay (the round-trip time to

@@ -18,7 +18,7 @@
 //! stamps every transaction inside its real-time interval and peaks at tens;
 //! Spanner-RSS stamps a fresh session's read-only transaction on
 //! never-written keys at timestamp 0, and a few hundred of those keep the
-//! window as deep as the run (ROADMAP item 5(1)).
+//! window as deep as the run (ROADMAP item 5).
 
 use regular_core::{
     order::message_edges, ByProcess, ComponentSplit, History, HistoryBuilder, OpId,

@@ -130,3 +130,42 @@ fn clock_uncertainty_spike_preserves_rss() {
     assert!(result.client_stats.rw_completed > 20);
     verify_run(&result).expect("RSS must hold regardless of clock uncertainty");
 }
+
+/// One 300 s part of the benchmark's `sim_spanner_wan` workload, built as
+/// `benchmark/src/workloads.rs` builds it: Spanner-RSS on the CA/VA/IR WAN,
+/// Retwis at Zipf 0.9 over 400 000 keys, 2 partly-open session arrivals per
+/// second per region after a 5 s lead-in, 20 s of drain.
+fn wan_part(seed: u64) -> RunResult {
+    let lead_in = SimTime::from_secs(5);
+    let clients = (0..3)
+        .map(|region| ClientSpec {
+            region,
+            sessions: SessionConfig::partly_open(2.0, 0.9, SimDuration::ZERO)
+                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(region as u64)),
+            workload: Box::new(Retwis::new(400_000, 0.9)) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    run_cluster(ClusterSpec {
+        config: SpannerConfig::wan(Mode::SpannerRss),
+        net: LatencyMatrix::spanner_wan(),
+        seed,
+        clients,
+        stop_issuing_at: lead_in + SimDuration::from_secs(300),
+        drain: SimDuration::from_secs(20),
+        measure_from: lead_in,
+    })
+}
+
+/// Part seeds 6015 and 560 returned fractured reads while the client
+/// resolved a skipped transaction by its id alone: one shard's slow reply
+/// let the read finish without the other shard's writes of the same
+/// transaction. They certify with skipped transactions resolved per shard.
+#[test]
+fn sim_spanner_wan_part_seeds_6015_and_560_certify() {
+    for seed in [6015, 560] {
+        let (history, witness) = build_history(&wan_part(seed));
+        if let Err(v) = certify_streaming(&history, &witness, WitnessModel::Regular) {
+            panic!("part seed {seed} is not RSS: {v:?}");
+        }
+    }
+}
