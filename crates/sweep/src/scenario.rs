@@ -495,6 +495,15 @@ fn scaled_stop_secs(scenario: Scenario, ops: Option<u64>, default_secs: u64) -> 
 /// scales the run duration to target roughly that many operations; `None`
 /// keeps the scenario default.
 pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
+    run_seed_recorded(scenario, seed, ops).0
+}
+
+/// [`run_seed`], also handing back the recorded history and witness.
+fn run_seed_recorded(
+    scenario: Scenario,
+    seed: u64,
+    ops: Option<u64>,
+) -> (SeedRun, History, Vec<OpId>) {
     let started = Instant::now();
     let row = scenario.row();
     let faults = row.faults.map(|script| script(seed));
@@ -618,14 +627,14 @@ pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
         seed,
         model: scenario.model(),
         violation,
-        witness,
-        history,
+        witness: witness.clone(),
+        history: history.clone(),
         deliveries,
         durability: scenario.is_durable().then(|| "wal".to_string()),
         schedule: None,
         coverage: None,
     });
-    SeedRun { report, artifact }
+    (SeedRun { report, artifact }, history, witness)
 }
 
 /// The storage half of a seed's verdict. A snapshot that outgrew its area
@@ -830,10 +839,45 @@ mod tests {
         );
     }
 
+    /// FNV-1a of a seed's recorded history (its artifact text) and of its
+    /// witness (the op ids in order).
+    fn digests(history: &History, witness: &[OpId]) -> [u64; 2] {
+        let fnv = |bytes: &mut dyn Iterator<Item = u8>| {
+            bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let text = crate::JsonLayout::to_json(history).to_pretty();
+        let ids = witness.iter().flat_map(|id| id.0.to_le_bytes());
+        [
+            fnv(&mut text.bytes()),
+            fnv(&mut (witness.len() as u64).to_le_bytes().into_iter().chain(ids)),
+        ]
+    }
+
+    /// `[history, witness]` digests of every simulator scenario's seed 42,
+    /// in `Scenario::ALL` order, recorded before the sweep described its
+    /// runs as hunt inputs.
+    const SEED_42: [[u64; 2]; 11] = [
+        [0xdc36_f559_7d4b_d08e, 0x8149_6602_b79c_6393], // spanner-rss
+        [0xb144_5c22_1bbd_895a, 0xb2e5_3880_ae04_5401], // gryff-rsc
+        [0xc2b2_675c_5c2e_dec2, 0xe539_ecdc_0e33_f3c8], // composed
+        [0x1f31_5edd_205e_6a58, 0x6f4f_7620_3dd0_4578], // spanner-faults
+        [0x61a3_1715_8fc1_4bf2, 0xc4e1_b2b7_3512_3742], // gryff-faults
+        [0xb20d_04c4_8234_eebf, 0xffbe_e278_6b2f_22c4], // composed-faults
+        [0x26fc_4c54_d622_f7b6, 0x4177_6bd3_8a4e_2133], // spanner-oneway
+        [0x2bd9_d9d6_8603_f560, 0x6e5f_2c15_c2f1_08d5], // spanner-commit-crash
+        [0xafbc_a937_6a8f_0765, 0xabf0_a924_a981_d47f], // spanner-faults-durable
+        [0xf950_5b12_3608_be79, 0x571e_a820_96e6_370e], // gryff-faults-durable
+        [0x7151_4d5a_e639_e5e2, 0x71e9_6214_4efa_9af9], // composed-faults-durable
+    ];
+
     #[test]
     fn each_scenario_certifies_one_seed() {
-        for scenario in Scenario::ALL {
-            let run = run_seed(scenario, 42, None);
+        let mut actual = [[0u64; 2]; 11];
+        for (i, scenario) in Scenario::ALL.into_iter().enumerate() {
+            let (run, history, witness) = run_seed_recorded(scenario, 42, None);
+            actual[i] = digests(&history, &witness);
             assert!(
                 run.report.certified,
                 "{} seed 42 must certify: {:?}",
@@ -917,5 +961,6 @@ mod tests {
                 }
             }
         }
+        assert_eq!(actual, SEED_42, "a sweep history or witness moved: {actual:#018x?}");
     }
 }
