@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use crate::{gate, live, paper, profiles, storage, sweep};
+use crate::{gate, hunt, live, paper, profiles, storage, sweep};
 
 /// The arguments of one subcommand invocation, consumed piece by piece.
 pub struct Args(Vec<String>);
@@ -64,7 +64,7 @@ pub type Run = fn(Args) -> Result<ExitCode, String>;
 
 /// Every subcommand: name, usage line, entry point. `net-worker` is the
 /// process `net --processes N` re-executes; it is not for people.
-const COMMANDS: [(&str, &str, Run); 11] = [
+const COMMANDS: [(&str, &str, Run); 12] = [
     (
         "sweep",
         "[--seeds N] [--threads T1[,T2,...]] [--scenarios all|live|NAME,...] [--ops N] \
@@ -72,6 +72,11 @@ const COMMANDS: [(&str, &str, Run); 11] = [
         sweep::sweep,
     ),
     ("replay", "ARTIFACT.json", sweep::replay),
+    (
+        "hunt",
+        "[--budget-execs N] [--budget-secs S] [--seed S] [--bug-zoo] [--expect-bug] [--out DIR]",
+        hunt::hunt,
+    ),
     ("baseline", "[--out PATH]", paper::baseline),
     ("engine", "[--iters N] [--out PATH]", profiles::engine),
     ("checker", "[--out PATH]", profiles::checker),

@@ -14,6 +14,7 @@
 
 pub mod cli;
 pub mod gate;
+pub mod hunt;
 pub mod live;
 pub mod paper;
 pub mod profiles;

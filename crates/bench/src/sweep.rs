@@ -26,6 +26,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use regular_sweep::input::workload_name;
 use regular_sweep::{
     run_sweep, FailureArtifact, Json, Scenario, SeedReport, SweepOptions, SweepResult,
 };
@@ -223,10 +224,15 @@ pub fn replay(mut args: Args) -> Result<ExitCode, String> {
     if let Some(coverage) = &artifact.coverage {
         println!("coverage signature: {}", coverage.describe());
     }
-    if artifact.schedule.is_some() {
+    if let Some(input) = &artifact.schedule {
         println!(
-            "recorded hunt schedule: present (re-simulate the trigger with the \
-             regular-hunt crate; this replay checks the evidence only)"
+            "recorded input: {} on seed {}, {} fault event(s), {} nudge(s), stop at {} ms \
+             (re-simulate it with regular_sweep::run_input; this replay checks the evidence only)",
+            input.workload.map_or("scripted gryff sessions", workload_name),
+            input.seed,
+            input.faults.len(),
+            input.nudges.len(),
+            input.stop_ms,
         );
     }
     Ok(match artifact.replay() {

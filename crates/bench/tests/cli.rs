@@ -21,6 +21,7 @@ fn every_subcommand_refuses_an_unknown_flag_with_usage_and_exit_2() {
     let subcommands = [
         "sweep",
         "replay",
+        "hunt",
         "baseline",
         "engine",
         "checker",

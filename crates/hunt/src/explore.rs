@@ -14,8 +14,8 @@
 //!    parents are picked round-robin weighted toward recent additions, so
 //!    the search follows behavioural novelty into rare interleavings.
 //!
-//! Every execution is [`run_input`], so a found failure is replayable from
-//! its input alone.
+//! Every execution is [`run_input`] on the simulator, so a found failure is
+//! replayable from its input alone.
 
 use std::time::Instant;
 
@@ -25,9 +25,8 @@ use rand::{Rng, SeedableRng};
 use regular_core::coverage::CoverageMap;
 use regular_gryff::prelude::BugZoo;
 
-use crate::input::{FaultEvent, HuntInput, HuntOp};
 use crate::mutate::mutate;
-use crate::run::{run_input, HuntFailure, RunVerdict};
+use crate::{run_input, FaultEvent, HuntInput, HuntOp, RunVerdict};
 
 /// Hunt budgets and target.
 #[derive(Debug, Clone)]
@@ -62,13 +61,6 @@ pub struct FoundFailure {
     pub execs_to_find: usize,
 }
 
-impl FoundFailure {
-    /// The failure evidence (always present; the verdict failed).
-    pub fn failure(&self) -> &HuntFailure {
-        self.verdict.failure.as_ref().expect("a found failure has failing evidence")
-    }
-}
-
 /// What a hunt did: statistics plus the failure, if any.
 #[derive(Debug, Clone)]
 pub struct HuntOutcome {
@@ -93,9 +85,8 @@ pub fn seed_corpus() -> Vec<HuntInput> {
             vec![HuntOp::Rmw(0); 8],
             vec![HuntOp::Rmw(0), HuntOp::Read(0), HuntOp::Rmw(0), HuntOp::Write(0)],
         ],
-        faults: Vec::new(),
-        nudges: Vec::new(),
         stop_ms: 1_200,
+        ..HuntInput::default()
     };
     vec![
         race(1),
@@ -107,8 +98,8 @@ pub fn seed_corpus() -> Vec<HuntInput> {
                 vec![HuntOp::Rmw(1), HuntOp::Write(0), HuntOp::Rmw(0)],
             ],
             faults: vec![FaultEvent::Crash { node: 1, at_ms: 300, dur_ms: 400 }],
-            nudges: Vec::new(),
             stop_ms: 1_500,
+            ..HuntInput::default()
         },
         HuntInput {
             seed: 4,
@@ -116,6 +107,7 @@ pub fn seed_corpus() -> Vec<HuntInput> {
             faults: vec![FaultEvent::Drop { at_ms: 100, dur_ms: 600, permille: 80 }],
             nudges: vec![(10, 60_000), (25, 90_000)],
             stop_ms: 1_200,
+            ..HuntInput::default()
         },
     ]
 }
@@ -125,9 +117,8 @@ fn random_input(rng: &mut SmallRng) -> HuntInput {
     let mut input = HuntInput {
         seed: rng.gen_range(0..1_000_000u64),
         sessions: vec![Vec::new(); rng.gen_range(1..=4usize)],
-        faults: Vec::new(),
-        nudges: Vec::new(),
         stop_ms: rng.gen_range(600..=2_000u64),
+        ..HuntInput::default()
     };
     // Grow it with the same structural mutations the guided stage uses, so
     // the random stage samples the same space.
@@ -169,7 +160,7 @@ pub fn hunt(config: &HuntConfig) -> HuntOutcome {
                    stage: &'static str|
      -> Result<usize, Box<FoundFailure>> {
         budget.spent += 1;
-        let verdict = run_input(input, config.bug_zoo);
+        let verdict = run_input(input, None, config.bug_zoo);
         let fresh = map.absorb(&verdict.coverage);
         if verdict.failed() {
             Err(Box::new(FoundFailure {

@@ -5,7 +5,8 @@
 //! one-way cuts, add or drop delivery nudges, and stretch or shrink the run
 //! length. Every mutation keeps the input inside bounds the normalizer in
 //! [`HuntInput::fault_schedule`] can absorb, so a mutated input always
-//! simulates.
+//! simulates. Fault targets are drawn from the input's own deployment: its
+//! servers for crashes, its regions for partitions and cuts.
 //!
 //! All randomness flows through the caller's [`SmallRng`], so an explorer
 //! seeded with a fixed value replays its entire search identically.
@@ -13,7 +14,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::input::{FaultEvent, HuntInput, HuntOp, REGIONS};
+use crate::{FaultEvent, HuntInput, HuntOp};
 
 /// Upper bounds keeping mutated inputs cheap to simulate.
 const MAX_SESSIONS: usize = 6;
@@ -35,15 +36,16 @@ fn random_op(rng: &mut SmallRng) -> HuntOp {
     }
 }
 
-fn random_fault(rng: &mut SmallRng, stop_ms: u64) -> FaultEvent {
-    let at_ms = rng.gen_range(0..stop_ms.max(2));
+fn random_fault(rng: &mut SmallRng, input: &HuntInput) -> FaultEvent {
+    let (servers, regions) = (input.servers(), input.regions());
+    let at_ms = rng.gen_range(0..input.stop_ms.max(2));
     let dur_ms = rng.gen_range(1..=800u64);
     match rng.gen_range(0u32..4) {
-        0 => FaultEvent::Crash { node: rng.gen_range(0..REGIONS), at_ms, dur_ms },
-        1 => FaultEvent::Partition { region: rng.gen_range(0..REGIONS), at_ms, dur_ms },
+        0 => FaultEvent::Crash { node: rng.gen_range(0..servers), at_ms, dur_ms },
+        1 => FaultEvent::Partition { region: rng.gen_range(0..regions), at_ms, dur_ms },
         2 => FaultEvent::CutOneWay {
-            from: rng.gen_range(0..REGIONS),
-            to: rng.gen_range(0..REGIONS),
+            from: rng.gen_range(0..regions),
+            to: rng.gen_range(0..regions),
             at_ms,
             dur_ms,
         },
@@ -51,8 +53,9 @@ fn random_fault(rng: &mut SmallRng, stop_ms: u64) -> FaultEvent {
     }
 }
 
-/// Shifts, widens, narrows, or retargets one fault event in place.
-fn perturb_fault(rng: &mut SmallRng, ev: &mut FaultEvent) {
+/// Shifts, widens, narrows, or retargets one fault event in place, within
+/// `servers` and `regions`.
+fn perturb_fault(rng: &mut SmallRng, ev: &mut FaultEvent, servers: usize, regions: usize) {
     let shift = |rng: &mut SmallRng, at: &mut u64| {
         let delta = rng.gen_range(0..400u64);
         *at = if rng.gen_bool(0.5) { at.saturating_sub(delta) } else { *at + delta };
@@ -65,20 +68,21 @@ fn perturb_fault(rng: &mut SmallRng, ev: &mut FaultEvent) {
         FaultEvent::Crash { node, at_ms, dur_ms } => match rng.gen_range(0u32..3) {
             0 => shift(rng, at_ms),
             1 => stretch(rng, dur_ms),
-            _ => *node = rng.gen_range(0..REGIONS),
+            _ => *node = rng.gen_range(0..servers),
         },
         FaultEvent::Partition { region, at_ms, dur_ms } => match rng.gen_range(0u32..3) {
             0 => shift(rng, at_ms),
             1 => stretch(rng, dur_ms),
-            _ => *region = rng.gen_range(0..REGIONS),
+            _ => *region = rng.gen_range(0..regions),
         },
         FaultEvent::CutOneWay { from, to, at_ms, dur_ms } => match rng.gen_range(0u32..4) {
             0 => shift(rng, at_ms),
             1 => stretch(rng, dur_ms),
             2 => std::mem::swap(from, to), // flip the cut direction
-            _ => *to = rng.gen_range(0..REGIONS),
+            _ => *to = rng.gen_range(0..regions),
         },
-        FaultEvent::Drop { at_ms, dur_ms, permille } => match rng.gen_range(0u32..3) {
+        FaultEvent::Drop { at_ms, dur_ms, permille }
+        | FaultEvent::Duplicate { at_ms, dur_ms, permille } => match rng.gen_range(0u32..3) {
             0 => shift(rng, at_ms),
             1 => stretch(rng, dur_ms),
             _ => *permille = rng.gen_range(0..=300u32),
@@ -123,7 +127,7 @@ fn mutate_once(rng: &mut SmallRng, input: &mut HuntInput) {
         // Add a fault event.
         4 => {
             if input.faults.len() < MAX_FAULTS {
-                let ev = random_fault(rng, input.stop_ms);
+                let ev = random_fault(rng, input);
                 input.faults.push(ev);
             }
         }
@@ -131,7 +135,8 @@ fn mutate_once(rng: &mut SmallRng, input: &mut HuntInput) {
         5 => {
             if !input.faults.is_empty() {
                 let at = rng.gen_range(0..input.faults.len());
-                perturb_fault(rng, &mut input.faults[at]);
+                let (servers, regions) = (input.servers(), input.regions());
+                perturb_fault(rng, &mut input.faults[at], servers, regions);
             }
         }
         // Remove a fault event.
@@ -205,6 +210,7 @@ mod tests {
             faults: vec![FaultEvent::Crash { node: 0, at_ms: 200, dur_ms: 100 }],
             nudges: vec![(4, 20_000)],
             stop_ms: 1_000,
+            ..HuntInput::default()
         }
     }
 

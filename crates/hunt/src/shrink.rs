@@ -23,8 +23,7 @@
 
 use regular_gryff::prelude::BugZoo;
 
-use crate::input::HuntInput;
-use crate::run::{run_input, RunVerdict};
+use crate::{run_input, HuntInput, RunVerdict};
 
 /// A minimized failing input plus the evidence of its (still failing) run.
 #[derive(Debug)]
@@ -46,7 +45,7 @@ impl Shrinker {
     /// Does `candidate` still fail? Counts the execution either way.
     fn still_fails(&mut self, candidate: &HuntInput) -> bool {
         self.executions += 1;
-        run_input(candidate, self.bug_zoo).failed()
+        run_input(candidate, None, self.bug_zoo).failed()
     }
 
     /// Tries dropping whole sessions, back to front (later sessions are
@@ -153,7 +152,7 @@ pub fn shrink(input: &HuntInput, bug_zoo: BugZoo) -> ShrinkResult {
     let mut shrinker = Shrinker { bug_zoo, executions: 0 };
     let mut current = input.clone();
     debug_assert!(
-        run_input(&current, bug_zoo).failed(),
+        run_input(&current, None, bug_zoo).failed(),
         "shrink requires a failing input to start from"
     );
     loop {
@@ -168,6 +167,6 @@ pub fn shrink(input: &HuntInput, bug_zoo: BugZoo) -> ShrinkResult {
             break;
         }
     }
-    let verdict = run_input(&current, bug_zoo);
+    let verdict = run_input(&current, None, bug_zoo);
     ShrinkResult { input: current, verdict, executions: shrinker.executions }
 }

@@ -7,11 +7,9 @@
 //! dev-dependency feature; release builds of the protocols never contain
 //! them.)
 
-use regular_core::check_witness;
 use regular_gryff::prelude::BugZoo;
-use regular_hunt::{failure_artifact, hunt, shrink, HuntConfig, HuntInput};
+use regular_hunt::{hunt, run_input, shrink, HuntConfig, HUNT_SCENARIO};
 use regular_sweep::artifact::FailureArtifact;
-use regular_sweep::JsonLayout;
 
 fn mutant() -> BugZoo {
     BugZoo { two_component_carstamps: true }
@@ -33,7 +31,7 @@ fn guided_hunt_rediscovers_the_carstamp_mutant_within_32_executions() {
     );
     // The bug is a certification failure of the mutated protocol, visible in
     // the violation text as a carstamp-ordering problem.
-    assert!(!found.failure().violation.is_empty());
+    assert!(!found.verdict.violation.as_ref().expect("the verdict failed").is_empty());
 }
 
 #[test]
@@ -41,27 +39,26 @@ fn the_shrunk_artifact_is_tiny_and_replays_without_resimulating() {
     let config = small_budget();
     let found = hunt(&config).found.expect("mutant found");
     let minimized = shrink(&found.input, config.bug_zoo);
-    let failure = minimized.verdict.failure.as_ref().expect("shrinking preserves the failure");
-
+    assert!(minimized.verdict.failed(), "shrinking preserves the failure");
     assert!(
-        minimized.verdict.history_ops <= 50,
+        minimized.verdict.history_ops() <= 50,
         "minimized repro must be at most 50 ops, got {}",
-        minimized.verdict.history_ops
+        minimized.verdict.history_ops()
     );
     assert!(minimized.input.scripted_ops() <= found.input.scripted_ops());
 
     // The artifact replays the recorded history against the rejected witness
     // with no simulator involved, reproducing the failing verdict. The hunter
-    // found and shrank the failure under the batch `check_witness`; replay is
-    // the streaming certifier, which interleaves the replay and the order
-    // rules differently — so the verdict must match, not the reported pair.
-    let artifact = failure_artifact(&minimized.input, failure, &minimized.verdict.coverage);
+    // judges with the certifier replay uses, so the artifact records exactly
+    // the violation replay reports.
+    let coverage = minimized.verdict.coverage.clone();
+    let artifact = minimized
+        .verdict
+        .into_artifact(HUNT_SCENARIO, &minimized.input)
+        .expect("a failing verdict packages into an artifact");
     let verdict = artifact.replay();
-    let batch = check_witness(&artifact.history, &artifact.witness, artifact.model);
-    assert!(
-        verdict.is_err() && batch.is_err(),
-        "both validators must reject the minimized artifact: streaming {verdict:?}, batch {batch:?}"
-    );
+    let replayed = verdict.clone().expect_err("replay reproduces the violation");
+    assert_eq!(artifact.violation, format!("regular violation: {replayed:?}"));
 
     // ...and survives a disk round trip byte-exactly, including the new
     // schedule and coverage fields.
@@ -69,16 +66,15 @@ fn the_shrunk_artifact_is_tiny_and_replays_without_resimulating() {
     let path = artifact.save(&dir).expect("artifact saves");
     let loaded = FailureArtifact::load(&path).expect("artifact loads");
     assert_eq!(loaded.replay(), verdict, "replay from disk reproduces the exact verdict");
-    assert_eq!(loaded.coverage, artifact.coverage, "coverage round-trips");
+    assert_eq!(loaded.coverage, Some(coverage), "coverage round-trips");
     let recorded = loaded.schedule.as_ref().expect("hunt artifacts carry their input");
-    let reparsed = HuntInput::from_json(recorded).expect("the recorded schedule parses");
-    assert_eq!(reparsed, minimized.input, "the minimized input round-trips through the artifact");
+    assert_eq!(recorded, &minimized.input, "the minimized input round-trips through the artifact");
     let _ = std::fs::remove_file(path);
 
     // The recorded input re-simulates to the same failure, for anyone who
     // wants to watch the bug live rather than replay the evidence.
-    let rerun = regular_hunt::run_input(&reparsed, config.bug_zoo);
-    assert!(rerun.failed(), "the minimized input still triggers the bug when re-simulated");
+    let rerun = run_input(recorded, None, config.bug_zoo);
+    assert_eq!(rerun.violation, Some(artifact.violation), "re-simulation reproduces the failure");
 }
 
 #[test]

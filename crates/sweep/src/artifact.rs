@@ -1,12 +1,13 @@
 //! Replayable failure artifacts.
 //!
-//! When a sweep seed fails certification, the offending run is dumped as a
-//! self-contained JSON artifact: the scenario, the seed, the witness model,
-//! the full recorded history, and the witness that was rejected. CI uploads
-//! the file; `regular-bench replay <file>` (or
-//! [`FailureArtifact::replay`]) re-runs the certifier every sweep verdict
-//! came from on the exact same history without re-simulating, so a violation
-//! found on a 32-core runner reproduces on a laptop byte-for-byte.
+//! When a sweep seed or a hunted input fails certification, the offending run
+//! is dumped as a self-contained JSON artifact: the scenario, the seed, the
+//! witness model, the full recorded history, the witness that was rejected,
+//! and the input that produced it. CI uploads the file; `regular-bench
+//! replay <file>` (or [`FailureArtifact::replay`]) re-runs the certifier
+//! every verdict came from on the exact same history without re-simulating,
+//! so a violation found on a 32-core runner reproduces on a laptop
+//! byte-for-byte — and [`crate::run_input`] re-simulates the input.
 //!
 //! The format is stable, pinned by `tests/artifact_compat.rs`; each type in
 //! it is declared once, with [`json_layout!`] where it is a plain layout.
@@ -20,6 +21,7 @@ use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 use regular_live::DeliveryRecord;
 
+use crate::input::HuntInput;
 use crate::json::{field, Json, JsonLayout};
 use crate::json_layout;
 use crate::stream::certify_streaming;
@@ -46,10 +48,10 @@ pub struct FailureArtifact {
     /// Storage mode of the failing run (`"wal"` for the durable scenarios).
     /// `None` means in-memory and is omitted from the JSON.
     pub durability: Option<String>,
-    /// The hunt input that produced this failure, when the coverage-guided
-    /// hunter (`regular-hunt`) found it; opaque here, since the hunter owns
-    /// its layout. `None` is omitted from the JSON.
-    pub schedule: Option<Json>,
+    /// The input that produced this failure, so it can be re-simulated and
+    /// shrunk ([`crate::run_input`]). `None` (artifacts written before
+    /// every failure carried its input) is omitted from the JSON.
+    pub schedule: Option<HuntInput>,
     /// Behaviour-coverage signature of the failing run, when recorded.
     /// `None` is omitted from the JSON.
     pub coverage: Option<CoverageSignature>,

@@ -211,6 +211,19 @@ impl JsonLayout for String {
     }
 }
 
+/// `false` is absent under `omit`, so a flag older files lack costs nothing.
+impl JsonLayout for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        json.as_bool().ok_or_else(|| expected("a boolean", json))
+    }
+    fn is_absent(&self) -> bool {
+        !*self
+    }
+}
+
 impl JsonLayout for Json {
     fn to_json(&self) -> Json {
         self.clone()

@@ -1,38 +1,29 @@
 //! Sweepable scenarios: one seeded, certified run per call.
 //!
-//! A scenario is one row of a `const` table: which deployment, on which
-//! plane, under which fault script, on which storage. Each run builds the
-//! deployment from a seed (the plane's seed *and* the per-node workload RNG
-//! streams derive from it via [`SessionConfig::with_workload_seed`]), runs
-//! it — deterministically on the simulator — assembles the recorded history
-//! and serialization witness, and certifies the history against the
-//! scenario's consistency model through [`certify_streaming`] — one tail for
-//! every scenario on either plane. A failure yields a replayable
-//! [`FailureArtifact`].
+//! A scenario is one row of a `const` table: which workload (and with it the
+//! deployment), on which plane, under which fault script, on which storage.
+//! [`Scenario::input`] describes one seed of it as a [`HuntInput`] — the
+//! seed drives the plane *and* the per-node workload RNG streams, the fault
+//! script is a list of seed-derived [`FaultEvent`]s — and [`run_seed`] runs
+//! that input through [`run_input`], the runner the hunter uses too:
+//! deterministically on the simulator, certified by `certify_streaming` on
+//! either plane. A failure yields a replayable [`FailureArtifact`] that
+//! carries the input, so it can be re-simulated and shrunk from the file.
 //!
 //! Run sizes are tuned so one seed takes on the order of a hundred
 //! milliseconds: large enough that every history is far past the old 128-op
 //! exact-search ceiling (thousands of operations), small enough that a
-//! 32-seed × 3-scenario sweep finishes in CI minutes on one core.
+//! 32-seed sweep of all eleven simulator scenarios finishes in seconds on one
+//! core.
 
 use std::time::Instant;
 
-use regular_core::{History, OpId, WitnessModel};
-use regular_gryff::prelude as gryff;
+use regular_gryff::prelude::BugZoo;
 use regular_live::{LivePlane, TransportKind};
-use regular_session::{CompletedRecord, SessionConfig, SessionWorkload};
-use regular_sim::fault::{FaultSchedule, LinkScope};
-use regular_sim::metrics::{DeliveryRecord, MessageStats};
-use regular_sim::net::{LatencyMatrix, Region};
-use regular_sim::time::{SimDuration, SimTime};
-use regular_spanner::prelude as spanner;
-use regular_storage::{Durability, StorageRegistry, StorageSummary, WalOptions};
+use regular_storage::StorageSummary;
 
-use crate::artifact::{model_name, FailureArtifact};
-use crate::composed::{
-    assemble_composed, run_composed, run_composed_on, ComposedRunConfig, ComposedWorkload,
-};
-use crate::stream::certify_streaming;
+use crate::artifact::FailureArtifact;
+use crate::input::{run_input, FaultEvent, HuntInput, Workload};
 
 /// A sweepable scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,29 +85,19 @@ pub enum Scenario {
     LiveSpannerFaults,
 }
 
-/// Which node graph a scenario deploys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Deployed {
-    /// `regular_spanner::build` over [`spanner_seed_spec`].
-    Spanner,
-    /// `regular_gryff::build` over [`gryff_seed_spec`].
-    Gryff,
-    /// The two-store deployment of [`crate::composed`].
-    Composed,
-}
-
-/// One scenario: a deployment, the plane it runs on, and what is done to it.
+/// One scenario: a workload, the plane it runs on, and what is done to it.
 struct Row {
     scenario: Scenario,
     /// Stable name (reports, artifacts, CLI flags).
     name: &'static str,
     /// Forgiving extra spellings [`Scenario::parse`] accepts.
     aliases: &'static [&'static str],
-    deployed: Deployed,
+    /// The generated workload, which fixes the deployment.
+    workload: Workload,
     /// `None` runs on the simulator; `Some` on that live plane.
     live: Option<LivePlane>,
     /// The seed-driven fault script, if any.
-    faults: Option<fn(u64) -> FaultSchedule>,
+    faults: Option<fn(u64) -> Vec<FaultEvent>>,
     /// Every protocol node on a write-ahead log.
     durable: bool,
     /// Approximate completed operations per simulated second at the sweep
@@ -148,14 +129,14 @@ impl Row {
         scenario: Scenario,
         name: &'static str,
         aliases: &'static [&'static str],
-        deployed: Deployed,
+        workload: Workload,
         ops_per_sim_sec: f64,
     ) -> Row {
         let (live, faults, durable) = (None, None, false);
-        Row { scenario, name, aliases, deployed, live, faults, durable, ops_per_sim_sec }
+        Row { scenario, name, aliases, workload, live, faults, durable, ops_per_sim_sec }
     }
 
-    const fn faults(mut self, script: fn(u64) -> FaultSchedule) -> Row {
+    const fn faults(mut self, script: fn(u64) -> Vec<FaultEvent>) -> Row {
         self.faults = Some(script);
         self
     }
@@ -175,21 +156,21 @@ impl Row {
 /// in sweep order, then the live ones. A live variant of a sim scenario is
 /// one more row ending in `.live()`.
 const TABLE: [Row; 15] = {
-    use Deployed::{Composed, Gryff, Spanner};
     use Scenario as S;
+    use Workload::SpannerUniform as Spanner;
+    use Workload::{ComposedPhoto, ComposedRoundRobin as Composed, GryffYcsb as Gryff};
     [
         Row::sim(S::SpannerRss, "spanner-rss", &["spanner", "rss"], Spanner, 57.0),
         Row::sim(S::GryffRsc, "gryff-rsc", &["gryff", "rsc"], Gryff, 102.0),
         Row::sim(S::Composed, "composed", &["multi-service", "duo"], Composed, 62.0),
-        Row::sim(S::SpannerFaults, "spanner-faults", &[], Spanner, 48.0)
-            .faults(spanner_fault_schedule),
-        Row::sim(S::GryffFaults, "gryff-faults", &[], Gryff, 97.0).faults(gryff_fault_schedule),
-        Row::sim(S::ComposedFaults, "composed-faults", &["faults", "chaos"], Composed, 30.0)
-            .faults(composed_fault_schedule),
+        Row::sim(S::SpannerFaults, "spanner-faults", &[], Spanner, 48.0).faults(spanner_faults),
+        Row::sim(S::GryffFaults, "gryff-faults", &[], Gryff, 97.0).faults(gryff_faults),
+        Row::sim(S::ComposedFaults, "composed-faults", &["faults", "chaos"], ComposedPhoto, 30.0)
+            .faults(composed_faults),
         Row::sim(S::SpannerOneWay, "spanner-oneway", &["oneway", "grey"], Spanner, 48.0)
-            .faults(spanner_oneway_schedule),
+            .faults(spanner_oneway),
         Row::sim(S::SpannerCommitCrash, "spanner-commit-crash", &["commit-crash"], Spanner, 54.0)
-            .faults(spanner_commit_crash_schedule),
+            .faults(spanner_commit_crash),
         Row::sim(
             S::SpannerFaultsDurable,
             "spanner-faults-durable",
@@ -197,25 +178,25 @@ const TABLE: [Row; 15] = {
             Spanner,
             48.0,
         )
-        .faults(spanner_fault_schedule)
+        .faults(spanner_faults)
         .durable(),
         Row::sim(S::GryffFaultsDurable, "gryff-faults-durable", &["gryff-durable"], Gryff, 97.0)
-            .faults(gryff_fault_schedule)
+            .faults(gryff_faults)
             .durable(),
         Row::sim(
             S::ComposedFaultsDurable,
             "composed-faults-durable",
             &["composed-durable", "durable"],
-            Composed,
+            ComposedPhoto,
             30.0,
         )
-        .faults(composed_fault_schedule)
+        .faults(composed_faults)
         .durable(),
         Row::sim(S::LiveSpannerRss, "live-spanner-rss", &["live-spanner"], Spanner, 57.0).live(),
         Row::sim(S::LiveGryffRsc, "live-gryff-rsc", &["live-gryff"], Gryff, 102.0).live(),
         Row::sim(S::LiveComposed, "live-composed", &[], Composed, 62.0).live(),
         Row::sim(S::LiveSpannerFaults, "live-spanner-faults", &["live-faults"], Spanner, 48.0)
-            .faults(spanner_fault_schedule)
+            .faults(spanner_faults)
             .live(),
     ]
 };
@@ -270,40 +251,24 @@ impl Scenario {
             .map(|row| row.scenario)
     }
 
-    /// The witness model this scenario is certified against.
-    pub fn model(&self) -> WitnessModel {
-        WitnessModel::Regular
-    }
-
-    /// True for the `*-durable` variants, which run every protocol node on a
-    /// write-ahead log ([`Durability::Wal`]) instead of volatile state.
-    pub fn is_durable(&self) -> bool {
-        self.row().durable
-    }
-
-    /// The storage backing this scenario runs its protocol nodes on.
-    fn durability(&self, seed: u64) -> Durability {
-        if self.is_durable() {
-            durable_wal(seed)
-        } else {
-            Durability::InMemory
+    /// Seed `seed` of this scenario as an input: its workload, its fault
+    /// script drawn from the seed, its storage, and a run length of the
+    /// scenario default or, with `ops`, about that many operations.
+    pub fn input(&self, seed: u64, ops: Option<u64>) -> HuntInput {
+        let row = self.row();
+        let default_secs = match row.workload {
+            Workload::ComposedRoundRobin | Workload::ComposedPhoto => 30,
+            Workload::SpannerUniform | Workload::GryffYcsb => 45,
+        };
+        HuntInput {
+            seed,
+            faults: row.faults.map_or_else(Vec::new, |script| script(seed)),
+            stop_ms: scaled_stop_secs(*self, ops, default_secs) * 1_000,
+            workload: Some(row.workload),
+            durable: row.durable,
+            ..HuntInput::default()
         }
     }
-}
-
-/// The WAL configuration of the durable fault scenarios: deterministic
-/// in-process devices, a group-commit window wide enough that fsyncs batch
-/// under load, segments and checkpoints small enough that recovery exercises
-/// snapshot-plus-log-tail replay within one sweep run, and torn tails seeded
-/// from the sweep seed so partial-write recovery differs across the corpus.
-fn durable_wal(seed: u64) -> Durability {
-    Durability::Wal(
-        WalOptions::mem(StorageRegistry::new())
-            .with_group_commit_us(200)
-            .with_segment_bytes(16 * 1024)
-            .with_checkpoint_every(256)
-            .with_torn_tail_seed(seed),
-    )
 }
 
 /// Machine-readable outcome of one seeded run.
@@ -357,124 +322,92 @@ pub struct SeedRun {
     pub artifact: Option<FailureArtifact>,
 }
 
-/// Simulated-latency percentiles (p50, p99) in milliseconds over the
-/// non-orphan, non-fence completions.
-fn latency_percentiles<'a>(records: impl Iterator<Item = &'a CompletedRecord>) -> (f64, f64) {
-    let mut micros: Vec<u64> = records
-        .filter(|r| !r.orphan && !r.kind.is_fence())
-        .map(|r| r.latency().as_micros())
-        .collect();
-    if micros.is_empty() {
-        return (0.0, 0.0);
-    }
-    micros.sort_unstable();
-    let at = |q: f64| {
-        let idx = ((micros.len() - 1) as f64 * q).round() as usize;
-        micros[idx] as f64 / 1_000.0
-    };
-    (at(0.50), at(0.99))
+/// Per-message probability, in permille, of the lossy windows in every
+/// fault scenario.
+const LOSS_PERMILLE: u32 = 20;
+
+/// A window from second `from` until second `until`, as `(at_ms, dur_ms)`.
+fn secs(from: u64, until: u64) -> (u64, u64) {
+    (from * 1_000, (until - from) * 1_000)
 }
 
-/// The client-side operation timeout every fault scenario runs with.
-const FAULT_OP_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
-
-/// Per-message probability of the lossy windows in every fault scenario.
-const FAULT_LOSS_P: f64 = 0.02;
-
-/// The shared fault-script shape of every fault scenario: crash each listed
-/// victim for its `[from, until)` window, partition one region, and run a
-/// drop + duplicate window — all overlapping live client load.
-fn fault_script(
-    crashes: &[(usize, u64, u64)],
-    cut_region: Region,
-    cut: (u64, u64),
-    lossy: (u64, u64),
-) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new();
-    for &(node, at, recover_at) in crashes {
-        schedule = schedule.crash(node, SimTime::from_secs(at), SimTime::from_secs(recover_at));
-    }
-    schedule
-        .partition_region(cut_region, SimTime::from_secs(cut.0), SimTime::from_secs(cut.1))
-        .drop_window(
-            LinkScope::All,
-            SimTime::from_secs(lossy.0),
-            SimTime::from_secs(lossy.1),
-            FAULT_LOSS_P,
-        )
-        .duplicate_window(
-            LinkScope::All,
-            SimTime::from_secs(lossy.0),
-            SimTime::from_secs(lossy.1),
-            FAULT_LOSS_P,
-        )
+/// Crashes server `node` from second `from` until second `until`.
+fn crash(node: u64, from: u64, until: u64) -> FaultEvent {
+    let (at_ms, dur_ms) = secs(from, until);
+    FaultEvent::Crash { node: node as usize, at_ms, dur_ms }
 }
 
-/// The seed-driven fault script of the `spanner-faults` scenario: the victim
-/// shard and partitioned region rotate with the seed.
-fn spanner_fault_schedule(seed: u64) -> FaultSchedule {
-    let victim_shard = (seed % 3) as usize;
-    let cut_region = Region(((seed + 1) % 3) as usize);
-    fault_script(&[(victim_shard, 8, 12)], cut_region, (18, 21), (25, 32))
+/// Partitions `region` away from second `from` until second `until`.
+fn partition(region: u64, from: u64, until: u64) -> FaultEvent {
+    let (at_ms, dur_ms) = secs(from, until);
+    FaultEvent::Partition { region: region as usize, at_ms, dur_ms }
 }
 
-/// The seed-driven fault script of the `gryff-faults` scenario: the crashed
-/// replica rotates with the seed (it coordinates rmws for keys equal to its
-/// index mod 5).
-fn gryff_fault_schedule(seed: u64) -> FaultSchedule {
-    let victim_replica = (seed % 5) as usize;
-    let cut_region = Region(((seed + 2) % 5) as usize);
-    fault_script(&[(victim_replica, 8, 12)], cut_region, (18, 21), (25, 32))
+/// Cuts the `a -> b` direction from second `from` until second `until`.
+fn cut_oneway(a: u64, b: u64, from: u64, until: u64) -> FaultEvent {
+    let (at_ms, dur_ms) = secs(from, until);
+    FaultEvent::CutOneWay { from: a as usize, to: b as usize, at_ms, dur_ms }
 }
 
-/// The seed-driven script of the `spanner-oneway` scenario: two asymmetric
-/// one-way cuts (first `a -> b`, later the reverse) plus a short two-way
-/// lossy window, the victim pair rotating with the seed. One-way cuts are
-/// the nastiest RSS stressor short of a crash: the receiver keeps serving
-/// (and advancing its safe time) while every reply it sends evaporates, so
-/// clients time out and retry transactions the shard already executed.
-fn spanner_oneway_schedule(seed: u64) -> FaultSchedule {
-    let a = Region((seed % 3) as usize);
-    let b = Region(((seed + 1) % 3) as usize);
-    FaultSchedule::new()
-        .cut_link_oneway(a, b, SimTime::from_secs(8), SimTime::from_secs(12))
-        .cut_link_oneway(b, a, SimTime::from_secs(18), SimTime::from_secs(21))
-        .drop_window(LinkScope::All, SimTime::from_secs(25), SimTime::from_secs(29), FAULT_LOSS_P)
-        .duplicate_window(
-            LinkScope::All,
-            SimTime::from_secs(25),
-            SimTime::from_secs(29),
-            FAULT_LOSS_P,
-        )
+/// A lossy window on every link: each message is dropped, and failing that
+/// duplicated, with probability [`LOSS_PERMILLE`] — the engine consults
+/// equal-time windows in script order.
+fn lossy(from: u64, until: u64) -> [FaultEvent; 2] {
+    let ((at_ms, dur_ms), permille) = (secs(from, until), LOSS_PERMILLE);
+    [
+        FaultEvent::Drop { at_ms, dur_ms, permille },
+        FaultEvent::Duplicate { at_ms, dur_ms, permille },
+    ]
 }
 
-/// The seed-driven script of the `spanner-commit-crash` scenario: three
-/// short (400 ms) crashes of the victim shard. Under continuous load every
-/// window lands on transactions that are mid commit-wait at that shard —
-/// the coordinator has chosen `t_commit` and is waiting out TrueTime
-/// uncertainty when it dies — so recovery must re-drive 2PC from the
-/// decision log and deferred timers without ever releasing an outcome
-/// early.
-fn spanner_commit_crash_schedule(seed: u64) -> FaultSchedule {
-    let victim = (seed % 3) as usize;
-    let mut schedule = FaultSchedule::new();
-    for start_s in [9u64, 19, 29] {
-        let at = SimTime::from_millis(start_s * 1_000 + (seed % 7) * 50);
-        let recover = SimTime::from_millis(start_s * 1_000 + (seed % 7) * 50 + 400);
-        schedule = schedule.crash(victim, at, recover);
-    }
-    schedule
+/// `spanner-faults`: a shard-leader crash, a region partition and a lossy
+/// window; the victim shard and the partitioned region rotate with the
+/// seed.
+fn spanner_faults(seed: u64) -> Vec<FaultEvent> {
+    let events = [crash(seed % 3, 8, 12), partition((seed + 1) % 3, 18, 21)];
+    events.into_iter().chain(lossy(25, 32)).collect()
 }
 
-/// The `composed-faults` fault script. The photo app switches services on
-/// *every* step, so each window fires during live libRSS service switches:
-/// a Spanner shard crash (nodes 0..3), a Gryff replica crash (nodes 3..8),
-/// a region partition, and lossy/duplicating windows.
-fn composed_fault_schedule(seed: u64) -> FaultSchedule {
-    let victim_shard = (seed % 3) as usize;
-    let victim_replica = 3 + ((seed % 5) as usize);
-    let cut_region = Region(((seed + 1) % 5) as usize);
-    fault_script(&[(victim_shard, 5, 8), (victim_replica, 11, 14)], cut_region, (16, 18), (20, 25))
+/// `gryff-faults`: the same shape on Gryff; the crashed replica (it
+/// coordinates rmws for keys equal to its index mod 5) rotates with the
+/// seed.
+fn gryff_faults(seed: u64) -> Vec<FaultEvent> {
+    let events = [crash(seed % 5, 8, 12), partition((seed + 2) % 5, 18, 21)];
+    events.into_iter().chain(lossy(25, 32)).collect()
+}
+
+/// `spanner-oneway`: two asymmetric one-way cuts (first `a -> b`, later the
+/// reverse) plus a short lossy window, the pair rotating with the seed.
+/// One-way cuts are the nastiest RSS stressor short of a crash: the receiver
+/// keeps serving (and advancing its safe time) while every reply it sends
+/// evaporates, so clients time out and retry transactions the shard already
+/// executed.
+fn spanner_oneway(seed: u64) -> Vec<FaultEvent> {
+    let (a, b) = (seed % 3, (seed + 1) % 3);
+    let events = [cut_oneway(a, b, 8, 12), cut_oneway(b, a, 18, 21)];
+    events.into_iter().chain(lossy(25, 29)).collect()
+}
+
+/// `spanner-commit-crash`: three short (400 ms) crashes of the victim shard.
+/// Under continuous load every window lands on transactions that are mid
+/// commit-wait at that shard — the coordinator has chosen `t_commit` and is
+/// waiting out TrueTime uncertainty when it dies — so recovery must re-drive
+/// 2PC from the decision log and deferred timers without ever releasing an
+/// outcome early.
+fn spanner_commit_crash(seed: u64) -> Vec<FaultEvent> {
+    let node = (seed % 3) as usize;
+    let at_ms = |start_s: u64| start_s * 1_000 + (seed % 7) * 50;
+    [9, 19, 29].map(|s| FaultEvent::Crash { node, at_ms: at_ms(s), dur_ms: 400 }).to_vec()
+}
+
+/// `composed-faults`. The photo app switches services on *every* step, so
+/// each window fires during live libRSS service switches: a Spanner shard
+/// crash (nodes 0..3), a Gryff replica crash (nodes 3..8), a region
+/// partition, and a lossy window.
+fn composed_faults(seed: u64) -> Vec<FaultEvent> {
+    let events =
+        [crash(seed % 3, 5, 8), crash(3 + seed % 5, 11, 14), partition((seed + 1) % 5, 16, 18)];
+    events.into_iter().chain(lossy(20, 25)).collect()
 }
 
 /// The simulated seconds to issue load for: the scenario default, or the
@@ -495,146 +428,33 @@ fn scaled_stop_secs(scenario: Scenario, ops: Option<u64>, default_secs: u64) -> 
 /// scales the run duration to target roughly that many operations; `None`
 /// keeps the scenario default.
 pub fn run_seed(scenario: Scenario, seed: u64, ops: Option<u64>) -> SeedRun {
-    run_seed_recorded(scenario, seed, ops).0
-}
-
-/// [`run_seed`], also handing back the recorded history and witness.
-fn run_seed_recorded(
-    scenario: Scenario,
-    seed: u64,
-    ops: Option<u64>,
-) -> (SeedRun, History, Vec<OpId>) {
     let started = Instant::now();
-    let row = scenario.row();
-    let faults = row.faults.map(|script| script(seed));
-    let durability = scenario.durability(seed);
-    let Collected {
-        history,
-        witness,
-        pre_violation,
-        latency: (p50_ms, p99_ms),
-        net,
-        wall_ops_per_sec,
-        deliveries,
-        storage,
-    } = match row.deployed {
-        Deployed::Spanner => {
-            let spec =
-                spanner_seed_spec(seed, faults, durability, scaled_stop_secs(scenario, ops, 45));
-            let result = match &row.live {
-                None => spanner::run_cluster(spec),
-                Some(plane) => spanner::run_cluster_on(plane, spec),
-            };
-            let (history, witness) = spanner::build_history(&result);
-            Collected {
-                latency: latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs)),
-                history,
-                witness,
-                pre_violation: None,
-                net: result.net_stats,
-                wall_ops_per_sec: result.wall_throughput,
-                deliveries: result.deliveries,
-                storage: result.storage,
-            }
-        }
-        Deployed::Gryff => {
-            let spec =
-                gryff_seed_spec(seed, faults, durability, scaled_stop_secs(scenario, ops, 45));
-            let result = match &row.live {
-                None => gryff::run_gryff(spec),
-                Some(plane) => gryff::run_gryff_on(plane, spec),
-            };
-            let (history, witness) =
-                gryff::history_and_witness(&result.completed, scenario.model());
-            let (witness, pre_violation) = match witness {
-                Ok(witness) => (witness, None),
-                Err(reason) => (Vec::new(), Some(reason)),
-            };
-            Collected {
-                latency: latency_percentiles(result.completed.iter().flat_map(|(_, recs)| recs)),
-                history,
-                witness,
-                pre_violation,
-                net: result.net_stats,
-                wall_ops_per_sec: result.wall_throughput,
-                deliveries: result.deliveries,
-                storage: result.storage,
-            }
-        }
-        Deployed::Composed => {
-            let duration_secs = scaled_stop_secs(scenario, ops, 30);
-            let mut config = match faults {
-                Some(faults) => composed_faults_seed_config(faults, duration_secs),
-                None => composed_seed_config(duration_secs),
-            };
-            config.durability = durability;
-            let outcome = match &row.live {
-                None => run_composed(seed, &config),
-                Some(plane) => run_composed_on(plane, seed, &config),
-            };
-            let latency = latency_percentiles(
-                outcome.apps.iter().flat_map(|a| a.completed.iter().map(|(_, r)| r)),
-            );
-            let (history, witness, pre_violation) = match assemble_composed(&outcome) {
-                Ok((history, witness)) => (history, witness, None),
-                Err(v) => (v.history, v.witness, Some(v.reason)),
-            };
-            Collected {
-                latency,
-                history,
-                witness,
-                pre_violation,
-                net: outcome.net_stats,
-                wall_ops_per_sec: outcome.wall_throughput,
-                deliveries: outcome.deliveries,
-                storage: outcome.storage,
-            }
-        }
-    };
-
-    // The shared tail: every scenario's verdict comes from the one certifier,
-    // and `cert_ms` times that call alone. A certified history still fails
-    // the seed if a log skipped a checkpoint.
-    let cert_started = Instant::now();
-    let verdict = match pre_violation {
-        Some(reason) => Err(reason),
-        None => certify_streaming(&history, &witness, scenario.model())
-            .map_err(|v| format!("{} violation: {v:?}", model_name(scenario.model()))),
-    };
-    let cert_ms = cert_started.elapsed().as_secs_f64() * 1_000.0;
-    let verdict = verdict.and_then(|stats| storage_verdict(&storage).map(|()| stats));
-    let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
+    let input = scenario.input(seed, ops);
+    let mut run = run_input(&input, scenario.row().live, BugZoo::none());
+    // A certified history still fails the seed if a log skipped a checkpoint.
+    if !run.failed() {
+        run.violation = storage_verdict(&run.storage).err();
+    }
+    let stream = if run.failed() { Default::default() } else { run.stream };
     let report = SeedReport {
         scenario: scenario.name(),
         seed,
-        certified: verdict.is_ok(),
-        violation: verdict.as_ref().err().cloned(),
-        history_ops: history.len(),
-        p50_ms,
-        p99_ms,
-        wall_ms,
-        cert_ms,
-        dropped: net.dropped,
-        duplicated: net.duplicated,
-        expired: net.expired,
-        components: verdict.as_ref().map_or(0, |stats| stats.components),
-        peak_window: verdict.as_ref().map_or(0, |stats| stats.peak_window),
-        wall_ops_per_sec,
-        storage,
+        certified: !run.failed(),
+        violation: run.violation.clone(),
+        history_ops: run.history_ops(),
+        p50_ms: run.latency_ms.0,
+        p99_ms: run.latency_ms.1,
+        wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
+        cert_ms: run.cert_ms,
+        dropped: run.net.dropped,
+        duplicated: run.net.duplicated,
+        expired: run.net.expired,
+        components: stream.components,
+        peak_window: stream.peak_window,
+        wall_ops_per_sec: run.wall_ops_per_sec,
+        storage: run.storage,
     };
-    let artifact = verdict.err().map(|violation| FailureArtifact {
-        scenario: scenario.name().to_string(),
-        seed,
-        model: scenario.model(),
-        violation,
-        witness: witness.clone(),
-        history: history.clone(),
-        deliveries,
-        durability: scenario.is_durable().then(|| "wal".to_string()),
-        schedule: None,
-        coverage: None,
-    });
-    (SeedRun { report, artifact }, history, witness)
+    SeedRun { report, artifact: run.into_artifact(scenario.name(), &input) }
 }
 
 /// The storage half of a seed's verdict. A snapshot that outgrew its area
@@ -649,133 +469,11 @@ fn storage_verdict(storage: &StorageSummary) -> Result<(), String> {
     }
 }
 
-/// What a deployment's arm of [`run_seed`] hands to the shared certification
-/// tail.
-struct Collected {
-    history: History,
-    /// Empty when `pre_violation` says none could be assembled.
-    witness: Vec<OpId>,
-    /// A violation found while assembling, before any witness check: the
-    /// combined history is malformed or the witness constraints are cyclic.
-    pre_violation: Option<String>,
-    /// Simulated (p50, p99) in milliseconds.
-    latency: (f64, f64),
-    net: MessageStats,
-    wall_ops_per_sec: f64,
-    /// The live transport's delivery log; rides along in failure artifacts.
-    deliveries: Vec<DeliveryRecord>,
-    storage: StorageSummary,
-}
-
-/// Spanner-RSS sweep configuration: WAN topology, three client nodes with
-/// two closed-loop sessions each, moderately contended uniform workload.
-/// With a fault schedule, clients run with the standard operation timeout.
-/// The same spec deploys on either plane.
-pub(crate) fn spanner_seed_spec(
-    seed: u64,
-    faults: Option<FaultSchedule>,
-    durability: Durability,
-    stop_secs: u64,
-) -> spanner::ClusterSpec {
-    let mut config =
-        spanner::SpannerConfig::wan(spanner::Mode::SpannerRss).with_durability(durability);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
-    }
-    let clients = (0..3)
-        .map(|i| spanner::ClientSpec {
-            region: i % 3,
-            sessions: SessionConfig::closed_loop(4, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i as u64)),
-            workload: Box::new(spanner::UniformWorkload {
-                num_keys: 250,
-                ro_fraction: 0.5,
-                keys_per_txn: 2,
-            }) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    spanner::ClusterSpec {
-        config,
-        net: LatencyMatrix::spanner_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-    }
-}
-
-/// Gryff-RSC sweep configuration: five-region WAN, one client per region
-/// with two closed-loop sessions, conflict-heavy YCSB mix. With a fault
-/// schedule, clients run with the standard operation timeout. The same spec
-/// deploys on either plane.
-pub(crate) fn gryff_seed_spec(
-    seed: u64,
-    faults: Option<FaultSchedule>,
-    durability: Durability,
-    stop_secs: u64,
-) -> gryff::GryffClusterSpec {
-    let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability);
-    if let Some(faults) = faults {
-        config = config.with_faults(faults, FAULT_OP_TIMEOUT);
-    }
-    let clients = (0..5)
-        .map(|i| gryff::GryffClientSpec {
-            region: i % 5,
-            sessions: SessionConfig::closed_loop(3, SimDuration::ZERO)
-                .with_workload_seed(seed.wrapping_mul(999_983).wrapping_add(i as u64)),
-            workload: Box::new(gryff::ConflictWorkload::ycsb(
-                0.5,
-                0.25,
-                seed.wrapping_add(i as u64),
-            )) as Box<dyn SessionWorkload>,
-        })
-        .collect();
-    gryff::GryffClusterSpec {
-        config,
-        net: LatencyMatrix::gryff_wan(),
-        seed,
-        clients,
-        stop_issuing_at: SimTime::from_secs(stop_secs),
-        drain: SimDuration::from_secs(8),
-        measure_from: SimTime::from_secs(1),
-    }
-}
-
-/// Composed sweep configuration (smaller than the integration test's, to
-/// keep per-seed cost down).
-fn composed_seed_config(duration_secs: u64) -> ComposedRunConfig {
-    ComposedRunConfig {
-        num_apps: 3,
-        ops_per_service: 3,
-        batch: 2,
-        duration_secs,
-        drain_secs: 10,
-        ..ComposedRunConfig::default()
-    }
-}
-
-/// Composed-faults sweep configuration: the photo-sharing app (every step a
-/// fenced service switch), periodic cross-process causal handoffs, and the
-/// seed-driven fault script of [`composed_fault_schedule`].
-fn composed_faults_seed_config(faults: FaultSchedule, duration_secs: u64) -> ComposedRunConfig {
-    ComposedRunConfig {
-        num_apps: 3,
-        ops_per_service: 1,
-        batch: 2,
-        duration_secs,
-        drain_secs: 12,
-        workload: ComposedWorkload::PhotoApp,
-        faults,
-        op_timeout: Some(FAULT_OP_TIMEOUT),
-        handoff_every: Some(8),
-        ..ComposedRunConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Json, JsonLayout};
+    use regular_core::{History, OpId};
 
     #[test]
     fn scenario_names_round_trip() {
@@ -847,7 +545,7 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             })
         };
-        let text = crate::JsonLayout::to_json(history).to_pretty();
+        let text = history.to_json().to_pretty();
         let ids = witness.iter().flat_map(|id| id.0.to_le_bytes());
         [
             fnv(&mut text.bytes()),
@@ -872,12 +570,26 @@ mod tests {
         [0x7151_4d5a_e639_e5e2, 0x71e9_6214_4efa_9af9], // composed-faults-durable
     ];
 
+    /// Every sweep seed is a file: its input survives the JSON round trip,
+    /// and the parsed input re-simulates to the pinned history and witness.
+    #[test]
+    fn every_sweep_input_is_a_file() {
+        for (i, scenario) in Scenario::ALL.into_iter().enumerate() {
+            let input = scenario.input(42, None);
+            let parsed = HuntInput::from_json(&Json::parse(&input.to_json().to_pretty()).unwrap());
+            assert_eq!(parsed.as_ref(), Ok(&input), "{}", scenario.name());
+            let run = run_input(&input, None, BugZoo::none());
+            assert_eq!(digests(&run.history, &run.witness), SEED_42[i], "{}", scenario.name());
+        }
+    }
+
     #[test]
     fn each_scenario_certifies_one_seed() {
         let mut actual = [[0u64; 2]; 11];
         for (i, scenario) in Scenario::ALL.into_iter().enumerate() {
-            let (run, history, witness) = run_seed_recorded(scenario, 42, None);
-            actual[i] = digests(&history, &witness);
+            let run = run_seed(scenario, 42, None);
+            let evidence = run_input(&scenario.input(42, None), None, BugZoo::none());
+            actual[i] = digests(&evidence.history, &evidence.witness);
             assert!(
                 run.report.certified,
                 "{} seed 42 must certify: {:?}",

@@ -26,7 +26,7 @@ use regular_core::{
 };
 
 /// What the streaming pass observed while certifying a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Operations pushed through the checker.
     pub ops: usize,
@@ -235,22 +235,21 @@ mod tests {
     /// replay first, so `Causal` is not demanded).
     #[test]
     fn streaming_agrees_with_batch_on_mutated_protocol_witnesses() {
+        use crate::input::{run_input, HuntInput, Workload};
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         use regular_core::checker::certificate::OrderKind;
-        use regular_gryff::prelude as gryff;
-        use regular_spanner::prelude as spanner;
-        use regular_storage::Durability;
+        use regular_gryff::prelude::BugZoo;
 
         let model = WitnessModel::Regular;
-        let spanner_spec = crate::scenario::spanner_seed_spec(11, None, Durability::InMemory, 12);
-        let gryff_spec = crate::scenario::gryff_seed_spec(11, None, Durability::InMemory, 8);
-        let (gryff_history, gryff_witness) =
-            gryff::history_and_witness(&gryff::run_gryff(gryff_spec).completed, model);
         let runs = [
-            ("spanner-rss", spanner::build_history(&spanner::run_cluster(spanner_spec))),
-            ("gryff-rsc", (gryff_history, gryff_witness.expect("acyclic constraints"))),
+            ("spanner-rss", Workload::SpannerUniform, 12_000),
+            ("gryff-rsc", Workload::GryffYcsb, 8_000),
         ];
-        for (name, (history, witness)) in runs {
+        for (name, workload, stop_ms) in runs {
+            let input =
+                HuntInput { seed: 11, stop_ms, workload: Some(workload), ..HuntInput::default() };
+            let run = run_input(&input, None, BugZoo::none());
+            let (history, witness) = (run.history, run.witness);
             assert!(witness.len() > 300, "{name}: a real run ({} ops)", witness.len());
             assert_eq!(check_witness(&history, &witness, model), Ok(()), "{name}");
             assert!(certify_streaming(&history, &witness, model).is_ok(), "{name}");

@@ -38,8 +38,7 @@ fn build_artifact(seed: u64, n: u64, keys: u64, with_hunt_fields: bool) -> Failu
         history: b.build(),
         deliveries: Vec::new(),
         durability: None,
-        schedule: with_hunt_fields
-            .then(|| Json::obj(vec![("kind", Json::str("hunt-input")), ("seed", Json::u64(seed))])),
+        schedule: with_hunt_fields.then(|| HuntInput { seed, ..golden_hunt_input() }),
         coverage: with_hunt_fields
             .then(|| CoverageSignature::from_features(vec![0x0001_0000 | (seed as u32 & 0xff)])),
     }
@@ -62,6 +61,8 @@ fn golden_hunt_input() -> HuntInput {
         ],
         nudges: vec![(7, 90_000), (12, 0)],
         stop_ms: 4_000,
+        workload: None,
+        durable: false,
     }
 }
 
@@ -154,7 +155,7 @@ fn golden_loaded_artifact() -> FailureArtifact {
             DeliveryRecord { seq: 1, at_us: 30, from: 2, to: 0 },
         ],
         durability: Some("wal".to_string()),
-        schedule: Some(golden_hunt_input().to_json()),
+        schedule: Some(golden_hunt_input()),
         coverage: Some(CoverageSignature::from_features(vec![0x0003_0001, 0x0001_0002, 7])),
     }
 }
@@ -180,8 +181,7 @@ fn the_loaded_artifact_text_is_pinned() {
     assert_eq!(parsed.durability, artifact.durability);
     assert_eq!(parsed.schedule, artifact.schedule);
     assert_eq!(parsed.coverage, artifact.coverage);
-    let input = HuntInput::from_json(parsed.schedule.as_ref().unwrap()).unwrap();
-    assert_eq!(input, golden_hunt_input(), "the schedule decodes to the hunt input");
+    assert_eq!(parsed.schedule, Some(golden_hunt_input()), "the schedule is the hunt input");
 }
 
 #[test]
@@ -332,10 +332,8 @@ fn hostile_artifacts_are_refused_by_path() {
             "{from:?} -> {to:?}"
         );
     }
-    // The schedule is opaque to the sweep; the hunter reads it the same way.
-    let schedule = |from: &str, to: &str| {
-        HuntInput::from_json(load(&edited(from, to)).unwrap().schedule.as_ref().unwrap())
-    };
+    // The schedule is the hunt input, read with the artifact.
+    let schedule = |from: &str, to: &str| load(&edited(from, to)).map(|_| ());
     let cases = [
         ("\"f\": \"crash\"", "\"f\": \"meteor\"", "faults[0]: unknown \"f\" tag 'meteor'"),
         (
@@ -351,7 +349,7 @@ fn hostile_artifacts_are_refused_by_path() {
         ("\"stop_ms\": 4000,\n", "", "missing field 'stop_ms'"),
     ];
     for (from, to, error) in cases {
-        assert_eq!(schedule(from, to), Err(error.to_string()), "{from:?} -> {to:?}");
+        assert_eq!(schedule(from, to), Err(format!("schedule: {error}")), "{from:?} -> {to:?}");
     }
 }
 
