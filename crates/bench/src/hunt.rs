@@ -23,13 +23,12 @@ use crate::cli::Args;
 
 /// The `hunt` subcommand.
 pub fn hunt(mut args: Args) -> Result<ExitCode, String> {
-    let mut config = HuntConfig { max_execs: 512, ..HuntConfig::default() };
-    config.max_execs = args.value("--budget-execs")?.unwrap_or(config.max_execs);
-    config.max_millis = args.value::<u64>("--budget-secs")?.map(|secs| secs * 1_000);
-    config.seed = args.value("--seed")?.unwrap_or(config.seed);
-    if args.flag("--bug-zoo") {
-        config.bug_zoo = BugZoo { two_component_carstamps: true };
-    }
+    let config = HuntConfig {
+        max_execs: args.value("--budget-execs")?.unwrap_or(512),
+        max_millis: args.value::<u64>("--budget-secs")?.map(|secs| secs * 1_000),
+        seed: args.value("--seed")?.unwrap_or(HuntConfig::default().seed),
+        bug_zoo: BugZoo { two_component_carstamps: args.flag("--bug-zoo") },
+    };
     let expect_bug = args.flag("--expect-bug");
     let out: PathBuf = args.value("--out")?.unwrap_or_else(|| PathBuf::from("hunt-artifacts"));
     args.finish()?;

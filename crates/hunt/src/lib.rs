@@ -7,7 +7,8 @@
 //! signature recorded inside the simulator, and searches toward
 //! interleavings nothing has exercised yet. When a run fails certification,
 //! a delta-debugging shrinker reduces the input to a locally minimal
-//! trigger and emits a replayable [`FailureArtifact`].
+//! trigger and emits a replayable
+//! [`FailureArtifact`](regular_sweep::FailureArtifact).
 //!
 //! The input and its runner are the sweep's: [`HuntInput`] (scripted Gryff
 //! sessions or a generated workload, fault events, delivery nudges, a seed
@@ -47,9 +48,6 @@ pub use explore::{hunt, seed_corpus, FoundFailure, HuntConfig, HuntOutcome};
 pub use mutate::mutate;
 pub use regular_sweep::input::{run_input, FaultEvent, HuntInput, HuntOp, RunVerdict, Workload};
 pub use shrink::{shrink, ShrinkResult};
-
-#[cfg(doc)]
-use regular_sweep::FailureArtifact;
 
 /// Scenario name stamped on hunter-produced artifacts.
 pub const HUNT_SCENARIO: &str = "hunt-gryff-rsc";

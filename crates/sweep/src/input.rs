@@ -196,7 +196,9 @@ pub fn workload_name(workload: Workload) -> &'static str {
     }
 }
 
-json_layout! { enum Workload by workload_name { SpannerUniform, GryffYcsb, ComposedRoundRobin, ComposedPhoto } }
+json_layout! {
+    enum Workload by workload_name { SpannerUniform, GryffYcsb, ComposedRoundRobin, ComposedPhoto }
+}
 
 /// What a workload's deployment exposes to fault lowering, and how its runs
 /// are timed.
@@ -580,21 +582,22 @@ pub fn run_input(input: &HuntInput, live: Option<LivePlane>, bug_zoo: gryff::Bug
             }
         }
         Some(workload @ (Workload::ComposedRoundRobin | Workload::ComposedPhoto)) => {
-            let photo = workload == Workload::ComposedPhoto;
+            // The photo app hops services on every step and hands causal
+            // contexts across processes; round-robin hops every third op.
+            let (workload, ops_per_service, handoff_every) = match workload {
+                Workload::ComposedPhoto => (ComposedWorkload::PhotoApp, 1, Some(8)),
+                _ => (ComposedWorkload::RoundRobin, 3, None),
+            };
             let config = ComposedRunConfig {
                 num_apps: 3,
-                ops_per_service: if photo { 1 } else { 3 },
+                ops_per_service,
                 batch: 2,
                 duration_secs: input.stop_ms.div_ceil(1_000),
                 drain_secs: shape.drain_s,
-                workload: if photo {
-                    ComposedWorkload::PhotoApp
-                } else {
-                    ComposedWorkload::RoundRobin
-                },
+                workload,
                 op_timeout: (!faults.is_empty()).then_some(op_timeout),
                 faults,
-                handoff_every: photo.then_some(8),
+                handoff_every,
                 durability,
             };
             let outcome = run_composed_on(&OnPlane::new(live, None), seed, &config);
