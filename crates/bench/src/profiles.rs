@@ -12,6 +12,7 @@ use std::time::Instant;
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::WitnessModel;
 use regular_core::history::ByProcess;
+use regular_core::spec::SpecState;
 use regular_core::{check, check_witness, Model};
 use regular_sim::metrics::EngineStats;
 use regular_sim::queue::QueueKind;
@@ -137,6 +138,9 @@ const CHECKER_FLOOR: f64 = 0.30;
 /// * `assemble_regular_100k`, `assemble_realtime_100k` — `assemble_witness`
 ///   on the first row's history from what Gryff hands it: each key's accesses
 ///   chained in order, then process order.
+/// * `spec_replay_100k` — the first row's witness replayed through
+///   `SpecState::apply_expecting` alone: the sequential-specification layer
+///   the streaming checker replays every pushed op through.
 ///
 /// The paths are timed round-robin (one run of each per round), so slow host
 /// phases hit every path about equally, and each ratio is the median over
@@ -166,9 +170,10 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
         ("search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
         ("assemble_regular_100k", CHECKER_OPS, CHECKER_GROUPS, None),
         ("assemble_realtime_100k", CHECKER_OPS, CHECKER_GROUPS, None),
+        ("spec_replay_100k", CHECKER_OPS, CHECKER_GROUPS, None),
     ];
     let mut peak_window = 0;
-    let mut paths: [&mut dyn FnMut() -> bool; 7] = [
+    let mut paths: [&mut dyn FnMut() -> bool; 8] = [
         &mut || check_witness(&history, &witness, model).is_ok(),
         &mut || {
             let stats = certify_streaming(&history, &witness, model);
@@ -182,6 +187,13 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
         },
         &mut || assembles(WitnessModel::Regular),
         &mut || assembles(WitnessModel::RealTime),
+        &mut || {
+            let mut state = SpecState::new();
+            witness
+                .iter()
+                .map(|&id| history.op(id))
+                .all(|op| state.apply_expecting(op.service, &op.kind, op.result.as_ref()).is_ok())
+        },
     ];
     // One warm-up round, then the timed ones: `rounds[r][path]` milliseconds.
     let mut round = || -> Vec<f64> {

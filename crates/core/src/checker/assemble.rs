@@ -63,9 +63,74 @@ type Row = (ServiceId, Key, Timestamp, u32);
 /// The group of the chains that are not per key.
 const GLOBAL: (ServiceId, Key) = (ServiceId(0), Key(0));
 
+/// The included operations, numbered as nodes `0..len` in ascending id
+/// order. When every operation is complete — every run that drained — node
+/// `i` is op `i` and no map is built.
+enum Nodes {
+    All(usize),
+    Listed { ids: Vec<OpId>, node_of: Vec<u32> },
+}
+
+impl Nodes {
+    /// Complete operations plus incomplete ones referenced by `extra_edges`.
+    fn new(history: &History, extra_edges: &[(OpId, OpId)]) -> Self {
+        if history.ops().iter().all(|op| op.is_complete()) {
+            return Nodes::All(history.len());
+        }
+        // An orphan on several edges is pushed once per endpoint; the dedup
+        // folds them.
+        let mut ids: Vec<OpId> = history.complete_ids();
+        for &(a, b) in extra_edges {
+            ids.extend([a, b].into_iter().filter(|id| !history.op(*id).is_complete()));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        // Every edge endpoint is included, so its slot is always filled.
+        let mut node_of = vec![0u32; history.len()];
+        for (n, id) in ids.iter().enumerate() {
+            node_of[id.index()] = n as u32;
+        }
+        Nodes::Listed { ids, node_of }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Nodes::All(n) => *n,
+            Nodes::Listed { ids, .. } => ids.len(),
+        }
+    }
+
+    /// The operation at node `n`, if `n` is an operation (not a barrier).
+    fn op(&self, n: u32) -> Option<OpId> {
+        match self {
+            Nodes::All(len) => ((n as usize) < *len).then_some(OpId(n)),
+            Nodes::Listed { ids, .. } => ids.get(n as usize).copied(),
+        }
+    }
+
+    /// The node of an included operation.
+    fn node(&self, id: OpId) -> u32 {
+        match self {
+            Nodes::All(_) => id.0,
+            Nodes::Listed { node_of, .. } => node_of[id.index()],
+        }
+    }
+}
+
+/// Collects `rows`, which yields exactly `len` items, into a vector of
+/// exactly that capacity (a filtered iterator's `collect` grows by doubling,
+/// up to twice the rows the step needs at its heap peak).
+fn exact<T>(len: usize, rows: impl Iterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    out.extend(rows);
+    debug_assert_eq!(out.len(), len);
+    out
+}
+
 /// The constraint graph under construction: one priority per node (invocation
 /// time for operations, event time for barriers; ties break by node index)
-/// and the flat edge list.
+/// and the generated edge list (the explicit edges stay where they were
+/// supplied).
 struct Constraints {
     priority: Vec<u64>,
     edges: Vec<(u32, u32)>,
@@ -120,28 +185,13 @@ pub fn assemble_witness(
     extra_edges: &[(OpId, OpId)],
     model: WitnessModel,
 ) -> Result<Vec<OpId>, AssembleError> {
-    // Operations to include: complete ones plus incomplete ones referenced by
-    // the explicit edges (an orphan on several edges is pushed once per
-    // endpoint; the dedup below folds them).
-    let mut include: Vec<OpId> = history.complete_ids();
-    for &(a, b) in extra_edges {
-        include.extend([a, b].into_iter().filter(|id| !history.op(*id).is_complete()));
-    }
-    include.sort_unstable();
-    include.dedup();
-
-    // Every edge endpoint is included, so its slot below is always filled.
-    let mut node_of = vec![0u32; history.len()];
-    for (n, id) in include.iter().enumerate() {
-        node_of[id.index()] = n as u32;
-    }
-    let nodes = || include.iter().map(|id| (history.op(*id), node_of[id.index()]));
+    let include = Nodes::new(history, extra_edges);
+    let ops = include.len() as u32;
+    let nodes = || (0..ops).map(|n| (history.op(include.op(n).expect("an op node")), n));
     let mut graph = Constraints {
         priority: nodes().map(|(op, _)| op.invoke.as_micros()).collect(),
-        edges: Vec::with_capacity(extra_edges.len()),
+        edges: Vec::new(),
     };
-    let explicit = extra_edges.iter().map(|&(a, b)| (node_of[a.index()], node_of[b.index()]));
-    graph.edges.extend(explicit.filter(|(from, to)| from != to));
 
     let (service, key) = GLOBAL;
     match model {
@@ -149,19 +199,33 @@ pub fn assemble_witness(
         WitnessModel::RealTime => {
             // Every completed operation's response constrains every later
             // invocation.
+            let completed = nodes().filter(|(op, _)| op.response.is_some()).count();
             let sources = nodes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
             let targets = nodes().map(|(op, n)| (service, key, op.invoke, n));
-            graph.add_interval_constraints(sources.collect(), targets.collect());
+            graph.add_interval_constraints(exact(completed, sources), targets.collect());
         }
         WitnessModel::Regular => {
             // Completed mutating operations constrain later mutating
             // operations (globally) ...
             let writes = || nodes().filter(|(op, _)| op.kind.is_mutating());
+            let (mut completed, mut mutating, mut written, mut read) = (0, 0, 0, 0);
+            for (op, _) in nodes() {
+                if op.kind.is_mutating() {
+                    mutating += 1;
+                    if op.response.is_some() {
+                        completed += 1;
+                        written += op.kind.written_keys_iter().count();
+                    }
+                } else if op.kind.is_read_only() {
+                    read += op.kind.read_keys_iter().count();
+                }
+            }
             let sources = writes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
             let targets = writes().map(|(op, n)| (service, key, op.invoke, n));
-            graph.add_interval_constraints(sources.collect(), targets.collect());
+            graph.add_interval_constraints(exact(completed, sources), exact(mutating, targets));
             // ... and later conflicting read-only operations (per service/key).
-            let (mut writers, mut readers): (Vec<Row>, Vec<Row>) = (Vec::new(), Vec::new());
+            let (mut writers, mut readers) =
+                (Vec::with_capacity(written), Vec::with_capacity(read));
             for (op, n) in nodes() {
                 if let (true, Some(r)) = (op.kind.is_mutating(), op.response) {
                     writers.extend(op.kind.written_keys_iter().map(|k| (op.service, k, r, n)));
@@ -174,12 +238,21 @@ pub fn assemble_witness(
     }
     let Constraints { priority, edges } = graph;
 
-    // CSR by counting sort: `offsets[i]` ends up the start of node `i`'s
+    // CSR by counting sort over the explicit edges (self-edges dropped) and
+    // the generated ones: `offsets[i]` ends up the start of node `i`'s
     // successors in `succ` (filled back to front), `offsets[n]` their total.
     let n = priority.len();
-    assert!(n.max(edges.len()) <= u32::MAX as usize, "node and edge indices are u32");
+    assert!(
+        n.max(extra_edges.len() + edges.len()) <= u32::MAX as usize,
+        "node and edge indices are u32"
+    );
+    let explicit = extra_edges
+        .iter()
+        .map(|&(a, b)| (include.node(a), include.node(b)))
+        .filter(|(from, to)| from != to);
+    let all_edges = || explicit.clone().chain(edges.iter().copied());
     let (mut offsets, mut indegree) = (vec![0u32; n + 1], vec![0u32; n]);
-    for &(from, to) in &edges {
+    for (from, to) in all_edges() {
         offsets[from as usize] += 1;
         indegree[to as usize] += 1;
     }
@@ -188,8 +261,8 @@ pub fn assemble_witness(
         end += *slot;
         *slot = end;
     }
-    let mut succ = vec![0u32; edges.len()];
-    for &(from, to) in &edges {
+    let mut succ = vec![0u32; end as usize];
+    for (from, to) in all_edges() {
         offsets[from as usize] -= 1;
         succ[offsets[from as usize] as usize] = to;
     }
@@ -199,11 +272,11 @@ pub fn assemble_witness(
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     let ready = |i: u32| Reverse((priority[i as usize], i));
     heap.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0).map(ready));
-    let mut order = Vec::with_capacity(include.len());
+    let mut order = Vec::with_capacity(ops as usize);
     let mut emitted = 0usize;
     while let Some(Reverse((_, i))) = heap.pop() {
         emitted += 1;
-        if let Some(&id) = include.get(i as usize) {
+        if let Some(id) = include.op(i) {
             order.push(id);
         }
         for &next in &succ[offsets[i as usize] as usize..offsets[i as usize + 1] as usize] {

@@ -15,8 +15,9 @@
 //! each operation targets exactly one service, so replaying a sequence simply
 //! keeps separate state per [`ServiceId`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::hashing::FxHashMap;
 use crate::history::History;
 use crate::op::{OpKind, OpResult};
 use crate::types::{Key, OpId, ServiceId, Value};
@@ -35,8 +36,10 @@ pub struct SpecViolation {
 /// In-memory sequential state of a composite service.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecState {
-    kv: HashMap<(ServiceId, Key), Value>,
-    queues: HashMap<(ServiceId, Key), VecDeque<Value>>,
+    // Fx, not SipHash: every replayed op probes `kv`, and no iteration
+    // order reaches output (`fingerprint` sorts).
+    kv: FxHashMap<(ServiceId, Key), Value>,
+    queues: FxHashMap<(ServiceId, Key), VecDeque<Value>>,
 }
 
 impl SpecState {

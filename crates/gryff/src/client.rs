@@ -18,7 +18,7 @@
 //! single-key transactions are served as plain operations and multi-key
 //! transactions are rejected.
 
-use regular_core::hashing::{FxHashMap, FxHashSet};
+use regular_core::hashing::FxHashMap;
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{ServiceId, Value};
 use regular_session::{service_tag, CompletedRecord, LaneId, Service, SessionOp, WitnessHint};
@@ -26,7 +26,7 @@ use regular_sim::engine::{Context, NodeId};
 use regular_sim::time::{SimDuration, SimTime};
 
 use crate::carstamp::Carstamp;
-use crate::config::Mode;
+use crate::config::{Mode, Replied};
 use crate::messages::{Dep, GryffMsg, OpRef};
 use crate::workload::OpRequest;
 
@@ -84,7 +84,7 @@ struct ActiveOp {
     /// Replicas that answered the current round. A set, not a counter:
     /// rounds may be re-sent after a timeout and messages may be duplicated
     /// by the fault plane, and a quorum must mean *distinct* replicas.
-    replied: FxHashSet<NodeId>,
+    replied: Replied,
     /// Maximum (carstamp, value) observed in the current round.
     max: (Carstamp, Value),
     /// Whether the first-round quorum disagreed.
@@ -126,7 +126,13 @@ pub struct GryffService {
 
 impl GryffService {
     /// Creates a client protocol core with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has more than 64 replicas: an operation keeps
+    /// the replicas that answered its round as a bit mask.
     pub fn new(cfg: GryffClientConfig) -> Self {
+        Replied::check_group(cfg.replicas.len());
         GryffService {
             cfg,
             service: ServiceId::KV,
@@ -260,16 +266,22 @@ impl GryffService {
         self.arm_op_timer(ctx, seq);
     }
 
-    /// The carstamp writer id: unique per concurrently writing lane.
-    fn writer_id(&self, ctx: &Context<GryffMsg>, lane: LaneId) -> u64 {
+    /// The carstamp writer id of `lane` on client node `node`: unique per
+    /// concurrently writing lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node, session or slot overflows its bit range.
+    fn writer_id(node: NodeId, lane: LaneId) -> u64 {
         // Lanes of one node issue writes concurrently and must not collide on
         // the same carstamp count, so the id packs (node, session, slot) into
         // disjoint bit ranges. The asserts make an out-of-range configuration
-        // fail loudly instead of silently corrupting the per-key write order.
-        debug_assert!((lane.slot as u64) < (1 << 12), "pipeline slots fit in 12 bits");
-        debug_assert!(lane.session < (1 << 28), "session ids fit in 28 bits");
-        debug_assert!((ctx.node_id() as u64) < (1 << 24), "node ids fit in 24 bits");
-        ((ctx.node_id() as u64) << 40) | (lane.session << 12) | lane.slot as u64
+        // fail loudly, in every build, instead of silently corrupting the
+        // per-key write order.
+        assert!((lane.slot as u64) < (1 << 12), "pipeline slots fit in 12 bits");
+        assert!(lane.session < (1 << 28), "session ids fit in 28 bits");
+        assert!((node as u64) < (1 << 24), "node ids fit in 24 bits");
+        ((node as u64) << 40) | (lane.session << 12) | lane.slot as u64
     }
 
     fn finish_op(
@@ -362,7 +374,7 @@ impl Service for GryffService {
             request: request.clone(),
             invoke: ctx.now(),
             phase: OpPhase::ReadRound,
-            replied: FxHashSet::default(),
+            replied: Replied::default(),
             max: (Carstamp::ZERO, Value::NULL),
             disagreement: false,
             write_value: Value::NULL,
@@ -455,11 +467,13 @@ impl Service for GryffService {
     }
 
     fn on_message(&mut self, ctx: &mut Context<GryffMsg>, from: NodeId, msg: GryffMsg) {
+        // Every reply comes from a replica; its position is its quorum bit.
+        let Some(position) = self.cfg.replicas.iter().position(|&r| r == from) else { return };
         match msg {
             GryffMsg::Read1Reply { op, value, cs } => {
                 let seq = op.seq;
                 let Some(active) = self.ops.get_mut(&seq) else { return };
-                if active.phase != OpPhase::ReadRound || !active.replied.insert(from) {
+                if active.phase != OpPhase::ReadRound || !active.replied.insert(position) {
                     return;
                 }
                 if active.replied.len() == 1 {
@@ -493,7 +507,7 @@ impl Service for GryffService {
                             // before returning (linearizability).
                             let active = self.ops.get_mut(&seq).expect("operation exists");
                             active.phase = OpPhase::ReadWriteBack;
-                            active.replied.clear();
+                            active.replied = Replied::default();
                             active.rounds = 2;
                             let op_ref = OpRef { node: ctx.node_id(), seq };
                             for &r in &self.cfg.replicas {
@@ -521,7 +535,7 @@ impl Service for GryffService {
                     OpPhase::ReadWriteBack | OpPhase::WriteRound2 | OpPhase::FenceRound
                 );
                 if !in_write2_round
-                    || !active.replied.insert(from)
+                    || !active.replied.insert(position)
                     || active.replied.len() < self.cfg.quorum
                 {
                     return;
@@ -549,7 +563,7 @@ impl Service for GryffService {
             GryffMsg::Write1Reply { op, cs } => {
                 let seq = op.seq;
                 let Some(active) = self.ops.get_mut(&seq) else { return };
-                if active.phase != OpPhase::WriteRound1 || !active.replied.insert(from) {
+                if active.phase != OpPhase::WriteRound1 || !active.replied.insert(position) {
                     return;
                 }
                 if cs > active.max.0 {
@@ -567,12 +581,9 @@ impl Service for GryffService {
                     OpRequest::Write { key } => key,
                     _ => return,
                 };
-                let lane = self.ops[&seq].lane;
-                let writer = self.writer_id(ctx, lane);
-                let active = self.ops.get_mut(&seq).expect("operation exists");
-                active.chosen = active.max.0.next(writer);
+                active.chosen = active.max.0.next(Self::writer_id(ctx.node_id(), active.lane));
                 active.phase = OpPhase::WriteRound2;
-                active.replied.clear();
+                active.replied = Replied::default();
                 active.rounds = 2;
                 let op_ref = OpRef { node: ctx.node_id(), seq };
                 let (value, cs) = (active.write_value, active.chosen);
@@ -616,6 +627,18 @@ mod tests {
         let v2 = Value(((7u64 + 1) << 40) | 2);
         assert_ne!(v1, Value::NULL);
         assert_ne!(v1, v2);
+    }
+
+    #[test]
+    fn writer_ids_pack_node_session_and_slot() {
+        let lane = LaneId { session: (1 << 28) - 1, slot: 3 };
+        assert_eq!(GryffService::writer_id(5, lane), (5 << 40) | (((1 << 28) - 1) << 12) | 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "session ids fit in 28 bits")]
+    fn a_session_id_past_28_bits_is_refused() {
+        GryffService::writer_id(0, LaneId { session: 1 << 28, slot: 0 });
     }
 
     #[test]

@@ -150,6 +150,37 @@ impl GryffConfig {
     }
 }
 
+/// The replicas that answered one quorum round, bit `p` for the replica at
+/// group position `p`: counting a quorum allocates nothing. A group has at
+/// most 64 replicas; [`crate::replica::GryffReplica::new`] and
+/// [`crate::client::GryffService::new`] check.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Replied(u64);
+
+impl Replied {
+    /// Panics unless a group of `replicas` fits the mask.
+    pub(crate) fn check_group(replicas: usize) {
+        assert!(
+            replicas <= 64,
+            "Gryff counts quorums in a 64-bit mask; this group has {replicas} replicas"
+        );
+    }
+
+    /// Records the answer of the replica at `position`; false if it had
+    /// already answered this round.
+    pub(crate) fn insert(&mut self, position: usize) -> bool {
+        let bit = 1 << position;
+        let fresh = self.0 & bit == 0;
+        self.0 |= bit;
+        fresh
+    }
+
+    /// Number of distinct replicas that answered.
+    pub(crate) fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

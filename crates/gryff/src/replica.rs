@@ -9,10 +9,11 @@
 //! Gryff's EPaxos-based consensus path that preserves per-key atomicity of
 //! rmws (see ARCHITECTURE.md, "Substitutions and simplifications").
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use regular_core::densemap::DenseKeyMap;
-use regular_core::hashing::{FxHashMap, FxHashSet};
+use regular_core::hashing::FxHashMap;
 
 use regular_core::types::{Key, Value};
 use regular_sim::engine::{Context, NodeId};
@@ -22,7 +23,7 @@ use regular_storage::wal::{RecoveredLog, Wal, WalStats};
 use regular_storage::Durability;
 
 use crate::carstamp::Carstamp;
-use crate::config::GryffConfig;
+use crate::config::{GryffConfig, Replied};
 use crate::durable::{self, GryffRecord, SnapRmw};
 use crate::messages::{Dep, GryffMsg, OpRef};
 
@@ -55,7 +56,7 @@ struct RmwCoordination {
     /// Replicas that answered the current round — a set, because rounds may
     /// be re-sent after a crash and messages may be duplicated, and a quorum
     /// must mean distinct replicas.
-    replied: FxHashSet<NodeId>,
+    replied: Replied,
     max: (Carstamp, Value),
     chosen: Carstamp,
 }
@@ -70,7 +71,10 @@ pub struct GryffReplica {
     /// deployments add replicas first (`first_node = 0`), composed
     /// deployments place them after other stores' nodes.
     first_node: NodeId,
-    store: DenseKeyMap<(Value, Carstamp)>,
+    /// The registers. Every `Read1` / `Write1` looks its key up once, so
+    /// this is one hash probe; nothing iterates it in an order that reaches
+    /// output (`registers` sorts).
+    store: FxHashMap<Key, (Value, Carstamp)>,
     /// In-flight rmw coordinations, keyed by internal sequence number. Like
     /// real Gryff's EPaxos-based rmw path, coordination state is
     /// consensus-replicated and therefore survives leader crashes; recovery
@@ -106,7 +110,13 @@ pub struct GryffReplica {
 
 impl GryffReplica {
     /// Creates a replica with the given index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has more than 64 replicas: a coordination round
+    /// keeps the replicas that answered as a bit mask.
     pub fn new(cfg: &GryffConfig, index: usize) -> Self {
+        Replied::check_group(cfg.num_replicas);
         let (wal, recovered) = match &cfg.durability {
             Durability::InMemory => (None, None),
             Durability::Wal(opts) => {
@@ -119,7 +129,7 @@ impl GryffReplica {
             quorum: cfg.quorum(),
             num_replicas: cfg.num_replicas,
             first_node: 0,
-            store: DenseKeyMap::new(),
+            store: FxHashMap::default(),
             rmws: FxHashMap::default(),
             next_internal: 0,
             rmw_queue: DenseKeyMap::new(),
@@ -154,7 +164,7 @@ impl GryffReplica {
     /// anchor for durability tests.
     pub fn registers(&self) -> Vec<(Key, Value, Carstamp)> {
         let mut regs: Vec<(Key, Value, Carstamp)> =
-            self.store.iter().map(|(k, &(v, cs))| (k, v, cs)).collect();
+            self.store.iter().map(|(&k, &(v, cs))| (k, v, cs)).collect();
         regs.sort_unstable_by_key(|(k, _, _)| k.0);
         regs
     }
@@ -296,7 +306,7 @@ impl GryffReplica {
                         key: r.key,
                         new_value: r.new_value,
                         phase: if r.phase == 0 { RmwPhase::Read } else { RmwPhase::Write },
-                        replied: FxHashSet::default(),
+                        replied: Replied::default(),
                         max: (r.max_cs, r.max_value),
                         chosen: r.chosen,
                     },
@@ -328,7 +338,7 @@ impl GryffReplica {
                         key,
                         new_value,
                         phase: RmwPhase::Read,
-                        replied: FxHashSet::default(),
+                        replied: Replied::default(),
                         max: (Carstamp::ZERO, Value::NULL),
                         chosen: Carstamp::ZERO,
                     },
@@ -338,7 +348,7 @@ impl GryffReplica {
             GryffRecord::RmwChosen { internal, old_value, cs } => {
                 if let Some(coord) = self.rmws.get_mut(&internal) {
                     coord.phase = RmwPhase::Write;
-                    coord.replied.clear();
+                    coord.replied = Replied::default();
                     coord.max.1 = old_value;
                     coord.chosen = cs;
                 }
@@ -375,26 +385,40 @@ impl GryffReplica {
         self.first_node..self.first_node + self.num_replicas
     }
 
-    /// Current value and carstamp for a key.
-    pub fn get(&self, key: Key) -> (Value, Carstamp) {
-        self.store.get(key).copied().unwrap_or((Value::NULL, Carstamp::ZERO))
+    /// The group position of engine node `from`, if it is one of the
+    /// group's replicas.
+    fn position_of(&self, from: NodeId) -> Option<usize> {
+        let position = from.wrapping_sub(self.first_node);
+        (position < self.num_replicas).then_some(position)
     }
 
-    /// Installs `(value, cs)` under the write-if-newer rule, without logging
-    /// (replay path — the record already exists).
-    fn apply_raw(&mut self, key: Key, value: Value, cs: Carstamp) {
-        let current = self.get(key).1;
-        if cs > current {
-            self.store.insert(key, (value, cs));
+    /// Current value and carstamp for a key.
+    pub fn get(&self, key: Key) -> (Value, Carstamp) {
+        self.store.get(&key).copied().unwrap_or((Value::NULL, Carstamp::ZERO))
+    }
+
+    /// Installs `(value, cs)` under the write-if-newer rule in one probe,
+    /// without logging (replay path — the record already exists). Returns
+    /// whether the register advanced; an absent key holds
+    /// `Carstamp::ZERO`, and a write that does not beat it stores nothing.
+    fn apply_raw(&mut self, key: Key, value: Value, cs: Carstamp) -> bool {
+        match self.store.entry(key) {
+            Entry::Occupied(mut reg) if cs > reg.get().1 => {
+                reg.insert((value, cs));
+                true
+            }
+            Entry::Vacant(slot) if cs > Carstamp::ZERO => {
+                slot.insert((value, cs));
+                true
+            }
+            _ => false,
         }
     }
 
     /// Installs `(value, cs)` under the write-if-newer rule, logging the
     /// register transition when it actually advances.
     fn apply(&mut self, ctx: &Context<GryffMsg>, key: Key, value: Value, cs: Carstamp) {
-        let current = self.get(key).1;
-        if cs > current {
-            self.store.insert(key, (value, cs));
+        if self.apply_raw(key, value, cs) {
             self.log(ctx, &GryffRecord::Apply { key, value, cs });
         }
     }
@@ -461,8 +485,9 @@ impl GryffReplica {
         cs: Carstamp,
     ) {
         let ready = {
+            let Some(position) = self.position_of(from) else { return };
             let Some(coord) = self.rmws.get_mut(&internal) else { return };
-            if coord.phase != RmwPhase::Read || !coord.replied.insert(from) {
+            if coord.phase != RmwPhase::Read || !coord.replied.insert(position) {
                 return;
             }
             if (cs, value) > coord.max {
@@ -477,7 +502,7 @@ impl GryffReplica {
         let (op, key, new_value, chosen, old_value) = {
             let coord = self.rmws.get_mut(&internal).expect("coordination exists");
             coord.phase = RmwPhase::Write;
-            coord.replied.clear();
+            coord.replied = Replied::default();
             // The rmw extends the base value it observed: only `rmwc`
             // advances, so a racing base write (count + 1) still orders
             // above this rmw — see `Carstamp::next_rmw`.
@@ -509,8 +534,9 @@ impl GryffReplica {
 
     fn handle_rmw_reply_write(&mut self, ctx: &mut Context<GryffMsg>, from: NodeId, internal: u64) {
         let done = {
+            let Some(position) = self.position_of(from) else { return };
             let Some(coord) = self.rmws.get_mut(&internal) else { return };
-            if coord.phase != RmwPhase::Write || !coord.replied.insert(from) {
+            if coord.phase != RmwPhase::Write || !coord.replied.insert(position) {
                 return;
             }
             coord.replied.len() >= self.quorum
@@ -595,7 +621,7 @@ impl GryffReplica {
                         key,
                         new_value,
                         phase: RmwPhase::Read,
-                        replied: FxHashSet::default(),
+                        replied: Replied::default(),
                         max: (Carstamp::ZERO, Value::NULL),
                         chosen: Carstamp::ZERO,
                     },
@@ -669,7 +695,7 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
         wal.on_crash();
         self.wal_pending.clear();
         self.flush_timer = None;
-        self.store = DenseKeyMap::new();
+        self.store = FxHashMap::default();
         self.rmws.clear();
         self.next_internal = 0;
         self.rmw_queue = DenseKeyMap::new();

@@ -8,9 +8,10 @@
 //! assigning application processes to `(client, session, slot)` lanes and
 //! appending to the history — identically for every protocol.
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
-use regular_core::history::History;
+use regular_core::hashing::FxHashMap;
+use regular_core::history::{ByProcess, History};
 use regular_core::op::{OpKind, OpResult};
 use regular_core::types::{OpId, ProcessId, ServiceId, Timestamp};
 use regular_sim::time::{SimDuration, SimTime};
@@ -126,9 +127,10 @@ impl CompletedRecord {
 #[derive(Debug, Default)]
 pub struct HistoryRecorder {
     history: History,
-    process_of: HashMap<(u64, u64, u32), ProcessId>,
-    /// Per-process `(invoke_us, op)` lists, in process-creation order.
-    per_process: Vec<Vec<(u64, OpId)>>,
+    process_of: FxHashMap<(u64, u64, u32), ProcessId>,
+    /// Per-process op lists, built only when a causal-handoff query first
+    /// asks (most runs never do) and dropped by the next `record`.
+    by_process: OnceCell<ByProcess>,
     orphan_pid: u32,
 }
 
@@ -145,8 +147,8 @@ impl HistoryRecorder {
     pub fn with_capacity(ops: usize) -> Self {
         HistoryRecorder {
             history: History::with_capacity(ops),
-            process_of: HashMap::new(),
-            per_process: Vec::new(),
+            process_of: FxHashMap::default(),
+            by_process: OnceCell::new(),
             orphan_pid: ORPHAN_PID_BASE,
         }
     }
@@ -160,22 +162,15 @@ impl HistoryRecorder {
             let next_pid = ProcessId((self.process_of.len() + 1) as u32);
             *self.process_of.entry((client, rec.session, rec.slot)).or_insert(next_pid)
         };
-        let id = self.history.add_complete(
+        self.by_process.take();
+        self.history.add_complete(
             pid,
             rec.service,
             rec.kind.clone(),
             Timestamp(rec.invoke.as_micros()),
             Timestamp(rec.finish.as_micros()),
             rec.result.clone(),
-        );
-        if !rec.orphan {
-            let slot = pid.0 as usize - 1;
-            if self.per_process.len() <= slot {
-                self.per_process.resize(slot + 1, Vec::new());
-            }
-            self.per_process[slot].push((rec.invoke.as_micros(), id));
-        }
-        id
+        )
     }
 
     /// The history recorded so far.
@@ -187,6 +182,12 @@ impl HistoryRecorder {
     /// operation.
     pub fn process_of(&self, client: u64, session: u64, slot: u32) -> Option<ProcessId> {
         self.process_of.get(&(client, session, slot)).copied()
+    }
+
+    /// The lane's operations sorted by `(invoke, id)`, if it recorded any.
+    fn lane_ops(&self, client: u64, session: u64, slot: u32) -> Option<&[OpId]> {
+        let pid = self.process_of(client, session, slot)?;
+        Some(self.by_process.get_or_init(|| ByProcess::new(&self.history)).ops_of(pid))
     }
 
     /// Records an out-of-band communication between two lanes (a
@@ -223,13 +224,11 @@ impl HistoryRecorder {
         slot: u32,
         at_us: u64,
     ) -> Option<OpId> {
-        let pid = self.process_of(client, session, slot)?;
-        self.per_process
-            .get(pid.0 as usize - 1)?
-            .iter()
-            .filter(|(_, id)| self.history.op(*id).response.is_some_and(|r| r.0 <= at_us))
-            .max_by_key(|(invoke, _)| *invoke)
-            .map(|(_, id)| *id)
+        let ops = self.lane_ops(client, session, slot)?;
+        ops.iter()
+            .rev()
+            .copied()
+            .find(|&id| self.history.op(id).response.is_some_and(|r| r.0 <= at_us))
     }
 
     /// The id of the lane's first operation invoked at or after `at_us` —
@@ -241,13 +240,8 @@ impl HistoryRecorder {
         slot: u32,
         at_us: u64,
     ) -> Option<OpId> {
-        let pid = self.process_of(client, session, slot)?;
-        self.per_process
-            .get(pid.0 as usize - 1)?
-            .iter()
-            .filter(|(invoke, _)| *invoke >= at_us)
-            .min_by_key(|(invoke, _)| *invoke)
-            .map(|(_, id)| *id)
+        let ops = self.lane_ops(client, session, slot)?;
+        ops.iter().copied().find(|&id| self.history.op(id).invoke.0 >= at_us)
     }
 
     /// Finishes recording, returning the history.

@@ -5,10 +5,9 @@
 //! stop-issuing cutoffs). The scheduler centralizes it: runners translate the
 //! returned `(delay, Wake)` pairs into engine timers and call back on firing.
 
-use std::collections::HashSet;
-
 use rand::rngs::SmallRng;
 use rand::Rng;
+use regular_core::hashing::FxHashSet;
 use regular_sim::time::{SimDuration, SimTime};
 
 use crate::config::{SessionConfig, SessionDriver};
@@ -30,7 +29,8 @@ pub enum Wake {
 pub struct SessionScheduler {
     cfg: SessionConfig,
     stop_issuing_at: SimTime,
-    active: HashSet<u64>,
+    /// Sessions still issuing; looked up on every wake, never iterated.
+    active: FxHashSet<u64>,
     next_session: u64,
     arrivals: u64,
     shed: u64,
@@ -43,7 +43,7 @@ impl SessionScheduler {
         SessionScheduler {
             cfg,
             stop_issuing_at,
-            active: HashSet::new(),
+            active: FxHashSet::default(),
             next_session: 0,
             arrivals: 0,
             shed: 0,

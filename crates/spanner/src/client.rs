@@ -32,7 +32,7 @@ use regular_sim::engine::{Context, NodeId};
 use regular_sim::net::{LatencyMatrix, Region};
 use regular_sim::time::{SimDuration, SimTime};
 
-use crate::config::Mode;
+use crate::config::{BugZoo, Mode};
 use crate::messages::{SpannerMsg, Ts, TxnId};
 use crate::ro::{ReadPolicy, RoRead};
 use crate::workload::TxnRequest;
@@ -63,6 +63,9 @@ pub struct ClientConfig {
     /// [`crate::config::SpannerConfig::op_timeout`]). `None` disables the
     /// retry path.
     pub op_timeout: Option<SimDuration>,
+    /// Bug-zoo mutants (see [`crate::config::BugZoo`]); only compiled-in
+    /// builds read them.
+    pub bug_zoo: BugZoo,
 }
 
 /// Aggregate client statistics.
@@ -340,7 +343,10 @@ impl SpannerService {
         let t = self.txns.get_mut(&seq).expect("transaction exists");
         if read_only {
             let reads = t.request.keys().len();
-            t.phase = Phase::Ro(RoRead::new(self.policy, t_read, t_min, pending, reads));
+            let ro = RoRead::new(self.policy, t_read, t_min, pending, reads);
+            #[cfg(any(test, feature = "bug-zoo"))]
+            let ro = ro.with_bug_zoo(self.cfg.bug_zoo);
+            t.phase = Phase::Ro(ro);
         } else {
             t.phase = Phase::Execute { pending };
         }
@@ -744,6 +750,7 @@ mod tests {
             commit_timeout: SimDuration::from_secs(1),
             retry_backoff: SimDuration::from_millis(1),
             op_timeout: None,
+            bug_zoo: BugZoo::none(),
         })
     }
 
@@ -782,11 +789,11 @@ mod tests {
     }
 
     /// A read of key 4 on shard A and key 5 on shard B, which both skip the
-    /// prepared transaction W. A slow reply carries one shard's writes of
-    /// W, so A's resolves W at A only: the read must wait for B's and return
-    /// W's writes on both keys.
-    #[test]
-    fn a_skipped_transaction_resolves_per_shard() {
+    /// prepared transaction W, on a client with `bug_zoo`. Returns, for A's
+    /// committing slow reply (i) before B's fast reply and (ii) between B's
+    /// fast and slow replies, the index of the message after which the read
+    /// completed and its result.
+    fn read_skipping_at_two_shards(bug_zoo: BugZoo) -> Vec<(usize, OpResult)> {
         const SHARD_B: NodeId = 2;
         let (txn, w) = (TxnId { client: CLIENT, seq: 0 }, TxnId { client: 7, seq: 3 });
         let fast = |shard, key, value| SpannerMsg::RoFastReply {
@@ -808,11 +815,11 @@ mod tests {
             (SHARD_B, fast(SHARD_B, Key(5), Value(3))),
             (SHARD_B, slow(SHARD_B, Key(5), Value(4))),
         ];
-        // A's committing slow reply (i) before B's fast reply and (ii) between
-        // B's fast and slow replies.
         let orders = [[&a[0], &a[1], &b[0], &b[1]], [&a[0], &b[0], &a[1], &b[1]]];
-        for (o, order) in orders.into_iter().enumerate() {
+        let mut outcomes = Vec::new();
+        for order in orders {
             let mut client = rss_client(vec![SHARD, SHARD_B]);
+            client.cfg.bug_zoo = bug_zoo;
             let lane = LaneId { session: 0, slot: 0 };
             let read = SessionOp::RoTxn { keys: vec![Key(4), Key(5)] };
             turn(&mut client, |c, ctx| c.submit(ctx, lane, read));
@@ -820,11 +827,32 @@ mod tests {
             for (i, (from, msg)) in order.into_iter().enumerate() {
                 turn(&mut client, |c, ctx| c.on_message(ctx, *from, msg.clone()));
                 client.drain_completed(&mut completed);
-                assert_eq!(completed.len(), usize::from(i == 3), "order {o}: after message {i}");
+                if let [done] = &completed[..] {
+                    outcomes.push((i, done.result.clone()));
+                    break;
+                }
             }
-            let both = vec![(Key(4), Value(2)), (Key(5), Value(4))];
-            assert_eq!(completed[0].result, OpResult::Values(both), "order {o}");
         }
+        outcomes
+    }
+
+    /// A slow reply carries one shard's writes of W, so A's resolves W at A
+    /// only: the read must wait for B's and return W's writes on both keys.
+    #[test]
+    fn a_skipped_transaction_resolves_per_shard() {
+        let both = OpResult::Values(vec![(Key(4), Value(2)), (Key(5), Value(4))]);
+        let outcomes = read_skipping_at_two_shards(BugZoo::none());
+        assert_eq!(outcomes, [(3, both.clone()), (3, both)]);
+    }
+
+    /// Under the bug-zoo mutant that keys skips by `TxnId` alone, A's slow
+    /// reply resolves W at B too: the read returns before B's slow reply,
+    /// with W's write on key 4 and the value before it on key 5.
+    #[test]
+    fn the_txn_id_keying_mutant_returns_a_fractured_read() {
+        let fractured = OpResult::Values(vec![(Key(4), Value(2)), (Key(5), Value(3))]);
+        let outcomes = read_skipping_at_two_shards(BugZoo { skips_by_txn_id: true });
+        assert_eq!(outcomes, [(2, fractured.clone()), (2, fractured)]);
     }
 
     #[test]

@@ -173,6 +173,7 @@ pub fn client_config(
         commit_timeout: config.commit_timeout,
         retry_backoff: config.retry_backoff,
         op_timeout: config.op_timeout,
+        bug_zoo: config.bug_zoo,
     }
 }
 

@@ -9,6 +9,8 @@
 use regular_core::op::OpResult;
 use regular_core::types::{Key, Value};
 
+#[cfg(any(test, feature = "bug-zoo"))]
+use crate::config::BugZoo;
 use crate::config::Mode;
 use crate::messages::{PreparedInfo, Ts, TxnId};
 
@@ -76,6 +78,9 @@ pub struct RoRead {
     skips: Vec<(usize, TxnId, Option<Ts>)>,
     /// Chosen at the first decision; an undecided read then waits.
     t_snap: Option<Ts>,
+    /// Bug-zoo mutant knobs; only compiled-in builds have them.
+    #[cfg(any(test, feature = "bug-zoo"))]
+    bug_zoo: BugZoo,
 }
 
 impl RoRead {
@@ -83,7 +88,25 @@ impl RoRead {
     /// `shards`.
     pub fn new(policy: ReadPolicy, t_read: Ts, t_min: Ts, shards: u64, reads: usize) -> Self {
         let (versions, skips, t_snap) = (Vec::new(), Vec::new(), None);
-        RoRead { policy, t_read, t_min, pending: shards, reads, versions, skips, t_snap }
+        RoRead {
+            policy,
+            t_read,
+            t_min,
+            pending: shards,
+            reads,
+            versions,
+            skips,
+            t_snap,
+            #[cfg(any(test, feature = "bug-zoo"))]
+            bug_zoo: BugZoo::none(),
+        }
+    }
+
+    /// Enables the bug-zoo mutants of `bug_zoo` for this read.
+    #[cfg(any(test, feature = "bug-zoo"))]
+    pub fn with_bug_zoo(mut self, bug_zoo: BugZoo) -> Self {
+        self.bug_zoo = bug_zoo;
+        self
     }
 
     /// `shard`'s fast reply; true if it was the last one awaited.
@@ -142,6 +165,12 @@ impl RoRead {
     }
 
     fn skip_mut(&mut self, shard: usize, txn: TxnId) -> Option<&mut (usize, TxnId, Option<Ts>)> {
+        // Bug-zoo mutant: the old keying by `TxnId` alone, under which one
+        // shard's resolution stands for every shard's.
+        #[cfg(any(test, feature = "bug-zoo"))]
+        if self.bug_zoo.skips_by_txn_id {
+            return self.skips.iter_mut().find(|s| s.1 == txn);
+        }
         self.skips.iter_mut().find(|s| (s.0, s.1) == (shard, txn))
     }
 

@@ -1,22 +1,33 @@
-//! Allocation budgets for the two hot loops of a certified Spanner-RSS run.
+//! Allocation budgets for the hot loops of certified Spanner-RSS and
+//! Gryff-RSC runs.
 //!
 //! A transaction may allocate what it sends (message payloads) and what it
 //! records (its `CompletedRecord`); its bookkeeping in the client, the shards
 //! and the session layer may not. Pushing an op through the streaming
 //! certifier may allocate nothing of its own. This binary counts heap
 //! allocations on the test's thread with a counting global allocator, over
-//! one fixed-seed Spanner-RSS run on the three-region WAN with Retwis:
+//! one fixed-seed Spanner-RSS run on the three-region WAN with Retwis, and
+//! one fixed-seed Gryff-RSC run on the five-region WAN with YCSB:
 //!
 //! | measured (12 483 transactions, seed 7)               | before | now   | ceiling |
 //! |-------------------------------------------------------|-------:|------:|--------:|
-//! | allocations per completed transaction, `run_cluster`  | 30.04  | 11.62 | 12.0    |
+//! | allocations per completed transaction, `run_cluster`  | 30.04  | 11.43 | 12.0    |
 //! | allocations per pushed op, `certify_streaming`        |  4.013 | 0.013 | 0.02    |
 //!
-//! "Before" is this test on the tree before a transaction stopped
-//! allocating its bookkeeping: per-key version maps, shard sets and cloned
-//! requests in the client, cloned write sets and participant sets at the
-//! coordinator, `Vec`-returning session wakes, and a `Vec` per key visitor
-//! plus a replayed result in every certifier push. What is left per
+//! | measured (26 318 operations, seed 11)                 | before | now   | ceiling |
+//! |-------------------------------------------------------|-------:|------:|--------:|
+//! | allocations per completed operation, `run_gryff`      | 1.196  | 0.190 | 0.20    |
+//! | allocations per pushed op, `certify_streaming`        | 0.004  | 0.004 | 0.02    |
+//!
+//! In the Gryff table, "before" is the tree that still counted every
+//! quorum in a hash set allocated per operation (client) and per rmw round
+//! (coordinator); what is left is almost all one-off set-up (the event
+//! queue, the replicas' register tables) amortised over the run. In the
+//! Spanner table, "before" is this test on the tree before a transaction
+//! stopped allocating its bookkeeping: per-key version maps, shard sets
+//! and cloned requests in the client, cloned write sets and participant
+//! sets at the coordinator, `Vec`-returning session wakes, and a `Vec` per
+//! key visitor plus a replayed result in every certifier push. What is left per
 //! transaction is its messages' payloads, its record, and the shards' store
 //! and lock state. The counts are the same in debug and release builds.
 //!
@@ -27,7 +38,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use regular_seq::core::checker::assemble::assemble_witness;
 use regular_seq::core::checker::certificate::WitnessModel;
+use regular_seq::gryff::prelude as gryff;
 use regular_seq::session::{SessionConfig, SessionWorkload};
 use regular_seq::sim::net::LatencyMatrix;
 use regular_seq::sim::time::{SimDuration, SimTime};
@@ -39,6 +52,8 @@ use regular_seq::workloads::Retwis;
 const RUN_CEILING: f64 = 12.0;
 /// Allocations per op pushed through `certify_streaming`.
 const CERTIFY_CEILING: f64 = 0.02;
+/// Allocations per completed operation inside `run_gryff`.
+const GRYFF_RUN_CEILING: f64 = 0.20;
 
 thread_local! {
     /// Allocations made on this thread (`const`-initialised, no destructor:
@@ -142,5 +157,62 @@ fn a_spanner_transaction_and_a_certifier_push_stay_within_their_allocation_budge
     assert!(
         per_op <= CERTIFY_CEILING,
         "{per_op:.3} allocations per pushed op, over the ceiling of {CERTIFY_CEILING}"
+    );
+}
+
+/// The benchmark's `sim_gryff_wan` deployment, shortened: 16 closed-loop
+/// clients over the five-region WAN, YCSB at 50 % writes and 10 % conflicts
+/// with 2 % read-modify-writes, so the coordinators count quorums too.
+fn gryff_spec() -> gryff::GryffClusterSpec {
+    let clients = (0..16)
+        .map(|i| gryff::GryffClientSpec {
+            region: i % 5,
+            sessions: SessionConfig::closed_loop(1, SimDuration::ZERO)
+                .with_workload_seed(9_000_011 + i as u64),
+            workload: Box::new(gryff::ConflictWorkload {
+                rmw_ratio: 0.02,
+                ..gryff::ConflictWorkload::ycsb(0.5, 0.10, i as u64)
+            }) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    gryff::GryffClusterSpec {
+        config: gryff::GryffConfig::wan(gryff::Mode::GryffRsc),
+        net: LatencyMatrix::gryff_wan(),
+        seed: 11,
+        clients,
+        stop_issuing_at: SimTime::from_secs(240),
+        drain: SimDuration::from_secs(10),
+        measure_from: SimTime::from_secs(1),
+    }
+}
+
+#[test]
+fn a_gryff_operation_and_a_certifier_push_stay_within_their_allocation_budgets() {
+    let spec = gryff_spec();
+    let (run, run_allocations) = allocations(|| gryff::run_gryff(spec));
+    let ops: usize = run.completed.iter().map(|(_, recs)| recs.len()).sum();
+    assert!(ops > 5_000, "the run completes enough operations to amortise set-up");
+    let per_op_run = run_allocations as f64 / ops as f64;
+
+    let (history, edges) = gryff::build_history_from(&run.completed);
+    let witness = assemble_witness(&history, &edges, WitnessModel::Regular)
+        .expect("the carstamp and process-order constraints are acyclic");
+    let (stats, certify_allocations) =
+        allocations(|| certify_streaming(&history, &witness, WitnessModel::Regular));
+    let stats = stats.expect("the run certifies under RSC");
+    let per_push = certify_allocations as f64 / stats.ops as f64;
+
+    println!(
+        "{ops} operations: {per_op_run:.3} allocations each in run_gryff; \
+         {} ops: {per_push:.3} allocations per push in certify_streaming",
+        stats.ops
+    );
+    assert!(
+        per_op_run <= GRYFF_RUN_CEILING,
+        "{per_op_run:.3} allocations per operation, over the ceiling of {GRYFF_RUN_CEILING}"
+    );
+    assert!(
+        per_push <= CERTIFY_CEILING,
+        "{per_push:.3} allocations per pushed op, over the ceiling of {CERTIFY_CEILING}"
     );
 }

@@ -130,8 +130,9 @@ fn healthy_gryff_wal_run_is_byte_identical_to_in_memory() {
     let (dh, mut dc) = gryff::build_history(&durable);
     let (vh, mut vc) = gryff::build_history(&volatile);
     assert_eq!(dh, vh, "healthy WAL run must replay the in-memory history byte for byte");
-    // The constraint-edge *set* is deterministic; its Vec order is not (the
-    // per-key chains live in a hash map), so compare sorted.
+    // The edge order is deterministic too (`carstamp_chain_edges` sorts its
+    // rows, and process order is sorted); the check is on the edge set, so
+    // it compares sorted.
     dc.sort_unstable();
     vc.sort_unstable();
     assert_eq!(dc, vc, "and the carstamp-chain constraint edges");
