@@ -338,6 +338,21 @@ mod tests {
     }
 
     #[test]
+    fn handoff_queries_see_every_recorded_op() {
+        let mut r = HistoryRecorder::new();
+        let a = r.record(0, &write_rec(0, 0, 1, 0, false)); // [0, 10]
+        let b = r.record(0, &write_rec(0, 0, 1, 20, false)); // [20, 30]
+        assert_eq!(r.last_completed_before(0, 0, 0, 25), Some(a));
+        assert_eq!(r.first_invoked_after(0, 0, 0, 5), Some(b));
+        assert_eq!(r.first_invoked_after(0, 0, 0, 21), None);
+        assert_eq!(r.last_completed_before(1, 0, 0, 25), None, "an unknown lane");
+        // Recording after a query refreshes what the next query sees.
+        let c = r.record(0, &write_rec(0, 0, 1, 40, false)); // [40, 50]
+        assert_eq!(r.first_invoked_after(0, 0, 0, 21), Some(c));
+        assert_eq!(r.last_completed_before(0, 0, 0, 60), Some(c));
+    }
+
+    #[test]
     fn process_order_follows_invocation_order() {
         let mut r = HistoryRecorder::new();
         let a = r.record(0, &write_rec(0, 0, 1, 0, false));
