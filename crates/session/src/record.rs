@@ -8,8 +8,6 @@
 //! assigning application processes to `(client, session, slot)` lanes and
 //! appending to the history — identically for every protocol.
 
-use std::cell::OnceCell;
-
 use regular_core::hashing::FxHashMap;
 use regular_core::history::{ByProcess, History};
 use regular_core::op::{OpKind, OpResult};
@@ -128,9 +126,6 @@ impl CompletedRecord {
 pub struct HistoryRecorder {
     history: History,
     process_of: FxHashMap<(u64, u64, u32), ProcessId>,
-    /// Per-process op lists, built only when a causal-handoff query first
-    /// asks (most runs never do) and dropped by the next `record`.
-    by_process: OnceCell<ByProcess>,
     orphan_pid: u32,
 }
 
@@ -148,7 +143,6 @@ impl HistoryRecorder {
         HistoryRecorder {
             history: History::with_capacity(ops),
             process_of: FxHashMap::default(),
-            by_process: OnceCell::new(),
             orphan_pid: ORPHAN_PID_BASE,
         }
     }
@@ -162,7 +156,6 @@ impl HistoryRecorder {
             let next_pid = ProcessId((self.process_of.len() + 1) as u32);
             *self.process_of.entry((client, rec.session, rec.slot)).or_insert(next_pid)
         };
-        self.by_process.take();
         self.history.add_complete(
             pid,
             rec.service,
@@ -182,12 +175,6 @@ impl HistoryRecorder {
     /// operation.
     pub fn process_of(&self, client: u64, session: u64, slot: u32) -> Option<ProcessId> {
         self.process_of.get(&(client, session, slot)).copied()
-    }
-
-    /// The lane's operations sorted by `(invoke, id)`, if it recorded any.
-    fn lane_ops(&self, client: u64, session: u64, slot: u32) -> Option<&[OpId]> {
-        let pid = self.process_of(client, session, slot)?;
-        Some(self.by_process.get_or_init(|| ByProcess::new(&self.history)).ops_of(pid))
     }
 
     /// Records an out-of-band communication between two lanes (a
@@ -216,32 +203,35 @@ impl HistoryRecorder {
     }
 
     /// The id of the lane's last operation that completed at or before
-    /// `at_us` — the exporter side of a causal-handoff constraint edge.
+    /// `at_us` — the exporter side of a causal-handoff constraint edge. `lane`
+    /// is `(client, session, slot)`; `by_process` is [`ByProcess::new`] of
+    /// this recorder's history.
     pub fn last_completed_before(
         &self,
-        client: u64,
-        session: u64,
-        slot: u32,
+        by_process: &ByProcess,
+        lane: (u64, u64, u32),
         at_us: u64,
     ) -> Option<OpId> {
-        let ops = self.lane_ops(client, session, slot)?;
-        ops.iter()
+        let pid = self.process_of(lane.0, lane.1, lane.2)?;
+        by_process
+            .ops_of(pid)
+            .iter()
             .rev()
             .copied()
             .find(|&id| self.history.op(id).response.is_some_and(|r| r.0 <= at_us))
     }
 
     /// The id of the lane's first operation invoked at or after `at_us` —
-    /// the importer side of a causal-handoff constraint edge.
+    /// the importer side of a causal-handoff constraint edge. `lane` and
+    /// `by_process` are as in [`Self::last_completed_before`].
     pub fn first_invoked_after(
         &self,
-        client: u64,
-        session: u64,
-        slot: u32,
+        by_process: &ByProcess,
+        lane: (u64, u64, u32),
         at_us: u64,
     ) -> Option<OpId> {
-        let ops = self.lane_ops(client, session, slot)?;
-        ops.iter().copied().find(|&id| self.history.op(id).invoke.0 >= at_us)
+        let pid = self.process_of(lane.0, lane.1, lane.2)?;
+        by_process.ops_of(pid).iter().copied().find(|&id| self.history.op(id).invoke.0 >= at_us)
     }
 
     /// Finishes recording, returning the history.
@@ -338,18 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn handoff_queries_see_every_recorded_op() {
+    fn handoff_queries_find_the_lane_ops_around_an_instant() {
         let mut r = HistoryRecorder::new();
         let a = r.record(0, &write_rec(0, 0, 1, 0, false)); // [0, 10]
         let b = r.record(0, &write_rec(0, 0, 1, 20, false)); // [20, 30]
-        assert_eq!(r.last_completed_before(0, 0, 0, 25), Some(a));
-        assert_eq!(r.first_invoked_after(0, 0, 0, 5), Some(b));
-        assert_eq!(r.first_invoked_after(0, 0, 0, 21), None);
-        assert_eq!(r.last_completed_before(1, 0, 0, 25), None, "an unknown lane");
-        // Recording after a query refreshes what the next query sees.
         let c = r.record(0, &write_rec(0, 0, 1, 40, false)); // [40, 50]
-        assert_eq!(r.first_invoked_after(0, 0, 0, 21), Some(c));
-        assert_eq!(r.last_completed_before(0, 0, 0, 60), Some(c));
+        r.record(0, &write_rec(0, 1, 1, 0, false)); // another lane
+        let by_process = ByProcess::new(r.history());
+        assert_eq!(r.last_completed_before(&by_process, (0, 0, 0), 35), Some(b));
+        assert_eq!(r.last_completed_before(&by_process, (0, 0, 0), 60), Some(c));
+        assert_eq!(r.last_completed_before(&by_process, (0, 0, 0), 5), None);
+        assert_eq!(r.first_invoked_after(&by_process, (0, 0, 0), 0), Some(a));
+        assert_eq!(r.first_invoked_after(&by_process, (0, 0, 0), 21), Some(c));
+        assert_eq!(r.first_invoked_after(&by_process, (0, 0, 0), 41), None);
+        assert_eq!(r.last_completed_before(&by_process, (1, 0, 0), 25), None, "an unknown lane");
     }
 
     #[test]

@@ -32,7 +32,9 @@ use regular_sim::engine::{Context, NodeId};
 use regular_sim::net::{LatencyMatrix, Region};
 use regular_sim::time::{SimDuration, SimTime};
 
-use crate::config::{BugZoo, Mode};
+#[cfg(any(test, feature = "bug-zoo"))]
+use crate::config::BugZoo;
+use crate::config::Mode;
 use crate::messages::{SpannerMsg, Ts, TxnId};
 use crate::ro::{ReadPolicy, RoRead};
 use crate::workload::TxnRequest;
@@ -63,8 +65,9 @@ pub struct ClientConfig {
     /// [`crate::config::SpannerConfig::op_timeout`]). `None` disables the
     /// retry path.
     pub op_timeout: Option<SimDuration>,
-    /// Bug-zoo mutants (see [`crate::config::BugZoo`]); only compiled-in
-    /// builds read them.
+    /// Bug-zoo mutants (see [`crate::config::BugZoo`]); compiled only into
+    /// test and `bug-zoo` builds.
+    #[cfg(any(test, feature = "bug-zoo"))]
     pub bug_zoo: BugZoo,
 }
 

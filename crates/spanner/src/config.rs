@@ -21,20 +21,22 @@ pub enum Mode {
 /// The bug zoo: known historical bugs of this codebase kept reintroducible
 /// as hunting targets for the coverage-guided explorer (`regular-hunt`).
 ///
-/// As with Gryff's `BugZoo`, the knobs always exist, but their *effects*
-/// are compiled only under `#[cfg(any(test, feature = "bug-zoo"))]` — a
-/// release build ignores them entirely.
+/// Compiled only under `#[cfg(any(test, feature = "bug-zoo"))]`, together
+/// with the client knob that reads it ([`crate::client::ClientConfig`]'s
+/// `bug_zoo`): a build without them has no mutant to enable.
+#[cfg(any(test, feature = "bug-zoo"))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BugZoo {
     /// The read-only keying before skips were resolved per shard: the
     /// client looks a skipped prepared transaction up by `TxnId` alone, not
-    /// by `(shard, TxnId)`. One shard's
-    /// slow reply then resolves the transaction at every shard, and a read
-    /// that skipped it at two shards returns its writes from one and the
-    /// value before it from the other — a fractured read.
+    /// by `(shard, TxnId)`. One shard's slow reply then resolves the
+    /// transaction at every shard, and a read that skipped it at two shards
+    /// returns its writes from one and the value before it from the other —
+    /// a fractured read.
     pub skips_by_txn_id: bool,
 }
 
+#[cfg(any(test, feature = "bug-zoo"))]
 impl BugZoo {
     /// No mutants enabled.
     pub fn none() -> Self {
@@ -84,9 +86,6 @@ pub struct SpannerConfig {
     /// durable state transition through a write-ahead log with group commit
     /// and rebuilds crashed shards from the log alone.
     pub durability: Durability,
-    /// Bug-zoo mutants; see [`BugZoo`]. Inert unless the build compiles
-    /// them in (`cfg(test)` or the `bug-zoo` feature).
-    pub bug_zoo: BugZoo,
 }
 
 impl SpannerConfig {
@@ -108,7 +107,6 @@ impl SpannerConfig {
             op_timeout: None,
             faults: FaultSchedule::default(),
             durability: Durability::InMemory,
-            bug_zoo: BugZoo::none(),
         }
     }
 
@@ -130,7 +128,6 @@ impl SpannerConfig {
             op_timeout: None,
             faults: FaultSchedule::default(),
             durability: Durability::InMemory,
-            bug_zoo: BugZoo::none(),
         }
     }
 

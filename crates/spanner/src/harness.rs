@@ -173,7 +173,8 @@ pub fn client_config(
         commit_timeout: config.commit_timeout,
         retry_backoff: config.retry_backoff,
         op_timeout: config.op_timeout,
-        bug_zoo: config.bug_zoo,
+        #[cfg(any(test, feature = "bug-zoo"))]
+        bug_zoo: crate::config::BugZoo::none(),
     }
 }
 

@@ -58,7 +58,7 @@ pub mod workload;
 /// Convenient re-exports for harnesses, examples, and benches.
 pub mod prelude {
     pub use crate::client::{ClientConfig, ClientStats, SpannerService};
-    pub use crate::config::{BugZoo, Mode, SpannerConfig};
+    pub use crate::config::{Mode, SpannerConfig};
     pub use crate::harness::{
         build, build_history, build_history_from, client_config, measure, record_with_witness_keys,
         run_cluster, run_cluster_on, verify_run, ClientSpec, ClusterSpec, Measured, RunResult,

@@ -563,7 +563,8 @@ pub(crate) fn assemble_composed(
         }
     }
     edges.extend(carstamp_chain_edges(gryff_rows));
-    edges.extend(ByProcess::new(recorder.history()).pairs());
+    let by_process = ByProcess::new(recorder.history());
+    edges.extend(by_process.pairs());
     // Cross-process causal handoffs (Section 4.2): each is an external
     // communication of the history, and a serialization constraint — every
     // operation the exporter completed before serializing its context must
@@ -575,15 +576,12 @@ pub(crate) fn assemble_composed(
         for h in &app.handoffs {
             let sent = h.exported_at.as_micros();
             let received = h.imported_at.as_micros();
-            recorder.record_external_communication(
-                (client, h.from.session, h.from.slot),
-                sent,
-                (client, h.to.session, h.to.slot),
-                received,
-            );
+            let from = (client, h.from.session, h.from.slot);
+            let to = (client, h.to.session, h.to.slot);
+            recorder.record_external_communication(from, sent, to, received);
             if let (Some(before), Some(after)) = (
-                recorder.last_completed_before(client, h.from.session, h.from.slot, sent),
-                recorder.first_invoked_after(client, h.to.session, h.to.slot, received),
+                recorder.last_completed_before(&by_process, from, sent),
+                recorder.first_invoked_after(&by_process, to, received),
             ) {
                 edges.push((before, after));
             }
