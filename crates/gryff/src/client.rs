@@ -159,29 +159,6 @@ impl GryffService {
         Value(((ctx.node_id() as u64 + 1) << 40) | self.value_counter)
     }
 
-    /// The client core's behaviour-coverage phase tag (see
-    /// `regular_sim::engine::Node::phase_tag`). Bit 7 marks the tag as a
-    /// client's, keeping it disjoint from replica tags; bit 0 — operations
-    /// in flight; bit 1 — an operation past its first round; bit 2 — an
-    /// operation whose round was re-sent after a timeout; bit 3 — a pending
-    /// dependency waiting to be piggybacked.
-    pub fn phase_tag(&self) -> u16 {
-        let mut tag = 1 << 7;
-        if !self.ops.is_empty() {
-            tag |= 1;
-        }
-        if self.ops.values().any(|o| o.phase != OpPhase::ReadRound) {
-            tag |= 1 << 1;
-        }
-        if self.ops.values().any(|o| o.rounds > 1) {
-            tag |= 1 << 2;
-        }
-        if self.dep.is_some() {
-            tag |= 1 << 3;
-        }
-        tag
-    }
-
     /// Takes the pending dependency for piggybacking (Gryff-RSC only).
     fn take_dep_for_piggyback(&mut self) -> Option<Dep> {
         if self.cfg.mode == Mode::GryffRsc {
@@ -610,6 +587,28 @@ impl Service for GryffService {
 
     fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>) {
         out.append(&mut self.completed);
+    }
+
+    /// The client core's behaviour-coverage phase tag. Bit 7 marks the tag as a
+    /// client's, keeping it disjoint from replica tags; bit 0 — operations
+    /// in flight; bit 1 — an operation past its first round; bit 2 — an
+    /// operation whose round was re-sent after a timeout; bit 3 — a pending
+    /// dependency waiting to be piggybacked.
+    fn phase_tag(&self) -> u16 {
+        let mut tag = 1 << 7;
+        if !self.ops.is_empty() {
+            tag |= 1;
+        }
+        if self.ops.values().any(|o| o.phase != OpPhase::ReadRound) {
+            tag |= 1 << 1;
+        }
+        if self.ops.values().any(|o| o.rounds > 1) {
+            tag |= 1 << 2;
+        }
+        if self.dep.is_some() {
+            tag |= 1 << 3;
+        }
+        tag
     }
 }
 

@@ -20,11 +20,11 @@ use regular_core::history::{ByProcess, History};
 use regular_core::op::OpKind;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    per_sim_second, per_wall_second, untagged, CompletedRecord, Deployment, HistoryRecorder,
-    NodeSpec, Plane, PlaneNode, Ran, SessionConfig, SessionRunner, SessionStats, SessionWorkload,
-    SimPlane, WitnessHint,
+    per_sim_second, per_wall_second, untagged, ClusterNode, CompletedRecord, Deployment,
+    HistoryRecorder, NodeSpec, Plane, Ran, SessionConfig, SessionRunner, SessionStats,
+    SessionWorkload, SimPlane, WitnessHint,
 };
-use regular_sim::engine::{Context, Node, NodeId};
+use regular_sim::engine::NodeId;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
@@ -39,52 +39,8 @@ use crate::replica::{GryffReplica, ReplicaStats};
 /// A client node: the protocol-agnostic session runner over the Gryff core.
 pub type GryffClient = SessionRunner<GryffService>;
 
-/// A node of the simulated deployment.
-pub enum GryffNode {
-    /// A storage replica.
-    Replica(Box<GryffReplica>),
-    /// A client node.
-    Client(Box<GryffClient>),
-}
-
-impl Node<GryffMsg> for GryffNode {
-    fn on_start(&mut self, ctx: &mut Context<GryffMsg>) {
-        match self {
-            GryffNode::Replica(r) => r.on_start(ctx),
-            GryffNode::Client(c) => c.on_start(ctx),
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Context<GryffMsg>, from: NodeId, msg: GryffMsg) {
-        match self {
-            GryffNode::Replica(r) => r.on_message(ctx, from, msg),
-            GryffNode::Client(c) => c.on_message(ctx, from, msg),
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<GryffMsg>, tag: u64) {
-        match self {
-            GryffNode::Replica(r) => r.on_timer(ctx, tag),
-            GryffNode::Client(c) => c.on_timer(ctx, tag),
-        }
-    }
-    fn on_crash(&mut self, ctx: &mut Context<GryffMsg>) {
-        match self {
-            GryffNode::Replica(r) => r.on_crash(ctx),
-            GryffNode::Client(c) => c.on_crash(ctx),
-        }
-    }
-    fn on_recover(&mut self, ctx: &mut Context<GryffMsg>) {
-        match self {
-            GryffNode::Replica(r) => r.on_recover(ctx),
-            GryffNode::Client(c) => c.on_recover(ctx),
-        }
-    }
-    fn phase_tag(&self) -> u16 {
-        match self {
-            GryffNode::Replica(r) => r.phase_tag(),
-            GryffNode::Client(c) => c.service.phase_tag(),
-        }
-    }
-}
+/// A node of the simulated deployment: a storage replica or a client.
+pub type GryffNode = ClusterNode<GryffReplica, GryffClient>;
 
 /// Specification of one client node.
 pub struct GryffClientSpec {
@@ -180,14 +136,6 @@ pub fn client_config(config: &GryffConfig, replicas: Vec<NodeId>) -> GryffClient
     }
 }
 
-impl PlaneNode<GryffMsg> for GryffNode {
-    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
-        if let GryffNode::Client(c) = self {
-            c.drain_completions(out);
-        }
-    }
-}
-
 /// Assembles the deployment's node graph — replicas first (ids
 /// `0..num_replicas`), then clients — as a plane-independent
 /// [`Deployment`]; multi-process workers each build the identical one.
@@ -202,7 +150,7 @@ pub fn build(spec: GryffClusterSpec) -> Deployment<GryffNode> {
     let mut nodes = Vec::with_capacity(config.num_replicas + clients.len());
     for i in 0..config.num_replicas {
         nodes.push(NodeSpec {
-            node: GryffNode::Replica(Box::new(GryffReplica::new(&config, i))),
+            node: ClusterNode::Server(Box::new(GryffReplica::new(&config, i))),
             region: config.replica_regions[i],
             service_time: config.replica_service_time,
         });
@@ -210,10 +158,10 @@ pub fn build(spec: GryffClusterSpec) -> Deployment<GryffNode> {
     let replica_ids: Vec<NodeId> = (0..config.num_replicas).collect();
     for c in clients {
         let cfg = client_config(&config, replica_ids.clone());
-        let runner =
-            SessionRunner::new(GryffService::new(cfg), c.sessions, stop_issuing_at, c.workload);
+        let service = Box::new(GryffService::new(cfg));
+        let runner = SessionRunner::new(vec![service], c.sessions, stop_issuing_at, c.workload);
         nodes.push(NodeSpec {
-            node: GryffNode::Client(Box::new(runner)),
+            node: ClusterNode::Client(Box::new(runner)),
             region: c.region,
             service_time: config.client_service_time,
         });
@@ -297,13 +245,13 @@ fn collect(
     let mut replica_registers = Vec::new();
     for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
         match node {
-            GryffNode::Replica(r) => {
+            ClusterNode::Server(r) => {
                 replica_stats.push(r.stats);
                 storage.add_wal(&r.wal_stats());
                 replica_registers.push(r.registers());
             }
-            GryffNode::Client(c) => {
-                let s = &c.service.stats;
+            ClusterNode::Client(c) => {
+                let s = &c.services()[0].stats;
                 stats.reads += s.reads;
                 stats.slow_reads += s.slow_reads;
                 stats.writes += s.writes;

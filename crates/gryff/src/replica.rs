@@ -169,30 +169,6 @@ impl GryffReplica {
         regs
     }
 
-    /// The replica's behaviour-coverage phase tag (see
-    /// `regular_sim::engine::Node::phase_tag`): bit 0 — rmw coordinations in
-    /// flight; bit 1 — an rmw already in its write phase; bit 2 — outbound
-    /// messages gated on a WAL sync; bit 3 — a group-commit flush timer
-    /// armed. A message delivered while a bit is set is a different
-    /// behaviour than the same message on an idle replica — exactly the
-    /// distinctions the carstamp and recovery races live in.
-    pub fn phase_tag(&self) -> u16 {
-        let mut tag = 0;
-        if !self.rmws.is_empty() {
-            tag |= 1;
-        }
-        if self.rmws.values().any(|c| c.phase == RmwPhase::Write) {
-            tag |= 1 << 1;
-        }
-        if !self.wal_pending.is_empty() {
-            tag |= 1 << 2;
-        }
-        if self.flush_timer.is_some() {
-            tag |= 1 << 3;
-        }
-        tag
-    }
-
     /// Appends a durable state transition to the WAL (no-op when in-memory).
     /// Out of line: inlined, the record encoder lands in every handler and
     /// the in-memory runs, which never take this branch, pay for its size.
@@ -725,6 +701,29 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
             self.redrive_rmw(ctx, internal);
         }
         self.turn_end(ctx);
+    }
+
+    /// The replica's behaviour-coverage phase tag: bit 0 — rmw coordinations in
+    /// flight; bit 1 — an rmw already in its write phase; bit 2 — outbound
+    /// messages gated on a WAL sync; bit 3 — a group-commit flush timer
+    /// armed. A message delivered while a bit is set is a different
+    /// behaviour than the same message on an idle replica — exactly the
+    /// distinctions the carstamp and recovery races live in.
+    fn phase_tag(&self) -> u16 {
+        let mut tag = 0;
+        if !self.rmws.is_empty() {
+            tag |= 1;
+        }
+        if self.rmws.values().any(|c| c.phase == RmwPhase::Write) {
+            tag |= 1 << 1;
+        }
+        if !self.wal_pending.is_empty() {
+            tag |= 1 << 2;
+        }
+        if self.flush_timer.is_some() {
+            tag |= 1 << 3;
+        }
+        tag
     }
 }
 

@@ -9,16 +9,17 @@
 //! this client switch services since its previous transaction?") and keeps the
 //! executed/elided fence statistics.
 
-use std::collections::HashMap;
-
 use regular_core::fence::FenceStats;
+use regular_core::hashing::FxHashMap;
 
 /// Per-session service-switch tracking: the pure core of `libRSS`'s
 /// `StartTransaction`, for drivers that execute fences asynchronously.
 #[derive(Debug, Default)]
 pub struct FencePlanner {
-    /// The service index of each session's previous transaction.
-    last: HashMap<u64, usize>,
+    /// The service index of each session's previous transaction. Only
+    /// inserted, looked up and removed — never iterated — so the fast hasher
+    /// cannot reach any output.
+    last: FxHashMap<u64, usize>,
     stats: FenceStats,
 }
 

@@ -14,10 +14,11 @@
 //! * [`Service`] — the protocol side of the contract: a named store that
 //!   accepts session operations and reports completions as
 //!   [`CompletedRecord`]s. `regular-spanner` and `regular-gryff` implement it.
-//! * [`SessionRunner`] — a simulation node driving one service with sessions;
-//!   [`ComposedRunner`] — a node whose sessions hop between *several*
-//!   services, with `libRSS` fences inserted automatically on every switch
-//!   (Figure 3).
+//! * [`SessionRunner`] — the one client node: it drives one service with
+//!   sessions, or several, with `libRSS` fences inserted automatically
+//!   whenever a lane switches services (Figure 3).
+//! * [`ClusterNode`] — a one-protocol deployment's server-or-client node
+//!   type, so protocol crates write no forwarding `Node` impl.
 //! * [`HistoryRecorder`] — the single conversion from completed records to a
 //!   [`regular_core::History`], shared by every harness, replacing the
 //!   per-protocol extraction code.
@@ -43,10 +44,10 @@ pub use op::{
     MultiServiceWorkload, RoundRobinWorkload, ScriptedSessionWorkload, SessionOp, SessionWorkload,
 };
 pub use plane::{
-    per_sim_second, per_wall_second, untagged, Deployment, NodeSpec, Plane, PlaneNode, Ran,
-    SimPlane,
+    per_sim_second, per_wall_second, untagged, ClusterNode, Deployment, NodeSpec, Plane, PlaneNode,
+    Ran, SimPlane,
 };
 pub use record::{CompletedRecord, HistoryRecorder, LaneId, WitnessHint};
-pub use runner::{ComposedRunner, HandoffRecord, SessionRunner, SessionStats};
+pub use runner::{HandoffRecord, SessionRunner, SessionStats};
 pub use scheduler::{SessionScheduler, Wake};
 pub use service::{runner_tag, service_tag, MappedService, Service};

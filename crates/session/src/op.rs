@@ -56,14 +56,17 @@ impl SessionOp {
     }
 }
 
-/// A source of operations for sessions driving a single service.
-pub trait SessionWorkload: Send + 'static {
+/// A source of operations for sessions driving a single service. Every one
+/// is a [`MultiServiceWorkload`] targeting service 0, so a
+/// `Box<dyn SessionWorkload>` coerces to the `Box<dyn MultiServiceWorkload>`
+/// a [`crate::SessionRunner`] takes.
+pub trait SessionWorkload: MultiServiceWorkload {
     /// Produces the next operation.
     fn next_op(&mut self, rng: &mut SmallRng) -> SessionOp;
 }
 
 /// A source of `(service index, operation)` pairs for sessions hopping
-/// between the services of a [`crate::ComposedRunner`].
+/// between the services of a [`crate::SessionRunner`].
 ///
 /// The issuing lane is passed so implementations can keep *per-lane* access
 /// patterns: each lane is its own application process, and the service-switch

@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use regular_sim::engine::{Engine, EngineConfig, Node};
+use regular_sim::engine::{Context, Engine, EngineConfig, Node, NodeId};
 use regular_sim::fault::FaultSchedule;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
@@ -35,6 +35,64 @@ pub trait PlaneNode<M>: Node<M> + Send {
     /// `stream` distinguishes services on multi-service (composed) nodes;
     /// single-service nodes use 0.
     fn drain_completions(&mut self, _out: &mut Vec<(usize, CompletedRecord)>) {}
+}
+
+/// A node of a one-protocol deployment: a server, or a client (a
+/// [`crate::SessionRunner`] over the protocol's service). Both variants
+/// forward every [`Node`] hook, `phase_tag` included, so a protocol crate's
+/// node type is an alias of this enum and writes no forwarding code.
+pub enum ClusterNode<S, C> {
+    /// A server: a shard leader, a replica.
+    Server(Box<S>),
+    /// A client node.
+    Client(Box<C>),
+}
+
+impl<M, S: Node<M>, C: Node<M>> Node<M> for ClusterNode<S, C> {
+    fn on_start(&mut self, ctx: &mut Context<M>) {
+        match self {
+            ClusterNode::Server(s) => s.on_start(ctx),
+            ClusterNode::Client(c) => c.on_start(ctx),
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Context<M>, from: NodeId, msg: M) {
+        match self {
+            ClusterNode::Server(s) => s.on_message(ctx, from, msg),
+            ClusterNode::Client(c) => c.on_message(ctx, from, msg),
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<M>, tag: u64) {
+        match self {
+            ClusterNode::Server(s) => s.on_timer(ctx, tag),
+            ClusterNode::Client(c) => c.on_timer(ctx, tag),
+        }
+    }
+    fn on_crash(&mut self, ctx: &mut Context<M>) {
+        match self {
+            ClusterNode::Server(s) => s.on_crash(ctx),
+            ClusterNode::Client(c) => c.on_crash(ctx),
+        }
+    }
+    fn on_recover(&mut self, ctx: &mut Context<M>) {
+        match self {
+            ClusterNode::Server(s) => s.on_recover(ctx),
+            ClusterNode::Client(c) => c.on_recover(ctx),
+        }
+    }
+    fn phase_tag(&self) -> u16 {
+        match self {
+            ClusterNode::Server(s) => s.phase_tag(),
+            ClusterNode::Client(c) => c.phase_tag(),
+        }
+    }
+}
+
+impl<M, S: Node<M> + Send, C: PlaneNode<M>> PlaneNode<M> for ClusterNode<S, C> {
+    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
+        if let ClusterNode::Client(c) = self {
+            c.drain_completions(out);
+        }
+    }
 }
 
 /// One node of a [`Deployment`].

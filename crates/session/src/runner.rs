@@ -1,11 +1,11 @@
-//! Session runners: the simulation nodes that drive services with sessions.
+//! The session runner: the simulation node that drives services with
+//! sessions.
 //!
-//! [`SessionRunner`] drives a single service — the building block the
-//! Spanner-RSS and Gryff-RSC harnesses assemble client nodes from.
-//! [`ComposedRunner`] drives *several* services behind one wire type, with
-//! `libRSS` fence planning ([`regular_librss::FencePlanner`]) inserting a
-//! real-time fence at the previous service whenever a session switches
-//! services (Section 4.1, Figure 3).
+//! [`SessionRunner`] drives one or several services behind one wire type.
+//! With several, `libRSS` fence planning ([`regular_librss::FencePlanner`])
+//! inserts a real-time fence at the previous service whenever a lane switches
+//! services (Section 4.1, Figure 3); with one, lanes never switch and no
+//! fence, parking or handoff ever fires.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -16,7 +16,7 @@ use regular_sim::engine::{Context, Node, NodeId};
 use regular_sim::time::{SimDuration, SimTime};
 
 use crate::config::SessionConfig;
-use crate::op::{MultiServiceWorkload, SessionOp, SessionWorkload};
+use crate::op::{MultiServiceWorkload, SessionOp};
 use crate::plane::PlaneNode;
 use crate::record::{CompletedRecord, LaneId};
 use crate::scheduler::{SessionScheduler, Wake};
@@ -70,151 +70,13 @@ pub struct HandoffRecord {
     pub imported_at: SimTime,
 }
 
-/// A simulation node driving one [`Service`] with configured sessions.
-pub struct SessionRunner<S: Service> {
-    /// The protocol service front-end (public so harnesses can read its
-    /// protocol-specific statistics after the run).
-    pub service: S,
-    scheduler: SessionScheduler,
-    workload: Box<dyn SessionWorkload>,
-    /// Dedicated workload RNG (see [`SessionConfig::workload_seed`]); `None`
-    /// draws from the engine RNG.
-    workload_rng: Option<SmallRng>,
-    timers: FxHashMap<u64, Wake>,
-    next_timer: u64,
-    outstanding: FxHashMap<u64, usize>,
-    /// All completions, including warm-up and orphans, in completion order.
-    pub completed: Vec<CompletedRecord>,
-    /// Aggregate session statistics.
-    pub stats: SessionStats,
-}
-
-impl<S: Service> SessionRunner<S> {
-    /// Creates a runner issuing batches until `stop_issuing_at`.
-    pub fn new(
-        service: S,
-        sessions: SessionConfig,
-        stop_issuing_at: SimTime,
-        workload: Box<dyn SessionWorkload>,
-    ) -> Self {
-        SessionRunner {
-            service,
-            workload_rng: sessions.workload_seed.map(SmallRng::seed_from_u64),
-            scheduler: SessionScheduler::new(sessions, stop_issuing_at),
-            workload,
-            timers: FxHashMap::default(),
-            next_timer: 0,
-            outstanding: FxHashMap::default(),
-            completed: Vec::new(),
-            stats: SessionStats::default(),
-        }
-    }
-
-    fn arm(&mut self, ctx: &mut Context<S::Msg>, delay: SimDuration, wake: Wake) {
-        let tag = runner_tag(&mut self.next_timer);
-        self.timers.insert(tag, wake);
-        ctx.set_timer(delay, tag);
-    }
-
-    fn issue_batch(&mut self, ctx: &mut Context<S::Msg>, session: u64) {
-        let batch = self.scheduler.batch();
-        self.outstanding.insert(session, batch);
-        self.stats.batches += 1;
-        for slot in 0..batch {
-            let op = match &mut self.workload_rng {
-                Some(rng) => self.workload.next_op(rng),
-                None => self.workload.next_op(ctx.rng()),
-            };
-            self.service.submit(ctx, LaneId { session, slot: slot as u32 }, op);
-        }
-    }
-
-    /// Collects completions straight into [`SessionRunner::completed`]; when
-    /// a session's batch fully completes, asks the scheduler how the session
-    /// continues. Loops because a submission issued from a completion (none
-    /// today, but cheap to be safe) may itself complete synchronously.
-    fn drain(&mut self, ctx: &mut Context<S::Msg>) {
-        let mut next = self.completed.len();
-        loop {
-            self.service.drain_completed(&mut self.completed);
-            if next == self.completed.len() {
-                return;
-            }
-            while let Some(rec) = self.completed.get(next) {
-                next += 1;
-                if rec.orphan {
-                    continue;
-                }
-                let session = rec.session;
-                self.stats.ops_completed += 1;
-                let Some(n) = self.outstanding.get_mut(&session) else { continue };
-                *n -= 1;
-                if *n == 0 {
-                    self.outstanding.remove(&session);
-                    if let Some((delay, wake)) =
-                        self.scheduler.on_batch_complete(ctx.now(), ctx.rng(), session)
-                    {
-                        self.arm(ctx, delay, wake);
-                    }
-                    if !self.scheduler.is_active(session) {
-                        self.service.end_session(session);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: Service> PlaneNode<S::Msg> for SessionRunner<S> {
-    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
-        // Taking the buffer (instead of draining it in place) frees it once
-        // moved out, so a simulator run never holds its completions twice.
-        out.extend(std::mem::take(&mut self.completed).into_iter().map(|rec| (0, rec)));
-    }
-}
-
-impl<S: Service> Node<S::Msg> for SessionRunner<S> {
-    fn on_start(&mut self, ctx: &mut Context<S::Msg>) {
-        self.service.on_start(ctx);
-        let timers = self.scheduler.on_start(ctx.rng());
-        for (delay, wake) in timers {
-            self.arm(ctx, delay, wake);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<S::Msg>, from: NodeId, msg: S::Msg) {
-        self.service.on_message(ctx, from, msg);
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<S::Msg>, tag: u64) {
-        if tag & 1 == 1 {
-            self.service.on_timer(ctx, tag);
-        } else {
-            let Some(wake) = self.timers.remove(&tag) else { return };
-            let (issue, timer) = self.scheduler.on_wake(ctx.now(), ctx.rng(), wake);
-            self.stats.arrivals = self.scheduler.arrivals();
-            self.stats.shed = self.scheduler.shed();
-            if let Some((delay, next)) = timer {
-                self.arm(ctx, delay, next);
-            }
-            if let Some(session) = issue {
-                self.issue_batch(ctx, session);
-            }
-            // The stop-issuing cutoff retires sessions at wake time.
-            if let Wake::Issue { session } = wake {
-                if !self.scheduler.is_active(session) && !self.outstanding.contains_key(&session) {
-                    self.service.end_session(session);
-                }
-            }
-        }
-        self.drain(ctx);
-    }
-}
-
-/// A simulation node whose sessions hop between several services (all lifted
-/// to one wire type `M`, typically via [`crate::MappedService`]), fencing the
-/// previous service on every switch exactly as `libRSS` prescribes.
+/// A simulation node driving one or several [`Service`]s with configured
+/// sessions.
+///
+/// `S` is a concrete service (`SessionRunner<SpannerService>`) when the node
+/// drives one protocol, so the harness can read its statistics after the
+/// run, or `dyn Service<Msg = M>` when sessions hop between several stores
+/// lifted to one wire type `M` (typically via [`crate::MappedService`]).
 ///
 /// # One service per protocol
 ///
@@ -223,12 +85,12 @@ impl<S: Service> Node<S::Msg> for SessionRunner<S> {
 /// is only unambiguous when **at most one service speaks each protocol
 /// message type**: two instances of the same protocol would both accept the
 /// same replies (their operation identifiers carry no store discriminator)
-/// and silently corrupt each other's in-flight state. [`ComposedRunner::new`]
+/// and silently corrupt each other's in-flight state. [`SessionRunner::new`]
 /// enforces the cheap proxy of that rule — distinct
 /// [`Service::service_id`]s — and composing two same-protocol stores
 /// additionally requires a wire type whose conversions separate them.
-pub struct ComposedRunner<M: 'static> {
-    services: Vec<Box<dyn Service<Msg = M>>>,
+pub struct SessionRunner<S: Service + ?Sized> {
+    services: Vec<Box<S>>,
     planner: FencePlanner,
     scheduler: SessionScheduler,
     workload: Box<dyn MultiServiceWorkload>,
@@ -241,24 +103,24 @@ pub struct ComposedRunner<M: 'static> {
     /// Operations waiting for their preceding auto-fence, keyed by lane.
     pending_after_fence: FxHashMap<LaneId, (usize, SessionOp)>,
     /// Export a causal context every this many completed batches (see
-    /// [`ComposedRunner::with_context_handoff`]); `None` disables handoffs.
+    /// [`SessionRunner::with_context_handoff`]); `None` disables handoffs.
     handoff_every: Option<u64>,
     /// An exported context waiting for a *different* session to pick it up.
     pending_context: Option<(CausalContext, LaneId, SimTime)>,
     /// Every completed handoff, for external-communication edges in the
     /// recorded history.
     pub handoffs: Vec<HandoffRecord>,
-    /// All completions from every service, including auto-fences, annotated
-    /// with the index of the service that produced them.
-    pub completed: Vec<(usize, CompletedRecord)>,
-    /// Scratch buffer one service's completions are drained into.
-    drained: Vec<CompletedRecord>,
+    /// All completions from every service, including warm-up, orphans and
+    /// auto-fences, in completion order.
+    pub completed: Vec<CompletedRecord>,
     /// Aggregate session statistics.
     pub stats: SessionStats,
 }
 
-impl<M: 'static> ComposedRunner<M> {
-    /// Creates a composed runner over the given services.
+impl<S: Service + ?Sized> SessionRunner<S> {
+    /// Creates a runner over `services` issuing batches until
+    /// `stop_issuing_at`. The workload's service indices are positions in
+    /// `services`.
     ///
     /// # Panics
     ///
@@ -266,12 +128,12 @@ impl<M: 'static> ComposedRunner<M> {
     /// [`Service::service_id`] (see the type-level docs: one service per
     /// protocol).
     pub fn new(
-        services: Vec<Box<dyn Service<Msg = M>>>,
+        services: Vec<Box<S>>,
         sessions: SessionConfig,
         stop_issuing_at: SimTime,
         workload: Box<dyn MultiServiceWorkload>,
     ) -> Self {
-        assert!(!services.is_empty(), "a composed runner needs at least one service");
+        assert!(!services.is_empty(), "a session runner needs at least one service");
         let mut ids: Vec<_> = services.iter().map(|s| s.service_id()).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -280,7 +142,7 @@ impl<M: 'static> ComposedRunner<M> {
             services.len(),
             "composed services must have distinct service ids (one store per protocol)"
         );
-        ComposedRunner {
+        SessionRunner {
             services,
             planner: FencePlanner::new(),
             workload_rng: sessions.workload_seed.map(SmallRng::seed_from_u64),
@@ -294,7 +156,6 @@ impl<M: 'static> ComposedRunner<M> {
             pending_context: None,
             handoffs: Vec::new(),
             completed: Vec::new(),
-            drained: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -305,7 +166,7 @@ impl<M: 'static> ComposedRunner<M> {
     /// response), and the next *other* session to issue a batch imports it —
     /// inheriting the exporter's last service (so `libRSS` fences it) and
     /// causal floor. Each handoff is recorded in
-    /// [`ComposedRunner::handoffs`].
+    /// [`SessionRunner::handoffs`].
     ///
     /// # Panics
     ///
@@ -353,18 +214,18 @@ impl<M: 'static> ComposedRunner<M> {
         }
     }
 
-    /// The services driven by this runner.
-    pub fn services(&self) -> &[Box<dyn Service<Msg = M>>] {
+    /// The services driven by this runner, in workload-index order.
+    pub fn services(&self) -> &[Box<S>] {
         &self.services
     }
 
-    fn arm(&mut self, ctx: &mut Context<M>, delay: SimDuration, wake: Wake) {
+    fn arm(&mut self, ctx: &mut Context<S::Msg>, delay: SimDuration, wake: Wake) {
         let tag = runner_tag(&mut self.next_timer);
         self.timers.insert(tag, wake);
         ctx.set_timer(delay, tag);
     }
 
-    fn issue_batch(&mut self, ctx: &mut Context<M>, session: u64) {
+    fn issue_batch(&mut self, ctx: &mut Context<S::Msg>, session: u64) {
         let batch = self.scheduler.batch();
         // A context exported by another session is imported by the next
         // session to act, before any of its operations start: the classic
@@ -419,82 +280,96 @@ impl<M: 'static> ComposedRunner<M> {
         }
     }
 
-    /// Collects completions from every service. Auto-fence completions
-    /// release the parked operation instead of finishing the slot, so the
-    /// loop keeps draining until quiescence (a fence can complete
-    /// synchronously, e.g. Gryff-RSC with no pending dependency).
-    fn drain(&mut self, ctx: &mut Context<M>) {
+    /// Collects completions from every service straight into
+    /// [`SessionRunner::completed`]. An auto-fence completion releases its
+    /// parked operation instead of finishing the slot; when a session's batch
+    /// fully completes, asks the scheduler how the session continues. Loops
+    /// until quiescence, because a submission issued from a completion may
+    /// itself complete synchronously (e.g. a Gryff-RSC fence with no pending
+    /// dependency).
+    fn drain(&mut self, ctx: &mut Context<S::Msg>) {
         loop {
-            let mut progressed = false;
+            let start = self.completed.len();
             for idx in 0..self.services.len() {
-                let mut drained = std::mem::take(&mut self.drained);
-                self.services[idx].drain_completed(&mut drained);
-                for rec in drained.drain(..) {
-                    progressed = true;
-                    let lane = LaneId { session: rec.session, slot: rec.slot };
-                    let release = if rec.kind.is_fence() && !rec.orphan {
-                        self.pending_after_fence.remove(&lane)
-                    } else {
-                        None
-                    };
-                    let finishes_slot = release.is_none() && !rec.orphan;
-                    self.completed.push((idx, rec));
-                    if let Some((target, op)) = release {
-                        self.services[target].submit(ctx, lane, op);
+                let mut next = self.completed.len();
+                self.services[idx].drain_completed(&mut self.completed);
+                while let Some(rec) = self.completed.get(next) {
+                    next += 1;
+                    if rec.orphan {
                         continue;
                     }
-                    if finishes_slot {
-                        self.stats.ops_completed += 1;
-                        let mut batch_done = false;
-                        if let Some(n) = self.outstanding.get_mut(&lane.session) {
-                            *n -= 1;
-                            if *n == 0 {
-                                batch_done = true;
-                                self.outstanding.remove(&lane.session);
-                                if let Some((delay, wake)) = self.scheduler.on_batch_complete(
-                                    ctx.now(),
-                                    ctx.rng(),
-                                    lane.session,
-                                ) {
-                                    self.arm(ctx, delay, wake);
-                                }
-                                if !self.scheduler.is_active(lane.session) {
-                                    self.end_session(lane.session);
-                                }
-                            }
-                        }
-                        // Periodic out-of-band handoff: the completing
-                        // session serializes its context; the next other
-                        // session to issue a batch inherits it.
-                        if batch_done {
-                            if let Some(every) = self.handoff_every {
-                                if self.stats.batches.is_multiple_of(every) {
-                                    let from = LaneId { session: lane.session, slot: 0 };
-                                    let exported = self.export_context(from);
-                                    self.pending_context = Some((exported, from, ctx.now()));
-                                    self.stats.contexts_exported += 1;
-                                }
-                            }
+                    let lane = LaneId { session: rec.session, slot: rec.slot };
+                    if rec.kind.is_fence() {
+                        if let Some((target, op)) = self.pending_after_fence.remove(&lane) {
+                            self.services[target].submit(ctx, lane, op);
+                            continue;
                         }
                     }
+                    self.finish_slot(ctx, lane.session);
                 }
-                self.drained = drained;
             }
-            if !progressed {
+            if self.completed.len() == start {
                 return;
+            }
+        }
+    }
+
+    /// Counts one slot of `session` done; the last slot of a batch lets the
+    /// scheduler decide how the session continues, and may export a causal
+    /// context for a periodic out-of-band handoff.
+    fn finish_slot(&mut self, ctx: &mut Context<S::Msg>, session: u64) {
+        self.stats.ops_completed += 1;
+        let Some(n) = self.outstanding.get_mut(&session) else { return };
+        *n -= 1;
+        if *n > 0 {
+            return;
+        }
+        self.outstanding.remove(&session);
+        if let Some((delay, wake)) = self.scheduler.on_batch_complete(ctx.rng(), session) {
+            self.arm(ctx, delay, wake);
+        }
+        if !self.scheduler.is_active(session) {
+            self.end_session(session);
+        }
+        // Periodic out-of-band handoff: the completing session serializes its
+        // context; the next other session to issue a batch inherits it.
+        if let Some(every) = self.handoff_every {
+            if self.stats.batches.is_multiple_of(every) {
+                let from = LaneId { session, slot: 0 };
+                let exported = self.export_context(from);
+                self.pending_context = Some((exported, from, ctx.now()));
+                self.stats.contexts_exported += 1;
             }
         }
     }
 }
 
-impl<M: Clone + 'static> PlaneNode<M> for ComposedRunner<M> {
+impl<S: Service + ?Sized> PlaneNode<S::Msg> for SessionRunner<S>
+where
+    S::Msg: Clone,
+{
+    /// Tags each record with the position of the service that produced it.
     fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
-        out.append(&mut self.completed);
+        let services = &self.services;
+        let position = |rec: &CompletedRecord| {
+            services
+                .iter()
+                .position(|s| s.service_id() == rec.service)
+                .expect("a service records its own service id")
+        };
+        // Taking the buffer (instead of draining it in place) frees it once
+        // moved out, so a simulator run never holds its completions twice.
+        out.extend(
+            std::mem::take(&mut self.completed).into_iter().map(|rec| (position(&rec), rec)),
+        );
     }
 }
 
-impl<M: Clone + 'static> Node<M> for ComposedRunner<M> {
-    fn on_start(&mut self, ctx: &mut Context<M>) {
+impl<S: Service + ?Sized> Node<S::Msg> for SessionRunner<S>
+where
+    S::Msg: Clone,
+{
+    fn on_start(&mut self, ctx: &mut Context<S::Msg>) {
         for s in &mut self.services {
             s.on_start(ctx);
         }
@@ -504,20 +379,24 @@ impl<M: Clone + 'static> Node<M> for ComposedRunner<M> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<M>, from: NodeId, msg: M) {
+    fn on_message(&mut self, ctx: &mut Context<S::Msg>, from: NodeId, msg: S::Msg) {
         // Exactly one service understands a given wire message (it narrows
         // via TryInto and ignores the other protocols' variants), so offering
-        // a clone to each service delivers it precisely once.
-        for s in &mut self.services {
+        // a clone to all but the last service and the message itself to the
+        // last delivers it precisely once.
+        let (last, rest) = self.services.split_last_mut().expect("at least one service");
+        for s in rest {
             s.on_message(ctx, from, msg.clone());
         }
+        last.on_message(ctx, from, msg);
         self.drain(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<M>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<S::Msg>, tag: u64) {
         if tag & 1 == 1 {
-            // Service-owned timer: each service accepts only tags in its own
-            // namespace (see `MappedService::with_tag_namespace`).
+            // Service-owned timer: with several services each accepts only
+            // tags in its own namespace (see
+            // `MappedService::with_tag_namespace`).
             for s in &mut self.services {
                 s.on_timer(ctx, tag);
             }
@@ -540,5 +419,232 @@ impl<M: Clone + 'static> Node<M> for ComposedRunner<M> {
             }
         }
         self.drain(ctx);
+    }
+
+    fn phase_tag(&self) -> u16 {
+        self.services.iter().fold(0, |tag, s| tag | s.phase_tag())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use regular_core::op::{OpKind, OpResult};
+    use regular_core::types::{Key, ServiceId};
+    use regular_sim::engine::ContextParts;
+    use regular_sim::truetime::TrueTime;
+
+    use super::*;
+    use crate::op::{RoundRobinWorkload, ScriptedSessionWorkload, SessionWorkload};
+    use crate::record::WitnessHint;
+
+    /// The fake protocol's one message: "complete your oldest open
+    /// operation", addressed to one service; an orphan completion reports the
+    /// operation but leaves it open.
+    #[derive(Clone, Debug)]
+    struct Complete {
+        service: ServiceId,
+        orphan: bool,
+    }
+
+    /// A service that logs every submission and completes on demand.
+    struct Fake {
+        id: ServiceId,
+        submitted: Vec<(LaneId, SessionOp)>,
+        open: VecDeque<(LaneId, SessionOp)>,
+        done: Vec<CompletedRecord>,
+        ended: Vec<u64>,
+    }
+
+    impl Fake {
+        fn new(id: u32) -> Fake {
+            Fake {
+                id: ServiceId(id),
+                submitted: Vec::new(),
+                open: VecDeque::new(),
+                done: Vec::new(),
+                ended: Vec::new(),
+            }
+        }
+    }
+
+    impl Service for Fake {
+        type Msg = Complete;
+        fn service_id(&self) -> ServiceId {
+            self.id
+        }
+        fn name(&self) -> &str {
+            "fake"
+        }
+        fn submit(&mut self, _: &mut Context<Complete>, lane: LaneId, op: SessionOp) {
+            self.submitted.push((lane, op.clone()));
+            self.open.push_back((lane, op));
+        }
+        fn on_message(&mut self, ctx: &mut Context<Complete>, _: NodeId, msg: Complete) {
+            if msg.service != self.id {
+                return;
+            }
+            let (lane, op) = if msg.orphan {
+                self.open.front().cloned().expect("an open operation")
+            } else {
+                self.open.pop_front().expect("an open operation")
+            };
+            let kind = if op.is_fence() { OpKind::Fence } else { OpKind::Read { key: Key(0) } };
+            self.done.push(CompletedRecord {
+                service: self.id,
+                kind,
+                result: OpResult::Ack,
+                invoke: ctx.now(),
+                finish: ctx.now(),
+                session: lane.session,
+                slot: lane.slot,
+                attempts: 1,
+                rounds: 1,
+                orphan: msg.orphan,
+                witness: WitnessHint::None,
+            });
+        }
+        fn end_session(&mut self, session: u64) {
+            self.ended.push(session);
+        }
+        fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>) {
+            out.append(&mut self.done);
+        }
+    }
+
+    /// Drives a runner's hooks by hand, collecting the timers it arms.
+    struct Harness {
+        runner: SessionRunner<Fake>,
+        now: SimTime,
+        rng: SmallRng,
+        truetime: TrueTime,
+        timers: Vec<(SimDuration, u64)>,
+    }
+
+    impl Harness {
+        fn new(services: Vec<Fake>, batch: usize, workload: Box<dyn MultiServiceWorkload>) -> Self {
+            let sessions = SessionConfig::closed_loop(1, SimDuration::ZERO).with_batch(batch);
+            let mut h = Harness {
+                runner: SessionRunner::new(
+                    services.into_iter().map(Box::new).collect(),
+                    sessions,
+                    SimTime::from_secs(1),
+                    workload,
+                ),
+                now: SimTime::ZERO,
+                rng: SmallRng::seed_from_u64(7),
+                truetime: TrueTime::new(SimDuration::ZERO, 0),
+                timers: Vec::new(),
+            };
+            h.with_ctx(|r, ctx| r.on_start(ctx));
+            h
+        }
+
+        fn with_ctx(&mut self, f: impl FnOnce(&mut SessionRunner<Fake>, &mut Context<Complete>)) {
+            let mut outbox = Vec::new();
+            let mut ctx = Context::from_parts(ContextParts {
+                now: self.now,
+                node_id: 0,
+                rng: &mut self.rng,
+                truetime: &mut self.truetime,
+                outbox: &mut outbox,
+                timers: &mut self.timers,
+            });
+            f(&mut self.runner, &mut ctx);
+        }
+
+        /// Fires the one armed timer; panics unless exactly one is armed.
+        fn fire(&mut self) {
+            assert_eq!(self.timers.len(), 1, "one armed timer: {:?}", self.timers);
+            let (_, tag) = self.timers.pop().expect("checked");
+            self.with_ctx(|r, ctx| r.on_timer(ctx, tag));
+        }
+
+        fn complete(&mut self, service: u32, orphan: bool) {
+            let msg = Complete { service: ServiceId(service), orphan };
+            self.with_ctx(|r, ctx| r.on_message(ctx, 1, msg));
+        }
+
+        fn service(&self, idx: usize) -> &Fake {
+            &self.runner.services()[idx]
+        }
+    }
+
+    fn reads(n: usize) -> Box<dyn SessionWorkload> {
+        Box::new(ScriptedSessionWorkload::new(vec![SessionOp::Read { key: Key(0) }; n]))
+    }
+
+    const LANE: LaneId = LaneId { session: 0, slot: 0 };
+
+    #[test]
+    fn one_service_completes_batches_and_the_scheduler_continues() {
+        let mut h = Harness::new(vec![Fake::new(0)], 2, reads(8));
+        h.fire();
+        assert_eq!(h.service(0).submitted.len(), 2, "a batch of two");
+        h.complete(0, false);
+        assert!(h.timers.is_empty(), "half a batch: the session waits");
+        h.complete(0, false);
+        assert_eq!(h.timers.len(), 1, "a full batch: the closed loop issues again");
+        assert_eq!((h.runner.stats.batches, h.runner.stats.ops_completed), (1, 2));
+        h.fire();
+        assert_eq!(h.service(0).submitted.len(), 4);
+        assert_eq!(h.runner.fence_stats().executed, 0, "one service never fences");
+    }
+
+    #[test]
+    fn a_retired_session_reaches_end_session() {
+        let mut h = Harness::new(vec![Fake::new(0)], 1, reads(8));
+        h.fire();
+        h.complete(0, false);
+        assert!(h.service(0).ended.is_empty());
+        h.now = SimTime::from_secs(2);
+        h.fire();
+        assert_eq!(h.service(0).ended, vec![0], "the stop-issuing cutoff retires the session");
+        assert_eq!(h.service(0).submitted.len(), 1, "and it issues nothing more");
+    }
+
+    #[test]
+    fn an_orphan_completion_does_not_finish_its_slot() {
+        let mut h = Harness::new(vec![Fake::new(0)], 1, reads(8));
+        h.fire();
+        h.complete(0, true);
+        assert_eq!(h.runner.completed.len(), 1, "the orphan is recorded");
+        assert_eq!(h.runner.stats.ops_completed, 0);
+        assert!(h.timers.is_empty(), "the slot is still outstanding");
+        h.complete(0, false);
+        assert_eq!(h.runner.stats.ops_completed, 1);
+        assert_eq!(h.timers.len(), 1);
+    }
+
+    #[test]
+    fn a_switch_fences_the_previous_service_and_parks_the_operation() {
+        let hop_every_op = RoundRobinWorkload::new(vec![reads(8), reads(8)], 1);
+        let mut h = Harness::new(vec![Fake::new(0), Fake::new(1)], 1, Box::new(hop_every_op));
+        h.fire();
+        h.complete(0, false);
+        h.fire();
+        // The lane's second operation targets service 1: libRSS fences
+        // service 0 first and parks the operation.
+        assert_eq!(h.service(0).submitted.last(), Some(&(LANE, SessionOp::Fence)));
+        assert!(h.service(1).submitted.is_empty(), "parked until the fence drains");
+        h.complete(0, false);
+        assert_eq!(h.service(1).submitted, vec![(LANE, SessionOp::Read { key: Key(0) })]);
+        assert_eq!(h.runner.stats.ops_completed, 1, "the auto-fence finishes no slot");
+        assert!(h.timers.is_empty());
+        h.complete(1, false);
+        assert_eq!(h.runner.stats.ops_completed, 2);
+        assert_eq!(h.runner.fence_stats().executed, 1);
+        let mut out = Vec::new();
+        h.runner.drain_completions(&mut out);
+        let tagged: Vec<_> = out.iter().map(|(svc, rec)| (*svc, rec.kind.is_fence())).collect();
+        assert_eq!(tagged, vec![(0, false), (0, true), (1, false)], "tagged by service position");
+        assert!(h.runner.completed.is_empty(), "drained");
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct service ids")]
+    fn two_services_must_not_share_an_id() {
+        let _ = Harness::new(vec![Fake::new(0), Fake::new(0)], 1, reads(1));
     }
 }

@@ -157,7 +157,6 @@ impl SessionScheduler {
     /// session continues (the returned think-time timer) or departs.
     pub fn on_batch_complete(
         &mut self,
-        _now: SimTime,
         rng: &mut SmallRng,
         session: u64,
     ) -> Option<(SimDuration, Wake)> {
@@ -217,7 +216,7 @@ mod tests {
         let issue = issue.expect("the session issues");
         assert!(more.is_none());
         // After the batch completes, the session thinks then re-issues.
-        let next = s.on_batch_complete(SimTime::from_millis(2), &mut r, issue);
+        let next = s.on_batch_complete(&mut r, issue);
         assert_eq!(next, Some((SimDuration::ZERO, Wake::Issue { session: issue })));
     }
 
@@ -246,7 +245,7 @@ mod tests {
         let (issue, more) = s.on_wake(SimTime::from_millis(5), &mut r, Wake::Arrival);
         assert!(matches!(more, Some((_, Wake::Arrival))), "the next arrival is scheduled");
         // stay_probability 0: the session leaves after one batch.
-        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue.unwrap());
+        let next = s.on_batch_complete(&mut r, issue.unwrap());
         assert!(next.is_none());
         assert_eq!(s.active_sessions(), 0);
     }
@@ -262,7 +261,7 @@ mod tests {
         assert!(more.is_some(), "the next arrival is always scheduled");
         assert_eq!(s.arrivals(), 1);
         // One batch, then gone — no think timer, no re-issue.
-        let next = s.on_batch_complete(SimTime::from_millis(6), &mut r, issue.unwrap());
+        let next = s.on_batch_complete(&mut r, issue.unwrap());
         assert!(next.is_none());
         assert_eq!(s.active_sessions(), 0);
         assert_eq!(s.shed(), 0);
@@ -287,7 +286,7 @@ mod tests {
         assert_eq!(s.shed(), 1);
         assert_eq!(s.arrivals(), 3);
         // A completion frees a slot; the next arrival is admitted again.
-        let _ = s.on_batch_complete(now, &mut r, a.unwrap());
+        let _ = s.on_batch_complete(&mut r, a.unwrap());
         let (d, _) = s.on_wake(now, &mut r, Wake::Arrival);
         assert!(d.is_some());
     }

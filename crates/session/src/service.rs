@@ -4,7 +4,7 @@
 //! accepts typed [`SessionOp`]s for a lane, exchanges protocol messages with
 //! the store's server nodes, and reports completions as
 //! [`CompletedRecord`]s. `regular-spanner` and `regular-gryff` implement it;
-//! [`crate::SessionRunner`] and [`crate::ComposedRunner`] drive it.
+//! [`crate::SessionRunner`] drives one or several of them.
 //!
 //! # Timer-tag convention
 //!
@@ -38,7 +38,8 @@ pub fn service_tag(counter: &mut u64) -> u64 {
 ///
 /// Implementations must:
 /// * eventually report exactly one non-orphan [`CompletedRecord`] per
-///   submitted operation (retries are internal),
+///   submitted operation (retries are internal), each carrying
+///   [`Service::service_id`],
 /// * only allocate timer tags with [`service_tag`],
 /// * tolerate `drain_completed` being called at any point.
 pub trait Service: Send + 'static {
@@ -89,13 +90,20 @@ pub trait Service: Send + 'static {
     /// Appends the operations completed since the last call to `out`, in
     /// completion order. The service keeps its own buffer's capacity.
     fn drain_completed(&mut self, out: &mut Vec<CompletedRecord>);
+
+    /// The client core's behaviour-coverage phase tag, which the runner
+    /// reports as its node's (see `regular_sim::engine::Node::phase_tag`).
+    /// The default — a constant — collapses all phases into one.
+    fn phase_tag(&self) -> u16 {
+        0
+    }
 }
 
 /// Lifts a `Service` with message type `P` into a combined-message simulation
 /// with wire type `M` (see [`regular_sim::compose`]): the service-facing
 /// counterpart of [`regular_sim::Embedded`].
 ///
-/// When several services share one node (a [`crate::ComposedRunner`]), each
+/// When several services share one node (one [`crate::SessionRunner`]), each
 /// allocates odd timer tags from its own counter, so the raw tags collide.
 /// [`MappedService::with_tag_namespace`] interleaves them: service `i` of `n`
 /// maps its `k`-th odd tag to the `(k*n + i)`-th odd tag of the node, and
@@ -149,6 +157,8 @@ impl<S, M> MappedService<S, M> {
     }
 }
 
+// `phase_tag` is deliberately not forwarded: a composed node's coverage tag
+// stays the constant default.
 impl<S, M> Service for MappedService<S, M>
 where
     S: Service,

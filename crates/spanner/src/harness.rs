@@ -18,11 +18,11 @@ use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessVio
 use regular_core::history::History;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    per_sim_second, per_wall_second, untagged, CompletedRecord, Deployment, HistoryRecorder,
-    NodeSpec, Plane, PlaneNode, Ran, SessionConfig, SessionRunner, SessionStats, SessionWorkload,
-    SimPlane,
+    per_sim_second, per_wall_second, untagged, ClusterNode, CompletedRecord, Deployment,
+    HistoryRecorder, NodeSpec, Plane, Ran, SessionConfig, SessionRunner, SessionStats,
+    SessionWorkload, SimPlane,
 };
-use regular_sim::engine::{Context, Node, NodeId};
+use regular_sim::engine::NodeId;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
@@ -36,46 +36,8 @@ use crate::shard::{ShardNode, ShardStats};
 /// A client node: the protocol-agnostic session runner over the Spanner core.
 pub type SpannerClient = SessionRunner<SpannerService>;
 
-/// A node of the simulated cluster.
-pub enum SpannerNode {
-    /// A shard leader.
-    Shard(Box<ShardNode>),
-    /// A client / load generator.
-    Client(Box<SpannerClient>),
-}
-
-impl Node<SpannerMsg> for SpannerNode {
-    fn on_start(&mut self, ctx: &mut Context<SpannerMsg>) {
-        match self {
-            SpannerNode::Shard(s) => s.on_start(ctx),
-            SpannerNode::Client(c) => c.on_start(ctx),
-        }
-    }
-    fn on_message(&mut self, ctx: &mut Context<SpannerMsg>, from: NodeId, msg: SpannerMsg) {
-        match self {
-            SpannerNode::Shard(s) => s.on_message(ctx, from, msg),
-            SpannerNode::Client(c) => c.on_message(ctx, from, msg),
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<SpannerMsg>, tag: u64) {
-        match self {
-            SpannerNode::Shard(s) => s.on_timer(ctx, tag),
-            SpannerNode::Client(c) => c.on_timer(ctx, tag),
-        }
-    }
-    fn on_crash(&mut self, ctx: &mut Context<SpannerMsg>) {
-        match self {
-            SpannerNode::Shard(s) => s.on_crash(ctx),
-            SpannerNode::Client(c) => c.on_crash(ctx),
-        }
-    }
-    fn on_recover(&mut self, ctx: &mut Context<SpannerMsg>) {
-        match self {
-            SpannerNode::Shard(s) => s.on_recover(ctx),
-            SpannerNode::Client(c) => c.on_recover(ctx),
-        }
-    }
-}
+/// A node of the simulated cluster: a shard leader or a client.
+pub type SpannerNode = ClusterNode<ShardNode, SpannerClient>;
 
 /// Specification of one client (load generator) node.
 pub struct ClientSpec {
@@ -178,14 +140,6 @@ pub fn client_config(
     }
 }
 
-impl PlaneNode<SpannerMsg> for SpannerNode {
-    fn drain_completions(&mut self, out: &mut Vec<(usize, CompletedRecord)>) {
-        if let SpannerNode::Client(c) = self {
-            c.drain_completions(out);
-        }
-    }
-}
-
 /// Assembles the cluster's node graph — shards first (ids
 /// `0..num_shards`), then clients — as a plane-independent [`Deployment`].
 /// Multi-process workers call it too: every process builds the identical
@@ -204,7 +158,7 @@ pub fn build(spec: ClusterSpec) -> Deployment<SpannerNode> {
         let delay = config.replication_delay(shard, &net);
         replication_delays.push(delay);
         nodes.push(NodeSpec {
-            node: SpannerNode::Shard(Box::new(ShardNode::new(&config, shard, delay))),
+            node: ClusterNode::Server(Box::new(ShardNode::new(&config, shard, delay))),
             region: config.leader_regions[shard],
             service_time: config.shard_service_time,
         });
@@ -213,10 +167,10 @@ pub fn build(spec: ClusterSpec) -> Deployment<SpannerNode> {
     for c in clients {
         let cfg =
             client_config(&config, &net, c.region, shard_nodes.clone(), replication_delays.clone());
-        let runner =
-            SessionRunner::new(SpannerService::new(cfg), c.sessions, stop_issuing_at, c.workload);
+        let service = Box::new(SpannerService::new(cfg));
+        let runner = SessionRunner::new(vec![service], c.sessions, stop_issuing_at, c.workload);
         nodes.push(NodeSpec {
-            node: SpannerNode::Client(Box::new(runner)),
+            node: ClusterNode::Client(Box::new(runner)),
             region: c.region,
             service_time: config.client_service_time,
         });
@@ -290,15 +244,15 @@ fn collect(
     let mut shard_stores = Vec::new();
     for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
         match node {
-            SpannerNode::Shard(s) => {
+            ClusterNode::Server(s) => {
                 shard_stats.push(s.stats);
                 storage.add_wal(&s.wal_stats());
                 let mut dump = s.store().dump();
                 dump.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
                 shard_stores.push(dump);
             }
-            SpannerNode::Client(c) => {
-                let s = &c.service.stats;
+            ClusterNode::Client(c) => {
+                let s = &c.services()[0].stats;
                 client_stats.rw_completed += s.rw_completed;
                 client_stats.ro_completed += s.ro_completed;
                 client_stats.fences += s.fences;

@@ -25,9 +25,9 @@ use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
 use regular_gryff::{carstamp_chain_edges, carstamp_chain_row, ChainRow, GryffMsg};
 use regular_session::{
-    per_wall_second, CompletedRecord, ComposedRunner, Deployment, HandoffRecord, HistoryRecorder,
-    MappedService, MultiServiceWorkload, NodeSpec, Plane, PlaneNode, Ran, RoundRobinWorkload,
-    Service, SessionConfig, SessionStats, SessionWorkload, SimPlane,
+    per_wall_second, CompletedRecord, Deployment, HandoffRecord, HistoryRecorder, MappedService,
+    MultiServiceWorkload, NodeSpec, Plane, PlaneNode, Ran, RoundRobinWorkload, Service,
+    SessionConfig, SessionRunner, SessionStats, SessionWorkload, SimPlane,
 };
 use regular_sim::compose::Embedded;
 use regular_sim::engine::{Context, Node, NodeId};
@@ -103,7 +103,7 @@ wire_layout! {
 enum DuoNode {
     SpannerShard(Embedded<ShardNode, SpannerMsg>),
     GryffReplica(Embedded<GryffReplica, GryffMsg>),
-    App(ComposedRunner<DuoMsg>),
+    App(SessionRunner<dyn Service<Msg = DuoMsg>>),
 }
 
 impl PlaneNode<DuoMsg> for DuoNode {
@@ -202,7 +202,7 @@ pub struct ComposedRunConfig {
     pub op_timeout: Option<SimDuration>,
     /// Export/import a cross-process `CausalContext` every this many
     /// completed batches per app (see
-    /// [`ComposedRunner::with_context_handoff`]); `None` disables handoffs.
+    /// [`SessionRunner::with_context_handoff`]); `None` disables handoffs.
     pub handoff_every: Option<u64>,
     /// Storage backing for both stores' nodes (`InMemory` keeps the
     /// pre-existing volatile behaviour; `Wal` routes shard and replica state
@@ -369,7 +369,7 @@ fn build(seed: u64, config: &ComposedRunConfig) -> Deployment<DuoNode> {
             )),
             ComposedWorkload::PhotoApp => Box::new(PhotoSharingWorkload::default()),
         };
-        let mut runner = ComposedRunner::new(
+        let mut runner = SessionRunner::new(
             services,
             SessionConfig::closed_loop(2, SimDuration::ZERO)
                 .with_batch(config.batch)

@@ -753,6 +753,18 @@ mod tests {
         assert!(!verdict.failed(), "no mutants enabled: {:?}", verdict.violation);
         assert!(verdict.history_ops() > 0, "the scripted sessions ran");
         assert!(!verdict.coverage.is_empty(), "coverage was recorded");
+        // FNV-1a of the feature ids, recorded before the phase tags moved
+        // behind `Node::phase_tag` / `Service::phase_tag`: a tag that moved
+        // a feature shows here.
+        let digest = verdict
+            .coverage
+            .features()
+            .iter()
+            .flat_map(|f| f.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!((verdict.coverage.len(), digest), (32, 0x1fad_4789_124f_c985));
     }
 
     #[test]
