@@ -55,7 +55,6 @@
 
 pub mod checker;
 pub mod coverage;
-pub mod densemap;
 pub mod fence;
 pub mod hashing;
 pub mod history;
@@ -73,7 +72,6 @@ pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
 pub use checker::window::{StreamingChecker, WindowBuffer};
 pub use coverage::{CoverageBuilder, CoverageMap, CoverageSignature};
-pub use densemap::DenseKeyMap;
 pub use fence::FencedService;
 pub use history::{ByProcess, History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord};
 pub use op::{OpKind, OpResult};

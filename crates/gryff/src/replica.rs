@@ -12,7 +12,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use regular_core::densemap::DenseKeyMap;
 use regular_core::hashing::FxHashMap;
 
 use regular_core::types::{Key, Value};
@@ -82,7 +81,7 @@ pub struct GryffReplica {
     rmws: FxHashMap<u64, RmwCoordination>,
     next_internal: u64,
     /// Per-key queue of rmws waiting their turn (the head is active).
-    rmw_queue: DenseKeyMap<VecDeque<u64>>,
+    rmw_queue: FxHashMap<Key, VecDeque<u64>>,
     /// The at-most-once table: decided rmws by client operation id, so a
     /// retried `Rmw` request is answered from the log instead of being
     /// applied twice.
@@ -132,7 +131,7 @@ impl GryffReplica {
             store: FxHashMap::default(),
             rmws: FxHashMap::default(),
             next_internal: 0,
-            rmw_queue: DenseKeyMap::new(),
+            rmw_queue: FxHashMap::default(),
             finished_rmws: FxHashMap::default(),
             stats: ReplicaStats::default(),
             wal,
@@ -288,7 +287,7 @@ impl GryffReplica {
                     },
                 );
                 // Queue order is arrival order, which is internal-id order.
-                self.rmw_queue.get_or_insert_with(r.key, VecDeque::new).push_back(r.internal);
+                self.rmw_queue.entry(r.key).or_default().push_back(r.internal);
             }
             for (op, value, cs) in snap.finished {
                 self.finished_rmws.insert(op, (value, cs));
@@ -319,7 +318,7 @@ impl GryffReplica {
                         chosen: Carstamp::ZERO,
                     },
                 );
-                self.rmw_queue.get_or_insert_with(key, VecDeque::new).push_back(internal);
+                self.rmw_queue.entry(key).or_default().push_back(internal);
             }
             GryffRecord::RmwChosen { internal, old_value, cs } => {
                 if let Some(coord) = self.rmws.get_mut(&internal) {
@@ -332,10 +331,10 @@ impl GryffReplica {
             GryffRecord::RmwFinish { internal, client_op, key, old_value, cs } => {
                 self.rmws.remove(&internal);
                 self.finished_rmws.insert(client_op, (old_value, cs));
-                if let Some(queue) = self.rmw_queue.get_mut(key) {
+                if let Some(queue) = self.rmw_queue.get_mut(&key) {
                     queue.retain(|&i| i != internal);
                     if queue.is_empty() {
-                        self.rmw_queue.remove(key);
+                        self.rmw_queue.remove(&key);
                     }
                 }
             }
@@ -407,7 +406,7 @@ impl GryffReplica {
     }
 
     fn start_next_rmw(&mut self, ctx: &mut Context<GryffMsg>, key: Key) {
-        let Some(queue) = self.rmw_queue.get(key) else { return };
+        let Some(queue) = self.rmw_queue.get(&key) else { return };
         let Some(&internal) = queue.front() else { return };
         let op = OpRef { node: ctx.node_id(), seq: internal };
         let key = self.rmws[&internal].key;
@@ -431,7 +430,7 @@ impl GryffReplica {
     fn redrive_rmw(&mut self, ctx: &mut Context<GryffMsg>, internal: u64) {
         let Some(coord) = self.rmws.get(&internal) else { return };
         let key = coord.key;
-        if self.rmw_queue.get(key).and_then(|q| q.front()) != Some(&internal) {
+        if self.rmw_queue.get(&key).and_then(|q| q.front()) != Some(&internal) {
             return;
         }
         let op = OpRef { node: ctx.node_id(), seq: internal };
@@ -539,10 +538,10 @@ impl GryffReplica {
             GryffMsg::RmwReply { op: coord.client_op, old_value: coord.max.1, cs: coord.chosen },
         );
         // Start the next queued rmw for this key, if any.
-        if let Some(queue) = self.rmw_queue.get_mut(coord.key) {
+        if let Some(queue) = self.rmw_queue.get_mut(&coord.key) {
             queue.pop_front();
             if queue.is_empty() {
-                self.rmw_queue.remove(coord.key);
+                self.rmw_queue.remove(&coord.key);
             } else {
                 self.start_next_rmw(ctx, coord.key);
             }
@@ -612,7 +611,7 @@ impl GryffReplica {
                         new_value,
                     },
                 );
-                let queue = self.rmw_queue.get_or_insert_with(key, VecDeque::new);
+                let queue = self.rmw_queue.entry(key).or_default();
                 queue.push_back(internal);
                 if queue.len() == 1 {
                     self.start_next_rmw(ctx, key);
@@ -674,7 +673,7 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
         self.store = FxHashMap::default();
         self.rmws.clear();
         self.next_internal = 0;
-        self.rmw_queue = DenseKeyMap::new();
+        self.rmw_queue = FxHashMap::default();
         self.finished_rmws.clear();
         // `next_timer` is deliberately NOT reset (deferred engine timers
         // keep their old tags); stats are harness counters and stay.
@@ -694,8 +693,10 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
         let mut heads: Vec<(Key, u64)> = self
             .rmw_queue
             .iter()
-            .filter_map(|(k, q)| q.front().map(|&internal| (k, internal)))
+            .filter_map(|(&k, q)| q.front().map(|&internal| (k, internal)))
             .collect();
+        // Key order, not the map's: the re-driven rounds' sends are the
+        // history.
         heads.sort_unstable();
         for (_, internal) in heads {
             self.redrive_rmw(ctx, internal);

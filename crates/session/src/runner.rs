@@ -70,6 +70,67 @@ pub struct HandoffRecord {
     pub imported_at: SimTime,
 }
 
+/// Records per completion chunk: 144 KiB of [`CompletedRecord`]s.
+const CHUNK: usize = 1_024;
+
+/// A runner's completions in completion order, in chunks of fixed capacity.
+///
+/// The buffer grows for the whole run and is read once, at the end on the
+/// simulator. One `Vec` would double, and a doubled buffer is up to half
+/// empty; here the services append to the open chunk, a full chunk is
+/// sealed, and only the open chunk has spare capacity. The first chunk
+/// grows from empty, so a node that drains after every handler (the live
+/// plane) holds a few records' capacity, not a chunk's; every later chunk
+/// starts at full size.
+struct Completions {
+    /// Full chunks, oldest first.
+    sealed: Vec<Vec<CompletedRecord>>,
+    /// The chunk the services append to.
+    open: Vec<CompletedRecord>,
+}
+
+impl Completions {
+    fn new() -> Self {
+        Completions { sealed: Vec::new(), open: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.sealed.iter().map(Vec::len).sum::<usize>() + self.open.len()
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Seals the open chunk once it holds [`CHUNK`] records. A service that
+    /// appended past the capacity made it grow; the sealed chunk gives the
+    /// slack back.
+    fn seal_if_full(&mut self) {
+        if self.open.len() >= CHUNK {
+            let mut full = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK));
+            full.shrink_to_fit();
+            self.sealed.push(full);
+        }
+    }
+
+    /// Moves every record to `out`, oldest first, tagged by `tag`. `out`
+    /// grows once, to the exact size; each sealed chunk is freed as it
+    /// empties, and the open chunk keeps its capacity for the next records
+    /// (the live plane drains after every handler).
+    fn drain_into(
+        &mut self,
+        out: &mut Vec<(usize, CompletedRecord)>,
+        tag: impl Fn(&CompletedRecord) -> usize,
+    ) {
+        out.reserve_exact(self.len());
+        for chunk in self.sealed.drain(..) {
+            out.extend(chunk.into_iter().map(|rec| (tag(&rec), rec)));
+        }
+        out.extend(self.open.drain(..).map(|rec| (tag(&rec), rec)));
+    }
+}
+
 /// A simulation node driving one or several [`Service`]s with configured
 /// sessions.
 ///
@@ -112,7 +173,7 @@ pub struct SessionRunner<S: Service + ?Sized> {
     pub handoffs: Vec<HandoffRecord>,
     /// All completions from every service, including warm-up, orphans and
     /// auto-fences, in completion order.
-    pub completed: Vec<CompletedRecord>,
+    completed: Completions,
     /// Aggregate session statistics.
     pub stats: SessionStats,
 }
@@ -155,7 +216,7 @@ impl<S: Service + ?Sized> SessionRunner<S> {
             handoff_every: None,
             pending_context: None,
             handoffs: Vec::new(),
-            completed: Vec::new(),
+            completed: Completions::new(),
             stats: SessionStats::default(),
         }
     }
@@ -280,20 +341,21 @@ impl<S: Service + ?Sized> SessionRunner<S> {
         }
     }
 
-    /// Collects completions from every service straight into
-    /// [`SessionRunner::completed`]. An auto-fence completion releases its
-    /// parked operation instead of finishing the slot; when a session's batch
-    /// fully completes, asks the scheduler how the session continues. Loops
-    /// until quiescence, because a submission issued from a completion may
-    /// itself complete synchronously (e.g. a Gryff-RSC fence with no pending
+    /// Collects completions from every service straight into the open chunk
+    /// of `self.completed`. An auto-fence completion releases its parked
+    /// operation instead of finishing the slot; when a session's batch fully
+    /// completes, asks the scheduler how the session continues. Loops until
+    /// quiescence, because a submission issued from a completion may itself
+    /// complete synchronously (e.g. a Gryff-RSC fence with no pending
     /// dependency).
     fn drain(&mut self, ctx: &mut Context<S::Msg>) {
         loop {
-            let start = self.completed.len();
+            let mut drained = false;
             for idx in 0..self.services.len() {
-                let mut next = self.completed.len();
-                self.services[idx].drain_completed(&mut self.completed);
-                while let Some(rec) = self.completed.get(next) {
+                let mut next = self.completed.open.len();
+                self.services[idx].drain_completed(&mut self.completed.open);
+                drained |= self.completed.open.len() > next;
+                while let Some(rec) = self.completed.open.get(next) {
                     next += 1;
                     if rec.orphan {
                         continue;
@@ -307,8 +369,9 @@ impl<S: Service + ?Sized> SessionRunner<S> {
                     }
                     self.finish_slot(ctx, lane.session);
                 }
+                self.completed.seal_if_full();
             }
-            if self.completed.len() == start {
+            if !drained {
                 return;
             }
         }
@@ -357,11 +420,7 @@ where
                 .position(|s| s.service_id() == rec.service)
                 .expect("a service records its own service id")
         };
-        // Taking the buffer (instead of draining it in place) frees it once
-        // moved out, so a simulator run never holds its completions twice.
-        out.extend(
-            std::mem::take(&mut self.completed).into_iter().map(|rec| (position(&rec), rec)),
-        );
+        self.completed.drain_into(out, position);
     }
 }
 
@@ -640,6 +699,42 @@ mod tests {
         let tagged: Vec<_> = out.iter().map(|(svc, rec)| (*svc, rec.kind.is_fence())).collect();
         assert_eq!(tagged, vec![(0, false), (0, true), (1, false)], "tagged by service position");
         assert!(h.runner.completed.is_empty(), "drained");
+    }
+
+    /// Slot `s` of every session targets service `s`, so no lane ever hops.
+    struct SlotPerService;
+
+    impl MultiServiceWorkload for SlotPerService {
+        fn next_targeted_op(&mut self, _: &mut SmallRng, lane: LaneId) -> (usize, SessionOp) {
+            (lane.slot as usize, SessionOp::Read { key: Key(0) })
+        }
+    }
+
+    #[test]
+    fn more_than_a_chunk_drains_in_completion_order_at_exact_length() {
+        // Service ids in the opposite order to positions: a record is tagged
+        // by where its service sits, not by its id.
+        let mut h = Harness::new(vec![Fake::new(9), Fake::new(4)], 2, Box::new(SlotPerService));
+        h.fire();
+        let n = 2 * CHUNK + CHUNK / 2;
+        for i in 0..n {
+            // Orphans leave the operation open, so the next completion has
+            // one to report; the instant numbers the record.
+            h.now = SimTime::from_micros(i as u64);
+            h.complete(if i % 3 == 0 { 4 } else { 9 }, true);
+        }
+        assert_eq!(h.runner.completed.sealed.len(), 2, "two full chunks and an open one");
+        assert_eq!(h.runner.completed.len(), n);
+        let mut out = Vec::new();
+        h.runner.drain_completions(&mut out);
+        assert_eq!((out.len(), out.capacity()), (n, n), "one buffer of exact size");
+        for (i, (position, rec)) in out.iter().enumerate() {
+            assert_eq!(rec.finish, SimTime::from_micros(i as u64), "completion order");
+            let service = if i % 3 == 0 { 4 } else { 9 };
+            assert_eq!((*position, rec.service), (usize::from(service == 4), ServiceId(service)));
+        }
+        assert!(h.runner.completed.is_empty(), "drained");
+        assert_eq!(h.runner.completed.open.capacity(), CHUNK, "the open chunk is kept");
     }
 
     #[test]

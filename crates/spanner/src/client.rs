@@ -141,6 +141,8 @@ struct ActiveTxn {
     writes: Vec<(Key, Value)>,
     coordinator: NodeId,
     t_ee: Ts,
+    /// The operation timeout armed by this attempt's latest issue.
+    op_timer: Option<u64>,
     commit_timer: Option<u64>,
 }
 
@@ -156,6 +158,7 @@ impl ActiveTxn {
             writes: Vec::new(),
             coordinator: 0,
             t_ee: 0,
+            op_timer: None,
             commit_timer: None,
         }
     }
@@ -321,9 +324,10 @@ impl SpannerService {
         // Under a fault schedule the request (or every reply) may be lost:
         // watch the pre-commit phases with a timeout so the lane cannot
         // stall forever on a crashed shard.
-        if let Some(timeout) = self.cfg.op_timeout {
-            self.set_timer(ctx, timeout, TimerAction::OpTimeout { seq });
-        }
+        let op_timer = self
+            .cfg
+            .op_timeout
+            .map(|timeout| self.set_timer(ctx, timeout, TimerAction::OpTimeout { seq }));
         let txn_id = TxnId { client: ctx.node_id(), seq };
         let t = &self.txns[&seq];
         let keys = t.request.keys();
@@ -344,6 +348,7 @@ impl SpannerService {
             ctx.send(self.cfg.shard_nodes[s], msg);
         }
         let t = self.txns.get_mut(&seq).expect("transaction exists");
+        t.op_timer = op_timer;
         if read_only {
             let reads = t.request.keys().len();
             let ro = RoRead::new(self.policy, t_read, t_min, pending, reads);
@@ -396,6 +401,11 @@ impl SpannerService {
 
     /// Records `txn`'s operation, returning `result` and serialized at `ts`,
     /// and raises its session's `t_min` to `floor`.
+    ///
+    /// The attempt's operation timeout dies with it: the engine still fires
+    /// the timer, which finds no action, as it would find no transaction.
+    /// The timeouts of earlier issues under the same `seq` (an attempt the
+    /// coordinator aborted) stay armed.
     fn finish_txn(
         &mut self,
         ctx: &Context<SpannerMsg>,
@@ -415,6 +425,9 @@ impl SpannerService {
             ),
         };
         *done += 1;
+        if let Some(tag) = txn.op_timer {
+            self.timers.remove(&tag);
+        }
         self.raise_t_min(txn.lane.session, floor);
         self.completed.push(CompletedRecord {
             service: self.service,

@@ -6,10 +6,10 @@
 //! guaranteed by the locking protocol (conflicting transactions serialize, and
 //! prepare/commit timestamps are monotone per key).
 //!
-//! Version chains live in a [`DenseKeyMap`]: each key is interned once and
-//! its chain lands in a dense slot, so the simulator's hottest storage path
-//! (one read per key per read-only round) is an FxHash probe plus a vector
-//! index instead of a SipHash `HashMap` walk.
+//! Version chains live in one [`FxHashMap`] from key to chain, so the
+//! simulator's hottest storage path (one read per key per read-only round)
+//! is one FxHash probe. Nothing iterates the map on a protocol path:
+//! [`MvccStore::dump`] is its only walk, and its callers sort.
 //!
 //! A chain holds only live capacity. Nothing is ever pruned, so the store is
 //! a durable shard's largest structure, and most keys are written once: on a
@@ -25,7 +25,7 @@
 //! in install order (`crate::durable::ShardChunk`), and recovery applies
 //! the chain in order.
 
-use regular_core::densemap::DenseKeyMap;
+use regular_core::hashing::FxHashMap;
 use regular_core::types::{Key, Value};
 
 use crate::messages::Ts;
@@ -33,7 +33,7 @@ use crate::messages::Ts;
 /// A multi-version store mapping keys to version chains.
 #[derive(Debug, Clone, Default)]
 pub struct MvccStore {
-    versions: DenseKeyMap<Vec<(Ts, Value)>>,
+    versions: FxHashMap<Key, Vec<(Ts, Value)>>,
 }
 
 impl MvccStore {
@@ -44,7 +44,7 @@ impl MvccStore {
 
     /// Installs a committed version of `key` at timestamp `ts`.
     pub fn apply(&mut self, key: Key, ts: Ts, value: Value) {
-        let chain = self.versions.get_or_insert_with(key, || Vec::with_capacity(1));
+        let chain = self.versions.entry(key).or_insert_with(|| Vec::with_capacity(1));
         chain.push((ts, value));
         // Keep the chain sorted; out-of-order installs are possible when
         // non-conflicting transactions commit with out-of-order timestamps.
@@ -59,7 +59,7 @@ impl MvccStore {
     /// version's commit timestamp and value (timestamp 0 and null when no
     /// version qualifies).
     pub fn read_at(&self, key: Key, ts: Ts) -> (Ts, Value) {
-        match self.versions.get(key) {
+        match self.versions.get(&key) {
             None => (0, Value::NULL),
             Some(chain) => {
                 chain.iter().rev().find(|(t, _)| *t <= ts).copied().unwrap_or((0, Value::NULL))
@@ -69,7 +69,7 @@ impl MvccStore {
 
     /// The latest committed timestamp for `key` (0 if none).
     pub fn latest_ts(&self, key: Key) -> Ts {
-        self.versions.get(key).and_then(|c| c.last()).map(|(t, _)| *t).unwrap_or(0)
+        self.versions.get(&key).and_then(|c| c.last()).map(|(t, _)| *t).unwrap_or(0)
     }
 
     /// Total number of stored versions (for diagnostics).
@@ -77,13 +77,14 @@ impl MvccStore {
         self.versions.values().map(|c| c.len()).sum()
     }
 
-    /// Every stored version, for differential tests. Unordered; callers sort
-    /// as needed.
+    /// Every stored version, for differential tests, in a buffer of exact
+    /// size. Unordered; callers sort as needed.
     pub fn dump(&self) -> Vec<(Key, Ts, Value)> {
-        self.versions
-            .iter()
-            .flat_map(|(k, chain)| chain.iter().map(move |(ts, v)| (k, *ts, *v)))
-            .collect()
+        let mut out = Vec::with_capacity(self.version_count());
+        for (&k, chain) in &self.versions {
+            out.extend(chain.iter().map(|&(ts, v)| (k, ts, v)));
+        }
+        out
     }
 }
 
@@ -130,6 +131,23 @@ mod tests {
         let mut s = MvccStore::new();
         s.apply(Key(1), 10, Value(1));
         assert_eq!(s.read_at(Key(2), 100), (0, Value::NULL));
+    }
+
+    #[test]
+    fn dump_returns_every_version_once_in_a_buffer_of_exact_size() {
+        let mut s = MvccStore::new();
+        let mut installed = Vec::new();
+        for i in 0..1_000u64 {
+            // Key 0 takes a long chain; the rest are written once or twice.
+            let (key, ts, value) = (Key(i % 3 * (i % 401)), 1_000 - i, Value(i + 1));
+            s.apply(key, ts, value);
+            installed.push((key, ts, value));
+        }
+        let mut dump = s.dump();
+        assert_eq!((dump.len(), dump.capacity()), (1_000, s.version_count()));
+        dump.sort_unstable();
+        installed.sort_unstable();
+        assert_eq!(dump, installed);
     }
 
     /// The store against the plainest model of it: a sorted map of keys to
