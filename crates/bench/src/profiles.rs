@@ -32,11 +32,14 @@ const ENGINE_SEED: u64 = 1;
 /// gets more of them — two more seconds in all.
 const GRYFF_REPEATS: usize = 25;
 
-/// How many wheel and overflow operations an event may cost the indexed
-/// queue. A served event is one push and one pop; one that waited out a busy
-/// node adds a proxy pop and push when it parks or is re-keyed and again when
-/// it is served. Deferring through the wheel itself, one re-insert per busy
-/// service slot, put the saturated profile above 100.
+/// How many ref moves an event may cost the indexed queue
+/// (`SimQueue::queue_ops`). A served event is three: an append to its
+/// bucket's list, a move into the cursor run when the cursor reaches the
+/// bucket, and a pop. One that waited out a busy node adds a proxy's three
+/// when it parks or is re-keyed and again when it is served; a ref inserted
+/// into the loaded bucket ahead of later ones adds every ref it shifts
+/// aside. Deferring through the wheel itself, one re-insert per busy service
+/// slot, put the saturated profile above 100.
 const QUEUE_OPS_CEILING: f64 = 10.0;
 
 /// The median of `samples`.

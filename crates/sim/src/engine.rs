@@ -37,15 +37,17 @@
 //! # Event storage
 //!
 //! Events live in an arena-backed indexed queue ([`crate::queue`]): payloads
-//! are written into a slab once at dispatch and moved out once at delivery,
-//! with a calendar time wheel ordering the near future and a heap fallback
-//! for far timers. Message delivery is zero-clone — the only path that
-//! clones a message is a `Delivery::Duplicate` verdict, which copies the
-//! payload in-arena for the echo. Per-turn outbox/timer buffers are engine
-//! scratch, reused across turns. The seed engine's heap-of-whole-entries
-//! queue survives as [`crate::queue::QueueKind::ReferenceHeap`]; both kinds
-//! pop in identical `(time, seq)` order, so they replay identical histories
-//! (differentially tested in `tests/queue_determinism.rs`).
+//! are written into a slab once at dispatch and moved out once at delivery.
+//! A calendar time wheel orders the near future: scheduling appends a
+//! compact ref to its 64 µs bucket's list, and a bucket is sorted once, when
+//! the clock reaches it; far timers wait in a heap fallback. Message
+//! delivery is zero-clone — the only path that clones a message is a
+//! `Delivery::Duplicate` verdict, which copies the payload in-arena for the
+//! echo. Per-turn outbox/timer buffers are engine scratch, reused across
+//! turns. The seed engine's heap-of-whole-entries queue survives as
+//! [`crate::queue::QueueKind::ReferenceHeap`]; both kinds pop in identical
+//! `(time, seq)` order, so they replay identical histories (differentially
+//! tested in `tests/queue_determinism.rs`).
 
 use std::collections::BTreeSet;
 
@@ -466,7 +468,7 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
         EngineStats {
             events: self.processed_events,
             deferrals: self.queue.deferrals(),
-            queue_ops: self.queue.heap_ops(),
+            queue_ops: self.queue.queue_ops(),
         }
     }
 

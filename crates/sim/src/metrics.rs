@@ -46,7 +46,7 @@ pub struct EngineStats {
     pub events: u64,
     /// Events re-keyed because they reached the head of a busy node.
     pub deferrals: u64,
-    /// Pushes and pops on the indexed queue's wheel and overflow heaps.
+    /// Ref moves the indexed queue made: [`crate::queue::SimQueue::queue_ops`].
     pub queue_ops: u64,
 }
 

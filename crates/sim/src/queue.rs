@@ -13,9 +13,15 @@
 //!   path that semantically *is* a copy (`Delivery::Duplicate`).
 //! * **Calendar time wheel**: near-future events (the common case — message
 //!   latencies and service times are micro- to milliseconds) land in one of
-//!   [`NUM_BUCKETS`] buckets of [`BUCKET_WIDTH_US`] µs; each bucket is a
-//!   small heap of compact 24-byte `(time, seq, slot)` refs (buckets hold a
-//!   handful of events in practice).
+//!   [`NUM_BUCKETS`] buckets of [`BUCKET_WIDTH_US`] µs. A bucket is a FIFO
+//!   list of compact 24-byte `(time, seq, slot)` refs linked through one
+//!   shared arena, so scheduling an event is an O(1) append. When the
+//!   cursor reaches a bucket, its refs move once into the *cursor run*,
+//!   sorted by `(time, seq)`, and pops take the run's front. A ref scheduled
+//!   into the bucket the cursor already holds (a busy re-key, a proxy, an
+//!   event due within the same 64 µs) is binary-inserted into the run; its
+//!   key is most often the largest yet or, for a run queue's next front,
+//!   the smallest, so it lands at or near one end.
 //! * **Heap fallback for far timers**: events beyond the wheel's span
 //!   (commit timeouts, crash windows seconds away) overflow into a small
 //!   binary heap of refs and are folded back into the wheel as its horizon
@@ -44,18 +50,15 @@
 //!
 //! # Capacity
 //!
-//! The wheel holds only live capacity. A bucket is reused every
-//! `NUM_BUCKETS × BUCKET_WIDTH_US` µs, and a heap never shrinks by itself, so
-//! without a bound each of the 4 096 buckets would keep the allocation of
-//! the largest burst it ever held. Bursts are real: a crashed node's timers
+//! The bucket lists share one arena of links, and a drained list's links
+//! are reused, so the arena never holds more links than were listed at
+//! once — where 4 096 separately allocated buckets would each keep the
+//! largest burst they ever held. Bursts are real: a crashed node's timers
 //! are all deferred to its recovery instant, and thousands of refs land in
-//! one bucket at once. So a bucket that drains with more than
-//! `BUCKET_KEEP_REFS` (16 refs, 384 B) of capacity frees it, and the next
-//! event to land there allocates afresh. A steady-state bucket holds a
-//! handful of events and never grows past that bound, so the release
-//! almost never runs there (once in ~2 M events on the Gryff WAN profile,
-//! never on the Spanner WAN one). It runs after bursts: on ~3 % of the
-//! events of a durable single-DC run with two crashes. Freeing an empty heap
+//! one bucket at once. They pass through the cursor run when the cursor
+//! reaches them, and a run that drains with room for more than
+//! `BUCKET_KEEP_REFS` refs gives the excess back, so one burst does not
+//! stay allocated there for the rest of the run. Shrinking an empty run
 //! moves no ref, so pop order is untouched.
 //!
 //! Pops are in strict global `(time, seq)` order — the exact order the seed
@@ -108,21 +111,44 @@ pub const BUCKET_WIDTH_US: u64 = 1 << BUCKET_SHIFT;
 pub const NUM_BUCKETS: usize = 4_096;
 /// Words of the bucket-occupancy bitmap.
 const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
-/// The most refs a drained bucket keeps allocated (16 × 24 B = 384 B): see
-/// the module docs, "Capacity".
-const BUCKET_KEEP_REFS: usize = 16;
+/// The most refs a drained cursor run keeps room for (64 × 24 B = 1.5 KiB;
+/// the most crowded buckets of a durable single-DC run load 33–64): see the
+/// module docs, "Capacity".
+const BUCKET_KEEP_REFS: usize = 64;
 
 /// A compact reference to an arena slot, ordered by `(time, seq)`.
 ///
 /// `target` packs the event's destination node and the power-event flag
 /// (bit 31), so the engine can route busy-deferral decisions from the ref
 /// alone — [`SimQueue::defer_head`] never touches the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EventRef {
     time: SimTime,
     seq: u64,
     slot: u32,
     target: u32,
+}
+
+impl EventRef {
+    /// `(time, seq)` as one integer, so that sorting a loaded bucket and
+    /// placing a late arrival compare without branching on the time. Every
+    /// schedule and re-key draws a fresh seq, so no two refs in the wheel
+    /// tie.
+    fn key(&self) -> u128 {
+        u128::from(self.time.as_micros()) << 64 | u128::from(self.seq)
+    }
+}
+
+impl Ord for EventRef {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl PartialOrd for EventRef {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Bit 31 of a packed target: set for power (crash/recover) events, which
@@ -140,38 +166,70 @@ fn pack_target(node: usize, power: bool) -> u32 {
     node | if power { POWER_BIT } else { 0 }
 }
 
+/// The end of a bucket list, and of the free-link chain.
+const NIL: u32 = u32::MAX;
+
+/// One listed ref and the arena index of the next link in its bucket (or,
+/// for a free link, of the next free link).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    entry: EventRef,
+    next: u32,
+}
+
+/// A bucket's list: arena indices of its first and last links, `NIL` when
+/// the bucket is empty.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket { head: NIL, tail: NIL };
+}
+
 /// The arena + calendar-wheel queue.
 ///
-/// Buckets are small binary heaps of 24-byte [`EventRef`]s: radix
-/// bucketing does the coarse (64 µs) ordering, the per-bucket heap the fine
-/// ordering — and nothing ever moves a payload. A saturated node's backlog
-/// never piles into a bucket: it waits in that node's run queue behind one
-/// proxy ref.
+/// Radix bucketing does the coarse (64 µs) ordering, one sort of the bucket
+/// the cursor reaches the fine ordering — and nothing ever moves a payload.
+/// A saturated node's backlog never piles into a bucket: it waits in that
+/// node's run queue behind one proxy ref.
 struct IndexedQueue<T> {
     /// Slab of payloads; `None` slots are free.
     slots: Vec<Option<T>>,
     /// Free slot ids, reused LIFO.
     free: Vec<u32>,
-    /// The wheel: bucket `abs % NUM_BUCKETS` holds refs whose absolute
-    /// bucket index is in `[min_abs, min_abs + NUM_BUCKETS)`.
-    wheel: Vec<BinaryHeap<Reverse<EventRef>>>,
-    /// One bit per bucket: set iff the bucket is non-empty. Lets the cursor
-    /// leap over empty stretches with `trailing_zeros` instead of walking
-    /// them bucket by bucket.
+    /// The wheel: bucket `abs % NUM_BUCKETS` lists, in arrival order, the
+    /// refs whose absolute bucket index `abs` is in
+    /// `(min_abs, min_abs + NUM_BUCKETS)`. The cursor bucket's own refs are
+    /// in `cursor_run`, never in its list.
+    buckets: Box<[Bucket]>,
+    /// Every bucket's links; free ones are chained from `free_link`.
+    links: Vec<Link>,
+    /// First free link, `NIL` if none.
+    free_link: u32,
+    /// One bit per bucket: set iff the bucket's list is non-empty. Lets the
+    /// cursor leap over empty stretches with `trailing_zeros` instead of
+    /// walking them bucket by bucket.
     occupancy: [u64; OCCUPANCY_WORDS],
     /// Absolute bucket index of the wheel cursor (earliest live bucket).
     min_abs: u64,
+    /// The refs of bucket `min_abs`, and of any instant before it, by
+    /// `(time, seq)`: every one precedes every listed ref.
+    cursor_run: VecDeque<EventRef>,
     /// Events beyond the wheel horizon, by `(time, seq)`.
     overflow: BinaryHeap<Reverse<EventRef>>,
-    /// Refs currently in the wheel (not the overflow), proxies included.
-    wheel_len: usize,
+    /// Refs in bucket lists (not the cursor run or the overflow), proxies
+    /// included.
+    listed: usize,
     /// Scheduled events, wherever their refs wait (proxies do not count).
     len: usize,
     /// Per-node run queues of busy-deferred refs, keys ascending. A
     /// non-empty one has exactly one proxy in the wheel or the overflow.
     runs: Vec<VecDeque<EventRef>>,
-    /// Pushes and pops performed on wheel buckets and the overflow heap.
-    heap_ops: u64,
+    /// Ref moves the wheel and the overflow made: see [`SimQueue::queue_ops`].
+    queue_ops: u64,
 }
 
 impl<T> IndexedQueue<T> {
@@ -179,39 +237,29 @@ impl<T> IndexedQueue<T> {
         IndexedQueue {
             slots: Vec::new(),
             free: Vec::new(),
-            wheel: (0..NUM_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            buckets: vec![Bucket::EMPTY; NUM_BUCKETS].into_boxed_slice(),
+            links: Vec::new(),
+            free_link: NIL,
             occupancy: [0; OCCUPANCY_WORDS],
             min_abs: 0,
+            cursor_run: VecDeque::new(),
             overflow: BinaryHeap::new(),
-            wheel_len: 0,
+            listed: 0,
             len: 0,
             runs: Vec::new(),
-            heap_ops: 0,
+            queue_ops: 0,
         }
     }
 
-    #[inline]
-    fn mark_occupied(&mut self, bucket: usize) {
-        self.occupancy[bucket / 64] |= 1 << (bucket % 64);
-    }
-
-    #[inline]
-    fn mark_empty(&mut self, bucket: usize) {
-        self.occupancy[bucket / 64] &= !(1 << (bucket % 64));
-    }
-
-    /// The first occupied bucket at or after `bucket(min_abs)`, in circular
-    /// order, as an offset from the cursor (`None` if the wheel is empty).
-    fn next_occupied_offset(&self) -> Option<u64> {
-        if self.wheel_len == 0 {
-            return None;
-        }
+    /// The first occupied bucket after `bucket(min_abs)`, in circular
+    /// order, as an offset from the cursor. Only called with `listed > 0`.
+    fn next_occupied_offset(&self) -> u64 {
         let start = (self.min_abs % NUM_BUCKETS as u64) as usize;
         let (start_word, start_bit) = (start / 64, start % 64);
         // First word: mask off bits before the cursor.
         let masked = self.occupancy[start_word] & (!0u64 << start_bit);
         if masked != 0 {
-            return Some(masked.trailing_zeros() as u64 - start_bit as u64);
+            return masked.trailing_zeros() as u64 - start_bit as u64;
         }
         // Subsequent words, wrapping circularly; the final step re-reads the
         // first word, whose pre-cursor bits are buckets almost a full
@@ -220,10 +268,10 @@ impl<T> IndexedQueue<T> {
             let word = self.occupancy[(start_word + step) % OCCUPANCY_WORDS];
             if word != 0 {
                 let bit = word.trailing_zeros() as u64;
-                return Some(step as u64 * 64 - start_bit as u64 + bit);
+                return step as u64 * 64 - start_bit as u64 + bit;
             }
         }
-        unreachable!("wheel_len > 0 but no occupied bucket found")
+        unreachable!("listed > 0 but no occupied bucket found")
     }
 
     fn alloc(&mut self, payload: T) -> u32 {
@@ -245,82 +293,124 @@ impl<T> IndexedQueue<T> {
         time.as_micros() >> BUCKET_SHIFT
     }
 
-    /// Places a ref (an event's or a proxy's) in the wheel or the overflow.
+    /// Places a ref (an event's or a proxy's) in the cursor run, a bucket
+    /// list or the overflow.
     fn insert(&mut self, entry: EventRef) {
         let abs = Self::abs_bucket(entry.time);
+        self.queue_ops += 1;
         if abs >= self.min_abs + NUM_BUCKETS as u64 {
             self.overflow.push(Reverse(entry));
+        } else if abs > self.min_abs {
+            self.append((abs % NUM_BUCKETS as u64) as usize, entry);
+        } else if self.cursor_run.back().is_none_or(|back| *back < entry) {
+            // The cursor's bucket (or, never from the engine, which only
+            // schedules at or after `now`, one before it): the usual late
+            // arrival has the largest key yet.
+            self.cursor_run.push_back(entry);
+        } else if entry < self.cursor_run[0] {
+            // Keyed before every loaded ref: the next front of a run queue
+            // whose proxy was just popped, or an event due at the instant
+            // just served.
+            self.cursor_run.push_front(entry);
         } else {
-            // An entry at or before the cursor's bucket (the engine only
-            // schedules at or after `now`) joins the cursor bucket; pops
-            // compare full `(time, seq)` keys, so ordering is unaffected.
-            let abs = abs.max(self.min_abs);
-            let bucket = (abs % NUM_BUCKETS as u64) as usize;
-            self.wheel[bucket].push(Reverse(entry));
-            self.mark_occupied(bucket);
-            self.wheel_len += 1;
+            let at = self.cursor_run.partition_point(|queued| *queued < entry);
+            let shifted = at.min(self.cursor_run.len() - at);
+            self.queue_ops += shifted as u64;
+            self.cursor_run.insert(at, entry);
         }
-        self.heap_ops += 1;
+    }
+
+    /// Appends a ref to a bucket's list.
+    fn append(&mut self, bucket: usize, entry: EventRef) {
+        let link = Link { entry, next: NIL };
+        let index = if self.free_link == NIL {
+            assert!(self.links.len() < NIL as usize, "wheel arena exceeds u32 links");
+            self.links.push(link);
+            self.links.len() as u32 - 1
+        } else {
+            let index = self.free_link;
+            self.free_link = self.links[index as usize].next;
+            self.links[index as usize] = link;
+            index
+        };
+        let list = &mut self.buckets[bucket];
+        if list.head == NIL {
+            list.head = index;
+            self.occupancy[bucket / 64] |= 1 << (bucket % 64);
+        } else {
+            self.links[list.tail as usize].next = index;
+        }
+        list.tail = index;
+        self.listed += 1;
     }
 
     /// Folds overflow events that now fall inside the wheel horizon back
-    /// into their buckets.
+    /// into the wheel.
     fn drain_overflow(&mut self) {
         let horizon = self.min_abs + NUM_BUCKETS as u64;
         while let Some(&Reverse(entry)) = self.overflow.peek() {
             if Self::abs_bucket(entry.time) >= horizon {
                 break;
             }
-            let entry = self.overflow.pop().expect("peeked entry exists").0;
-            let bucket = (Self::abs_bucket(entry.time) % NUM_BUCKETS as u64) as usize;
-            self.wheel[bucket].push(Reverse(entry));
-            self.mark_occupied(bucket);
-            self.wheel_len += 1;
-            self.heap_ops += 2;
+            self.overflow.pop();
+            self.queue_ops += 1;
+            self.insert(entry);
         }
     }
 
-    /// Locates the bucket holding the minimum `(time, seq)` ref, advancing
-    /// the cursor past empty buckets (and leaping straight to the overflow's
-    /// first bucket when the wheel is empty). Returns `None` on an empty
-    /// queue.
-    fn min_bucket(&mut self) -> Option<usize> {
-        if self.wheel_len == 0 {
+    /// Makes the cursor run hold the queue's minimum ref: once the run has
+    /// drained, advances the cursor to the first occupied bucket (leaping
+    /// straight to the overflow's first bucket when no bucket lists a ref)
+    /// and moves that bucket's list into the run, sorted. The run stays
+    /// empty only on an empty queue.
+    fn load_cursor(&mut self) {
+        if !self.cursor_run.is_empty() {
+            return;
+        }
+        if self.listed == 0 {
             // Everything lives past the horizon: leap the wheel to the
-            // earliest overflow event's bucket.
-            let &Reverse(first) = self.overflow.peek()?;
-            self.min_abs = Self::abs_bucket(first.time);
-            self.drain_overflow();
+            // earliest overflow event's bucket, which the fold below puts
+            // in the cursor run.
+            if let Some(&Reverse(first)) = self.overflow.peek() {
+                self.min_abs = Self::abs_bucket(first.time);
+                self.drain_overflow();
+            }
+            return;
         }
-        // Leap the cursor to the first occupied bucket, then restore the
-        // overflow invariant for the advanced horizon (folded events always
-        // land at or after the new cursor, so one leap settles it).
-        let offset = self.next_occupied_offset().expect("wheel_len > 0");
-        if offset > 0 {
-            self.min_abs += offset;
-            self.drain_overflow();
+        self.min_abs += self.next_occupied_offset();
+        let bucket = (self.min_abs % NUM_BUCKETS as u64) as usize;
+        let Bucket { head, tail } = std::mem::replace(&mut self.buckets[bucket], Bucket::EMPTY);
+        self.occupancy[bucket / 64] &= !(1 << (bucket % 64));
+        let mut link = head;
+        while link != NIL {
+            let Link { entry, next } = self.links[link as usize];
+            self.cursor_run.push_back(entry);
+            link = next;
         }
-        Some((self.min_abs % NUM_BUCKETS as u64) as usize)
+        // The drained list joins the free chain whole.
+        self.links[tail as usize].next = self.free_link;
+        self.free_link = head;
+        self.listed -= self.cursor_run.len();
+        self.queue_ops += self.cursor_run.len() as u64;
+        self.cursor_run.make_contiguous().sort_unstable();
+        // Restore the overflow invariant for the advanced horizon (folded
+        // events land after the new cursor, so one fold settles it).
+        self.drain_overflow();
     }
 
     fn peek_head(&mut self) -> Option<EventRef> {
-        let bucket = self.min_bucket()?;
-        self.wheel[bucket].peek().map(|&Reverse(e)| e)
+        self.load_cursor();
+        self.cursor_run.front().copied()
     }
 
     /// Removes and returns the head ref (an event's or a proxy's).
     fn pop_head_ref(&mut self) -> Option<EventRef> {
-        let bucket = self.min_bucket()?;
-        let heap = &mut self.wheel[bucket];
-        let Reverse(entry) = heap.pop().expect("min bucket is non-empty");
-        if heap.is_empty() {
-            if heap.capacity() > BUCKET_KEEP_REFS {
-                *heap = BinaryHeap::new();
-            }
-            self.mark_empty(bucket);
+        self.load_cursor();
+        let entry = self.cursor_run.pop_front()?;
+        if self.cursor_run.is_empty() && self.cursor_run.capacity() > BUCKET_KEEP_REFS {
+            self.cursor_run.shrink_to(BUCKET_KEEP_REFS);
         }
-        self.wheel_len -= 1;
-        self.heap_ops += 1;
+        self.queue_ops += 1;
         Some(entry)
     }
 
@@ -598,11 +688,15 @@ impl<T> SimQueue<T> {
         self.deferrals
     }
 
-    /// Pushes and pops on the wheel's buckets and the overflow heap so far;
-    /// zero on the reference heap, which has neither.
-    pub fn heap_ops(&self) -> u64 {
+    /// Ref moves the indexed queue made so far: one per ref appended to a
+    /// bucket list, moved from a list into the cursor run, popped from the
+    /// run, pushed on or popped off the overflow heap, or shifted aside by
+    /// an insert into the middle of the run (the one sort of a loaded
+    /// bucket is not counted). Zero on the reference heap, which has none
+    /// of these.
+    pub fn queue_ops(&self) -> u64 {
         match &self.inner {
-            QueueImpl::Indexed(q) => q.heap_ops,
+            QueueImpl::Indexed(q) => q.queue_ops,
             QueueImpl::Heap(_) => 0,
         }
     }
@@ -817,8 +911,9 @@ mod tests {
     /// The storm shape: N same-instant arrivals at one busy node, another
     /// node's events wedged between their seqs at every busy instant, and a
     /// crash of the busy node mid-backlog. Pops follow the reference heap,
-    /// and the wheel does O(1) work per event where deferring through it
-    /// costs a pop and a push per deferral — ~N²/2 of them.
+    /// and the wheel does O(1) work per event — every ref an insert shifts
+    /// aside in the cursor run counted — where deferring through it costs a
+    /// pop and a push per deferral, ~N²/2 of them.
     #[test]
     fn storm_at_a_busy_node_costs_the_wheel_constant_work_per_event() {
         const N: u64 = 400;
@@ -855,9 +950,9 @@ mod tests {
                 push_both(&mut wheel, &mut heap, frees, 0, 2 * N + payload);
             }
         }
-        let (deferrals, heap_ops) = (wheel.q.deferrals(), wheel.q.heap_ops());
+        let (deferrals, queue_ops) = (wheel.q.deferrals(), wheel.q.queue_ops());
         assert!(deferrals > N * N / 4, "not a storm: {deferrals} deferrals");
-        assert!(heap_ops <= 8 * events, "{heap_ops} wheel operations for {events} events");
+        assert!(queue_ops <= 8 * events, "{queue_ops} wheel operations for {events} events");
     }
 
     fn indexed(q: &SimQueue<u64>) -> &IndexedQueue<u64> {
@@ -867,12 +962,56 @@ mod tests {
         }
     }
 
+    /// The links of one bucket's list, head to tail.
+    fn listed_in(q: &IndexedQueue<u64>, bucket: usize) -> usize {
+        let (mut link, mut count) = (q.buckets[bucket].head, 0);
+        while link != NIL {
+            (link, count) = (q.links[link as usize].next, count + 1);
+        }
+        count
+    }
+
+    /// The most refs one bucket holds, listed or loaded in the cursor run.
+    fn most_in_one_bucket(q: &IndexedQueue<u64>) -> usize {
+        let listed = (0..NUM_BUCKETS).map(|bucket| listed_in(q, bucket)).max().unwrap_or(0);
+        listed.max(q.cursor_run.len())
+    }
+
+    /// Refs scheduled into the bucket the cursor has already loaded — later
+    /// than every loaded ref, tied with one, at the instant just popped, and
+    /// in between — join its run at their `(time, seq)` place, and one due
+    /// in the next bucket waits in that bucket's list.
+    #[test]
+    fn late_arrivals_join_the_loaded_cursor_bucket_in_key_order() {
+        for kind in [QueueKind::Indexed, QueueKind::ReferenceHeap] {
+            let mut q = SimQueue::new(kind);
+            // Bucket 1 is [64, 128) µs.
+            push(&mut q, 100, 1);
+            push(&mut q, 120, 2);
+            push(&mut q, 70, 3);
+            push(&mut q, 200, 4);
+            assert_eq!(q.pop(), Some((SimTime::from_micros(70), 3)), "{kind:?}");
+            push(&mut q, 127, 5);
+            push(&mut q, 100, 6);
+            push(&mut q, 70, 7);
+            push(&mut q, 90, 8);
+            push(&mut q, 128, 9);
+            if kind == QueueKind::Indexed {
+                let q = indexed(&q);
+                assert_eq!(q.cursor_run.len(), 6, "five late arrivals joined the loaded bucket");
+                assert_eq!((listed_in(q, 2), q.listed), (1, 2), "the next bucket's waits listed");
+            }
+            let order = [(70, 7), (90, 8), (100, 1), (100, 6), (120, 2), (127, 5), (128, 9)];
+            assert_eq!(drain(&mut q), [&order[..], &[(200, 4)]].concat(), "{kind:?}");
+        }
+    }
+
     /// The crowded-bucket shape of a durable run: a crashed node's timers
     /// are all deferred to its recovery instant, so thousands of refs pile
     /// into one 64 µs bucket — straight into the wheel for a recovery inside
     /// its span, through the overflow heap for one past it. Pops follow the
-    /// reference heap, and once a burst drains no bucket keeps more than a
-    /// steady-state bucket's capacity.
+    /// reference heap, and once both bursts drain the cursor run keeps no
+    /// more than a steady-state bucket's capacity and no link is live.
     #[test]
     fn a_recovery_burst_drains_back_to_steady_state_capacity() {
         const BURST: u64 = 4_096;
@@ -899,18 +1038,24 @@ mod tests {
             }
         }
         let q = indexed(&wheel.q);
-        let piled = q.wheel.iter().map(BinaryHeap::len).max().unwrap_or(0);
+        let piled = most_in_one_bucket(q);
         assert!(piled as u64 > BURST, "the first burst shares one bucket ({piled} refs)");
         assert!(q.overflow.len() as u64 > BURST, "the second waits past the horizon");
         let mut folded = 0;
         while let Some(served) = serve_both(&mut wheel, &mut heap) {
             if served == (SimTime::from_micros(far), RECOVER) {
                 // The overflow burst, folded back into the wheel in one piece.
-                folded = indexed(&wheel.q).wheel.iter().map(BinaryHeap::len).max().unwrap_or(0);
+                folded = most_in_one_bucket(indexed(&wheel.q));
             }
         }
         assert!(folded as u64 >= BURST, "the second burst shares one bucket ({folded} refs)");
-        let kept = indexed(&wheel.q).wheel.iter().map(BinaryHeap::capacity).max().unwrap_or(0);
-        assert!(kept <= BUCKET_KEEP_REFS, "a drained bucket keeps {kept} refs of capacity");
+        let q = indexed(&wheel.q);
+        let kept = q.cursor_run.capacity();
+        assert!(kept <= BUCKET_KEEP_REFS, "the drained cursor run keeps {kept} refs of capacity");
+        let (mut link, mut free) = (q.free_link, 0);
+        while link != NIL {
+            (link, free) = (q.links[link as usize].next, free + 1);
+        }
+        assert_eq!((q.listed, free), (0, q.links.len()), "every link is free");
     }
 }

@@ -4,9 +4,10 @@
 //! `(engine seed, workload seed, FaultSchedule)` — including same-timestamp
 //! tie-breaking — across Spanner-RSS, Gryff-RSC, and the composed
 //! deployment, healthy and under faults (the new one-way-cut and
-//! crash-during-commit-wait shapes included). Histories are compared as
-//! canonical JSON text, the same yardstick the sweep's failure artifacts
-//! use.
+//! crash-during-commit-wait shapes included), and on the deferral-heavy
+//! shape of a single-data-center Spanner-RSS run on a write-ahead log,
+//! whose nodes stay busy. Histories are compared as canonical JSON text,
+//! the same yardstick the sweep's failure artifacts use.
 
 use proptest::prelude::*;
 use regular_seq::gryff::prelude as gryff;
@@ -16,6 +17,7 @@ use regular_seq::sim::net::{LatencyMatrix, Region};
 use regular_seq::sim::queue::QueueKind;
 use regular_seq::sim::time::{SimDuration, SimTime};
 use regular_seq::spanner::prelude as spanner;
+use regular_seq::storage::{Durability, StorageRegistry, WalOptions};
 use regular_seq::sweep::artifact::history_to_json;
 use regular_seq::sweep::composed::{run_composed_on, ComposedRunConfig, ComposedWorkload};
 
@@ -55,6 +57,55 @@ fn spanner_history(seed: u64, kind: QueueKind, faults: Option<FaultSchedule>) ->
             measure_from: SimTime::from_secs(1),
         },
     );
+    let (history, _) = spanner::build_history(&result);
+    history_to_json(&history).to_pretty()
+}
+
+/// A single-data-center Spanner-RSS run on a `MemDisk` write-ahead log
+/// (group commit, checkpoints) with one shard crashed and recovered from
+/// its log, rendered as canonical history JSON. Single-DC latencies are
+/// the scale of service times, so shards stay busy and most events wait
+/// out a busy node: the busy path and crowded wheel buckets do the work.
+fn durable_spanner_history(seed: u64, kind: QueueKind) -> String {
+    let wal = WalOptions::mem(StorageRegistry::new())
+        .with_group_commit_us(200)
+        .with_segment_bytes(16 * 1024)
+        .with_checkpoint_every(256)
+        .with_torn_tail_seed(seed);
+    let faults =
+        FaultSchedule::new().crash(3, SimTime::from_millis(300), SimTime::from_millis(700));
+    let timeout = SimDuration::from_millis(500);
+    let mut config = spanner::SpannerConfig::single_dc(spanner::Mode::SpannerRss, 8)
+        .with_faults(faults, timeout)
+        .with_durability(Durability::Wal(wal));
+    config.commit_timeout = timeout;
+    let clients = (0..4)
+        .map(|i| spanner::ClientSpec {
+            region: 0,
+            sessions: SessionConfig::closed_loop(8, SimDuration::ZERO)
+                .with_workload_seed(seed.wrapping_mul(1_000_003).wrapping_add(i)),
+            workload: Box::new(spanner::UniformWorkload {
+                num_keys: 10_000,
+                ro_fraction: 0.2,
+                keys_per_txn: 3,
+            }) as Box<dyn SessionWorkload>,
+        })
+        .collect();
+    let result = spanner::run_cluster_on(
+        &sim(kind),
+        spanner::ClusterSpec {
+            config,
+            net: LatencyMatrix::single_dc(),
+            seed,
+            clients,
+            stop_issuing_at: SimTime::from_millis(1_200),
+            drain: SimDuration::from_secs(1),
+            measure_from: SimTime::ZERO,
+        },
+    );
+    assert!(result.storage.recoveries >= 1, "the crashed shard recovers from its log");
+    let engine = result.engine;
+    assert!(engine.deferrals > engine.events, "the run is deferral-heavy: {engine:?}");
     let (history, _) = spanner::build_history(&result);
     history_to_json(&history).to_pretty()
 }
@@ -149,6 +200,14 @@ fn spanner_histories_are_byte_identical_across_queue_kinds() {
         assert_eq!(indexed, heap, "spanner {label}: queue kinds must replay identically");
         assert!(indexed.len() > 1_000, "spanner {label}: the run produced a real history");
     }
+}
+
+#[test]
+fn durable_single_dc_spanner_histories_are_byte_identical_across_queue_kinds() {
+    let indexed = durable_spanner_history(3, QueueKind::Indexed);
+    let heap = durable_spanner_history(3, QueueKind::ReferenceHeap);
+    assert_eq!(indexed, heap, "durable spanner: queue kinds must replay identically");
+    assert!(indexed.len() > 1_000, "durable spanner: the run produced a real history");
 }
 
 #[test]
