@@ -76,12 +76,6 @@ impl CheckOutcome {
     }
 }
 
-/// Real-time constraint edges between *all* pairs of operations (strict
-/// serializability / linearizability).
-pub fn real_time_edges(history: &History) -> Vec<(OpId, OpId)> {
-    real_time_edges_indexed(&HistoryIndex::new(history))
-}
-
 fn real_time_edges_indexed(index: &HistoryIndex) -> Vec<(OpId, OpId)> {
     let n = index.len();
     let mut edges = Vec::new();
@@ -102,10 +96,6 @@ fn real_time_edges_indexed(index: &HistoryIndex) -> Vec<(OpId, OpId)> {
 /// for every completed mutating operation `w` and every operation `t` that is
 /// either a conflicting read-only operation or itself mutating, if `w`
 /// finishes before `t` starts then `w` must precede `t` in the sequence.
-pub fn regular_write_edges(history: &History) -> Vec<(OpId, OpId)> {
-    regular_write_edges_indexed(&HistoryIndex::new(history))
-}
-
 fn regular_write_edges_indexed(index: &HistoryIndex) -> Vec<(OpId, OpId)> {
     let n = index.len();
     let mut edges = Vec::new();

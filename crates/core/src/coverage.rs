@@ -144,11 +144,6 @@ impl CoverageBuilder {
         self.features.push(feature_id(domain, feature));
     }
 
-    /// Records a raw feature identifier.
-    pub fn hit_id(&mut self, id: u32) {
-        self.features.push(id);
-    }
-
     /// Records a log2-bucketed counter: the feature hit is
     /// `(tag << 8) | min(bucket, 255)` where `bucket = floor(log2(n)) + 1`
     /// for `n > 0` and `0` for `n == 0` — so "none", "a few", and "a storm"

@@ -30,8 +30,6 @@
 //!   equivalent strictly serializable one.
 //! * [`invariants`] — the photo-sharing application, invariants I1/I2, and
 //!   anomaly detectors A1–A3 (Table 1).
-//! * [`fence`] — the real-time fence abstraction for composing RSS/RSC
-//!   services (Section 4.1).
 //! * [`coverage`] — behaviour-coverage signatures shared by the simulator,
 //!   failure artifacts, and the coverage-guided hunter (`regular-hunt`).
 //!
@@ -55,7 +53,6 @@
 
 pub mod checker;
 pub mod coverage;
-pub mod fence;
 pub mod hashing;
 pub mod history;
 pub mod invariants;
@@ -72,7 +69,6 @@ pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
 pub use checker::window::{StreamingChecker, WindowBuffer};
 pub use coverage::{CoverageBuilder, CoverageMap, CoverageSignature};
-pub use fence::FencedService;
 pub use history::{ByProcess, History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord};
 pub use op::{OpKind, OpResult};
 pub use order::CausalOrder;

@@ -8,11 +8,10 @@
 //! invokes the previous service's fence exactly when the client switches
 //! services. No application changes are required.
 //!
-//! Service names are interned to dense [`ServiceIdx`] ids at registration, so
-//! the transaction-start hot path performs no allocation: the last service is
-//! tracked as an index, and callers that hold on to the [`ServiceIdx`]
-//! returned by [`LibRss::register_service`] can use
-//! [`LibRss::start_transaction_at`] to skip the name lookup entirely.
+//! The rule itself lives in one place, [`FencePlanner`]: the composed session
+//! runner of the `regular-session` crate asks it per lane and executes the
+//! fence as a protocol operation, and [`LibRss`] is Figure 3's callback table
+//! over one planner process.
 //!
 //! The crate also provides the causal-context propagation helper of
 //! Section 4.2: when application processes interact out of band (e.g. a Web
@@ -20,12 +19,6 @@
 //! serialized [`CausalContext`] carries the minimum-read-timestamp metadata and
 //! the name of the last service so the receiving process's `libRSS` instance
 //! can continue enforcing causality.
-//!
-//! For simulated deployments where a fence is an asynchronous protocol
-//! operation rather than a synchronous callback, [`planner::FencePlanner`]
-//! exposes the same decision logic (fence the previous service exactly on a
-//! service switch) in a pure form; the `regular-session` crate's composed
-//! session runner drives it.
 //!
 //! # Example
 //!
@@ -48,19 +41,9 @@
 //! assert_eq!(kv_fences.load(Ordering::SeqCst), 1);
 //! ```
 
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use regular_core::fence::{FenceStats, FencedService};
-
 pub mod planner;
 
-pub use planner::FencePlanner;
-
-/// Dense identifier of a registered service, assigned by
-/// [`LibRss::register_service`] in registration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ServiceIdx(pub usize);
+pub use planner::{FencePlanner, FenceStats};
 
 /// Errors returned by the meta-library.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,22 +53,18 @@ pub enum LibRssError {
     UnknownService(String),
 }
 
-/// One registered service: its name and fence callback. Unregistered slots
-/// keep their name (indices stay stable) but lose the callback.
-struct ServiceSlot {
-    name: String,
-    fence: Option<Box<dyn FnMut() + Send>>,
-}
+/// A registered service's real-time fence.
+type Fence = Box<dyn FnMut() + Send>;
 
 /// The per-process composition meta-library (Figure 3).
 #[derive(Default)]
 pub struct LibRss {
-    slots: Vec<ServiceSlot>,
-    /// Name → dense index; entries are removed on unregistration.
-    lookup: HashMap<String, usize>,
-    /// The service the last transaction was started at, as a dense index.
-    last_service: Option<usize>,
-    stats: FenceStats,
+    /// Registered services in registration order; a service's position is
+    /// its index in the planner. Unregistering drops the callback and keeps
+    /// the name, so positions stay stable.
+    services: Vec<(String, Option<Fence>)>,
+    /// This process's fence decisions, as the planner's one process `()`.
+    planner: FencePlanner<()>,
 }
 
 impl LibRss {
@@ -94,110 +73,59 @@ impl LibRss {
         Self::default()
     }
 
-    /// `RegisterService(name, fence_f)`: registers a service's fence callback
-    /// and returns its dense id. Re-registering a name replaces the callback
-    /// and keeps the id.
+    /// The position of a registered service.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.services.iter().position(|(n, fence)| n == name && fence.is_some())
+    }
+
+    /// `RegisterService(name, fence_f)`: registers a service's fence
+    /// callback. Re-registering a name replaces its callback.
     pub fn register_service(
         &mut self,
         name: impl Into<String>,
         fence: impl FnMut() + Send + 'static,
-    ) -> ServiceIdx {
+    ) {
         let name = name.into();
-        if let Some(&idx) = self.lookup.get(&name) {
-            self.slots[idx].fence = Some(Box::new(fence));
-            return ServiceIdx(idx);
+        let fence: Fence = Box::new(fence);
+        match self.services.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = Some(fence),
+            None => self.services.push((name, Some(fence))),
         }
-        let idx = self.slots.len();
-        self.lookup.insert(name.clone(), idx);
-        self.slots.push(ServiceSlot { name, fence: Some(Box::new(fence)) });
-        ServiceIdx(idx)
     }
 
-    /// Registers a [`FencedService`] implementation by wrapping it in the
-    /// callback form (the service is moved into the registry).
-    pub fn register_fenced_service<S: FencedService + Send + 'static>(
-        &mut self,
-        mut service: S,
-    ) -> ServiceIdx {
-        let name = service.service_name().to_string();
-        self.register_service(name, move || service.fence())
-    }
-
-    /// `UnregisterService(name)`: removes a service from the registry.
+    /// `UnregisterService(name)`: removes a service from the registry. If it
+    /// was the last service used, the next transaction is a first one: there
+    /// is nothing left to fence.
     pub fn unregister_service(&mut self, name: &str) -> bool {
-        let Some(idx) = self.lookup.remove(name) else { return false };
-        self.slots[idx].fence = None;
-        if self.last_service == Some(idx) {
-            self.last_service = None;
+        let Some(idx) = self.position(name) else { return false };
+        self.services[idx].1 = None;
+        if self.planner.last_service(&()) == Some(idx) {
+            self.planner.end_session(&());
         }
         true
-    }
-
-    /// Resolves a service name to its dense id, if registered.
-    pub fn service_idx(&self, name: &str) -> Option<ServiceIdx> {
-        self.lookup.get(name).copied().map(ServiceIdx)
     }
 
     /// `StartTransaction(name)`: must be called by a service's client library
     /// before starting a transaction. If the previous transaction went to a
     /// different service, that service's real-time fence is invoked first.
     pub fn start_transaction(&mut self, name: &str) -> Result<(), LibRssError> {
-        match self.lookup.get(name).copied() {
-            Some(idx) => {
-                self.start_at(idx);
-                Ok(())
-            }
-            None => Err(LibRssError::UnknownService(name.to_string())),
+        let idx =
+            self.position(name).ok_or_else(|| LibRssError::UnknownService(name.to_string()))?;
+        if let Some(prev) = self.planner.on_transaction((), idx) {
+            let fence = self.services[prev].1.as_mut().expect("the previous service is registered");
+            fence();
         }
-    }
-
-    /// [`LibRss::start_transaction`] by dense id, skipping the name lookup —
-    /// the allocation- and hash-free hot path for callers that kept the id
-    /// returned by [`LibRss::register_service`].
-    pub fn start_transaction_at(&mut self, service: ServiceIdx) -> Result<(), LibRssError> {
-        let idx = service.0;
-        if idx >= self.slots.len() || self.slots[idx].fence.is_none() {
-            let name =
-                self.slots.get(idx).map(|s| s.name.clone()).unwrap_or_else(|| format!("#{idx}"));
-            return Err(LibRssError::UnknownService(name));
-        }
-        self.start_at(idx);
         Ok(())
-    }
-
-    fn start_at(&mut self, idx: usize) {
-        match self.last_service {
-            Some(prev) if prev != idx => {
-                if let Some(fence) = self.slots[prev].fence.as_mut() {
-                    fence();
-                    self.stats.record_executed();
-                } else {
-                    // The previous service was unregistered; there is nothing
-                    // left to fence.
-                    self.stats.record_elided();
-                }
-            }
-            _ => self.stats.record_elided(),
-        }
-        self.last_service = Some(idx);
-    }
-
-    /// The registered service names, sorted.
-    pub fn services(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.slots.iter().filter(|s| s.fence.is_some()).map(|s| s.name.clone()).collect();
-        names.sort();
-        names
     }
 
     /// The service the last transaction was started at.
     pub fn last_service(&self) -> Option<&str> {
-        self.last_service.map(|idx| self.slots[idx].name.as_str())
+        self.planner.last_service(&()).map(|idx| self.services[idx].0.as_str())
     }
 
     /// Fence statistics (how many transaction starts required a fence).
     pub fn stats(&self) -> FenceStats {
-        self.stats
+        self.planner.stats()
     }
 
     /// Exports the causal context to send to another process (Section 4.2).
@@ -208,10 +136,8 @@ impl LibRss {
     /// Imports a causal context received from another process: the next
     /// transaction will fence the sender's last service if it differs.
     pub fn import_context(&mut self, ctx: &CausalContext) {
-        if let Some(svc) = &ctx.last_service {
-            if let Some(&idx) = self.lookup.get(svc) {
-                self.last_service = Some(idx);
-            }
+        if let Some(idx) = ctx.last_service.as_deref().and_then(|svc| self.position(svc)) {
+            self.planner.import_context((), idx);
         }
     }
 }
@@ -225,80 +151,6 @@ pub struct CausalContext {
     /// The sender's minimum read timestamp (service-specific meaning, e.g.
     /// Spanner-RSS's `t_min`).
     pub min_timestamp: u64,
-}
-
-/// A thread-safe wrapper for sharing one registry between application threads,
-/// exposing the full Section 4.1/4.2 workflow.
-#[derive(Default)]
-pub struct SharedLibRss {
-    inner: Mutex<LibRss>,
-}
-
-impl SharedLibRss {
-    /// Creates an empty shared registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Locks the registry. A panic while it was held leaves the registry as
-    /// that call left it, and every later call proceeds on that state rather
-    /// than panicking too.
-    fn lock(&self) -> MutexGuard<'_, LibRss> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// See [`LibRss::register_service`].
-    pub fn register_service(
-        &self,
-        name: impl Into<String>,
-        fence: impl FnMut() + Send + 'static,
-    ) -> ServiceIdx {
-        self.lock().register_service(name, fence)
-    }
-
-    /// See [`LibRss::register_fenced_service`].
-    pub fn register_fenced_service<S: FencedService + Send + 'static>(
-        &self,
-        service: S,
-    ) -> ServiceIdx {
-        self.lock().register_fenced_service(service)
-    }
-
-    /// See [`LibRss::unregister_service`].
-    pub fn unregister_service(&self, name: &str) -> bool {
-        self.lock().unregister_service(name)
-    }
-
-    /// See [`LibRss::start_transaction`].
-    pub fn start_transaction(&self, name: &str) -> Result<(), LibRssError> {
-        self.lock().start_transaction(name)
-    }
-
-    /// See [`LibRss::start_transaction_at`].
-    pub fn start_transaction_at(&self, service: ServiceIdx) -> Result<(), LibRssError> {
-        self.lock().start_transaction_at(service)
-    }
-
-    /// See [`LibRss::export_context`].
-    pub fn export_context(&self, min_timestamp: u64) -> CausalContext {
-        self.lock().export_context(min_timestamp)
-    }
-
-    /// See [`LibRss::import_context`].
-    pub fn import_context(&self, ctx: &CausalContext) {
-        self.lock().import_context(ctx)
-    }
-
-    /// See [`LibRss::last_service`]. Returns an owned name because the lock is
-    /// released before returning.
-    pub fn last_service(&self) -> Option<String> {
-        self.lock().last_service().map(str::to_string)
-    }
-
-    /// See [`LibRss::stats`].
-    pub fn stats(&self) -> FenceStats {
-        self.lock().stats()
-    }
 }
 
 #[cfg(test)]
@@ -338,25 +190,18 @@ mod tests {
     }
 
     #[test]
-    fn dense_ids_skip_the_name_lookup() {
+    fn reregistering_a_name_replaces_its_callback() {
         let (mut lib, kv, _) = counting_registry();
-        let kv_idx = lib.service_idx("kv").unwrap();
-        let queue_idx = lib.service_idx("queue").unwrap();
-        assert_eq!(kv_idx, ServiceIdx(0));
-        assert_eq!(queue_idx, ServiceIdx(1));
-        lib.start_transaction_at(kv_idx).unwrap();
-        lib.start_transaction_at(queue_idx).unwrap();
-        assert_eq!(kv.load(Ordering::SeqCst), 1);
+        let replacement = Arc::new(AtomicU32::new(0));
+        let r = replacement.clone();
+        lib.register_service("kv", move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+        lib.start_transaction("kv").unwrap();
+        lib.start_transaction("queue").unwrap();
+        assert_eq!(replacement.load(Ordering::SeqCst), 1, "the switch fences the new closure");
+        assert_eq!(kv.load(Ordering::SeqCst), 0, "the replaced closure never runs");
         assert_eq!(lib.last_service(), Some("queue"));
-        assert!(lib.start_transaction_at(ServiceIdx(99)).is_err());
-    }
-
-    #[test]
-    fn reregistering_a_name_keeps_its_id() {
-        let (mut lib, _, _) = counting_registry();
-        let again = lib.register_service("kv", || {});
-        assert_eq!(again, ServiceIdx(0));
-        assert_eq!(lib.services(), vec!["kv".to_string(), "queue".to_string()]);
     }
 
     #[test]
@@ -371,11 +216,10 @@ mod tests {
     #[test]
     fn unregister_removes_service() {
         let (mut lib, _, _) = counting_registry();
-        assert_eq!(lib.services(), vec!["kv".to_string(), "queue".to_string()]);
         assert!(lib.unregister_service("kv"));
         assert!(!lib.unregister_service("kv"));
-        assert_eq!(lib.services(), vec!["queue".to_string()]);
         assert!(lib.start_transaction("kv").is_err());
+        assert!(lib.start_transaction("queue").is_ok());
     }
 
     #[test]
@@ -387,6 +231,7 @@ mod tests {
         // or invoke the dropped callback.
         lib.start_transaction("queue").unwrap();
         assert_eq!(kv.load(Ordering::SeqCst), 0);
+        assert_eq!(lib.stats(), FenceStats { executed: 0, elided: 2 });
     }
 
     #[test]
@@ -405,78 +250,5 @@ mod tests {
         assert_eq!(rkv.load(Ordering::SeqCst), 1);
         // The sender's own callback is untouched by the receiver's fence.
         assert_eq!(kv.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn fenced_service_trait_registration() {
-        struct Svc {
-            fences: u32,
-        }
-        impl FencedService for Svc {
-            fn service_name(&self) -> &str {
-                "svc"
-            }
-            fn fence(&mut self) {
-                self.fences += 1;
-            }
-        }
-        let mut lib = LibRss::new();
-        lib.register_fenced_service(Svc { fences: 0 });
-        lib.register_service("other", || {});
-        lib.start_transaction("svc").unwrap();
-        lib.start_transaction("other").unwrap();
-        assert_eq!(lib.stats().executed, 1);
-        assert_eq!(lib.last_service(), Some("other"));
-    }
-
-    #[test]
-    fn shared_registry_is_thread_safe() {
-        let shared = Arc::new(SharedLibRss::new());
-        let count = Arc::new(AtomicU32::new(0));
-        let c = count.clone();
-        shared.register_service("kv", move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        shared.register_service("queue", || {});
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let s = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    s.start_transaction("kv").unwrap();
-                    s.start_transaction("queue").unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = shared.stats();
-        assert_eq!(stats.executed + stats.elided, 800);
-        assert!(count.load(Ordering::SeqCst) > 0);
-    }
-
-    #[test]
-    fn shared_registry_full_workflow_passthroughs() {
-        let sender = SharedLibRss::new();
-        sender.register_service("kv", || {});
-        sender.register_service("queue", || {});
-        sender.start_transaction("kv").unwrap();
-        assert_eq!(sender.last_service().as_deref(), Some("kv"));
-        let ctx = sender.export_context(7);
-
-        let fenced = Arc::new(AtomicU32::new(0));
-        let receiver = SharedLibRss::new();
-        let f = fenced.clone();
-        receiver.register_service("kv", move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        });
-        receiver.register_service("queue", || {});
-        receiver.import_context(&ctx);
-        receiver.start_transaction("queue").unwrap();
-        assert_eq!(fenced.load(Ordering::SeqCst), 1, "imported context forces the kv fence");
-
-        assert!(receiver.unregister_service("kv"));
-        assert!(receiver.start_transaction("kv").is_err());
     }
 }

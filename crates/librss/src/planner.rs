@@ -1,77 +1,90 @@
-//! The fence *decision* logic of `libRSS` in pure form.
+//! The fence *decision* of `libRSS`: the one place the composition rule
+//! lives.
 //!
-//! [`crate::LibRss`] executes fences through synchronous callbacks, which fits
-//! application threads. Inside a discrete-event simulation a fence is itself
-//! an asynchronous protocol operation (a message exchange or a TrueTime wait),
-//! so the driver needs the decision — *which service must be fenced before
-//! this transaction, if any* — separated from the execution. [`FencePlanner`]
-//! is that decision core: per session, it answers Figure 3's question ("did
-//! this client switch services since its previous transaction?") and keeps the
-//! executed/elided fence statistics.
+//! Inside a discrete-event simulation a fence is itself an asynchronous
+//! protocol operation (a message exchange or a TrueTime wait), so the caller
+//! needs the decision — *which service must be fenced before this
+//! transaction, if any* — separated from the execution. [`FencePlanner`] is
+//! that decision: per process, it answers Figure 3's question ("did this
+//! process switch services since its previous transaction?") and counts
+//! executed and elided fences. The composed session runner executes its
+//! answers as protocol operations; [`crate::LibRss`] executes them as
+//! synchronous callbacks.
 
-use regular_core::fence::FenceStats;
+use std::hash::Hash;
+
 use regular_core::hashing::FxHashMap;
 
-/// Per-session service-switch tracking: the pure core of `libRSS`'s
-/// `StartTransaction`, for drivers that execute fences asynchronously.
-#[derive(Debug, Default)]
-pub struct FencePlanner {
-    /// The service index of each session's previous transaction. Only
+/// Fence counts, for quantifying the composition overhead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FenceStats {
+    /// Transaction starts that fenced the previous service.
+    pub executed: u64,
+    /// Transaction starts that needed no fence (a process's first
+    /// transaction, or the same service as its previous one).
+    pub elided: u64,
+}
+
+/// Per-process service-switch tracking: the pure core of `libRSS`'s
+/// `StartTransaction`. `P` identifies an application process in the
+/// caller's own terms (a session lane, or `()` for a single process).
+#[derive(Debug)]
+pub struct FencePlanner<P> {
+    /// The service index of each process's previous transaction. Only
     /// inserted, looked up and removed — never iterated — so the fast hasher
     /// cannot reach any output.
-    last: FxHashMap<u64, usize>,
+    last: FxHashMap<P, usize>,
     stats: FenceStats,
 }
 
-impl FencePlanner {
+impl<P> Default for FencePlanner<P> {
+    fn default() -> Self {
+        FencePlanner { last: FxHashMap::default(), stats: FenceStats::default() }
+    }
+}
+
+impl<P: Hash + Eq> FencePlanner<P> {
     /// Creates an empty planner.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records that `session` is about to start a transaction at `service`
+    /// Records that `process` is about to start a transaction at `service`
     /// (a dense index chosen by the caller). Returns the service that must be
-    /// fenced *first*, which is `Some(previous)` exactly when the session
+    /// fenced *first*, which is `Some(previous)` exactly when the process
     /// switches services.
-    pub fn on_transaction(&mut self, session: u64, service: usize) -> Option<usize> {
-        match self.last.insert(session, service) {
+    pub fn on_transaction(&mut self, process: P, service: usize) -> Option<usize> {
+        match self.last.insert(process, service) {
             Some(prev) if prev != service => {
-                self.stats.record_executed();
+                self.stats.executed += 1;
                 Some(prev)
             }
             _ => {
-                self.stats.record_elided();
+                self.stats.elided += 1;
                 None
             }
         }
     }
 
-    /// The service of `session`'s previous transaction, if any.
-    pub fn last_service(&self, session: u64) -> Option<usize> {
-        self.last.get(&session).copied()
+    /// The service of `process`'s previous transaction, if any: its causal
+    /// position for out-of-band propagation (Section 4.2).
+    pub fn last_service(&self, process: &P) -> Option<usize> {
+        self.last.get(process).copied()
     }
 
-    /// Exports `session`'s causal position for out-of-band propagation to
-    /// another process (Section 4.2): the dense index of its last service.
-    /// The caller attaches the service *name* and the causal floor when
-    /// building a [`crate::CausalContext`].
-    pub fn export_context(&self, session: u64) -> Option<usize> {
-        self.last_service(session)
+    /// Imports a causal position received from another process: `process`'s
+    /// next transaction fences `last_service` exactly as if it had issued its
+    /// previous transaction there (Figure 3 across processes).
+    pub fn import_context(&mut self, process: P, last_service: usize) {
+        self.last.insert(process, last_service);
     }
 
-    /// Imports a causal position received from another process: `session`'s
-    /// next transaction fences `last_service` exactly as if the session had
-    /// issued its previous transaction there (Figure 3 across processes).
-    pub fn import_context(&mut self, session: u64, last_service: usize) {
-        self.last.insert(session, last_service);
+    /// Forgets a finished process: its next transaction is a first one.
+    pub fn end_session(&mut self, process: &P) {
+        self.last.remove(process);
     }
 
-    /// Forgets a finished session.
-    pub fn end_session(&mut self, session: u64) {
-        self.last.remove(&session);
-    }
-
-    /// Fence statistics across all sessions.
+    /// Fence counts across all processes.
     pub fn stats(&self) -> FenceStats {
         self.stats
     }
@@ -88,38 +101,36 @@ mod tests {
         assert_eq!(p.on_transaction(1, 0), None, "same service: elided");
         assert_eq!(p.on_transaction(1, 1), Some(0), "switch: fence the previous service");
         assert_eq!(p.on_transaction(1, 0), Some(1));
-        let s = p.stats();
-        assert_eq!(s.executed, 2);
-        assert_eq!(s.elided, 2);
+        assert_eq!(p.stats(), FenceStats { executed: 2, elided: 2 });
     }
 
     #[test]
     fn imported_contexts_force_the_inherited_fence() {
         let mut sender = FencePlanner::new();
         sender.on_transaction(1, 0);
-        let exported = sender.export_context(1).expect("sender has a causal past");
+        let exported = sender.last_service(&1).expect("sender has a causal past");
 
         let mut receiver = FencePlanner::new();
-        // The receiving process's session inherits the sender's last service:
-        // its first transaction at a *different* service fences it, even
-        // though this session never used it.
+        // The receiving process inherits the sender's last service: its first
+        // transaction at a *different* service fences it, even though this
+        // process never used it.
         receiver.import_context(7, exported);
         assert_eq!(receiver.on_transaction(7, 1), Some(0));
         // Same service: nothing to fence.
         let mut receiver2 = FencePlanner::new();
         receiver2.import_context(9, exported);
         assert_eq!(receiver2.on_transaction(9, 0), None);
-        assert_eq!(FencePlanner::new().export_context(5), None);
+        assert_eq!(FencePlanner::new().last_service(&5), None);
     }
 
     #[test]
     fn sessions_are_independent() {
         let mut p = FencePlanner::new();
         assert_eq!(p.on_transaction(1, 0), None);
-        assert_eq!(p.on_transaction(2, 1), None, "another session's history is separate");
+        assert_eq!(p.on_transaction(2, 1), None, "another process's history is separate");
         assert_eq!(p.on_transaction(1, 1), Some(0));
-        assert_eq!(p.last_service(2), Some(1));
-        p.end_session(1);
-        assert_eq!(p.on_transaction(1, 0), None, "a restarted session has no causal past");
+        assert_eq!(p.last_service(&2), Some(1));
+        p.end_session(&1);
+        assert_eq!(p.on_transaction(1, 0), None, "a restarted process has no causal past");
     }
 }

@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use regular_sim::{SimDuration, SimTime};
+use regular_sim::SimTime;
 
 /// A shared, copyable handle mapping the monotonic wall clock to simulated
 /// time.
@@ -85,17 +85,12 @@ impl LiveClock {
         let sim_us = t.0 - now.0;
         Duration::from_micros(sim_us.div_ceil(self.scale))
     }
-
-    /// Converts a simulated duration to its wall-clock equivalent (rounded
-    /// up).
-    pub fn to_wall(&self, d: SimDuration) -> Duration {
-        Duration::from_micros(d.as_micros().div_ceil(self.scale))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regular_sim::SimDuration;
 
     #[test]
     fn clock_advances_scaled() {

@@ -26,19 +26,6 @@ pub struct LaneId {
     pub slot: u32,
 }
 
-impl LaneId {
-    /// A dense `u64` key uniquely identifying this lane, for per-process
-    /// bookkeeping keyed by plain integers (e.g.
-    /// [`regular_librss::FencePlanner`]). The session sits in the low bits:
-    /// a multiply hash such as `FxHasher` takes its low bits, and so the
-    /// map bucket, from the key's low bits, and with the slot there (0 for
-    /// every lane at batch 1) every lane would probe from one bucket.
-    pub fn key(self) -> u64 {
-        debug_assert!(self.session < 1 << 32, "session ids stay within 32 bits");
-        (u64::from(self.slot) << 32) | self.session
-    }
-}
-
 /// Protocol ordering metadata attached to a completion, used by the harnesses
 /// to derive serialization witnesses without protocol-specific structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

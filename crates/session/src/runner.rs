@@ -9,9 +9,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use regular_core::fence::FenceStats;
 use regular_core::hashing::FxHashMap;
-use regular_librss::{CausalContext, FencePlanner};
+use regular_librss::{CausalContext, FencePlanner, FenceStats};
 use regular_sim::engine::{Context, Node, NodeId};
 use regular_sim::time::{SimDuration, SimTime};
 
@@ -152,7 +151,7 @@ impl Completions {
 /// additionally requires a wire type whose conversions separate them.
 pub struct SessionRunner<S: Service + ?Sized> {
     services: Vec<Box<S>>,
-    planner: FencePlanner,
+    planner: FencePlanner<LaneId>,
     scheduler: SessionScheduler,
     workload: Box<dyn MultiServiceWorkload>,
     /// Dedicated workload RNG (see [`SessionConfig::workload_seed`]); `None`
@@ -248,10 +247,8 @@ impl<S: Service + ?Sized> SessionRunner<S> {
     /// another process (Section 4.2): the name of its last service and the
     /// maximum causal floor any service holds for its session.
     pub fn export_context(&self, lane: LaneId) -> CausalContext {
-        let last_service = self
-            .planner
-            .export_context(lane.key())
-            .map(|idx| self.services[idx].name().to_string());
+        let last_service =
+            self.planner.last_service(&lane).map(|idx| self.services[idx].name().to_string());
         let min_timestamp =
             self.services.iter().map(|s| s.session_floor(lane.session)).max().unwrap_or(0);
         CausalContext { last_service, min_timestamp }
@@ -265,7 +262,7 @@ impl<S: Service + ?Sized> SessionRunner<S> {
     pub fn import_context(&mut self, lane: LaneId, ctx: &CausalContext) {
         if let Some(name) = ctx.last_service.as_deref() {
             if let Some(idx) = self.services.iter().position(|s| s.name() == name) {
-                self.planner.import_context(lane.key(), idx);
+                self.planner.import_context(lane, idx);
             }
         }
         if ctx.min_timestamp > 0 {
@@ -320,7 +317,7 @@ impl<S: Service + ?Sized> SessionRunner<S> {
             // is keyed per LANE: each pipeline slot is its own application
             // process, so its service-switch history — and therefore its
             // fences — must be its own.
-            match self.planner.on_transaction(lane.key(), target) {
+            match self.planner.on_transaction(lane, target) {
                 Some(prev) => {
                     self.pending_after_fence.insert(lane, (target, op));
                     self.services[prev].submit(ctx, lane, SessionOp::Fence);
@@ -334,7 +331,7 @@ impl<S: Service + ?Sized> SessionRunner<S> {
     /// history in the planner and the services' per-session protocol state.
     fn end_session(&mut self, session: u64) {
         for slot in 0..self.scheduler.batch() {
-            self.planner.end_session(LaneId { session, slot: slot as u32 }.key());
+            self.planner.end_session(&LaneId { session, slot: slot as u32 });
         }
         for s in &mut self.services {
             s.end_session(session);

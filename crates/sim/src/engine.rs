@@ -405,11 +405,6 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
         &self.nodes[id]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
@@ -423,11 +418,6 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The region a node was placed in.
-    pub fn region_of(&self, id: NodeId) -> Region {
-        self.regions[id]
     }
 
     /// The network model.
@@ -444,11 +434,6 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
     /// True while `node` is down under a scripted crash window.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed[node]
-    }
-
-    /// Total messages delivered so far.
-    pub fn delivered_messages(&self) -> u64 {
-        self.messages.delivered
     }
 
     /// Message delivery counters: delivered, dropped (verdicts and cut
@@ -470,13 +455,6 @@ impl<M: Clone + 'static, N: Node<M>> Engine<M, N> {
             deferrals: self.queue.deferrals(),
             queue_ops: self.queue.queue_ops(),
         }
-    }
-
-    /// Total messages dispatched so far — the sequence space
-    /// [`FaultSchedule::nudge_message`] indexes into. After a run this is the
-    /// exclusive upper bound on meaningful nudge sequence numbers.
-    pub fn dispatched_messages(&self) -> u64 {
-        self.dispatch_seq
     }
 
     /// Installs behaviour-coverage instrumentation: `classify` maps each

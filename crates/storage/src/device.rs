@@ -212,11 +212,6 @@ impl MemDisk {
         }
     }
 
-    /// Total synced log bytes across segments (test observability).
-    pub fn synced_bytes(&self) -> u64 {
-        self.lock().segments.values().map(|s| s.synced as u64).sum()
-    }
-
     pub fn crashes(&self) -> u64 {
         self.lock().crashes
     }

@@ -73,10 +73,6 @@ pub enum Durability {
 }
 
 impl Durability {
-    pub fn is_wal(&self) -> bool {
-        matches!(self, Durability::Wal(_))
-    }
-
     /// Stable name for reports and failure artifacts.
     pub fn name(&self) -> &'static str {
         match self {

@@ -23,7 +23,7 @@ use regular_seq::core::checker::models::{satisfies, Model};
 use regular_seq::core::history::History;
 use regular_seq::core::op::{OpKind, OpResult};
 use regular_seq::core::types::{Key, ProcessId, ServiceId, Timestamp, Value};
-use regular_seq::librss::{FencePlanner, LibRss, SharedLibRss};
+use regular_seq::librss::LibRss;
 
 const SVC_A: ServiceId = ServiceId(0);
 const SVC_B: ServiceId = ServiceId(1);
@@ -108,53 +108,41 @@ fn main() {
     assert!(satisfies(&fenced, Model::RegularSequentialSerializability));
 
     // libRSS decides *where* the fences go: one per service switch, none for
-    // repeated transactions at the same service. Service names are interned
-    // to dense ids at registration, so the hot path is a lookup-free index
-    // comparison when the application keeps the returned id.
-    let mut librss = LibRss::new();
-    let svc_a = librss.register_service("service-a", || {});
-    let svc_b = librss.register_service("service-b", || {});
-    // P3's pattern: A, then B.
-    librss.start_transaction_at(svc_a).unwrap();
-    librss.start_transaction_at(svc_b).unwrap();
-    // P4's pattern (same registry instance for brevity): B, then A.
-    librss.start_transaction_at(svc_b).unwrap();
-    librss.start_transaction_at(svc_a).unwrap();
-    let stats = librss.stats();
+    // repeated transactions at the same service. Each process keeps its own
+    // registry: P3 goes A then B, P4 goes B then A, and each switch invokes
+    // the previous service's fence callback.
+    let mut p3 = LibRss::new();
+    let mut p4 = LibRss::new();
+    for librss in [&mut p3, &mut p4] {
+        librss.register_service("service-a", || {});
+        librss.register_service("service-b", || {});
+    }
+    p3.start_transaction("service-a").unwrap();
+    p3.start_transaction("service-b").unwrap();
+    p4.start_transaction("service-b").unwrap();
+    p4.start_transaction("service-a").unwrap();
+    let (s3, s4) = (p3.stats(), p4.stats());
+    assert_eq!((s3.executed, s4.executed), (1, 1));
     println!(
         "libRSS inserted {} fences across {} transaction starts;",
-        stats.executed,
-        stats.executed + stats.elided
+        s3.executed + s4.executed,
+        s3.executed + s3.elided + s4.executed + s4.elided
     );
     println!("applications never call the fence themselves (Figure 3's interface).");
-
-    // In the simulated deployments, the same decision logic runs in its pure
-    // form: the composed session runner asks a FencePlanner per session and
-    // executes the fence as a real protocol operation (see the multi_service
-    // integration test, which runs Spanner-RSS and Gryff-RSC side by side).
-    let mut planner = FencePlanner::new();
-    assert_eq!(planner.on_transaction(3, 0), None); // P3 at A: first txn
-    assert_eq!(planner.on_transaction(3, 1), Some(0)); // P3 hops to B: fence A
-    assert_eq!(planner.on_transaction(4, 1), None); // P4's history is its own
-    assert_eq!(planner.on_transaction(4, 0), Some(1)); // P4 hops to A: fence B
-    println!(
-        "FencePlanner (simulation form) reproduced the decisions: {} fences.",
-        planner.stats().executed
-    );
+    // The simulated deployments ask the same FencePlanner per session lane
+    // and execute each fence as a real protocol operation (see the
+    // multi_service integration test, which runs Spanner-RSS and Gryff-RSC
+    // side by side).
 
     // Section 4.2: when the application hops *across processes* (a Web server
     // answering a browser that then talks to another server), the causal
     // context travels out of band and the receiving registry keeps fencing.
-    let sender = SharedLibRss::new();
-    sender.register_service("service-a", || {});
-    sender.register_service("service-b", || {});
-    sender.start_transaction("service-a").unwrap();
-    let ctx = sender.export_context(42);
-    let receiver = SharedLibRss::new();
+    let ctx = p3.export_context(42);
+    let mut receiver = LibRss::new();
     receiver.register_service("service-a", || {});
     receiver.register_service("service-b", || {});
     receiver.import_context(&ctx);
-    receiver.start_transaction("service-b").unwrap();
+    receiver.start_transaction("service-a").unwrap();
     assert_eq!(receiver.stats().executed, 1);
-    println!("CausalContext propagation fenced service-a in the receiving process.");
+    println!("CausalContext propagation fenced service-b in the receiving process.");
 }

@@ -2,9 +2,12 @@
 //! libRSS composition protocol of Section 4.
 
 use regular_seq::core::checker::models::{satisfies, satisfies_composed, Model};
+use regular_seq::core::history::History;
 use regular_seq::core::invariants::{
     check_i1, check_i2, detect_a1, detect_a2_a3, scenarios, PhotoAppKeys,
 };
+use regular_seq::core::op::{OpKind, OpResult};
+use regular_seq::core::types::{Key, ProcessId, ServiceId, Timestamp, Value};
 use regular_seq::librss::{CausalContext, LibRss};
 
 #[test]
@@ -121,4 +124,51 @@ fn causal_context_propagates_between_processes() {
     // forces a kv fence so the browser's causal past is ordered first.
     web_server_2.start_transaction("mq").unwrap();
     assert_eq!(fenced.load(std::sync::atomic::Ordering::SeqCst), 1);
+}
+
+/// Section 4.1's cross-service reads (the histories of
+/// `examples/composition.rs`): writes of `x` at service A and `y` at service
+/// B are still in flight while P3 reads `x` at A then `y` at B, and P4 reads
+/// `y` at B then `x` at A. Unfenced, the second reads return the old values;
+/// with the fence `libRSS` issues at each switch, they return the new ones.
+fn cross_service_reads(fenced: bool) -> History {
+    let (a, b, x, y) = (ServiceId(0), ServiceId(1), Key(1), Key(2));
+    let second = u64::from(fenced);
+    let mut h = History::new();
+    for (p, svc, key) in [(1, a, x), (2, b, y)] {
+        let write = OpKind::Write { key, value: Value(1) };
+        h.add_incomplete(ProcessId(p), svc, write, Timestamp(0));
+    }
+    let reads = [
+        (3, a, x, 1, (10, 20)),
+        (3, b, y, second, (30, 40)),
+        (4, b, y, 1, (10, 20)),
+        (4, a, x, second, (30, 40)),
+    ];
+    for (p, svc, key, value, (start, end)) in reads {
+        let (read, result) = (OpKind::Read { key }, OpResult::Value(Value(value)));
+        h.add_complete(ProcessId(p), svc, read, Timestamp(start), Timestamp(end), result);
+    }
+    h
+}
+
+#[test]
+fn fences_make_the_composed_rss_check_coincide_with_the_composite_one() {
+    let rss = Model::RegularSequentialSerializability;
+    let unfenced = cross_service_reads(false);
+    for svc in [ServiceId(0), ServiceId(1)] {
+        assert!(satisfies(&unfenced.project_service(svc), rss), "{svc:?} alone is RSS");
+    }
+    assert!(!satisfies(&unfenced, rss), "without fences the composition is not RSS");
+    assert!(satisfies_composed(&unfenced, rss), "the per-service check cannot see the cycle");
+
+    let fenced = cross_service_reads(true);
+    assert!(satisfies(&fenced, rss), "with fences the composition is RSS");
+    assert!(satisfies_composed(&fenced, rss));
+
+    // Strict serializability composes with or without fences.
+    for h in [&unfenced, &fenced] {
+        let strict = Model::StrictSerializability;
+        assert_eq!(satisfies_composed(h, strict), satisfies(h, strict));
+    }
 }
