@@ -14,7 +14,7 @@ use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
 use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
-use regular_storage::wal::{RecoveredLog, Wal};
+use regular_storage::wal::{refuse, RecoveredLog, Wal};
 use regular_storage::{wire_layout, MemDisk};
 
 use crate::carstamp::Carstamp;
@@ -90,34 +90,20 @@ pub fn replay_registers(disk: MemDisk) -> Vec<(Key, Value, Carstamp)> {
     registers
 }
 
-/// Decodes everything a recovery scan read: the whole part, then the log
-/// tail. Every part passed its CRC, so one that does not decode is a format
-/// this build cannot read (or a bug), never a torn write. Skipping it would
-/// bring `node` back with that state missing, so this panics instead, in
-/// every build, naming the node and the part. A replica writes no chunks,
-/// so a chain is one too.
+/// Decodes what a recovery scan read ([`RecoveredLog::decode`]): the
+/// snapshot, then the log tail. A replica writes no chunks, so a chain
+/// stops `node`'s recovery like any part that does not decode.
 pub(crate) fn decode_log(
     node: &str,
     log: RecoveredLog,
 ) -> (Option<GryffSnapshot>, Vec<GryffRecord>) {
-    let stop = |what: String| -> ! {
-        panic!("{node}: {what} passed its CRC but does not decode; refusing to recover without it")
-    };
     if !log.chunks.is_empty() {
-        stop(format!("a chain of {} chunk(s), which a replica never writes,", log.chunks.len()));
+        let what =
+            format!("a chain of {} chunk(s), which a replica never writes,", log.chunks.len());
+        refuse(node, &what);
     }
-    let snapshot = log.whole.map(|bytes| {
-        GryffSnapshot::decode(&bytes).unwrap_or_else(|| {
-            let version = bytes.first_chunk().map(|v| u32::from_le_bytes(*v));
-            let version = version.map_or("unreadable".to_string(), |v| v.to_string());
-            stop(format!("the snapshot, version {version} (this build reads {SNAPSHOT_VERSION}),"))
-        })
-    });
-    let records = (log.records.iter().enumerate())
-        .map(|(i, bytes)| {
-            GryffRecord::decode(bytes).unwrap_or_else(|| stop(format!("log tail record {i}")))
-        })
-        .collect();
+    // The chunk type is never decoded: the chain is empty.
+    let (_, snapshot, records) = log.decode::<u8, _, _>(node, SNAPSHOT_VERSION);
     (snapshot, records)
 }
 
@@ -171,17 +157,17 @@ pub(crate) fn encode_snapshot(
     e.u32(SNAPSHOT_VERSION).slice(store).slice(rmws).u64(next_internal).slice(finished);
 }
 
-impl GryffSnapshot {
-    pub fn decode(bytes: &[u8]) -> Option<GryffSnapshot> {
-        let (version, snapshot) = <(u32, GryffSnapshot)>::from_bytes(bytes)?;
-        (version == SNAPSHOT_VERSION).then_some(snapshot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use regular_storage::codec::check_layout;
+
+    impl GryffSnapshot {
+        fn decode(bytes: &[u8]) -> Option<GryffSnapshot> {
+            let (version, snapshot) = <(u32, GryffSnapshot)>::from_bytes(bytes)?;
+            (version == SNAPSHOT_VERSION).then_some(snapshot)
+        }
+    }
 
     fn cs(count: u64, writer: u64, rmwc: u64) -> Carstamp {
         Carstamp { count, writer, rmwc }
@@ -278,7 +264,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gryff-replica-0: the snapshot, version 2 (this build reads 1)")]
+    #[should_panic(
+        expected = "gryff-replica-0: the whole part, snapshot version 2 (this build reads 1)"
+    )]
     fn recovering_a_snapshot_of_an_unknown_version_stops_the_replica() {
         use regular_storage::{Durability, StorageRegistry, WalOptions};
         let registry = StorageRegistry::new();

@@ -412,13 +412,6 @@ pub enum GryffVerificationError {
     Witness(WitnessViolation),
 }
 
-/// A convenience summary of a read latency distribution used by the Figure 7
-/// harness.
-pub fn read_value_summary(result: &GryffRunResult) -> (u64, u64) {
-    let fast = result.client_stats.reads - result.client_stats.slow_reads;
-    (fast, result.client_stats.slow_reads)
-}
-
 /// Helper asserting that every read observed a value that some write actually
 /// wrote (or null), independent of the full witness check.
 pub fn all_reads_explainable(result: &GryffRunResult) -> bool {

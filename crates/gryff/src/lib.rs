@@ -54,9 +54,9 @@ pub mod prelude {
     pub use crate::config::{BugZoo, GryffConfig, Mode};
     pub use crate::harness::{
         all_reads_explainable, build, build_history, build_history_from, carstamp_chain_edges,
-        carstamp_chain_row, client_config, history_and_witness, measure, read_value_summary,
-        run_gryff, run_gryff_on, verify_run, ChainRow, GryffClient, GryffClientSpec,
-        GryffClusterSpec, GryffNode, GryffRunResult, GryffVerificationError, Measured,
+        carstamp_chain_row, client_config, history_and_witness, measure, run_gryff, run_gryff_on,
+        verify_run, ChainRow, GryffClient, GryffClientSpec, GryffClusterSpec, GryffNode,
+        GryffRunResult, GryffVerificationError, Measured,
     };
     pub use crate::messages::{Dep, GryffMsg, OpRef};
     pub use crate::workload::{ConflictWorkload, OpRequest};

@@ -15,11 +15,10 @@ use std::collections::VecDeque;
 use regular_core::hashing::FxHashMap;
 
 use regular_core::types::{Key, Value};
+use regular_session::DurableLog;
 use regular_sim::engine::{Context, NodeId};
-use regular_sim::time::SimDuration;
-use regular_storage::codec::{Enc, Wire};
-use regular_storage::wal::{RecoveredLog, Wal, WalStats};
-use regular_storage::Durability;
+use regular_storage::codec::Enc;
+use regular_storage::wal::{RecoveredLog, WalStats};
 
 use crate::carstamp::Carstamp;
 use crate::config::{GryffConfig, Replied};
@@ -60,6 +59,46 @@ struct RmwCoordination {
     chosen: Carstamp,
 }
 
+/// `store`'s registers, sorted by key.
+fn sorted_registers(store: &FxHashMap<Key, (Value, Carstamp)>) -> Vec<(Key, Value, Carstamp)> {
+    let mut regs: Vec<(Key, Value, Carstamp)> =
+        store.iter().map(|(&k, &(v, cs))| (k, v, cs)).collect();
+    regs.sort_unstable_by_key(|(k, _, _)| k.0);
+    regs
+}
+
+/// Serializes a replica's durable state for a checkpoint, deterministically.
+fn encode_snapshot(
+    enc: &mut Enc,
+    store: &FxHashMap<Key, (Value, Carstamp)>,
+    rmws: &FxHashMap<u64, RmwCoordination>,
+    next_internal: u64,
+    finished: &FxHashMap<OpRef, (Value, Carstamp)>,
+) {
+    let mut rmws: Vec<SnapRmw> = rmws
+        .iter()
+        .map(|(&internal, c)| SnapRmw {
+            internal,
+            client: c.client,
+            client_op: c.client_op,
+            key: c.key,
+            new_value: c.new_value,
+            phase: match c.phase {
+                RmwPhase::Read => 0,
+                RmwPhase::Write => 1,
+            },
+            max_value: c.max.1,
+            max_cs: c.max.0,
+            chosen: c.chosen,
+        })
+        .collect();
+    rmws.sort_unstable_by_key(|r| r.internal);
+    let mut finished: Vec<(OpRef, Value, Carstamp)> =
+        finished.iter().map(|(&op, &(v, cs))| (op, v, cs)).collect();
+    finished.sort_unstable_by_key(|(op, _, _)| (op.node, op.seq));
+    durable::encode_snapshot(enc, &sorted_registers(store), &rmws, next_internal, &finished);
+}
+
 /// A Gryff replica node.
 pub struct GryffReplica {
     index: usize,
@@ -88,15 +127,9 @@ pub struct GryffReplica {
     finished_rmws: FxHashMap<OpRef, (Value, Carstamp)>,
     /// Statistics for the harness.
     pub stats: ReplicaStats,
-    /// The write-ahead log under `Durability::Wal`; `None` keeps the
-    /// pre-existing in-memory behaviour on every path.
-    wal: Option<Wal>,
-    /// Outbound messages held back until the records they depend on are
-    /// synced (group commit): an ack must never reveal state the log could
-    /// still lose.
-    wal_pending: Vec<(NodeId, GryffMsg)>,
-    /// Armed group-commit flush timer, if any.
-    flush_timer: Option<u64>,
+    /// The write-ahead log under `Durability::Wal`, and every send, held
+    /// back until the records it depends on are synced.
+    durable: DurableLog<GryffMsg>,
     /// Timer-tag allocator. Replicas only use timers for the group-commit
     /// flush, but tags must stay monotone across crashes (deferred engine
     /// timers fire post-recovery with their old tags).
@@ -116,13 +149,8 @@ impl GryffReplica {
     /// keeps the replicas that answered as a bit mask.
     pub fn new(cfg: &GryffConfig, index: usize) -> Self {
         Replied::check_group(cfg.num_replicas);
-        let (wal, recovered) = match &cfg.durability {
-            Durability::InMemory => (None, None),
-            Durability::Wal(opts) => {
-                let (wal, log) = Wal::open(opts, &format!("gryff-replica-{index}"));
-                (Some(wal), Some(log))
-            }
-        };
+        let (durable, recovered) =
+            DurableLog::open(&cfg.durability, &format!("gryff-replica-{index}"));
         let mut replica = GryffReplica {
             index,
             quorum: cfg.quorum(),
@@ -134,9 +162,7 @@ impl GryffReplica {
             rmw_queue: FxHashMap::default(),
             finished_rmws: FxHashMap::default(),
             stats: ReplicaStats::default(),
-            wal,
-            wal_pending: Vec::new(),
-            flush_timer: None,
+            durable,
             next_timer: 0,
             #[cfg(any(test, feature = "bug-zoo"))]
             bug_zoo: cfg.bug_zoo,
@@ -151,112 +177,22 @@ impl GryffReplica {
 
     /// WAL counters for this replica (zeroes under `Durability::InMemory`).
     pub fn wal_stats(&self) -> WalStats {
-        self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
-    }
-
-    /// Whether this replica runs on a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
+        self.durable.stats()
     }
 
     /// Every register this replica holds, sorted by key — the differential
     /// anchor for durability tests.
     pub fn registers(&self) -> Vec<(Key, Value, Carstamp)> {
-        let mut regs: Vec<(Key, Value, Carstamp)> =
-            self.store.iter().map(|(&k, &(v, cs))| (k, v, cs)).collect();
-        regs.sort_unstable_by_key(|(k, _, _)| k.0);
-        regs
+        sorted_registers(&self.store)
     }
 
-    /// Appends a durable state transition to the WAL (no-op when in-memory).
-    /// Out of line: inlined, the record encoder lands in every handler and
-    /// the in-memory runs, which never take this branch, pay for its size.
-    #[inline(never)]
-    fn log(&mut self, ctx: &Context<GryffMsg>, rec: &GryffRecord) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append_with(ctx.now().as_micros(), |enc| rec.encode_into(enc));
-        }
-    }
-
-    /// Sends `msg` to `to`, holding it back while the WAL has unsynced
-    /// records. FIFO order with earlier held messages is preserved.
-    fn send_d(&mut self, ctx: &mut Context<GryffMsg>, to: NodeId, msg: GryffMsg) {
-        let gated =
-            self.wal.as_ref().is_some_and(|w| w.wants_sync()) || !self.wal_pending.is_empty();
-        if gated {
-            self.wal_pending.push((to, msg));
-        } else {
-            ctx.send(to, msg);
-        }
-    }
-
-    fn release_pending(&mut self, ctx: &mut Context<GryffMsg>) {
-        for (to, msg) in std::mem::take(&mut self.wal_pending) {
-            ctx.send(to, msg);
-        }
-    }
-
-    /// Group-commit bookkeeping at the end of every handler turn: write a
-    /// due checkpoint, sync immediately (window 0 or expired) or arm the
-    /// flush timer, and release held messages once nothing is unsynced.
-    fn turn_end(&mut self, ctx: &mut Context<GryffMsg>) {
-        if self.wal.is_none() {
-            debug_assert!(self.wal_pending.is_empty());
-            return;
-        }
-        if self.wal.as_ref().unwrap().checkpoint_due() {
-            // Out of `self` while the encoder borrows the rest of it. The
-            // whole state is the whole part, and the chunk is empty (module
-            // docs of `durable`). A snapshot that outgrew its area is skipped
-            // and counted, and a sweep seed with any skip fails
-            // (`StorageSummary::skipped_checkpoints`).
-            let mut wal = self.wal.take().unwrap();
-            let _wrote = wal.checkpoint_with(|_| {}, |enc| self.encode_snapshot(enc));
-            self.wal = Some(wal);
-        }
-        let now = ctx.now().as_micros();
-        let wal = self.wal.as_mut().unwrap();
-        if wal.wants_sync() {
-            let deadline = wal.deadline_us().expect("dirty log has a deadline");
-            if wal.group_commit_us() == 0 || deadline <= now {
-                wal.sync();
-            } else if self.flush_timer.is_none() {
-                let tag = self.next_timer;
-                self.next_timer += 1;
-                self.flush_timer = Some(tag);
-                ctx.set_timer(SimDuration::from_micros(deadline - now), tag);
-            }
-        }
-        if !self.wal.as_ref().unwrap().wants_sync() {
-            self.release_pending(ctx);
-        }
-    }
-
-    /// Serializes the durable state for a checkpoint, deterministically.
-    fn encode_snapshot(&self, enc: &mut Enc) {
-        let mut rmws: Vec<SnapRmw> = self
-            .rmws
-            .iter()
-            .map(|(&internal, c)| SnapRmw {
-                internal,
-                client: c.client,
-                client_op: c.client_op,
-                key: c.key,
-                new_value: c.new_value,
-                phase: match c.phase {
-                    RmwPhase::Read => 0,
-                    RmwPhase::Write => 1,
-                },
-                max_value: c.max.1,
-                max_cs: c.max.0,
-                chosen: c.chosen,
-            })
-            .collect();
-        rmws.sort_unstable_by_key(|r| r.internal);
-        let mut finished: Vec<(OpRef, Value, Carstamp)> =
-            self.finished_rmws.iter().map(|(&op, &(v, cs))| (op, v, cs)).collect();
-        finished.sort_unstable_by_key(|(op, _, _)| (op.node, op.seq));
-        durable::encode_snapshot(enc, &self.registers(), &rmws, self.next_internal, &finished);
+    /// The end of every handler turn ([`DurableLog::end_turn`]): a
+    /// checkpoint's whole part is the replica's whole durable state, and its
+    /// chunk is empty (module docs of `durable`).
+    fn end_turn(&mut self, ctx: &mut Context<GryffMsg>) {
+        let (store, rmws, finished) = (&self.store, &self.rmws, &self.finished_rmws);
+        let whole = |enc: &mut Enc| encode_snapshot(enc, store, rmws, self.next_internal, finished);
+        let _wrote = self.durable.end_turn(ctx, &mut self.next_timer, |_| {}, whole);
     }
 
     /// Rebuilds durable state from a recovered snapshot + log tail. The
@@ -394,7 +330,7 @@ impl GryffReplica {
     /// register transition when it actually advances.
     fn apply(&mut self, ctx: &Context<GryffMsg>, key: Key, value: Value, cs: Carstamp) {
         if self.apply_raw(key, value, cs) {
-            self.log(ctx, &GryffRecord::Apply { key, value, cs });
+            self.durable.append(ctx, &GryffRecord::Apply { key, value, cs });
         }
     }
 
@@ -412,7 +348,7 @@ impl GryffReplica {
         let key = self.rmws[&internal].key;
         // Read phase against all replicas (including ourselves via loopback).
         for p in self.peer_nodes() {
-            self.send_d(ctx, p, GryffMsg::Read1 { op, key, dep: None });
+            self.durable.send(ctx, p, GryffMsg::Read1 { op, key, dep: None });
         }
     }
 
@@ -437,7 +373,7 @@ impl GryffReplica {
         match coord.phase {
             RmwPhase::Read => {
                 for p in self.peer_nodes() {
-                    self.send_d(ctx, p, GryffMsg::Read1 { op, key, dep: None });
+                    self.durable.send(ctx, p, GryffMsg::Read1 { op, key, dep: None });
                 }
             }
             RmwPhase::Write => {
@@ -445,7 +381,7 @@ impl GryffReplica {
                 // same Write2 is a no-op at replicas that already applied it.
                 let (value, cs) = (coord.new_value, coord.chosen);
                 for p in self.peer_nodes() {
-                    self.send_d(ctx, p, GryffMsg::Write2 { op, key, value, cs });
+                    self.durable.send(ctx, p, GryffMsg::Write2 { op, key, value, cs });
                 }
             }
         }
@@ -501,9 +437,9 @@ impl GryffReplica {
         // The chosen carstamp must be durable before any Write2 leaves:
         // recovery must resume this exact decision, not re-run the read
         // phase and install the rmw a second time at a new position.
-        self.log(ctx, &GryffRecord::RmwChosen { internal, old_value, cs: chosen });
+        self.durable.append(ctx, &GryffRecord::RmwChosen { internal, old_value, cs: chosen });
         for p in self.peer_nodes() {
-            self.send_d(ctx, p, GryffMsg::Write2 { op, key, value: new_value, cs: chosen });
+            self.durable.send(ctx, p, GryffMsg::Write2 { op, key, value: new_value, cs: chosen });
         }
     }
 
@@ -522,7 +458,7 @@ impl GryffReplica {
         let coord = self.rmws.remove(&internal).expect("coordination exists");
         self.stats.rmws_coordinated += 1;
         self.finished_rmws.insert(coord.client_op, (coord.max.1, coord.chosen));
-        self.log(
+        self.durable.append(
             ctx,
             &GryffRecord::RmwFinish {
                 internal,
@@ -532,7 +468,7 @@ impl GryffReplica {
                 cs: coord.chosen,
             },
         );
-        self.send_d(
+        self.durable.send(
             ctx,
             coord.client,
             GryffMsg::RmwReply { op: coord.client_op, old_value: coord.max.1, cs: coord.chosen },
@@ -556,17 +492,17 @@ impl GryffReplica {
                 self.apply_dep(ctx, dep);
                 self.stats.reads_served += 1;
                 let (value, cs) = self.get(key);
-                self.send_d(ctx, from, GryffMsg::Read1Reply { op, value, cs });
+                self.durable.send(ctx, from, GryffMsg::Read1Reply { op, value, cs });
             }
             GryffMsg::Write1 { op, key, dep } => {
                 self.apply_dep(ctx, dep);
                 let (_, cs) = self.get(key);
-                self.send_d(ctx, from, GryffMsg::Write1Reply { op, cs });
+                self.durable.send(ctx, from, GryffMsg::Write1Reply { op, cs });
             }
             GryffMsg::Write2 { op, key, value, cs } => {
                 self.apply(ctx, key, value, cs);
                 self.stats.writes_applied += 1;
-                self.send_d(ctx, from, GryffMsg::Write2Reply { op });
+                self.durable.send(ctx, from, GryffMsg::Write2Reply { op });
             }
             GryffMsg::Rmw { op, key, new_value, dep } => {
                 self.apply_dep(ctx, dep);
@@ -574,7 +510,7 @@ impl GryffReplica {
                 // decided rmw is answered from the log; one already in
                 // flight keeps coordinating.
                 if let Some(&(old_value, cs)) = self.finished_rmws.get(&op) {
-                    self.send_d(ctx, from, GryffMsg::RmwReply { op, old_value, cs });
+                    self.durable.send(ctx, from, GryffMsg::RmwReply { op, old_value, cs });
                     return;
                 }
                 if let Some(internal) =
@@ -601,7 +537,7 @@ impl GryffReplica {
                         chosen: Carstamp::ZERO,
                     },
                 );
-                self.log(
+                self.durable.append(
                     ctx,
                     &GryffRecord::RmwBegin {
                         internal,
@@ -638,38 +574,25 @@ impl GryffReplica {
 impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
     fn on_message(&mut self, ctx: &mut Context<GryffMsg>, from: NodeId, msg: GryffMsg) {
         self.dispatch_message(ctx, from, msg);
-        self.turn_end(ctx);
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<GryffMsg>, tag: u64) {
-        if self.flush_timer == Some(tag) {
-            // Group-commit window expired: sync the log and release every
-            // message the gate held back.
-            self.flush_timer = None;
-            if let Some(wal) = self.wal.as_mut() {
-                if wal.wants_sync() {
-                    wal.sync();
-                }
-            }
-            self.release_pending(ctx);
-        }
-        // Any other tag is a stale flush timer deferred across a crash.
+        // The flush timer is a replica's only timer; any other tag is a
+        // stale one deferred across a crash.
+        let _flushed = self.durable.on_timer(ctx, tag);
     }
 
     fn on_crash(&mut self, _ctx: &mut Context<GryffMsg>) {
-        let Some(wal) = self.wal.as_mut() else {
+        if !self.durable.crash() {
             // In-memory mode models the paper's assumptions directly: the
             // register store is disk-backed and rmw coordination state is
             // consensus-replicated (as in Gryff's EPaxos rmw path), so a
             // crash loses nothing.
             return;
-        };
-        // Machine-wipe semantics: the crash destroys everything volatile,
-        // and the device applies its own crash semantics to unsynced bytes.
+        }
+        // Machine-wipe semantics: the crash destroys everything volatile.
         // Recovery rebuilds exclusively from what the log can prove.
-        wal.on_crash();
-        self.wal_pending.clear();
-        self.flush_timer = None;
         self.store = FxHashMap::default();
         self.rmws.clear();
         self.next_internal = 0;
@@ -680,10 +603,9 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<GryffMsg>) {
-        if self.wal.is_some() {
+        if let Some(log) = self.durable.recover() {
             // Rebuild durable state from the device: last checkpoint
             // snapshot plus the log tail that survived the crash.
-            let log = self.wal.as_mut().unwrap().recover();
             self.apply_replay(log);
         }
         // Replies that arrived while this coordinator was down expired.
@@ -701,7 +623,7 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
         for (_, internal) in heads {
             self.redrive_rmw(ctx, internal);
         }
-        self.turn_end(ctx);
+        self.end_turn(ctx);
     }
 
     /// The replica's behaviour-coverage phase tag: bit 0 — rmw coordinations in
@@ -718,10 +640,10 @@ impl regular_sim::engine::Node<GryffMsg> for GryffReplica {
         if self.rmws.values().any(|c| c.phase == RmwPhase::Write) {
             tag |= 1 << 1;
         }
-        if !self.wal_pending.is_empty() {
+        if self.durable.is_holding() {
             tag |= 1 << 2;
         }
-        if self.flush_timer.is_some() {
+        if self.durable.flush_armed() {
             tag |= 1 << 3;
         }
         tag

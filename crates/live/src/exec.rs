@@ -19,6 +19,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -78,6 +79,94 @@ pub(crate) fn split<N>(deployment: Deployment<N>) -> (Vec<N>, Fabric, SimDuratio
     (nodes, Fabric { net: Box::new(net), faults, regions, seed, stop_at }, truetime_epsilon)
 }
 
+/// A completion record on its way to the collector: the node, the stream
+/// (service) it belongs to, and the record.
+pub(crate) type Completion = (NodeId, usize, CompletedRecord);
+
+/// The router thread of a run, and the flag that stops it.
+pub(crate) struct Router {
+    thread: JoinHandle<RouterReport>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Router {
+    /// Starts routing `rx`'s messages to `mailboxes` over `fabric`.
+    pub(crate) fn spawn<M: Clone + Send + 'static>(
+        plane: &LivePlane,
+        clock: LiveClock,
+        fabric: Fabric,
+        mailboxes: Vec<Arc<dyn Mailbox<M>>>,
+        rx: Receiver<Outgoing<M>>,
+    ) -> Router {
+        let Fabric { net, faults, regions, seed, .. } = fabric;
+        let stop = Arc::new(AtomicBool::new(false));
+        let (flag, record) = (Arc::clone(&stop), plane.record_deliveries);
+        let thread = std::thread::spawn(move || {
+            run_router(clock, net, faults, regions, mailboxes, rx, seed, record, flag)
+        });
+        Router { thread, stop }
+    }
+
+    /// Tells the router to stop once it has delivered what is due.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// Waits for the router to stop.
+    pub(crate) fn join(self) -> RouterReport {
+        self.thread.join().expect("live router panicked")
+    }
+}
+
+/// Collects completions online, per node, until the clock reaches `stop_at`
+/// or every sender is gone; returns them with the instant collection ended.
+pub(crate) fn collect_until(
+    clock: &LiveClock,
+    stop_at: SimTime,
+    num_nodes: usize,
+    rx: &Receiver<Completion>,
+) -> (Vec<Vec<(usize, CompletedRecord)>>, SimTime) {
+    let mut completed = vec![Vec::new(); num_nodes];
+    while clock.sim_now() < stop_at {
+        let wait = clock.wall_until(stop_at).min(Duration::from_millis(50));
+        match rx.recv_timeout(wait) {
+            Ok((id, stream, rec)) => completed[id].push((stream, rec)),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    (completed, clock.sim_now())
+}
+
+impl RouterReport {
+    /// The run's result. The router counted every mailbox push as
+    /// delivered; the `expired` ones reached a crashed node, never a live
+    /// one, which is how the engine counts them.
+    pub(crate) fn into_ran<N>(
+        self,
+        nodes: Vec<N>,
+        (completed, finished_at): (Vec<Vec<(usize, CompletedRecord)>>, SimTime),
+        expired: u64,
+        wall: Duration,
+        wire: WireStats,
+    ) -> Ran<N> {
+        let RouterReport { mut stats, deliveries } = self;
+        stats.delivered = stats.delivered.saturating_sub(expired);
+        stats.expired = expired;
+        Ran {
+            nodes,
+            completed,
+            net_stats: stats,
+            finished_at,
+            engine: Default::default(),
+            coverage: None,
+            wall,
+            deliveries,
+            wire,
+        }
+    }
+}
+
 /// What a node handler is being invoked for.
 enum Invoke<M> {
     Start,
@@ -102,7 +191,7 @@ pub(crate) fn run_node<M, N>(
     epsilon: SimDuration,
     mailbox: Receiver<LiveEvent<M>>,
     net_tx: Sender<Outgoing<M>>,
-    rec_tx: Sender<(NodeId, usize, CompletedRecord)>,
+    rec_tx: Sender<Completion>,
 ) -> NodeResult<N>
 where
     M: Send + 'static,
@@ -242,7 +331,7 @@ where
 {
     let start_wall = Instant::now();
     let (nodes, fabric, epsilon) = split(deployment);
-    let Fabric { net, faults, regions, seed, stop_at } = fabric;
+    let (seed, stop_at) = (fabric.seed, fabric.stop_at);
     let num_nodes = nodes.len();
 
     let mut mailboxes: Vec<Sender<LiveEvent<M>>> = Vec::with_capacity(num_nodes);
@@ -253,20 +342,12 @@ where
         inboxes.push(rx);
     }
     let (net_tx, net_rx) = mpsc::channel::<Outgoing<M>>();
-    let (rec_tx, rec_rx) = mpsc::channel::<(NodeId, usize, CompletedRecord)>();
+    let (rec_tx, rec_rx) = mpsc::channel::<Completion>();
 
     let clock = LiveClock::start(plane.time_scale);
-    let router_stop = Arc::new(AtomicBool::new(false));
-
-    let router = {
-        let router_boxes: Vec<Arc<dyn Mailbox<M>>> =
-            mailboxes.iter().map(|tx| Arc::new(tx.clone()) as Arc<dyn Mailbox<M>>).collect();
-        let stop = Arc::clone(&router_stop);
-        let record = plane.record_deliveries;
-        std::thread::spawn(move || {
-            run_router(clock, net, faults, regions, router_boxes, net_rx, seed, record, stop)
-        })
-    };
+    let router_boxes: Vec<Arc<dyn Mailbox<M>>> =
+        mailboxes.iter().map(|tx| Arc::new(tx.clone()) as Arc<dyn Mailbox<M>>).collect();
+    let router = Router::spawn(plane, clock, fabric, router_boxes, net_rx);
 
     let mut workers = Vec::with_capacity(num_nodes);
     for (id, (node, inbox)) in nodes.into_iter().zip(inboxes).enumerate() {
@@ -285,25 +366,12 @@ where
         let _ = tx.send(LiveEvent::Start);
     }
 
-    // Collect completions online until the hard stop.
-    let mut completed: Vec<Vec<(usize, CompletedRecord)>> = vec![Vec::new(); num_nodes];
-    loop {
-        if clock.sim_now() >= stop_at {
-            break;
-        }
-        let wait = clock.wall_until(stop_at).min(Duration::from_millis(50));
-        match rec_rx.recv_timeout(wait) {
-            Ok((id, stream, rec)) => completed[id].push((stream, rec)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let finished_at = clock.sim_now();
+    let (mut completed, finished_at) = collect_until(&clock, stop_at, num_nodes, &rec_rx);
 
     for tx in &mailboxes {
         let _ = tx.send(LiveEvent::Stop);
     }
-    router_stop.store(true, Ordering::Relaxed);
+    router.stop();
     drop(mailboxes);
 
     let mut out_nodes = Vec::with_capacity(num_nodes);
@@ -317,23 +385,8 @@ where
     while let Ok((id, stream, rec)) = rec_rx.recv() {
         completed[id].push((stream, rec));
     }
-    let RouterReport { mut stats, deliveries } = router.join().expect("live router panicked");
-    // The router counted every mailbox push as delivered; expired ones
-    // never reached a live node.
-    stats.delivered = stats.delivered.saturating_sub(expired_total);
-    stats.expired = expired_total;
-
-    Ran {
-        nodes: out_nodes,
-        completed,
-        net_stats: stats,
-        finished_at,
-        engine: Default::default(),
-        coverage: None,
-        wall: start_wall.elapsed(),
-        deliveries,
-        wire: WireStats::default(),
-    }
+    let (collected, wire) = ((completed, finished_at), WireStats::default());
+    router.join().into_ran(out_nodes, collected, expired_total, start_wall.elapsed(), wire)
 }
 
 /// Runs `deployment` on the live plane behind `plane.transport`.

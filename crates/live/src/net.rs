@@ -40,17 +40,17 @@ use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use regular_session::{CompletedRecord, Deployment, PlaneNode, Ran};
+use regular_session::{Deployment, PlaneNode, Ran};
 use regular_sim::{NodeId, SimDuration, WireStats};
 
 use crate::clock::LiveClock;
-use crate::exec::{run_node, split, Fabric, LivePlane};
-use crate::transport::{run_router, LiveEvent, Mailbox, Outgoing, TransportKind};
+use crate::exec::{collect_until, run_node, split, Completion, Fabric, LivePlane, Router};
+use crate::transport::{LiveEvent, Mailbox, Outgoing, TransportKind};
 use crate::wire::{read_wire_frame, write_frame, Frame, Wire, WireEvent};
 
 #[derive(Default)]
@@ -318,9 +318,8 @@ pub(crate) fn run_hub_conns<M, N>(
 where
     M: Wire + Clone + Send + 'static,
 {
-    let Fabric { net, faults, regions, seed, stop_at } = fabric;
     let start_wall = Instant::now();
-    let num_nodes = regions.len();
+    let (num_nodes, stop_at) = (fabric.regions.len(), fabric.stop_at);
     let counters = Arc::new(WireCounters::default());
 
     // Handshake: every worker declares its node set; together they must
@@ -373,7 +372,7 @@ where
 
     // Per-connection writer and reader threads.
     let (net_tx, net_rx) = mpsc::channel::<Outgoing<M>>();
-    let (rec_tx, rec_rx) = mpsc::channel::<(NodeId, usize, CompletedRecord)>();
+    let (rec_tx, rec_rx) = mpsc::channel::<Completion>();
     let (done_tx, done_rx) = mpsc::channel::<(NodeId, u64)>();
     let mut writer_txs = Vec::with_capacity(streams.len());
     let mut io_threads = Vec::new();
@@ -423,38 +422,18 @@ where
                 as Arc<dyn Mailbox<M>>
         })
         .collect();
-    let router_stop = Arc::new(AtomicBool::new(false));
-    let router = {
-        let mailboxes = mailboxes.clone();
-        let stop = Arc::clone(&router_stop);
-        let record = plane.record_deliveries;
-        std::thread::spawn(move || {
-            run_router(clock, net, faults, regions, mailboxes, net_rx, seed, record, stop)
-        })
-    };
+    let router = Router::spawn(plane, clock, fabric, mailboxes.clone(), net_rx);
     for mb in &mailboxes {
         mb.deliver(LiveEvent::Start);
     }
 
-    let mut completed: Vec<Vec<(usize, CompletedRecord)>> = vec![Vec::new(); num_nodes];
-    loop {
-        if clock.sim_now() >= stop_at {
-            break;
-        }
-        let wait = clock.wall_until(stop_at).min(Duration::from_millis(50));
-        match rec_rx.recv_timeout(wait) {
-            Ok((id, stream, rec)) => completed[id].push((stream, rec)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let finished_at = clock.sim_now();
+    let (mut completed, finished_at) = collect_until(&clock, stop_at, num_nodes, &rec_rx);
 
     for mb in &mailboxes {
         mb.deliver(LiveEvent::Stop);
     }
-    router_stop.store(true, Ordering::Relaxed);
-    let report = router.join().expect("live router panicked");
+    router.stop();
+    let report = router.join();
     // Dropping every RemotePeer sender lets the writer threads drain, flush,
     // and shut the write halves down — which is what tells the workers the
     // hub is done once their own nodes have stopped.
@@ -482,20 +461,8 @@ where
         let _ = t.join();
     }
 
-    let mut stats = report.stats;
-    stats.delivered = stats.delivered.saturating_sub(expired_total);
-    stats.expired = expired_total;
-    Ok(Ran {
-        nodes: Vec::new(),
-        completed,
-        net_stats: stats,
-        finished_at,
-        engine: Default::default(),
-        coverage: None,
-        wall: start_wall.elapsed(),
-        deliveries: report.deliveries,
-        wire: counters.snapshot(),
-    })
+    let (collected, wire) = ((completed, finished_at), counters.snapshot());
+    Ok(report.into_ran(Vec::new(), collected, expired_total, start_wall.elapsed(), wire))
 }
 
 /// The worker half of a socket run: hosts `nodes` (with their global ids)
@@ -544,7 +511,7 @@ where
     };
 
     let (net_tx, net_rx) = mpsc::channel::<Outgoing<M>>();
-    let (rec_tx, rec_rx) = mpsc::channel::<(NodeId, usize, CompletedRecord)>();
+    let (rec_tx, rec_rx) = mpsc::channel::<Completion>();
     let mut mailbox_of: HashMap<u64, Sender<LiveEvent<M>>> = HashMap::new();
     let mut node_threads = Vec::with_capacity(nodes.len());
     for (id, node) in nodes {

@@ -191,26 +191,20 @@ pub(crate) fn run_router<M: Clone + Send + 'static>(
     let mut rng = SmallRng::seed_from_u64(seed ^ ROUTER_SALT);
     let mut heap: BinaryHeap<Reverse<Pending<M>>> = BinaryHeap::new();
     let mut seq = 0u64;
+    // Schedules `kind` at `at`, behind everything of its class scheduled
+    // for the same instant before it.
+    let mut schedule = |heap: &mut BinaryHeap<_>, at, class, kind| {
+        heap.push(Reverse(Pending { at, class, seq, kind }));
+        seq += 1;
+    };
     let mut stats = MessageStats::default();
     let mut deliveries = Vec::new();
 
     // Scripted power events are known up front; seed the schedule with them.
     for w in faults.crashes() {
-        heap.push(Reverse(Pending {
-            at: w.at,
-            class: CLASS_CRASH,
-            seq,
-            kind: PendingKind::Crash { node: w.node },
-        }));
-        seq += 1;
+        schedule(&mut heap, w.at, CLASS_CRASH, PendingKind::Crash { node: w.node });
         if let Some(r) = w.recover_at {
-            heap.push(Reverse(Pending {
-                at: r,
-                class: CLASS_RECOVER,
-                seq,
-                kind: PendingKind::Recover { node: w.node },
-            }));
-            seq += 1;
+            schedule(&mut heap, r, CLASS_RECOVER, PendingKind::Recover { node: w.node });
         }
     }
 
@@ -271,46 +265,20 @@ pub(crate) fn run_router<M: Clone + Send + 'static>(
                     let to_r = regions[o.to];
                     let base = net.delivery(now, from_r, to_r, &mut rng);
                     let verdict = faults.verdict(now, from_r, to_r, &mut rng, base);
+                    let (from, to) = (o.from, o.to);
+                    let mut deliver = |at, msg| {
+                        schedule(&mut heap, at, CLASS_MSG, PendingKind::Msg { from, to, msg });
+                    };
                     match verdict {
-                        Delivery::Deliver { latency } => {
-                            heap.push(Reverse(Pending {
-                                at: now + latency + o.extra,
-                                class: CLASS_MSG,
-                                seq,
-                                kind: PendingKind::Msg { from: o.from, to: o.to, msg: o.msg },
-                            }));
-                            seq += 1;
-                        }
+                        Delivery::Deliver { latency } => deliver(now + latency + o.extra, o.msg),
                         Delivery::Delay { latency, extra } => {
-                            heap.push(Reverse(Pending {
-                                at: now + latency + o.extra + extra,
-                                class: CLASS_MSG,
-                                seq,
-                                kind: PendingKind::Msg { from: o.from, to: o.to, msg: o.msg },
-                            }));
-                            seq += 1;
+                            deliver(now + latency + o.extra + extra, o.msg);
                         }
                         Delivery::Drop => stats.dropped += 1,
                         Delivery::Duplicate { latency, echo_after } => {
                             let at = now + latency + o.extra;
-                            heap.push(Reverse(Pending {
-                                at,
-                                class: CLASS_MSG,
-                                seq,
-                                kind: PendingKind::Msg {
-                                    from: o.from,
-                                    to: o.to,
-                                    msg: o.msg.clone(),
-                                },
-                            }));
-                            seq += 1;
-                            heap.push(Reverse(Pending {
-                                at: at + echo_after,
-                                class: CLASS_MSG,
-                                seq,
-                                kind: PendingKind::Msg { from: o.from, to: o.to, msg: o.msg },
-                            }));
-                            seq += 1;
+                            deliver(at, o.msg.clone());
+                            deliver(at + echo_after, o.msg);
                             stats.duplicated += 1;
                         }
                     }

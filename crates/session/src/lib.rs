@@ -19,6 +19,9 @@
 //!   whenever a lane switches services (Figure 3).
 //! * [`ClusterNode`] — a one-protocol deployment's server-or-client node
 //!   type, so protocol crates write no forwarding `Node` impl.
+//! * [`DurableLog`] — a server node's write-ahead log behind the one rule
+//!   that makes it sound: no message leaves before the records it depends
+//!   on are synced (group commit, checkpoints, crash and recovery included).
 //! * [`HistoryRecorder`] — the single conversion from completed records to a
 //!   [`regular_core::History`], shared by every harness, replacing the
 //!   per-protocol extraction code.
@@ -32,6 +35,7 @@
 //! unit over which the consistency models' per-process order is defined.
 
 pub mod config;
+pub mod durable;
 pub mod op;
 pub mod plane;
 pub mod record;
@@ -40,6 +44,7 @@ pub mod scheduler;
 pub mod service;
 
 pub use config::{SessionConfig, SessionDriver};
+pub use durable::DurableLog;
 pub use op::{
     MultiServiceWorkload, RoundRobinWorkload, ScriptedSessionWorkload, SessionOp, SessionWorkload,
 };

@@ -223,20 +223,6 @@ impl LatencyMatrix {
         self
     }
 
-    /// The region nearest to `from` other than itself (minimum RTT); used to
-    /// model replication to the closest majority.
-    pub fn nearest_peer(&self, from: Region) -> Option<Region> {
-        (0..self.num_regions())
-            .filter(|&i| i != from.0)
-            .min_by_key(|&i| self.rtt[from.0][i])
-            .map(Region)
-    }
-
-    /// The minimum round-trip time from `from` to any of `peers`.
-    pub fn min_rtt_to(&self, from: Region, peers: &[Region]) -> Option<SimDuration> {
-        peers.iter().filter(|r| **r != from).map(|r| self.rtt(from, *r)).min()
-    }
-
     /// The RTT from `from` to the `k`-th closest of `peers` (0-indexed,
     /// excluding `from` itself). Used to model waiting for a quorum of
     /// replies: with `q` remote acknowledgements required, the wait is the
@@ -309,12 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn nearest_peer_and_quorum_rtt() {
+    fn kth_closest_rtt_is_the_quorum_wait() {
         let m = LatencyMatrix::spanner_wan();
-        // California's nearest peer is Virginia (62 ms < 136 ms).
-        assert_eq!(m.nearest_peer(regions::CALIFORNIA), Some(regions::VIRGINIA));
         let peers = [regions::CALIFORNIA, regions::VIRGINIA, regions::IRELAND];
-        assert_eq!(m.min_rtt_to(regions::CALIFORNIA, &peers), Some(SimDuration::from_millis(62)));
         // Majority of 3 replicas needs 1 remote ack: the closest peer.
         assert_eq!(
             m.kth_closest_rtt(regions::CALIFORNIA, &peers, 0),

@@ -27,7 +27,7 @@ use regular_core::types::{Key, Value};
 use regular_sim::engine::NodeId;
 use regular_storage::codec::{Enc, Wire};
 use regular_storage::device::NodeDisk;
-use regular_storage::wal::{RecoveredLog, Wal};
+use regular_storage::wal::Wal;
 use regular_storage::{wire_layout, MemDisk};
 
 use crate::messages::{Ts, TxnId};
@@ -90,7 +90,10 @@ impl ShardRecord {
 /// surviving record: prepares buffer writes, commit decisions install them.
 pub fn replay_store(disk: MemDisk) -> MvccStore {
     let log = Wal::read_log(&mut NodeDisk::Mem(disk));
-    let (chunks, whole, records) = decode_log("a spanner shard's device (offline replay)", log);
+    let (chunks, whole, records) = log.decode::<ShardChunk, ShardSnapshot, ShardRecord>(
+        "a spanner shard's device (offline replay)",
+        SNAPSHOT_VERSION,
+    );
     let mut store = MvccStore::new();
     for chunk in chunks {
         for (key, ts, value) in chunk.versions {
@@ -123,41 +126,6 @@ pub fn replay_store(disk: MemDisk) -> MvccStore {
         }
     }
     store
-}
-
-/// Decodes everything a recovery scan read, in the order it is applied:
-/// the chain's chunks, the whole part, the log tail. Every part passed its
-/// CRC, so one that does not decode is a format this build cannot read (or
-/// a bug), never a torn write. Skipping it would bring `node` back with that
-/// state missing, so this panics instead, in every build, naming the node
-/// and the part.
-pub(crate) fn decode_log(
-    node: &str,
-    log: RecoveredLog,
-) -> (Vec<ShardChunk>, Option<ShardSnapshot>, Vec<ShardRecord>) {
-    let stop = |what: String| -> ! {
-        panic!("{node}: {what} passed its CRC but does not decode; refusing to recover without it")
-    };
-    let chunks = (log.chunks.iter().enumerate())
-        .map(|(i, bytes)| {
-            ShardChunk::from_bytes(bytes).unwrap_or_else(|| stop(format!("chain chunk {i}")))
-        })
-        .collect();
-    let whole = log.whole.map(|bytes| {
-        ShardSnapshot::decode(&bytes).unwrap_or_else(|| {
-            let version = bytes.first_chunk().map(|v| u32::from_le_bytes(*v));
-            let version = version.map_or("unreadable".to_string(), |v| v.to_string());
-            stop(format!(
-                "the whole part, snapshot version {version} (this build reads {SNAPSHOT_VERSION}),"
-            ))
-        })
-    });
-    let records = (log.records.iter().enumerate())
-        .map(|(i, bytes)| {
-            ShardRecord::decode(bytes).unwrap_or_else(|| stop(format!("log tail record {i}")))
-        })
-        .collect();
-    (chunks, whole, records)
 }
 
 /// A prepared transaction as serialized into a checkpoint's whole part:
@@ -222,7 +190,7 @@ wire_layout! { struct ShardSnapshot { max_ts, prepared, coordinating } }
 /// Leads every whole part; one with any other version is not decoded.
 /// Version 1 was one snapshot of the whole state, chains and decision log
 /// included.
-const SNAPSHOT_VERSION: u32 = 2;
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
 /// Streams a checkpoint's whole part into `e` straight from the shard's
 /// state, borrowed, so a checkpoint copies each byte once. Every slice
@@ -237,17 +205,17 @@ pub(crate) fn encode_whole(
     e.u32(SNAPSHOT_VERSION).u64(max_ts).slice(prepared).slice(coordinating);
 }
 
-impl ShardSnapshot {
-    pub fn decode(bytes: &[u8]) -> Option<ShardSnapshot> {
-        let (version, snapshot) = <(u32, ShardSnapshot)>::from_bytes(bytes)?;
-        (version == SNAPSHOT_VERSION).then_some(snapshot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use regular_storage::codec::check_layout;
+
+    impl ShardSnapshot {
+        fn decode(bytes: &[u8]) -> Option<ShardSnapshot> {
+            let (version, snapshot) = <(u32, ShardSnapshot)>::from_bytes(bytes)?;
+            (version == SNAPSHOT_VERSION).then_some(snapshot)
+        }
+    }
 
     fn txn(client: NodeId, seq: u64) -> TxnId {
         TxnId { client, seq }

@@ -14,14 +14,16 @@ use std::collections::VecDeque;
 use regular_core::hashing::{FxHashMap, FxHashSet};
 
 use regular_core::types::{Key, Value};
+use regular_session::DurableLog;
 use regular_sim::engine::{Context, NodeId};
 use regular_sim::time::SimDuration;
 use regular_storage::codec::{Enc, Wire};
-use regular_storage::wal::{RecoveredLog, Wal, WalStats};
-use regular_storage::Durability;
+use regular_storage::wal::{RecoveredLog, WalStats};
 
 use crate::config::SpannerConfig;
-use crate::durable::{self, ShardChunk, ShardRecord, SnapCoord, SnapPrepared};
+use crate::durable::{
+    self, ShardChunk, ShardRecord, ShardSnapshot, SnapCoord, SnapPrepared, SNAPSHOT_VERSION,
+};
 use crate::locks::LockTable;
 use crate::messages::{PreparedInfo, SpannerMsg, Ts, TxnId};
 use crate::ro::ReadPolicy;
@@ -177,6 +179,46 @@ impl TerminationQueue {
     }
 }
 
+/// Serializes a checkpoint's whole part, deterministically: both hash-map
+/// sections sorted, nothing cloned. Only these two are sorted: the store and
+/// the decision log travel in chunks, in install order.
+fn encode_whole(
+    enc: &mut Enc,
+    max_ts: Ts,
+    prepared: &FxHashMap<TxnId, PreparedTxn>,
+    coordinating: &FxHashMap<TxnId, CoordState>,
+) {
+    let mut prepared: Vec<SnapPrepared> = prepared
+        .iter()
+        .map(|(txn, p)| SnapPrepared {
+            txn: *txn,
+            writes: p.writes.as_slice().into(),
+            t_prepare: p.t_prepare,
+            t_ee: p.t_ee,
+            coordinator: p.coordinator,
+        })
+        .collect();
+    prepared.sort_unstable_by_key(|p| p.txn);
+    let mut coordinating: Vec<SnapCoord> = coordinating
+        .iter()
+        .map(|(txn, s)| {
+            let mut awaiting = s.awaiting.clone();
+            awaiting.sort_unstable();
+            SnapCoord {
+                txn: *txn,
+                client: s.client,
+                t_ee: s.t_ee,
+                max_prepare: s.max_prepare,
+                commit_fire_at_us: s.commit_fire_at_us,
+                writes_by_shard: s.writes_by_shard.as_slice().into(),
+                awaiting,
+            }
+        })
+        .collect();
+    coordinating.sort_unstable_by_key(|c| c.txn);
+    durable::encode_whole(enc, max_ts, &prepared, &coordinating);
+}
+
 /// Counters exposed for the evaluation harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
@@ -241,27 +283,16 @@ pub struct ShardNode {
     next_timer: u64,
     /// Statistics for the harness.
     pub stats: ShardStats,
-    /// The write-ahead log under `Durability::Wal`; `None` keeps the
-    /// pre-existing in-memory behaviour on every path.
-    wal: Option<Wal>,
-    /// Outbound messages held back until the records they depend on are
-    /// synced (group commit): releasing an ack before its record is durable
-    /// would let a torn tail contradict something the world already saw.
-    wal_pending: Vec<(NodeId, SimDuration, SpannerMsg)>,
-    /// Armed group-commit flush timer, if any.
-    flush_timer: Option<u64>,
+    /// The write-ahead log under `Durability::Wal`, and every send, held
+    /// back until the records it depends on are synced.
+    durable: DurableLog<SpannerMsg>,
 }
 
 impl ShardNode {
     /// Creates a shard leader for `shard_index` under the given configuration.
     pub fn new(cfg: &SpannerConfig, shard_index: usize, replication_delay: SimDuration) -> Self {
-        let (wal, recovered) = match &cfg.durability {
-            Durability::InMemory => (None, None),
-            Durability::Wal(opts) => {
-                let (wal, log) = Wal::open(opts, &format!("spanner-shard-{shard_index}"));
-                (Some(wal), Some(log))
-            }
-        };
+        let (durable, recovered) =
+            DurableLog::open(&cfg.durability, &format!("spanner-shard-{shard_index}"));
         let mut node = ShardNode {
             policy: ReadPolicy::new(cfg.mode, cfg.disable_tee_skip),
             shard_index,
@@ -282,9 +313,7 @@ impl ShardNode {
             decision_probe: cfg.commit_timeout,
             next_timer: 0,
             stats: ShardStats::default(),
-            wal,
-            wal_pending: Vec::new(),
-            flush_timer: None,
+            durable,
         };
         // A pre-existing log (a live-plane process restart) replays into the
         // initial state; fresh simulation runs start from an empty device.
@@ -296,137 +325,26 @@ impl ShardNode {
 
     /// WAL counters for this shard (zeroes under `Durability::InMemory`).
     pub fn wal_stats(&self) -> WalStats {
-        self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
+        self.durable.stats()
     }
 
-    /// Whether this shard runs on a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Appends a durable state transition to the WAL (no-op when in-memory).
-    /// Out of line: inlined, the record encoder lands in every handler and
-    /// the in-memory runs, which never take this branch, pay for its size.
-    #[inline(never)]
-    fn log(&mut self, ctx: &Context<SpannerMsg>, rec: &ShardRecord) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append_with(ctx.now().as_micros(), |enc| rec.encode_into(enc));
+    /// The end of every handler turn ([`DurableLog::end_turn`]), with this
+    /// shard's checkpoint parts: the chunk of what it installed and decided
+    /// since the last checkpoint, dropped once written, and the whole part.
+    fn end_turn(&mut self, ctx: &mut Context<SpannerMsg>) {
+        let (unsaved, prepared, coordinating) = (&self.unsaved, &self.prepared, &self.coordinating);
+        let whole = |enc: &mut Enc| encode_whole(enc, self.max_ts, prepared, coordinating);
+        if self.durable.end_turn(ctx, &mut self.next_timer, |enc| unsaved.encode_into(enc), whole) {
+            self.unsaved.versions.clear();
+            self.unsaved.decided.clear();
         }
-    }
-
-    /// Sends `msg` to `to` (after `extra` delay), holding it back while the
-    /// WAL has unsynced records: a message must never reveal state the log
-    /// could still lose. FIFO order with earlier held messages is preserved.
-    fn send_d(
-        &mut self,
-        ctx: &mut Context<SpannerMsg>,
-        to: NodeId,
-        extra: SimDuration,
-        msg: SpannerMsg,
-    ) {
-        let gated =
-            self.wal.as_ref().is_some_and(|w| w.wants_sync()) || !self.wal_pending.is_empty();
-        if gated {
-            self.wal_pending.push((to, extra, msg));
-        } else if extra == SimDuration::ZERO {
-            ctx.send(to, msg);
-        } else {
-            ctx.send_after(to, extra, msg);
-        }
-    }
-
-    fn release_pending(&mut self, ctx: &mut Context<SpannerMsg>) {
-        for (to, extra, msg) in std::mem::take(&mut self.wal_pending) {
-            if extra == SimDuration::ZERO {
-                ctx.send(to, msg);
-            } else {
-                ctx.send_after(to, extra, msg);
-            }
-        }
-    }
-
-    /// Group-commit bookkeeping at the end of every handler turn: write a
-    /// due checkpoint, sync immediately (window 0 or expired) or arm the
-    /// flush timer, and release held messages once nothing is unsynced.
-    fn turn_end(&mut self, ctx: &mut Context<SpannerMsg>) {
-        if self.wal.is_none() {
-            debug_assert!(self.wal_pending.is_empty());
-            return;
-        }
-        if self.wal.as_ref().unwrap().checkpoint_due() {
-            // Out of `self` while the encoders borrow the rest of it. A whole
-            // part that outgrew its area is skipped and counted, and a sweep
-            // seed with any skip fails (`StorageSummary::skipped_checkpoints`);
-            // the chunk then stays here for the next checkpoint.
-            let mut wal = self.wal.take().unwrap();
-            let wrote = wal
-                .checkpoint_with(|enc| self.unsaved.encode_into(enc), |enc| self.encode_whole(enc));
-            self.wal = Some(wal);
-            if wrote {
-                self.unsaved.versions.clear();
-                self.unsaved.decided.clear();
-            }
-        }
-        let now = ctx.now().as_micros();
-        let wal = self.wal.as_mut().unwrap();
-        if wal.wants_sync() {
-            let deadline = wal.deadline_us().expect("dirty log has a deadline");
-            if wal.group_commit_us() == 0 || deadline <= now {
-                wal.sync();
-            } else if self.flush_timer.is_none() {
-                let tag = self.next_timer;
-                self.next_timer += 1;
-                self.flush_timer = Some(tag);
-                ctx.set_timer(SimDuration::from_micros(deadline - now), tag);
-            }
-        }
-        if !self.wal.as_ref().unwrap().wants_sync() {
-            self.release_pending(ctx);
-        }
-    }
-
-    /// Serializes a checkpoint's whole part, deterministically: both
-    /// hash-map sections sorted, nothing cloned. Only these two are sorted:
-    /// the store and the decision log travel in chunks, in install order.
-    fn encode_whole(&self, enc: &mut Enc) {
-        let mut prepared: Vec<SnapPrepared> = self
-            .prepared
-            .iter()
-            .map(|(txn, p)| SnapPrepared {
-                txn: *txn,
-                writes: p.writes.as_slice().into(),
-                t_prepare: p.t_prepare,
-                t_ee: p.t_ee,
-                coordinator: p.coordinator,
-            })
-            .collect();
-        prepared.sort_unstable_by_key(|p| p.txn);
-        let mut coordinating: Vec<SnapCoord> = self
-            .coordinating
-            .iter()
-            .map(|(txn, s)| {
-                let mut awaiting = s.awaiting.clone();
-                awaiting.sort_unstable();
-                SnapCoord {
-                    txn: *txn,
-                    client: s.client,
-                    t_ee: s.t_ee,
-                    max_prepare: s.max_prepare,
-                    commit_fire_at_us: s.commit_fire_at_us,
-                    writes_by_shard: s.writes_by_shard.as_slice().into(),
-                    awaiting,
-                }
-            })
-            .collect();
-        coordinating.sort_unstable_by_key(|c| c.txn);
-        durable::encode_whole(enc, self.max_ts, &prepared, &coordinating);
     }
 
     /// Installs a committed version, noting it for the next chunk when
     /// durable.
     fn install(&mut self, key: Key, ts: Ts, value: Value) {
         self.store.apply(key, ts, value);
-        if self.wal.is_some() {
+        if self.durable.is_durable() {
             self.unsaved.versions.push((key, ts, value));
         }
     }
@@ -435,7 +353,7 @@ impl ShardNode {
     /// when durable.
     fn decide(&mut self, txn: TxnId, commit: bool, t_commit: Ts) {
         self.decided.insert(txn, (commit, t_commit));
-        if self.wal.is_some() {
+        if self.durable.is_durable() {
             self.unsaved.decided.push((txn, commit, t_commit));
         }
     }
@@ -447,7 +365,8 @@ impl ShardNode {
     /// stays empty; the recovery hook re-arms what protocol liveness needs.
     fn apply_replay(&mut self, log: RecoveredLog) {
         let node = format!("spanner-shard-{}", self.shard_index);
-        let (chunks, whole, records) = durable::decode_log(&node, log);
+        let (chunks, whole, records) =
+            log.decode::<ShardChunk, ShardSnapshot, ShardRecord>(&node, SNAPSHOT_VERSION);
         for chunk in chunks {
             for (key, ts, value) in chunk.versions {
                 self.store.apply(key, ts, value);
@@ -574,15 +493,16 @@ impl ShardNode {
         let tt = ctx.truetime_now();
         let t_prepare = (self.max_ts + 1).max(tt.latest.as_micros());
         self.max_ts = t_prepare;
-        if self.wal.is_some() {
+        if self.durable.is_durable() {
             let writes = writes.clone();
-            self.log(ctx, &ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes });
+            self.durable
+                .append(ctx, &ShardRecord::Prepare { txn, t_prepare, t_ee, coordinator, writes });
         }
         self.prepared.insert(txn, PreparedTxn { writes, t_prepare, t_ee, coordinator });
         self.stats.prepares += 1;
         // The prepare record is durable at a majority after one replication
         // round trip; only then may the participant vote yes.
-        self.send_d(
+        self.durable.send_after(
             ctx,
             coordinator,
             self.replication_delay,
@@ -620,7 +540,7 @@ impl ShardNode {
         if let Some(p) = self.prepared.get(&txn) {
             let t_prepare = p.t_prepare;
             let reply = SpannerMsg::PrepareOk { txn, shard: ctx.node_id(), t_prepare };
-            self.send_d(ctx, coordinator, SimDuration::ZERO, reply);
+            self.durable.send(ctx, coordinator, reply);
             return;
         }
         if self.pending_prepares.contains_key(&txn) {
@@ -648,7 +568,7 @@ impl ShardNode {
         // The participant-side durable transition: a prepared transaction
         // learned its outcome (its buffered writes install or evaporate).
         if prepared.is_some() {
-            self.log(ctx, &ShardRecord::Decision { txn, commit, t_commit });
+            self.durable.append(ctx, &ShardRecord::Decision { txn, commit, t_commit });
         }
         match (&prepared, commit) {
             (Some(p), true) => {
@@ -677,9 +597,8 @@ impl ShardNode {
         for b in ready.into_iter().rev() {
             self.answer_ro(ctx, b.client, b.txn, &b.keys, b.t_read);
         }
-        // Send slow replies for RSS watchers (collected first: sends go
-        // through the WAL gate, which needs `&mut self`).
-        let (shard, mut slow_replies) = (ctx.node_id(), Vec::new());
+        // Slow replies for the RSS watchers of this transaction.
+        let (shard, durable, stats) = (ctx.node_id(), &mut self.durable, &mut self.stats);
         self.rss_watchers.retain_mut(|w| {
             if !w.waiting_on.remove(&txn) {
                 return true;
@@ -694,13 +613,10 @@ impl ShardNode {
             let (resolved, committed, txn) = (txn, commit, w.txn);
             let reply =
                 SpannerMsg::RoSlowReply { txn, shard, resolved, committed, t_commit, values };
-            slow_replies.push((w.client, reply));
+            durable.send(ctx, w.client, reply);
+            stats.ro_slow_replies += 1;
             !w.waiting_on.is_empty()
         });
-        self.stats.ro_slow_replies += slow_replies.len() as u64;
-        for (client, reply) in slow_replies {
-            self.send_d(ctx, client, SimDuration::ZERO, reply);
-        }
     }
 
     /// Answers a read-only request whose must-observe set has resolved: the
@@ -728,7 +644,7 @@ impl ShardNode {
             self.rss_watchers.push(ParkedRo { client, txn, keys, t_read, waiting_on });
         }
         let reply = SpannerMsg::RoFastReply { txn, shard: ctx.node_id(), skipped, values };
-        self.send_d(ctx, client, SimDuration::ZERO, reply);
+        self.durable.send(ctx, client, reply);
     }
 
     fn handle_ro(
@@ -745,7 +661,7 @@ impl ShardNode {
         // advance is durable: a recovered leader must not hand out a prepare
         // timestamp below a snapshot it already served.
         if t_read > self.max_ts {
-            self.log(ctx, &ShardRecord::SafeTime { ts: t_read });
+            self.durable.append(ctx, &ShardRecord::SafeTime { ts: t_read });
         }
         self.max_ts = self.max_ts.max(t_read);
         let waiting_on: FxHashSet<TxnId> = self
@@ -774,12 +690,7 @@ impl ShardNode {
                         (*k, v)
                     })
                     .collect();
-                self.send_d(
-                    ctx,
-                    from,
-                    SimDuration::ZERO,
-                    SpannerMsg::ExecReadReply { txn, values },
-                );
+                self.durable.send(ctx, from, SpannerMsg::ExecReadReply { txn, values });
             }
             SpannerMsg::CommitRequest { txn, writes_by_shard, t_ee } => {
                 // A duplicated request must not reset in-flight (or decided)
@@ -789,9 +700,9 @@ impl ShardNode {
                 }
                 // The coordinator state is Paxos-replicated in Spanner; here
                 // the round is opened in the log before any Prepare leaves.
-                if self.wal.is_some() {
+                if self.durable.is_durable() {
                     let writes_by_shard = writes_by_shard.clone();
-                    self.log(
+                    self.durable.append(
                         ctx,
                         &ShardRecord::CoordBegin { txn, client: from, t_ee, writes_by_shard },
                     );
@@ -800,7 +711,7 @@ impl ShardNode {
                 for (node, writes) in &writes_by_shard {
                     let writes = writes.clone();
                     let prepare = SpannerMsg::Prepare { txn, writes, t_ee, coordinator };
-                    self.send_d(ctx, *node, SimDuration::ZERO, prepare);
+                    self.durable.send(ctx, *node, prepare);
                 }
                 self.coordinating.insert(txn, CoordState::open(from, t_ee, writes_by_shard));
                 self.arm_prepare_redrive(ctx, txn);
@@ -814,10 +725,9 @@ impl ShardNode {
                     // outcome was already decided: answer from the durable
                     // decision log so it can release its prepared state.
                     if let Some(&(commit, t_commit)) = self.decided.get(&txn) {
-                        self.send_d(
+                        self.durable.send(
                             ctx,
                             shard,
-                            SimDuration::ZERO,
                             SpannerMsg::CommitDecision { txn, commit, t_commit },
                         );
                     }
@@ -832,7 +742,7 @@ impl ShardNode {
                 state.vote(shard, t_prepare);
                 let complete = state.awaiting.is_empty();
                 let max_prepare = state.max_prepare;
-                self.log(ctx, &ShardRecord::CoordVote { txn, shard, t_prepare });
+                self.durable.append(ctx, &ShardRecord::CoordVote { txn, shard, t_prepare });
                 if complete {
                     let tt = ctx.truetime_now();
                     let t_commit = max_prepare.max(self.max_ts + 1).max(tt.latest.as_micros());
@@ -848,7 +758,8 @@ impl ShardNode {
                     // a recovered coordinator must re-arm the commit-wait
                     // release, or a complete round would hang forever (the
                     // participants' re-acks bounce off the duplicate guard).
-                    self.log(ctx, &ShardRecord::CoordTs { txn, t_commit, fire_at_us: fire_at });
+                    self.durable
+                        .append(ctx, &ShardRecord::CoordTs { txn, t_commit, fire_at_us: fire_at });
                     let state = self.coordinating.get_mut(&txn).expect("round still open");
                     // Stash the commit timestamp in max_prepare for the timer.
                     state.max_prepare = t_commit;
@@ -873,19 +784,18 @@ impl ShardNode {
                     // tombstoned-in-place entry silently swallowed them,
                     // leaving participant locks held forever).
                     self.decide(txn, false, 0);
-                    self.log(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
+                    self.durable
+                        .append(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
                     for p in state.participants() {
-                        self.send_d(
+                        self.durable.send(
                             ctx,
                             p,
-                            SimDuration::ZERO,
                             SpannerMsg::CommitDecision { txn, commit: false, t_commit: 0 },
                         );
                     }
-                    self.send_d(
+                    self.durable.send(
                         ctx,
                         state.client,
-                        SimDuration::ZERO,
                         SpannerMsg::CommitReply { txn, commit: false, t_commit: 0 },
                     );
                 } else {
@@ -900,7 +810,7 @@ impl ShardNode {
                         Some(&(true, t_commit)) => self.apply_decision(ctx, txn, true, t_commit),
                         _ => {
                             self.decide(txn, false, 0);
-                            self.log(
+                            self.durable.append(
                                 ctx,
                                 &ShardRecord::Decision { txn, commit: false, t_commit: 0 },
                             );
@@ -915,19 +825,14 @@ impl ShardNode {
                 // aborted so a delayed CommitRequest arriving later cannot
                 // resurrect it (the client has already given up).
                 if let Some(&(commit, t_commit)) = self.decided.get(&txn) {
-                    self.send_d(
-                        ctx,
-                        from,
-                        SimDuration::ZERO,
-                        SpannerMsg::CommitReply { txn, commit, t_commit },
-                    );
+                    self.durable.send(ctx, from, SpannerMsg::CommitReply { txn, commit, t_commit });
                 } else if !self.coordinating.contains_key(&txn) {
                     self.decide(txn, false, 0);
-                    self.log(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
-                    self.send_d(
+                    self.durable
+                        .append(ctx, &ShardRecord::Decision { txn, commit: false, t_commit: 0 });
+                    self.durable.send(
                         ctx,
                         from,
-                        SimDuration::ZERO,
                         SpannerMsg::CommitReply { txn, commit: false, t_commit: 0 },
                     );
                 }
@@ -956,7 +861,7 @@ impl ShardNode {
         let coordinator = ctx.node_id();
         for (node, writes) in resend {
             let msg = SpannerMsg::Prepare { txn, writes, t_ee, coordinator };
-            self.send_d(ctx, node, SimDuration::ZERO, msg);
+            self.durable.send(ctx, node, msg);
         }
     }
 
@@ -972,7 +877,7 @@ impl ShardNode {
                 let p = &self.prepared[&txn];
                 let reply =
                     SpannerMsg::PrepareOk { txn, shard: ctx.node_id(), t_prepare: p.t_prepare };
-                self.send_d(ctx, p.coordinator, SimDuration::ZERO, reply);
+                self.durable.send(ctx, p.coordinator, reply);
                 self.arm_decision_probe(ctx, txn);
             }
             return;
@@ -995,19 +900,13 @@ impl ShardNode {
         self.decide(txn, true, t_commit);
         // The coordinator-side commit point: commit wait elapsed, the
         // decision enters the durable decision log and is released.
-        self.log(ctx, &ShardRecord::Decision { txn, commit: true, t_commit });
+        self.durable.append(ctx, &ShardRecord::Decision { txn, commit: true, t_commit });
         for p in state.participants() {
-            self.send_d(
-                ctx,
-                p,
-                SimDuration::ZERO,
-                SpannerMsg::CommitDecision { txn, commit: true, t_commit },
-            );
+            self.durable.send(ctx, p, SpannerMsg::CommitDecision { txn, commit: true, t_commit });
         }
-        self.send_d(
+        self.durable.send(
             ctx,
             state.client,
-            SimDuration::ZERO,
             SpannerMsg::CommitReply { txn, commit: true, t_commit },
         );
     }
@@ -1016,35 +915,21 @@ impl ShardNode {
 impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
     fn on_message(&mut self, ctx: &mut Context<SpannerMsg>, from: NodeId, msg: SpannerMsg) {
         self.dispatch_message(ctx, from, msg);
-        self.turn_end(ctx);
+        self.end_turn(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<SpannerMsg>, tag: u64) {
-        if self.flush_timer == Some(tag) {
-            // Group-commit window expired: sync the log and release every
-            // message the gate held back.
-            self.flush_timer = None;
-            if let Some(wal) = self.wal.as_mut() {
-                if wal.wants_sync() {
-                    wal.sync();
-                }
-            }
-            self.release_pending(ctx);
+        if self.durable.on_timer(ctx, tag) {
             return;
         }
         self.dispatch_timer(ctx, tag);
-        self.turn_end(ctx);
+        self.end_turn(ctx);
     }
 
     fn on_crash(&mut self, _ctx: &mut Context<SpannerMsg>) {
-        if let Some(wal) = self.wal.as_mut() {
-            // Machine-wipe semantics: the crash destroys everything volatile,
-            // and the device applies its own crash semantics to unsynced
-            // bytes (truncation, possibly a torn tail). Recovery rebuilds
-            // exclusively from what the log can prove.
-            wal.on_crash();
-            self.wal_pending.clear();
-            self.flush_timer = None;
+        if self.durable.crash() {
+            // Machine-wipe semantics: the crash destroys everything volatile.
+            // Recovery rebuilds exclusively from what the log can prove.
             self.store = MvccStore::new();
             self.locks = LockTable::new();
             self.prepared.clear();
@@ -1086,10 +971,9 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<SpannerMsg>) {
-        if self.wal.is_some() {
+        if let Some(log) = self.durable.recover() {
             // Rebuild durable state from the device: the checkpoint's chain
             // and whole part, plus the log tail that survived the crash.
-            let log = self.wal.as_mut().unwrap().recover();
             self.apply_replay(log);
             // Volatile timers died with the machine; re-arm what liveness
             // needs, in deterministic (TxnId) order.
@@ -1139,8 +1023,8 @@ impl regular_sim::engine::Node<SpannerMsg> for ShardNode {
         prepared.sort_unstable();
         for (txn, t_prepare, coordinator) in prepared {
             let reply = SpannerMsg::PrepareOk { txn, shard: ctx.node_id(), t_prepare };
-            self.send_d(ctx, coordinator, SimDuration::ZERO, reply);
+            self.durable.send(ctx, coordinator, reply);
         }
-        self.turn_end(ctx);
+        self.end_turn(ctx);
     }
 }

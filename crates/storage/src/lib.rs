@@ -37,10 +37,11 @@
 //! The soundness contract with the protocols: a node that appends a record
 //! during a handler turn must hold back every message it sends until that
 //! record is synced (the WAL exposes [`Wal::wants_sync`]/[`Wal::deadline_us`]
-//! for the group-commit window). Crashes land between handler turns, so a
-//! torn tail can only ever contain records whose acknowledgements were never
-//! released — dropping them at recovery is indistinguishable from the ack
-//! having been lost in the network.
+//! for the group-commit window; `regular_session::DurableLog` is the one
+//! node-side implementation of the rule). Crashes land between handler
+//! turns, so a torn tail can only ever contain records whose
+//! acknowledgements were never released — dropping them at recovery is
+//! indistinguishable from the ack having been lost in the network.
 //!
 //! This crate has no dependencies, and every crate with a byte layout
 //! depends on it: [`codec`] holds the workspace's one binary codec (the

@@ -64,7 +64,7 @@
 //! reallocates mid-encode in practice, and where one must, `Vec` grows as
 //! usual.
 
-use crate::codec::{crc32, frame_header, frame_len, frame_matches, Enc, FRAME_HEADER};
+use crate::codec::{crc32, frame_header, frame_len, frame_matches, Enc, Wire, FRAME_HEADER};
 use crate::device::{DirDisk, NodeDisk, PAGE_SIZE};
 use crate::{Backing, WalOptions};
 
@@ -115,6 +115,51 @@ impl RecoveredLog {
     fn logged_bytes(&self) -> usize {
         self.records.iter().map(|r| FRAME_HEADER + r.len()).sum()
     }
+
+    /// Decodes everything a recovery scan read, in the order it is applied:
+    /// the chain's chunks `C`, the whole part `W` (led by its snapshot
+    /// `version`), the log tail's records `R`. Every part passed its CRC, so
+    /// one that does not decode is a format this build cannot read (or a
+    /// bug), never a torn write. Skipping it would bring `node` back with
+    /// that state missing, so this panics instead, in every build, naming the
+    /// node and the part.
+    pub fn decode<C: Wire, W: Wire, R: Wire>(
+        self,
+        node: &str,
+        version: u32,
+    ) -> (Vec<C>, Option<W>, Vec<R>) {
+        let chunks = (self.chunks.iter().enumerate())
+            .map(|(i, bytes)| {
+                C::from_bytes(bytes).unwrap_or_else(|| refuse(node, &format!("chain chunk {i}")))
+            })
+            .collect();
+        let whole = self.whole.map(|bytes| {
+            let decoded = <(u32, W)>::from_bytes(&bytes).filter(|(v, _)| *v == version);
+            decoded.map(|(_, whole)| whole).unwrap_or_else(|| {
+                let found = bytes.first_chunk().map(|v| u32::from_le_bytes(*v));
+                let found = found.map_or("unreadable".to_string(), |v| v.to_string());
+                refuse(
+                    node,
+                    &format!(
+                        "the whole part, snapshot version {found} (this build reads {version}),"
+                    ),
+                )
+            })
+        });
+        let records = (self.records.iter().enumerate())
+            .map(|(i, bytes)| {
+                R::from_bytes(bytes)
+                    .unwrap_or_else(|| refuse(node, &format!("log tail record {i}")))
+            })
+            .collect();
+        (chunks, whole, records)
+    }
+}
+
+/// Stops the recovery of `node`: `what` passed its CRC but does not decode
+/// ([`RecoveredLog::decode`]).
+pub fn refuse(node: &str, what: &str) -> ! {
+    panic!("{node}: {what} passed its CRC but does not decode; refusing to recover without it")
 }
 
 struct Meta {
