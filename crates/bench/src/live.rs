@@ -32,7 +32,7 @@ use regular_gryff::prelude as gryff;
 use regular_live::{
     run_hub_multiproc, run_worker_multiproc, ListenAddr, Listener, LivePlane, TransportKind,
 };
-use regular_session::{per_wall_second, untagged};
+use regular_session::{measure, untagged, Measured};
 use regular_sim::{LatencyRecorder, WireStats};
 use regular_spanner::prelude as spanner;
 use regular_sweep::{certify_streaming, Json};
@@ -341,15 +341,16 @@ fn multiproc(seed: u64, scale: u64, quick: bool, workers: usize) -> Result<LiveR
         .map(|(id, stream)| (id, untagged(stream)))
         .collect();
     let (history, witness) = spanner::build_history_from(&per_client);
-    let measured = spanner::measure(&per_client, measure_from, stop_issuing_at);
-    let mut latency = measured.rw_latencies;
-    latency.merge(&measured.ro_latencies);
+    let records = per_client.iter().flat_map(|(_, records)| records);
+    let Measured { latencies: [ro, mut latency], throughput, wall_throughput } =
+        measure(records, measure_from, stop_issuing_at, outcome.wall, spanner::latency_class);
+    latency.merge(&ro);
     Ok(LiveRun {
         threads: workers + 1,
         history_ops: history.len(),
         verdict: certify(&history, Ok(witness)),
-        sim_ops_per_sec: measured.throughput,
-        wall_ops_per_sec: per_wall_second(measured.measured, outcome.wall),
+        sim_ops_per_sec: throughput,
+        wall_ops_per_sec: wall_throughput,
         wall: outcome.wall,
         latency,
         wire: outcome.wire,

@@ -54,7 +54,7 @@ impl From<spanner::RunResult> for Outcome {
                 ("blocked", shards(|s| s.ro_blocked)),
                 ("immediate", shards(|s| s.ro_immediate)),
                 ("skipped", shards(|s| s.ro_skipped_prepared)),
-                ("messages", run.messages),
+                ("messages", run.net_stats.delivered),
             ],
             reads: run.ro_latencies,
             writes: run.rw_latencies,
@@ -75,7 +75,7 @@ impl From<gryff::GryffRunResult> for Outcome {
                 ("read_ops", run.client_stats.reads),
                 ("slow_reads", run.client_stats.slow_reads),
                 ("deps_piggybacked", run.client_stats.deps_piggybacked),
-                ("messages", run.messages),
+                ("messages", run.net_stats.delivered),
             ],
             reads: run.read_latencies,
             writes: run.write_latencies,

@@ -97,11 +97,12 @@ pub fn engine(mut args: Args) -> Result<ExitCode, String> {
     let mut report = Report::new("engine", params.map(|(k, v)| (k, Json::u64(v))).to_vec());
     let spanner = |queue| {
         let run = engine_profile_spanner(ENGINE_SECONDS, ENGINE_SEED, queue);
-        (run.messages, run.client_stats.rw_completed + run.client_stats.ro_completed, run.engine)
+        let ops = run.client_stats.rw_completed + run.client_stats.ro_completed;
+        (run.net_stats.delivered, ops, run.engine)
     };
     let gryff = |queue| {
         let run = engine_profile_gryff(ENGINE_SECONDS, ENGINE_SEED, queue);
-        (run.messages, run.client_stats.reads + run.client_stats.writes, run.engine)
+        (run.net_stats.delivered, run.client_stats.reads + run.client_stats.writes, run.engine)
     };
     report.push("spanner_rss_saturated", engine_row(iters, spanner));
     report.push("gryff_rsc_wan", engine_row(iters * GRYFF_REPEATS, gryff));

@@ -1,10 +1,9 @@
 //! Deployment assembly, execution, and result extraction for Gryff/Gryff-RSC.
 //!
-//! Mirrors `regular_spanner::harness`: [`build`]s the replica and client
-//! nodes ([`regular_session::SessionRunner`]s over the [`GryffService`]
-//! protocol core) once as a plane-independent [`Deployment`], runs it on the
-//! [`Plane`] the caller passes ([`run_gryff`] is the simulator default), and
-//! converts the recorded operations into
+//! [`build`]s the replica and client nodes ([`regular_session::SessionRunner`]s
+//! over the [`GryffService`] protocol core) once as a plane-independent
+//! [`Deployment`], runs it on the [`Plane`] the caller passes ([`run_gryff`]
+//! is the simulator default), and converts the recorded operations into
 //! latency distributions, a [`regular_core::History`] (via the shared
 //! [`regular_session::HistoryRecorder`]), and a serialization witness. The
 //! witness is assembled from the per-key carstamp order plus each lane's
@@ -20,14 +19,12 @@ use regular_core::history::{ByProcess, History};
 use regular_core::op::OpKind;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    per_sim_second, per_wall_second, untagged, ClusterNode, CompletedRecord, Deployment,
-    HistoryRecorder, NodeSpec, Plane, Ran, SessionConfig, SessionRunner, SessionStats,
-    SessionWorkload, SimPlane, WitnessHint,
+    fold_cluster, measure, ClientSpec, ClusterNode, CompletedRecord, Deployment, HistoryRecorder,
+    Measured, NodeSpec, Plane, SessionRunner, SessionStats, SimPlane, WitnessHint,
 };
 use regular_sim::engine::NodeId;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
-use regular_sim::net::LatencyMatrix;
-use regular_sim::time::{SimDuration, SimTime};
+use regular_sim::time::SimDuration;
 use regular_storage::StorageSummary;
 
 use crate::carstamp::Carstamp;
@@ -36,39 +33,18 @@ use crate::config::{GryffConfig, Mode};
 use crate::messages::GryffMsg;
 use crate::replica::{GryffReplica, ReplicaStats};
 
-/// A client node: the protocol-agnostic session runner over the Gryff core.
-pub type GryffClient = SessionRunner<GryffService>;
+/// A node of the simulated deployment: a storage replica or a client (the
+/// protocol-agnostic session runner over the Gryff core).
+pub type GryffNode = ClusterNode<GryffReplica, SessionRunner<GryffService>>;
 
-/// A node of the simulated deployment: a storage replica or a client.
-pub type GryffNode = ClusterNode<GryffReplica, GryffClient>;
+/// Specification of one client node: the one [`ClientSpec`]. ROADMAP item
+/// 18(b) removes this alias once `benchmark/` names the generic type.
+pub type GryffClientSpec = ClientSpec;
 
-/// Specification of one client node.
-pub struct GryffClientSpec {
-    /// Region the client runs in.
-    pub region: usize,
-    /// Session arrival/pacing/batching model.
-    pub sessions: SessionConfig,
-    /// Workload generator.
-    pub workload: Box<dyn SessionWorkload>,
-}
-
-/// Specification of a deployment run.
-pub struct GryffClusterSpec {
-    /// Protocol and topology configuration.
-    pub config: GryffConfig,
-    /// Network model.
-    pub net: LatencyMatrix,
-    /// Random seed.
-    pub seed: u64,
-    /// Client nodes.
-    pub clients: Vec<GryffClientSpec>,
-    /// Clients stop issuing new operations at this instant.
-    pub stop_issuing_at: SimTime,
-    /// Extra time to let in-flight operations drain.
-    pub drain: SimDuration,
-    /// Measurements only cover completions at or after this instant.
-    pub measure_from: SimTime,
-}
+/// Specification of a deployment run: the one
+/// [`regular_session::ClusterSpec`] over a [`GryffConfig`]. ROADMAP item
+/// 18(b) removes this alias once `benchmark/` names the generic type.
+pub type GryffClusterSpec = regular_session::ClusterSpec<GryffConfig>;
 
 /// The outcome of a run, on either plane.
 pub struct GryffRunResult {
@@ -95,10 +71,6 @@ pub struct GryffRunResult {
     pub session_stats: SessionStats,
     /// Per-replica statistics.
     pub replica_stats: Vec<ReplicaStats>,
-    /// Simulated completion time.
-    pub finished_at: SimTime,
-    /// Total messages delivered.
-    pub messages: u64,
     /// Full message counters, including the fault plane's drops, duplicates,
     /// and expirations.
     pub net_stats: MessageStats,
@@ -143,128 +115,69 @@ pub fn client_config(config: &GryffConfig, replicas: Vec<NodeId>) -> GryffClient
 /// # Panics
 ///
 /// Panics if the configuration is invalid.
-pub fn build(spec: GryffClusterSpec) -> Deployment<GryffNode> {
-    let GryffClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from: _ } =
-        spec;
+pub fn build(mut spec: GryffClusterSpec) -> Deployment<GryffNode> {
+    let config = &spec.config;
     config.validate().expect("invalid Gryff configuration");
-    let mut nodes = Vec::with_capacity(config.num_replicas + clients.len());
+    let mut nodes = Vec::with_capacity(config.num_replicas + spec.clients.len());
     for i in 0..config.num_replicas {
         nodes.push(NodeSpec {
-            node: ClusterNode::Server(Box::new(GryffReplica::new(&config, i))),
+            node: ClusterNode::Server(Box::new(GryffReplica::new(config, i))),
             region: config.replica_regions[i],
             service_time: config.replica_service_time,
         });
     }
     let replica_ids: Vec<NodeId> = (0..config.num_replicas).collect();
-    for c in clients {
-        let cfg = client_config(&config, replica_ids.clone());
-        let service = Box::new(GryffService::new(cfg));
-        let runner = SessionRunner::new(vec![service], c.sessions, stop_issuing_at, c.workload);
-        nodes.push(NodeSpec {
-            node: ClusterNode::Client(Box::new(runner)),
-            region: c.region,
-            service_time: config.client_service_time,
-        });
-    }
-    Deployment {
-        nodes,
-        net,
-        faults: config.faults,
-        seed,
-        truetime_epsilon: SimDuration::ZERO,
-        stop_at: stop_issuing_at + drain,
+    let client_time = config.client_service_time;
+    let faults = std::mem::take(&mut spec.config.faults);
+    spec.deploy(nodes, client_time, faults, SimDuration::ZERO, |config, _, _| {
+        GryffService::new(client_config(config, replica_ids.clone()))
+    })
+}
+
+/// The latency class [`regular_session::measure`] files an operation under:
+/// 0 read, 1 write, 2 read-modify-write.
+fn latency_class(kind: &OpKind) -> Option<usize> {
+    match kind {
+        OpKind::Read { .. } => Some(0),
+        OpKind::Write { .. } => Some(1),
+        OpKind::Rmw { .. } => Some(2),
+        _ => None,
     }
 }
 
-/// The records-only half of collection: everything that is a function of
-/// the completion lists and the measurement window alone.
-pub struct Measured {
-    /// Read latencies inside the window.
-    pub read_latencies: LatencyRecorder,
-    /// Write latencies inside the window.
-    pub write_latencies: LatencyRecorder,
-    /// Read-modify-write latencies inside the window.
-    pub rmw_latencies: LatencyRecorder,
-    /// Completions inside `[measure_from, stop_issuing_at)` per simulated
-    /// second.
-    pub throughput: f64,
-    /// Completions at or after `measure_from`.
-    pub measured: u64,
-}
-
-/// Measures per-client completion lists over `[measure_from, ..)`.
-pub fn measure(
-    completed: &[(NodeId, Vec<CompletedRecord>)],
-    measure_from: SimTime,
-    stop_issuing_at: SimTime,
-) -> Measured {
-    let mut read = LatencyRecorder::new();
-    let mut write = LatencyRecorder::new();
-    let mut rmw = LatencyRecorder::new();
-    let mut measured = 0u64;
-    let mut window_count = 0u64;
-    for op in completed.iter().flat_map(|(_, ops)| ops) {
-        if op.finish >= measure_from {
-            let latency = op.latency();
-            match op.kind {
-                OpKind::Read { .. } => read.record(latency),
-                OpKind::Write { .. } => write.record(latency),
-                OpKind::Rmw { .. } => rmw.record(latency),
-                _ => {}
-            }
-            measured += 1;
-            if op.finish < stop_issuing_at {
-                window_count += 1;
-            }
-        }
-    }
-    let throughput = per_sim_second(window_count, measure_from, stop_issuing_at);
-    Measured {
-        read_latencies: read,
-        write_latencies: write,
-        rmw_latencies: rmw,
-        throughput,
-        measured,
-    }
-}
-
-/// Turns what a plane handed back into a [`GryffRunResult`]: [`measure`]
-/// over the completion streams, then the nodes half (statistics, WAL
-/// counters, final registers) and the coverage signature if one was recorded.
-fn collect(
-    mode: Mode,
-    measure_from: SimTime,
-    stop_issuing_at: SimTime,
-    ran: Ran<GryffNode>,
-) -> GryffRunResult {
-    let mut completed = Vec::new();
+/// Builds a deployment, runs it on `plane`, and folds what the plane hands
+/// back into a [`GryffRunResult`]: the shared part, then the replicas'
+/// statistics and final registers, the clients' statistics and the coverage
+/// signature if one was recorded.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid.
+pub fn run_gryff_on(plane: &impl Plane<GryffMsg>, spec: GryffClusterSpec) -> GryffRunResult {
+    let (mode, measure_from, stop_issuing_at) =
+        (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
+    let ran = plane.run(build(spec));
     let mut stats = GryffClientStats::default();
-    let mut session_stats = SessionStats::default();
-    let mut replica_stats = Vec::new();
-    let mut storage = StorageSummary::default();
-    let mut replica_registers = Vec::new();
-    for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
-        match node {
-            ClusterNode::Server(r) => {
-                replica_stats.push(r.stats);
-                storage.add_wal(&r.wal_stats());
-                replica_registers.push(r.registers());
-            }
-            ClusterNode::Client(c) => {
-                let s = &c.services()[0].stats;
-                stats.reads += s.reads;
-                stats.slow_reads += s.slow_reads;
-                stats.writes += s.writes;
-                stats.rmws += s.rmws;
-                stats.fences += s.fences;
-                stats.deps_piggybacked += s.deps_piggybacked;
-                stats.timeout_retries += s.timeout_retries;
-                session_stats.merge(&c.stats);
-                completed.push((id, untagged(stream)));
-            }
-        }
-    }
-    let net = ran.net_stats;
+    let (mut replica_stats, mut replica_registers) = (Vec::new(), Vec::new());
+    let replica = |r: &GryffReplica| {
+        replica_stats.push(r.stats);
+        replica_registers.push(r.registers());
+        r.wal_stats()
+    };
+    let client = |c: &GryffService| {
+        let s = &c.stats;
+        stats.reads += s.reads;
+        stats.slow_reads += s.slow_reads;
+        stats.writes += s.writes;
+        stats.rmws += s.rmws;
+        stats.fences += s.fences;
+        stats.deps_piggybacked += s.deps_piggybacked;
+        stats.timeout_retries += s.timeout_retries;
+    };
+    let run = fold_cluster(ran.nodes, ran.completed, replica, client);
+    let records = run.clients.iter().flat_map(|(_, records)| records);
+    let measured = measure(records, measure_from, stop_issuing_at, ran.wall, latency_class);
+    let (net, storage) = (ran.net_stats, run.storage);
     let coverage = ran.coverage.map(|pairs| {
         let mut b = CoverageBuilder::new();
         for (class, phase) in pairs {
@@ -284,21 +197,22 @@ fn collect(
         b.hit_bucketed(domain::STORAGE, 2, storage.torn_bytes);
         b.build()
     });
-    let Measured { read_latencies, write_latencies, rmw_latencies, throughput, measured } =
-        measure(&completed, measure_from, stop_issuing_at);
+    let Measured {
+        latencies: [read_latencies, write_latencies, rmw_latencies],
+        throughput,
+        wall_throughput,
+    } = measured;
     GryffRunResult {
         mode,
         read_latencies,
         write_latencies,
         rmw_latencies,
-        completed,
+        completed: run.clients,
         throughput,
-        wall_throughput: per_wall_second(measured, ran.wall),
+        wall_throughput,
         client_stats: stats,
-        session_stats,
+        session_stats: run.session_stats,
         replica_stats,
-        finished_at: ran.finished_at,
-        messages: net.delivered,
         net_stats: net,
         engine: ran.engine,
         storage,
@@ -308,17 +222,6 @@ fn collect(
         deliveries: ran.deliveries,
         wire: ran.wire,
     }
-}
-
-/// Builds a deployment, runs it on `plane`, and collects the results.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_gryff_on(plane: &impl Plane<GryffMsg>, spec: GryffClusterSpec) -> GryffRunResult {
-    let (mode, measure_from, stop_issuing_at) =
-        (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
-    collect(mode, measure_from, stop_issuing_at, plane.run(build(spec)))
 }
 
 /// [`run_gryff_on`] the deterministic simulator.
@@ -412,31 +315,34 @@ pub enum GryffVerificationError {
     Witness(WitnessViolation),
 }
 
-/// Helper asserting that every read observed a value that some write actually
-/// wrote (or null), independent of the full witness check.
-pub fn all_reads_explainable(result: &GryffRunResult) -> bool {
-    let mut written: std::collections::HashSet<Value> = std::collections::HashSet::new();
-    for (_, ops) in &result.completed {
-        for op in ops {
-            for (_, v) in op.kind.written_values_iter() {
-                written.insert(v);
-            }
-        }
-    }
-    result.completed.iter().all(|(_, ops)| {
-        ops.iter().all(|op| match (&op.kind, &op.result) {
-            (OpKind::Read { .. }, regular_core::op::OpResult::Value(v)) => {
-                v.is_null() || written.contains(v)
-            }
-            _ => true,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::ConflictWorkload;
+    use regular_session::{SessionConfig, SessionWorkload};
+    use regular_sim::net::LatencyMatrix;
+    use regular_sim::time::SimTime;
+
+    /// Whether every read observed a value some write actually wrote (or
+    /// null), independent of the full witness check.
+    fn all_reads_explainable(result: &GryffRunResult) -> bool {
+        let mut written: std::collections::HashSet<Value> = std::collections::HashSet::new();
+        for (_, ops) in &result.completed {
+            for op in ops {
+                for (_, v) in op.kind.written_values_iter() {
+                    written.insert(v);
+                }
+            }
+        }
+        result.completed.iter().all(|(_, ops)| {
+            ops.iter().all(|op| match (&op.kind, &op.result) {
+                (OpKind::Read { .. }, regular_core::op::OpResult::Value(v)) => {
+                    v.is_null() || written.contains(v)
+                }
+                _ => true,
+            })
+        })
+    }
 
     fn run(mode: Mode, seed: u64, write_ratio: f64, conflict: f64) -> GryffRunResult {
         run_batched(mode, seed, write_ratio, conflict, 1)
@@ -520,7 +426,7 @@ mod tests {
         let a = run(Mode::GryffRsc, 9, 0.3, 0.1);
         let b = run(Mode::GryffRsc, 9, 0.3, 0.1);
         assert_eq!(a.client_stats.reads, b.client_stats.reads);
-        assert_eq!(a.messages, b.messages);
+        assert_eq!(a.net_stats.delivered, b.net_stats.delivered);
     }
 
     /// Certification input is a function of the records: key groups are walked

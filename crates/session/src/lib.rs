@@ -22,6 +22,9 @@
 //! * [`DurableLog`] — a server node's write-ahead log behind the one rule
 //!   that makes it sound: no message leaves before the records it depends
 //!   on are synced (group commit, checkpoints, crash and recovery included).
+//! * [`ClusterSpec`], [`measure`] and [`fold`] — a run described, measured
+//!   and folded once: every harness applies one window rule and reports the
+//!   same shared counters, whatever its protocol.
 //! * [`HistoryRecorder`] — the single conversion from completed records to a
 //!   [`regular_core::History`], shared by every harness, replacing the
 //!   per-protocol extraction code.
@@ -39,6 +42,7 @@ pub mod durable;
 pub mod op;
 pub mod plane;
 pub mod record;
+pub mod run;
 pub mod runner;
 pub mod scheduler;
 pub mod service;
@@ -48,11 +52,9 @@ pub use durable::DurableLog;
 pub use op::{
     MultiServiceWorkload, RoundRobinWorkload, ScriptedSessionWorkload, SessionOp, SessionWorkload,
 };
-pub use plane::{
-    per_sim_second, per_wall_second, untagged, ClusterNode, Deployment, NodeSpec, Plane, PlaneNode,
-    Ran, SimPlane,
-};
+pub use plane::{untagged, ClusterNode, Deployment, NodeSpec, Plane, PlaneNode, Ran, SimPlane};
 pub use record::{CompletedRecord, HistoryRecorder, LaneId, WitnessHint};
+pub use run::{fold, fold_cluster, measure, ClientSpec, ClusterSpec, Folded, Measured, Part};
 pub use runner::{HandoffRecord, SessionRunner, SessionStats};
 pub use scheduler::{SessionScheduler, Wake};
 pub use service::{runner_tag, service_tag, MappedService, Service};

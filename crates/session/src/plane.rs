@@ -161,28 +161,6 @@ pub fn untagged(stream: Vec<(usize, CompletedRecord)>) -> Vec<CompletedRecord> {
     records
 }
 
-/// Completions counted inside `[measure_from, stop_issuing_at)` per simulated
-/// second; 0 for an empty window.
-pub fn per_sim_second(window_count: u64, measure_from: SimTime, stop_issuing_at: SimTime) -> f64 {
-    let window = stop_issuing_at.since(measure_from).as_micros();
-    if window == 0 {
-        0.0
-    } else {
-        window_count as f64 * 1_000_000.0 / window as f64
-    }
-}
-
-/// Measured completions per wall-clock second; 0 when no wall time passed
-/// (every simulator run).
-pub fn per_wall_second(measured: u64, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        measured as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 /// An execution substrate for deployments whose nodes exchange `M`.
 pub trait Plane<M> {
     /// Runs `deployment` to its hard stop.

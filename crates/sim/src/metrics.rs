@@ -3,10 +3,10 @@
 //! The paper reports tail-latency CDFs (Figures 5 and 7), percentile columns
 //! (p99, p99.9), and throughput-versus-median-latency curves (Figure 6 and
 //! §7.4). [`LatencyRecorder`] collects per-operation latencies and produces
-//! percentiles and CDF rows; [`ThroughputRecorder`] counts completed
-//! operations over a measurement window.
+//! percentiles and CDF rows; throughput over a measurement window is
+//! `regular_session::measure`'s, the one window rule every report applies.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Message delivery counters kept by the engine, including the fault plane's
 /// outcomes (see [`crate::fault::FaultSchedule`]).
@@ -210,43 +210,6 @@ impl LatencyRecorder {
     }
 }
 
-/// Counts operations completed within a measurement window to compute
-/// throughput, optionally excluding a warm-up prefix.
-#[derive(Debug, Clone)]
-pub struct ThroughputRecorder {
-    window_start: SimTime,
-    window_end: SimTime,
-    completed: u64,
-}
-
-impl ThroughputRecorder {
-    /// Creates a recorder counting completions in `[window_start, window_end)`.
-    pub fn new(window_start: SimTime, window_end: SimTime) -> Self {
-        ThroughputRecorder { window_start, window_end, completed: 0 }
-    }
-
-    /// Records an operation that completed at `at`.
-    pub fn record(&mut self, at: SimTime) {
-        if at >= self.window_start && at < self.window_end {
-            self.completed += 1;
-        }
-    }
-
-    /// Number of completions inside the window.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Throughput in operations per second over the window.
-    pub fn ops_per_sec(&self) -> f64 {
-        let window = self.window_end.since(self.window_start).as_micros();
-        if window == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1_000_000.0 / window as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,16 +277,5 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].latency, SimDuration::from_millis(50));
         assert_eq!(points[1].latency, SimDuration::from_millis(99));
-    }
-
-    #[test]
-    fn throughput_window() {
-        let mut t = ThroughputRecorder::new(SimTime::from_secs(1), SimTime::from_secs(3));
-        t.record(SimTime::from_millis(500)); // before window
-        t.record(SimTime::from_millis(1_500));
-        t.record(SimTime::from_millis(2_500));
-        t.record(SimTime::from_millis(3_500)); // after window
-        assert_eq!(t.completed(), 2);
-        assert!((t.ops_per_sec() - 1.0).abs() < 1e-9);
     }
 }

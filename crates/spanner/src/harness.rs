@@ -16,16 +16,16 @@ use std::time::Duration;
 
 use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessViolation};
 use regular_core::history::History;
+use regular_core::op::OpKind;
 use regular_core::types::{Key, OpId, Value};
 use regular_session::{
-    per_sim_second, per_wall_second, untagged, ClusterNode, CompletedRecord, Deployment,
-    HistoryRecorder, NodeSpec, Plane, Ran, SessionConfig, SessionRunner, SessionStats,
-    SessionWorkload, SimPlane,
+    fold_cluster, measure, ClusterNode, CompletedRecord, Deployment, HistoryRecorder, Measured,
+    NodeSpec, Plane, SessionRunner, SessionStats, SimPlane,
 };
 use regular_sim::engine::NodeId;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
 use regular_sim::net::LatencyMatrix;
-use regular_sim::time::{SimDuration, SimTime};
+use regular_sim::time::SimDuration;
 use regular_storage::StorageSummary;
 
 use crate::client::{ClientConfig, ClientStats, SpannerService};
@@ -33,40 +33,17 @@ use crate::config::{Mode, SpannerConfig};
 use crate::messages::{SpannerMsg, Ts};
 use crate::shard::{ShardNode, ShardStats};
 
-/// A client node: the protocol-agnostic session runner over the Spanner core.
-pub type SpannerClient = SessionRunner<SpannerService>;
-
-/// A node of the simulated cluster: a shard leader or a client.
-pub type SpannerNode = ClusterNode<ShardNode, SpannerClient>;
+/// A node of the simulated cluster: a shard leader or a client (the
+/// protocol-agnostic session runner over the Spanner core).
+pub type SpannerNode = ClusterNode<ShardNode, SessionRunner<SpannerService>>;
 
 /// Specification of one client (load generator) node.
-pub struct ClientSpec {
-    /// Region the node runs in.
-    pub region: usize,
-    /// Session arrival/pacing/batching model.
-    pub sessions: SessionConfig,
-    /// Workload generator.
-    pub workload: Box<dyn SessionWorkload>,
-}
+pub use regular_session::ClientSpec;
 
-/// Specification of a full cluster run.
-pub struct ClusterSpec {
-    /// Protocol and topology configuration.
-    pub config: SpannerConfig,
-    /// Wide-area network model.
-    pub net: LatencyMatrix,
-    /// Random seed (runs are deterministic for a given seed).
-    pub seed: u64,
-    /// Client nodes.
-    pub clients: Vec<ClientSpec>,
-    /// Clients stop issuing new transactions at this instant.
-    pub stop_issuing_at: SimTime,
-    /// Extra time to let in-flight transactions drain.
-    pub drain: SimDuration,
-    /// Latency/throughput measurements only cover completions at or after
-    /// this instant (warm-up exclusion).
-    pub measure_from: SimTime,
-}
+/// Specification of a full cluster run: the one
+/// [`regular_session::ClusterSpec`] over a [`SpannerConfig`]. ROADMAP item
+/// 18(b) removes this alias once `benchmark/` names the generic type.
+pub type ClusterSpec = regular_session::ClusterSpec<SpannerConfig>;
 
 /// The outcome of a cluster run, on either plane.
 pub struct RunResult {
@@ -91,10 +68,6 @@ pub struct RunResult {
     pub session_stats: SessionStats,
     /// Per-shard statistics.
     pub shard_stats: Vec<ShardStats>,
-    /// Simulated time when the run finished.
-    pub finished_at: SimTime,
-    /// Total messages delivered.
-    pub messages: u64,
     /// Full message counters, including the fault plane's drops, duplicates,
     /// and expirations.
     pub net_stats: MessageStats,
@@ -149,146 +122,38 @@ pub fn client_config(
 ///
 /// Panics if the configuration is structurally invalid (see
 /// [`SpannerConfig::validate`]).
-pub fn build(spec: ClusterSpec) -> Deployment<SpannerNode> {
-    let ClusterSpec { config, net, seed, clients, stop_issuing_at, drain, measure_from: _ } = spec;
+pub fn build(mut spec: ClusterSpec) -> Deployment<SpannerNode> {
+    let config = &spec.config;
     config.validate().expect("invalid Spanner configuration");
-    let mut nodes = Vec::with_capacity(config.num_shards + clients.len());
+    let mut nodes = Vec::with_capacity(config.num_shards + spec.clients.len());
     let mut replication_delays = Vec::new();
     for shard in 0..config.num_shards {
-        let delay = config.replication_delay(shard, &net);
+        let delay = config.replication_delay(shard, &spec.net);
         replication_delays.push(delay);
         nodes.push(NodeSpec {
-            node: ClusterNode::Server(Box::new(ShardNode::new(&config, shard, delay))),
+            node: ClusterNode::Server(Box::new(ShardNode::new(config, shard, delay))),
             region: config.leader_regions[shard],
             service_time: config.shard_service_time,
         });
     }
     let shard_nodes: Vec<NodeId> = (0..config.num_shards).collect();
-    for c in clients {
-        let cfg =
-            client_config(&config, &net, c.region, shard_nodes.clone(), replication_delays.clone());
-        let service = Box::new(SpannerService::new(cfg));
-        let runner = SessionRunner::new(vec![service], c.sessions, stop_issuing_at, c.workload);
-        nodes.push(NodeSpec {
-            node: ClusterNode::Client(Box::new(runner)),
-            region: c.region,
-            service_time: config.client_service_time,
-        });
-    }
-    Deployment {
-        nodes,
-        net,
-        faults: config.faults,
-        seed,
-        truetime_epsilon: config.truetime_epsilon,
-        stop_at: stop_issuing_at + drain,
-    }
+    let (client_time, epsilon) = (config.client_service_time, config.truetime_epsilon);
+    let faults = std::mem::take(&mut spec.config.faults);
+    spec.deploy(nodes, client_time, faults, epsilon, |config, net, region| {
+        let delays = replication_delays.clone();
+        SpannerService::new(client_config(config, net, region, shard_nodes.clone(), delays))
+    })
 }
 
-/// The records-only half of collection: everything that is a function of
-/// the completion lists and the measurement window alone — which is all a
-/// multi-process hub, whose nodes never come back, can compute.
-pub struct Measured {
-    /// Read-write transaction latencies inside the window.
-    pub rw_latencies: LatencyRecorder,
-    /// Read-only transaction latencies inside the window.
-    pub ro_latencies: LatencyRecorder,
-    /// Measured completions before `stop_issuing_at`, per simulated second.
-    pub throughput: f64,
-    /// Non-orphan, non-fence completions at or after `measure_from`.
-    pub measured: u64,
+/// The latency class [`regular_session::measure`] files a transaction
+/// under: 0 read-only, 1 read-write.
+pub fn latency_class(kind: &OpKind) -> Option<usize> {
+    Some(usize::from(!kind.is_read_only()))
 }
 
-/// Measures per-client completion lists over `[measure_from, ..)`.
-pub fn measure(
-    completed: &[(NodeId, Vec<CompletedRecord>)],
-    measure_from: SimTime,
-    stop_issuing_at: SimTime,
-) -> Measured {
-    let mut rw = LatencyRecorder::new();
-    let mut ro = LatencyRecorder::new();
-    let mut measured = 0u64;
-    let mut window_count = 0u64;
-    for txn in completed.iter().flat_map(|(_, recs)| recs) {
-        if txn.finish >= measure_from && !txn.orphan && !txn.kind.is_fence() {
-            let latency = txn.latency();
-            if txn.kind.is_read_only() {
-                ro.record(latency);
-            } else {
-                rw.record(latency);
-            }
-            measured += 1;
-            if txn.finish < stop_issuing_at {
-                window_count += 1;
-            }
-        }
-    }
-    let throughput = per_sim_second(window_count, measure_from, stop_issuing_at);
-    Measured { rw_latencies: rw, ro_latencies: ro, throughput, measured }
-}
-
-/// Turns what a plane handed back into a [`RunResult`]: [`measure`] over the
-/// completion streams, then the nodes half (statistics, WAL counters, final
-/// stores).
-fn collect(
-    mode: Mode,
-    measure_from: SimTime,
-    stop_issuing_at: SimTime,
-    ran: Ran<SpannerNode>,
-) -> RunResult {
-    let mut completed = Vec::new();
-    let mut client_stats = ClientStats::default();
-    let mut session_stats = SessionStats::default();
-    let mut shard_stats = Vec::new();
-    let mut storage = StorageSummary::default();
-    let mut shard_stores = Vec::new();
-    for (id, (node, stream)) in ran.nodes.iter().zip(ran.completed).enumerate() {
-        match node {
-            ClusterNode::Server(s) => {
-                shard_stats.push(s.stats);
-                storage.add_wal(&s.wal_stats());
-                let mut dump = s.store().dump();
-                dump.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
-                shard_stores.push(dump);
-            }
-            ClusterNode::Client(c) => {
-                let s = &c.services()[0].stats;
-                client_stats.rw_completed += s.rw_completed;
-                client_stats.ro_completed += s.ro_completed;
-                client_stats.fences += s.fences;
-                client_stats.aborted_attempts += s.aborted_attempts;
-                client_stats.ro_waited_slow += s.ro_waited_slow;
-                client_stats.timeout_retries += s.timeout_retries;
-                session_stats.merge(&c.stats);
-                completed.push((id, untagged(stream)));
-            }
-        }
-    }
-    let Measured { rw_latencies, ro_latencies, throughput, measured } =
-        measure(&completed, measure_from, stop_issuing_at);
-    RunResult {
-        mode,
-        rw_latencies,
-        ro_latencies,
-        completed,
-        throughput,
-        wall_throughput: per_wall_second(measured, ran.wall),
-        client_stats,
-        session_stats,
-        shard_stats,
-        finished_at: ran.finished_at,
-        messages: ran.net_stats.delivered,
-        net_stats: ran.net_stats,
-        engine: ran.engine,
-        storage,
-        shard_stores,
-        wall: ran.wall,
-        deliveries: ran.deliveries,
-        wire: ran.wire,
-    }
-}
-
-/// Builds a cluster, runs it on `plane`, and collects the results.
+/// Builds a cluster, runs it on `plane`, and folds what the plane hands
+/// back into a [`RunResult`]: the shared part, then the shards' statistics
+/// and final stores and the clients' statistics.
 ///
 /// # Panics
 ///
@@ -297,39 +162,52 @@ fn collect(
 pub fn run_cluster_on(plane: &impl Plane<SpannerMsg>, spec: ClusterSpec) -> RunResult {
     let (mode, measure_from, stop_issuing_at) =
         (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
-    collect(mode, measure_from, stop_issuing_at, plane.run(build(spec)))
+    let ran = plane.run(build(spec));
+    let mut client_stats = ClientStats::default();
+    let (mut shard_stats, mut shard_stores) = (Vec::new(), Vec::new());
+    let shard = |s: &ShardNode| {
+        shard_stats.push(s.stats);
+        let mut dump = s.store().dump();
+        dump.sort_unstable_by_key(|(k, ts, _)| (k.0, *ts));
+        shard_stores.push(dump);
+        s.wal_stats()
+    };
+    let client = |c: &SpannerService| {
+        let s = &c.stats;
+        client_stats.rw_completed += s.rw_completed;
+        client_stats.ro_completed += s.ro_completed;
+        client_stats.fences += s.fences;
+        client_stats.aborted_attempts += s.aborted_attempts;
+        client_stats.ro_waited_slow += s.ro_waited_slow;
+        client_stats.timeout_retries += s.timeout_retries;
+    };
+    let run = fold_cluster(ran.nodes, ran.completed, shard, client);
+    let records = run.clients.iter().flat_map(|(_, records)| records);
+    let Measured { latencies: [ro_latencies, rw_latencies], throughput, wall_throughput } =
+        measure(records, measure_from, stop_issuing_at, ran.wall, latency_class);
+    RunResult {
+        mode,
+        rw_latencies,
+        ro_latencies,
+        completed: run.clients,
+        throughput,
+        wall_throughput,
+        client_stats,
+        session_stats: run.session_stats,
+        shard_stats,
+        net_stats: ran.net_stats,
+        engine: ran.engine,
+        storage: run.storage,
+        shard_stores,
+        wall: ran.wall,
+        deliveries: ran.deliveries,
+        wire: ran.wire,
+    }
 }
 
 /// [`run_cluster_on`] the deterministic simulator.
 pub fn run_cluster(spec: ClusterSpec) -> RunResult {
     run_cluster_on(&SimPlane::default(), spec)
-}
-
-/// Witness sort rank: read-write transactions and fences order first among
-/// timestamp ties, then read-only transactions. (Commit wait makes every
-/// pre-fence timestamp strictly smaller than the fence's `t_f`, while a
-/// session's post-fence read-only transaction may serialize at exactly `t_f`
-/// and must follow the fence.)
-fn witness_rank(rec: &CompletedRecord) -> u8 {
-    u8::from(rec.kind.is_read_only())
-}
-
-/// Appends a client's records to the shared recorder and returns the
-/// `(timestamp, rank, finish, op)` witness sort keys — the order used in the
-/// paper's correctness proof (commit timestamps for read-write transactions,
-/// snapshot timestamps for read-only ones, read-write first among equals).
-pub fn record_with_witness_keys(
-    recorder: &mut HistoryRecorder,
-    client: u64,
-    records: &[CompletedRecord],
-) -> Vec<(u64, u8, u64, OpId)> {
-    let mut keys = Vec::with_capacity(records.len());
-    for rec in records {
-        let id = recorder.record(client, rec);
-        let ts = rec.witness_ts().unwrap_or_else(|| rec.finish.as_micros());
-        keys.push((ts, witness_rank(rec), rec.finish.as_micros(), id));
-    }
-    keys
 }
 
 /// Builds a [`History`] and a serialization witness from a run.
@@ -343,12 +221,25 @@ pub fn build_history(result: &RunResult) -> (History, Vec<OpId>) {
 
 /// [`build_history`] from bare per-client completion lists, for harnesses
 /// (e.g. a multi-process hub) that do not assemble a [`RunResult`].
+///
+/// The witness sorts by `(timestamp, rank, finish, op)`: the order of the
+/// paper's correctness proof — commit timestamps for read-write
+/// transactions, snapshot timestamps for read-only ones. Among timestamp
+/// ties, read-write transactions and fences rank before read-only ones:
+/// commit wait makes every pre-fence timestamp strictly smaller than the
+/// fence's `t_f`, while a session's post-fence read-only transaction may
+/// serialize at exactly `t_f` and must follow the fence.
 pub fn build_history_from(completed: &[(NodeId, Vec<CompletedRecord>)]) -> (History, Vec<OpId>) {
     let total = completed.iter().map(|(_, txns)| txns.len()).sum();
     let mut recorder = HistoryRecorder::with_capacity(total);
     let mut witness_keys: Vec<(u64, u8, u64, OpId)> = Vec::with_capacity(total);
     for (client, txns) in completed {
-        witness_keys.extend(record_with_witness_keys(&mut recorder, *client as u64, txns));
+        for rec in txns {
+            let id = recorder.record(*client as u64, rec);
+            let ts = rec.witness_ts().unwrap_or_else(|| rec.finish.as_micros());
+            let rank = u8::from(rec.kind.is_read_only());
+            witness_keys.push((ts, rank, rec.finish.as_micros(), id));
+        }
     }
     witness_keys.sort_unstable();
     let witness = witness_keys.into_iter().map(|(_, _, _, id)| id).collect();
@@ -370,6 +261,9 @@ pub fn verify_run(result: &RunResult) -> Result<(), WitnessViolation> {
 mod tests {
     use super::*;
     use crate::workload::UniformWorkload;
+
+    use regular_session::{SessionConfig, SessionWorkload};
+    use regular_sim::time::SimTime;
 
     fn small_cluster(mode: Mode, seed: u64, skewless_keys: u64) -> RunResult {
         small_cluster_batched(mode, seed, skewless_keys, 1)
@@ -443,7 +337,7 @@ mod tests {
         let b = small_cluster(Mode::SpannerRss, 3, 100);
         assert_eq!(a.client_stats.rw_completed, b.client_stats.rw_completed);
         assert_eq!(a.client_stats.ro_completed, b.client_stats.ro_completed);
-        assert_eq!(a.messages, b.messages);
+        assert_eq!(a.net_stats.delivered, b.net_stats.delivered);
         let mut x = a.ro_latencies.clone();
         let mut y = b.ro_latencies.clone();
         assert_eq!(x.percentile(99.0), y.percentile(99.0));

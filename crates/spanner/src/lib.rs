@@ -60,9 +60,8 @@ pub mod prelude {
     pub use crate::client::{ClientConfig, ClientStats, SpannerService};
     pub use crate::config::{Mode, SpannerConfig};
     pub use crate::harness::{
-        build, build_history, build_history_from, client_config, measure, record_with_witness_keys,
-        run_cluster, run_cluster_on, verify_run, ClientSpec, ClusterSpec, Measured, RunResult,
-        SpannerClient, SpannerNode,
+        build, build_history, build_history_from, client_config, latency_class, run_cluster,
+        run_cluster_on, verify_run, ClientSpec, ClusterSpec, RunResult, SpannerNode,
     };
     pub use crate::messages::{SpannerMsg, TxnId};
     pub use crate::shard::ShardNode;

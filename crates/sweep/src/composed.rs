@@ -25,8 +25,8 @@ use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
 use regular_gryff::{carstamp_chain_edges, carstamp_chain_row, ChainRow, GryffMsg};
 use regular_session::{
-    per_wall_second, CompletedRecord, Deployment, HandoffRecord, HistoryRecorder, MappedService,
-    MultiServiceWorkload, NodeSpec, Plane, PlaneNode, Ran, RoundRobinWorkload, Service,
+    fold, measure, CompletedRecord, Deployment, HandoffRecord, HistoryRecorder, MappedService,
+    Measured, MultiServiceWorkload, NodeSpec, Part, Plane, PlaneNode, RoundRobinWorkload, Service,
     SessionConfig, SessionRunner, SessionStats, SessionWorkload, SimPlane,
 };
 use regular_sim::compose::Embedded;
@@ -162,8 +162,6 @@ pub struct AppResult {
     pub auto_fences: u64,
     /// Cross-process causal handoffs this app performed.
     pub handoffs: Vec<HandoffRecord>,
-    /// Causal contexts imported by this app's sessions.
-    pub contexts_imported: u64,
 }
 
 /// Which application drives the composed deployment.
@@ -238,11 +236,11 @@ pub struct ComposedOutcome {
     pub storage: StorageSummary,
     /// Aggregated session-scheduler statistics across all apps.
     pub session_stats: SessionStats,
-    /// Simulated time when the run stopped.
-    pub finished_at: SimTime,
     /// Wall-clock duration of the run; zero on the simulator.
     pub wall: Duration,
-    /// Non-fence completions per wall-clock second; 0 on the simulator.
+    /// Measured completions (neither fences nor orphans, see
+    /// [`regular_session::measure`]) per wall-clock second; 0 on the
+    /// simulator.
     pub wall_throughput: f64,
     /// The live transport's delivery log (empty unless recording was
     /// enabled; always empty on the simulator).
@@ -396,53 +394,44 @@ fn build(seed: u64, config: &ComposedRunConfig) -> Deployment<DuoNode> {
     }
 }
 
-/// Turns what a plane handed back into a [`ComposedOutcome`].
-fn collect(ran: Ran<DuoNode>) -> ComposedOutcome {
-    let mut apps = Vec::new();
-    let mut storage = StorageSummary::default();
-    let mut session_stats = SessionStats::default();
-    for (id, (node, completed)) in ran.nodes.into_iter().zip(ran.completed).enumerate() {
-        match node {
-            DuoNode::SpannerShard(s) => storage.add_wal(&s.inner.wal_stats()),
-            DuoNode::GryffReplica(r) => storage.add_wal(&r.inner.wal_stats()),
-            DuoNode::App(runner) => {
-                session_stats.merge(&runner.stats);
-                apps.push(AppResult {
-                    node: id,
-                    completed,
-                    auto_fences: runner.fence_stats().executed,
-                    contexts_imported: runner.stats.contexts_imported,
-                    handoffs: runner.handoffs,
-                });
-            }
-        }
-    }
-    let measured =
-        apps.iter().flat_map(|a| &a.completed).filter(|(_, rec)| !rec.kind.is_fence()).count();
-    ComposedOutcome {
-        apps,
-        net_stats: ran.net_stats,
-        storage,
-        session_stats,
-        finished_at: ran.finished_at,
-        wall: ran.wall,
-        wall_throughput: per_wall_second(measured as u64, ran.wall),
-        deliveries: ran.deliveries,
-        wire: ran.wire,
-    }
-}
-
 /// Runs the composite deployment — 3 Spanner-RSS shards + 5 Gryff-RSC
-/// replicas + `config.num_apps` composed app nodes — on `plane`. On the
-/// simulator the run is deterministic for a fixed `(seed, config)`; live
-/// runs are not (pass a plane that records deliveries to keep the schedule
-/// evidence for artifacts).
+/// replicas + `config.num_apps` composed app nodes — on `plane`, and folds
+/// what it hands back: the shared part, with each app's completions, fences
+/// and handoffs. On the simulator the run is deterministic for a fixed
+/// `(seed, config)`; live runs are not (pass a plane that records
+/// deliveries to keep the schedule evidence for artifacts).
 pub fn run_composed_on(
     plane: &impl Plane<DuoMsg>,
     seed: u64,
     config: &ComposedRunConfig,
 ) -> ComposedOutcome {
-    collect(plane.run(build(seed, config)))
+    let ran = plane.run(build(seed, config));
+    let run = fold(ran.nodes, ran.completed, |node, duo, completed| match duo {
+        DuoNode::SpannerShard(s) => Part::Server(s.inner.wal_stats()),
+        DuoNode::GryffReplica(r) => Part::Server(r.inner.wal_stats()),
+        DuoNode::App(runner) => Part::Client(
+            runner.stats,
+            AppResult {
+                node,
+                completed,
+                auto_fences: runner.fence_stats().executed,
+                handoffs: runner.handoffs,
+            },
+        ),
+    });
+    let records = run.clients.iter().flat_map(|app| &app.completed).map(|(_, rec)| rec);
+    let measured: Measured<0> =
+        measure(records, SimTime::ZERO, ran.finished_at, ran.wall, |_| None);
+    ComposedOutcome {
+        apps: run.clients,
+        net_stats: ran.net_stats,
+        storage: run.storage,
+        session_stats: run.session_stats,
+        wall: ran.wall,
+        wall_throughput: measured.wall_throughput,
+        deliveries: ran.deliveries,
+        wire: ran.wire,
+    }
 }
 
 /// [`run_composed_on`] the deterministic simulator.

@@ -129,5 +129,5 @@ fn deterministic_runs_for_fixed_seed() {
     let b = ycsb_cluster(Mode::Gryff, 0.3, 0.1, 55);
     assert_eq!(a.client_stats.reads, b.client_stats.reads);
     assert_eq!(a.client_stats.writes, b.client_stats.writes);
-    assert_eq!(a.messages, b.messages);
+    assert_eq!(a.net_stats.delivered, b.net_stats.delivered);
 }
