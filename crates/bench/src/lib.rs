@@ -8,9 +8,7 @@
 //! once with the rule it is gated by — and `regular-bench gate CURRENT
 //! REFERENCE` judges a fresh report by the rules its committed reference
 //! (`ci/*_reference.json`, `BENCH_sweep.json`) carries. ARCHITECTURE.md
-//! places this crate in the stack; BENCHMARKS.md records the results. The
-//! Criterion benches in `benches/` measure the protocol-level and
-//! checker-level costs.
+//! places this crate in the stack; BENCHMARKS.md records the results.
 
 pub mod cli;
 pub mod gate;

@@ -1,5 +1,5 @@
 //! Wall-clock profiles whose *ratios* are gated: the engine hot path and
-//! certification at scale.
+//! certification at scale, beside the exact search on small histories.
 //!
 //! Both measure two ways of doing the same work in one process on one host
 //! and report the quotient, which transfers across machines the way absolute
@@ -11,9 +11,11 @@ use std::time::Instant;
 
 use regular_core::checker::assemble::assemble_witness;
 use regular_core::checker::certificate::WitnessModel;
+use regular_core::checker::models::constraints_for;
+use regular_core::checker::search::{find_sequence, find_sequence_reference};
 use regular_core::history::ByProcess;
 use regular_core::spec::SpecState;
-use regular_core::{check, check_witness, Model};
+use regular_core::{check, check_witness, History, HistoryBuilder, Model};
 use regular_sim::metrics::EngineStats;
 use regular_sim::queue::QueueKind;
 use regular_sweep::{certify_streaming, synthetic_history, synthetic_session_history, Json};
@@ -119,6 +121,39 @@ const SEARCH_GROUPS: usize = 4;
 /// Interleaved timing rounds per path.
 const ROUNDS: usize = 15;
 
+/// Calls per round of each small exact-search path. One call takes one to
+/// twenty microseconds; this many make a round of the fastest take over a
+/// millisecond, far above the clock's resolution.
+const SMALL_SEARCH_REPEATS: usize = 1_000;
+
+/// The Figure 2 history plus a write and two reads on a second key: RSC but
+/// not linearizable. Every process touches key 1, so it is one component.
+/// Left unbuilt so that `pending_writes_history` can extend it.
+fn figure_2_history() -> HistoryBuilder {
+    let mut b = HistoryBuilder::new();
+    b.write(1, 1, 1, 0, 100);
+    b.read(2, 1, 1, 10, 20);
+    b.read(3, 1, 0, 30, 40);
+    b.write(2, 2, 2, 50, 60);
+    b.read(1, 2, 2, 70, 80);
+    b.read(3, 2, 2, 90, 95);
+    b
+}
+
+/// A denser exact-search input: `figure_2_history` grown to 12 operations
+/// with two pending writes, one read and one unread, so the optional-subset
+/// loop and the memoized backtracking both do real work. One component.
+fn pending_writes_history() -> History {
+    let mut b = figure_2_history();
+    b.pending_write(1, 3, 3, 96);
+    b.read(2, 3, 3, 100, 110);
+    b.pending_write(3, 4, 4, 111);
+    b.read(2, 4, 0, 120, 130);
+    b.write(1, 5, 5, 140, 150);
+    b.read(3, 5, 5, 160, 170);
+    b.build()
+}
+
 /// How far a gated checker ratio may fall below its reference: three times
 /// the widest quartile spread any gated ratio showed over ten profiles of one
 /// tree on one host (the `rows` table below records each; BENCHMARKS.md
@@ -145,10 +180,18 @@ const CHECKER_FLOOR: f64 = 0.30;
 /// * `spec_replay_100k` — the first row's witness replayed through
 ///   `SpecState::apply_expecting` alone: the sequential-specification layer
 ///   the streaming checker replays every pushed op through.
+/// * `exact_search_rsc_6_ops`, `exact_search_linearizability_6_ops` —
+///   `models::check` on `figure_2_history`: it finds an RSC witness and
+///   proves that no linearizable one exists.
+/// * `exact_search_rsc_12_ops_pending_writes`,
+///   `exact_search_reference_rsc_12_ops_pending_writes` — `find_sequence`
+///   and its clone-per-step oracle `find_sequence_reference` finding an RSC
+///   witness for `pending_writes_history` under the same constraints.
 ///
-/// The paths are timed round-robin (one run of each per round), so slow host
-/// phases hit every path about equally, and each ratio is the median over
-/// rounds of that round's quotient.
+/// The paths are timed round-robin (one run of each per round; a small
+/// search runs `SMALL_SEARCH_REPEATS` times), so slow host phases hit every
+/// path about equally, and each ratio is the median over rounds of that
+/// round's quotient. `millis` is the median time of one call.
 pub fn checker(mut args: Args) -> Result<ExitCode, String> {
     let out = args.out()?;
     args.finish()?;
@@ -162,22 +205,33 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
     let chains = by_key.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| (w[0].1, w[1].1));
     let edges: Vec<_> = chains.chain(ByProcess::new(&history).pairs()).collect();
     let assembles = |model| assemble_witness(&history, &edges, model).is_ok_and(|w| w == witness);
+    let figure_2 = figure_2_history().build();
+    let finds = |model| check(&figure_2, model).is_ok_and(|outcome| outcome.satisfied);
+    let pending = pending_writes_history();
+    let (required, optional) = (pending.complete_ids(), pending.pending_mutations());
+    let constraints = constraints_for(&pending, Model::RegularSequentialConsistency);
 
-    // Per path: name, ops, components and, for a gated path, the row its
-    // `speedup` is a ratio of with that ratio's quartile spread (Q3 − Q1 over
-    // the median) across ten profiles of the PR 17 tree on one host.
+    // Per path: name, ops, components, calls per round and, for a gated
+    // path, the row its `speedup` is a ratio of with that ratio's quartile
+    // spread (Q3 − Q1 over the median) across ten profiles of the PR 17 tree
+    // on one host.
+    let small = SMALL_SEARCH_REPEATS;
     let rows = [
-        ("witness_full_100k", CHECKER_OPS, CHECKER_GROUPS, None),
-        ("streaming_100k", CHECKER_OPS, CHECKER_GROUPS, Some((0, 0.067))),
-        ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, None),
-        ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, Some((2, 0.046))),
-        ("search_2k", SEARCH_OPS, SEARCH_GROUPS, None),
-        ("assemble_regular_100k", CHECKER_OPS, CHECKER_GROUPS, None),
-        ("assemble_realtime_100k", CHECKER_OPS, CHECKER_GROUPS, None),
-        ("spec_replay_100k", CHECKER_OPS, CHECKER_GROUPS, None),
+        ("witness_full_100k", CHECKER_OPS, CHECKER_GROUPS, 1, None),
+        ("streaming_100k", CHECKER_OPS, CHECKER_GROUPS, 1, Some((0, 0.067))),
+        ("witness_full_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, 1, None),
+        ("streaming_100k_10k_sessions", CHECKER_OPS, SESSION_GROUPS, 1, Some((2, 0.046))),
+        ("search_2k", SEARCH_OPS, SEARCH_GROUPS, 1, None),
+        ("assemble_regular_100k", CHECKER_OPS, CHECKER_GROUPS, 1, None),
+        ("assemble_realtime_100k", CHECKER_OPS, CHECKER_GROUPS, 1, None),
+        ("spec_replay_100k", CHECKER_OPS, CHECKER_GROUPS, 1, None),
+        ("exact_search_rsc_6_ops", figure_2.len(), 1, small, None),
+        ("exact_search_linearizability_6_ops", figure_2.len(), 1, small, None),
+        ("exact_search_rsc_12_ops_pending_writes", pending.len(), 1, small, None),
+        ("exact_search_reference_rsc_12_ops_pending_writes", pending.len(), 1, small, None),
     ];
     let mut peak_window = 0;
-    let mut paths: [&mut dyn FnMut() -> bool; 8] = [
+    let mut paths: [&mut dyn FnMut() -> bool; 12] = [
         &mut || check_witness(&history, &witness, model).is_ok(),
         &mut || {
             let stats = certify_streaming(&history, &witness, model);
@@ -198,13 +252,25 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
                 .map(|&id| history.op(id))
                 .all(|op| state.apply_expecting(op.service, &op.kind, op.result.as_ref()).is_ok())
         },
+        &mut || finds(Model::RegularSequentialConsistency),
+        &mut || !finds(Model::Linearizability),
+        &mut || {
+            find_sequence(&pending, &required, &optional, &constraints).is_ok_and(|w| w.is_some())
+        },
+        &mut || {
+            let found = find_sequence_reference(&pending, &required, &optional, &constraints);
+            found.is_ok_and(|w| w.is_some())
+        },
     ];
-    // One warm-up round, then the timed ones: `rounds[r][path]` milliseconds.
+    // One warm-up round, then the timed ones: `rounds[r][path]` milliseconds
+    // per call.
     let mut round = || -> Vec<f64> {
-        let time = |(run, row): (&mut &mut dyn FnMut() -> bool, &(&str, _, _, _))| {
+        let time = |(run, row): (&mut &mut dyn FnMut() -> bool, &(&str, _, _, usize, _))| {
             let started = Instant::now();
-            assert!(run(), "{} did not certify", row.0);
-            started.elapsed().as_secs_f64() * 1_000.0
+            for _ in 0..row.3 {
+                assert!(run(), "{} did not reach its verdict", row.0);
+            }
+            started.elapsed().as_secs_f64() * 1_000.0 / row.3 as f64
         };
         paths.iter_mut().zip(&rows).map(time).collect()
     };
@@ -213,12 +279,14 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
 
     let mut report = Report::new("checker", vec![("rounds", Json::u64(ROUNDS as u64))]);
     let mut spreads = Vec::new();
-    for (i, (name, ops, components, ratio)) in rows.iter().enumerate() {
+    for (i, (name, ops, components, repeats, ratio)) in rows.iter().enumerate() {
         let millis = median(rounds.iter().map(|round| round[i]).collect());
+        // A small search's call takes microseconds: keep two decimals of those.
+        let shown = if *repeats > 1 { (millis * 1e5).round() / 1e5 } else { round2(millis) };
         let mut cells = vec![
             ("ops", Rule::Exact, Json::u64(*ops as u64)),
             ("components", Rule::Exact, Json::u64(*components as u64)),
-            ("millis", Rule::Info, Json::f64(round2(millis))),
+            ("millis", Rule::Info, Json::f64(shown)),
             ("ops_per_sec", Rule::Info, Json::f64((*ops as f64 / (millis / 1_000.0)).round())),
         ];
         if let Some((base, spread)) = *ratio {

@@ -213,9 +213,9 @@ pub fn run_gryff_ycsb(
 /// (4 client nodes × 32 sessions × batch 8 = 1024 lanes), where the
 /// simulator pushes millions of messages through the event queue and every
 /// event waits out dozens of busy deferrals in its shard's run queue.
-/// `queue` selects the event-queue implementation so the criterion bench and
-/// the `engine` subcommand can A/B the indexed queue against the retained
-/// reference heap on an otherwise identical execution.
+/// `queue` selects the event-queue implementation so the `engine` subcommand
+/// can A/B the indexed queue against the retained reference heap on an
+/// otherwise identical execution.
 pub fn engine_profile_spanner(
     seconds: u64,
     seed: u64,

@@ -97,20 +97,9 @@ pub fn check_witness(
     model: WitnessModel,
 ) -> Result<(), WitnessViolation> {
     let index = HistoryIndex::new(history);
-    check_witness_with(history, &index, witness, model)
-}
-
-/// [`check_witness`] over a prebuilt [`HistoryIndex`], letting callers that
-/// validate several witnesses of one history share the index.
-pub fn check_witness_with(
-    history: &History,
-    index: &HistoryIndex,
-    witness: &[OpId],
-    model: WitnessModel,
-) -> Result<(), WitnessViolation> {
-    let positions = validate_membership(index, witness)?;
-    replay_witness(history, index, witness)?;
-    check_order_constraints(history, index, &positions, model)
+    let positions = validate_membership(&index, witness)?;
+    replay_witness(history, &index, witness)?;
+    check_order_constraints(history, &index, &positions, model)
 }
 
 /// The order-constraint half of the witness check.

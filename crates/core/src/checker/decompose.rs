@@ -9,10 +9,9 @@
 //!
 //! No checker splits its work this way: the witness search runs over the
 //! whole history, and validating a given witness is the linear case, where a
-//! protocol history is always one component. The split has three callers
-//! left: `regular_sweep::certify_streaming`, which reports a history's
-//! `components`, the `large_history_certify` example and the `checker_scale`
-//! criterion bench.
+//! protocol history is always one component. The split has one caller left:
+//! `regular_sweep::certify_streaming`, which reports a history's
+//! `components`.
 
 use std::collections::HashMap;
 

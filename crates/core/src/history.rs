@@ -304,24 +304,6 @@ impl History {
         }
         Ok(())
     }
-
-    /// The read-only operations that conflict with mutating operation `w`
-    /// (the paper's C(w)): read-only operations on the same service reading a
-    /// key that `w` writes.
-    pub fn conflicting_read_only(&self, w: OpId) -> Vec<OpId> {
-        let wrec = self.op(w);
-        let writes = |k: Key| wrec.kind.written_keys_iter().any(|written| written == k);
-        self.ops
-            .iter()
-            .filter(|o| {
-                o.id != w
-                    && o.service == wrec.service
-                    && o.kind.is_read_only()
-                    && o.kind.read_keys_iter().any(writes)
-            })
-            .map(|o| o.id)
-            .collect()
-    }
 }
 
 /// Every process's operations in process order, derived from a history in
@@ -954,20 +936,6 @@ mod tests {
         b.pending_write(1, 2, 20, 6);
         let h = b.build();
         assert!(h.validate().is_ok());
-    }
-
-    #[test]
-    fn conflicting_read_only_set() {
-        let mut b = HistoryBuilder::new();
-        let w = b.rw_txn(1, &[], &[(1, 10), (2, 20)], 0, 5);
-        let r1 = b.ro_txn(2, &[(1, 10)], 6, 8);
-        let _r2 = b.ro_txn(2, &[(3, 0)], 9, 10);
-        let r3 = b.read(3, 2, 20, 6, 8);
-        let h = b.build();
-        let conflicts = h.conflicting_read_only(w);
-        assert!(conflicts.contains(&r1));
-        assert!(conflicts.contains(&r3));
-        assert_eq!(conflicts.len(), 2);
     }
 
     #[test]

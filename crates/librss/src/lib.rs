@@ -48,8 +48,7 @@ pub use planner::{FencePlanner, FenceStats};
 /// Errors returned by the meta-library.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LibRssError {
-    /// `start_transaction` named a service that was never registered (or was
-    /// unregistered).
+    /// `start_transaction` named a service that was never registered.
     UnknownService(String),
 }
 
@@ -60,9 +59,8 @@ type Fence = Box<dyn FnMut() + Send>;
 #[derive(Default)]
 pub struct LibRss {
     /// Registered services in registration order; a service's position is
-    /// its index in the planner. Unregistering drops the callback and keeps
-    /// the name, so positions stay stable.
-    services: Vec<(String, Option<Fence>)>,
+    /// its index in the planner.
+    services: Vec<(String, Fence)>,
     /// This process's fence decisions, as the planner's one process `()`.
     planner: FencePlanner<()>,
 }
@@ -75,7 +73,7 @@ impl LibRss {
 
     /// The position of a registered service.
     fn position(&self, name: &str) -> Option<usize> {
-        self.services.iter().position(|(n, fence)| n == name && fence.is_some())
+        self.services.iter().position(|(n, _)| n == name)
     }
 
     /// `RegisterService(name, fence_f)`: registers a service's fence
@@ -88,21 +86,9 @@ impl LibRss {
         let name = name.into();
         let fence: Fence = Box::new(fence);
         match self.services.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = Some(fence),
-            None => self.services.push((name, Some(fence))),
+            Some(slot) => slot.1 = fence,
+            None => self.services.push((name, fence)),
         }
-    }
-
-    /// `UnregisterService(name)`: removes a service from the registry. If it
-    /// was the last service used, the next transaction is a first one: there
-    /// is nothing left to fence.
-    pub fn unregister_service(&mut self, name: &str) -> bool {
-        let Some(idx) = self.position(name) else { return false };
-        self.services[idx].1 = None;
-        if self.planner.last_service(&()) == Some(idx) {
-            self.planner.end_session(&());
-        }
-        true
     }
 
     /// `StartTransaction(name)`: must be called by a service's client library
@@ -112,8 +98,7 @@ impl LibRss {
         let idx =
             self.position(name).ok_or_else(|| LibRssError::UnknownService(name.to_string()))?;
         if let Some(prev) = self.planner.on_transaction((), idx) {
-            let fence = self.services[prev].1.as_mut().expect("the previous service is registered");
-            fence();
+            (self.services[prev].1)();
         }
         Ok(())
     }
@@ -211,27 +196,6 @@ mod tests {
             lib.start_transaction("blob"),
             Err(LibRssError::UnknownService("blob".to_string()))
         );
-    }
-
-    #[test]
-    fn unregister_removes_service() {
-        let (mut lib, _, _) = counting_registry();
-        assert!(lib.unregister_service("kv"));
-        assert!(!lib.unregister_service("kv"));
-        assert!(lib.start_transaction("kv").is_err());
-        assert!(lib.start_transaction("queue").is_ok());
-    }
-
-    #[test]
-    fn unregistered_previous_service_is_not_fenced() {
-        let (mut lib, kv, _) = counting_registry();
-        lib.start_transaction("kv").unwrap();
-        assert!(lib.unregister_service("kv"));
-        // The switch to the queue has nothing left to fence; it must not panic
-        // or invoke the dropped callback.
-        lib.start_transaction("queue").unwrap();
-        assert_eq!(kv.load(Ordering::SeqCst), 0);
-        assert_eq!(lib.stats(), FenceStats { executed: 0, elided: 2 });
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper reports tail-latency CDFs (Figures 5 and 7), percentile columns
 //! (p99, p99.9), and throughput-versus-median-latency curves (Figure 6 and
-//! §7.4). [`LatencyRecorder`] collects per-operation latencies and produces
-//! percentiles and CDF rows; throughput over a measurement window is
+//! §7.4). [`LatencyRecorder`] collects per-operation latencies and answers
+//! percentile queries; throughput over a measurement window is
 //! `regular_session::measure`'s, the one window rule every report applies.
 
 use crate::time::SimDuration;
@@ -31,11 +31,6 @@ impl MessageStats {
             duplicated: self.duplicated + other.duplicated,
             expired: self.expired + other.expired,
         }
-    }
-
-    /// Messages lost for any reason (dropped or expired).
-    pub fn lost(&self) -> u64 {
-        self.dropped + self.expired
     }
 }
 
@@ -91,16 +86,6 @@ pub struct LatencyRecorder {
     sorted: bool,
 }
 
-/// A single row of a latency CDF: fraction of operations completing within
-/// `latency`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CdfPoint {
-    /// Cumulative fraction in `[0, 1]`.
-    pub fraction: f64,
-    /// Latency at that fraction.
-    pub latency: SimDuration,
-}
-
 impl LatencyRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
@@ -152,11 +137,6 @@ impl LatencyRecorder {
         Some(SimDuration::from_micros(self.samples_us[idx]))
     }
 
-    /// Median latency.
-    pub fn median(&mut self) -> Option<SimDuration> {
-        self.percentile(50.0)
-    }
-
     /// Arithmetic mean latency.
     pub fn mean(&self) -> Option<SimDuration> {
         if self.samples_us.is_empty() {
@@ -170,43 +150,6 @@ impl LatencyRecorder {
     pub fn max(&mut self) -> Option<SimDuration> {
         self.ensure_sorted();
         self.samples_us.last().map(|&us| SimDuration::from_micros(us))
-    }
-
-    /// Produces the CDF at the given fractions (e.g. `[0.5, 0.9, 0.99, 0.999]`).
-    pub fn cdf(&mut self, fractions: &[f64]) -> Vec<CdfPoint> {
-        fractions
-            .iter()
-            .filter_map(|&f| {
-                self.percentile(f * 100.0).map(|latency| CdfPoint { fraction: f, latency })
-            })
-            .collect()
-    }
-
-    /// Produces a complete CDF suitable for plotting: one point per sample,
-    /// downsampled to at most `max_points` points.
-    pub fn full_cdf(&mut self, max_points: usize) -> Vec<CdfPoint> {
-        if self.samples_us.is_empty() || max_points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let n = self.samples_us.len();
-        let step = (n / max_points).max(1);
-        let mut points = Vec::new();
-        let mut i = step - 1;
-        while i < n {
-            points.push(CdfPoint {
-                fraction: (i + 1) as f64 / n as f64,
-                latency: SimDuration::from_micros(self.samples_us[i]),
-            });
-            i += step;
-        }
-        if points.last().map(|p| p.fraction) != Some(1.0) {
-            points.push(CdfPoint {
-                fraction: 1.0,
-                latency: SimDuration::from_micros(self.samples_us[n - 1]),
-            });
-        }
-        points
     }
 }
 
@@ -228,7 +171,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.percentile(50.0), None);
         assert_eq!(r.mean(), None);
-        assert!(r.full_cdf(10).is_empty());
     }
 
     #[test]
@@ -255,27 +197,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.percentile(100.0), Some(SimDuration::from_millis(4)));
-    }
-
-    #[test]
-    fn cdf_points_are_monotone() {
-        let mut r = recorder_with(&[5, 1, 9, 3, 7, 2, 8, 4, 6, 10]);
-        let cdf = r.full_cdf(5);
-        assert!(!cdf.is_empty());
-        for w in cdf.windows(2) {
-            assert!(w[0].fraction <= w[1].fraction);
-            assert!(w[0].latency <= w[1].latency);
-        }
-        assert_eq!(cdf.last().unwrap().fraction, 1.0);
-        assert_eq!(cdf.last().unwrap().latency, SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn cdf_named_fractions() {
-        let mut r = recorder_with(&(1..=100).collect::<Vec<_>>());
-        let points = r.cdf(&[0.5, 0.99]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].latency, SimDuration::from_millis(50));
-        assert_eq!(points[1].latency, SimDuration::from_millis(99));
     }
 }

@@ -222,17 +222,6 @@ impl LatencyMatrix {
         self.jitter = jitter;
         self
     }
-
-    /// The RTT from `from` to the `k`-th closest of `peers` (0-indexed,
-    /// excluding `from` itself). Used to model waiting for a quorum of
-    /// replies: with `q` remote acknowledgements required, the wait is the
-    /// RTT to the `(q-1)`-th closest peer.
-    pub fn kth_closest_rtt(&self, from: Region, peers: &[Region], k: usize) -> Option<SimDuration> {
-        let mut rtts: Vec<SimDuration> =
-            peers.iter().filter(|r| **r != from).map(|r| self.rtt(from, *r)).collect();
-        rtts.sort();
-        rtts.get(k).copied()
-    }
 }
 
 #[cfg(test)]
@@ -292,22 +281,6 @@ mod tests {
             assert!(d >= SimDuration::from_millis(31));
             assert!(d <= SimDuration::from_millis(32));
         }
-    }
-
-    #[test]
-    fn kth_closest_rtt_is_the_quorum_wait() {
-        let m = LatencyMatrix::spanner_wan();
-        let peers = [regions::CALIFORNIA, regions::VIRGINIA, regions::IRELAND];
-        // Majority of 3 replicas needs 1 remote ack: the closest peer.
-        assert_eq!(
-            m.kth_closest_rtt(regions::CALIFORNIA, &peers, 0),
-            Some(SimDuration::from_millis(62))
-        );
-        assert_eq!(
-            m.kth_closest_rtt(regions::CALIFORNIA, &peers, 1),
-            Some(SimDuration::from_millis(136))
-        );
-        assert_eq!(m.kth_closest_rtt(regions::CALIFORNIA, &peers, 2), None);
     }
 
     #[test]

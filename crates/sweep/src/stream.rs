@@ -101,9 +101,9 @@ pub fn certify_streaming(
 /// every read observes the latest write to its key, every written value is
 /// globally unique, and operations never overlap in real time. The identity
 /// witness is therefore valid under every [`WitnessModel`], and the history
-/// decomposes into exactly `groups` components. Used by the scale benchmarks
-/// and the `large_history_certify` example to get arbitrarily long histories
-/// with known structure.
+/// decomposes into exactly `groups` components. Used by `regular-bench
+/// checker` and the `large_history_certify` example to get arbitrarily long
+/// histories with known structure.
 pub fn synthetic_history(ops: usize, groups: usize) -> (History, Vec<OpId>) {
     synthetic(ops, groups, |g, round| (1 + g as u32 * 2 + (round % 2) as u32, 5))
 }

@@ -15,8 +15,8 @@
 
 use std::time::Instant;
 
+use regular_seq::core::check_witness;
 use regular_seq::core::checker::certificate::WitnessModel;
-use regular_seq::core::{check_witness, ComponentSplit};
 use regular_seq::sweep::{certify_streaming, run_seed, synthetic_history, Scenario};
 
 fn main() {
@@ -37,8 +37,8 @@ fn main() {
 
     // A synthetic history with real component structure (8 disjoint
     // process/key groups), validated by the reference and by the certifier.
-    let (history, witness) = synthetic_history(100_000, 8);
-    let components = ComponentSplit::split(&history).len();
+    let components = 8;
+    let (history, witness) = synthetic_history(100_000, components);
 
     let started = Instant::now();
     check_witness(&history, &witness, WitnessModel::Regular).expect("batch certifies");
