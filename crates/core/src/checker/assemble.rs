@@ -16,29 +16,38 @@
 //! exactly the relation `<ψ` whose acyclicity the paper proves in
 //! Appendix D.2. A cycle in it *is* the violation report.
 //!
-//! **Nodes.** The included operations are nodes `0..n` in ascending id order;
-//! *barrier* nodes follow in creation order, so "is this an operation" is an
-//! index comparison. Real-time constraints stay encoded as barrier chains —
-//! one barrier per response event, chained in time order, each later
-//! invocation hanging off the latest barrier strictly before it — because
-//! "every response before `t` precedes every invocation at `t`" is then
-//! `O(sources + targets)` edges where the explicit relation is their product;
-//! the construction stays `O(n log n)`.
+//! **Nodes.** The included operations are nodes `0..n` in ascending id order,
+//! and they are the only nodes: the explicit edges are counting-sorted into
+//! CSR `offsets` / `succ`, and the Kahn heap holds operations alone.
 //!
-//! **Memory.** No node owns an allocation: edges are collected once into a
-//! flat `(from, to)` list and counting-sorted into CSR `offsets` / `succ`
-//! (8 + 4 = 12 bytes an edge), beside `priority`, `indegree` and `offsets`
-//! (8 + 4 + 4 = 16 bytes a node); the model's per-key groups are two
-//! `(service, key, time, node)` row vectors sorted once and walked in
-//! lock-step.
+//! **Real-time constraints as prefix counters.** "Every source (response)
+//! before `t` precedes every target (invocation) at `t`" holds per group —
+//! one per `(service, key)`, or the one global group — and is as many
+//! constraints as sources times targets. A group instead keeps its sources
+//! sorted by response time, a cursor over the prefix of them already
+//! emitted, and its targets sorted by invocation time, each with the prefix
+//! length it waits for (the sources that responded strictly before it was
+//! invoked). A group waits on the source at its cursor; when that source is
+//! emitted, the cursor advances over every emitted source and releases the
+//! targets whose prefix it reached. That is `O(sources + targets)` memory
+//! and work where the explicit relation is their product.
 //!
-//! **Determinism.** Kahn's loop pops a min-heap keyed `(priority, node)`. That
-//! key is a total order, so the pop sequence depends only on *which* nodes are
-//! ready — never on the order edges were supplied or stored. Barriers are
-//! numbered in sorted `(service, key)` order; even that numbering cannot move
-//! an operation: a barrier only releases nodes of strictly later priority or
-//! further barriers, so every ready barrier of one instant is popped before
-//! the next operation whichever of them goes first.
+//! **Memory.** Beside the output, 4 bytes a node each for `indegree`,
+//! `offsets` and the head of the node's list of waiting groups, 4 an
+//! explicit edge, 4 a group source, 8 a group target and 20 a group; targets
+//! that wait for nothing, and the sources after the last one some target
+//! waits for, are not kept. The groups come from `(service, key, time,
+//! node)` rows sorted once per model clause and dropped before the graph is
+//! built.
+//!
+//! **Determinism.** Kahn's loop pops a min-heap keyed `(invoke, node)`. That
+//! key is a total order, so the pop sequence depends only on *which* nodes
+//! are ready — never on the order edges were supplied or stored, nor on the
+//! order groups are numbered in. Releasing a group's targets the moment its
+//! cursor moves pops the same operations as a chain of barrier nodes would
+//! (one per response, popped at its response time): a released target was
+//! invoked strictly after the response that released it, so no operation
+//! a barrier would still hold back can be the heap's minimum.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -57,11 +66,17 @@ pub struct AssembleError {
 }
 
 /// A response (source) or invocation (target) event of node `.3` at `.2`,
-/// grouped by `(service, key)`; the global chains use one constant group.
+/// grouped by `(service, key)`; the global group is one constant key.
 type Row = (ServiceId, Key, Timestamp, u32);
 
-/// The group of the chains that are not per key.
+/// The key of the group that is not per key.
 const GLOBAL: (ServiceId, Key) = (ServiceId(0), Key(0));
+
+/// The end of a list of waiting groups.
+const NONE: u32 = u32::MAX;
+
+/// The indegree of an emitted node: no edge or group releases it again.
+const EMITTED: u32 = u32::MAX;
 
 /// The included operations, numbered as nodes `0..len` in ascending id
 /// order. When every operation is complete — every run that drained — node
@@ -100,11 +115,11 @@ impl Nodes {
         }
     }
 
-    /// The operation at node `n`, if `n` is an operation (not a barrier).
-    fn op(&self, n: u32) -> Option<OpId> {
+    /// The operation at node `n`.
+    fn op(&self, n: u32) -> OpId {
         match self {
-            Nodes::All(len) => ((n as usize) < *len).then_some(OpId(n)),
-            Nodes::Listed { ids, .. } => ids.get(n as usize).copied(),
+            Nodes::All(_) => OpId(n),
+            Nodes::Listed { ids, .. } => ids[n as usize],
         }
     }
 
@@ -127,47 +142,63 @@ fn exact<T>(len: usize, rows: impl Iterator<Item = T>) -> Vec<T> {
     out
 }
 
-/// The constraint graph under construction: one priority per node (invocation
-/// time for operations, event time for barriers; ties break by node index)
-/// and the generated edge list (the explicit edges stay where they were
-/// supplied).
-struct Constraints {
-    priority: Vec<u64>,
-    edges: Vec<(u32, u32)>,
+/// One group's prefix counter: its sources are `sources[source..
+/// sources_end]` in response order, and its unreleased targets
+/// `targets[target..targets_end]` in invocation order.
+struct Group {
+    /// The cursor: every source before it has been emitted.
+    source: u32,
+    sources_end: u32,
+    target: u32,
+    targets_end: u32,
+    /// The next group waiting on the same node, or [`NONE`].
+    next_waiting: u32,
 }
 
-impl Constraints {
-    /// Per `(service, key)` group present on both sides: a barrier chain over
-    /// the group's source events, and an edge to each target from the latest
-    /// barrier strictly before its time.
-    fn add_interval_constraints(&mut self, mut sources: Vec<Row>, mut targets: Vec<Row>) {
+/// The model's real-time constraints, as prefix counters over every group.
+#[derive(Default)]
+struct Groups {
+    groups: Vec<Group>,
+    /// Every group's sources, as nodes.
+    sources: Vec<u32>,
+    /// Every group's targets as `(threshold, node)`: the node is released
+    /// once its group's cursor reaches index `threshold` of `sources`.
+    targets: Vec<(u32, u32)>,
+}
+
+impl Groups {
+    /// Adds a group per `(service, key)` present on both sides, in which
+    /// every target waits for the sources that responded strictly before it
+    /// was invoked.
+    fn add(&mut self, mut sources: Vec<Row>, mut targets: Vec<Row>) {
         sources.sort_unstable();
         targets.sort_unstable();
-        self.priority.reserve_exact(sources.len());
-        self.edges.reserve_exact(2 * sources.len() + targets.len());
+        self.sources.reserve_exact(sources.len());
+        self.targets.reserve_exact(targets.len());
         let mut rest = &targets[..];
         for group in sources.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let key = (group[0].0, group[0].1);
             rest = &rest[rest.partition_point(|t| (t.0, t.1) < key)..];
             let (readers, later) = rest.split_at(rest.partition_point(|t| (t.0, t.1) == key));
             rest = later;
-            if readers.is_empty() {
-                continue;
-            }
-            let first = self.priority.len() as u32;
-            for (b, &(_, _, t, source)) in (first..).zip(group) {
-                self.priority.push(t.as_micros());
-                self.edges.push((source, b));
-                if b > first {
-                    self.edges.push((b - 1, b));
-                }
-            }
+            let (first, target) = (self.sources.len() as u32, self.targets.len() as u32);
             let mut passed = 0;
-            for &(_, _, t, target) in readers {
+            for &(_, _, t, node) in readers {
                 passed += group[passed..].partition_point(|s| s.2 < t);
                 if passed > 0 {
-                    self.edges.push((first + passed as u32 - 1, target));
+                    self.targets.push((first + passed as u32, node));
                 }
+            }
+            // Sources past the last threshold hold no target back.
+            if passed > 0 {
+                self.sources.extend(group[..passed].iter().map(|s| s.3));
+                self.groups.push(Group {
+                    source: first,
+                    sources_end: self.sources.len() as u32,
+                    target,
+                    targets_end: self.targets.len() as u32,
+                    next_waiting: NONE,
+                });
             }
         }
     }
@@ -186,13 +217,11 @@ pub fn assemble_witness(
     model: WitnessModel,
 ) -> Result<Vec<OpId>, AssembleError> {
     let include = Nodes::new(history, extra_edges);
-    let ops = include.len() as u32;
-    let nodes = || (0..ops).map(|n| (history.op(include.op(n).expect("an op node")), n));
-    let mut graph = Constraints {
-        priority: nodes().map(|(op, _)| op.invoke.as_micros()).collect(),
-        edges: Vec::new(),
-    };
+    let n = include.len();
+    assert!(n.max(extra_edges.len()) < u32::MAX as usize, "node and edge indices are u32");
+    let nodes = || (0..n as u32).map(|n| (history.op(include.op(n)), n));
 
+    let mut groups = Groups::default();
     let (service, key) = GLOBAL;
     match model {
         WitnessModel::ProcessOrder => {}
@@ -202,7 +231,7 @@ pub fn assemble_witness(
             let completed = nodes().filter(|(op, _)| op.response.is_some()).count();
             let sources = nodes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
             let targets = nodes().map(|(op, n)| (service, key, op.invoke, n));
-            graph.add_interval_constraints(exact(completed, sources), targets.collect());
+            groups.add(exact(completed, sources), targets.collect());
         }
         WitnessModel::Regular => {
             // Completed mutating operations constrain later mutating
@@ -222,7 +251,7 @@ pub fn assemble_witness(
             }
             let sources = writes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
             let targets = writes().map(|(op, n)| (service, key, op.invoke, n));
-            graph.add_interval_constraints(exact(completed, sources), exact(mutating, targets));
+            groups.add(exact(completed, sources), exact(mutating, targets));
             // ... and later conflicting read-only operations (per service/key).
             let (mut writers, mut readers) =
                 (Vec::with_capacity(written), Vec::with_capacity(read));
@@ -233,27 +262,25 @@ pub fn assemble_witness(
                     readers.extend(op.kind.read_keys_iter().map(|k| (op.service, k, op.invoke, n)));
                 }
             }
-            graph.add_interval_constraints(writers, readers);
+            groups.add(writers, readers);
         }
     }
-    let Constraints { priority, edges } = graph;
+    let Groups { mut groups, sources, targets } = groups;
 
-    // CSR by counting sort over the explicit edges (self-edges dropped) and
-    // the generated ones: `offsets[i]` ends up the start of node `i`'s
-    // successors in `succ` (filled back to front), `offsets[n]` their total.
-    let n = priority.len();
-    assert!(
-        n.max(extra_edges.len() + edges.len()) <= u32::MAX as usize,
-        "node and edge indices are u32"
-    );
+    // CSR by counting sort over the explicit edges (self-edges dropped):
+    // `offsets[i]` ends up the start of node `i`'s successors in `succ`
+    // (filled back to front), `offsets[n]` their total. A node's indegree
+    // counts its explicit predecessors and the groups it waits in.
     let explicit = extra_edges
         .iter()
         .map(|&(a, b)| (include.node(a), include.node(b)))
         .filter(|(from, to)| from != to);
-    let all_edges = || explicit.clone().chain(edges.iter().copied());
     let (mut offsets, mut indegree) = (vec![0u32; n + 1], vec![0u32; n]);
-    for (from, to) in all_edges() {
+    for (from, to) in explicit.clone() {
         offsets[from as usize] += 1;
+        indegree[to as usize] += 1;
+    }
+    for &(_, to) in &targets {
         indegree[to as usize] += 1;
     }
     let mut end = 0;
@@ -262,32 +289,61 @@ pub fn assemble_witness(
         *slot = end;
     }
     let mut succ = vec![0u32; end as usize];
-    for (from, to) in all_edges() {
+    for (from, to) in explicit {
         offsets[from as usize] -= 1;
         succ[offsets[from as usize] as usize] = to;
     }
-    drop(edges);
 
-    // Kahn's algorithm with a deterministic priority (smallest priority first).
+    // Every group waits on its first source; `waiting[i]` heads the list of
+    // the groups waiting on node `i`.
+    let mut waiting = vec![NONE; n];
+    for (g, group) in groups.iter_mut().enumerate() {
+        let first = &mut waiting[sources[group.source as usize] as usize];
+        group.next_waiting = std::mem::replace(first, g as u32);
+    }
+
+    // Kahn's algorithm with a deterministic priority (earliest invocation
+    // first, ties by node).
+    let ready = |i: u32| Reverse((history.op(include.op(i)).invoke.as_micros(), i));
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let ready = |i: u32| Reverse((priority[i as usize], i));
     heap.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0).map(ready));
-    let mut order = Vec::with_capacity(ops as usize);
-    let mut emitted = 0usize;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        emitted += 1;
-        if let Some(id) = include.op(i) {
-            order.push(id);
+    let release = |node: u32, indegree: &mut [u32], heap: &mut BinaryHeap<_>| {
+        indegree[node as usize] -= 1;
+        if indegree[node as usize] == 0 {
+            heap.push(ready(node));
         }
+    };
+    let mut order = Vec::with_capacity(n);
+    while let Some(Reverse((_, i))) = heap.pop() {
+        order.push(include.op(i));
+        indegree[i as usize] = EMITTED;
         for &next in &succ[offsets[i as usize] as usize..offsets[i as usize + 1] as usize] {
-            indegree[next as usize] -= 1;
-            if indegree[next as usize] == 0 {
-                heap.push(ready(next));
+            release(next, &mut indegree, &mut heap);
+        }
+        let mut g = std::mem::replace(&mut waiting[i as usize], NONE);
+        while g != NONE {
+            let group = &mut groups[g as usize];
+            let next = group.next_waiting;
+            while group.source < group.sources_end
+                && indegree[sources[group.source as usize] as usize] == EMITTED
+            {
+                group.source += 1;
             }
+            while group.target < group.targets_end
+                && targets[group.target as usize].0 <= group.source
+            {
+                release(targets[group.target as usize].1, &mut indegree, &mut heap);
+                group.target += 1;
+            }
+            if group.source < group.sources_end {
+                let first = &mut waiting[sources[group.source as usize] as usize];
+                group.next_waiting = std::mem::replace(first, g);
+            }
+            g = next;
         }
     }
-    if emitted != n {
-        return Err(AssembleError { unordered: n - emitted });
+    if order.len() != n {
+        return Err(AssembleError { unordered: n - order.len() });
     }
     Ok(order)
 }
@@ -363,9 +419,34 @@ mod tests {
         let a = b.write(1, 1, 1, 0, 10);
         let c = b.write(2, 1, 2, 20, 30);
         let h = b.build();
-        // Explicit edge contradicting real time.
+        // Explicit edge contradicting real time: both writes are held, and
+        // only operations are counted.
         let err = assemble_witness(&h, &[(c, a)], WitnessModel::RealTime).unwrap_err();
-        assert!(err.unordered >= 2);
+        assert_eq!(err.unordered, 2);
+        // Under the regular model, a read held behind the write it
+        // contradicts; a read of another key is ordered all the same.
+        let mut b = HistoryBuilder::new();
+        let w = b.write(1, 1, 1, 0, 10);
+        let r = b.read(2, 1, 1, 20, 30);
+        let other = b.read(3, 2, 0, 5, 6);
+        let h = b.build();
+        let err = assemble_witness(&h, &[(r, w)], WitnessModel::Regular).unwrap_err();
+        assert_eq!(err.unordered, 2);
+        assert_eq!(assemble_witness(&h, &[(w, r)], WitnessModel::Regular).unwrap(), [w, other, r]);
+    }
+
+    #[test]
+    fn a_target_waits_for_the_whole_prefix_before_it() {
+        // `c` waits for both earlier responses. With `a` held behind `c`,
+        // emitting `b` must not release `c`: both are left unordered.
+        let mut b = HistoryBuilder::new();
+        let a = b.write(1, 1, 1, 0, 10);
+        let w = b.write(2, 2, 2, 5, 20);
+        let c = b.read(3, 3, 0, 30, 40);
+        let h = b.build();
+        assert_eq!(assemble_witness(&h, &[], WitnessModel::RealTime).unwrap(), [a, w, c]);
+        let err = assemble_witness(&h, &[(c, a)], WitnessModel::RealTime).unwrap_err();
+        assert_eq!(err.unordered, 2);
     }
 
     #[test]

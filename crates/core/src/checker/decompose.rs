@@ -1,6 +1,6 @@
 //! The communication components of a history.
 //!
-//! [`ComponentSplit`] computes the connected components of a history's
+//! [`count_components`] counts the connected components of a history's
 //! communication graph — union-find over shared `(service, key)` accesses,
 //! process membership, and message / external-communication endpoints
 //! (fences and causal-context handoffs ride along through their process).
@@ -9,15 +9,15 @@
 //!
 //! No checker splits its work this way: the witness search runs over the
 //! whole history, and validating a given witness is the linear case, where a
-//! protocol history is always one component. The split has one caller left:
+//! protocol history is always one component. The count has one caller:
 //! `regular_sweep::certify_streaming`, which reports a history's
 //! `components`.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::hashing::FxBuildHasher;
 use crate::history::History;
-use crate::types::OpId;
 
 /// Union-find with path halving; elements are op ids.
 struct UnionFind {
@@ -46,83 +46,37 @@ impl UnionFind {
     }
 }
 
-/// The communication components of a history.
-#[derive(Debug, Clone)]
-pub struct ComponentSplit {
-    comp_of: Vec<u32>,
-    components: Vec<Vec<OpId>>,
-}
-
-impl ComponentSplit {
-    /// Computes the components: ops are connected if they share a process, a
-    /// `(service, key)`, or their processes exchanged a message (application
-    /// or external).
-    pub fn split(history: &History) -> Self {
-        let n = history.len();
-        let mut uf = UnionFind::new(n);
-        let mut proc_rep: HashMap<u32, u32, FxBuildHasher> = HashMap::default();
-        let mut key_rep: HashMap<(u32, u64), u32, FxBuildHasher> = HashMap::default();
-        for op in history.ops() {
-            let id = op.id.0;
-            match proc_rep.entry(op.process.0) {
-                std::collections::hash_map::Entry::Occupied(e) => uf.union(*e.get(), id),
-                std::collections::hash_map::Entry::Vacant(v) => {
+/// The number of communication components of `history`: ops are connected
+/// if they share a process, a `(service, key)`, or their processes exchanged
+/// a message (application or external). Zero for an empty history.
+pub fn count_components(history: &History) -> usize {
+    let mut uf = UnionFind::new(history.len());
+    let mut proc_rep: HashMap<u32, u32, FxBuildHasher> = HashMap::default();
+    let mut key_rep: HashMap<(u32, u64), u32, FxBuildHasher> = HashMap::default();
+    for op in history.ops() {
+        let id = op.id.0;
+        match proc_rep.entry(op.process.0) {
+            Entry::Occupied(e) => uf.union(*e.get(), id),
+            Entry::Vacant(v) => {
+                v.insert(id);
+            }
+        }
+        for k in op.kind.accessed_keys_iter() {
+            match key_rep.entry((op.service.0, k.0)) {
+                Entry::Occupied(e) => uf.union(*e.get(), id),
+                Entry::Vacant(v) => {
                     v.insert(id);
                 }
             }
-            for k in op.kind.accessed_keys_iter() {
-                match key_rep.entry((op.service.0, k.0)) {
-                    std::collections::hash_map::Entry::Occupied(e) => uf.union(*e.get(), id),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(id);
-                    }
-                }
-            }
         }
-        for m in history.messages().iter().chain(history.external_communications()) {
-            if let (Some(&a), Some(&b)) = (proc_rep.get(&m.from.0), proc_rep.get(&m.to.0)) {
-                uf.union(a, b);
-            }
+    }
+    for m in history.messages().iter().chain(history.external_communications()) {
+        if let (Some(&a), Some(&b)) = (proc_rep.get(&m.from.0), proc_rep.get(&m.to.0)) {
+            uf.union(a, b);
         }
-        let mut comp_of = vec![0u32; n];
-        let mut components: Vec<Vec<OpId>> = Vec::new();
-        let mut root_comp: HashMap<u32, u32, FxBuildHasher> = HashMap::default();
-        for i in 0..n as u32 {
-            let root = uf.find(i);
-            let c = *root_comp.entry(root).or_insert_with(|| {
-                components.push(Vec::new());
-                (components.len() - 1) as u32
-            });
-            comp_of[i as usize] = c;
-            components[c as usize].push(OpId(i));
-        }
-        ComponentSplit { comp_of, components }
     }
-
-    /// The component index of an operation.
-    #[inline]
-    pub fn comp_of(&self, id: OpId) -> usize {
-        self.comp_of[id.index()] as usize
-    }
-
-    /// The components, each a list of op ids in ascending order. Numbered by
-    /// first appearance in the history.
-    #[inline]
-    pub fn components(&self) -> &[Vec<OpId>] {
-        &self.components
-    }
-
-    /// Number of components.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True if the history had no operations.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
+    // Every component has exactly one root, its own parent.
+    uf.parent.iter().enumerate().filter(|&(i, &parent)| parent == i as u32).count()
 }
 
 #[cfg(test)]
@@ -147,13 +101,8 @@ mod tests {
 
     #[test]
     fn split_finds_independent_groups() {
-        let h = two_group_history();
-        let split = ComponentSplit::split(&h);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split.comp_of(OpId(0)), split.comp_of(OpId(3)));
-        assert_ne!(split.comp_of(OpId(0)), split.comp_of(OpId(4)));
-        assert_eq!(split.components()[0].len(), 4);
-        assert_eq!(split.components()[1].len(), 4);
+        assert_eq!(count_components(&two_group_history()), 2);
+        assert_eq!(count_components(&HistoryBuilder::new().build()), 0);
     }
 
     #[test]
@@ -163,7 +112,7 @@ mod tests {
         b.write(2, 2, 20, 0, 5);
         b.message(1, 6, 2, 7);
         let h = b.build();
-        assert_eq!(ComponentSplit::split(&h).len(), 1);
+        assert_eq!(count_components(&h), 1);
     }
 
     #[test]
@@ -173,8 +122,6 @@ mod tests {
         b.read(2, 1, 10, 6, 9);
         b.write(3, 2, 30, 0, 5);
         let h = b.build();
-        let split = ComponentSplit::split(&h);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split.comp_of(OpId(0)), split.comp_of(OpId(1)));
+        assert_eq!(count_components(&h), 2);
     }
 }

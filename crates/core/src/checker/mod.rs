@@ -10,8 +10,8 @@
 //! the Shao et al. multi-writer regularity family have their own small
 //! searches). [`search::find_sequence_reference`] is its oracle: the
 //! clone-per-step search the tests compare it against, called by nothing
-//! else. [`decompose`] only splits a history into communication components,
-//! for the `components` a certifier reports.
+//! else. [`decompose`] only counts a history's communication components, for
+//! the `components` a certifier reports.
 //!
 //! **Is this witness valid?** — the linear case, for every protocol run. The
 //! protocols (Spanner-RSS, Gryff-RSC, and their baselines) emit the
@@ -40,7 +40,7 @@ pub mod window;
 
 pub use assemble::{assemble_witness, AssembleError};
 pub use certificate::{check_witness, WitnessModel, WitnessViolation};
-pub use decompose::ComponentSplit;
+pub use decompose::count_components;
 pub use models::{check, CheckOutcome, Model};
 pub use search::{
     find_sequence, find_sequence_reference, find_sequence_with, ConstraintGraph, Constraints,

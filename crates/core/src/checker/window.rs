@@ -47,7 +47,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::checker::certificate::{OrderKind, WitnessModel, WitnessViolation};
 use crate::hashing::FxBuildHasher;
-use crate::history::{result_shape_matches, OpRecord};
+use crate::history::{result_shape_matches, OpRecord, Predecessor};
 use crate::spec::{SpecState, SpecViolation};
 use crate::types::OpId;
 
@@ -133,7 +133,7 @@ impl StreamingChecker {
     pub fn push(
         &mut self,
         op: &OpRecord,
-        prev_in_process: Option<OpId>,
+        prev_in_process: Predecessor,
     ) -> Result<(), WitnessViolation> {
         let id = op.id.0;
         if self.is_pushed(id) {
@@ -150,7 +150,7 @@ impl StreamingChecker {
                 second: OpId(succ),
             });
         }
-        if let Some(prev) = prev_in_process {
+        if let Some(prev) = prev_in_process.get() {
             if !self.is_pushed(prev.0) {
                 self.awaited.insert(prev.0, id);
             }

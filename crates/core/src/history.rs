@@ -391,12 +391,46 @@ impl ByProcess {
 
     /// For every op id, its immediate predecessor in its process's order —
     /// what [`crate::StreamingChecker::push`] takes as `prev_in_process`.
-    pub fn predecessors(&self) -> Vec<Option<OpId>> {
-        let mut prev = vec![None; self.ids.len()];
+    pub fn predecessors(&self) -> Vec<Predecessor> {
+        let mut prev = vec![Predecessor::NONE; self.ids.len()];
         for (a, b) in self.pairs() {
-            prev[b.index()] = Some(a);
+            prev[b.index()] = Predecessor(a.0);
         }
         prev
+    }
+}
+
+/// An operation's immediate predecessor in its process's order, if any, in
+/// the 4 bytes of an [`OpId`] (an `Option<OpId>` takes 8): one per op for
+/// as long as a streaming certification runs.
+///
+/// The `PartialEq<Option<OpId>>` and `Debug` impls below exist only so that
+/// `properties.rs`'s `prop_assert_eq!` of [`ByProcess::predecessors`]
+/// against a `Vec<Option<OpId>>` compiles; when that test compares
+/// [`Predecessor::get`] values instead, they can go.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Predecessor(u32);
+
+impl Predecessor {
+    /// No predecessor: the op is its process's first. (No history holds
+    /// `u32::MAX` operations: ids are `u32` indices.)
+    pub const NONE: Predecessor = Predecessor(u32::MAX);
+
+    /// The predecessor's id, if there is one.
+    pub fn get(self) -> Option<OpId> {
+        (self != Self::NONE).then_some(OpId(self.0))
+    }
+}
+
+impl PartialEq<Option<OpId>> for Predecessor {
+    fn eq(&self, other: &Option<OpId>) -> bool {
+        self.get() == *other
+    }
+}
+
+impl std::fmt::Debug for Predecessor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
     }
 }
 

@@ -64,12 +64,14 @@ pub mod transform;
 pub mod types;
 
 pub use checker::certificate::{check_witness, WitnessModel, WitnessViolation};
-pub use checker::decompose::ComponentSplit;
+pub use checker::decompose::count_components;
 pub use checker::models::{check, satisfies, CheckOutcome, Model};
 pub use checker::proximal::{check_proximal, ProximalModel};
 pub use checker::window::{StreamingChecker, WindowBuffer};
 pub use coverage::{CoverageBuilder, CoverageMap, CoverageSignature};
-pub use history::{ByProcess, History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord};
+pub use history::{
+    ByProcess, History, HistoryBuilder, HistoryIndex, MessageEdge, OpRecord, Predecessor,
+};
 pub use op::{OpKind, OpResult};
 pub use order::CausalOrder;
 pub use transform::{transform, TransformedExecution};

@@ -17,14 +17,14 @@ use regular_core::checker::certificate::{check_witness, WitnessModel, WitnessVio
 use regular_core::coverage::{domain, CoverageBuilder, CoverageSignature};
 use regular_core::history::{ByProcess, History};
 use regular_core::op::OpKind;
-use regular_core::types::{Key, OpId, Value};
+use regular_core::types::OpId;
 use regular_session::{
     fold_cluster, measure, ClientSpec, ClusterNode, CompletedRecord, Deployment, HistoryRecorder,
-    Measured, NodeSpec, Plane, SessionRunner, SessionStats, SimPlane, WitnessHint,
+    Measured, NodeSpec, Plane, Ran, SessionRunner, SessionStats, SimPlane, WitnessHint,
 };
 use regular_sim::engine::NodeId;
 use regular_sim::metrics::{DeliveryRecord, EngineStats, LatencyRecorder, MessageStats, WireStats};
-use regular_sim::time::SimDuration;
+use regular_sim::time::{SimDuration, SimTime};
 use regular_storage::StorageSummary;
 
 use crate::carstamp::Carstamp;
@@ -79,9 +79,6 @@ pub struct GryffRunResult {
     /// Aggregated write-ahead-log counters across every replica (all zeroes
     /// under `Durability::InMemory`).
     pub storage: StorageSummary,
-    /// Final register contents per replica, sorted by key: the differential
-    /// anchor for durability tests.
-    pub replica_registers: Vec<Vec<(Key, Value, Carstamp)>>,
     /// Behaviour-coverage signature of the run: message-phase pairs, expired
     /// classes, bucketed fault-plane pressure, recovery activity, and
     /// storage (WAL) behaviour — the signal the coverage-guided hunter
@@ -145,10 +142,8 @@ fn latency_class(kind: &OpKind) -> Option<usize> {
     }
 }
 
-/// Builds a deployment, runs it on `plane`, and folds what the plane hands
-/// back into a [`GryffRunResult`]: the shared part, then the replicas'
-/// statistics and final registers, the clients' statistics and the coverage
-/// signature if one was recorded.
+/// Builds a deployment, runs it on `plane`, and [`collect`]s what the plane
+/// hands back.
 ///
 /// # Panics
 ///
@@ -156,12 +151,25 @@ fn latency_class(kind: &OpKind) -> Option<usize> {
 pub fn run_gryff_on(plane: &impl Plane<GryffMsg>, spec: GryffClusterSpec) -> GryffRunResult {
     let (mode, measure_from, stop_issuing_at) =
         (spec.config.mode, spec.measure_from, spec.stop_issuing_at);
-    let ran = plane.run(build(spec));
+    collect(plane.run(build(spec)), mode, measure_from, stop_issuing_at)
+}
+
+/// Folds what a plane handed back for a [`build`] of a spec in `mode` into a
+/// [`GryffRunResult`], measuring latencies over `measure_from ..
+/// stop_issuing_at`: the shared part, then the replicas' and the clients'
+/// statistics and the coverage signature if one was recorded. The replicas
+/// themselves are dropped here; a caller that wants their final registers
+/// ([`GryffReplica::registers`]) reads them from `ran.nodes` first.
+pub fn collect(
+    ran: Ran<GryffNode>,
+    mode: Mode,
+    measure_from: SimTime,
+    stop_issuing_at: SimTime,
+) -> GryffRunResult {
     let mut stats = GryffClientStats::default();
-    let (mut replica_stats, mut replica_registers) = (Vec::new(), Vec::new());
+    let mut replica_stats = Vec::new();
     let replica = |r: &GryffReplica| {
         replica_stats.push(r.stats);
-        replica_registers.push(r.registers());
         r.wal_stats()
     };
     let client = |c: &GryffService| {
@@ -216,7 +224,6 @@ pub fn run_gryff_on(plane: &impl Plane<GryffMsg>, spec: GryffClusterSpec) -> Gry
         net_stats: net,
         engine: ran.engine,
         storage,
-        replica_registers,
         coverage,
         wall: ran.wall,
         deliveries: ran.deliveries,
@@ -319,6 +326,7 @@ pub enum GryffVerificationError {
 mod tests {
     use super::*;
     use crate::workload::ConflictWorkload;
+    use regular_core::types::Value;
     use regular_session::{SessionConfig, SessionWorkload};
     use regular_sim::net::LatencyMatrix;
     use regular_sim::time::SimTime;

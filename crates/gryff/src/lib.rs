@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::config::{BugZoo, GryffConfig, Mode};
     pub use crate::harness::{
         build, build_history, build_history_from, carstamp_chain_edges, carstamp_chain_row,
-        client_config, history_and_witness, run_gryff, run_gryff_on, verify_run, ChainRow,
+        client_config, collect, history_and_witness, run_gryff, run_gryff_on, verify_run, ChainRow,
         GryffClientSpec, GryffClusterSpec, GryffNode, GryffRunResult, GryffVerificationError,
     };
     pub use crate::messages::{Dep, GryffMsg, OpRef};

@@ -216,12 +216,6 @@ impl LatencyMatrix {
             base + SimDuration::from_micros(rng.gen_range(0..=self.jitter.as_micros()))
         }
     }
-
-    /// Replaces the jitter bound, returning the modified matrix.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -274,13 +268,18 @@ mod tests {
 
     #[test]
     fn jitter_bounded() {
-        let m = LatencyMatrix::spanner_wan().with_jitter(SimDuration::from_millis(1));
+        // `spanner_wan` jitters every delivery by up to 200 µs over the
+        // 31 ms one-way base.
+        let m = LatencyMatrix::spanner_wan();
         let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..100 {
-            let d = m.sample_one_way(regions::CALIFORNIA, regions::VIRGINIA, &mut rng);
-            assert!(d >= SimDuration::from_millis(31));
-            assert!(d <= SimDuration::from_millis(32));
+        let samples: Vec<SimDuration> = (0..100)
+            .map(|_| m.sample_one_way(regions::CALIFORNIA, regions::VIRGINIA, &mut rng))
+            .collect();
+        for &d in &samples {
+            assert!(d >= SimDuration::from_micros(31_000), "{d:?}");
+            assert!(d <= SimDuration::from_micros(31_200), "{d:?}");
         }
+        assert!(samples.iter().any(|&d| d > SimDuration::from_micros(31_000)), "jitter is drawn");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! window as deep as the run (ROADMAP item 5).
 
 use regular_core::{
-    order::message_edges, ByProcess, ComponentSplit, History, HistoryBuilder, OpId,
+    count_components, order::message_edges, ByProcess, History, HistoryBuilder, OpId,
     StreamingChecker, WindowBuffer, WitnessModel, WitnessViolation,
 };
 
@@ -36,7 +36,7 @@ pub struct StreamStats {
     /// arrived-but-unreleasable records held at once.
     pub peak_window: usize,
     /// Connected components of the history (shared keys, processes,
-    /// messages), as found by [`ComponentSplit`].
+    /// messages), as counted by [`count_components`].
     pub components: usize,
 }
 
@@ -52,36 +52,49 @@ pub fn certify_streaming(
     witness: &[OpId],
     model: WitnessModel,
 ) -> Result<StreamStats, WitnessViolation> {
-    // Witness membership, mirrored from the batch checker's validation, and
-    // arrival order: a record becomes available once it completes (or, for
-    // pending ops, once it is invoked). Ties release in witness order.
+    // The components first, so that their union-find is gone before
+    // anything else is allocated.
+    let components = count_components(history);
+
+    // Witness membership, mirrored from the batch checker's validation.
     let mut seen = vec![false; history.len()];
-    let mut arrivals: Vec<(u64, u32, OpId)> = Vec::with_capacity(witness.len());
-    for (pos, &id) in witness.iter().enumerate() {
+    for &id in witness {
         match seen.get_mut(id.index()) {
             None => return Err(WitnessViolation::UnknownOp(id)),
             Some(seen) if *seen => return Err(WitnessViolation::DuplicateOp(id)),
             Some(seen) => *seen = true,
         }
-        let op = history.op(id);
-        arrivals.push((op.response.unwrap_or(op.invoke).as_micros(), pos as u32, id));
     }
     drop(seen);
-    arrivals.sort_unstable();
+
+    // Arrival order, as witness positions: a record becomes available once
+    // it completes (or, for pending ops, once it is invoked), and ties
+    // release in witness order. The witness is nearly in arrival order, so
+    // the stable (run-adaptive) sort does little work, and its keys are
+    // read from a dense array in witness order rather than from the ops.
+    let arrival: Vec<u64> = witness
+        .iter()
+        .map(|&id| {
+            let op = history.op(id);
+            op.response.unwrap_or(op.invoke).as_micros()
+        })
+        .collect();
+    let mut arrivals: Vec<u32> = (0..witness.len() as u32).collect();
+    arrivals.sort_by_key(|&pos| arrival[pos as usize]);
+    drop(arrival);
 
     // Every op's process-order predecessor (the checker enforces process
-    // order incrementally) and the message edges, from one grouping — which,
-    // like `seen`, is dropped before the window fills to keep peak heap down.
+    // order incrementally) and the message edges, from one grouping, which
+    // is dropped before the window fills to keep peak heap down.
     let by_process = ByProcess::new(history);
     let (prev, edges) = (by_process.predecessors(), message_edges(history, &by_process));
     drop(by_process);
-    let components = ComponentSplit::split(history).len();
 
     let mut checker = StreamingChecker::with_message_edges(model, &edges);
     let mut buffer: WindowBuffer<OpId> = WindowBuffer::default();
     let mut windows = 0usize;
-    for (_, pos, id) in arrivals {
-        buffer.push(pos, id);
+    for pos in arrivals {
+        buffer.push(pos, witness[pos as usize]);
         let mut released = false;
         while let Some(id) = buffer.pop_next() {
             checker.push(history.op(id), prev[id.index()])?;

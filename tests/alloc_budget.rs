@@ -51,6 +51,28 @@
 //! whose clients kept the timeout action of every finished transaction and
 //! whose store dump grew by doubling.
 //!
+//! A fourth leg holds the Gryff-RSC run above (the benchmark's
+//! `sim_gryff_wan` pipeline, shortened) to two heap ceilings: the most heap
+//! live at once after the run — over `build_history_from`, then
+//! `assemble_witness`, then `certify_streaming`, each with everything before
+//! it still held — and over the whole pipeline, `run_gryff` included:
+//!
+//! | measured (26 318 operations, seed 11)                 | parent | now   | ceiling |
+//! |-------------------------------------------------------|-------:|------:|--------:|
+//! | peak live heap, MiB, `run_gryff`                      |  9.67  |  9.64 |         |
+//! | peak live heap, MiB, `build_history_from`             |  9.85  |  8.29 |         |
+//! | peak live heap, MiB, `assemble_witness`               | 10.39  |  8.07 |         |
+//! | peak live heap, MiB, `certify_streaming`              | 10.64  |  8.68 |         |
+//! | peak live heap, MiB, the highest after the run        | 10.64  |  8.68 | 8.8     |
+//! | peak live heap, MiB, the highest of all four          | 10.64  |  9.64 | 9.7     |
+//!
+//! "Parent" there is the tree whose run result kept every replica's final
+//! registers, whose assembler chained a barrier node per response event
+//! into its graph, and whose streaming pass kept 16-byte arrival rows,
+//! 8-byte predecessors and a per-component list of every op. The same
+//! change took the Spanner certifier push above from 0.013 to 0.010
+//! allocations and the durable leg's certification from 10.86 to 10.58 MiB.
+//!
 //! The ceilings sit just above what the tree measures now, and they only
 //! ever move down: a change that needs one raised has added an allocation
 //! to every transaction or every push, or live state to the durable run,
@@ -79,6 +101,11 @@ const CERTIFY_CEILING: f64 = 0.02;
 const GRYFF_RUN_CEILING: f64 = 0.06;
 /// Peak live heap of the durable run and its certification, in MiB.
 const DURABLE_PEAK_CEILING_MIB: f64 = 12.3;
+/// Peak live heap of the Gryff-RSC history, witness and certification over
+/// the held run, in MiB.
+const GRYFF_CERTIFY_PEAK_CEILING_MIB: f64 = 8.8;
+/// Peak live heap of the Gryff-RSC run and its certification, in MiB.
+const GRYFF_PEAK_CEILING_MIB: f64 = 9.7;
 
 thread_local! {
     /// Allocations made on this thread (`const`-initialised, no destructor:
@@ -337,5 +364,41 @@ fn the_durable_run_and_its_certification_stay_within_their_heap_ceiling() {
     assert!(
         peak <= DURABLE_PEAK_CEILING_MIB,
         "{peak:.2} MiB peak live heap, over the ceiling of {DURABLE_PEAK_CEILING_MIB} MiB"
+    );
+}
+
+#[test]
+fn the_gryff_run_and_its_certification_stay_within_their_heap_ceiling() {
+    let spec = gryff_spec();
+    let base = reset_peak();
+    let run = gryff::run_gryff(spec);
+    let mut peaks = vec![("run_gryff", peak_mib_over(base))];
+
+    reset_peak();
+    let (history, edges) = gryff::build_history_from(&run.completed);
+    peaks.push(("build_history_from", peak_mib_over(base)));
+    reset_peak();
+    let witness = assemble_witness(&history, &edges, WitnessModel::Regular)
+        .expect("the carstamp and process-order constraints are acyclic");
+    peaks.push(("assemble_witness", peak_mib_over(base)));
+    reset_peak();
+    let stats = certify_streaming(&history, &witness, WitnessModel::Regular)
+        .expect("the run certifies under RSC");
+    peaks.push(("certify_streaming", peak_mib_over(base)));
+    assert!(stats.ops > 5_000, "the run completes enough operations to amortise set-up");
+
+    let highest = |peaks: &[(&str, f64)]| peaks.iter().map(|&(_, mib)| mib).fold(0.0, f64::max);
+    let (peak, certify_peak) = (highest(&peaks), highest(&peaks[1..]));
+    let stages: Vec<String> =
+        peaks.iter().map(|(stage, mib)| format!("{stage} {mib:.2}")).collect();
+    println!("{} ops: peak live heap {peak:.2} MiB ({})", stats.ops, stages.join(", "));
+    assert!(
+        certify_peak <= GRYFF_CERTIFY_PEAK_CEILING_MIB,
+        "{certify_peak:.2} MiB peak live heap after the run, over the ceiling of \
+         {GRYFF_CERTIFY_PEAK_CEILING_MIB} MiB"
+    );
+    assert!(
+        peak <= GRYFF_PEAK_CEILING_MIB,
+        "{peak:.2} MiB peak live heap, over the ceiling of {GRYFF_PEAK_CEILING_MIB} MiB"
     );
 }

@@ -15,9 +15,10 @@
 //!    certify their consistency model, with the storage counters proving
 //!    recovery actually replayed the log.
 
+use regular_core::types::{Key, Value};
 use regular_gryff::durable::replay_registers;
 use regular_gryff::prelude as gryff;
-use regular_session::{SessionConfig, SessionWorkload};
+use regular_session::{ClusterNode, Plane, SessionConfig, SessionWorkload, SimPlane};
 use regular_sim::fault::{FaultSchedule, LinkScope};
 use regular_sim::net::LatencyMatrix;
 use regular_sim::time::{SimDuration, SimTime};
@@ -79,7 +80,15 @@ fn run_spanner(durability: Durability, faults: Option<FaultSchedule>) -> spanner
     })
 }
 
-fn run_gryff(durability: Durability, faults: Option<FaultSchedule>) -> gryff::GryffRunResult {
+/// Final register contents per replica, each sorted by key.
+type Registers = Vec<Vec<(Key, Value, gryff::Carstamp)>>;
+
+/// A Gryff-RSC run, with every replica's final registers read off the
+/// deployment before its result is collected.
+fn run_gryff(
+    durability: Durability,
+    faults: Option<FaultSchedule>,
+) -> (gryff::GryffRunResult, Registers) {
     let mut config = gryff::GryffConfig::wan(gryff::Mode::GryffRsc).with_durability(durability);
     if let Some(faults) = faults {
         config = config.with_faults(faults, SimDuration::from_millis(1_500));
@@ -93,15 +102,25 @@ fn run_gryff(durability: Durability, faults: Option<FaultSchedule>) -> gryff::Gr
                 as Box<dyn SessionWorkload>,
         })
         .collect();
-    gryff::run_gryff(gryff::GryffClusterSpec {
+    let (measure_from, stop_issuing_at) = (SimTime::from_secs(1), SimTime::from_secs(12));
+    let ran = SimPlane::default().run(gryff::build(gryff::GryffClusterSpec {
         config,
         net: LatencyMatrix::gryff_wan(),
         seed: SEED,
         clients,
-        stop_issuing_at: SimTime::from_secs(12),
+        stop_issuing_at,
         drain: SimDuration::from_secs(6),
-        measure_from: SimTime::from_secs(1),
-    })
+        measure_from,
+    }));
+    let registers = ran
+        .nodes
+        .iter()
+        .filter_map(|node| match node {
+            ClusterNode::Server(replica) => Some(replica.registers()),
+            ClusterNode::Client(_) => None,
+        })
+        .collect();
+    (gryff::collect(ran, gryff::Mode::GryffRsc, measure_from, stop_issuing_at), registers)
 }
 
 #[test]
@@ -124,8 +143,9 @@ fn healthy_spanner_wal_run_is_byte_identical_to_in_memory() {
 #[test]
 fn healthy_gryff_wal_run_is_byte_identical_to_in_memory() {
     let registry = StorageRegistry::new();
-    let durable = run_gryff(Durability::Wal(WalOptions::mem(registry.clone())), None);
-    let volatile = run_gryff(Durability::InMemory, None);
+    let (durable, durable_registers) =
+        run_gryff(Durability::Wal(WalOptions::mem(registry.clone())), None);
+    let (volatile, volatile_registers) = run_gryff(Durability::InMemory, None);
 
     let (dh, mut dc) = gryff::build_history(&durable);
     let (vh, mut vc) = gryff::build_history(&volatile);
@@ -136,7 +156,7 @@ fn healthy_gryff_wal_run_is_byte_identical_to_in_memory() {
     dc.sort_unstable();
     vc.sort_unstable();
     assert_eq!(dc, vc, "and the carstamp-chain constraint edges");
-    assert_eq!(durable.replica_registers, volatile.replica_registers, "and the final registers");
+    assert_eq!(durable_registers, volatile_registers, "and the final registers");
     assert!(volatile.storage.is_empty());
     assert!(durable.storage.records > 0);
 }
@@ -169,7 +189,7 @@ fn spanner_crash_recovery_replays_the_log_and_still_certifies() {
 #[test]
 fn gryff_crash_recovery_replays_the_log_and_still_certifies() {
     let registry = StorageRegistry::new();
-    let result = run_gryff(wal(&registry), Some(crash_faults(1)));
+    let (result, registers) = run_gryff(wal(&registry), Some(crash_faults(1)));
 
     let s = &result.storage;
     assert!(s.recoveries > 0, "the crashed replica recovered from its log ({s:?})");
@@ -177,7 +197,8 @@ fn gryff_crash_recovery_replays_the_log_and_still_certifies() {
     assert!(s.syncs < s.records, "group commit batched fsyncs ({s:?})");
     gryff::verify_run(&result).expect("Gryff-RSC must satisfy RSC through durable recovery");
 
-    for (replica, live) in result.replica_registers.iter().enumerate() {
+    assert_eq!(registers.len(), 5, "every replica's registers were read");
+    for (replica, live) in registers.iter().enumerate() {
         let replayed = replay_registers(registry.disk(&format!("gryff-replica-{replica}")));
         assert_eq!(
             &replayed, live,
