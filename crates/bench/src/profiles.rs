@@ -250,7 +250,7 @@ pub fn checker(mut args: Args) -> Result<ExitCode, String> {
             witness
                 .iter()
                 .map(|&id| history.op(id))
-                .all(|op| state.apply_expecting(op.service, &op.kind, op.result.as_ref()).is_ok())
+                .all(|op| state.apply_expecting(op.service, &op.kind, op.result()).is_ok())
         },
         &mut || finds(Model::RegularSequentialConsistency),
         &mut || !finds(Model::Linearizability),

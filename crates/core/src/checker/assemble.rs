@@ -36,9 +36,11 @@
 //! `offsets` and the head of the node's list of waiting groups, 4 an
 //! explicit edge, 4 a group source, 8 a group target and 20 a group; targets
 //! that wait for nothing, and the sources after the last one some target
-//! waits for, are not kept. The groups come from `(service, key, time,
-//! node)` rows sorted once per model clause and dropped before the graph is
-//! built.
+//! waits for, are not kept. The per-key groups come from `(service, key,
+//! time, node)` rows sorted once and dropped before the graph is built. The
+//! global group sorts only its sources, as 16-byte `(time, node)` rows; each
+//! target binary-searches its prefix length among them, and the 8-byte
+//! `(threshold, node)` pairs are what is sorted.
 //!
 //! **Determinism.** Kahn's loop pops a min-heap keyed `(invoke, node)`. That
 //! key is a total order, so the pop sequence depends only on *which* nodes
@@ -66,11 +68,8 @@ pub struct AssembleError {
 }
 
 /// A response (source) or invocation (target) event of node `.3` at `.2`,
-/// grouped by `(service, key)`; the global group is one constant key.
+/// grouped by `(service, key)`.
 type Row = (ServiceId, Key, Timestamp, u32);
-
-/// The key of the group that is not per key.
-const GLOBAL: (ServiceId, Key) = (ServiceId(0), Key(0));
 
 /// The end of a list of waiting groups.
 const NONE: u32 = u32::MAX;
@@ -167,6 +166,41 @@ struct Groups {
 }
 
 impl Groups {
+    /// Adds the one group that is not per key: each of the `count` targets,
+    /// `(invoke, node)` in any order, waits for the sources, `(response,
+    /// node)`, that responded strictly before it was invoked. Only the
+    /// sources are sorted; each target finds its prefix by binary search,
+    /// and the `(threshold, node)` pairs are sorted instead of the targets,
+    /// so that the step holds 16 bytes a source and 8 a target.
+    fn add_global(
+        &mut self,
+        mut sources: Vec<(Timestamp, u32)>,
+        targets: impl Iterator<Item = (Timestamp, u32)>,
+        count: usize,
+    ) {
+        sources.sort_unstable();
+        let (first, target) = (self.sources.len() as u32, self.targets.len());
+        self.targets.reserve_exact(count);
+        self.targets.extend(targets.filter_map(|(invoked, node)| {
+            let passed = sources.partition_point(|s| s.0 < invoked) as u32;
+            (passed > 0).then_some((first + passed, node))
+        }));
+        // Released together whenever the cursor moves, targets of one
+        // threshold may sit in any order: the heap pops by `(invoke, node)`.
+        self.targets[target..].sort_unstable();
+        // Sources past the last threshold hold no target back.
+        if let Some(&(last, _)) = self.targets[target..].last() {
+            self.sources.extend(sources[..(last - first) as usize].iter().map(|s| s.1));
+            self.groups.push(Group {
+                source: first,
+                sources_end: last,
+                target: target as u32,
+                targets_end: self.targets.len() as u32,
+                next_waiting: NONE,
+            });
+        }
+    }
+
     /// Adds a group per `(service, key)` present on both sides, in which
     /// every target waits for the sources that responded strictly before it
     /// was invoked.
@@ -222,16 +256,15 @@ pub fn assemble_witness(
     let nodes = || (0..n as u32).map(|n| (history.op(include.op(n)), n));
 
     let mut groups = Groups::default();
-    let (service, key) = GLOBAL;
     match model {
         WitnessModel::ProcessOrder => {}
         WitnessModel::RealTime => {
             // Every completed operation's response constrains every later
             // invocation.
-            let completed = nodes().filter(|(op, _)| op.response.is_some()).count();
-            let sources = nodes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
-            let targets = nodes().map(|(op, n)| (service, key, op.invoke, n));
-            groups.add(exact(completed, sources), targets.collect());
+            let completed = nodes().filter(|(op, _)| op.response().is_some()).count();
+            let sources = nodes().filter_map(|(op, n)| Some((op.response()?, n)));
+            let targets = nodes().map(|(op, n)| (op.invoke, n));
+            groups.add_global(exact(completed, sources), targets, n);
         }
         WitnessModel::Regular => {
             // Completed mutating operations constrain later mutating
@@ -241,7 +274,7 @@ pub fn assemble_witness(
             for (op, _) in nodes() {
                 if op.kind.is_mutating() {
                     mutating += 1;
-                    if op.response.is_some() {
+                    if op.response().is_some() {
                         completed += 1;
                         written += op.kind.written_keys_iter().count();
                     }
@@ -249,14 +282,14 @@ pub fn assemble_witness(
                     read += op.kind.read_keys_iter().count();
                 }
             }
-            let sources = writes().filter_map(|(op, n)| Some((service, key, op.response?, n)));
-            let targets = writes().map(|(op, n)| (service, key, op.invoke, n));
-            groups.add(exact(completed, sources), exact(mutating, targets));
+            let sources = writes().filter_map(|(op, n)| Some((op.response()?, n)));
+            let targets = writes().map(|(op, n)| (op.invoke, n));
+            groups.add_global(exact(completed, sources), targets, mutating);
             // ... and later conflicting read-only operations (per service/key).
             let (mut writers, mut readers) =
                 (Vec::with_capacity(written), Vec::with_capacity(read));
             for (op, n) in nodes() {
-                if let (true, Some(r)) = (op.kind.is_mutating(), op.response) {
+                if let (true, Some(r)) = (op.kind.is_mutating(), op.response()) {
                     writers.extend(op.kind.written_keys_iter().map(|k| (op.service, k, r, n)));
                 } else if op.kind.is_read_only() {
                     readers.extend(op.kind.read_keys_iter().map(|k| (op.service, k, op.invoke, n)));

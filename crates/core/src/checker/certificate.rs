@@ -208,7 +208,7 @@ fn check_reads_from_edges(index: &HistoryIndex, positions: &[u32]) -> Result<(),
         list.sort_unstable();
     }
     for op in 0..index.len() {
-        if !index.has_result(op) || index.has_unsat_result(op) {
+        if !index.is_complete(op) || index.has_unsat_result(op) {
             continue;
         }
         let keys = index.read_key_ids(op);

@@ -577,7 +577,7 @@ fn reference_backtrack(
         let op = history.op(included[i]);
         let mut next_state = state.clone();
         let produced = next_state.apply(op.service, &op.kind);
-        if let Some(recorded) = &op.result {
+        if let Some(recorded) = op.result() {
             let matches = match &op.kind {
                 crate::op::OpKind::Write { .. }
                 | crate::op::OpKind::Enqueue { .. }

@@ -34,7 +34,10 @@
 //! The two tables that grow with the history: the pushed-id bitset (one bit
 //! per op) and, under [`WitnessModel::Regular`], `first_reader` (one entry
 //! per distinct `(service, key, value)` observed — with unique written
-//! values, one per write that was ever read).
+//! values, one per write that was ever read). A driver that holds the whole
+//! history sizes `first_reader` once with
+//! [`StreamingChecker::reserve_readers`], so that it never holds two copies
+//! of itself at once.
 //!
 //! [`WindowBuffer`] supplies the reordering front end: out-of-order
 //! `(position, item)` arrivals are buffered and released in contiguous
@@ -44,12 +47,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasher;
 
 use crate::checker::certificate::{OrderKind, WitnessModel, WitnessViolation};
 use crate::hashing::FxBuildHasher;
 use crate::history::{result_shape_matches, OpRecord, Predecessor};
 use crate::spec::{SpecState, SpecViolation};
-use crate::types::OpId;
+use crate::types::{Key, OpId, Value};
 
 /// Incremental witness checker; see the module docs for the rule-by-rule
 /// correspondence with the batch checker.
@@ -98,6 +102,34 @@ impl StreamingChecker {
             mut_max_inv: None,
             all_max_inv: None,
         }
+    }
+
+    /// Sizes the reads-from table once for a stream of `ops`: one entry per
+    /// distinct non-null `(service, key, value)` they observe (under
+    /// [`WitnessModel::Regular`]; the other models keep no such table). A
+    /// table that grows as it is filled holds its old and its new copy at
+    /// once at every doubling, the last of them at the height of a
+    /// certification's heap; sized up front it never does. [`Self::push`]
+    /// still grows it past that, for a driver that cannot count ahead.
+    ///
+    /// The count is of distinct observations, not of all of them: a hot key
+    /// read again and again would oversize the table past what growing it
+    /// reaches. It sorts a 64-bit hash of each observation (8 bytes one,
+    /// freed before the table is sized); two observations whose hashes
+    /// collide count once, which can only leave the table one doubling to
+    /// do.
+    pub fn reserve_readers(&mut self, ops: &[OpRecord]) {
+        if self.model != WitnessModel::Regular {
+            return;
+        }
+        let hasher = FxBuildHasher::default();
+        let mut hashes = Vec::with_capacity(ops.iter().map(|op| observations(op).count()).sum());
+        for op in ops {
+            hashes.extend(observations(op).map(|(k, v)| hasher.hash_one((op.service.0, k.0, v.0))));
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        self.first_reader.reserve(hashes.len());
     }
 
     /// Number of operations pushed so far.
@@ -157,9 +189,8 @@ impl StreamingChecker {
         }
 
         // Replay (all models).
-        if let Err(expected) = self.state.apply_expecting(op.service, &op.kind, op.result.as_ref())
-        {
-            let actual = op.result.clone().expect("only a recorded result can disagree");
+        if let Err(expected) = self.state.apply_expecting(op.service, &op.kind, op.result()) {
+            let actual = op.result().cloned().expect("only a recorded result can disagree");
             return Err(WitnessViolation::Spec(SpecViolation { op: op.id, expected, actual }));
         }
 
@@ -169,7 +200,7 @@ impl StreamingChecker {
             WitnessModel::RealTime => {
                 // Global all-pairs sweep: any already-pushed op invoked after
                 // this op's response sits at a smaller witness position.
-                if let Some(resp) = op.response {
+                if let Some(resp) = op.response() {
                     if let Some((max_inv, other)) = self.all_max_inv {
                         if max_inv > resp.as_micros() {
                             return Err(WitnessViolation::OrderViolation {
@@ -228,20 +259,14 @@ impl StreamingChecker {
                 }
             }
         }
-        if let Some(result) = &op.result {
-            if result_shape_matches(&op.kind, result) {
-                for (k, v) in result.observed_iter(&op.kind) {
-                    if v.0 != 0 {
-                        self.first_reader.entry((op.service.0, k.0, v.0)).or_insert(id);
-                    }
-                }
-            }
+        for (k, v) in observations(op) {
+            self.first_reader.entry((op.service.0, k.0, v.0)).or_insert(id);
         }
 
         // Regular write constraint. Per-key half: a completed mutating op
         // must precede every conflicting read invoked after its response.
         if op.kind.is_mutating() {
-            if let Some(resp) = op.response {
+            if let Some(resp) = op.response() {
                 let resp = resp.as_micros();
                 for k in op.kind.written_keys_iter() {
                     if let Some(&(max_inv, reader)) = self.reader_max.get(&(op.service.0, k.0)) {
@@ -295,6 +320,16 @@ impl StreamingChecker {
         }
         Ok(())
     }
+}
+
+/// The non-null `(key, value)` pairs `op` observed: what reads-from keys on.
+/// A result whose shape no replay can produce observes nothing.
+fn observations(op: &OpRecord) -> impl Iterator<Item = (Key, Value)> + '_ {
+    op.result()
+        .filter(|result| result_shape_matches(&op.kind, result))
+        .into_iter()
+        .flat_map(|result| result.observed_iter(&op.kind))
+        .filter(|(_, v)| !v.is_null())
 }
 
 /// Reordering front end for [`StreamingChecker`]: items tagged with their

@@ -12,6 +12,12 @@ use crate::op::{OpKind, OpResult};
 use crate::types::{Key, OpId, ProcessId, ServiceId, Timestamp, Value};
 
 /// One recorded operation: invocation, optional response, and metadata.
+///
+/// Byte budget: 96 bytes — an id, a process and a service (4 bytes each),
+/// a 40-byte [`OpKind`], the invocation instant and a 32-byte `outcome`. A
+/// history holds one per operation for as long as it is checked, so a test
+/// pins the size: a new field fails there instead of raising every run's
+/// heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {
     /// Dense identifier (index into the history).
@@ -24,22 +30,32 @@ pub struct OpRecord {
     pub kind: OpKind,
     /// Real-time instant of the invocation action.
     pub invoke: Timestamp,
-    /// Real-time instant of the response action; `None` if the operation never
-    /// completed (e.g. the process stopped while waiting).
-    pub response: Option<Timestamp>,
-    /// The returned result; `None` iff the operation is incomplete.
-    pub result: Option<OpResult>,
+    /// Real-time instant of the response action and the returned result;
+    /// `None` if the operation never completed (e.g. the process stopped
+    /// while waiting). One option, so the two are present together or not
+    /// at all.
+    pub outcome: Option<(Timestamp, OpResult)>,
 }
 
 impl OpRecord {
     /// True if the operation completed (has a response).
     pub fn is_complete(&self) -> bool {
-        self.response.is_some()
+        self.outcome.is_some()
+    }
+
+    /// Real-time instant of the response action, if the operation completed.
+    pub fn response(&self) -> Option<Timestamp> {
+        self.outcome.as_ref().map(|(at, _)| *at)
+    }
+
+    /// The returned result, if the operation completed.
+    pub fn result(&self) -> Option<&OpResult> {
+        self.outcome.as_ref().map(|(_, result)| result)
     }
 
     /// The value this operation observed for `key`, if any.
     pub fn observed_value(&self, key: Key) -> Option<Value> {
-        self.result.as_ref().and_then(|r| r.value_for(key, &self.kind))
+        self.result().and_then(|r| r.value_for(key, &self.kind))
     }
 }
 
@@ -65,8 +81,6 @@ pub enum HistoryError {
     /// Two operations of the same process overlap in time (processes have at
     /// most one outstanding invocation).
     OverlappingOps(OpId, OpId),
-    /// A complete operation has no result, or an incomplete one has a result.
-    ResultMismatch(OpId),
     /// A message is received before it is sent.
     MessageBeforeSend(usize),
 }
@@ -112,8 +126,7 @@ impl History {
             service,
             kind,
             invoke,
-            response: Some(response),
-            result: Some(result),
+            outcome: Some((response, result)),
         });
         id
     }
@@ -127,15 +140,7 @@ impl History {
         invoke: Timestamp,
     ) -> OpId {
         let id = OpId(self.ops.len() as u32);
-        self.ops.push(OpRecord {
-            id,
-            process,
-            service,
-            kind,
-            invoke,
-            response: None,
-            result: None,
-        });
+        self.ops.push(OpRecord { id, process, service, kind, invoke, outcome: None });
         id
     }
 
@@ -207,8 +212,8 @@ impl History {
             if op.service != service {
                 continue;
             }
-            match (&op.response, &op.result) {
-                (Some(resp), Some(result)) => {
+            match &op.outcome {
+                Some((resp, result)) => {
                     h.add_complete(
                         op.process,
                         op.service,
@@ -218,7 +223,7 @@ impl History {
                         result.clone(),
                     );
                 }
-                _ => {
+                None => {
                     h.add_incomplete(op.process, op.service, op.kind.clone(), op.invoke);
                 }
             }
@@ -272,27 +277,20 @@ impl History {
     }
 
     /// Checks structural well-formedness (Section 3.1): responses follow
-    /// invocations, a process has at most one outstanding operation, results
-    /// are present exactly for complete operations, and messages are sent
-    /// before they are received.
+    /// invocations, a process has at most one outstanding operation, and
+    /// messages are sent before they are received. (A result without a
+    /// response, or the reverse, is not representable.)
     pub fn validate(&self) -> Result<(), HistoryError> {
         for op in &self.ops {
-            if let Some(resp) = op.response {
-                if resp < op.invoke {
-                    return Err(HistoryError::ResponseBeforeInvoke(op.id));
-                }
-                if op.result.is_none() {
-                    return Err(HistoryError::ResultMismatch(op.id));
-                }
-            } else if op.result.is_some() {
-                return Err(HistoryError::ResultMismatch(op.id));
+            if op.response().is_some_and(|resp| resp < op.invoke) {
+                return Err(HistoryError::ResponseBeforeInvoke(op.id));
             }
         }
         for (a, b) in ByProcess::new(self).pairs() {
             let (a, b) = (self.op(a), self.op(b));
             // `a` must respond (or never respond but then it must be the
             // final op) before `b` is invoked.
-            match a.response {
+            match a.response() {
                 Some(resp) if resp <= b.invoke => {}
                 _ => return Err(HistoryError::OverlappingOps(a.id, b.id)),
             }
@@ -403,12 +401,7 @@ impl ByProcess {
 /// An operation's immediate predecessor in its process's order, if any, in
 /// the 4 bytes of an [`OpId`] (an `Option<OpId>` takes 8): one per op for
 /// as long as a streaming certification runs.
-///
-/// The `PartialEq<Option<OpId>>` and `Debug` impls below exist only so that
-/// `properties.rs`'s `prop_assert_eq!` of [`ByProcess::predecessors`]
-/// against a `Vec<Option<OpId>>` compiles; when that test compares
-/// [`Predecessor::get`] values instead, they can go.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Predecessor(u32);
 
 impl Predecessor {
@@ -419,18 +412,6 @@ impl Predecessor {
     /// The predecessor's id, if there is one.
     pub fn get(self) -> Option<OpId> {
         (self != Self::NONE).then_some(OpId(self.0))
-    }
-}
-
-impl PartialEq<Option<OpId>> for Predecessor {
-    fn eq(&self, other: &Option<OpId>) -> bool {
-        self.get() == *other
-    }
-}
-
-impl std::fmt::Debug for Predecessor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
     }
 }
 
@@ -464,11 +445,10 @@ mod flags {
     pub const MUTATING: u8 = 1 << 0;
     pub const READ_ONLY: u8 = 1 << 1;
     pub const COMPLETE: u8 = 1 << 2;
-    pub const HAS_RESULT: u8 = 1 << 3;
     /// The recorded result's shape can never equal the shape a sequential
     /// replay produces (e.g. a `Read` whose result is a `Values` list), so
     /// the operation can never legally appear in a witness.
-    pub const UNSAT_RESULT: u8 = 1 << 4;
+    pub const UNSAT_RESULT: u8 = 1 << 3;
 }
 
 /// A dense, arena-backed index over a [`History`], built once per check.
@@ -549,7 +529,7 @@ impl HistoryIndex {
         let mut processes = Vec::with_capacity(n);
         for op in history.ops() {
             index.invoke.push(op.invoke.as_micros());
-            index.response.push(op.response.map_or(NO_RESPONSE, Timestamp::as_micros));
+            index.response.push(op.response().map_or(NO_RESPONSE, Timestamp::as_micros));
             index.service.push(op.service.0);
 
             let mut f = 0u8;
@@ -564,9 +544,6 @@ impl HistoryIndex {
                 index.complete.push(op.id);
             } else if op.kind.is_mutating() {
                 index.pending_mutations.push(op.id);
-            }
-            if op.result.is_some() {
-                f |= flags::HAS_RESULT;
             }
 
             let tag = match &op.kind {
@@ -588,10 +565,10 @@ impl HistoryIndex {
             // `vs[j].0 == read_keys[j]`, so positional indexing is identical
             // to whole-result equality even with duplicate keys. The kinds
             // are matched inline so the build allocates nothing per op.
-            let usable_result = match &op.result {
+            let usable_result = match op.result() {
                 Some(result) => {
                     if result_shape_matches(&op.kind, result) {
-                        op.result.as_ref()
+                        Some(result)
                     } else {
                         f |= flags::UNSAT_RESULT;
                         None
@@ -687,16 +664,11 @@ impl HistoryIndex {
         self.flags[i] & flags::READ_ONLY != 0
     }
 
-    /// True if the operation completed.
+    /// True if the operation completed (so it has a recorded result to
+    /// check against).
     #[inline]
     pub fn is_complete(&self, i: usize) -> bool {
         self.flags[i] & flags::COMPLETE != 0
-    }
-
-    /// True if the operation has a recorded result to check against.
-    #[inline]
-    pub fn has_result(&self, i: usize) -> bool {
-        self.flags[i] & flags::HAS_RESULT != 0
     }
 
     /// True if the recorded result's shape can never match a replay (the
@@ -738,7 +710,7 @@ impl HistoryIndex {
     }
 
     /// Recorded observed values aligned with [`HistoryIndex::read_key_ids`];
-    /// meaningful only when [`HistoryIndex::has_result`] holds and the op is
+    /// meaningful only when [`HistoryIndex::is_complete`] holds and the op is
     /// not [`HistoryIndex::has_unsat_result`].
     #[inline]
     pub fn read_observations(&self, i: usize) -> &[u64] {
@@ -908,6 +880,11 @@ impl HistoryBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_op_record_stays_within_its_byte_budget() {
+        assert_eq!(std::mem::size_of::<OpRecord>(), 96);
+    }
 
     #[test]
     fn builder_and_accessors() {

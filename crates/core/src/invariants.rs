@@ -151,7 +151,7 @@ pub fn check_i2(history: &History, keys: &PhotoAppKeys) -> Result<(), InvariantV
         {
             continue;
         }
-        let Some(OpResult::Value(v)) = op.result.clone() else { continue };
+        let Some(&OpResult::Value(v)) = op.result() else { continue };
         let Some(photo) = keys.photo_of_message(v) else { continue };
         if let Some(observer) = later_null_read(history, &by_process, keys, op, photo) {
             return Err(InvariantViolation { invariant: "I2", observer, photo });
@@ -190,7 +190,7 @@ pub fn detect_a1(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
         let Some(album) = read.observed_value(keys.album) else { continue };
         let in_album = keys.photos_in_album(album);
         for add in &adds {
-            let Some(resp) = add.response else { continue };
+            let Some(resp) = add.response() else { continue };
             if resp >= read.invoke {
                 continue;
             }
@@ -220,7 +220,7 @@ pub fn detect_a2_a3(history: &History, keys: &PhotoAppKeys) -> Option<Anomaly> {
         let mut wrote_any = false;
         for &id in by_process.ops_of(m.from) {
             let op = history.op(id);
-            let Some(resp) = op.response else { continue };
+            let Some(resp) = op.response() else { continue };
             if resp > m.sent_at || op.service != keys.kv_service {
                 continue;
             }
@@ -282,7 +282,7 @@ pub mod scenarios {
             ProcessId(process),
             keys.kv_service,
             OpKind::RwTxn {
-                read_keys: vec![keys.album],
+                read_keys: Box::new([keys.album]),
                 writes: vec![
                     (keys.photo(photo), keys.photo_data(photo)),
                     (keys.album, keys.album_value(&all)),
@@ -392,7 +392,7 @@ pub mod scenarios {
             ProcessId(3),
             keys.kv_service,
             OpKind::RwTxn {
-                read_keys: vec![keys.album],
+                read_keys: Box::new([keys.album]),
                 writes: vec![
                     (keys.photo(1), keys.photo_data(1)),
                     (keys.album, keys.album_value(&[1])),

@@ -14,6 +14,12 @@ use crate::types::{Key, Value};
 type KeyValue = (Key, Value);
 
 /// The kind (and arguments) of an operation.
+///
+/// Byte budget: 40 bytes, the size of its largest variant, `RwTxn` (a
+/// 16-byte boxed slice and a 24-byte `Vec`; the tag lives in a niche). Every
+/// recorded operation carries one, twice over while a run's completions and
+/// its history are both held, so a test pins the size: a variant that
+/// widens it fails there instead of raising every run's heap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Non-transactional read of a single key.
@@ -24,8 +30,11 @@ pub enum OpKind {
     Rmw { key: Key, value: Value },
     /// Read-only transaction over a set of keys.
     RoTxn { keys: Vec<Key> },
-    /// Read-write transaction: reads `read_keys`, then writes `writes`.
-    RwTxn { read_keys: Vec<Key>, writes: Vec<(Key, Value)> },
+    /// Read-write transaction: reads `read_keys`, then writes `writes`. The
+    /// read keys are a boxed slice (16 bytes, where a `Vec` takes 24): they
+    /// never grow once recorded, and Spanner records none (an empty box
+    /// allocates nothing).
+    RwTxn { read_keys: Box<[Key]>, writes: Vec<(Key, Value)> },
     /// Enqueue a value onto a FIFO queue (messaging service).
     Enqueue { queue: Key, value: Value },
     /// Dequeue the head of a FIFO queue; returns [`Value::NULL`] when empty.
@@ -195,7 +204,10 @@ mod tests {
                     "030200000006000000000000000700000000000000",
                 ),
                 (
-                    OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
+                    OpKind::RwTxn {
+                        read_keys: Box::new([Key(1)]),
+                        writes: vec![(Key(2), Value(3))],
+                    },
                     "040100000001000000000000000100000002000000000000000300000000000000",
                 ),
                 (
@@ -217,6 +229,11 @@ mod tests {
                 (OpResult::Ack, "02"),
             ],
         );
+    }
+
+    #[test]
+    fn an_op_kind_stays_within_its_byte_budget() {
+        assert_eq!(std::mem::size_of::<OpKind>(), 40);
     }
 
     fn rw(reads: &[u64], writes: &[(u64, u64)]) -> OpKind {

@@ -25,7 +25,7 @@ use crate::types::{Key, OpId, Value};
 /// before `b`'s invocation.
 pub fn real_time_precedes(history: &History, a: OpId, b: OpId) -> bool {
     let (ra, rb) = (history.op(a), history.op(b));
-    match ra.response {
+    match ra.response() {
         Some(resp) => resp < rb.invoke,
         None => false,
     }
@@ -45,7 +45,7 @@ pub fn reads_from_edges(history: &History) -> Vec<(OpId, OpId)> {
     }
     let mut edges = Vec::new();
     for op in history.ops() {
-        let Some(result) = op.result.as_ref() else { continue };
+        let Some(result) = op.result() else { continue };
         for (k, v) in result.observed_iter(&op.kind) {
             if v.is_null() {
                 continue;
@@ -78,7 +78,7 @@ pub fn message_edges(history: &History, by_process: &ByProcess) -> Vec<(OpId, Op
         let last_before = sender_ops[..invoked_by_send]
             .iter()
             .rev()
-            .find(|id| history.op(**id).response.is_some_and(|r| r <= m.sent_at));
+            .find(|id| history.op(**id).response().is_some_and(|r| r <= m.sent_at));
         let receiver_ops = by_process.ops_of(m.to);
         let first_after = receiver_ops
             .get(receiver_ops.partition_point(|id| history.op(*id).invoke < m.received_at));

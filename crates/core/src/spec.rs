@@ -299,7 +299,7 @@ impl IndexedSpecState {
         if index.has_unsat_result(i) {
             return false;
         }
-        let check = index.has_result(i);
+        let check = index.is_complete(i);
         match index.kind_tag(i) {
             KindTag::Fence => true,
             KindTag::Read | KindTag::RoTxn => {
@@ -389,7 +389,7 @@ pub fn check_sequence(history: &History, order: &[OpId]) -> Result<(), SpecViola
     for &id in order {
         let op = history.op(id);
         let produced = state.apply(op.service, &op.kind);
-        if let Some(recorded) = &op.result {
+        if let Some(recorded) = op.result() {
             if !results_compatible(&op.kind, &produced, recorded) {
                 return Err(SpecViolation { op: id, expected: produced, actual: recorded.clone() });
             }
@@ -434,7 +434,10 @@ mod tests {
         s.apply(svc, &OpKind::Write { key: Key(1), value: Value(1) });
         let r = s.apply(
             svc,
-            &OpKind::RwTxn { read_keys: vec![Key(1), Key(2)], writes: vec![(Key(2), Value(7))] },
+            &OpKind::RwTxn {
+                read_keys: Box::new([Key(1), Key(2)]),
+                writes: vec![(Key(2), Value(7))],
+            },
         );
         assert_eq!(r, OpResult::Values(vec![(Key(1), Value(1)), (Key(2), Value::NULL)]));
         let r = s.apply(svc, &OpKind::RoTxn { keys: vec![Key(2)] });

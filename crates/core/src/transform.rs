@@ -63,7 +63,7 @@ fn action_schedule(history: &History) -> Vec<ActionInfo> {
             time: op.invoke,
             tie: 2,
         });
-        if let Some(resp) = op.response {
+        if let Some(resp) = op.response() {
             actions.push(ActionInfo {
                 action: Action::Respond(op.id),
                 process: op.process,

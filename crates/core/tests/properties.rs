@@ -108,8 +108,8 @@ fn pending_where(complete: &History, pending: impl Fn(&OpRecord) -> bool) -> His
                 op.service,
                 op.kind.clone(),
                 op.invoke,
-                op.response.expect("build_history records complete ops"),
-                op.result.clone().expect("build_history records results"),
+                op.response().expect("build_history records complete ops"),
+                op.result().cloned().expect("build_history records results"),
             );
         }
     }
@@ -240,7 +240,7 @@ fn message_edges_reference(history: &History) -> Vec<(OpId, OpId)> {
         let last_before = sender_ops
             .iter()
             .rev()
-            .find(|id| history.op(**id).response.map(|r| r <= m.sent_at).unwrap_or(false));
+            .find(|id| history.op(**id).response().map(|r| r <= m.sent_at).unwrap_or(false));
         let first_after = receiver_ops.iter().find(|id| history.op(**id).invoke >= m.received_at);
         if let (Some(a), Some(b)) = (last_before, first_after) {
             if a != b {
@@ -658,7 +658,8 @@ proptest! {
         }
         prop_assert!(grouped.ops_of(ProcessId(u32::MAX)).is_empty());
         prop_assert_eq!(grouped.pairs().collect::<Vec<_>>(), pairs);
-        prop_assert_eq!(grouped.predecessors(), prev);
+        let got: Vec<Option<OpId>> = grouped.predecessors().iter().map(|p| p.get()).collect();
+        prop_assert_eq!(got, prev);
         let index = HistoryIndex::new(&h);
         prop_assert_eq!(
             index.ops_by_process().iter().collect::<Vec<_>>(),

@@ -236,27 +236,48 @@ pub fn run_gryff(spec: GryffClusterSpec) -> GryffRunResult {
     run_gryff_on(&SimPlane::default(), spec)
 }
 
-/// One entry of a key's carstamp chain: `(key, carstamp, rank, finish, op)`.
-pub type ChainRow = (u64, Carstamp, u8, u64, OpId);
-
-/// The chain entry of one completion recorded as `id` (writes rank before
-/// reads among carstamp ties), if it carries a carstamp.
-pub fn carstamp_chain_row(rec: &CompletedRecord, id: OpId) -> Option<ChainRow> {
+/// Where a completion sits in its key's carstamp chain, if it carries a
+/// carstamp: `(key, carstamp, rank, finish)`, writes ranking before reads
+/// among carstamp ties.
+fn chain_position(rec: &CompletedRecord) -> Option<(u64, Carstamp, u8, u64)> {
     let (key, rank) = match &rec.kind {
         OpKind::Read { key } => (*key, 1),
         OpKind::Write { key, .. } | OpKind::Rmw { key, .. } => (*key, 0),
         _ => return None,
     };
     let WitnessHint::Carstamp { count, writer, rmwc } = rec.witness else { return None };
-    Some((key.0, Carstamp { count, writer, rmwc }, rank, rec.finish.as_micros(), id))
+    Some((key.0, Carstamp { count, writer, rmwc }, rank, rec.finish.as_micros()))
 }
 
-/// The per-key carstamp chains as constraint edges: each key's entries in
-/// carstamp order, consecutive ones linked; keys ascending.
-pub fn carstamp_chain_edges(mut rows: Vec<ChainRow>) -> impl Iterator<Item = (OpId, OpId)> {
-    rows.sort_unstable();
-    (1..rows.len())
-        .filter_map(move |i| (rows[i - 1].0 == rows[i].0).then_some((rows[i - 1].4, rows[i].4)))
+/// The per-key carstamp chains as constraint edges: each key's carstamped
+/// operations in carstamp order (ties: writes first, then by finish instant
+/// and id), consecutive ones linked; keys ascending. `records[i]` is the
+/// completion recorded as op `i`; the ones without a carstamp (fences,
+/// transactions) are in no chain.
+///
+/// The sorts move the 4-byte ids of the chained ops: first grouped by key,
+/// read from a dense array of every op's key, then each key's group in
+/// chain order, read once per op from its record into a buffer as long as
+/// that group.
+pub fn carstamp_chain_edges<'a>(
+    records: &'a [&'a CompletedRecord],
+) -> impl Iterator<Item = (OpId, OpId)> + 'a {
+    let mut keys: Vec<u64> = Vec::with_capacity(records.len());
+    let mut chained: Vec<u32> = Vec::new();
+    for (id, rec) in records.iter().enumerate() {
+        let position = chain_position(rec);
+        keys.push(position.map_or(0, |p| p.0));
+        chained.extend(position.map(|_| id as u32));
+    }
+    let key = move |id: u32| keys[id as usize];
+    chained.sort_unstable_by_key(|&id| key(id));
+    for group in chained.chunk_by_mut(|&a, &b| key(a) == key(b)) {
+        group.sort_by_cached_key(|&id| (chain_position(records[id as usize]), id));
+    }
+    (1..chained.len()).filter_map(move |i| {
+        let (a, b) = (chained[i - 1], chained[i]);
+        (key(a) == key(b)).then_some((OpId(a), OpId(b)))
+    })
 }
 
 /// Builds the history and the per-key/process-order constraint edges of a run.
@@ -271,17 +292,22 @@ pub fn build_history_from(
 ) -> (History, Vec<(OpId, OpId)>) {
     let total = completed.iter().map(|(_, ops)| ops.len()).sum();
     let mut recorder = HistoryRecorder::with_capacity(total);
-    let mut rows: Vec<ChainRow> = Vec::with_capacity(total);
+    let mut records: Vec<&CompletedRecord> = Vec::with_capacity(total);
     for (client, ops) in completed {
         for op in ops {
             let id = recorder.record(*client as u64, op);
-            rows.extend(carstamp_chain_row(op, id));
+            debug_assert_eq!(id.index(), records.len());
+            records.push(op);
         }
     }
     // At most one chain edge and one process-order edge an operation.
     let mut edges = Vec::with_capacity(2 * total);
-    edges.extend(carstamp_chain_edges(rows));
+    edges.extend(carstamp_chain_edges(&records));
+    drop(records);
     edges.extend(ByProcess::new(recorder.history()).pairs());
+    // Each key's and each process's first op has none; the edges are held
+    // to the end of a certification, so give that room back.
+    edges.shrink_to_fit();
     (recorder.into_history(), edges)
 }
 

@@ -53,9 +53,9 @@ pub mod prelude {
     pub use crate::client::{GryffClientConfig, GryffClientStats, GryffService};
     pub use crate::config::{BugZoo, GryffConfig, Mode};
     pub use crate::harness::{
-        build, build_history, build_history_from, carstamp_chain_edges, carstamp_chain_row,
-        client_config, collect, history_and_witness, run_gryff, run_gryff_on, verify_run, ChainRow,
-        GryffClientSpec, GryffClusterSpec, GryffNode, GryffRunResult, GryffVerificationError,
+        build, build_history, build_history_from, carstamp_chain_edges, client_config, collect,
+        history_and_witness, run_gryff, run_gryff_on, verify_run, GryffClientSpec,
+        GryffClusterSpec, GryffNode, GryffRunResult, GryffVerificationError,
     };
     pub use crate::messages::{Dep, GryffMsg, OpRef};
     pub use crate::workload::{ConflictWorkload, OpRequest};

@@ -223,7 +223,7 @@ mod tests {
                         stream: 0,
                         rec: CompletedRecord {
                             service: ServiceId(1),
-                            kind: OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
+                            kind: OpKind::RwTxn { read_keys: Box::new([Key(1)]), writes: vec![(Key(2), Value(3))] },
                             result: OpResult::Values(vec![(Key(1), Value(9))]),
                             invoke: SimTime::from_micros(10),
                             finish: SimTime::from_micros(30),

@@ -50,6 +50,13 @@ pub enum WitnessHint {
 }
 
 /// One completed session operation, as reported by a [`crate::Service`].
+///
+/// Byte budget: 136 bytes — a 40-byte [`OpKind`], a 24-byte [`OpResult`],
+/// a 32-byte [`WitnessHint`], the two instants and the session (8 each), the
+/// service, slot and attempts (4 each), `rounds` and `orphan` (1 each), and
+/// two bytes of padding. A run holds one per operation until it is
+/// certified, so a test pins the size: a new field fails there instead of
+/// raising every run's heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompletedRecord {
     /// The service the operation executed at.
@@ -208,7 +215,7 @@ impl HistoryRecorder {
             .iter()
             .rev()
             .copied()
-            .find(|&id| self.history.op(id).response.is_some_and(|r| r.0 <= at_us))
+            .find(|&id| self.history.op(id).response().is_some_and(|r| r.0 <= at_us))
     }
 
     /// The id of the lane's first operation invoked at or after `at_us` —
@@ -237,6 +244,11 @@ mod tests {
     use regular_storage::codec::check_layout;
 
     #[test]
+    fn a_completed_record_stays_within_its_byte_budget() {
+        assert_eq!(std::mem::size_of::<CompletedRecord>(), 136);
+    }
+
+    #[test]
     fn every_variant_keeps_its_bytes() {
         check_layout(
             WitnessHint::TAGS,
@@ -251,7 +263,7 @@ mod tests {
         );
         let rec = CompletedRecord {
             service: ServiceId(1),
-            kind: OpKind::RwTxn { read_keys: vec![Key(1)], writes: vec![(Key(2), Value(3))] },
+            kind: OpKind::RwTxn { read_keys: Box::new([Key(1)]), writes: vec![(Key(2), Value(3))] },
             result: OpResult::Values(vec![(Key(1), Value(9))]),
             invoke: SimTime::from_micros(10),
             finish: SimTime::from_micros(30),

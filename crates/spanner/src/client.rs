@@ -420,7 +420,7 @@ impl SpannerService {
             }
             Phase::Fence { .. } => (OpKind::Fence, &mut self.stats.fences),
             _ => (
-                OpKind::RwTxn { read_keys: Vec::new(), writes: txn.writes },
+                OpKind::RwTxn { read_keys: Box::default(), writes: txn.writes },
                 &mut self.stats.rw_completed,
             ),
         };
@@ -638,7 +638,10 @@ impl Service for SpannerService {
                     if commit {
                         self.completed.push(CompletedRecord {
                             service: self.service,
-                            kind: OpKind::RwTxn { read_keys: Vec::new(), writes: orphan.writes },
+                            kind: OpKind::RwTxn {
+                                read_keys: Box::default(),
+                                writes: orphan.writes,
+                            },
                             result: OpResult::Values(Vec::new()),
                             invoke: orphan.invoke,
                             finish: ctx.now(),

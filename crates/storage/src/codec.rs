@@ -280,6 +280,18 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// The same bytes as a `Vec`: a length, then the elements.
+impl<T: Wire> Wire for Box<[T]> {
+    #[inline]
+    fn encode_into(&self, e: &mut Enc) {
+        e.slice(self);
+    }
+    #[inline]
+    fn decode_from(d: &mut Dec<'_>) -> Option<Self> {
+        Vec::decode_from(d).map(Vec::into_boxed_slice)
+    }
+}
+
 /// A slice borrowed while encoding (a checkpoint streams a node's state
 /// without cloning it), owned once decoded.
 impl<T: Wire + Clone> Wire for Cow<'_, [T]> {

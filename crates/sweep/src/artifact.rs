@@ -134,9 +134,9 @@ json_layout! { struct OpRow { process, service, kind, invoke; omit response, res
 impl JsonLayout for History {
     fn to_json(&self) -> Json {
         let row = |op: &OpRecord| {
-            let OpRecord { process, service, ref kind, invoke, response, ref result, .. } = *op;
-            OpRow { process, service, kind: kind.clone(), invoke, response, result: result.clone() }
-                .to_json()
+            let OpRecord { process, service, ref kind, invoke, .. } = *op;
+            let (response, result) = (op.response(), op.result().cloned());
+            OpRow { process, service, kind: kind.clone(), invoke, response, result }.to_json()
         };
         Json::obj(vec![
             ("ops", Json::Arr(self.ops().iter().map(row).collect())),

@@ -23,7 +23,7 @@ use regular_core::types::{OpId, ServiceId};
 use regular_gryff::prelude::{GryffConfig, GryffService};
 use regular_gryff::replica::GryffReplica;
 use regular_gryff::workload::ConflictWorkload;
-use regular_gryff::{carstamp_chain_edges, carstamp_chain_row, ChainRow, GryffMsg};
+use regular_gryff::{carstamp_chain_edges, GryffMsg};
 use regular_session::{
     fold, measure, CompletedRecord, Deployment, HandoffRecord, HistoryRecorder, MappedService,
     Measured, MultiServiceWorkload, NodeSpec, Part, Plane, PlaneNode, RoundRobinWorkload, Service,
@@ -502,28 +502,29 @@ pub(crate) fn assemble_composed(
     // Spanner read-only transactions: (serialization ts, op, [(key, value)]).
     type SpannerRo = (u64, OpId, Vec<(u64, u64)>);
     let mut spanner_ro: Vec<SpannerRo> = Vec::new();
-    let mut gryff_rows: Vec<ChainRow> = Vec::new();
+    // Every completion by op id; only Gryff's carry carstamps.
+    let mut records: Vec<&CompletedRecord> = Vec::with_capacity(total);
     for app in &run.apps {
         let client = app.node;
         for (svc, rec) in &app.completed {
             let id = recorder.record(client as u64, rec);
-            match *svc {
-                0 => {
-                    let ts = rec.witness_ts().unwrap_or_else(|| rec.finish.as_micros());
-                    match (&rec.kind, &rec.result) {
-                        (OpKind::RwTxn { writes, .. }, _) => {
-                            spanner_rw.push((ts, rec.finish.as_micros(), id));
-                            for (k, v) in writes {
-                                spanner_writes.entry(k.0).or_default().push((ts, v.0, id));
-                            }
+            debug_assert_eq!(id.index(), records.len());
+            records.push(rec);
+            // Gryff completions are ordered by their carstamp chains, below.
+            if *svc == 0 {
+                let ts = rec.witness_ts().unwrap_or_else(|| rec.finish.as_micros());
+                match (&rec.kind, &rec.result) {
+                    (OpKind::RwTxn { writes, .. }, _) => {
+                        spanner_rw.push((ts, rec.finish.as_micros(), id));
+                        for (k, v) in writes {
+                            spanner_writes.entry(k.0).or_default().push((ts, v.0, id));
                         }
-                        (OpKind::RoTxn { .. }, OpResult::Values(vs)) => {
-                            spanner_ro.push((ts, id, vs.iter().map(|(k, v)| (k.0, v.0)).collect()));
-                        }
-                        _ => {} // fences: process order only
                     }
+                    (OpKind::RoTxn { .. }, OpResult::Values(vs)) => {
+                        spanner_ro.push((ts, id, vs.iter().map(|(k, v)| (k.0, v.0)).collect()));
+                    }
+                    _ => {} // fences: process order only
                 }
-                _ => gryff_rows.extend(carstamp_chain_row(rec, id)),
             }
         }
     }
@@ -551,7 +552,8 @@ pub(crate) fn assemble_composed(
             }
         }
     }
-    edges.extend(carstamp_chain_edges(gryff_rows));
+    edges.extend(carstamp_chain_edges(&records));
+    drop(records);
     let by_process = ByProcess::new(recorder.history());
     edges.extend(by_process.pairs());
     // Cross-process causal handoffs (Section 4.2): each is an external

@@ -246,6 +246,18 @@ impl<T: JsonLayout> JsonLayout for Vec<T> {
     }
 }
 
+impl<T: JsonLayout> JsonLayout for Box<[T]> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(json: &Json) -> Result<Self, String> {
+        Vec::from_json(json).map(Vec::into_boxed_slice)
+    }
+    fn is_absent(&self) -> bool {
+        self.is_empty()
+    }
+}
+
 impl<T: JsonLayout> JsonLayout for Option<T> {
     fn to_json(&self) -> Json {
         self.as_ref().map_or(Json::Null, T::to_json)

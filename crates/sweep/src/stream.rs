@@ -76,7 +76,7 @@ pub fn certify_streaming(
         .iter()
         .map(|&id| {
             let op = history.op(id);
-            op.response.unwrap_or(op.invoke).as_micros()
+            op.response().unwrap_or(op.invoke).as_micros()
         })
         .collect();
     let mut arrivals: Vec<u32> = (0..witness.len() as u32).collect();
@@ -91,6 +91,8 @@ pub fn certify_streaming(
     drop(by_process);
 
     let mut checker = StreamingChecker::with_message_edges(model, &edges);
+    // Sized once: its last doubling was this pass's heap peak.
+    checker.reserve_readers(history.ops());
     let mut buffer: WindowBuffer<OpId> = WindowBuffer::default();
     let mut windows = 0usize;
     for pos in arrivals {

@@ -8,19 +8,25 @@
 //! one fixed-seed Spanner-RSS run on the three-region WAN with Retwis, and
 //! one fixed-seed Gryff-RSC run on the five-region WAN with YCSB:
 //!
-//! | measured (12 483 transactions, seed 7)               | before | parent | now   | ceiling |
-//! |-------------------------------------------------------|-------:|-------:|------:|--------:|
-//! | allocations per completed transaction, `run_cluster`  | 30.04  | 11.43  | 11.10 | 11.5    |
-//! | allocations per pushed op, `certify_streaming`        |  4.013 | 0.013  | 0.013 | 0.02    |
+//! | measured (12 483 transactions, seed 7)               | before | heaps | parent | now   | ceiling |
+//! |-------------------------------------------------------|-------:|------:|-------:|------:|--------:|
+//! | allocations per completed transaction, `run_cluster`  | 30.04  | 11.43 | 11.06  | 11.06 | 11.5    |
+//! | allocations per pushed op, `certify_streaming`        |  4.013 | 0.013 | 0.010  | 0.009 | 0.02    |
 //!
-//! | measured (26 318 operations, seed 11)                 | before | parent | now   | ceiling |
-//! |-------------------------------------------------------|-------:|-------:|------:|--------:|
-//! | allocations per completed operation, `run_gryff`      | 1.196  | 0.193  | 0.037 | 0.06    |
-//! | allocations per pushed op, `certify_streaming`        | 0.004  | 0.004  | 0.004 | 0.02    |
+//! | measured (26 318 operations, seed 11)                 | before | heaps | parent | now   | ceiling |
+//! |-------------------------------------------------------|-------:|------:|-------:|------:|--------:|
+//! | allocations per completed operation, `run_gryff`      | 1.196  | 0.193 | 0.037  | 0.037 | 0.06    |
+//! | allocations per pushed op, `certify_streaming`        | 0.004  | 0.004 | 0.004  | 0.003 | 0.02    |
 //!
-//! "Parent" in every table is the tree whose wheel buckets were
-//! separately allocated binary heaps, each freeing its capacity after a
-//! burst; its bucket lists now share one arena of links.
+//! "Heaps" in every table is the tree whose wheel buckets were separately
+//! allocated binary heaps, each freeing its capacity after a burst; its
+//! bucket lists now share one arena of links. "Parent" in every table is
+//! the tree whose operation records were wider (a 48-byte `OpKind` with a
+//! `Vec` of read keys, an `OpRecord` with separate response and result
+//! options), whose Gryff chain order sorted a 56-byte row per operation,
+//! and whose streaming certifier grew its reads-from table by doubling;
+//! "now" sizes that table once, so a push no longer pays for its
+//! doublings.
 //!
 //! In the Gryff table, "before" is the tree that still counted every
 //! quorum in a hash set allocated per operation (client) and per rmw round
@@ -40,11 +46,11 @@
 //! `certify_streaming` with the run's result still held, whichever is
 //! higher:
 //!
-//! | measured (18 382 ops, seed 3)                         | before | parent | now   | ceiling |
-//! |-------------------------------------------------------|-------:|-------:|------:|--------:|
-//! | peak live heap, MiB, `run_cluster`                    | 15.83  | 12.63  | 12.11 |         |
-//! | peak live heap, MiB, history and certification        | 11.36  | 10.86  | 10.86 |         |
-//! | peak live heap, MiB, the higher of the two            | 15.83  | 12.63  | 12.11 | 12.3    |
+//! | measured (18 382 ops, seed 3)                         | before | heaps | parent | now   | ceiling |
+//! |-------------------------------------------------------|-------:|------:|-------:|------:|--------:|
+//! | peak live heap, MiB, `run_cluster`                    | 15.83  | 12.63 | 12.11  | 11.95 |         |
+//! | peak live heap, MiB, history and certification        | 11.36  | 10.86 | 10.58  | 10.18 |         |
+//! | peak live heap, MiB, the higher of the two            | 15.83  | 12.63 | 12.11  | 11.95 | 12.0    |
 //!
 //! "Before" there is the tree whose session runner kept its completions in
 //! one doubling `Vec`, whose shard stores interned keys into dense slots,
@@ -57,21 +63,24 @@
 //! `assemble_witness`, then `certify_streaming`, each with everything before
 //! it still held — and over the whole pipeline, `run_gryff` included:
 //!
-//! | measured (26 318 operations, seed 11)                 | parent | now   | ceiling |
-//! |-------------------------------------------------------|-------:|------:|--------:|
-//! | peak live heap, MiB, `run_gryff`                      |  9.67  |  9.64 |         |
-//! | peak live heap, MiB, `build_history_from`             |  9.85  |  8.29 |         |
-//! | peak live heap, MiB, `assemble_witness`               | 10.39  |  8.07 |         |
-//! | peak live heap, MiB, `certify_streaming`              | 10.64  |  8.68 |         |
-//! | peak live heap, MiB, the highest after the run        | 10.64  |  8.68 | 8.8     |
-//! | peak live heap, MiB, the highest of all four          | 10.64  |  9.64 | 9.7     |
+//! | measured (26 318 operations, seed 11)                 | barriers | parent | now   | ceiling |
+//! |-------------------------------------------------------|---------:|-------:|------:|--------:|
+//! | peak live heap, MiB, `run_gryff`                      |  9.67    |  9.64  |  9.30 |         |
+//! | peak live heap, MiB, `build_history_from`             |  9.85    |  8.29  |  7.19 |         |
+//! | peak live heap, MiB, `assemble_witness`               | 10.39    |  8.07  |  7.37 |         |
+//! | peak live heap, MiB, `certify_streaming`              | 10.64    |  8.68  |  8.12 |         |
+//! | peak live heap, MiB, the highest after the run        | 10.64    |  8.68  |  8.12 | 8.2     |
+//! | peak live heap, MiB, the highest of all four          | 10.64    |  9.64  |  9.30 | 9.4     |
 //!
-//! "Parent" there is the tree whose run result kept every replica's final
-//! registers, whose assembler chained a barrier node per response event
-//! into its graph, and whose streaming pass kept 16-byte arrival rows,
-//! 8-byte predecessors and a per-component list of every op. The same
-//! change took the Spanner certifier push above from 0.013 to 0.010
-//! allocations and the durable leg's certification from 10.86 to 10.58 MiB.
+//! "Barriers" there is the tree whose run result kept every replica's
+//! final registers, whose assembler chained a barrier node per response
+//! event into its graph, and whose streaming pass kept 16-byte arrival
+//! rows, 8-byte predecessors and a per-component list of every op. The
+//! same change took the Spanner certifier push above from 0.013 to 0.010
+//! allocations and the durable leg's certification from 10.86 to 10.58
+//! MiB. From "parent" to "now" every operation is 8 bytes narrower in the
+//! run's result and 16 in the history, and the certifier's reads-from
+//! table no longer doubles.
 //!
 //! The ceilings sit just above what the tree measures now, and they only
 //! ever move down: a change that needs one raised has added an allocation
@@ -100,12 +109,12 @@ const CERTIFY_CEILING: f64 = 0.02;
 /// Allocations per completed operation inside `run_gryff`.
 const GRYFF_RUN_CEILING: f64 = 0.06;
 /// Peak live heap of the durable run and its certification, in MiB.
-const DURABLE_PEAK_CEILING_MIB: f64 = 12.3;
+const DURABLE_PEAK_CEILING_MIB: f64 = 12.0;
 /// Peak live heap of the Gryff-RSC history, witness and certification over
 /// the held run, in MiB.
-const GRYFF_CERTIFY_PEAK_CEILING_MIB: f64 = 8.8;
+const GRYFF_CERTIFY_PEAK_CEILING_MIB: f64 = 8.2;
 /// Peak live heap of the Gryff-RSC run and its certification, in MiB.
-const GRYFF_PEAK_CEILING_MIB: f64 = 9.7;
+const GRYFF_PEAK_CEILING_MIB: f64 = 9.4;
 
 thread_local! {
     /// Allocations made on this thread (`const`-initialised, no destructor:

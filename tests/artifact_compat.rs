@@ -110,7 +110,7 @@ fn golden_history() -> History {
         p(3),
         s(1),
         OpKind::RwTxn {
-            read_keys: vec![Key(4)],
+            read_keys: Box::new([Key(4)]),
             writes: vec![(Key(4), v(2, 1)), (Key(5), v(2, 2))],
         },
         t(base + 80),
